@@ -1,6 +1,7 @@
 //! Additional StorageApps beyond text deserialization — the generalizations
 //! §I sketches: binary input formats and the serialization direction.
 
+use crate::storage_app::emit_rows;
 use crate::{AppError, DeviceCtx, StorageApp};
 use morpheus_format::{
     BinaryStreamParser, Endianness, ParseWork, ParsedColumns, Schema, TextWriter,
@@ -30,30 +31,6 @@ impl BinaryDeserializeApp {
             last_work: ParseWork::default(),
         }
     }
-
-    fn emit_and_charge(&mut self, ctx: &mut DeviceCtx) {
-        let parser = self.parser.as_ref().expect("instance still live");
-        let total = parser.records();
-        if total > self.emitted_records {
-            let mut buf = Vec::new();
-            let mut cols = parser.peek().clone();
-            cols.canonicalize();
-            cols.encode_rows(self.emitted_records, total, &mut buf);
-            ctx.charge_instructions(buf.len() as f64);
-            ctx.ms_memcpy(&buf);
-            self.emitted_records = total;
-        }
-        let w = parser.work();
-        let delta = ParseWork {
-            bytes_scanned: w.bytes_scanned - self.last_work.bytes_scanned,
-            int_tokens: w.int_tokens - self.last_work.int_tokens,
-            int_digits: w.int_digits - self.last_work.int_digits,
-            float_tokens: w.float_tokens - self.last_work.float_tokens,
-            float_digits: w.float_digits - self.last_work.float_digits,
-        };
-        ctx.charge_work(&delta);
-        self.last_work = w;
-    }
 }
 
 impl StorageApp for BinaryDeserializeApp {
@@ -64,15 +41,17 @@ impl StorageApp for BinaryDeserializeApp {
     fn on_chunk(&mut self, ctx: &mut DeviceCtx, data: &[u8]) -> Result<(), AppError> {
         let parser = self.parser.as_mut().expect("on_chunk after finish");
         parser.feed(data)?;
-        self.emit_and_charge(ctx);
+        self.emitted_records += emit_rows(ctx, &parser.take_rows());
+        let work = parser.work();
+        ctx.charge_work(&work.since(&self.last_work));
+        self.last_work = work;
         Ok(())
     }
 
     fn on_finish(&mut self, ctx: &mut DeviceCtx) -> Result<i32, AppError> {
-        self.emit_and_charge(ctx);
         let parser = self.parser.take().expect("on_finish called twice");
-        let cols = parser.finish()?;
-        Ok(cols.records as i32)
+        let rest = parser.finish()?;
+        Ok((self.emitted_records + emit_rows(ctx, &rest)) as i32)
     }
 }
 
@@ -187,6 +166,30 @@ mod tests {
         let w = ctx.take_work();
         assert_eq!(w.float_tokens, 0);
         assert!(w.int_tokens > 0);
+    }
+
+    #[test]
+    fn binary_parser_state_stays_one_page_across_a_long_stream() {
+        let mut text = Vec::new();
+        for i in 0..3_000u32 {
+            text.extend_from_slice(format!("{i} {}.5\n", i % 97).as_bytes());
+        }
+        let (mut want, _) = parse_buffer(&text, &schema()).unwrap();
+        want.canonicalize();
+        let input = encode_binary(&want, Endianness::Big);
+        let mut app = BinaryDeserializeApp::new("bin", schema(), Endianness::Big);
+        let mut ctx = DeviceCtx::new(256 * 1024);
+        // A page size that is not a multiple of the 12-byte record.
+        let page = 4096;
+        assert!(input.len() > 8 * page, "stream must span many pages");
+        for chunk in input.chunks(page) {
+            app.on_chunk(&mut ctx, chunk).unwrap();
+            let parser = app.parser.as_ref().unwrap();
+            assert_eq!(parser.records(), 0, "a complete record was left undrained");
+        }
+        assert_eq!(app.on_finish(&mut ctx).unwrap(), 3_000);
+        let got = ParsedColumns::decode(schema(), &ctx.take_output()).unwrap();
+        assert_eq!(got, want);
     }
 
     #[test]

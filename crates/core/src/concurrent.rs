@@ -278,13 +278,7 @@ impl System {
                 let io_done = dma.end.max(mb.end);
                 parser.feed(&data[..c.valid_bytes as usize])?;
                 let w = parser.work();
-                let dw = ParseWork {
-                    bytes_scanned: w.bytes_scanned - last_work.bytes_scanned,
-                    int_tokens: w.int_tokens - last_work.int_tokens,
-                    int_digits: w.int_digits - last_work.int_digits,
-                    float_tokens: w.float_tokens - last_work.float_tokens,
-                    float_digits: w.float_digits - last_work.float_digits,
-                };
+                let dw = w.since(last_work);
                 *last_work = w;
                 let os_cost = self.os.buffered_read(c.valid_bytes);
                 let os_t = self.cpu.duration(os_cost.instructions, CodeClass::OsKernel);

@@ -428,7 +428,7 @@ impl System {
                     let p = parser.as_mut().expect("live path has a parser");
                     p.feed(&text[..c.valid_bytes as usize])?;
                     let w = p.work();
-                    let dw = work_delta(&w, &last_work);
+                    let dw = w.since(&last_work);
                     last_work = w;
                     if memo_key.is_some() {
                         recorded.push(dw);
@@ -1111,16 +1111,6 @@ impl System {
             }
             None => FaultCounters::default(),
         }
-    }
-}
-
-fn work_delta(now: &ParseWork, before: &ParseWork) -> ParseWork {
-    ParseWork {
-        bytes_scanned: now.bytes_scanned - before.bytes_scanned,
-        int_tokens: now.int_tokens - before.int_tokens,
-        int_digits: now.int_digits - before.int_digits,
-        float_tokens: now.float_tokens - before.float_tokens,
-        float_digits: now.float_digits - before.float_digits,
     }
 }
 

@@ -15,7 +15,7 @@
 //! by flushing output early), and all host communication goes through the
 //! staged output buffer — a StorageApp cannot touch host memory directly.
 
-use morpheus_format::{ParseError, ParseWork, Schema, StreamingParser};
+use morpheus_format::{ParseError, ParseWork, ParsedColumns, Schema, StreamingParser};
 use std::error::Error;
 use std::fmt;
 
@@ -246,34 +246,22 @@ impl DeserializeApp {
     pub fn schema(&self) -> &Schema {
         &self.schema
     }
+}
 
-    fn emit_new_records(&mut self, ctx: &mut DeviceCtx) {
-        let parser = self.parser.as_ref().expect("instance still live");
-        let total = parser.records();
-        if total > self.emitted_records {
-            let mut buf = Vec::new();
-            let mut cols = parser.peek().clone();
-            cols.canonicalize();
-            cols.encode_rows(self.emitted_records, total, &mut buf);
-            ctx.ms_memcpy(&buf);
-            // Emitting binary costs ~1 instruction per byte (stores).
-            ctx.charge_instructions(buf.len() as f64);
-            self.emitted_records = total;
-        }
+/// `ms_memcpy`s `rows` to the host as binary objects at their declared
+/// field widths, charging ~1 instruction per emitted byte (the stores), and
+/// returns the row count.
+///
+/// No `canonicalize` pass is needed first: `encode_rows` applies the same
+/// width casts, so the bytes equal those of the canonicalized host objects.
+pub(crate) fn emit_rows(ctx: &mut DeviceCtx, rows: &ParsedColumns) -> u64 {
+    if rows.records > 0 {
+        let mut buf = Vec::with_capacity(rows.binary_bytes() as usize);
+        rows.encode_rows(0, rows.records, &mut buf);
+        ctx.ms_memcpy(&buf);
+        ctx.charge_instructions(buf.len() as f64);
     }
-
-    fn charge_delta(&mut self, ctx: &mut DeviceCtx) {
-        let w = self.parser.as_ref().expect("instance still live").work();
-        let delta = ParseWork {
-            bytes_scanned: w.bytes_scanned - self.last_work.bytes_scanned,
-            int_tokens: w.int_tokens - self.last_work.int_tokens,
-            int_digits: w.int_digits - self.last_work.int_digits,
-            float_tokens: w.float_tokens - self.last_work.float_tokens,
-            float_digits: w.float_digits - self.last_work.float_digits,
-        };
-        ctx.charge_work(&delta);
-        self.last_work = w;
-    }
+    rows.records
 }
 
 impl StorageApp for DeserializeApp {
@@ -285,32 +273,25 @@ impl StorageApp for DeserializeApp {
         let parser = self.parser.as_mut().expect("on_chunk after finish");
         parser.feed(data)?;
         ctx.ensure_working_set(parser.carry_len() as u64 + data.len() as u64)?;
-        self.charge_delta(ctx);
-        self.emit_new_records(ctx);
+        let work = parser.work();
+        ctx.charge_work(&work.since(&self.last_work));
+        self.last_work = work;
+        self.emitted_records += emit_rows(ctx, &parser.take_rows());
         Ok(())
     }
 
     fn on_finish(&mut self, ctx: &mut DeviceCtx) -> Result<i32, AppError> {
-        self.emit_new_records(ctx);
         let parser = self.parser.take().expect("on_finish called twice");
         // The final carry may hold one last unterminated token.
-        let before = self.emitted_records;
-        let mut cols = parser.finish()?;
-        cols.canonicalize();
-        if cols.records > before {
-            let mut buf = Vec::new();
-            cols.encode_rows(before, cols.records, &mut buf);
-            ctx.ms_memcpy(&buf);
-            ctx.charge_instructions(buf.len() as f64);
-        }
-        Ok(cols.records as i32)
+        let rest = parser.finish()?;
+        Ok((self.emitted_records + emit_rows(ctx, &rest)) as i32)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use morpheus_format::{parse_buffer, FieldKind, ParsedColumns};
+    use morpheus_format::{parse_buffer, FieldKind, TextWriter};
 
     fn edge_schema() -> Schema {
         Schema::new(vec![FieldKind::U32, FieldKind::U32])
@@ -330,6 +311,33 @@ mod tests {
         let (mut expect, _) = parse_buffer(text, &edge_schema()).unwrap();
         expect.canonicalize();
         assert_eq!(decoded, expect);
+    }
+
+    #[test]
+    fn parser_state_stays_one_page_across_a_long_stream() {
+        let mut w = TextWriter::new();
+        for i in 0..5_000u64 {
+            w.write_u64(i * 7919);
+            w.sep();
+            w.write_u64(i);
+            w.newline();
+        }
+        let text = w.into_bytes();
+        let mut app = DeserializeApp::new("edges", edge_schema());
+        let mut ctx = DeviceCtx::new(256 * 1024);
+        let page = 4096;
+        assert!(text.len() > 8 * page, "stream must span many pages");
+        for chunk in text.chunks(page) {
+            app.on_chunk(&mut ctx, chunk).unwrap();
+            let parser = app.parser.as_ref().unwrap();
+            assert_eq!(parser.records(), 0, "a complete record was left undrained");
+            assert!(parser.carry_len() < page);
+        }
+        assert_eq!(app.on_finish(&mut ctx).unwrap(), 5_000);
+        let (mut expect, _) = parse_buffer(&text, &edge_schema()).unwrap();
+        expect.canonicalize();
+        let got = ParsedColumns::decode(edge_schema(), &ctx.take_output()).unwrap();
+        assert_eq!(got, expect);
     }
 
     #[test]

@@ -206,14 +206,17 @@ impl BinaryStreamParser {
         }
     }
 
-    /// Records completed so far.
+    /// Complete records parsed since the last [`take_rows`].
+    ///
+    /// [`take_rows`]: BinaryStreamParser::take_rows
     pub fn records(&self) -> u64 {
         self.out.records
     }
 
-    /// The columns accumulated so far.
-    pub fn peek(&self) -> &ParsedColumns {
-        &self.out
+    /// Hands over the records parsed since the last call; only the bytes
+    /// of a partial record stay behind, in the carry.
+    pub fn take_rows(&mut self) -> ParsedColumns {
+        self.out.take_complete()
     }
 
     /// Work performed so far.
@@ -254,7 +257,8 @@ impl BinaryStreamParser {
         Ok(())
     }
 
-    /// Finishes the stream.
+    /// Finishes the stream, returning the records not yet handed over by
+    /// [`take_rows`](BinaryStreamParser::take_rows).
     ///
     /// # Errors
     ///

@@ -174,6 +174,36 @@ impl ParsedColumns {
         }
         h
     }
+
+    /// Splits off the first `records` rows, leaving only the values of a
+    /// trailing partial record (a streaming parse stopped mid-record has
+    /// pushed some of its fields already).
+    pub(crate) fn take_complete(&mut self) -> ParsedColumns {
+        let n = self.records as usize;
+        let columns = self
+            .columns
+            .iter_mut()
+            .map(|col| match col {
+                Column::Ints(v) => Column::Ints(split_front(v, n)),
+                Column::Floats(v) => Column::Floats(split_front(v, n)),
+            })
+            .collect();
+        self.records = 0;
+        ParsedColumns {
+            schema: self.schema.clone(),
+            columns,
+            records: n as u64,
+        }
+    }
+}
+
+/// Returns `v[..n]`, leaving `v[n..]` in `v`. The remainder keeps `v`'s
+/// capacity, since the next chunk refills it to about the same length.
+fn split_front<T: Copy>(v: &mut Vec<T>, n: usize) -> Vec<T> {
+    let mut rest = Vec::with_capacity(v.capacity());
+    rest.extend_from_slice(&v[n..]);
+    v.truncate(n);
+    std::mem::replace(v, rest)
 }
 
 impl ParsedColumns {
@@ -259,6 +289,13 @@ impl ParsedColumns {
             return Err(ParseError::new(bytes.len(), ParseErrorKind::UnexpectedEof));
         }
         let mut out = ParsedColumns::empty(schema);
+        let records = bytes.len() / rec;
+        for col in &mut out.columns {
+            match col {
+                Column::Ints(v) => v.reserve_exact(records),
+                Column::Floats(v) => v.reserve_exact(records),
+            }
+        }
         let kinds = out.schema.fields().to_vec();
         let mut pos = 0;
         while pos < bytes.len() {

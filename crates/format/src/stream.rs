@@ -52,15 +52,20 @@ impl StreamingParser {
         self.work
     }
 
-    /// Records completed so far.
+    /// Complete records parsed since the last [`take_rows`].
+    ///
+    /// [`take_rows`]: StreamingParser::take_rows
     pub fn records(&self) -> u64 {
         self.out.records
     }
 
-    /// The columns accumulated so far (only complete records; used by
-    /// StorageApps to emit binary objects incrementally).
-    pub fn peek(&self) -> &ParsedColumns {
-        &self.out
+    /// Hands over the complete records parsed since the last call, keeping
+    /// only the fields of the current partial record (and the carry).
+    ///
+    /// StorageApps drain after every chunk, so the parser's resident state
+    /// stays one chunk plus one partial record however long the stream.
+    pub fn take_rows(&mut self) -> ParsedColumns {
+        self.out.take_complete()
     }
 
     /// Feeds the next chunk.
@@ -108,7 +113,8 @@ impl StreamingParser {
         Ok(())
     }
 
-    /// Finishes the stream, returning the parsed columns.
+    /// Finishes the stream, returning the parsed columns not yet handed
+    /// over by [`take_rows`](StreamingParser::take_rows).
     ///
     /// # Errors
     ///

@@ -1,7 +1,107 @@
 //! Property tests: print→parse identity and streaming ≡ whole-buffer.
 
-use morpheus_format::{parse_buffer, parse_chunked, FieldKind, Schema, TextScanner, TextWriter};
+use morpheus_format::{
+    parse_binary, parse_buffer, parse_chunked, BinaryStreamParser, Endianness, FieldKind,
+    ParsedColumns, Schema, StreamingParser, TextScanner, TextWriter,
+};
 use proptest::prelude::*;
+
+/// Every field kind, ordered so int and float columns of both widths mix.
+const KINDS: [FieldKind; 6] = [
+    FieldKind::U32,
+    FieldKind::F32,
+    FieldKind::I32,
+    FieldKind::U64,
+    FieldKind::F64,
+    FieldKind::I64,
+];
+
+/// The host reference: whole-buffer objects, narrowed, then encoded.
+fn canonical_bytes(mut cols: ParsedColumns) -> Vec<u8> {
+    cols.canonicalize();
+    let mut out = Vec::new();
+    cols.encode_rows(0, cols.records, &mut out);
+    out
+}
+
+/// Appends the encoding of drained rows (no `canonicalize`, as on the
+/// device).
+fn emit(rows: ParsedColumns, out: &mut Vec<u8>) {
+    rows.encode_rows(0, rows.records, out);
+}
+
+/// The StorageApp emission loop over text: drain after every chunk, then
+/// emit whatever `finish` completes.
+fn drained_text(data: &[u8], schema: &Schema, chunk: usize) -> Vec<u8> {
+    let mut p = StreamingParser::new(schema.clone());
+    let mut out = Vec::new();
+    for c in data.chunks(chunk) {
+        p.feed(c).unwrap();
+        emit(p.take_rows(), &mut out);
+    }
+    emit(p.finish().unwrap(), &mut out);
+    out
+}
+
+/// The same loop over a packed binary stream.
+fn drained_binary(data: &[u8], schema: &Schema, endian: Endianness, chunk: usize) -> Vec<u8> {
+    let mut p = BinaryStreamParser::new(schema.clone(), endian);
+    let mut out = Vec::new();
+    for c in data.chunks(chunk) {
+        p.feed(c).unwrap();
+        emit(p.take_rows(), &mut out);
+    }
+    emit(p.finish().unwrap(), &mut out);
+    out
+}
+
+/// Text for `rows` under `schema`: int fields print the raw `i64` (out of
+/// range for the narrow kinds), float fields print six decimals (most of
+/// which round when narrowed to f32).
+fn table_text(schema: &Schema, rows: &[([i64; 6], Vec<f64>)], final_newline: bool) -> Vec<u8> {
+    let mut w = TextWriter::new();
+    for (ints, floats) in rows {
+        for (i, kind) in schema.fields().iter().enumerate() {
+            if i > 0 {
+                w.sep();
+            }
+            if kind.is_float() {
+                w.write_f64(floats[i], 6);
+            } else {
+                w.write_i64(ints[i]);
+            }
+        }
+        w.newline();
+    }
+    let mut data = w.into_bytes();
+    if !final_newline {
+        data.pop();
+    }
+    data
+}
+
+#[test]
+fn drained_emission_narrows_out_of_range_values_like_canonicalize() {
+    let schema = Schema::new(KINDS.to_vec());
+    let data = b"-1 0.1 2147483653 -5 0.1 -9223372036854775808\n\
+                 4294967296 16777217 -2147483649 9223372036854775807 1e300 7";
+    let (whole, _) = parse_buffer(data, &schema).unwrap();
+    let want = canonical_bytes(whole);
+    for chunk in 1..=data.len() {
+        assert_eq!(
+            drained_text(data, &schema, chunk),
+            want,
+            "chunk size {chunk}"
+        );
+    }
+    let objects = ParsedColumns::decode(schema, &want).unwrap();
+    assert_eq!(objects.columns[0].as_ints().unwrap(), &[u32::MAX as i64, 0]);
+    assert_eq!(
+        objects.columns[2].as_ints().unwrap(),
+        &[-2147483643, 2147483647]
+    );
+    assert_eq!(objects.columns[1].as_floats().unwrap()[0], 0.1f32 as f64);
+}
 
 proptest! {
     /// Any i64 printed by TextWriter parses back exactly.
@@ -83,5 +183,41 @@ proptest! {
         prop_assert_eq!(work.int_tokens, 2 * rows.len() as u64);
         prop_assert_eq!(parsed.records as usize, rows.len());
         prop_assert!(work.int_digits >= work.int_tokens);
+    }
+
+    /// Text: per-chunk drained rows, encoded without `canonicalize`, plus
+    /// the `finish` remainder, are byte-identical to the canonicalized
+    /// whole-buffer objects, for every field kind and any chunk size.
+    #[test]
+    fn drained_text_rows_encode_like_the_whole_buffer(
+        picks in proptest::collection::vec(0usize..6, 1..7),
+        rows in proptest::collection::vec(
+            (any::<[i64; 6]>(), proptest::collection::vec(-1e9f64..1e9, 6)),
+            0..40,
+        ),
+        chunk in 1usize..160,
+        final_newline in any::<bool>(),
+    ) {
+        let schema = Schema::new(picks.iter().map(|&k| KINDS[k]).collect());
+        let data = table_text(&schema, &rows, final_newline);
+        let (whole, _) = parse_buffer(&data, &schema).unwrap();
+        prop_assert_eq!(whole.records as usize, rows.len());
+        prop_assert_eq!(drained_text(&data, &schema, chunk), canonical_bytes(whole));
+    }
+
+    /// Binary: the same identity for packed records of arbitrary bytes at
+    /// either byte order, with chunks that split records anywhere.
+    #[test]
+    fn drained_binary_rows_encode_like_the_whole_buffer(
+        picks in proptest::collection::vec(0usize..6, 1..7),
+        bytes in proptest::collection::vec(any::<u8>(), 0..1200),
+        chunk in 1usize..160,
+        big_endian in any::<bool>(),
+    ) {
+        let schema = Schema::new(picks.iter().map(|&k| KINDS[k]).collect());
+        let data = &bytes[..bytes.len() - bytes.len() % schema.record_bytes() as usize];
+        let endian = if big_endian { Endianness::Big } else { Endianness::Little };
+        let (whole, _) = parse_binary(data, &schema, endian).unwrap();
+        prop_assert_eq!(drained_binary(data, &schema, endian, chunk), canonical_bytes(whole));
     }
 }

@@ -21,7 +21,6 @@ use morpheus_ssd::{Ssd, SsdConfig};
 #[derive(Debug)]
 struct ForwardEdgeFilter {
     parser: Option<StreamingParser>,
-    emitted: u64,
     kept: u32,
 }
 
@@ -29,18 +28,16 @@ impl ForwardEdgeFilter {
     fn new() -> Self {
         ForwardEdgeFilter {
             parser: Some(StreamingParser::new(edge_schema())),
-            emitted: 0,
             kept: 0,
         }
     }
 
-    fn drain(&mut self, ctx: &mut DeviceCtx) {
-        let parser = self.parser.as_ref().expect("still live");
-        let cols = parser.peek();
-        let src = cols.columns[0].as_ints().expect("src ints");
-        let dst = cols.columns[1].as_ints().expect("dst ints");
-        for r in self.emitted..parser.records() {
-            let (s, d) = (src[r as usize], dst[r as usize]);
+    /// Filters the records the parser has completed; they leave the parser,
+    /// so its state stays one page plus one partial record.
+    fn filter(&mut self, ctx: &mut DeviceCtx, rows: &ParsedColumns) {
+        let src = rows.columns[0].as_ints().expect("src ints");
+        let dst = rows.columns[1].as_ints().expect("dst ints");
+        for (&s, &d) in src.iter().zip(dst) {
             // The filter itself is a couple of instructions per record.
             ctx.charge_instructions(4.0);
             if s < d {
@@ -49,7 +46,6 @@ impl ForwardEdgeFilter {
                 self.kept += 1;
             }
         }
-        self.emitted = parser.records();
     }
 }
 
@@ -59,14 +55,16 @@ impl StorageApp for ForwardEdgeFilter {
     }
 
     fn on_chunk(&mut self, ctx: &mut DeviceCtx, data: &[u8]) -> Result<(), AppError> {
-        self.parser.as_mut().expect("still live").feed(data)?;
-        self.drain(ctx);
+        let parser = self.parser.as_mut().expect("still live");
+        parser.feed(data)?;
+        let rows = parser.take_rows();
+        self.filter(ctx, &rows);
         Ok(())
     }
 
     fn on_finish(&mut self, ctx: &mut DeviceCtx) -> Result<i32, AppError> {
-        self.drain(ctx);
-        self.parser.take().expect("finished once").finish()?;
+        let rows = self.parser.take().expect("finished once").finish()?;
+        self.filter(ctx, &rows);
         Ok(self.kept as i32)
     }
 }
