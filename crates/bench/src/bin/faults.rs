@@ -17,13 +17,9 @@
 //! completion and redispatch counts degrade — with the kill schedule and
 //! control plane in force.
 
-use morpheus::{
-    AppSpec, DeviceKill, Fleet, FleetConfig, HealPolicy, Mode, PlacementPolicy, RollingUpdate,
-    ServeConfig, SystemParams,
-};
-use morpheus_bench::{geomean, print_table, Harness};
-use morpheus_format::{FieldKind, Schema, TextWriter};
-use morpheus_simcore::{render_error_chain, FaultCounters, FaultPlan, SplitMix64};
+use morpheus::Mode;
+use morpheus_bench::{geomean, parse_flags, print_table, ArgError, FleetArgs, Harness, ServeArgs};
+use morpheus_simcore::{render_error_chain, FaultCounters, FaultPlan};
 use morpheus_workloads::{run_benchmark, suite};
 
 /// The swept fault rates. Per rung `r`, probabilities scale as:
@@ -46,99 +42,31 @@ fn plan_for(rate: f64, seed: u64) -> Option<FaultPlan> {
     Some(p)
 }
 
+/// The harness flags plus the fleet/control group, nothing else.
+fn parse(args: &[String]) -> Result<(Harness, FleetArgs), ArgError> {
+    let mut h = Harness::default();
+    let mut fleet = FleetArgs::default();
+    parse_flags(args, |flag, it| {
+        Ok(h.offer(flag, it)? || fleet.offer(flag, it)?)
+    })?;
+    fleet.validate()?;
+    Ok((h, fleet))
+}
+
 fn main() {
     // Suite × rates × two modes: default to a small input scale so the
     // whole sweep stays quick; an explicit --scale still wins because the
     // parser applies flags left to right.
     let mut args: Vec<String> = vec!["--scale".into(), "4096".into()];
     args.extend(std::env::args().skip(1));
-    let usage = "usage: [--scale N] [--seed N] [--jobs N] [--faults SPEC] [--devices N] \
-                 [--placement P] [--kill-device DEV@SECS] [--rolling-update SECS] [--heal]";
-    // Fleet flags are parsed here and registered with the shared grammar
-    // as pass-through extras.
-    let mut devices = 1usize;
-    let mut placement = PlacementPolicy::HashByFile;
-    let mut kills: Vec<DeviceKill> = Vec::new();
-    let mut rolling_update: Option<f64> = None;
-    let mut heal = false;
-    let fail = |msg: &str| -> ! {
-        eprintln!("error: {msg}");
-        eprintln!("{usage}");
+    let (h, fleet) = parse(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        eprintln!(
+            "{}",
+            FleetArgs::usage("faults [--scale N] [--seed N] [--jobs N] [--faults SPEC]")
+        );
         std::process::exit(2);
-    };
-    {
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--devices" => {
-                    devices = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|d: &usize| *d >= 1)
-                        .unwrap_or_else(|| fail("--devices expects a positive integer"));
-                }
-                "--placement" => {
-                    placement = it
-                        .next()
-                        .and_then(|v| PlacementPolicy::parse(v))
-                        .unwrap_or_else(|| fail("--placement expects rr|hash|capacity"));
-                }
-                "--kill-device" => match it.next() {
-                    Some(v) => match DeviceKill::parse(v) {
-                        Ok(k) => kills.push(k),
-                        Err(e) => fail(&format!("--kill-device: {e}")),
-                    },
-                    None => fail("--kill-device requires a value"),
-                },
-                "--rolling-update" => {
-                    rolling_update = Some(
-                        it.next()
-                            .and_then(|v| v.parse::<f64>().ok())
-                            .filter(|s| s.is_finite() && *s >= 0.0)
-                            .unwrap_or_else(|| {
-                                fail("--rolling-update expects seconds (finite, >= 0)")
-                            }),
-                    );
-                }
-                "--heal" => heal = true,
-                _ => {}
-            }
-        }
-    }
-    // Kill indices are validated against the fleet shape at parse time,
-    // like the serve/telemetry binaries: a kill that can never match a
-    // device is a config bug, not a silent no-op.
-    for k in &kills {
-        if k.device >= devices {
-            fail(&format!(
-                "--kill-device names device {} but --devices is {devices}",
-                k.device
-            ));
-        }
-    }
-    // `--heal` is valueless, so it is stripped before the shared grammar
-    // re-parse (extras there always consume one value).
-    let hargs: Vec<String> = args
-        .iter()
-        .filter(|a| a.as_str() != "--heal")
-        .cloned()
-        .collect();
-    let h = match Harness::parse(
-        &hargs,
-        &[
-            "--devices",
-            "--placement",
-            "--kill-device",
-            "--rolling-update",
-        ],
-    ) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{usage}");
-            std::process::exit(2);
-        }
-    };
+    });
     let fault_seed = h.faults.map(|p| p.seed).unwrap_or(1);
     println!(
         "Fault-rate degradation: suite deser speedup, morpheus vs baseline (scale 1/{}, fault seed {})\n",
@@ -215,69 +143,35 @@ fn main() {
     println!("speedup is the geomean over suite apps that completed; objects are checked");
     println!("bit-identical between modes at every rate (fallback keeps Morpheus correct).");
 
-    let control_on = rolling_update.is_some() || heal;
-    if devices > 1 || !kills.is_empty() || control_on {
+    if fleet.engaged() {
         // The same fault ladder applied fleet-wide to an N-device serving
         // cell: every device degrades identically, so the table isolates
         // how the *serving plane* (admission, redispatch, fallback)
         // absorbs faults at fleet scale — under the kill schedule and
         // control plane when given.
         println!();
-        let mut header = format!(
-            "Fleet serving resilience: {devices} devices, placement {placement}, \
-             morpheus @ 4000 rps x 0.02s, 3 apps"
+        println!(
+            "Fleet serving resilience: {} devices, placement {}, \
+             morpheus @ 4000 rps x 0.02s, 3 apps{}",
+            fleet.devices,
+            fleet.placement,
+            fleet.schedule_banner()
         );
-        for k in &kills {
-            header.push_str(&format!(
-                ", kill dev{}@{:.3}s",
-                k.device,
-                k.at.as_secs_f64()
-            ));
-        }
-        if let Some(s) = rolling_update {
-            header.push_str(&format!(", rolling-update @{s:.3}s"));
-        }
-        if heal {
-            header.push_str(", heal");
-        }
-        println!("{header}");
         let mut frows = Vec::new();
         let mut last_control = None;
         for rate in RATES {
-            let mut fc = FleetConfig::new(devices);
-            fc.placement = placement;
-            fc.seed = h.seed;
-            fc.kills = kills.clone();
-            fc.control.rolling = rolling_update.map(RollingUpdate::starting_at);
-            if heal {
-                fc.control.heal = Some(HealPolicy::default());
-            }
-            let mut fleet = Fleet::new(SystemParams::paper_testbed(), fc);
-            let schema = Schema::new(vec![FieldKind::U32, FieldKind::U32]);
-            let mut specs = Vec::new();
-            for i in 0..3u64 {
-                let name = format!("svc{i}");
-                let file = format!("{name}.txt");
-                let mut rng = SplitMix64::new(h.seed ^ i.wrapping_mul(0x9E37_79B9));
-                let mut w = TextWriter::new();
-                for _ in 0..(64 * 1024 / 12) {
-                    w.write_u64(rng.next_below(100_000));
-                    w.sep();
-                    w.write_u64(rng.next_below(100_000));
-                    w.newline();
-                }
-                fleet
-                    .create_input_file(&file, &w.into_bytes())
-                    .expect("staging tenant input");
-                specs.push(AppSpec::cpu_app(&name, &file, schema.clone(), 1, 50.0));
-            }
-            if let Some(plan) = plan_for(rate, fault_seed) {
-                fleet.set_fault_plan(plan);
-            }
-            let mut cfg = ServeConfig::new(4000.0, 0.02);
-            cfg.mode = Mode::Morpheus;
-            cfg.seed = h.seed;
-            let rep = fleet.serve(&specs, &cfg).unwrap_or_else(|e| {
+            let cell = ServeArgs {
+                duration_s: 0.02,
+                harness: Harness {
+                    faults: plan_for(rate, fault_seed),
+                    ..h
+                },
+                fleet: fleet.clone(),
+                ..ServeArgs::default()
+            };
+            let (mut f, specs) = cell.build_fleet();
+            let cfg = cell.serve_config(Mode::Morpheus, 4000.0, None);
+            let rep = f.serve(&specs, &cfg).unwrap_or_else(|e| {
                 eprintln!("error: fleet serve failed: {}", render_error_chain(&e));
                 std::process::exit(1);
             });

@@ -9,292 +9,65 @@
 //!
 //! Deterministic by construction: the cell grid is fanned out with the
 //! shared order-preserving worker pool, and every cell builds its own
-//! seeded system, so output is byte-identical across repeats and `--jobs`.
+//! seeded fleet, so output is byte-identical across repeats and `--jobs`.
 
-use morpheus::{
-    AppSpec, CacheConfig, CachePolicy, ControlReport, DeviceKill, Fleet, FleetConfig, HealPolicy,
-    Mode, PlacementPolicy, RollingUpdate, RunError, ServeConfig, ServePolicy, ServeReport, SloSpec,
-    System, SystemParams, TelemetryConfig,
-};
-use morpheus_bench::{print_table, run_parallel, Harness};
-use morpheus_format::{FieldKind, Schema, TextWriter};
-use morpheus_simcore::{parse_duration, render_error_chain, SimDuration, SplitMix64, Tracer};
+use morpheus::{FleetReport, Mode, RunError};
+use morpheus_bench::{parse_flags, print_table, run_parallel, value_of, ArgError, ServeArgs};
+use morpheus_simcore::{parse_duration, render_error_chain, SimDuration};
 
-const USAGE: &str =
-    "usage: serve [--rps LIST] [--duration S] [--depth N] [--batch N] [--sq-depth N]
-             [--policy shed|fallback] [--mode all|conventional|morpheus|morpheus+p2p]
-             [--apps N] [--bytes N] [--trace-out <path>]
-             [--skew F] [--cache-mb N] [--cache-host-mb N] [--cache-policy tinylfu|lru]
-             [--telemetry-window DUR] [--slo SPEC] [--telemetry-out <path>]
-             [--prom-out <path>]
-             [--devices N] [--placement rr|hash|capacity] [--kill-device DEV@SECS]
-             [--rolling-update SECS] [--heal]
-             [--fast-forward] [--csv] [--seed N] [--jobs N] [--faults SPEC]";
+/// `serve`'s own flags; the shared ones follow in the usage text.
+const USAGE_HEAD: &str = "serve [--rps LIST] [--mode all|conventional|morpheus|morpheus+p2p]
+[--trace-out <path>] [--telemetry-window DUR] [--telemetry-out <path>]
+[--prom-out <path>] [--csv] [--jobs N]";
 
 /// One parsed invocation.
 #[derive(Debug)]
 struct Cli {
-    rps: Vec<f64>,
-    duration_s: f64,
-    depth: usize,
-    batch: usize,
-    sq_depth: usize,
-    policy: ServePolicy,
-    modes: Vec<Mode>,
-    apps: usize,
-    bytes: u64,
+    serve: ServeArgs,
     trace_out: Option<String>,
-    skew: f64,
-    cache_mb: u64,
-    cache_host_mb: u64,
-    cache_policy: CachePolicy,
     telemetry_window: Option<SimDuration>,
-    slo: SloSpec,
     telemetry_out: Option<String>,
     prom_out: Option<String>,
-    devices: usize,
-    placement: PlacementPolicy,
-    kills: Vec<DeviceKill>,
-    rolling_update: Option<f64>,
-    heal: bool,
     csv: bool,
-    fast_forward: bool,
-    harness: Harness,
-}
-
-impl Cli {
-    /// The object-cache configuration this invocation asked for (inert
-    /// when both capacities are zero — exactly cache-off).
-    fn cache_config(&self) -> CacheConfig {
-        CacheConfig {
-            dram_bytes: self.cache_mb << 20,
-            host_bytes: self.cache_host_mb << 20,
-            policy: self.cache_policy,
-            seed: self.harness.seed,
-        }
-    }
-
-    /// The serve-plane telemetry configuration, `None` when sampling is
-    /// off (the default — disabled runs stay byte-identical to pre-
-    /// telemetry builds).
-    fn telemetry_config(&self) -> Option<TelemetryConfig> {
-        self.telemetry_window.map(|w| {
-            let mut t = TelemetryConfig::new(w);
-            t.slo = self.slo.clone();
-            t
-        })
-    }
-
-    /// True when the invocation engages the fleet path: more than one
-    /// device, a kill schedule, or control-plane intent. A plain
-    /// `--devices 1` run stays on the legacy single-[`System`] path,
-    /// byte for byte.
-    fn fleet_mode(&self) -> bool {
-        self.devices > 1 || !self.kills.is_empty() || self.rolling_update.is_some() || self.heal
-    }
-
-    /// The fleet shape this invocation asked for.
-    fn fleet_config(&self) -> FleetConfig {
-        let mut cfg = FleetConfig::new(self.devices);
-        cfg.placement = self.placement;
-        cfg.seed = self.harness.seed;
-        cfg.kills = self.kills.clone();
-        cfg.control.rolling = self.rolling_update.map(RollingUpdate::starting_at);
-        if self.heal {
-            cfg.control.heal = Some(HealPolicy::default());
-        }
-        cfg
-    }
 }
 
 /// The flag grammar, separated from process state so tests can drive it.
-fn parse(args: &[String]) -> Result<Cli, String> {
-    fn value<'a>(flag: &str, it: &mut std::slice::Iter<'a, String>) -> Result<&'a String, String> {
-        it.next().ok_or_else(|| format!("{flag} requires a value"))
-    }
-    fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
-        flag: &str,
-        v: &str,
-    ) -> Result<T, String> {
-        let n: T = v
-            .parse()
-            .map_err(|_| format!("{flag} expects a positive number, got {v:?}"))?;
-        if n < T::from(1u8) {
-            return Err(format!("{flag} must be >= 1"));
-        }
-        Ok(n)
-    }
+fn parse(args: &[String]) -> Result<Cli, ArgError> {
     let mut cli = Cli {
-        rps: vec![250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0],
-        duration_s: 0.05,
-        depth: 64,
-        batch: 8,
-        sq_depth: 64,
-        policy: ServePolicy::Shed,
-        modes: vec![Mode::Conventional, Mode::Morpheus, Mode::MorpheusP2P],
-        apps: 3,
-        bytes: 64 * 1024,
+        serve: ServeArgs::default(),
         trace_out: None,
-        skew: 0.0,
-        cache_mb: 0,
-        cache_host_mb: 0,
-        cache_policy: CachePolicy::TinyLfu,
         telemetry_window: None,
-        slo: SloSpec::none(),
         telemetry_out: None,
         prom_out: None,
-        devices: 1,
-        placement: PlacementPolicy::HashByFile,
-        kills: Vec::new(),
-        rolling_update: None,
-        heal: false,
         csv: false,
-        fast_forward: false,
-        harness: Harness::default(),
     };
-    let mut harness_args: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--rps" => {
-                let v = value("--rps", &mut it)?;
-                let mut ladder = Vec::new();
-                for part in v.split(',') {
-                    let r: f64 = part
-                        .parse()
-                        .map_err(|_| format!("--rps expects numbers, got {part:?}"))?;
-                    if !r.is_finite() || r <= 0.0 {
-                        return Err(format!("--rps entries must be positive, got {part:?}"));
-                    }
-                    ladder.push(r);
-                }
-                if ladder.is_empty() {
-                    return Err("--rps needs at least one rate".into());
-                }
-                cli.rps = ladder;
-            }
-            "--duration" => {
-                let v = value("--duration", &mut it)?;
-                let d: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--duration expects seconds, got {v:?}"))?;
-                if !d.is_finite() || d <= 0.0 {
-                    return Err("--duration must be positive".into());
-                }
-                cli.duration_s = d;
-            }
-            "--depth" => cli.depth = positive::<usize>("--depth", value("--depth", &mut it)?)?,
-            "--batch" => cli.batch = positive::<usize>("--batch", value("--batch", &mut it)?)?,
-            "--sq-depth" => {
-                cli.sq_depth = positive::<usize>("--sq-depth", value("--sq-depth", &mut it)?)?
-            }
-            "--apps" => cli.apps = positive::<usize>("--apps", value("--apps", &mut it)?)?,
-            "--bytes" => cli.bytes = positive::<u64>("--bytes", value("--bytes", &mut it)?)?,
-            "--policy" => {
-                let v = value("--policy", &mut it)?;
-                cli.policy = ServePolicy::parse(v)
-                    .ok_or_else(|| format!("--policy expects shed|fallback, got {v:?}"))?;
-            }
-            "--mode" => {
-                let v = value("--mode", &mut it)?;
-                cli.modes = match v.as_str() {
-                    "all" => vec![Mode::Conventional, Mode::Morpheus, Mode::MorpheusP2P],
-                    "conventional" => vec![Mode::Conventional],
-                    "morpheus" => vec![Mode::Morpheus],
-                    "morpheus+p2p" => vec![Mode::MorpheusP2P],
-                    other => {
-                        return Err(format!(
-                            "--mode expects all|conventional|morpheus|morpheus+p2p, got {other:?}"
-                        ))
-                    }
-                };
-            }
-            "--trace-out" => cli.trace_out = Some(value("--trace-out", &mut it)?.clone()),
-            "--skew" => {
-                let v = value("--skew", &mut it)?;
-                let s: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--skew expects a number, got {v:?}"))?;
-                if !s.is_finite() || s < 0.0 {
-                    return Err("--skew must be finite and non-negative".into());
-                }
-                cli.skew = s;
-            }
-            "--cache-mb" => {
-                let v = value("--cache-mb", &mut it)?;
-                cli.cache_mb = v
-                    .parse()
-                    .map_err(|_| format!("--cache-mb expects a byte count in MB, got {v:?}"))?;
-            }
-            "--cache-host-mb" => {
-                let v = value("--cache-host-mb", &mut it)?;
-                cli.cache_host_mb = v.parse().map_err(|_| {
-                    format!("--cache-host-mb expects a byte count in MB, got {v:?}")
-                })?;
-            }
-            "--cache-policy" => {
-                let v = value("--cache-policy", &mut it)?;
-                cli.cache_policy = CachePolicy::parse(v)
-                    .ok_or_else(|| format!("--cache-policy expects tinylfu|lru, got {v:?}"))?;
-            }
+    parse_flags(args, |flag, it| {
+        if cli.serve.offer(flag, it)? || cli.serve.harness.offer_jobs(flag, it)? {
+            return Ok(true);
+        }
+        match flag {
+            "--trace-out" => cli.trace_out = Some(value_of(flag, it)?.clone()),
             "--telemetry-window" => {
-                let v = value("--telemetry-window", &mut it)?;
+                let v = value_of(flag, it)?;
                 cli.telemetry_window =
                     Some(parse_duration(v).map_err(|e| format!("--telemetry-window: {e}"))?);
             }
-            "--slo" => {
-                let v = value("--slo", &mut it)?;
-                cli.slo = SloSpec::parse(v).map_err(|e| format!("--slo: {e}"))?;
-            }
-            "--telemetry-out" => {
-                cli.telemetry_out = Some(value("--telemetry-out", &mut it)?.clone())
-            }
-            "--prom-out" => cli.prom_out = Some(value("--prom-out", &mut it)?.clone()),
-            "--devices" => {
-                cli.devices = positive::<usize>("--devices", value("--devices", &mut it)?)?
-            }
-            "--placement" => {
-                let v = value("--placement", &mut it)?;
-                cli.placement = PlacementPolicy::parse(v)
-                    .ok_or_else(|| format!("--placement expects rr|hash|capacity, got {v:?}"))?;
-            }
-            "--kill-device" => {
-                let v = value("--kill-device", &mut it)?;
-                cli.kills
-                    .push(DeviceKill::parse(v).map_err(|e| format!("--kill-device: {e}"))?);
-            }
-            "--rolling-update" => {
-                let v = value("--rolling-update", &mut it)?;
-                let s: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--rolling-update expects seconds, got {v:?}"))?;
-                if !s.is_finite() || s < 0.0 {
-                    return Err("--rolling-update must be finite and >= 0".into());
-                }
-                cli.rolling_update = Some(s);
-            }
-            "--heal" => cli.heal = true,
+            "--telemetry-out" => cli.telemetry_out = Some(value_of(flag, it)?.clone()),
+            "--prom-out" => cli.prom_out = Some(value_of(flag, it)?.clone()),
             "--csv" => cli.csv = true,
-            "--fast-forward" => cli.fast_forward = true,
-            // Harness flags: re-validated by the shared grammar so
-            // `--faults bogus` fails exactly as in every figure binary.
-            "--seed" | "--jobs" | "--faults" => {
-                let v = value(arg, &mut it)?;
-                harness_args.push(arg.clone());
-                harness_args.push(v.clone());
-            }
-            other => return Err(format!("unknown flag {other:?}")),
+            _ => return Ok(false),
         }
-    }
-    cli.harness = Harness::parse(&harness_args, &[]).map_err(|e| e.0)?;
-    if cli.trace_out.is_some() && (cli.modes.len() > 1 || cli.rps.len() > 1) {
+        Ok(true)
+    })?;
+    let single_cell = cli.serve.modes.len() == 1 && cli.serve.rps.len() == 1;
+    if cli.trace_out.is_some() && !single_cell {
         return Err("--trace-out needs a single cell: one --mode and one --rps".into());
     }
     if cli.csv && cli.trace_out.is_some() {
         return Err("--csv and --trace-out are mutually exclusive (CSV owns stdout)".into());
     }
     if cli.telemetry_window.is_none() {
-        if !cli.slo.is_empty() {
+        if !cli.serve.slo.is_empty() {
             return Err("--slo requires --telemetry-window".into());
         }
         if cli.telemetry_out.is_some() {
@@ -304,22 +77,15 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             return Err("--prom-out requires --telemetry-window".into());
         }
     }
-    if cli.prom_out.is_some() && (cli.modes.len() > 1 || cli.rps.len() > 1) {
+    if cli.prom_out.is_some() && !single_cell {
         return Err(
             "--prom-out needs a single cell (one --mode, one --rps): a Prometheus \
              exposition declares each metric once"
                 .into(),
         );
     }
-    for k in &cli.kills {
-        if k.device >= cli.devices {
-            return Err(format!(
-                "--kill-device names device {} but --devices is {}",
-                k.device, cli.devices
-            ));
-        }
-    }
-    if cli.prom_out.is_some() && cli.devices > 1 {
+    cli.serve.fleet.validate()?;
+    if cli.prom_out.is_some() && cli.serve.fleet.devices > 1 {
         return Err(
             "--prom-out requires --devices 1: a Prometheus exposition declares each \
              metric once (use --telemetry-out for per-device windows)"
@@ -329,183 +95,80 @@ fn parse(args: &[String]) -> Result<Cli, String> {
     Ok(cli)
 }
 
-/// Stages `apps` tenant inputs (~`bytes` each of two-column text edges)
-/// into a fresh paper-testbed system, then arms any fault plan.
-fn build_system(cli: &Cli) -> (System, Vec<AppSpec>) {
-    let mut sys = System::new(SystemParams::paper_testbed());
-    let schema = Schema::new(vec![FieldKind::U32, FieldKind::U32]);
-    let mut specs = Vec::new();
-    for i in 0..cli.apps {
-        let name = format!("svc{i}");
-        let file = format!("{name}.txt");
-        let mut rng = SplitMix64::new(cli.harness.seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
-        let mut w = TextWriter::new();
-        // ~12 bytes per "xxxxx xxxxx\n" row.
-        for _ in 0..(cli.bytes / 12).max(1) {
-            w.write_u64(rng.next_below(100_000));
-            w.sep();
-            w.write_u64(rng.next_below(100_000));
-            w.newline();
-        }
-        sys.create_input_file(&file, &w.into_bytes())
-            .expect("staging tenant input");
-        specs.push(AppSpec::cpu_app(&name, &file, schema.clone(), 1, 50.0));
-    }
-    if let Some(plan) = cli.harness.faults {
-        sys.set_fault_plan(plan);
-    }
-    (sys, specs)
-}
-
-/// Stages the same tenant inputs on every device of a fresh fleet (full
-/// replication — see `docs/FLEET.md`), then arms any fault plan fleet-wide.
-fn build_fleet(cli: &Cli) -> (Fleet, Vec<AppSpec>) {
-    let mut fleet = Fleet::new(SystemParams::paper_testbed(), cli.fleet_config());
-    let schema = Schema::new(vec![FieldKind::U32, FieldKind::U32]);
-    let mut specs = Vec::new();
-    for i in 0..cli.apps {
-        let name = format!("svc{i}");
-        let file = format!("{name}.txt");
-        let mut rng = SplitMix64::new(cli.harness.seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
-        let mut w = TextWriter::new();
-        for _ in 0..(cli.bytes / 12).max(1) {
-            w.write_u64(rng.next_below(100_000));
-            w.sep();
-            w.write_u64(rng.next_below(100_000));
-            w.newline();
-        }
-        fleet
-            .create_input_file(&file, &w.into_bytes())
-            .expect("staging tenant input");
-        specs.push(AppSpec::cpu_app(&name, &file, schema.clone(), 1, 50.0));
-    }
-    if let Some(plan) = cli.harness.faults {
-        fleet.set_fault_plan(plan);
-    }
-    (fleet, specs)
-}
-
-/// One cell's results: the (aggregate) report, per-device reports when the
-/// fleet path ran, and the rendered trace if this is the traced cell.
-struct CellOut {
-    rep: ServeReport,
-    per_device: Vec<ServeReport>,
-    rebalanced: u64,
-    control: Option<ControlReport>,
-    trace: Option<String>,
-}
-
-/// Runs one (mode, rps) cell on its own fresh system or fleet. The cell
-/// builds its cache fresh too, so the grid stays byte-identical across
-/// `--jobs` fan-outs; cache-on cells therefore measure the within-run
-/// (cold-start plus steady-state) hit economy.
-fn run_cell(cli: &Cli, mode: Mode, rps: f64) -> Result<CellOut, RunError> {
-    let cfg = ServeConfig {
-        rps,
-        duration_s: cli.duration_s,
-        depth: cli.depth,
-        batch_max: cli.batch,
-        sq_depth: cli.sq_depth,
-        mode,
-        policy: cli.policy,
-        seed: cli.harness.seed,
-        skew: cli.skew,
-        telemetry: cli.telemetry_config(),
-        fast_forward: cli.fast_forward,
-    };
-    if cli.fleet_mode() {
-        let (mut fleet, specs) = build_fleet(cli);
-        if cli.trace_out.is_some() {
-            fleet.enable_tracing();
-        }
-        fleet.set_object_cache(cli.cache_config());
-        let rep = fleet.serve(&specs, &cfg)?;
-        let trace = cli
-            .trace_out
-            .as_ref()
-            .map(|_| fleet.take_merged_trace().to_chrome_json());
-        return Ok(CellOut {
-            rep: rep.aggregate,
-            per_device: rep.per_device,
-            rebalanced: rep.rebalanced,
-            control: rep.control,
-            trace,
-        });
-    }
-    let (mut sys, specs) = build_system(cli);
+/// Runs one (mode, rps) cell on its own fresh fleet (a fleet of one
+/// unless fleet flags say otherwise), returning the report and the
+/// rendered trace if this is the traced cell. The cell builds its cache
+/// fresh too, so the grid stays byte-identical across `--jobs` fan-outs;
+/// cache-on cells therefore measure the within-run (cold-start plus
+/// steady-state) hit economy.
+fn run_cell(cli: &Cli, mode: Mode, rps: f64) -> Result<(FleetReport, Option<String>), RunError> {
+    let (mut fleet, specs) = cli.serve.build_fleet();
     if cli.trace_out.is_some() {
-        sys.set_tracer(Tracer::enabled());
+        fleet.enable_tracing();
     }
-    sys.set_object_cache(cli.cache_config());
-    let rep = sys.serve(&specs, &cfg)?;
+    let rep = fleet.serve(
+        &specs,
+        &cli.serve.serve_config(mode, rps, cli.telemetry_window),
+    )?;
     let trace = cli
         .trace_out
         .as_ref()
-        .map(|_| sys.tracer().take().to_chrome_json());
-    Ok(CellOut {
-        rep,
-        per_device: Vec::new(),
-        rebalanced: 0,
-        control: None,
-        trace,
-    })
+        .map(|_| fleet.take_merged_trace().to_chrome_json());
+    Ok((rep, trace))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = parse(&args).unwrap_or_else(|e| {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let cli = parse(&argv).unwrap_or_else(|e| {
         eprintln!("error: {e}");
-        eprintln!("{USAGE}");
+        eprintln!("{}", ServeArgs::usage(USAGE_HEAD));
         std::process::exit(2);
     });
 
-    let grid: Vec<(Mode, f64)> = cli
+    let args = &cli.serve;
+    let engaged = args.fleet.engaged();
+    let grid: Vec<(Mode, f64)> = args
         .modes
         .iter()
-        .flat_map(|m| cli.rps.iter().map(move |r| (*m, *r)))
+        .flat_map(|m| args.rps.iter().map(move |r| (*m, *r)))
         .collect();
-    let cells = run_parallel(cli.harness.jobs, &grid, |(mode, rps)| {
+    let cells = run_parallel(args.harness.jobs, &grid, |(mode, rps)| {
         run_cell(&cli, *mode, *rps)
     });
 
-    let cache_on = cli.cache_config().is_enabled();
+    let cache_on = args.cache_config().is_enabled();
     if !cli.csv {
         // The historical banner is extended only when the new knobs are in
         // play, so pre-cache invocations stay byte-identical.
         let mut banner = format!(
             "serve: {} apps x ~{} bytes, duration {}s, depth {}, batch <= {}, policy {}, seed {}",
-            cli.apps, cli.bytes, cli.duration_s, cli.depth, cli.batch, cli.policy, cli.harness.seed
+            args.apps,
+            args.bytes,
+            args.duration_s,
+            args.depth,
+            args.batch,
+            args.policy,
+            args.harness.seed
         );
-        if cli.skew > 0.0 || cache_on {
+        if args.skew > 0.0 || cache_on {
             banner.push_str(&format!(
                 ", skew {}, cache {}+{}MB {}",
-                cli.skew, cli.cache_mb, cli.cache_host_mb, cli.cache_policy
+                args.skew, args.cache_mb, args.cache_host_mb, args.cache_policy
             ));
         }
         if let Some(w) = cli.telemetry_window {
             banner.push_str(&format!(", telemetry {w}"));
-            if !cli.slo.is_empty() {
-                banner.push_str(&format!(", slo {}", cli.slo));
+            if !args.slo.is_empty() {
+                banner.push_str(&format!(", slo {}", args.slo));
             }
         }
-        if cli.fleet_mode() {
+        if engaged {
             banner.push_str(&format!(
-                ", devices {} placement {}",
-                cli.devices, cli.placement
+                ", devices {} placement {}{}",
+                args.fleet.devices,
+                args.fleet.placement,
+                args.fleet.schedule_banner()
             ));
-            for k in &cli.kills {
-                banner.push_str(&format!(
-                    ", kill dev{}@{:.3}s",
-                    k.device,
-                    (k.at - morpheus_simcore::SimTime::ZERO).as_secs_f64()
-                ));
-            }
-            if let Some(s) = cli.rolling_update {
-                banner.push_str(&format!(", rolling-update @{s:.3}s"));
-            }
-            if cli.heal {
-                banner.push_str(", heal");
-            }
         }
         println!("{banner}");
     }
@@ -518,13 +181,7 @@ fn main() {
     let mut prom_text = None;
     let mut trace_json = None;
     for ((mode, rps), cell) in grid.iter().zip(cells) {
-        let CellOut {
-            rep,
-            per_device,
-            rebalanced,
-            control,
-            trace,
-        } = match cell {
+        let (fleet_rep, trace) = match cell {
             Ok(v) => v,
             Err(e) => {
                 eprintln!(
@@ -537,11 +194,18 @@ fn main() {
         if trace.is_some() {
             trace_json = trace;
         }
-        if cli.fleet_mode() {
+        let FleetReport {
+            aggregate: rep,
+            per_device,
+            rebalanced,
+            control,
+            ..
+        } = fleet_rep;
+        if engaged {
             fleet_lines.push(format!(
                 "fleet ({mode} @ {rps:.0} rps): devices={} placement={} rebalanced={rebalanced}",
                 per_device.len(),
-                cli.placement
+                args.fleet.placement
             ));
             for (i, d) in per_device.iter().enumerate() {
                 fleet_lines.push(format!(
@@ -609,7 +273,7 @@ fn main() {
             row.push(format!("{:.3}", c.hit_rate()));
         }
         rows.push(row);
-        if cli.harness.faults.is_some() {
+        if args.harness.faults.is_some() {
             fault_lines.push(format!("faults ({mode} @ {rps:.0} rps): {}", rep.faults));
         }
         if let Some(c) = rep.cache {
@@ -693,128 +357,46 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
+    //! `serve`'s own flags; the shared serving grammar is tested beside
+    //! `ServeArgs` in the bench library.
+
     use super::*;
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    /// One `--mode`, one `--rps`: the shape single-cell outputs need.
+    const CELL: [&str; 4] = ["--mode", "morpheus", "--rps", "100"];
+
+    fn with_cell(args: &[&'static str]) -> Vec<String> {
+        argv(&[args, &CELL[..]].concat())
+    }
+
     #[test]
     fn parse_defaults() {
         let cli = parse(&argv(&[])).expect("valid");
-        assert_eq!(cli.modes.len(), 3);
-        assert_eq!(cli.rps.len(), 6);
-        assert_eq!(cli.policy, ServePolicy::Shed);
-        assert_eq!((cli.depth, cli.batch, cli.sq_depth), (64, 8, 64));
-        assert_eq!(cli.skew, 0.0);
-        assert_eq!((cli.cache_mb, cli.cache_host_mb), (0, 0));
-        assert_eq!(cli.cache_policy, CachePolicy::TinyLfu);
+        assert_eq!(cli.serve.modes.len(), 3);
+        assert_eq!(cli.serve.rps.len(), 6);
         assert!(!cli.csv);
-        assert!(!cli.cache_config().is_enabled(), "defaults are cache-off");
+        assert!(cli.trace_out.is_none() && cli.telemetry_window.is_none());
+        assert!(
+            !cli.serve.cache_config().is_enabled(),
+            "defaults are cache-off"
+        );
+        assert!(!cli.serve.fleet.engaged(), "defaults serve a fleet of one");
     }
 
     #[test]
-    fn parse_full_grammar() {
+    fn parse_own_grammar() {
         let cli = parse(&argv(&[
             "--rps",
             "100,200.5",
-            "--duration",
-            "0.1",
-            "--depth",
-            "16",
-            "--batch",
-            "4",
-            "--sq-depth",
-            "32",
-            "--policy",
-            "fallback",
-            "--mode",
-            "morpheus",
-            "--apps",
-            "2",
-            "--bytes",
-            "4096",
-            "--skew",
-            "1.1",
-            "--cache-mb",
-            "256",
-            "--cache-host-mb",
-            "512",
-            "--cache-policy",
-            "lru",
             "--csv",
-            "--seed",
-            "7",
             "--jobs",
             "4",
-            "--faults",
-            "seed=9,crash=0.5",
-        ]))
-        .expect("valid");
-        assert_eq!(cli.rps, vec![100.0, 200.5]);
-        assert_eq!(cli.duration_s, 0.1);
-        assert_eq!(cli.policy, ServePolicy::HostFallback);
-        assert_eq!(cli.modes, vec![Mode::Morpheus]);
-        assert_eq!((cli.apps, cli.bytes), (2, 4096));
-        assert_eq!(cli.skew, 1.1);
-        assert_eq!((cli.cache_mb, cli.cache_host_mb), (256, 512));
-        assert_eq!(cli.cache_policy, CachePolicy::Lru);
-        assert!(cli.csv);
-        assert_eq!((cli.harness.seed, cli.harness.jobs), (7, 4));
-        assert_eq!(cli.harness.faults.expect("plan").core_crash, 0.5);
-        let cc = cli.cache_config();
-        assert_eq!(cc.dram_bytes, 256 << 20);
-        assert_eq!(cc.host_bytes, 512 << 20);
-        assert_eq!(cc.seed, 7);
-    }
-
-    #[test]
-    fn trace_out_needs_single_cell() {
-        assert!(parse(&argv(&["--trace-out", "t.json"])).is_err());
-        assert!(parse(&argv(&[
-            "--trace-out",
-            "t.json",
-            "--mode",
-            "morpheus",
-            "--rps",
-            "100"
-        ]))
-        .is_ok());
-    }
-
-    #[test]
-    fn parse_rejects_bad_input() {
-        for bad in [
-            vec!["--rps"],                 // missing value
-            vec!["--rps", "0"],            // non-positive rate
-            vec!["--rps", "100,abc"],      // malformed entry
-            vec!["--duration", "-1"],      // negative
-            vec!["--depth", "0"],          // zero depth
-            vec!["--batch", "x"],          // malformed
-            vec!["--policy", "drop"],      // unknown policy
-            vec!["--mode", "turbo"],       // unknown mode
-            vec!["--apps", "0"],           // zero tenants
-            vec!["--sacle", "64"],         // typo flag
-            vec!["--faults", "bogus"],     // bad fault spec
-            vec!["--jobs", "0"],           // harness re-check
-            vec!["--skew"],                // missing value
-            vec!["--skew", "-0.5"],        // negative skew
-            vec!["--skew", "inf"],         // non-finite skew
-            vec!["--skew", "hot"],         // malformed skew
-            vec!["--cache-mb", "many"],    // malformed capacity
-            vec!["--cache-mb", "-1"],      // negative capacity
-            vec!["--cache-host-mb", "x"],  // malformed spill capacity
-            vec!["--cache-policy", "arc"], // unknown cache policy
-            vec!["--cache-policy"],        // missing value
-            vec!["--csv", "x"],            // --csv takes no value
-        ] {
-            assert!(parse(&argv(&bad)).is_err(), "should reject {bad:?}");
-        }
-    }
-
-    #[test]
-    fn parse_telemetry_grammar() {
-        let cli = parse(&argv(&[
+            "--seed",
+            "7",
             "--telemetry-window",
             "10ms",
             "--slo",
@@ -823,183 +405,47 @@ mod tests {
             "t.csv",
         ]))
         .expect("valid");
-        assert_eq!(
-            cli.telemetry_window.unwrap(),
-            morpheus_simcore::SimDuration::from_millis(10)
-        );
-        assert_eq!(cli.slo.objectives.len(), 2);
-        let t = cli.telemetry_config().expect("window set");
+        assert_eq!(cli.serve.rps, vec![100.0, 200.5]);
+        assert!(cli.csv);
+        assert_eq!((cli.serve.harness.seed, cli.serve.harness.jobs), (7, 4));
+        assert_eq!(cli.telemetry_window, Some(SimDuration::from_millis(10)));
+        let t = cli
+            .serve
+            .serve_config(Mode::Morpheus, 100.0, cli.telemetry_window)
+            .telemetry
+            .expect("window set");
         assert_eq!(t.slo.objectives.len(), 2);
-        assert!(
-            parse(&argv(&[])).unwrap().telemetry_config().is_none(),
-            "telemetry is off by default"
-        );
     }
 
     #[test]
-    fn telemetry_flags_require_a_window() {
+    fn parse_rejects_bad_input() {
         for bad in [
-            vec!["--slo", "avail>99.9"],
-            vec!["--telemetry-out", "t.csv"],
-            vec!["--prom-out", "t.prom"],
+            vec!["--sacle", "64"],                                      // typo flag
+            vec!["--scale", "64"],                                      // figure-binary flag
+            vec!["--fast-forward"],     // removed: the skip is unconditional
+            vec!["--jobs", "0"],        // harness re-check
+            vec!["--csv", "x"],         // --csv takes no value
+            vec!["--telemetry-window"], // missing value
+            vec!["--telemetry-window", "0ms"], // zero window
+            vec!["--telemetry-window", "soon"], // malformed
+            vec!["--slo", "avail>99.9"], // requires --telemetry-window
+            vec!["--telemetry-out", "t.csv"], // requires --telemetry-window
+            vec!["--prom-out", "t.prom"], // requires --telemetry-window
+            vec!["--trace-out", "t.json"], // needs a single cell
+            vec!["--telemetry-window", "10ms", "--prom-out", "t.prom"], // needs a single cell
         ] {
             assert!(parse(&argv(&bad)).is_err(), "should reject {bad:?}");
         }
     }
 
     #[test]
-    fn prom_out_needs_single_cell() {
-        assert!(parse(&argv(&[
-            "--telemetry-window",
-            "10ms",
-            "--prom-out",
-            "t.prom"
-        ]))
-        .is_err());
-        assert!(parse(&argv(&[
-            "--telemetry-window",
-            "10ms",
-            "--prom-out",
-            "t.prom",
-            "--mode",
-            "morpheus",
-            "--rps",
-            "100"
-        ]))
-        .is_ok());
-    }
-
-    #[test]
-    fn parse_rejects_bad_telemetry_values() {
-        for bad in [
-            vec!["--telemetry-window"],                             // missing value
-            vec!["--telemetry-window", "0ms"],                      // zero window
-            vec!["--telemetry-window", "soon"],                     // malformed
-            vec!["--telemetry-window", "10ms", "--slo"],            // missing value
-            vec!["--telemetry-window", "10ms", "--slo", "x"],       // bad term
-            vec!["--telemetry-window", "10ms", "--slo", "p99<0ns"], // bad threshold
-        ] {
-            assert!(parse(&argv(&bad)).is_err(), "should reject {bad:?}");
-        }
-    }
-
-    #[test]
-    fn parse_fleet_grammar() {
-        let cli = parse(&argv(&[])).expect("valid");
-        assert_eq!(cli.devices, 1);
-        assert_eq!(cli.placement, PlacementPolicy::HashByFile);
-        assert!(cli.kills.is_empty());
-        assert!(!cli.fleet_mode(), "defaults stay on the legacy path");
-
-        let cli = parse(&argv(&[
-            "--devices",
-            "4",
-            "--placement",
-            "capacity",
-            "--kill-device",
-            "2@0.01",
-            "--kill-device",
-            "3@0.02",
-        ]))
-        .expect("valid");
-        assert_eq!(cli.devices, 4);
-        assert_eq!(cli.placement, PlacementPolicy::CapacityAware);
-        assert_eq!(cli.kills.len(), 2);
-        assert_eq!(cli.kills[0].device, 2);
-        assert!(cli.fleet_mode());
-        let fc = cli.fleet_config();
-        assert_eq!((fc.devices, fc.kills.len()), (4, 2));
-
-        // A kill schedule alone engages the fleet path even on one device.
-        assert!(parse(&argv(&["--kill-device", "0@0.01"]))
-            .expect("valid")
-            .fleet_mode());
-    }
-
-    #[test]
-    fn parse_control_grammar() {
-        let cli = parse(&argv(&[])).expect("valid");
-        assert!(cli.rolling_update.is_none());
-        assert!(!cli.heal);
-        assert!(!cli.fleet_config().control.is_active());
-
-        let cli = parse(&argv(&[
-            "--devices",
-            "4",
-            "--rolling-update",
-            "0.002",
-            "--heal",
-        ]))
-        .expect("valid");
-        assert_eq!(cli.rolling_update, Some(0.002));
-        assert!(cli.heal);
-        assert!(cli.fleet_mode());
-        let fc = cli.fleet_config();
-        assert!(fc.control.rolling.is_some());
-        assert!(fc.control.heal.is_some());
-
-        // Control intent alone engages the fleet path, even solo.
-        assert!(parse(&argv(&["--rolling-update", "0.01"]))
-            .expect("valid")
-            .fleet_mode());
-        assert!(parse(&argv(&["--heal"])).expect("valid").fleet_mode());
-    }
-
-    #[test]
-    fn parse_rejects_bad_control_input() {
-        for bad in [
-            vec!["--rolling-update"],          // missing value
-            vec!["--rolling-update", "-1"],    // negative start
-            vec!["--rolling-update", "inf"],   // non-finite
-            vec!["--rolling-update", "later"], // malformed
-            vec!["--heal", "now"],             // --heal takes no value
-        ] {
-            assert!(parse(&argv(&bad)).is_err(), "should reject {bad:?}");
-        }
-    }
-
-    #[test]
-    fn parse_rejects_bad_fleet_input() {
-        for bad in [
-            vec!["--devices", "0"],                            // zero devices
-            vec!["--devices", "x"],                            // malformed
-            vec!["--placement", "random"],                     // unknown policy
-            vec!["--placement"],                               // missing value
-            vec!["--kill-device", "2"],                        // missing @SECS
-            vec!["--kill-device", "2@-1"],                     // negative time
-            vec!["--kill-device", "1@0.01"],                   // device outside fleet (devices=1)
-            vec!["--devices", "2", "--kill-device", "2@0.01"], // out of range
-        ] {
-            assert!(parse(&argv(&bad)).is_err(), "should reject {bad:?}");
-        }
+    fn single_cell_outputs_accept_one_cell() {
+        assert!(parse(&with_cell(&["--trace-out", "t.json"])).is_ok());
+        let prom = ["--telemetry-window", "10ms", "--prom-out", "t.prom"];
+        assert!(parse(&with_cell(&prom)).is_ok());
         // Prometheus exposition is single-device only.
-        assert!(parse(&argv(&[
-            "--telemetry-window",
-            "10ms",
-            "--prom-out",
-            "t.prom",
-            "--mode",
-            "morpheus",
-            "--rps",
-            "100",
-            "--devices",
-            "4"
-        ]))
-        .is_err());
-    }
-
-    #[test]
-    fn csv_and_trace_out_are_mutually_exclusive() {
-        assert!(parse(&argv(&[
-            "--csv",
-            "--trace-out",
-            "t.json",
-            "--mode",
-            "morpheus",
-            "--rps",
-            "100"
-        ]))
-        .is_err());
-        assert!(parse(&argv(&["--csv"])).is_ok());
+        assert!(parse(&with_cell(&[&prom[..], &["--devices", "4"]].concat())).is_err());
+        // CSV owns stdout, so it cannot share it with the trace notice.
+        assert!(parse(&with_cell(&["--csv", "--trace-out", "t.json"])).is_err());
     }
 }

@@ -10,29 +10,18 @@
 //! * `--format prom` — Prometheus text exposition (counters, gauges,
 //!   log2 histograms with cumulative buckets, SLO burn/budget series).
 //!
-//! Deterministic by construction: the cell builds its own seeded system
+//! Deterministic by construction: the cell builds its own seeded fleet
 //! and the sampler folds events into windows keyed by integer sim-time
 //! division, so every byte of output is identical across repeats.
 //! `docs/TELEMETRY.md` documents the sampling model and SLO semantics.
 
-use morpheus::{
-    AppSpec, CacheConfig, CachePolicy, DeviceKill, Fleet, FleetConfig, HealPolicy, Mode,
-    PlacementPolicy, RollingUpdate, ServeConfig, ServePolicy, SloSpec, System, SystemParams,
-    TelemetryConfig,
-};
-use morpheus_bench::Harness;
-use morpheus_format::{FieldKind, Schema, TextWriter};
-use morpheus_simcore::{parse_duration, render_error_chain, SimDuration, SplitMix64};
+use morpheus::Mode;
+use morpheus_bench::{parse_flags, value_of, ArgError, ServeArgs};
+use morpheus_simcore::{parse_duration, render_error_chain, SimDuration};
 
-const USAGE: &str =
-    "usage: telemetry [--rps R] [--duration S] [--mode conventional|morpheus|morpheus+p2p]
-                 [--apps N] [--bytes N] [--depth N] [--batch N] [--sq-depth N]
-                 [--policy shed|fallback] [--skew F]
-                 [--cache-mb N] [--cache-host-mb N] [--cache-policy tinylfu|lru]
-                 [--window DUR] [--slo SPEC] [--format text|csv|prom] [--out <path>]
-                 [--devices N] [--placement rr|hash|capacity] [--kill-device DEV@SECS]
-                 [--rolling-update SECS] [--heal]
-                 [--seed N] [--faults SPEC]";
+/// `telemetry`'s own flags; the shared ones follow in the usage text.
+const USAGE_HEAD: &str = "telemetry [--rps R] [--mode conventional|morpheus|morpheus+p2p]
+[--window DUR] [--format text|csv|prom] [--out <path>]";
 
 /// Output rendering selected by `--format`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,220 +34,59 @@ enum Format {
 /// One parsed invocation (a single serving cell).
 #[derive(Debug)]
 struct Cli {
-    rps: f64,
-    duration_s: f64,
-    mode: Mode,
-    apps: usize,
-    bytes: u64,
-    depth: usize,
-    batch: usize,
-    sq_depth: usize,
-    policy: ServePolicy,
-    skew: f64,
-    cache_mb: u64,
-    cache_host_mb: u64,
-    cache_policy: CachePolicy,
+    serve: ServeArgs,
     window: SimDuration,
-    slo: SloSpec,
     format: Format,
     out: Option<String>,
-    devices: usize,
-    placement: PlacementPolicy,
-    kills: Vec<DeviceKill>,
-    rolling_update: Option<f64>,
-    heal: bool,
-    harness: Harness,
 }
 
 impl Cli {
-    /// True when the invocation engages the fleet path (see the `serve`
-    /// binary: more than one device, a kill schedule, or control-plane
-    /// intent).
-    fn fleet_mode(&self) -> bool {
-        self.devices > 1 || !self.kills.is_empty() || self.rolling_update.is_some() || self.heal
+    /// The one (mode, rps) cell this invocation serves.
+    fn cell(&self) -> (Mode, f64) {
+        (self.serve.modes[0], self.serve.rps[0])
     }
 }
 
 /// The flag grammar, separated from process state so tests can drive it.
-fn parse(args: &[String]) -> Result<Cli, String> {
-    fn value<'a>(flag: &str, it: &mut std::slice::Iter<'a, String>) -> Result<&'a String, String> {
-        it.next().ok_or_else(|| format!("{flag} requires a value"))
-    }
-    fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
-        flag: &str,
-        v: &str,
-    ) -> Result<T, String> {
-        let n: T = v
-            .parse()
-            .map_err(|_| format!("{flag} expects a positive number, got {v:?}"))?;
-        if n < T::from(1u8) {
-            return Err(format!("{flag} must be >= 1"));
-        }
-        Ok(n)
-    }
+fn parse(args: &[String]) -> Result<Cli, ArgError> {
     let mut cli = Cli {
-        rps: 4000.0,
-        duration_s: 0.05,
-        mode: Mode::Morpheus,
-        apps: 3,
-        bytes: 64 * 1024,
-        depth: 64,
-        batch: 8,
-        sq_depth: 64,
-        policy: ServePolicy::Shed,
-        skew: 0.0,
-        cache_mb: 0,
-        cache_host_mb: 0,
-        cache_policy: CachePolicy::TinyLfu,
+        serve: ServeArgs {
+            rps: vec![4000.0],
+            modes: vec![Mode::Morpheus],
+            single_cell: true,
+            ..ServeArgs::default()
+        },
         window: SimDuration::from_millis(10),
-        slo: SloSpec::none(),
         format: Format::Text,
         out: None,
-        devices: 1,
-        placement: PlacementPolicy::HashByFile,
-        kills: Vec::new(),
-        rolling_update: None,
-        heal: false,
-        harness: Harness::default(),
     };
-    let mut harness_args: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--rps" => {
-                let v = value("--rps", &mut it)?;
-                let r: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--rps expects a number, got {v:?}"))?;
-                if !r.is_finite() || r <= 0.0 {
-                    return Err("--rps must be positive".into());
-                }
-                cli.rps = r;
-            }
-            "--duration" => {
-                let v = value("--duration", &mut it)?;
-                let d: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--duration expects seconds, got {v:?}"))?;
-                if !d.is_finite() || d <= 0.0 {
-                    return Err("--duration must be positive".into());
-                }
-                cli.duration_s = d;
-            }
-            "--mode" => {
-                let v = value("--mode", &mut it)?;
-                cli.mode = match v.as_str() {
-                    "conventional" => Mode::Conventional,
-                    "morpheus" => Mode::Morpheus,
-                    "morpheus+p2p" => Mode::MorpheusP2P,
-                    other => {
-                        return Err(format!(
-                            "--mode expects conventional|morpheus|morpheus+p2p, got {other:?}"
-                        ))
-                    }
-                };
-            }
-            "--apps" => cli.apps = positive::<usize>("--apps", value("--apps", &mut it)?)?,
-            "--bytes" => cli.bytes = positive::<u64>("--bytes", value("--bytes", &mut it)?)?,
-            "--depth" => cli.depth = positive::<usize>("--depth", value("--depth", &mut it)?)?,
-            "--batch" => cli.batch = positive::<usize>("--batch", value("--batch", &mut it)?)?,
-            "--sq-depth" => {
-                cli.sq_depth = positive::<usize>("--sq-depth", value("--sq-depth", &mut it)?)?
-            }
-            "--policy" => {
-                let v = value("--policy", &mut it)?;
-                cli.policy = ServePolicy::parse(v)
-                    .ok_or_else(|| format!("--policy expects shed|fallback, got {v:?}"))?;
-            }
-            "--skew" => {
-                let v = value("--skew", &mut it)?;
-                let s: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--skew expects a number, got {v:?}"))?;
-                if !s.is_finite() || s < 0.0 {
-                    return Err("--skew must be finite and non-negative".into());
-                }
-                cli.skew = s;
-            }
-            "--cache-mb" => {
-                let v = value("--cache-mb", &mut it)?;
-                cli.cache_mb = v
-                    .parse()
-                    .map_err(|_| format!("--cache-mb expects a byte count in MB, got {v:?}"))?;
-            }
-            "--cache-host-mb" => {
-                let v = value("--cache-host-mb", &mut it)?;
-                cli.cache_host_mb = v.parse().map_err(|_| {
-                    format!("--cache-host-mb expects a byte count in MB, got {v:?}")
-                })?;
-            }
-            "--cache-policy" => {
-                let v = value("--cache-policy", &mut it)?;
-                cli.cache_policy = CachePolicy::parse(v)
-                    .ok_or_else(|| format!("--cache-policy expects tinylfu|lru, got {v:?}"))?;
-            }
+    parse_flags(args, |flag, it| {
+        if cli.serve.offer(flag, it)? {
+            return Ok(true);
+        }
+        match flag {
             "--window" => {
-                let v = value("--window", &mut it)?;
+                let v = value_of(flag, it)?;
                 cli.window = parse_duration(v).map_err(|e| format!("--window: {e}"))?;
             }
-            "--slo" => {
-                let v = value("--slo", &mut it)?;
-                cli.slo = SloSpec::parse(v).map_err(|e| format!("--slo: {e}"))?;
-            }
             "--format" => {
-                let v = value("--format", &mut it)?;
+                let v = value_of(flag, it)?;
                 cli.format = match v.as_str() {
                     "text" => Format::Text,
                     "csv" => Format::Csv,
                     "prom" => Format::Prom,
-                    other => return Err(format!("--format expects text|csv|prom, got {other:?}")),
+                    other => {
+                        return Err(format!("--format expects text|csv|prom, got {other:?}").into())
+                    }
                 };
             }
-            "--out" => cli.out = Some(value("--out", &mut it)?.clone()),
-            "--devices" => {
-                cli.devices = positive::<usize>("--devices", value("--devices", &mut it)?)?
-            }
-            "--placement" => {
-                let v = value("--placement", &mut it)?;
-                cli.placement = PlacementPolicy::parse(v)
-                    .ok_or_else(|| format!("--placement expects rr|hash|capacity, got {v:?}"))?;
-            }
-            "--kill-device" => {
-                let v = value("--kill-device", &mut it)?;
-                cli.kills
-                    .push(DeviceKill::parse(v).map_err(|e| format!("--kill-device: {e}"))?);
-            }
-            "--rolling-update" => {
-                let v = value("--rolling-update", &mut it)?;
-                let s: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--rolling-update expects seconds, got {v:?}"))?;
-                if !s.is_finite() || s < 0.0 {
-                    return Err("--rolling-update must be finite and >= 0".into());
-                }
-                cli.rolling_update = Some(s);
-            }
-            "--heal" => cli.heal = true,
-            // Harness flags: re-validated by the shared grammar so
-            // `--faults bogus` fails exactly as in every figure binary.
-            "--seed" | "--faults" => {
-                let v = value(arg, &mut it)?;
-                harness_args.push(arg.clone());
-                harness_args.push(v.clone());
-            }
-            other => return Err(format!("unknown flag {other:?}")),
+            "--out" => cli.out = Some(value_of(flag, it)?.clone()),
+            _ => return Ok(false),
         }
-    }
-    cli.harness = Harness::parse(&harness_args, &[]).map_err(|e| e.0)?;
-    for k in &cli.kills {
-        if k.device >= cli.devices {
-            return Err(format!(
-                "--kill-device names device {} but --devices is {}",
-                k.device, cli.devices
-            ));
-        }
-    }
-    if cli.format == Format::Prom && cli.devices > 1 {
+        Ok(true)
+    })?;
+    cli.serve.fleet.validate()?;
+    if cli.format == Format::Prom && cli.serve.fleet.devices > 1 {
         return Err(
             "--format prom requires --devices 1: a Prometheus exposition declares \
              each metric once (use --format csv for per-device windows)"
@@ -268,211 +96,95 @@ fn parse(args: &[String]) -> Result<Cli, String> {
     Ok(cli)
 }
 
-/// Stages `apps` tenant inputs (~`bytes` each of two-column text edges)
-/// into a fresh paper-testbed system, then arms any fault plan — the same
-/// staging recipe the `serve` binary uses, so cells agree across tools.
-fn build_system(cli: &Cli) -> (System, Vec<AppSpec>) {
-    let mut sys = System::new(SystemParams::paper_testbed());
-    let schema = Schema::new(vec![FieldKind::U32, FieldKind::U32]);
-    let mut specs = Vec::new();
-    for i in 0..cli.apps {
-        let name = format!("svc{i}");
-        let file = format!("{name}.txt");
-        let mut rng = SplitMix64::new(cli.harness.seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
-        let mut w = TextWriter::new();
-        for _ in 0..(cli.bytes / 12).max(1) {
-            w.write_u64(rng.next_below(100_000));
-            w.sep();
-            w.write_u64(rng.next_below(100_000));
-            w.newline();
-        }
-        sys.create_input_file(&file, &w.into_bytes())
-            .expect("staging tenant input");
-        specs.push(AppSpec::cpu_app(&name, &file, schema.clone(), 1, 50.0));
-    }
-    if let Some(plan) = cli.harness.faults {
-        sys.set_fault_plan(plan);
-    }
-    (sys, specs)
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = parse(&args).unwrap_or_else(|e| {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let cli = parse(&argv).unwrap_or_else(|e| {
         eprintln!("error: {e}");
-        eprintln!("{USAGE}");
+        eprintln!("{}", ServeArgs::usage(USAGE_HEAD));
         std::process::exit(2);
     });
-
-    let cache_cfg = CacheConfig {
-        dram_bytes: cli.cache_mb << 20,
-        host_bytes: cli.cache_host_mb << 20,
-        policy: cli.cache_policy,
-        seed: cli.harness.seed,
-    };
-    let mut tcfg = TelemetryConfig::new(cli.window);
-    tcfg.slo = cli.slo.clone();
-    let cfg = ServeConfig {
-        rps: cli.rps,
-        duration_s: cli.duration_s,
-        depth: cli.depth,
-        batch_max: cli.batch,
-        sq_depth: cli.sq_depth,
-        mode: cli.mode,
-        policy: cli.policy,
-        seed: cli.harness.seed,
-        skew: cli.skew,
-        telemetry: Some(tcfg),
-        fast_forward: false,
-    };
-    let labels_owned = (cli.mode.to_string(), format!("{:.0}", cli.rps));
-
-    if cli.fleet_mode() {
-        // Fleet path: telemetry is sampled per device (the aggregate
-        // report carries none), so every format renders one labelled
-        // block per fleet member.
-        let mut fc = FleetConfig::new(cli.devices);
-        fc.placement = cli.placement;
-        fc.seed = cli.harness.seed;
-        fc.kills = cli.kills.clone();
-        fc.control.rolling = cli.rolling_update.map(RollingUpdate::starting_at);
-        if cli.heal {
-            fc.control.heal = Some(HealPolicy::default());
-        }
-        let mut fleet = Fleet::new(SystemParams::paper_testbed(), fc);
-        let schema = Schema::new(vec![FieldKind::U32, FieldKind::U32]);
-        let mut specs = Vec::new();
-        for i in 0..cli.apps {
-            let name = format!("svc{i}");
-            let file = format!("{name}.txt");
-            let mut rng = SplitMix64::new(cli.harness.seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
-            let mut w = TextWriter::new();
-            for _ in 0..(cli.bytes / 12).max(1) {
-                w.write_u64(rng.next_below(100_000));
-                w.sep();
-                w.write_u64(rng.next_below(100_000));
-                w.newline();
-            }
-            fleet
-                .create_input_file(&file, &w.into_bytes())
-                .expect("staging tenant input");
-            specs.push(AppSpec::cpu_app(&name, &file, schema.clone(), 1, 50.0));
-        }
-        if let Some(plan) = cli.harness.faults {
-            fleet.set_fault_plan(plan);
-        }
-        fleet.set_object_cache(cache_cfg);
-        let rep = fleet.serve(&specs, &cfg).unwrap_or_else(|e| {
+    let args = &cli.serve;
+    let (mode, rps) = cli.cell();
+    let (mut fleet, specs) = args.build_fleet();
+    let rep = fleet
+        .serve(&specs, &args.serve_config(mode, rps, Some(cli.window)))
+        .unwrap_or_else(|e| {
             eprintln!("error: serve failed: {}", render_error_chain(&e));
             std::process::exit(1);
         });
-        let rendered = match cli.format {
-            Format::Text => {
-                let mut s = format!(
-                    "telemetry: {} @ {:.0} rps, duration {}s, window {}, policy {}, seed {}, \
-                     devices {} placement {}\n",
-                    cli.mode,
-                    cli.rps,
-                    cli.duration_s,
-                    cli.window,
-                    cli.policy,
-                    cli.harness.seed,
-                    cli.devices,
-                    cli.placement
-                );
+    // Telemetry is sampled per device; a fleet run labels every block
+    // with its device, a run without fleet flags prints its one device
+    // as the single-SSD report.
+    let engaged = args.fleet.engaged();
+    let (mode_label, rps_label) = (mode.to_string(), format!("{rps:.0}"));
+    let mut windows = rep
+        .per_device
+        .iter()
+        .map(|d| d.telemetry.as_ref().expect("sampler installed"));
+    let rendered = match cli.format {
+        Format::Text => {
+            let mut s = format!(
+                "telemetry: {mode} @ {rps:.0} rps, duration {}s, window {}, policy {}, seed {}",
+                args.duration_s, cli.window, args.policy, args.harness.seed
+            );
+            if engaged {
+                let a = &rep.aggregate;
                 s.push_str(&format!(
-                    "fleet: rebalanced {} | offered {} completed {} shed {} failed {}\n",
+                    ", devices {} placement {}\n\
+                     fleet: rebalanced {} | offered {} completed {} shed {} failed {}\n",
+                    args.fleet.devices,
+                    args.fleet.placement,
                     rep.rebalanced,
-                    rep.aggregate.offered,
-                    rep.aggregate.completed,
-                    rep.aggregate.shed,
-                    rep.aggregate.failed,
+                    a.offered,
+                    a.completed,
+                    a.shed,
+                    a.failed,
                 ));
                 if let Some(c) = &rep.control {
                     s.push_str(&format!("{c}"));
                 }
-                for (i, d) in rep.per_device.iter().enumerate() {
-                    let t = d.telemetry.as_ref().expect("sampler installed");
-                    s.push_str(&format!(
-                        "device {i}: offered {} completed {} shed {} failed {} | \
-                         p50 {:.1}us p99 {:.1}us\n",
-                        d.offered,
-                        d.completed,
-                        d.shed,
-                        d.failed,
-                        d.e2e_ns.p50() as f64 / 1e3,
-                        d.e2e_ns.p99() as f64 / 1e3,
-                    ));
-                    s.push_str(&format!("{t}"));
-                    if !s.ends_with('\n') {
-                        s.push('\n');
-                    }
-                }
-                s
+            } else {
+                s.push('\n');
             }
-            Format::Csv => {
-                let mut s = String::new();
-                for (i, d) in rep.per_device.iter().enumerate() {
-                    let t = d.telemetry.as_ref().expect("sampler installed");
-                    s.push_str(&t.to_csv(&[
-                        ("mode", labels_owned.0.clone()),
-                        ("target_rps", labels_owned.1.clone()),
-                        ("device", i.to_string()),
-                    ]));
+            for (i, (d, t)) in rep.per_device.iter().zip(windows).enumerate() {
+                if engaged {
+                    s.push_str(&format!("device {i}: "));
                 }
-                s
+                s.push_str(&format!(
+                    "offered {} completed {} shed {} failed {} | p50 {:.1}us p99 {:.1}us\n{t}",
+                    d.offered,
+                    d.completed,
+                    d.shed,
+                    d.failed,
+                    d.e2e_ns.p50() as f64 / 1e3,
+                    d.e2e_ns.p99() as f64 / 1e3,
+                ));
+                if engaged && !s.ends_with('\n') {
+                    s.push('\n');
+                }
             }
-            // --devices 1 enforced at parse time: the lone device of a
-            // kill-schedule run.
-            Format::Prom => rep.per_device[0]
-                .telemetry
-                .as_ref()
-                .expect("sampler installed")
-                .to_prometheus(
-                    "morpheus",
-                    &[("mode", &labels_owned.0), ("rps", &labels_owned.1)],
-                ),
-        };
-        emit(&cli, &rendered);
-        return;
-    }
-
-    let (mut sys, specs) = build_system(&cli);
-    sys.set_object_cache(cache_cfg);
-    let rep = sys.serve(&specs, &cfg).unwrap_or_else(|e| {
-        eprintln!("error: serve failed: {}", render_error_chain(&e));
-        std::process::exit(1);
-    });
-    let t = rep.telemetry.as_ref().expect("sampler installed");
-
-    let rendered = match cli.format {
-        Format::Text => {
-            let mut s = format!(
-                "telemetry: {} @ {:.0} rps, duration {}s, window {}, policy {}, seed {}\n",
-                cli.mode, cli.rps, cli.duration_s, cli.window, cli.policy, cli.harness.seed
-            );
-            s.push_str(&format!(
-                "offered {} completed {} shed {} failed {} | p50 {:.1}us p99 {:.1}us\n",
-                rep.offered,
-                rep.completed,
-                rep.shed,
-                rep.failed,
-                rep.e2e_ns.p50() as f64 / 1e3,
-                rep.e2e_ns.p99() as f64 / 1e3,
-            ));
-            s.push_str(&format!("{t}"));
             s
         }
         // "target_rps": the offered rate, distinct from the derived
         // per-window "rps" (completed) column.
-        Format::Csv => t.to_csv(&[
-            ("mode", labels_owned.0.clone()),
-            ("target_rps", labels_owned.1.clone()),
-        ]),
-        Format::Prom => t.to_prometheus(
-            "morpheus",
-            &[("mode", &labels_owned.0), ("rps", &labels_owned.1)],
-        ),
+        Format::Csv => windows
+            .enumerate()
+            .map(|(i, t)| {
+                let mut labels = vec![
+                    ("mode", mode_label.clone()),
+                    ("target_rps", rps_label.clone()),
+                ];
+                if engaged {
+                    labels.push(("device", i.to_string()));
+                }
+                t.to_csv(&labels)
+            })
+            .collect(),
+        // --devices 1 is enforced at parse time: the lone device.
+        Format::Prom => windows
+            .next()
+            .expect("one device")
+            .to_prometheus("morpheus", &[("mode", &mode_label), ("rps", &rps_label)]),
     };
     emit(&cli, &rendered);
 }
@@ -493,6 +205,9 @@ fn emit(cli: &Cli, rendered: &str) {
 
 #[cfg(test)]
 mod tests {
+    //! `telemetry`'s own flags; the shared serving grammar is tested
+    //! beside `ServeArgs` in the bench library.
+
     use super::*;
 
     fn argv(args: &[&str]) -> Vec<String> {
@@ -502,118 +217,47 @@ mod tests {
     #[test]
     fn parse_defaults() {
         let cli = parse(&argv(&[])).expect("valid");
-        assert_eq!(cli.mode, Mode::Morpheus);
+        assert_eq!(cli.cell(), (Mode::Morpheus, 4000.0));
         assert_eq!(cli.window, SimDuration::from_millis(10));
-        assert!(cli.slo.is_empty());
+        assert!(cli.serve.slo.is_empty());
         assert_eq!(cli.format, Format::Text);
         assert!(cli.out.is_none());
     }
 
     #[test]
-    fn parse_full_grammar() {
+    fn parse_own_grammar() {
         let cli = parse(&argv(&[
             "--rps",
             "8000",
-            "--duration",
-            "0.1",
             "--mode",
             "morpheus+p2p",
-            "--apps",
-            "2",
-            "--bytes",
-            "4096",
-            "--policy",
-            "fallback",
-            "--skew",
-            "1.1",
-            "--cache-mb",
-            "256",
             "--window",
             "5ms",
-            "--slo",
-            "p99<500us,avail>99.9",
             "--format",
             "prom",
             "--out",
             "t.prom",
-            "--seed",
-            "7",
-            "--faults",
-            "seed=9,crash=0.1",
         ]))
         .expect("valid");
-        assert_eq!(cli.rps, 8000.0);
-        assert_eq!(cli.mode, Mode::MorpheusP2P);
+        assert_eq!(cli.cell(), (Mode::MorpheusP2P, 8000.0));
         assert_eq!(cli.window, SimDuration::from_millis(5));
-        assert_eq!(cli.slo.objectives.len(), 2);
         assert_eq!(cli.format, Format::Prom);
         assert_eq!(cli.out.as_deref(), Some("t.prom"));
-        assert_eq!(cli.harness.seed, 7);
-        assert!(cli.harness.faults.is_some());
     }
 
     #[test]
     fn parse_rejects_bad_input() {
         for bad in [
-            vec!["--rps", "0"],                         // non-positive rate
-            vec!["--rps", "nan"],                       // non-finite
-            vec!["--duration", "-1"],                   // negative
-            vec!["--mode", "all"],                      // sweep grammar not accepted here
-            vec!["--window", "0ms"],                    // zero window
-            vec!["--window", "later"],                  // malformed
-            vec!["--window"],                           // missing value
-            vec!["--slo", "p99<"],                      // malformed objective
-            vec!["--slo", "avail>100"],                 // target out of range
-            vec!["--format", "json"],                   // unknown format
-            vec!["--jobs", "4"],                        // single cell: no fan-out flag
-            vec!["--telemetry-window", "10ms"],         // serve's spelling
-            vec!["--faults", "bogus"],                  // bad fault spec
-            vec!["--devices", "0"],                     // zero devices
-            vec!["--placement", "random"],              // unknown policy
-            vec!["--kill-device", "1@0.01"],            // device outside fleet
-            vec!["--devices", "2", "--format", "prom"], // prom is single-device
-        ] {
-            assert!(parse(&argv(&bad)).is_err(), "should reject {bad:?}");
-        }
-    }
-
-    #[test]
-    fn parse_fleet_grammar() {
-        let cli = parse(&argv(&[
-            "--devices",
-            "3",
-            "--placement",
-            "rr",
-            "--kill-device",
-            "1@0.02",
-        ]))
-        .expect("valid");
-        assert_eq!(cli.devices, 3);
-        assert_eq!(cli.placement, PlacementPolicy::RoundRobin);
-        assert_eq!(cli.kills.len(), 1);
-        assert!(cli.fleet_mode());
-        assert!(!parse(&argv(&[])).unwrap().fleet_mode());
-    }
-
-    #[test]
-    fn parse_control_grammar() {
-        let cli = parse(&argv(&[
-            "--devices",
-            "4",
-            "--rolling-update",
-            "0.005",
-            "--heal",
-        ]))
-        .expect("valid");
-        assert_eq!(cli.rolling_update, Some(0.005));
-        assert!(cli.heal);
-        assert!(cli.fleet_mode());
-        // Control intent alone engages the fleet path.
-        assert!(parse(&argv(&["--heal"])).expect("valid").fleet_mode());
-        for bad in [
-            vec!["--rolling-update"],
-            vec!["--rolling-update", "-0.1"],
-            vec!["--rolling-update", "nan"],
+            vec!["--mode", "all"],                       // one cell: no engine sweep
+            vec!["--rps", "100,200"],                    // one cell: no rate ladder
+            vec!["--mode", "all", "--mode", "morpheus"], // rejected at once, not overridden
+            vec!["--window", "0ms"],                     // zero window
+            vec!["--window", "later"],                   // malformed
+            vec!["--window"],                            // missing value
+            vec!["--format", "json"],                    // unknown format
+            vec!["--jobs", "4"],                         // single cell: no fan-out flag
+            vec!["--telemetry-window", "10ms"],          // serve's spelling
+            vec!["--devices", "2", "--format", "prom"],  // prom is single-device
         ] {
             assert!(parse(&argv(&bad)).is_err(), "should reject {bad:?}");
         }

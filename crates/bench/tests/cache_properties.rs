@@ -64,7 +64,6 @@ fn serve_cfg(seed: u64, rps: f64, skew: f64, mode: Mode) -> ServeConfig {
         seed,
         skew,
         telemetry: None,
-        fast_forward: false,
     }
 }
 

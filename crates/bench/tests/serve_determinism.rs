@@ -36,21 +36,10 @@ fn build(seed: u64, faults: Option<&FaultPlan>) -> (System, Vec<AppSpec>) {
 
 /// One full serve run on a fresh system, returning every observable:
 /// the report rendered field-for-field (`ServeReport` has no `PartialEq`;
-/// its `Debug` form prints every field, histograms included) and the
-/// Chrome-JSON export of the per-request trace.
+/// its `Debug` form prints every field, histograms included) plus the
+/// windowed telemetry CSV, and the Chrome-JSON export of the per-request
+/// trace.
 fn run_once(seed: u64, rps: f64, mode: Mode, faults: Option<&FaultPlan>) -> (String, String) {
-    run_cfg(seed, rps, mode, faults, false)
-}
-
-/// Like [`run_once`] but with the idle fast-forward toggled, and windowed
-/// telemetry sampled so the report's CSV-visible series are covered too.
-fn run_cfg(
-    seed: u64,
-    rps: f64,
-    mode: Mode,
-    faults: Option<&FaultPlan>,
-    fast_forward: bool,
-) -> (String, String) {
     let (mut sys, specs) = build(seed, faults);
     sys.set_tracer(Tracer::enabled());
     let cfg = ServeConfig {
@@ -66,7 +55,6 @@ fn run_cfg(
         telemetry: Some(morpheus::TelemetryConfig::new(
             morpheus_simcore::SimDuration::from_micros(500),
         )),
-        fast_forward,
     };
     let rep: ServeReport = sys.serve(&specs, &cfg).expect("serve");
     let csv = rep
@@ -105,43 +93,8 @@ fn faulty_serve_is_identical_across_jobs_and_repeats() {
     assert_eq!(seq, again, "fault rolls must replay run-to-run");
 }
 
-#[test]
-fn fast_forward_is_byte_identical_to_plain_serve() {
-    // Idle fast-forward only skips dispatch scans that would have found
-    // nothing queued, so every observable — report, telemetry CSV, trace —
-    // must match the plain run byte for byte, across the jobs fan-out.
-    // Low rates (mostly idle) exercise the skip hardest.
-    let grid: Vec<(Mode, f64)> = [Mode::Conventional, Mode::Morpheus]
-        .into_iter()
-        .flat_map(|m| [150.0, 900.0, 2700.0].into_iter().map(move |r| (m, r)))
-        .collect();
-    let plain = run_parallel(1, &grid, |(m, r)| run_cfg(42, *r, *m, None, false));
-    let ff_seq = run_parallel(1, &grid, |(m, r)| run_cfg(42, *r, *m, None, true));
-    let ff_par = run_parallel(4, &grid, |(m, r)| run_cfg(42, *r, *m, None, true));
-    assert_eq!(plain, ff_seq, "fast-forward changed an observable");
-    assert_eq!(ff_seq, ff_par, "fast-forward raced with the fan-out");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Any seed, rate, mode, and fault plan: the fast-forwarded run is
-    /// byte-identical to the plain run (report + telemetry CSV + trace).
-    #[test]
-    fn fast_forward_never_changes_observables(
-        seed in 0u64..10_000,
-        rps in 100.0f64..6000.0,
-        conventional in any::<bool>(),
-        faulty in any::<bool>(),
-    ) {
-        let plan = FaultPlan::parse("seed=3,crash=0.1,stall=0.1,timeout=0.05").unwrap();
-        let faults = faulty.then_some(&plan);
-        let mode = if conventional { Mode::Conventional } else { Mode::Morpheus };
-        let plain = run_cfg(seed, rps, mode, faults, false);
-        let ff = run_cfg(seed, rps, mode, faults, true);
-        prop_assert_eq!(plain.0, ff.0, "reports/telemetry diverged");
-        prop_assert_eq!(plain.1, ff.1, "traces diverged");
-    }
 
     /// Any seed, any rate, faults on or off: two runs from scratch agree
     /// on the report and the trace, byte for byte.

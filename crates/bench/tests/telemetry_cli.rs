@@ -37,18 +37,15 @@ const QUICK: &[&str] = &["--rps", "2000", "--duration", "0.02", "--bytes", "4096
 
 #[test]
 fn telemetry_bad_flags_exit_two_with_usage() {
+    // The shared serving rows are covered by `serve_args_cli.rs`.
     for bad in [
-        vec!["--sacle", "64"],
-        vec!["--rps", "0"],
         vec!["--window", "0ms"],
         vec!["--window", "soon"],
         vec!["--window"],
-        vec!["--slo", "p99<"],
-        vec!["--slo", "avail>100"],
         vec!["--format", "json"],
         vec!["--mode", "all"],
+        vec!["--rps", "100,200"],
         vec!["--jobs", "4"],
-        vec!["--faults", "bogus"],
     ] {
         let out = telemetry_bin(&bad);
         assert_eq!(

@@ -102,7 +102,7 @@ pub use params::{CoRunner, StorageKind, SystemParams};
 pub use report::{mb_per_sec, Mode, Phases, RunReport, MB};
 pub use runtime::{ms_stream_create, CommandPlan, MsStream};
 pub use serialize::SerializeReport;
-pub use serve::{ServeConfig, ServePolicy, ServeReport};
+pub use serve::{ServeConfig, ServePolicy, ServeReport, MAX_RPS};
 pub use storage_app::{AppError, DeserializeApp, DeviceCtx, StorageApp};
 pub use system::{ChunkIo, System};
 

@@ -73,6 +73,11 @@ impl fmt::Display for ServePolicy {
     }
 }
 
+/// Highest accepted arrival rate, requests per second. Above it the mean
+/// inter-arrival gap is under the 1 ns clock tick, so arrivals stop
+/// advancing sim time and the offered stream never reaches the horizon.
+pub const MAX_RPS: f64 = 1e9;
+
 /// Configuration of one serve run.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -106,13 +111,6 @@ pub struct ServeConfig {
     /// hook is a single `Option` branch, and the report renders exactly
     /// as before.
     pub telemetry: Option<TelemetryConfig>,
-    /// Skip the dispatch scan entirely while the system is quiescent
-    /// (admission queue empty): the clock jumps straight from one arrival
-    /// to the next. Dispatch order, telemetry, and SLO accounting are
-    /// unchanged — with nothing queued the scan is a no-op — so reports
-    /// and traces stay byte-identical with the flag on or off (pinned by
-    /// the serve determinism suite).
-    pub fast_forward: bool,
 }
 
 impl ServeConfig {
@@ -129,7 +127,6 @@ impl ServeConfig {
             seed: 42,
             skew: 0.0,
             telemetry: None,
-            fast_forward: false,
         }
     }
 }
@@ -282,6 +279,10 @@ pub(crate) fn offered_requests(cfg: &ServeConfig, napps: usize) -> Vec<Request> 
 pub(crate) fn validate_serve_cfg(cfg: &ServeConfig) {
     assert!(cfg.rps.is_finite() && cfg.rps > 0.0, "rps must be positive");
     assert!(
+        cfg.rps <= MAX_RPS,
+        "rps must be at most {MAX_RPS:e}: a mean gap under 1 ns never advances the clock"
+    );
+    assert!(
         cfg.duration_s.is_finite() && cfg.duration_s > 0.0,
         "duration must be positive"
     );
@@ -298,6 +299,7 @@ pub(crate) fn validate_serve_cfg(cfg: &ServeConfig) {
 type WireCmd = (NvmeCommand, StatusCode, u32);
 
 /// Mutable run state threaded through the dispatcher.
+#[derive(Debug)]
 struct ServeState {
     /// Per-app FIFO of admitted, not-yet-dispatched requests.
     pending: Vec<VecDeque<Request>>,
@@ -402,8 +404,9 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics on a non-NVMe storage configuration or a non-positive rate,
-    /// duration, depth, or batch size (config bugs, not run outcomes).
+    /// Panics on a non-NVMe storage configuration, a non-positive rate,
+    /// duration, depth, or batch size, or a rate above [`MAX_RPS`]
+    /// (config bugs, not run outcomes).
     pub fn serve(&mut self, apps: &[AppSpec], cfg: &ServeConfig) -> Result<ServeReport, RunError> {
         if apps.is_empty() {
             return Err(RunError::NoTenants);
@@ -428,84 +431,22 @@ impl System {
             self.params.storage == StorageKind::NvmeSsd,
             "serving models the NVMe path"
         );
-        self.reset_timing();
-        let bar = match cfg.mode {
-            Mode::MorpheusP2P => Some(self.map_gpu_bar()),
-            _ => None,
-        };
-
-        // One NVMe queue pair per tenant app, created through the admin
-        // queue exactly as a driver would.
-        let mut admin = AdminController::new(self.mssd.identify(), apps.len() as u16 + 1);
-        for a in 0..apps.len() {
-            let sc = admin.create_io_queue(FIRST_TENANT_QID + a as u16, cfg.sq_depth);
-            assert_eq!(sc, StatusCode::Success, "tenant queue creation failed");
-        }
-
-        let mut st = ServeState {
-            pending: vec![VecDeque::new(); apps.len()],
-            next_free: vec![SimTime::ZERO; apps.len()],
-            queued: 0,
-            rep: ServeReport {
-                mode: cfg.mode,
-                policy: cfg.policy,
-                target_rps: cfg.rps,
-                duration_s: cfg.duration_s,
-                offered: reqs.len() as u64,
-                admitted: 0,
-                completed: 0,
-                shed: 0,
-                overflow_fallbacks: 0,
-                fault_redispatches: 0,
-                failed: 0,
-                batches: 0,
-                commands: 0,
-                doorbell_writes: 0,
-                makespan_s: 0.0,
-                sustained_rps: 0.0,
-                aggregate_mbs: 0.0,
-                records: 0,
-                checksum: 0,
-                checksum_unordered: 0,
-                queue_wait_ns: Histogram::new(),
-                service_ns: Histogram::new(),
-                e2e_ns: Histogram::new(),
-                faults: FaultCounters::default(),
-                cache: None,
-                telemetry: None,
-                metrics: Metrics::new(),
-            },
-            obj_bytes: 0,
-            makespan: SimTime::ZERO,
-            sampler: cfg.telemetry.as_ref().map(TelemetrySampler::new),
-            wire_scratch: Vec::new(),
-            batch_scratch: Vec::new(),
-            cmds_scratch: Vec::new(),
-        };
+        let (mut st, mut ctx) = self.begin_serve(apps, cfg, reqs.len() as u64);
         // Per-run cache view: counters are lifetime totals (the cache
         // survives across runs so warmed state carries over), so the
         // report subtracts this snapshot.
         let cache_base = self.object_cache.as_ref().map(|c| c.stats());
-        let digests: Vec<u64> = apps.iter().map(cache::format_digest).collect();
-        let code_lens: Vec<u32> = apps
-            .iter()
-            .map(|a| DeserializeApp::new(&a.name, a.schema.clone()).code_bytes())
-            .collect();
-        let mut ctx = ServeCtx {
-            cfg,
-            apps,
-            bar,
-            admin,
-            digests,
-            code_lens,
-        };
 
         for r in reqs {
             // Serve everything whose dispatch time has passed, so the
             // queue length this arrival sees is current. With nothing
-            // queued the scan is a no-op; fast-forward skips it and jumps
-            // the clock straight to this arrival.
-            if !cfg.fast_forward || st.queued > 0 {
+            // queued the scan is a no-op (docs/PERF.md §b), so an idle
+            // system jumps straight to this arrival.
+            debug_assert_eq!(
+                st.queued,
+                st.pending.iter().map(VecDeque::len).sum::<usize>()
+            );
+            if st.queued > 0 {
                 self.drain_due(&mut st, &mut ctx, r.arrival)?;
             }
             if let Some(s) = st.sampler.as_mut() {
@@ -610,6 +551,85 @@ impl System {
             st.rep.telemetry = Some(telemetry);
         }
         Ok(st.rep)
+    }
+
+    /// Resets the device clocks and builds one run's dispatch state: the
+    /// per-tenant NVMe queue pairs, empty admission queues, and a fresh
+    /// sampler.
+    fn begin_serve<'a>(
+        &mut self,
+        apps: &'a [AppSpec],
+        cfg: &'a ServeConfig,
+        offered: u64,
+    ) -> (ServeState, ServeCtx<'a>) {
+        self.reset_timing();
+        let bar = match cfg.mode {
+            Mode::MorpheusP2P => Some(self.map_gpu_bar()),
+            _ => None,
+        };
+
+        // One NVMe queue pair per tenant app, created through the admin
+        // queue exactly as a driver would.
+        let mut admin = AdminController::new(self.mssd.identify(), apps.len() as u16 + 1);
+        for a in 0..apps.len() {
+            let sc = admin.create_io_queue(FIRST_TENANT_QID + a as u16, cfg.sq_depth);
+            assert_eq!(sc, StatusCode::Success, "tenant queue creation failed");
+        }
+
+        let st = ServeState {
+            pending: vec![VecDeque::new(); apps.len()],
+            next_free: vec![SimTime::ZERO; apps.len()],
+            queued: 0,
+            rep: ServeReport {
+                mode: cfg.mode,
+                policy: cfg.policy,
+                target_rps: cfg.rps,
+                duration_s: cfg.duration_s,
+                offered,
+                admitted: 0,
+                completed: 0,
+                shed: 0,
+                overflow_fallbacks: 0,
+                fault_redispatches: 0,
+                failed: 0,
+                batches: 0,
+                commands: 0,
+                doorbell_writes: 0,
+                makespan_s: 0.0,
+                sustained_rps: 0.0,
+                aggregate_mbs: 0.0,
+                records: 0,
+                checksum: 0,
+                checksum_unordered: 0,
+                queue_wait_ns: Histogram::new(),
+                service_ns: Histogram::new(),
+                e2e_ns: Histogram::new(),
+                faults: FaultCounters::default(),
+                cache: None,
+                telemetry: None,
+                metrics: Metrics::new(),
+            },
+            obj_bytes: 0,
+            makespan: SimTime::ZERO,
+            sampler: cfg.telemetry.as_ref().map(TelemetrySampler::new),
+            wire_scratch: Vec::new(),
+            batch_scratch: Vec::new(),
+            cmds_scratch: Vec::new(),
+        };
+        let digests: Vec<u64> = apps.iter().map(cache::format_digest).collect();
+        let code_lens: Vec<u32> = apps
+            .iter()
+            .map(|a| DeserializeApp::new(&a.name, a.schema.clone()).code_bytes())
+            .collect();
+        let ctx = ServeCtx {
+            cfg,
+            apps,
+            bar,
+            admin,
+            digests,
+            code_lens,
+        };
+        (st, ctx)
     }
 
     /// Dispatches every batch whose dispatch time is at or before `up_to`,
@@ -1245,6 +1265,39 @@ mod tests {
         let mut cfg = ServeConfig::new(2000.0, 0.02);
         cfg.mode = mode;
         cfg
+    }
+
+    #[test]
+    fn drain_due_with_an_empty_queue_touches_nothing() {
+        // docs/PERF.md §b: the serve loop skips the dispatch scan while
+        // the admission queue is empty. That is sound only if the scan is
+        // a no-op there: serve state, sampler and tracer stay untouched.
+        let (mut sys, specs) = serving_system(2, 200);
+        sys.set_tracer(morpheus_simcore::Tracer::enabled());
+        let mut cfg = quick_cfg(Mode::Morpheus);
+        cfg.telemetry = Some(TelemetryConfig::new(SimDuration::from_micros(500)));
+        let (mut st, mut ctx) = sys.begin_serve(&specs, &cfg, 1);
+        // Serve one request first, so the state checked is a used one.
+        let arrival = SimTime::from_nanos(10_000);
+        st.pending[1].push_back(Request { arrival, app: 1 });
+        st.queued = 1;
+        sys.drain_due(&mut st, &mut ctx, arrival).unwrap();
+        assert_eq!((st.queued, st.rep.batches), (0, 1));
+        assert!(st.sampler.is_some() && sys.tracer().recorded() > 0);
+        let before = (format!("{st:?}"), sys.tracer().snapshot());
+        for up_to in [0, 10_000, 5_000_000, u64::MAX] {
+            sys.drain_due(&mut st, &mut ctx, SimTime::from_nanos(up_to))
+                .unwrap();
+            let after = (format!("{st:?}"), sys.tracer().snapshot());
+            assert_eq!(after, before, "drain_due up to {up_to} ns changed state");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rps must be at most")]
+    fn absurd_rates_panic_instead_of_hanging() {
+        let (mut sys, specs) = serving_system(1, 10);
+        let _ = sys.serve(&specs, &ServeConfig::new(1e300, 0.01));
     }
 
     #[test]
