@@ -101,15 +101,7 @@ fn main() {
         let failed = outcomes.len() - speedups.len();
         let mut agg = FaultCounters::default();
         for (_, c) in outcomes.iter().flatten() {
-            agg.ecc_corrected += c.ecc_corrected;
-            agg.media_retries += c.media_retries;
-            agg.media_failures += c.media_failures;
-            agg.nvme_timeouts += c.nvme_timeouts;
-            agg.nvme_retries += c.nvme_retries;
-            agg.core_stalls += c.core_stalls;
-            agg.core_crashes += c.core_crashes;
-            agg.pcie_degraded += c.pcie_degraded;
-            agg.host_fallbacks += c.host_fallbacks;
+            agg.merge(c);
         }
         rows.push(vec![
             format!("{rate:.0e}"),

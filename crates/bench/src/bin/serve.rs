@@ -7,6 +7,11 @@
 //! conventional path than on the Morpheus paths, which is the serving
 //! version of the paper's multiprogramming result.
 //!
+//! `--telemetry-window DUR` samples every cell in sim-time windows and
+//! prints one sparkline block per device with its SLO verdicts
+//! (`docs/TELEMETRY.md`); `--telemetry-out` writes the windows as CSV and
+//! `--prom-out` as Prometheus text exposition (one cell, one device).
+//!
 //! Deterministic by construction: the cell grid is fanned out with the
 //! shared order-preserving worker pool, and every cell builds its own
 //! seeded fleet, so output is byte-identical across repeats and `--jobs`.
@@ -59,8 +64,8 @@ fn parse(args: &[String]) -> Result<Cli, ArgError> {
         }
         Ok(true)
     })?;
-    let single_cell = cli.serve.modes.len() == 1 && cli.serve.rps.len() == 1;
-    if cli.trace_out.is_some() && !single_cell {
+    let one_cell = cli.serve.modes.len() == 1 && cli.serve.rps.len() == 1;
+    if cli.trace_out.is_some() && !one_cell {
         return Err("--trace-out needs a single cell: one --mode and one --rps".into());
     }
     if cli.csv && cli.trace_out.is_some() {
@@ -77,7 +82,7 @@ fn parse(args: &[String]) -> Result<Cli, ArgError> {
             return Err("--prom-out requires --telemetry-window".into());
         }
     }
-    if cli.prom_out.is_some() && !single_cell {
+    if cli.prom_out.is_some() && !one_cell {
         return Err(
             "--prom-out needs a single cell (one --mode, one --rps): a Prometheus \
              exposition declares each metric once"
@@ -226,33 +231,43 @@ fn main() {
                     fleet_lines.push(format!("  {line}"));
                 }
             }
-            // Telemetry lives per device on the fleet path (the aggregate
-            // report carries none): emit each device's windows, labelled.
-            for (i, d) in per_device.iter().enumerate() {
-                if let Some(t) = &d.telemetry {
-                    telemetry_blocks
-                        .push(format!("telemetry ({mode} @ {rps:.0} rps, dev{i}):\n{t}"));
-                    if cli.telemetry_out.is_some() {
-                        telemetry_csv.push_str(&t.to_csv(&[
-                            ("mode", mode.to_string()),
-                            ("target_rps", format!("{rps:.0}")),
-                            ("device", i.to_string()),
-                        ]));
-                    }
-                    if cli.prom_out.is_some() {
-                        // --devices 1 enforced at parse time, so this is
-                        // the lone device of a kill-schedule run.
-                        prom_text = Some(t.to_prometheus(
-                            "morpheus",
-                            &[("mode", &mode.to_string()), ("rps", &format!("{rps:.0}"))],
-                        ));
-                    }
+        }
+        // Telemetry is sampled per device. An engaged fleet labels each
+        // device's block and CSV rows with its index; a plain run's one
+        // device is the single SSD.
+        let (mode_label, rps_label) = (mode.to_string(), format!("{rps:.0}"));
+        for (i, d) in per_device.iter().enumerate() {
+            let Some(t) = &d.telemetry else { continue };
+            let dev = if engaged {
+                format!(", dev{i}")
+            } else {
+                String::new()
+            };
+            telemetry_blocks.push(format!("telemetry ({mode} @ {rps_label} rps{dev}):\n{t}"));
+            if cli.telemetry_out.is_some() {
+                // One header+rows block per cell and device: window
+                // columns are data-dependent. "target_rps": the offered
+                // rate, distinct from the derived per-window "rps"
+                // (completed) column.
+                let mut labels = vec![
+                    ("mode", mode_label.clone()),
+                    ("target_rps", rps_label.clone()),
+                ];
+                if engaged {
+                    labels.push(("device", i.to_string()));
                 }
+                telemetry_csv.push_str(&t.to_csv(&labels));
+            }
+            if cli.prom_out.is_some() {
+                // One cell on one device, enforced at parse time.
+                prom_text = Some(
+                    t.to_prometheus("morpheus", &[("mode", &mode_label), ("rps", &rps_label)]),
+                );
             }
         }
         let mut row = vec![
-            mode.to_string(),
-            format!("{rps:.0}"),
+            mode_label,
+            rps_label,
             rep.offered.to_string(),
             rep.completed.to_string(),
             rep.shed.to_string(),
@@ -278,26 +293,6 @@ fn main() {
         }
         if let Some(c) = rep.cache {
             cache_lines.push(format!("cache ({mode} @ {rps:.0} rps): {c}"));
-        }
-        if let Some(t) = &rep.telemetry {
-            telemetry_blocks.push(format!("telemetry ({mode} @ {rps:.0} rps):\n{t}"));
-            if cli.telemetry_out.is_some() {
-                // One header+rows block per cell: window columns are
-                // data-dependent, so cells keep their own headers.
-                // "target_rps": the offered rate, distinct from the
-                // derived per-window "rps" (completed) column.
-                telemetry_csv.push_str(&t.to_csv(&[
-                    ("mode", mode.to_string()),
-                    ("target_rps", format!("{rps:.0}")),
-                ]));
-            }
-            if cli.prom_out.is_some() {
-                // Single cell by construction (validated at parse time).
-                prom_text = Some(t.to_prometheus(
-                    "morpheus",
-                    &[("mode", &mode.to_string()), ("rps", &format!("{rps:.0}"))],
-                ));
-            }
         }
     }
     let mut header = vec![
@@ -427,6 +422,7 @@ mod tests {
             vec!["--csv", "x"],         // --csv takes no value
             vec!["--telemetry-window"], // missing value
             vec!["--telemetry-window", "0ms"], // zero window
+            vec!["--telemetry-window", "0.4ns"], // rounds to a zero window
             vec!["--telemetry-window", "soon"], // malformed
             vec!["--slo", "avail>99.9"], // requires --telemetry-window
             vec!["--telemetry-out", "t.csv"], // requires --telemetry-window

@@ -6,9 +6,9 @@
 //! range; all reported quantities are ratios or rates, which a scale sweep
 //! (`ablate --sweep scale`) shows to be size-stable.
 //!
-//! The serving binaries (`serve`, `telemetry`, `faults`) share one flag
-//! grammar here too: [`ServeArgs`] and [`FleetArgs`], parsed through
-//! [`parse_flags`] beside the [`Harness`] flags.
+//! The serving binaries (`serve`, `faults`) share one flag grammar here
+//! too: [`ServeArgs`] and [`FleetArgs`], parsed through [`parse_flags`]
+//! beside the [`Harness`] flags.
 
 #![warn(missing_docs)]
 
@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use morpheus::{
     AppSpec, CacheConfig, CachePolicy, DeviceKill, Fleet, FleetConfig, FleetConfigError,
     HealPolicy, Mode, PlacementPolicy, RollingUpdate, RunReport, ServeConfig, ServePolicy, SloSpec,
-    StorageKind, System, SystemParams, TelemetryConfig, MAX_RPS,
+    StorageKind, System, SystemParams, TelemetryConfig, MAX_RPS, MAX_TENANTS,
 };
 use morpheus_format::{FieldKind, Schema, TextWriter};
 use morpheus_simcore::{FaultPlan, SimDuration, SplitMix64};
@@ -275,9 +275,8 @@ impl Harness {
 }
 
 /// The fleet and control-plane flags: `--devices`, `--placement`,
-/// `--kill-device`, `--rolling-update` and `--heal`. `serve` and
-/// `telemetry` take them inside [`ServeArgs`]; `faults` takes them beside
-/// the [`Harness`] flags.
+/// `--kill-device`, `--rolling-update` and `--heal`. `serve` takes them
+/// inside [`ServeArgs`]; `faults` takes them beside the [`Harness`] flags.
 #[derive(Debug, Clone)]
 pub struct FleetArgs {
     /// Simulated SSDs behind the switch.
@@ -344,7 +343,8 @@ impl FleetArgs {
 
     /// True when the invocation engages the fleet: more than one device,
     /// a kill schedule, or control-plane intent. It selects the fleet
-    /// lines of the output; a plain run prints the single-SSD report.
+    /// lines and per-device labels of the output; a plain run prints the
+    /// single-SSD report.
     pub fn engaged(&self) -> bool {
         self.devices > 1 || !self.kills.is_empty() || self.rolling_update.is_some() || self.heal
     }
@@ -394,9 +394,9 @@ impl FleetArgs {
     }
 }
 
-/// The serving grammar `serve` and `telemetry` share: the cell shape,
-/// the object cache, the SLO, `--seed`/`--faults` and the [`FleetArgs`]
-/// group. The README's "Serving flags" table documents every flag.
+/// The serving grammar: the cell shape, the object cache, the SLO,
+/// `--seed`/`--faults` and the [`FleetArgs`] group. The README's
+/// "Serving flags" table documents every flag.
 ///
 /// A binary sets its defaults, then offers each flag to
 /// [`offer`](ServeArgs::offer) before its own flags, and checks the
@@ -407,8 +407,6 @@ pub struct ServeArgs {
     pub rps: Vec<f64>,
     /// Engines to serve with (`--mode`; `all` is every engine).
     pub modes: Vec<Mode>,
-    /// Reject sweeps: `--mode all` and `--rps` lists (one-cell binaries).
-    pub single_cell: bool,
     /// Arrival window, simulated seconds.
     pub duration_s: f64,
     /// Admission-queue depth.
@@ -445,7 +443,6 @@ impl Default for ServeArgs {
         ServeArgs {
             rps: vec![250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0],
             modes: ALL_MODES.to_vec(),
-            single_cell: false,
             duration_s: 0.05,
             depth: 64,
             batch: 8,
@@ -503,22 +500,18 @@ impl ServeArgs {
                     }
                     ladder.push(r);
                 }
-                if self.single_cell && ladder.len() > 1 {
-                    return Err(format!("--rps expects a number, got {v:?}").into());
-                }
                 self.rps = ladder;
             }
             "--mode" => {
                 let v = value_of(flag, it)?;
                 self.modes = match v.as_str() {
-                    "all" if !self.single_cell => ALL_MODES.to_vec(),
+                    "all" => ALL_MODES.to_vec(),
                     "conventional" => vec![Mode::Conventional],
                     "morpheus" => vec![Mode::Morpheus],
                     "morpheus+p2p" => vec![Mode::MorpheusP2P],
                     other => {
-                        let all = if self.single_cell { "" } else { "all|" };
                         return Err(format!(
-                            "--mode expects {all}conventional|morpheus|morpheus+p2p, got {other:?}"
+                            "--mode expects all|conventional|morpheus|morpheus+p2p, got {other:?}"
                         )
                         .into());
                     }
@@ -534,7 +527,17 @@ impl ServeArgs {
             "--depth" => self.depth = positive(flag, it)?,
             "--batch" => self.batch = positive(flag, it)?,
             "--sq-depth" => self.sq_depth = positive(flag, it)?,
-            "--apps" => self.apps = positive(flag, it)?,
+            "--apps" => {
+                self.apps = positive(flag, it)?;
+                if self.apps > MAX_TENANTS {
+                    return Err(format!(
+                        "--apps must be at most {MAX_TENANTS} (one 16-bit NVMe queue id per \
+                         tenant), got {}",
+                        self.apps
+                    )
+                    .into());
+                }
+            }
             "--bytes" => self.bytes = positive(flag, it)?,
             "--policy" => {
                 let v = value_of(flag, it)?;
@@ -990,6 +993,7 @@ mod tests {
             vec!["--sq-depth", "0"],                           // zero queue
             vec!["--policy", "drop"],                          // unknown policy
             vec!["--apps", "0"],                               // zero tenants
+            vec!["--apps", "65535"],                           // past the 16-bit queue ids
             vec!["--bytes", "0"],                              // empty inputs
             vec!["--skew"],                                    // missing value
             vec!["--skew", "-0.5"],                            // negative skew
@@ -1004,6 +1008,7 @@ mod tests {
             vec!["--cache-policy"],                            // missing value
             vec!["--slo", "p99<"],                             // malformed objective
             vec!["--slo", "avail>100"],                        // target out of range
+            vec!["--slo", "p99<0.3ns"],                        // threshold rounds to 0 ns
             vec!["--seed", "-3"],                              // negative seed
             vec!["--faults", "bogus"],                         // bad fault spec
             vec!["--devices", "0"],                            // zero devices
@@ -1039,22 +1044,9 @@ mod tests {
     }
 
     #[test]
-    fn single_cell_rejects_sweeps_at_once() {
-        let one = |args: &[&str]| {
-            let mut a = ServeArgs {
-                single_cell: true,
-                ..ServeArgs::default()
-            };
-            parse_flags(&argv(args), |flag, it| a.offer(flag, it)).map(|_| a)
-        };
-        assert!(one(&["--mode", "morpheus", "--rps", "1e9"]).is_ok());
-        for bad in [
-            vec!["--mode", "all"],
-            vec!["--mode", "all", "--mode", "morpheus"],
-            vec!["--rps", "100,200"],
-        ] {
-            assert!(one(&bad).is_err(), "should reject {bad:?}");
-        }
+    fn limits_are_inclusive() {
+        let a = serve_args(&["--apps", "65534", "--rps", "1e9"]).expect("at the limits");
+        assert_eq!((a.apps, a.rps[0]), (MAX_TENANTS, MAX_RPS));
     }
 
     #[test]

@@ -12,8 +12,8 @@ fn run(bin: &str, args: &[&str]) -> Output {
         .expect("launch binary")
 }
 
-/// Fleet/control rows: `serve`, `telemetry` and `faults` all take this
-/// group, so all three must reject them.
+/// Fleet/control rows: `serve` and `faults` both take this group, so
+/// both must reject them.
 const FLEET_ROWS: &[&[&str]] = &[
     &["--devices", "0"],
     &["--devices", "x"],
@@ -28,8 +28,7 @@ const FLEET_ROWS: &[&[&str]] = &[
     &["--heal", "now"],
 ];
 
-/// Cell-shape, cache and seed rows: the `ServeArgs` group that `serve`
-/// and `telemetry` share.
+/// Cell-shape, cache and seed rows: the `ServeArgs` group `serve` takes.
 const CELL_ROWS: &[&[&str]] = &[
     &["--rps", "0"],
     &["--rps", "1e300"],
@@ -37,6 +36,7 @@ const CELL_ROWS: &[&[&str]] = &[
     &["--duration", "-1"],
     &["--depth", "0"],
     &["--apps", "0"],
+    &["--apps", "65535"],
     &["--skew", "-0.5"],
     &["--cache-mb", "17592186044416"],
     &["--cache-host-mb", "17592186044416"],
@@ -63,30 +63,20 @@ fn assert_exit_two(bin: &str, name: &str, row: &[&str]) {
 
 #[test]
 fn every_serving_binary_rejects_the_shared_bad_rows() {
-    let bins = [
-        ("serve", env!("CARGO_BIN_EXE_serve")),
-        ("telemetry", env!("CARGO_BIN_EXE_telemetry")),
-        ("faults", env!("CARGO_BIN_EXE_faults")),
-    ];
-    for (name, bin) in bins {
+    let serve = env!("CARGO_BIN_EXE_serve");
+    for (name, bin) in [("serve", serve), ("faults", env!("CARGO_BIN_EXE_faults"))] {
         for row in FLEET_ROWS {
             assert_exit_two(bin, name, row);
         }
     }
-    for (name, bin) in &bins[..2] {
-        for row in CELL_ROWS {
-            assert_exit_two(bin, name, row);
-        }
+    for row in CELL_ROWS {
+        assert_exit_two(serve, "serve", row);
     }
 }
 
 #[test]
 fn out_of_range_kills_name_the_device_everywhere() {
-    for bin in [
-        env!("CARGO_BIN_EXE_serve"),
-        env!("CARGO_BIN_EXE_telemetry"),
-        env!("CARGO_BIN_EXE_faults"),
-    ] {
+    for bin in [env!("CARGO_BIN_EXE_serve"), env!("CARGO_BIN_EXE_faults")] {
         let out = run(bin, &["--devices", "4", "--kill-device", "9@0.1"]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(

@@ -1,19 +1,11 @@
-//! CLI contract of the telemetry plane: strict flag grammar (exit 2 on
-//! any unknown flag or malformed value) for the `telemetry` binary and
-//! the `serve` binary's telemetry flags, Prometheus text-exposition
-//! grammar through the CLI, and byte-identical output across repeats
-//! and `--jobs` fan-outs.
+//! CLI contract of the telemetry plane through `serve`: strict grammar
+//! for the telemetry flags (exit 2 on misuse), the sparkline and SLO
+//! verdict text, Prometheus text-exposition grammar via `--prom-out`, and
+//! byte-identical text, CSV and Prometheus output across repeats and
+//! `--jobs` fan-outs.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
-
-fn telemetry_bin(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_telemetry"))
-        .args(args)
-        .env_remove("MORPHEUS_JOBS")
-        .output()
-        .expect("launch telemetry binary")
-}
 
 fn serve_bin(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_serve"))
@@ -32,46 +24,54 @@ fn tmp_path(name: &str) -> PathBuf {
     p
 }
 
-/// A small, fast cell exercised by most tests below.
-const QUICK: &[&str] = &["--rps", "2000", "--duration", "0.02", "--bytes", "4096"];
+/// A small, fast sampled cell exercised by most tests below.
+const QUICK: &[&str] = &[
+    "--mode",
+    "morpheus",
+    "--rps",
+    "2000",
+    "--duration",
+    "0.02",
+    "--bytes",
+    "4096",
+    "--telemetry-window",
+    "10ms",
+];
 
-#[test]
-fn telemetry_bad_flags_exit_two_with_usage() {
-    // The shared serving rows are covered by `serve_args_cli.rs`.
-    for bad in [
-        vec!["--window", "0ms"],
-        vec!["--window", "soon"],
-        vec!["--window"],
-        vec!["--format", "json"],
-        vec!["--mode", "all"],
-        vec!["--rps", "100,200"],
-        vec!["--jobs", "4"],
-    ] {
-        let out = telemetry_bin(&bad);
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "telemetry {bad:?} should exit 2, stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("usage:"),
-            "telemetry {bad:?} stderr: {stderr}"
-        );
-    }
+/// Runs `serve` on `args`, asserting success, and returns its stdout.
+fn serve_ok(args: &[&str]) -> String {
+    let out = serve_bin(args);
+    assert!(
+        out.status.success(),
+        "serve {args:?} failed, stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8")
+}
+
+/// Runs `serve` with `flag <tmp file>` appended and returns the file.
+fn serve_file(args: &[&str], flag: &str, tag: &str) -> String {
+    let path = tmp_path(tag);
+    let mut argv = args.to_vec();
+    argv.extend_from_slice(&[flag, path.to_str().unwrap()]);
+    serve_ok(&argv);
+    let text = std::fs::read_to_string(&path).expect("output file written");
+    std::fs::remove_file(&path).ok();
+    text
 }
 
 #[test]
 fn serve_telemetry_flags_exit_two_when_misused() {
     for bad in [
         vec!["--telemetry-window", "0ms"],
+        vec!["--telemetry-window", "0.4ns"],
         vec!["--telemetry-window", "whenever"],
         vec!["--telemetry-window"],
         vec!["--slo", "avail>99.9"],      // requires --telemetry-window
         vec!["--telemetry-out", "t.csv"], // requires --telemetry-window
         vec!["--prom-out", "t.prom"],     // requires --telemetry-window
         vec!["--telemetry-window", "10ms", "--slo", "p101<5us"],
+        vec!["--telemetry-window", "10ms", "--slo", "p99<0.3ns"],
         // --prom-out over a multi-cell sweep: one exposition per metric.
         vec!["--telemetry-window", "10ms", "--prom-out", "t.prom"],
     ] {
@@ -91,14 +91,11 @@ fn serve_telemetry_flags_exit_two_when_misused() {
 fn text_mode_renders_sparklines_and_slo_verdicts() {
     let mut args = QUICK.to_vec();
     args.extend_from_slice(&["--slo", "p99<500us,avail>99.9"]);
-    let out = telemetry_bin(&args);
+    let stdout = serve_ok(&args);
     assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
+        stdout.contains("telemetry (morpheus @ 2000 rps):\ntelemetry windows="),
+        "{stdout}"
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("telemetry windows="), "{stdout}");
     assert!(stdout.contains("rps"), "{stdout}");
     assert!(
         stdout.contains("slo p99<500us") && stdout.contains("slo avail>99.9"),
@@ -113,10 +110,8 @@ fn text_mode_renders_sparklines_and_slo_verdicts() {
 #[test]
 fn prometheus_exposition_is_well_formed_through_the_cli() {
     let mut args = QUICK.to_vec();
-    args.extend_from_slice(&["--format", "prom", "--slo", "avail>99.9"]);
-    let out = telemetry_bin(&args);
-    assert!(out.status.success());
-    let text = String::from_utf8(out.stdout).expect("utf-8");
+    args.extend_from_slice(&["--slo", "avail>99.9"]);
+    let text = serve_file(&args, "--prom-out", "grammar.prom");
     // Every metric family is announced before its samples.
     let mut seen_help = std::collections::HashSet::new();
     for line in text.lines() {
@@ -166,27 +161,27 @@ fn prometheus_exposition_is_well_formed_through_the_cli() {
 
 #[test]
 fn telemetry_output_is_byte_identical_across_repeats() {
-    for format in ["text", "csv", "prom"] {
-        let mut args = QUICK.to_vec();
-        args.extend_from_slice(&[
-            "--format",
-            format,
-            "--slo",
-            "p99<500us,avail>99.9",
-            "--skew",
-            "1.1",
-            "--cache-mb",
-            "64",
-            "--faults",
-            "seed=9,crash=0.05,stall=0.05,timeout=0.02",
-            "--seed",
-            "7",
-        ]);
-        let a = telemetry_bin(&args);
-        let b = telemetry_bin(&args);
-        assert!(a.status.success() && b.status.success());
-        assert!(!a.stdout.is_empty());
-        assert_eq!(a.stdout, b.stdout, "--format {format} not deterministic");
+    let mut args = QUICK.to_vec();
+    args.extend_from_slice(&[
+        "--slo",
+        "p99<500us,avail>99.9",
+        "--skew",
+        "1.1",
+        "--cache-mb",
+        "64",
+        "--faults",
+        "seed=9,crash=0.05,stall=0.05,timeout=0.02",
+        "--seed",
+        "7",
+    ]);
+    let text = serve_ok(&args);
+    assert!(text.contains("telemetry windows="), "{text}");
+    assert_eq!(text, serve_ok(&args), "text output not deterministic");
+    for (flag, tag) in [("--telemetry-out", "csv"), ("--prom-out", "prom")] {
+        let a = serve_file(&args, flag, &format!("repeat-a.{tag}"));
+        let b = serve_file(&args, flag, &format!("repeat-b.{tag}"));
+        assert!(!a.is_empty(), "{flag} wrote nothing");
+        assert_eq!(a, b, "{flag} output not deterministic");
     }
 }
 
@@ -277,34 +272,67 @@ fn serve_with_telemetry_off_matches_historical_output() {
 
 #[test]
 fn fault_plan_error_budget_is_pinned() {
-    // The seeded fault plan burns a deterministic amount of error budget;
-    // CI asserts this exact value, so a drift in the serving plane, the
-    // fault engine, or the SLO math shows up as a diff here first.
-    let mut args = QUICK.to_vec();
-    args.extend_from_slice(&[
+    // CI's pinned invocation: the seeded fault plan burns a known error
+    // budget (window-0 cache warm-up p99 excursion, one burn-rate alert)
+    // and the availability objective stays green, so a drift in the
+    // serving plane, the fault engine, or the SLO math shows up here.
+    let args = [
+        "--mode",
+        "morpheus",
+        "--rps",
+        "4000",
+        "--telemetry-window",
+        "10ms",
+        "--duration",
+        "0.05",
+        "--skew",
+        "1.1",
+        "--cache-mb",
+        "64",
         "--slo",
-        "avail>99",
-        "--policy",
-        "shed",
-        "--depth",
-        "8",
+        "p99<500us,avail>99.9",
         "--faults",
-        "seed=9,crash=0.2,stall=0.1",
+        "seed=9,crash=0.05,stall=0.05,timeout=0.02",
         "--seed",
         "7",
+    ];
+    let text = serve_ok(&args);
+    for pinned in [
+        "slo p99<500us        good=167 bad=14 budget=-6.734807 alerts=1",
+        "slo avail>99.9       good=181 bad=0 budget=1 alerts=0",
+    ] {
+        assert!(
+            text.lines().any(|l| l.trim_start().starts_with(pinned)),
+            "missing {pinned:?} in {text}"
+        );
+    }
+    assert_eq!(text, serve_ok(&args), "the verdict must be reproducible");
+}
+
+#[test]
+fn an_engaged_fleet_of_one_prints_one_labelled_block() {
+    // A kill schedule engages the fleet even on one device: its one
+    // telemetry block carries the device label, and the aggregate (which
+    // is that device's report) does not print it a second time.
+    let stdout = serve_ok(&[
+        "--mode",
+        "morpheus",
+        "--rps",
+        "3000",
+        "--duration",
+        "0.03",
+        "--devices",
+        "1",
+        "--kill-device",
+        "0@0.05",
+        "--telemetry-window",
+        "10ms",
+        "--slo",
+        "p99<500ms",
     ]);
-    let a = telemetry_bin(&args);
-    assert!(a.status.success());
-    let text = String::from_utf8(a.stdout).unwrap();
-    let budget_line = text
-        .lines()
-        .find(|l| l.trim_start().starts_with("slo avail>99"))
-        .expect("availability verdict line")
-        .to_string();
-    let b = telemetry_bin(&args);
-    assert_eq!(
-        text,
-        String::from_utf8(b.stdout).unwrap(),
-        "budget line must be reproducible: {budget_line}"
+    assert_eq!(stdout.matches("telemetry (").count(), 1, "{stdout}");
+    assert!(
+        stdout.contains("telemetry (morpheus @ 3000 rps, dev0):\n"),
+        "{stdout}"
     );
 }

@@ -182,6 +182,39 @@ impl CacheStats {
             host_bytes: self.host_bytes,
         }
     }
+
+    /// Adds `other` to these stats, occupancy included (summing devices:
+    /// fleet-wide cached bytes across all controllers). The
+    /// destructuring lists every field, so a new counter cannot compile
+    /// without being summed here.
+    pub fn merge(&mut self, other: &CacheStats) {
+        let CacheStats {
+            hits,
+            dram_hits,
+            host_hits,
+            misses,
+            admitted,
+            rejected,
+            evictions,
+            spills,
+            promotions,
+            invalidations,
+            dram_bytes,
+            host_bytes,
+        } = *other;
+        self.hits += hits;
+        self.dram_hits += dram_hits;
+        self.host_hits += host_hits;
+        self.misses += misses;
+        self.admitted += admitted;
+        self.rejected += rejected;
+        self.evictions += evictions;
+        self.spills += spills;
+        self.promotions += promotions;
+        self.invalidations += invalidations;
+        self.dram_bytes += dram_bytes;
+        self.host_bytes += host_bytes;
+    }
 }
 
 impl fmt::Display for CacheStats {
@@ -828,6 +861,38 @@ mod tests {
         assert_eq!(window.hits + window.misses, 0, "empty window");
         assert_eq!(window.hit_rate(), 0.0);
         assert!(window.hit_rate().is_finite());
+    }
+
+    #[test]
+    fn merge_sums_every_field() {
+        let s = CacheStats {
+            hits: 1,
+            dram_hits: 2,
+            host_hits: 3,
+            misses: 4,
+            admitted: 5,
+            rejected: 6,
+            evictions: 7,
+            spills: 8,
+            promotions: 9,
+            invalidations: 10,
+            dram_bytes: 11,
+            host_bytes: 12,
+        };
+        let mut sum = CacheStats::default();
+        sum.merge(&s);
+        sum.merge(&s);
+        // Merging the run back out (invalidations and occupancy aside,
+        // which `since` keeps as-is) leaves exactly one copy.
+        assert_eq!(
+            sum.since(&s),
+            CacheStats {
+                invalidations: 20,
+                dram_bytes: 22,
+                host_bytes: 24,
+                ..s
+            }
+        );
     }
 
     #[test]

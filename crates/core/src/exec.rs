@@ -24,9 +24,7 @@ use morpheus_gpu::KernelCost;
 use morpheus_host::CodeClass;
 use morpheus_nvme::{MorpheusCommand, NvmeCommand, StatusCode};
 use morpheus_pcie::{DmaDir, PcieError};
-use morpheus_simcore::{
-    FaultCounters, Metrics, SimDuration, SimTime, TelemetryReport, TraceLayer, TraceLog,
-};
+use morpheus_simcore::{FaultCounters, Metrics, SimDuration, SimTime, TraceLayer};
 use morpheus_ssd::SsdError;
 use std::error::Error;
 use std::fmt;
@@ -291,8 +289,9 @@ struct DeserWindow {
     fell_back: bool,
 }
 
-/// Why a Morpheus-mode attempt was abandoned.
-enum MorpheusAbort {
+/// Why a Morpheus-mode attempt (a suite run or one served request) was
+/// abandoned.
+pub(crate) enum MorpheusAbort {
     /// Unrecoverable: surface the error to the caller.
     Fatal(RunError),
     /// Recoverable by degrading to host-side deserialization.
@@ -328,10 +327,6 @@ impl System {
             return Err(RunError::MissingGpuKernel(spec.name.clone()));
         }
         self.reset_timing();
-        // Bookmark the trace so suite telemetry folds only this run's
-        // events: the log accumulates across runs while run clocks restart
-        // at zero, and mixing runs would double-count every window.
-        self.telemetry_mark = self.tracer.recorded();
         match mode {
             Mode::Conventional => self.run_conventional(spec),
             Mode::Morpheus => self.run_morpheus(spec, false),
@@ -602,6 +597,55 @@ impl System {
         Some(at)
     }
 
+    /// The fault gate every Morpheus command (`cmd`: MINIT, MREAD or
+    /// MDEINIT of instance `iid`, ready at `ready`) passes before the
+    /// firmware runs it, in the suite driver and the serving path alike:
+    /// the command may be lost on the wire, then find its embedded core
+    /// stalled or crashed. Returns the command's device-ready floor; a
+    /// spent reissue budget or a crash is a [`MorpheusAbort::Fallback`].
+    pub(crate) fn fault_gate(
+        &mut self,
+        cmd: &str,
+        iid: u32,
+        ready: SimTime,
+    ) -> Result<SimTime, MorpheusAbort> {
+        let floor = self
+            .issue_with_timeouts(ready, ready)
+            .map_err(|(at, attempts)| MorpheusAbort::Fallback {
+                at,
+                iid,
+                status: StatusCode::CommandTimeout,
+                cause: format!("{cmd} lost {attempts} times; reissue budget spent"),
+            })?;
+        let floor = self.inject_core_stall(floor);
+        match self.inject_core_crash(floor) {
+            Some(at) => Err(MorpheusAbort::Fallback {
+                at,
+                iid,
+                status: StatusCode::CoreFault,
+                cause: format!("embedded core crashed during {cmd}"),
+            }),
+            None => Ok(floor),
+        }
+    }
+
+    /// Classifies a failed firmware step of instance `iid` at `at`:
+    /// uncorrectable media falls back to the host path, any other error
+    /// is fatal.
+    pub(crate) fn media_or_fatal(err: RunError, iid: u32, at: SimTime) -> MorpheusAbort {
+        match err {
+            RunError::Morpheus(e) if e.status() == StatusCode::MediaUncorrectable => {
+                MorpheusAbort::Fallback {
+                    at,
+                    iid,
+                    status: StatusCode::MediaUncorrectable,
+                    cause: morpheus_simcore::render_error_chain(&e),
+                }
+            }
+            e => MorpheusAbort::Fatal(e),
+        }
+    }
+
     fn run_morpheus(&mut self, spec: &AppSpec, p2p: bool) -> Result<RunOutcome, RunError> {
         match self.try_morpheus(spec, p2p) {
             Ok(out) => Ok(out),
@@ -691,25 +735,7 @@ impl System {
             arg: meta.len as u32,
         }
         .into_command(cid, 1);
-        // Injected faults: the MINIT may be lost on the wire, or find its
-        // embedded core stalled or crashed before the firmware runs it.
-        let issue =
-            self.issue_with_timeouts(init_iv.end, init_iv.end)
-                .map_err(|(at, attempts)| MorpheusAbort::Fallback {
-                    at,
-                    iid,
-                    status: StatusCode::CommandTimeout,
-                    cause: format!("MINIT lost {attempts} times; reissue budget spent"),
-                })?;
-        let issue = self.inject_core_stall(issue);
-        if let Some(at) = self.inject_core_crash(issue) {
-            return Err(MorpheusAbort::Fallback {
-                at,
-                iid,
-                status: StatusCode::CoreFault,
-                cause: "embedded core crashed during MINIT".into(),
-            });
-        }
+        let issue = self.fault_gate("MINIT", iid, init_iv.end)?;
         self.round_trip(wire, StatusCode::Success, 0);
         let ready = self
             .mssd
@@ -729,35 +755,11 @@ impl System {
         let mut obj_bin: Vec<u8> = Vec::new();
         let mut last_end = ready;
         for c in &chunks {
-            let issue = self
-                .issue_with_timeouts(ready, ready)
-                .map_err(|(at, attempts)| MorpheusAbort::Fallback {
-                    at,
-                    iid,
-                    status: StatusCode::CommandTimeout,
-                    cause: format!("MREAD lost {attempts} times; reissue budget spent"),
-                })?;
-            let issue = self.inject_core_stall(issue);
-            if let Some(at) = self.inject_core_crash(issue) {
-                return Err(MorpheusAbort::Fallback {
-                    at,
-                    iid,
-                    status: StatusCode::CoreFault,
-                    cause: "embedded core crashed during MREAD".into(),
-                });
-            }
-            let out = match self.mssd.mread(iid, c.slba, c.blocks, c.valid_bytes, issue) {
-                Ok(o) => o,
-                Err(e) if e.status() == StatusCode::MediaUncorrectable => {
-                    return Err(MorpheusAbort::Fallback {
-                        at: issue,
-                        iid,
-                        status: StatusCode::MediaUncorrectable,
-                        cause: morpheus_simcore::render_error_chain(&e),
-                    });
-                }
-                Err(e) => return Err(MorpheusAbort::Fatal(e.into())),
-            };
+            let issue = self.fault_gate("MREAD", iid, ready)?;
+            let out = self
+                .mssd
+                .mread(iid, c.slba, c.blocks, c.valid_bytes, issue)
+                .map_err(|e| Self::media_or_fatal(e.into(), iid, issue))?;
             // MREADs are all queued once the instance is up (async queue
             // depth): the command's lifecycle runs submit → staging done.
             self.tracer.span_bytes(
@@ -783,35 +785,11 @@ impl System {
         // MDEINIT: collect the final output and the return value.
         let cid = self.alloc_cid();
         let wire = MorpheusCommand::Deinit { instance_id: iid }.into_command(cid, 1);
-        let issue = self
-            .issue_with_timeouts(last_end, last_end)
-            .map_err(|(at, attempts)| MorpheusAbort::Fallback {
-                at,
-                iid,
-                status: StatusCode::CommandTimeout,
-                cause: format!("MDEINIT lost {attempts} times; reissue budget spent"),
-            })?;
-        let issue = self.inject_core_stall(issue);
-        if let Some(at) = self.inject_core_crash(issue) {
-            return Err(MorpheusAbort::Fallback {
-                at,
-                iid,
-                status: StatusCode::CoreFault,
-                cause: "embedded core crashed during MDEINIT".into(),
-            });
-        }
-        let dein = match self.mssd.mdeinit(iid, issue) {
-            Ok(d) => d,
-            Err(e) if e.status() == StatusCode::MediaUncorrectable => {
-                return Err(MorpheusAbort::Fallback {
-                    at: issue,
-                    iid,
-                    status: StatusCode::MediaUncorrectable,
-                    cause: morpheus_simcore::render_error_chain(&e),
-                });
-            }
-            Err(e) => return Err(MorpheusAbort::Fatal(e.into())),
-        };
+        let issue = self.fault_gate("MDEINIT", iid, last_end)?;
+        let dein = self
+            .mssd
+            .mdeinit(iid, issue)
+            .map_err(|e| Self::media_or_fatal(e.into(), iid, issue))?;
         self.tracer
             .span(TraceLayer::Nvme, NVME_TRACK, "MDEINIT", last_end, dein.done);
         let (retval, tail, dein_done) = (dein.retval, dein.host_output, dein.done);
@@ -1081,14 +1059,6 @@ impl System {
             host_dram_peak: self.dram.high_watermark(),
             faults: self.collect_fault_counters(),
             metrics,
-            telemetry: self.telemetry_window.map(|w| {
-                let log = self.tracer.snapshot();
-                let mark = self.telemetry_mark.min(log.events.len());
-                let tail = TraceLog {
-                    events: log.events[mark..].to_vec(),
-                };
-                TelemetryReport::from_trace(&tail, w)
-            }),
         };
         Ok(RunOutcome { report, objects })
     }
@@ -1151,47 +1121,6 @@ mod tests {
         assert_eq!(conv.report.checksum, morp.report.checksum);
         assert_eq!(conv.objects, morp.objects);
         assert_eq!(conv.report.records, 5000);
-    }
-
-    #[test]
-    fn run_telemetry_folds_only_this_runs_trace() {
-        let mut sys = test_system();
-        sys.set_tracer(morpheus_simcore::Tracer::enabled());
-        sys.set_telemetry_window(Some(SimDuration::from_micros(100)));
-        sys.create_input_file("edges.txt", &edge_text(5000))
-            .unwrap();
-        let spec = AppSpec::cpu_app("bfs", "edges.txt", edge_schema(), 4, 100.0);
-        let a = sys.run(&spec, Mode::Morpheus).unwrap();
-        let ta = a.report.telemetry.as_ref().expect("telemetry enabled");
-        assert!(
-            !ta.windows.is_empty(),
-            "an enabled tracer must yield windows"
-        );
-        // A second identical run folds the same number of events even
-        // though the trace log has accumulated both runs: the bookmark
-        // keeps earlier runs out of the windows.
-        let b = sys.run(&spec, Mode::Morpheus).unwrap();
-        let tb = b.report.telemetry.as_ref().expect("telemetry enabled");
-        assert_eq!(
-            ta.to_csv(&[]),
-            tb.to_csv(&[]),
-            "identical runs fold identical telemetry"
-        );
-    }
-
-    #[test]
-    fn run_telemetry_absent_when_disabled_and_empty_without_tracer() {
-        let mut sys = test_system();
-        sys.create_input_file("edges.txt", &edge_text(1000))
-            .unwrap();
-        let spec = AppSpec::cpu_app("bfs", "edges.txt", edge_schema(), 1, 100.0);
-        let off = sys.run(&spec, Mode::Morpheus).unwrap();
-        assert!(off.report.telemetry.is_none(), "off by default");
-        // With a window but no tracer the report exists but sees nothing.
-        sys.set_telemetry_window(Some(SimDuration::from_micros(100)));
-        let dark = sys.run(&spec, Mode::Morpheus).unwrap();
-        let t = dark.report.telemetry.expect("window installed");
-        assert!(t.windows.is_empty(), "no tracer, no events, no windows");
     }
 
     #[test]

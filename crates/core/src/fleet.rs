@@ -27,8 +27,7 @@ use crate::exec::{AppSpec, RunError};
 use crate::serve::{offered_requests, validate_serve_cfg, Request, ServeConfig, ServeReport};
 use crate::{System, SystemParams};
 use morpheus_simcore::{
-    FaultCounters, FaultPlan, Metrics, SimDuration, SimTime, TraceEvent, TraceEventKind,
-    TraceLayer, Tracer,
+    FaultPlan, Metrics, SimDuration, SimTime, TraceEvent, TraceEventKind, TraceLayer, Tracer,
 };
 use morpheus_ssd::SsdError;
 use std::error::Error;
@@ -518,9 +517,9 @@ impl Fleet {
     /// [`FleetReport::rebalanced`]), and every device then serves its
     /// slice through the single-SSD dispatcher: per-device admission
     /// queue, same-app batching, per-tenant NVMe queues, per-device
-    /// telemetry windows. A one-device fleet with no kill schedule
-    /// delegates to [`System::serve`] outright, so its report is
-    /// byte-identical to the single-SSD path.
+    /// telemetry windows. A fleet of one takes the same path: its one
+    /// slice is the whole stream and [`aggregate_reports`] returns its one
+    /// report unchanged, so it reproduces [`System::serve`] byte for byte.
     ///
     /// # Errors
     ///
@@ -538,17 +537,6 @@ impl Fleet {
         validate_serve_cfg(cfg);
         let placement = self.placement(apps);
         let control_on = self.cfg.control.is_active();
-        if self.devices.len() == 1 && self.cfg.kills.is_empty() && !control_on {
-            let rep = self.devices[0].serve(apps, cfg)?;
-            return Ok(FleetReport {
-                policy: self.cfg.placement,
-                placement,
-                rebalanced: 0,
-                aggregate: rep.clone(),
-                per_device: vec![rep],
-                control: None,
-            });
-        }
         let n = self.devices.len();
         let horizon = SimTime::ZERO + SimDuration::from_secs_f64(cfg.duration_s);
         let plan = ControlPlan::compile(&self.cfg.control, n, &self.cfg.kills, horizon);
@@ -632,37 +620,6 @@ impl fmt::Display for FleetReport {
     }
 }
 
-/// Sums `b`'s fault counters into `a` (the simcore type carries no
-/// arithmetic of its own).
-fn add_faults(a: &mut FaultCounters, b: &FaultCounters) {
-    a.ecc_corrected += b.ecc_corrected;
-    a.media_retries += b.media_retries;
-    a.media_failures += b.media_failures;
-    a.nvme_timeouts += b.nvme_timeouts;
-    a.nvme_retries += b.nvme_retries;
-    a.core_stalls += b.core_stalls;
-    a.core_crashes += b.core_crashes;
-    a.pcie_degraded += b.pcie_degraded;
-    a.host_fallbacks += b.host_fallbacks;
-}
-
-/// Sums `b`'s cache counters into `a` (occupancy included: fleet-wide
-/// cached bytes across all controllers).
-fn add_cache(a: &mut CacheStats, b: &CacheStats) {
-    a.hits += b.hits;
-    a.dram_hits += b.dram_hits;
-    a.host_hits += b.host_hits;
-    a.misses += b.misses;
-    a.admitted += b.admitted;
-    a.rejected += b.rejected;
-    a.evictions += b.evictions;
-    a.spills += b.spills;
-    a.promotions += b.promotions;
-    a.invalidations += b.invalidations;
-    a.dram_bytes += b.dram_bytes;
-    a.host_bytes += b.host_bytes;
-}
-
 /// Rolls per-device serve reports into one fleet-wide report: counters
 /// sum, histograms merge, the makespan is the slowest device's, and the
 /// rates (`sustained_rps`, `aggregate_mbs`) are recomputed over that
@@ -672,38 +629,16 @@ fn add_cache(a: &mut CacheStats, b: &CacheStats) {
 /// reports. `ssd_core_utilization` is the per-device makespan-weighted
 /// mean, so a device that died early (and idled thereafter) doesn't drag
 /// the fleet number down as if it had run the whole time.
+///
+/// One report is its own aggregate: a fleet of one reports exactly what
+/// its device measured, telemetry included.
 pub fn aggregate_reports(per_device: &[ServeReport]) -> ServeReport {
-    assert!(!per_device.is_empty(), "aggregate of an empty fleet");
-    let first = &per_device[0];
-    let mut agg = ServeReport {
-        mode: first.mode,
-        policy: first.policy,
-        target_rps: first.target_rps,
-        duration_s: first.duration_s,
-        offered: 0,
-        admitted: 0,
-        completed: 0,
-        shed: 0,
-        overflow_fallbacks: 0,
-        fault_redispatches: 0,
-        failed: 0,
-        batches: 0,
-        commands: 0,
-        doorbell_writes: 0,
-        makespan_s: 0.0,
-        sustained_rps: 0.0,
-        aggregate_mbs: 0.0,
-        records: 0,
-        checksum: 0,
-        checksum_unordered: 0,
-        queue_wait_ns: morpheus_simcore::Histogram::new(),
-        service_ns: morpheus_simcore::Histogram::new(),
-        e2e_ns: morpheus_simcore::Histogram::new(),
-        faults: FaultCounters::default(),
-        cache: None,
-        telemetry: None,
-        metrics: Metrics::new(),
+    let first = match per_device {
+        [] => panic!("aggregate of an empty fleet"),
+        [only] => return only.clone(),
+        [first, ..] => first,
     };
+    let mut agg = ServeReport::empty(first.mode, first.policy, first.target_rps, first.duration_s);
     let mut mb = 0.0f64;
     let mut util = 0.0f64;
     let mut util_weight = 0.0f64;
@@ -725,9 +660,9 @@ pub fn aggregate_reports(per_device: &[ServeReport]) -> ServeReport {
         agg.queue_wait_ns.merge(&r.queue_wait_ns);
         agg.service_ns.merge(&r.service_ns);
         agg.e2e_ns.merge(&r.e2e_ns);
-        add_faults(&mut agg.faults, &r.faults);
+        agg.faults.merge(&r.faults);
         if let Some(c) = &r.cache {
-            add_cache(agg.cache.get_or_insert_with(CacheStats::default), c);
+            agg.cache.get_or_insert_with(CacheStats::default).merge(c);
         }
         // aggregate_mbs is bytes/makespan per device; undo the division
         // to sum bytes, then re-divide by the fleet makespan below.
@@ -821,6 +756,24 @@ mod tests {
         );
         assert_eq!(fleet_rep.per_device.len(), 1);
         assert_eq!(fleet_rep.rebalanced, 0);
+    }
+
+    #[test]
+    fn one_report_is_its_own_aggregate() {
+        let mut cfg = quick_cfg();
+        cfg.telemetry = Some(morpheus_simcore::TelemetryConfig::new(
+            SimDuration::from_millis(5),
+        ));
+        let (mut fleet, specs) = fleet_with(FleetConfig::new(2), 3, 300);
+        let rep = fleet.serve(&specs, &cfg).unwrap();
+        let one = &rep.per_device[0];
+        assert!(one.telemetry.is_some());
+        assert_eq!(
+            format!("{:?}", aggregate_reports(std::slice::from_ref(one))),
+            format!("{one:?}"),
+            "identity law: telemetry, metrics and rates pass through"
+        );
+        assert!(rep.aggregate.telemetry.is_none(), "stays per device");
     }
 
     #[test]

@@ -27,16 +27,15 @@
 //!   embedded cores, paying only PCIe delivery (`docs/CACHE.md`);
 //! * **windowed telemetry + SLO engine** — sim-time sampling of the whole
 //!   serving plane at a fixed window with burn-rate / error-budget
-//!   evaluation ([`ServeConfig::telemetry`],
-//!   [`System::set_telemetry_window`],
-//!   [`TelemetryConfig`], [`TelemetryReport`], [`SloSpec`] —
-//!   `docs/TELEMETRY.md`);
+//!   evaluation; the serve sampler is its only source
+//!   ([`ServeConfig::telemetry`], [`TelemetryConfig`],
+//!   [`TelemetryReport`], [`SloSpec`] — `docs/TELEMETRY.md`);
 //! * the **fleet** — N Morpheus-SSDs behind the switch fabric with a
 //!   seeded-deterministic placement layer (round-robin / hash-by-file /
 //!   capacity-aware), tenant-aware routing, and fault-aware rebalancing
-//!   that drains killed devices onto healthy peers ([`Fleet`],
-//!   [`FleetConfig`], [`PlacementPolicy`], [`FleetReport`] —
-//!   `docs/FLEET.md`).
+//!   that drains killed devices onto healthy peers; one SSD is a fleet of
+//!   one on the same dispatch path ([`Fleet`], [`FleetConfig`],
+//!   [`PlacementPolicy`], [`FleetReport`] — `docs/FLEET.md`).
 //!
 //! Deserialization is functionally real end to end: bytes live in simulated
 //! flash behind a real FTL, StorageApps parse them with the same parser the
@@ -102,7 +101,7 @@ pub use params::{CoRunner, StorageKind, SystemParams};
 pub use report::{mb_per_sec, Mode, Phases, RunReport, MB};
 pub use runtime::{ms_stream_create, CommandPlan, MsStream};
 pub use serialize::SerializeReport;
-pub use serve::{ServeConfig, ServePolicy, ServeReport, MAX_RPS};
+pub use serve::{ServeConfig, ServePolicy, ServeReport, MAX_RPS, MAX_TENANTS};
 pub use storage_app::{AppError, DeserializeApp, DeviceCtx, StorageApp};
 pub use system::{ChunkIo, System};
 

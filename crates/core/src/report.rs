@@ -6,7 +6,7 @@
 //! never divide by `1e6` (or worse, `1 << 20`) inline.
 
 use crate::StorageKind;
-use morpheus_simcore::{FaultCounters, Metrics, TelemetryReport};
+use morpheus_simcore::{FaultCounters, Metrics};
 use std::fmt;
 
 /// One decimal megabyte in bytes (10⁶, not 2²⁰).
@@ -135,10 +135,6 @@ pub struct RunReport {
     pub faults: FaultCounters,
     /// Extra measurements (ad hoc, sorted).
     pub metrics: Metrics,
-    /// Windowed telemetry folded from this run's trace (`None` unless
-    /// [`System::set_telemetry_window`](crate::System::set_telemetry_window)
-    /// enabled it; empty without an enabled tracer).
-    pub telemetry: Option<TelemetryReport>,
 }
 
 impl RunReport {

@@ -15,7 +15,7 @@
 
 use crate::cache::{self, CacheEvent, CacheHit, CacheStats, CacheTier};
 use crate::concurrent::TenantState;
-use crate::exec::{AppSpec, RunError};
+use crate::exec::{AppSpec, MorpheusAbort, RunError};
 use crate::report::{mb_per_sec, Mode};
 use crate::{DeserializeApp, StorageApp, StorageKind, System};
 use morpheus_format::ParsedColumns;
@@ -77,6 +77,10 @@ impl fmt::Display for ServePolicy {
 /// inter-arrival gap is under the 1 ns clock tick, so arrivals stop
 /// advancing sim time and the offered stream never reaches the horizon.
 pub const MAX_RPS: f64 = 1e9;
+
+/// Most tenants one serve run accepts (65534): tenant `i` gets NVMe I/O
+/// queue `2 + i`, and queue ids are 16-bit.
+pub const MAX_TENANTS: usize = (u16::MAX - FIRST_TENANT_QID + 1) as usize;
 
 /// Configuration of one serve run.
 #[derive(Debug, Clone)]
@@ -198,6 +202,47 @@ pub struct ServeReport {
     pub telemetry: Option<TelemetryReport>,
     /// Extra measurements (latency quantiles, core utilization; sorted).
     pub metrics: Metrics,
+}
+
+impl ServeReport {
+    /// A report of a run that served nothing yet: every counter zero,
+    /// every histogram empty, no cache or telemetry section.
+    pub(crate) fn empty(
+        mode: Mode,
+        policy: ServePolicy,
+        target_rps: f64,
+        duration_s: f64,
+    ) -> ServeReport {
+        ServeReport {
+            mode,
+            policy,
+            target_rps,
+            duration_s,
+            offered: 0,
+            admitted: 0,
+            completed: 0,
+            shed: 0,
+            overflow_fallbacks: 0,
+            fault_redispatches: 0,
+            failed: 0,
+            batches: 0,
+            commands: 0,
+            doorbell_writes: 0,
+            makespan_s: 0.0,
+            sustained_rps: 0.0,
+            aggregate_mbs: 0.0,
+            records: 0,
+            checksum: 0,
+            checksum_unordered: 0,
+            queue_wait_ns: Histogram::new(),
+            service_ns: Histogram::new(),
+            e2e_ns: Histogram::new(),
+            faults: FaultCounters::default(),
+            cache: None,
+            telemetry: None,
+            metrics: Metrics::new(),
+        }
+    }
 }
 
 impl fmt::Display for ServeReport {
@@ -367,25 +412,6 @@ struct Tenant<'a> {
     code_len: u32,
 }
 
-/// Why a Morpheus-path request was abandoned mid-service.
-enum ServeAbort {
-    /// Unrecoverable: surface to the caller.
-    Fatal(RunError),
-    /// Recoverable by re-dispatching the request to the host path.
-    Redispatch {
-        at: SimTime,
-        iid: u32,
-        status: StatusCode,
-        cause: String,
-    },
-}
-
-impl From<RunError> for ServeAbort {
-    fn from(e: RunError) -> Self {
-        ServeAbort::Fatal(e)
-    }
-}
-
 impl System {
     /// Runs an open-loop serving experiment: Poisson arrivals at `cfg.rps`
     /// for `cfg.duration_s` simulated seconds each pick one of `apps`
@@ -405,8 +431,8 @@ impl System {
     /// # Panics
     ///
     /// Panics on a non-NVMe storage configuration, a non-positive rate,
-    /// duration, depth, or batch size, or a rate above [`MAX_RPS`]
-    /// (config bugs, not run outcomes).
+    /// duration, depth, or batch size, a rate above [`MAX_RPS`], or more
+    /// than [`MAX_TENANTS`] apps (config bugs, not run outcomes).
     pub fn serve(&mut self, apps: &[AppSpec], cfg: &ServeConfig) -> Result<ServeReport, RunError> {
         if apps.is_empty() {
             return Err(RunError::NoTenants);
@@ -570,6 +596,12 @@ impl System {
 
         // One NVMe queue pair per tenant app, created through the admin
         // queue exactly as a driver would.
+        assert!(
+            apps.len() <= MAX_TENANTS,
+            "{} tenants exceed MAX_TENANTS ({MAX_TENANTS}): tenant i needs NVMe I/O queue \
+             {FIRST_TENANT_QID} + i",
+            apps.len()
+        );
         let mut admin = AdminController::new(self.mssd.identify(), apps.len() as u16 + 1);
         for a in 0..apps.len() {
             let sc = admin.create_io_queue(FIRST_TENANT_QID + a as u16, cfg.sq_depth);
@@ -581,33 +613,8 @@ impl System {
             next_free: vec![SimTime::ZERO; apps.len()],
             queued: 0,
             rep: ServeReport {
-                mode: cfg.mode,
-                policy: cfg.policy,
-                target_rps: cfg.rps,
-                duration_s: cfg.duration_s,
                 offered,
-                admitted: 0,
-                completed: 0,
-                shed: 0,
-                overflow_fallbacks: 0,
-                fault_redispatches: 0,
-                failed: 0,
-                batches: 0,
-                commands: 0,
-                doorbell_writes: 0,
-                makespan_s: 0.0,
-                sustained_rps: 0.0,
-                aggregate_mbs: 0.0,
-                records: 0,
-                checksum: 0,
-                checksum_unordered: 0,
-                queue_wait_ns: Histogram::new(),
-                service_ns: Histogram::new(),
-                e2e_ns: Histogram::new(),
-                faults: FaultCounters::default(),
-                cache: None,
-                telemetry: None,
-                metrics: Metrics::new(),
+                ..ServeReport::empty(cfg.mode, cfg.policy, cfg.rps, cfg.duration_s)
             },
             obj_bytes: 0,
             makespan: SimTime::ZERO,
@@ -851,8 +858,8 @@ impl System {
                 }
                 Ok(end)
             }
-            Err(ServeAbort::Fatal(e)) => Err(e),
-            Err(ServeAbort::Redispatch {
+            Err(MorpheusAbort::Fatal(e)) => Err(e),
+            Err(MorpheusAbort::Fallback {
                 at,
                 iid,
                 status,
@@ -887,8 +894,8 @@ impl System {
     }
 
     /// The drive-side service of one request: MINIT → MREAD per chunk →
-    /// MDEINIT, with the same three fault-injection points as the solo
-    /// driver around every command.
+    /// MDEINIT, each behind the solo driver's
+    /// [`fault_gate`](System::fault_gate).
     fn try_morpheus_service(
         &mut self,
         spec: &AppSpec,
@@ -897,7 +904,7 @@ impl System {
         start: SimTime,
         bar: Option<BarWindow>,
         wire: &mut Vec<WireCmd>,
-    ) -> Result<(SimTime, Arc<ParsedColumns>), ServeAbort> {
+    ) -> Result<(SimTime, Arc<ParsedColumns>), MorpheusAbort> {
         let ncores = self.mssd.dev.cores().cores();
         // Stable affinity: app k's instances always pin to core k % n, so
         // a tenant's requests queue behind each other, not behind
@@ -906,27 +913,10 @@ impl System {
         let file_len = self
             .fs
             .open(&spec.input)
-            .map_err(|_| ServeAbort::Fatal(RunError::UnknownFile(spec.input.clone())))?
+            .map_err(|_| MorpheusAbort::Fatal(RunError::UnknownFile(spec.input.clone())))?
             .len;
 
-        // MINIT may be lost on the wire or find its core stalled/crashed.
-        let floor = self
-            .issue_with_timeouts(start, start)
-            .map_err(|(at, attempts)| ServeAbort::Redispatch {
-                at,
-                iid,
-                status: StatusCode::CommandTimeout,
-                cause: format!("MINIT lost {attempts} times; reissue budget spent"),
-            })?;
-        let floor = self.inject_core_stall(floor);
-        if let Some(at) = self.inject_core_crash(floor) {
-            return Err(ServeAbort::Redispatch {
-                at,
-                iid,
-                status: StatusCode::CoreFault,
-                cause: "embedded core crashed during MINIT".into(),
-            });
-        }
+        let floor = self.fault_gate("MINIT", iid, start)?;
         let cid = self.alloc_cid();
         wire.push((
             MorpheusCommand::Init {
@@ -941,7 +931,7 @@ impl System {
         ));
         let mut t = self
             .morpheus_tenant(spec, iid, floor, bar)
-            .map_err(ServeAbort::Fatal)?;
+            .map_err(MorpheusAbort::Fatal)?;
 
         while !t.finished_chunks() {
             let (ready0, c) = match &t {
@@ -953,23 +943,7 @@ impl System {
                 } => (*ready, chunks[*next]),
                 TenantState::Conventional { .. } => unreachable!("constructed as morpheus"),
             };
-            let floor = self
-                .issue_with_timeouts(ready0, ready0)
-                .map_err(|(at, attempts)| ServeAbort::Redispatch {
-                    at,
-                    iid,
-                    status: StatusCode::CommandTimeout,
-                    cause: format!("MREAD lost {attempts} times; reissue budget spent"),
-                })?;
-            let floor = self.inject_core_stall(floor);
-            if let Some(at) = self.inject_core_crash(floor) {
-                return Err(ServeAbort::Redispatch {
-                    at,
-                    iid,
-                    status: StatusCode::CoreFault,
-                    cause: "embedded core crashed during MREAD".into(),
-                });
-            }
+            let floor = self.fault_gate("MREAD", iid, ready0)?;
             if let TenantState::Morpheus { ready, .. } = &mut t {
                 *ready = floor;
             }
@@ -985,56 +959,21 @@ impl System {
                 StatusCode::Success,
                 0,
             ));
-            match self.step_tenant(&mut t) {
-                Ok(()) => {}
-                Err(RunError::Morpheus(e)) if e.status() == StatusCode::MediaUncorrectable => {
-                    return Err(ServeAbort::Redispatch {
-                        at: floor,
-                        iid,
-                        status: StatusCode::MediaUncorrectable,
-                        cause: morpheus_simcore::render_error_chain(&e),
-                    });
-                }
-                Err(e) => return Err(ServeAbort::Fatal(e)),
-            }
+            self.step_tenant(&mut t)
+                .map_err(|e| Self::media_or_fatal(e, iid, floor))?;
         }
 
         let last0 = match &t {
             TenantState::Morpheus { last_end, .. } => *last_end,
             TenantState::Conventional { .. } => unreachable!("constructed as morpheus"),
         };
-        let floor = self
-            .issue_with_timeouts(last0, last0)
-            .map_err(|(at, attempts)| ServeAbort::Redispatch {
-                at,
-                iid,
-                status: StatusCode::CommandTimeout,
-                cause: format!("MDEINIT lost {attempts} times; reissue budget spent"),
-            })?;
-        let floor = self.inject_core_stall(floor);
-        if let Some(at) = self.inject_core_crash(floor) {
-            return Err(ServeAbort::Redispatch {
-                at,
-                iid,
-                status: StatusCode::CoreFault,
-                cause: "embedded core crashed during MDEINIT".into(),
-            });
-        }
+        let floor = self.fault_gate("MDEINIT", iid, last0)?;
         if let TenantState::Morpheus { last_end, .. } = &mut t {
             *last_end = floor;
         }
-        let (_name, _mode, end, objects) = match self.finish_tenant(&mut t) {
-            Ok(v) => v,
-            Err(RunError::Morpheus(e)) if e.status() == StatusCode::MediaUncorrectable => {
-                return Err(ServeAbort::Redispatch {
-                    at: floor,
-                    iid,
-                    status: StatusCode::MediaUncorrectable,
-                    cause: morpheus_simcore::render_error_chain(&e),
-                });
-            }
-            Err(e) => return Err(ServeAbort::Fatal(e)),
-        };
+        let (_name, _mode, end, objects) = self
+            .finish_tenant(&mut t)
+            .map_err(|e| Self::media_or_fatal(e, iid, floor))?;
         let cid = self.alloc_cid();
         wire.push((
             MorpheusCommand::Deinit { instance_id: iid }.into_command(cid, 1),
@@ -1639,5 +1578,14 @@ mod tests {
             "per-window fault counts sum to the report"
         );
         sys.set_fault_plan(FaultPlan::none());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed MAX_TENANTS")]
+    fn more_tenants_than_queue_ids_is_a_config_bug() {
+        let mut sys = System::new(SystemParams::paper_testbed());
+        let spec = AppSpec::cpu_app("svc", "svc.txt", edge_schema(), 1, 50.0);
+        let apps = vec![spec; MAX_TENANTS + 1];
+        let _ = sys.serve(&apps, &ServeConfig::new(1000.0, 0.001));
     }
 }

@@ -8,9 +8,7 @@ use morpheus_gpu::Gpu;
 use morpheus_host::{Cpu, FileMeta, FsError, HostDram, MemBus, OsModel, SimFs};
 use morpheus_nvme::{CompletionEntry, NvmeCommand, StatusCode, LBA_BYTES, MAX_IO_BLOCKS};
 use morpheus_pcie::{BarWindow, DeviceId, Fabric};
-use morpheus_simcore::{
-    Bandwidth, FaultCounters, FaultPlan, Histogram, SimDuration, Timeline, Tracer,
-};
+use morpheus_simcore::{Bandwidth, FaultCounters, FaultPlan, Histogram, Timeline, Tracer};
 use morpheus_ssd::{Ssd, SsdError};
 
 /// One I/O command's worth of a file: an LBA range plus how many of its
@@ -132,14 +130,6 @@ pub struct System {
     /// [`set_object_cache`](System::set_object_cache); contents survive
     /// [`reset_timing`](System::reset_timing) like staged files do.
     pub(crate) object_cache: Option<ObjectCache>,
-    /// When set, each run folds its trace into a windowed
-    /// [`TelemetryReport`](morpheus_simcore::TelemetryReport) at this
-    /// window width. Requires an enabled tracer to see any events.
-    pub(crate) telemetry_window: Option<SimDuration>,
-    /// Trace length at the start of the current run, so suite telemetry
-    /// folds only this run's events (the trace accumulates across runs
-    /// while run clocks restart at zero).
-    pub(crate) telemetry_mark: usize,
     /// Per-file content digests backing the deserialization memo keys
     /// (`deser_memo`); dropped whenever the file mutates.
     pub(crate) deser_digests: std::collections::HashMap<String, u64>,
@@ -184,8 +174,6 @@ impl System {
             faults: None,
             media_overridden: false,
             object_cache: None,
-            telemetry_window: None,
-            telemetry_mark: 0,
             deser_digests: std::collections::HashMap::new(),
             params,
         }
@@ -219,21 +207,6 @@ impl System {
     /// The installed fault plan (inactive by default).
     pub fn fault_plan(&self) -> FaultPlan {
         self.fault_plan
-    }
-
-    /// Enables (or disables with `None`) windowed run telemetry: each
-    /// subsequent [`run`](crate::System::run) folds the events it traced
-    /// into `RunReport::telemetry` at this window width. The fold reads
-    /// the trace, so install an enabled [`Tracer`] via
-    /// [`set_tracer`](System::set_tracer) first — with tracing disabled
-    /// the report is present but empty.
-    pub fn set_telemetry_window(&mut self, window: Option<SimDuration>) {
-        self.telemetry_window = window;
-    }
-
-    /// The installed telemetry window (`None` = telemetry off).
-    pub fn telemetry_window(&self) -> Option<SimDuration> {
-        self.telemetry_window
     }
 
     /// Fault/recovery counters of the current (or last finished) run. All

@@ -278,6 +278,32 @@ impl FaultCounters {
     pub fn any(&self) -> bool {
         *self != FaultCounters::default()
     }
+
+    /// Adds `other`'s counters to these (summing runs or devices). The
+    /// destructuring lists every field, so a new counter cannot compile
+    /// without being summed here.
+    pub fn merge(&mut self, other: &FaultCounters) {
+        let FaultCounters {
+            ecc_corrected,
+            media_retries,
+            media_failures,
+            nvme_timeouts,
+            nvme_retries,
+            core_stalls,
+            core_crashes,
+            pcie_degraded,
+            host_fallbacks,
+        } = *other;
+        self.ecc_corrected += ecc_corrected;
+        self.media_retries += media_retries;
+        self.media_failures += media_failures;
+        self.nvme_timeouts += nvme_timeouts;
+        self.nvme_retries += nvme_retries;
+        self.core_stalls += core_stalls;
+        self.core_crashes += core_crashes;
+        self.pcie_degraded += pcie_degraded;
+        self.host_fallbacks += host_fallbacks;
+    }
 }
 
 impl fmt::Display for FaultCounters {
@@ -325,6 +351,29 @@ mod tests {
     fn default_plan_is_inactive() {
         assert!(!FaultPlan::none().is_active());
         assert!(!FaultPlan::default().is_active());
+    }
+
+    #[test]
+    fn counter_merge_sums_every_field() {
+        let c = FaultCounters {
+            ecc_corrected: 1,
+            media_retries: 2,
+            media_failures: 3,
+            nvme_timeouts: 4,
+            nvme_retries: 5,
+            core_stalls: 6,
+            core_crashes: 7,
+            pcie_degraded: 8,
+            host_fallbacks: 9,
+        };
+        let mut sum = FaultCounters::default();
+        sum.merge(&c);
+        sum.merge(&c);
+        assert_eq!(
+            sum.to_string(),
+            "ecc_corrected=2 media_retries=4 media_failures=6 nvme_timeouts=8 \
+             nvme_retries=10 core_stalls=12 core_crashes=14 pcie_degraded=16 host_fallbacks=18"
+        );
     }
 
     #[test]

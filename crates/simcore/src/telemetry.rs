@@ -52,7 +52,6 @@
 
 use crate::metrics::{Histogram, Metrics};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceEventKind, TraceLog};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -70,8 +69,9 @@ pub const SLOW_BURN_WINDOWS: u64 = 6;
 ///
 /// # Errors
 ///
-/// Returns a description for an empty, non-positive, non-finite, or
-/// unparseable spelling.
+/// Returns a description for an empty, non-finite, or unparseable
+/// spelling, and for one that is not positive once rounded to whole
+/// nanoseconds (`0.4ns` is zero).
 ///
 /// # Example
 ///
@@ -81,6 +81,7 @@ pub const SLOW_BURN_WINDOWS: u64 = 6;
 /// assert_eq!(parse_duration("10ms").unwrap(), SimDuration::from_millis(10));
 /// assert_eq!(parse_duration("1.5us").unwrap(), SimDuration::from_nanos(1_500));
 /// assert!(parse_duration("10 fortnights").is_err());
+/// assert!(parse_duration("0.4ns").is_err());
 /// ```
 pub fn parse_duration(s: &str) -> Result<SimDuration, String> {
     let s = s.trim();
@@ -102,10 +103,11 @@ pub fn parse_duration(s: &str) -> Result<SimDuration, String> {
         .trim()
         .parse()
         .map_err(|_| format!("bad duration {s:?}"))?;
-    if !v.is_finite() || v <= 0.0 {
+    let ns = (v * scale).round();
+    if !v.is_finite() || ns < 1.0 {
         return Err(format!("duration must be positive, got {s:?}"));
     }
-    Ok(SimDuration::from_nanos((v * scale).round() as u64))
+    Ok(SimDuration::from_nanos(ns as u64))
 }
 
 /// What kind of events an objective classifies.
@@ -630,32 +632,6 @@ pub struct TelemetryReport {
 }
 
 impl TelemetryReport {
-    /// Rebuilds windowed telemetry from a trace log: per window, one
-    /// `{layer}_events` counter and a `{layer}_busy_ns` busy fold (spans
-    /// apportioned pro-rata). This is how suite runs get telemetry
-    /// without threading a sampler through every model.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero window.
-    pub fn from_trace(log: &TraceLog, window: SimDuration) -> TelemetryReport {
-        let mut s = TelemetrySampler::new(&TelemetryConfig::new(window));
-        let mut end = SimTime::ZERO;
-        for e in &log.events {
-            let layer = e.layer.as_str();
-            s.count(&format!("{layer}_events"), SimTime::from_nanos(e.start_ns));
-            if e.kind == TraceEventKind::Span && e.dur_ns > 0 {
-                s.span(
-                    &format!("{layer}_busy_ns"),
-                    SimTime::from_nanos(e.start_ns),
-                    SimTime::from_nanos(e.end_ns()),
-                );
-            }
-            end = end.max(SimTime::from_nanos(e.end_ns()));
-        }
-        s.finalize(end)
-    }
-
     /// The union of metric columns across all windows, sorted.
     pub fn column_names(&self) -> Vec<String> {
         let mut names: Vec<String> = Vec::new();
@@ -934,7 +910,6 @@ fn render_labels_with(labels: &[(&str, &str)], extra: &[(&str, &str)]) -> String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{TraceLayer, Tracer};
 
     fn at(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -951,9 +926,20 @@ mod tests {
         assert_eq!(parse_duration("10ms").unwrap().as_nanos(), 10_000_000);
         assert_eq!(parse_duration("1.5s").unwrap().as_nanos(), 1_500_000_000);
         assert_eq!(parse_duration("123").unwrap().as_nanos(), 123);
-        for bad in ["", "ms", "-1ms", "0s", "inf", "10 fortnights"] {
+        for bad in [
+            "",
+            "ms",
+            "-1ms",
+            "0s",
+            "inf",
+            "10 fortnights",
+            "0.4ns",
+            "0.0004us",
+        ] {
             assert!(parse_duration(bad).is_err(), "{bad:?} must be rejected");
         }
+        // Rounding to whole nanoseconds may not reach zero, only one.
+        assert_eq!(parse_duration("0.5ns").unwrap().as_nanos(), 1);
     }
 
     #[test]
@@ -1195,21 +1181,6 @@ mod tests {
         assert_eq!(fmt_num(0.5), "0.5");
         assert_eq!(fmt_num(1.0 / 3.0), "0.333333");
         assert_eq!(fmt_num(-0.25), "-0.25");
-    }
-
-    #[test]
-    fn from_trace_attributes_layers_per_window() {
-        let t = Tracer::enabled();
-        t.span(TraceLayer::Flash, "ch0", "read", at(0), at(15_000_000));
-        t.instant(TraceLayer::Ftl, "map", "gc", at(12_000_000));
-        let log = t.take();
-        let rep = TelemetryReport::from_trace(&log, SimDuration::from_millis(10));
-        assert_eq!(rep.windows.len(), 2);
-        assert_eq!(rep.windows[0].metrics.get("flash_events"), 1.0);
-        assert_eq!(rep.windows[0].metrics.get("flash_busy_ns"), 10_000_000.0);
-        assert_eq!(rep.windows[1].metrics.get("flash_busy_ns"), 5_000_000.0);
-        assert_eq!(rep.windows[1].metrics.get("ftl_events"), 1.0);
-        assert!((rep.windows[0].metrics.get("flash_occ") - 1.0).abs() < 1e-12);
     }
 
     #[test]
