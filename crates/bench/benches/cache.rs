@@ -8,21 +8,22 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use morpheus::{CacheConfig, CachePolicy, ObjectCache};
-use morpheus_format::{Column, FieldKind, ParsedColumns, Schema};
+use morpheus_format::{Column, FieldKind, ObjectDigest, ParsedColumns, Schema};
 use std::hint::black_box;
-use std::sync::Arc;
 
-/// A parsed object of `n` records (two i64 columns, `16 * n` bytes).
-fn obj(n: usize, salt: i64) -> Arc<ParsedColumns> {
+/// The digest of a parsed object of `n` records (two i64 columns,
+/// `16 * n` bytes): what the cache holds per entry.
+fn obj(n: usize, salt: i64) -> ObjectDigest {
     let schema = Schema::new(vec![FieldKind::I64, FieldKind::I64]);
-    Arc::new(ParsedColumns {
+    ParsedColumns {
         schema,
         columns: vec![
             Column::Ints((0..n as i64).map(|i| i * 3 + salt).collect()),
             Column::Ints((0..n as i64).map(|i| i * 7 - salt).collect()),
         ],
         records: n as u64,
-    })
+    }
+    .digest()
 }
 
 fn warmed_cache(policy: CachePolicy, files: usize) -> ObjectCache {
@@ -81,7 +82,7 @@ fn bench_cache(c: &mut Criterion) {
     // Admission churn against a full DRAM tier: every admit runs the
     // frequency gate, victim selection, and eviction bookkeeping.
     let payload = obj(512, 99);
-    g.throughput(Throughput::Bytes(payload.binary_bytes()));
+    g.throughput(Throughput::Bytes(payload.bytes));
     g.bench_function("admit_under_pressure", |b| {
         let mut cache = ObjectCache::new(CacheConfig {
             dram_bytes: 64 << 10, // a handful of 8 KB objects
@@ -94,7 +95,7 @@ fn bench_cache(c: &mut Criterion) {
             let file = format!("churn{}.txt", i % 257);
             i += 1;
             let _ = cache.lookup("app", &file, 7);
-            cache.admit(black_box("app"), &file, 7, Arc::clone(&payload));
+            cache.admit(black_box("app"), &file, 7, payload);
             cache.take_events().len() as u64
         })
     });

@@ -39,11 +39,10 @@
 //! bookkeeping costs zero *simulated* time — only the delivery of a hit is
 //! timed, by the serving layer (`serve.rs`).
 
-use morpheus_format::ParsedColumns;
+use morpheus_format::ObjectDigest;
 use morpheus_simcore::SplitMix64;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Admission policy of the DRAM tier (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -282,16 +281,17 @@ pub enum CacheEvent {
     },
 }
 
-/// A successful lookup: which tier held the object and the object itself
-/// (shared, so delivery never copies column data).
-#[derive(Debug, Clone)]
+/// A successful lookup: which tier held the object and the object's
+/// digest. The simulator never reads cached values, so an entry holds
+/// only what delivery and the serve report need: the binary size (the
+/// delivery payload), the record count and the checksum, all equal to a
+/// fresh deserialization's.
+#[derive(Debug, Clone, Copy)]
 pub struct CacheHit {
     /// Tier that served the hit (decides the delivery cost model).
     pub tier: CacheTier,
-    /// The cached objects, bit-identical to a fresh deserialization.
-    pub objects: Arc<ParsedColumns>,
-    /// Binary object size, bytes (the delivery payload).
-    pub bytes: u64,
+    /// Digest of the cached objects.
+    pub objects: ObjectDigest,
 }
 
 /// Cache key: (app name, input file, format digest).
@@ -299,8 +299,7 @@ type Key = (String, String, u64);
 
 #[derive(Debug, Clone)]
 struct Entry {
-    objects: Arc<ParsedColumns>,
-    bytes: u64,
+    objects: ObjectDigest,
     tier: CacheTier,
     /// Segmented LRU: true once a DRAM entry was re-referenced.
     protected: bool,
@@ -459,15 +458,14 @@ impl ObjectCache {
         self.stats.hits += 1;
         let hit = CacheHit {
             tier: e.tier,
-            objects: Arc::clone(&e.objects),
-            bytes: e.bytes,
+            objects: e.objects,
         };
         match e.tier {
             CacheTier::Dram => {
                 self.stats.dram_hits += 1;
                 if !e.protected {
                     e.protected = true;
-                    self.protected_bytes += e.bytes;
+                    self.protected_bytes += e.objects.bytes;
                     self.trim_protected();
                 }
             }
@@ -479,14 +477,14 @@ impl ObjectCache {
         Some(hit)
     }
 
-    /// Offers a freshly deserialized object for admission (called by the
-    /// serving layer after a miss completes). The frequency gate, tier
-    /// placement, spilling, and eviction all happen here; the decision is
-    /// recorded in the event log.
-    pub fn admit(&mut self, app: &str, file: &str, digest: u64, objects: Arc<ParsedColumns>) {
+    /// Offers a freshly deserialized object, by its digest, for admission
+    /// (called by the serving layer after a miss completes). The frequency
+    /// gate, tier placement, spilling, and eviction all happen here; the
+    /// decision is recorded in the event log.
+    pub fn admit(&mut self, app: &str, file: &str, digest: u64, objects: ObjectDigest) {
         self.tick += 1;
         let key: Key = (app.to_string(), file.to_string(), digest);
-        let bytes = objects.binary_bytes();
+        let bytes = objects.bytes;
         let h = hash_key(&key);
         if self.entries.contains_key(&key) {
             return; // a batch can miss the same key twice before admission
@@ -523,7 +521,6 @@ impl ObjectCache {
             key,
             Entry {
                 objects,
-                bytes,
                 tier,
                 protected: false,
                 last_used: self.tick,
@@ -560,14 +557,14 @@ impl ObjectCache {
         let e = self.entries.remove(key).expect("victim exists");
         match e.tier {
             CacheTier::Dram => {
-                self.stats.dram_bytes -= e.bytes;
+                self.stats.dram_bytes -= e.objects.bytes;
                 if e.protected {
-                    self.protected_bytes -= e.bytes;
+                    self.protected_bytes -= e.objects.bytes;
                 }
             }
-            CacheTier::Host => self.stats.host_bytes -= e.bytes,
+            CacheTier::Host => self.stats.host_bytes -= e.objects.bytes,
         }
-        e.bytes
+        e.objects.bytes
     }
 
     /// The LRU key of a DRAM segment (probation when `protected` is
@@ -598,7 +595,7 @@ impl ObjectCache {
             let Some(k) = self.dram_lru(true) else { break };
             let e = self.entries.get_mut(&k).expect("lru exists");
             e.protected = false;
-            self.protected_bytes -= e.bytes;
+            self.protected_bytes -= e.objects.bytes;
         }
     }
 
@@ -646,7 +643,7 @@ impl ObjectCache {
     /// tier cannot hold it).
     fn spill_to_host(&mut self, key: &Key) {
         let e = self.entries.get(key).expect("victim exists");
-        let bytes = e.bytes;
+        let bytes = e.objects.bytes;
         if bytes > self.cfg.host_bytes {
             let bytes = self.drop_entry(key);
             self.stats.evictions += 1;
@@ -660,7 +657,7 @@ impl ObjectCache {
         let e = self.entries.get_mut(key).expect("victim exists");
         if e.protected {
             e.protected = false;
-            self.protected_bytes -= e.bytes;
+            self.protected_bytes -= e.objects.bytes;
         }
         e.tier = CacheTier::Host;
         self.stats.dram_bytes -= bytes;
@@ -673,13 +670,13 @@ impl ObjectCache {
     /// gate as admission: LRU always, TinyLFU only when the entry beats
     /// the would-be victim).
     fn try_promote(&mut self, key: &Key, h: u64) {
-        let bytes = self.entries.get(key).expect("hit entry").bytes;
+        let bytes = self.entries.get(key).expect("hit entry").objects.bytes;
         if bytes > self.cfg.dram_bytes || !self.make_dram_room(bytes, Some(h)) {
             return;
         }
         // Making DRAM room can spill a victim onto the host tier, whose
         // own eviction may pick this very entry. The hit was already
-        // served (the caller holds the Arc); there is nothing to promote.
+        // served (the caller holds its digest); there is nothing to promote.
         let Some(e) = self.entries.get_mut(key) else {
             return;
         };
@@ -710,19 +707,20 @@ pub fn format_digest(spec: &crate::AppSpec) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use morpheus_format::{Column, FieldKind, Schema};
+    use morpheus_format::{Column, FieldKind, ParsedColumns, Schema};
 
-    /// An object of roughly `n * 16` binary bytes.
-    fn obj(n: usize, salt: i64) -> Arc<ParsedColumns> {
+    /// The digest of an object of `n * 16` binary bytes.
+    fn obj(n: usize, salt: i64) -> ObjectDigest {
         let schema = Schema::new(vec![FieldKind::I64, FieldKind::I64]);
-        Arc::new(ParsedColumns {
+        ParsedColumns {
             schema,
             columns: vec![
                 Column::Ints((0..n as i64).map(|i| i * 3 + salt).collect()),
                 Column::Ints((0..n as i64).map(|i| i * 7 - salt).collect()),
             ],
             records: n as u64,
-        })
+        }
+        .digest()
     }
 
     fn cache(dram: u64, host: u64, policy: CachePolicy) -> ObjectCache {
@@ -760,7 +758,7 @@ mod tests {
     #[test]
     fn dram_victims_spill_to_host_then_drop() {
         // DRAM fits one object, host fits one more.
-        let bytes = obj(64, 0).binary_bytes();
+        let bytes = obj(64, 0).bytes;
         let mut c = cache(bytes + 8, bytes + 8, CachePolicy::Lru);
         c.admit("a", "f0", 0, obj(64, 0));
         c.admit("a", "f1", 1, obj(64, 1));
@@ -779,7 +777,7 @@ mod tests {
 
     #[test]
     fn frequency_gate_protects_hot_victims() {
-        let bytes = obj(64, 0).binary_bytes();
+        let bytes = obj(64, 0).bytes;
         let mut c = cache(bytes + 8, 0, CachePolicy::TinyLfu);
         // Make f0 hot: admitted, then hit repeatedly.
         assert!(c.lookup("a", "f0", 0).is_none());

@@ -11,17 +11,21 @@
 //!
 //! The per-tenant state machine ([`TenantState`]) is shared with the
 //! open-loop serving layer (`serve.rs`), which steps tenants one request
-//! at a time instead of round-robin.
+//! at a time instead of round-robin. Its host half ([`HostTenant`]) is the
+//! only host deserialization engine: `System::run`'s conventional mode and
+//! Morpheus fallback drive it too.
 
-use crate::deser_memo::{self, MemoKey};
-use crate::exec::{AppSpec, RunError};
+use crate::deser_memo::{self, HostReplay, MemoKey};
+use crate::exec::{AppSpec, InputFormat, RunError};
 use crate::report::{mb_per_sec, Mode};
 use crate::system::ChunkIo;
-use crate::{DeserializeApp, StorageKind, System};
-use morpheus_format::{ParseWork, ParsedColumns, StreamingParser};
+use crate::{StorageKind, System};
+use morpheus_format::{
+    BinaryStreamParser, ObjectDigest, ParseError, ParseWork, ParsedColumns, Schema, StreamingParser,
+};
 use morpheus_host::CodeClass;
 use morpheus_pcie::{BarWindow, DmaDir};
-use morpheus_simcore::SimTime;
+use morpheus_simcore::{Interval, SimDuration, SimTime};
 use std::sync::Arc;
 
 /// One tenant's outcome.
@@ -54,25 +58,147 @@ pub struct ConcurrentReport {
     pub context_switches: u64,
 }
 
+/// Host-side parser dispatch over the input encoding.
+enum HostParser {
+    Text(StreamingParser),
+    Binary(BinaryStreamParser),
+}
+
+impl HostParser {
+    fn new(schema: &Schema, format: InputFormat) -> HostParser {
+        match format {
+            InputFormat::Text => HostParser::Text(StreamingParser::new(schema.clone())),
+            InputFormat::Binary(e) => {
+                HostParser::Binary(BinaryStreamParser::new(schema.clone(), e))
+            }
+        }
+    }
+
+    fn feed(&mut self, chunk: &[u8]) -> Result<(), ParseError> {
+        match self {
+            HostParser::Text(p) => p.feed(chunk),
+            HostParser::Binary(p) => p.feed(chunk),
+        }
+    }
+
+    fn work(&self) -> ParseWork {
+        match self {
+            HostParser::Text(p) => p.work(),
+            HostParser::Binary(p) => p.work(),
+        }
+    }
+
+    fn finish(self) -> Result<ParsedColumns, ParseError> {
+        match self {
+            HostParser::Text(p) => p.finish(),
+            HostParser::Binary(p) => p.finish(),
+        }
+    }
+}
+
+/// Where the host engine's per-chunk parse work comes from.
+enum ParseSource {
+    /// The parser runs; each chunk's work delta is recorded when the
+    /// engine has a memo key.
+    Live {
+        parser: Box<HostParser>,
+        last_work: ParseWork,
+        recorded: Vec<ParseWork>,
+    },
+    /// A recording of this exact content and chunking.
+    Replay(Arc<HostReplay>),
+}
+
+/// The host deserialization engine: Fig. 1's `read()`+parse loop over one
+/// file, stepped a chunk at a time with [`System::step_host`] and closed
+/// with [`HostTenant::finish`]. Each caller keeps only its own framing —
+/// fault rolls, wire commands, spans — around the steps.
+///
+/// Record/replay of the parse work (see `deser_memo`): storage I/O, OS
+/// costs and CPU-core grants always run live against the caller's
+/// timelines; only the parser itself is skipped when a recording for this
+/// exact content and chunking exists. The recorded values (per-chunk work
+/// deltas, the object digest, and for [`System::run`] the columns) are
+/// pure functions of the key, so replayed runs are byte-identical to live
+/// ones.
+pub(crate) struct HostTenant {
+    chunks: Vec<ChunkIo>,
+    next: usize,
+    /// Buffer X of Fig. 1(b): the raw-text landing buffer.
+    pub(crate) buf_addr: u64,
+    /// The dispatch instant (the read floor of round-robin tenants).
+    start: SimTime,
+    cpu_ready: SimTime,
+    source: ParseSource,
+    memo_key: Option<MemoKey>,
+    /// The caller wants the columns back, not only their digest.
+    keep_columns: bool,
+}
+
+/// One host chunk's timing.
+pub(crate) struct HostChunk {
+    /// When the chunk's bytes had landed in the host buffer.
+    pub io_done: SimTime,
+    /// The host-core grant that ran the `read()` return and the parse.
+    pub cpu: Interval,
+}
+
+impl HostTenant {
+    /// The chunk the next [`System::step_host`] reads, if any is left.
+    pub(crate) fn next_chunk(&self) -> Option<ChunkIo> {
+        self.chunks.get(self.next).copied()
+    }
+
+    /// Bytes of the input file.
+    pub(crate) fn text_bytes(&self) -> u64 {
+        self.chunks.iter().map(|c| c.valid_bytes).sum()
+    }
+
+    /// Completes the parse. Returns when the last chunk's parse ended, the
+    /// objects' digest, and the columns when the engine was built to keep
+    /// them. A live parse publishes its recording to the memo.
+    pub(crate) fn finish(self) -> Result<(SimTime, ObjectDigest, Option<ParsedColumns>), RunError> {
+        let (parser, recorded) = match self.source {
+            ParseSource::Live {
+                parser, recorded, ..
+            } => (parser, recorded),
+            ParseSource::Replay(r) => {
+                let objects = if self.keep_columns {
+                    r.objects.clone()
+                } else {
+                    None
+                };
+                return Ok((self.cpu_ready, r.digest, objects));
+            }
+        };
+        let mut o = parser.finish()?;
+        o.canonicalize();
+        let digest = o.digest();
+        let objects = self.keep_columns.then_some(o);
+        if let Some(key) = self.memo_key {
+            deser_memo::host_put(
+                key,
+                Arc::new(HostReplay {
+                    per_chunk: recorded,
+                    digest,
+                    objects: objects.clone(),
+                }),
+            );
+        }
+        Ok((self.cpu_ready, digest, objects))
+    }
+}
+
 /// Per-tenant progress state, stepped one chunk at a time. Built via
 /// [`System::conventional_tenant`] / [`System::morpheus_tenant`] and driven
 /// with [`System::step_tenant`] / [`System::finish_tenant`].
 pub(crate) enum TenantState {
     /// Host-side `read()`+parse tenant.
-    Conventional {
-        spec: AppSpec,
-        chunks: Vec<ChunkIo>,
-        next: usize,
-        parser: StreamingParser,
-        last_work: ParseWork,
-        buf_addr: u64,
-        /// No I/O is issued before this time (the dispatch instant).
-        start: SimTime,
-        cpu_ready: SimTime,
-    },
+    Conventional(HostTenant),
     /// In-SSD StorageApp tenant.
     Morpheus {
-        spec: AppSpec,
+        /// Schema the assembled object stream decodes against.
+        schema: Schema,
         chunks: Vec<ChunkIo>,
         next: usize,
         iid: u32,
@@ -84,52 +210,180 @@ pub(crate) enum TenantState {
         /// P2P delivery window; `None` delivers objects to host DRAM.
         bar: Option<BarWindow>,
         /// Device memo key (fault-free runs only), under which this
-        /// lifecycle's decoded objects are published for later reuse.
+        /// lifecycle's object digest is published for later reuse.
         memo_key: Option<MemoKey>,
-        /// Decoded objects from an earlier identical lifecycle. When
+        /// The object digest of an earlier identical lifecycle. When
         /// present the byte-stream assembly and final decode are skipped;
         /// every timed step (flash, cores, DMA, bus) still runs live.
-        prefab: Option<Arc<ParsedColumns>>,
+        prefab: Option<ObjectDigest>,
     },
 }
 
 impl TenantState {
     pub(crate) fn finished_chunks(&self) -> bool {
         match self {
-            TenantState::Conventional { chunks, next, .. } => *next >= chunks.len(),
+            TenantState::Conventional(h) => h.next_chunk().is_none(),
             TenantState::Morpheus { chunks, next, .. } => *next >= chunks.len(),
         }
     }
 }
 
 impl System {
-    /// Builds a conventional tenant whose first I/O happens no earlier
-    /// than `start`.
+    /// Builds the host engine for `spec`'s file: CPU work starts no
+    /// earlier than `start`. With `keep_columns` the engine hands the
+    /// columns back from [`HostTenant::finish`]; a memo entry recorded
+    /// without them is then parsed live and re-recorded with them.
     pub(crate) fn conventional_tenant(
         &mut self,
         spec: &AppSpec,
         start: SimTime,
-    ) -> Result<TenantState, RunError> {
+        keep_columns: bool,
+    ) -> Result<HostTenant, RunError> {
         let meta = self
             .fs
             .open(&spec.input)
-            .map_err(|_| RunError::UnknownFile(spec.input.clone()))?
-            .clone();
-        let chunks = Self::file_chunks(&meta, self.params.conventional_chunk_bytes);
+            .map_err(|_| RunError::UnknownFile(spec.input.clone()))?;
+        let chunks = Self::file_chunks(meta, self.params.conventional_chunk_bytes);
+        let memo_key = self.host_memo_key(spec, &chunks);
+        let replay = memo_key
+            .and_then(deser_memo::host_get)
+            .filter(|r| !keep_columns || r.objects.is_some());
+        if let Some(r) = &replay {
+            assert_eq!(
+                r.per_chunk.len(),
+                chunks.len(),
+                "deser-memo chunk-count mismatch (key collision?)"
+            );
+        }
         let buf_addr = self
             .dram
             .alloc(self.params.conventional_chunk_bytes)
             .ok_or(RunError::OutOfHostMemory)?;
-        Ok(TenantState::Conventional {
+        Ok(HostTenant {
             chunks,
             next: 0,
-            parser: StreamingParser::new(spec.schema.clone()),
-            last_work: ParseWork::default(),
             buf_addr,
             start,
             cpu_ready: start,
-            spec: spec.clone(),
+            source: match replay {
+                Some(r) => ParseSource::Replay(r),
+                None => ParseSource::Live {
+                    parser: Box::new(HostParser::new(&spec.schema, spec.input_format)),
+                    last_work: ParseWork::default(),
+                    recorded: Vec::new(),
+                },
+            },
+            memo_key,
+            keep_columns,
         })
+    }
+
+    /// Reads and parses the engine's next chunk: the read is served no
+    /// earlier than `floor`, the parse no earlier than the previous one.
+    pub(crate) fn step_host(
+        &mut self,
+        h: &mut HostTenant,
+        floor: SimTime,
+    ) -> Result<HostChunk, RunError> {
+        let ci = h.next;
+        let c = h.chunks[ci];
+        h.next += 1;
+        let (data, io_done) = self.conventional_io(&c, h.buf_addr, floor)?;
+        let dw = match &mut h.source {
+            ParseSource::Replay(r) => r.per_chunk[ci],
+            ParseSource::Live {
+                parser,
+                last_work,
+                recorded,
+            } => {
+                parser.feed(&data[..c.valid_bytes as usize])?;
+                let w = parser.work();
+                let dw = w.since(last_work);
+                *last_work = w;
+                if h.memo_key.is_some() {
+                    recorded.push(dw);
+                }
+                dw
+            }
+        };
+        let os_cost = self.os.buffered_read(c.valid_bytes);
+        let os_t = self.cpu.duration(os_cost.instructions, CodeClass::OsKernel);
+        let parse_t = self.cpu.duration(
+            self.params.host_cost.int_path_instructions(&dw)
+                + self.params.host_cost.float_path_instructions(&dw),
+            CodeClass::Deserialize,
+        );
+        let cpu = self
+            .cpu_cores
+            .acquire(io_done.max(h.cpu_ready), os_t + parse_t);
+        h.cpu_ready = cpu.end;
+        // The parse loop streams the text back out of DRAM.
+        self.membus.account(c.valid_bytes);
+        Ok(HostChunk { io_done, cpu })
+    }
+
+    /// One host-path input chunk on the configured storage device, served
+    /// no earlier than `ready`. The NVMe command itself is the caller's:
+    /// a solo run round-trips it, serving pushes it onto the wire.
+    fn conventional_io(
+        &mut self,
+        c: &ChunkIo,
+        buf_addr: u64,
+        ready: SimTime,
+    ) -> Result<(Vec<u8>, SimTime), RunError> {
+        match self.params.storage {
+            StorageKind::NvmeSsd => {
+                let (data, t) = self.mssd.dev.read_range(c.slba, c.blocks, ready)?;
+                let dma =
+                    self.fabric
+                        .dma(self.ssd_dev, DmaDir::Write, buf_addr, c.valid_bytes, t)?;
+                let mb = self.membus.transfer(dma.start, c.valid_bytes);
+                Ok((data, dma.end.max(mb.end)))
+            }
+            StorageKind::RamDrive => {
+                let data = self.mssd.dev.read_range_untimed(c.slba, c.blocks)?;
+                let mb = self.membus.transfer(ready, c.valid_bytes);
+                Ok((data, mb.end))
+            }
+            StorageKind::Hdd => {
+                let data = self.mssd.dev.read_range_untimed(c.slba, c.blocks)?;
+                let seek = SimDuration::from_secs_f64(self.params.hdd_seek_ms / 1e3);
+                let stream =
+                    SimDuration::from_secs_f64(c.valid_bytes as f64 / (self.params.hdd_mbs * 1e6));
+                let iv = self.hdd.acquire(ready, seek + stream);
+                let mb = self.membus.transfer(iv.start, c.valid_bytes);
+                Ok((data, iv.end.max(mb.end)))
+            }
+        }
+    }
+
+    /// Allocates `n` bytes of object memory: host DRAM, or GPU memory
+    /// behind the P2P window `bar`. Returns the bus address.
+    pub(crate) fn alloc_output(&mut self, n: u64, bar: Option<BarWindow>) -> Result<u64, RunError> {
+        match bar {
+            Some(w) => {
+                let buf = self.gpu.alloc(n).ok_or(RunError::OutOfGpuMemory)?;
+                Ok(w.base + buf.offset)
+            }
+            None => self.dram.alloc(n).ok_or(RunError::OutOfHostMemory),
+        }
+    }
+
+    /// The drive pushes `n` bytes of finished objects, ready at `at`, into
+    /// fresh object memory ([`alloc_output`](System::alloc_output)); a
+    /// host-DRAM landing also crosses the memory bus. Returns the DMA end.
+    pub(crate) fn push_output(
+        &mut self,
+        n: u64,
+        bar: Option<BarWindow>,
+        at: SimTime,
+    ) -> Result<SimTime, RunError> {
+        let addr = self.alloc_output(n, bar)?;
+        let dma = self.fabric.dma(self.ssd_dev, DmaDir::Write, addr, n, at)?;
+        if bar.is_none() {
+            self.membus.transfer(dma.start, n);
+        }
+        Ok(dma.end)
     }
 
     /// Builds a Morpheus tenant: takes the MINIT syscall on a host core no
@@ -146,20 +400,18 @@ impl System {
         let meta = self
             .fs
             .open(&spec.input)
-            .map_err(|_| RunError::UnknownFile(spec.input.clone()))?
-            .clone();
-        let chunks = Self::file_chunks(&meta, self.params.mread_chunk_bytes);
+            .map_err(|_| RunError::UnknownFile(spec.input.clone()))?;
+        let chunks = Self::file_chunks(meta, self.params.mread_chunk_bytes);
         let memo_key = self.device_memo_key(spec, &chunks);
-        let prefab = memo_key.and_then(deser_memo::objects_get);
+        let prefab = memo_key.and_then(deser_memo::digest_get);
         let c = self.os.command_completion();
         let iv = self.cpu_cores.acquire(
             start,
             self.cpu.duration(c.instructions, CodeClass::OsKernel),
         );
-        let app = DeserializeApp::new(&spec.name, spec.schema.clone());
         let ready = self
             .mssd
-            .minit_keyed(iid, Box::new(app), iv.end, memo_key)?;
+            .minit_keyed(iid, spec.storage_app(), iv.end, memo_key)?;
         Ok(TenantState::Morpheus {
             chunks,
             next: 0,
@@ -170,7 +422,7 @@ impl System {
             bar,
             memo_key,
             prefab,
-            spec: spec.clone(),
+            schema: spec.schema.clone(),
         })
     }
 
@@ -180,7 +432,7 @@ impl System {
     /// memory bus, flash channels, embedded cores, and PCIe links all
     /// contend exactly as the shared timelines dictate. Only
     /// [`Mode::Conventional`] and [`Mode::Morpheus`] tenants are supported
-    /// (P2P is a single-accelerator concept), and only text inputs.
+    /// (P2P is a single-accelerator concept).
     ///
     /// # Errors
     ///
@@ -201,7 +453,11 @@ impl System {
         let mut states = Vec::with_capacity(tenants.len());
         for (spec, mode) in tenants {
             let state = match mode {
-                Mode::Conventional => self.conventional_tenant(spec, SimTime::ZERO)?,
+                Mode::Conventional => TenantState::Conventional(self.conventional_tenant(
+                    spec,
+                    SimTime::ZERO,
+                    false,
+                )?),
                 Mode::Morpheus => {
                     let iid = self.alloc_instance();
                     self.morpheus_tenant(spec, iid, SimTime::ZERO, None)?
@@ -229,16 +485,16 @@ impl System {
         // Finish every tenant and assemble reports.
         let mut reports = Vec::with_capacity(states.len());
         let mut makespan = SimTime::ZERO;
-        for t in states.iter_mut() {
-            let (name, mode, end, objects) = self.finish_tenant(t)?;
+        for ((spec, mode), t) in tenants.iter().zip(states) {
+            let (end, objects) = self.finish_tenant(t)?;
             makespan = makespan.max(end);
             reports.push(TenantReport {
-                app: name,
-                mode,
+                app: spec.name.clone(),
+                mode: *mode,
                 deser_s: end.as_secs_f64(),
                 records: objects.records,
-                checksum: objects.checksum(),
-                object_bytes: objects.binary_bytes(),
+                checksum: objects.checksum,
+                object_bytes: objects.bytes,
             });
         }
         let makespan_s = makespan.as_secs_f64();
@@ -254,46 +510,9 @@ impl System {
     /// Issues one chunk of one tenant.
     pub(crate) fn step_tenant(&mut self, t: &mut TenantState) -> Result<(), RunError> {
         match t {
-            TenantState::Conventional {
-                spec,
-                chunks,
-                next,
-                parser,
-                last_work,
-                buf_addr,
-                start,
-                cpu_ready,
-            } => {
-                let c = chunks[*next];
-                *next += 1;
-                let (data, t_ssd) = self.mssd.dev.read_range(c.slba, c.blocks, *start)?;
-                let dma = self.fabric.dma(
-                    self.ssd_dev,
-                    DmaDir::Write,
-                    *buf_addr,
-                    c.valid_bytes,
-                    t_ssd,
-                )?;
-                let mb = self.membus.transfer(dma.start, c.valid_bytes);
-                let io_done = dma.end.max(mb.end);
-                parser.feed(&data[..c.valid_bytes as usize])?;
-                let w = parser.work();
-                let dw = w.since(last_work);
-                *last_work = w;
-                let os_cost = self.os.buffered_read(c.valid_bytes);
-                let os_t = self.cpu.duration(os_cost.instructions, CodeClass::OsKernel);
-                let parse_t = self.cpu.duration(
-                    self.params.host_cost.int_path_instructions(&dw)
-                        + self.params.host_cost.float_path_instructions(&dw),
-                    CodeClass::Deserialize,
-                );
-                let iv = self
-                    .cpu_cores
-                    .acquire(io_done.max(*cpu_ready), os_t + parse_t);
-                *cpu_ready = iv.end;
-                self.membus.account(c.valid_bytes);
-                let _ = spec;
-                Ok(())
+            TenantState::Conventional(h) => {
+                let floor = h.start;
+                self.step_host(h, floor).map(drop)
             }
             TenantState::Morpheus {
                 chunks,
@@ -313,23 +532,10 @@ impl System {
                     .mssd
                     .mread(*iid, c.slba, c.blocks, c.valid_bytes, *ready)?;
                 if !out.output.is_empty() {
-                    let n = out.output.len() as u64;
-                    let addr = match bar {
-                        Some(w) => {
-                            let buf = self.gpu.alloc(n).ok_or(RunError::OutOfGpuMemory)?;
-                            w.base + buf.offset
-                        }
-                        None => self.dram.alloc(n).ok_or(RunError::OutOfHostMemory)?,
-                    };
-                    let dma = self
-                        .fabric
-                        .dma(self.ssd_dev, DmaDir::Write, addr, n, out.done)?;
-                    if bar.is_none() {
-                        self.membus.transfer(dma.start, n);
-                    }
+                    let dma_end = self.push_output(out.output.len() as u64, bar, out.done)?;
                     let w = self.os.command_completion();
                     let iv = self.cpu_cores.acquire(
-                        dma.end,
+                        dma_end,
                         self.cpu.duration(w.instructions, CodeClass::OsKernel),
                     );
                     *last_end = (*last_end).max(iv.end);
@@ -347,81 +553,49 @@ impl System {
         }
     }
 
-    /// Completes a tenant's stream and returns its objects.
+    /// Completes a tenant's stream and returns its end time and its
+    /// objects' digest.
     pub(crate) fn finish_tenant(
         &mut self,
-        t: &mut TenantState,
-    ) -> Result<(String, Mode, SimTime, Arc<ParsedColumns>), RunError> {
+        t: TenantState,
+    ) -> Result<(SimTime, ObjectDigest), RunError> {
         match t {
-            TenantState::Conventional {
-                spec,
-                parser,
-                cpu_ready,
-                ..
-            } => {
-                let mut objects =
-                    std::mem::replace(parser, StreamingParser::new(spec.schema.clone()))
-                        .finish()?;
-                objects.canonicalize();
-                Ok((
-                    spec.name.clone(),
-                    Mode::Conventional,
-                    *cpu_ready,
-                    Arc::new(objects),
-                ))
+            TenantState::Conventional(h) => {
+                let (end, digest, _) = h.finish()?;
+                Ok((end, digest))
             }
             TenantState::Morpheus {
-                spec,
+                schema,
                 iid,
                 last_end,
-                obj_bin,
+                mut obj_bin,
                 bar,
                 memo_key,
                 prefab,
                 ..
             } => {
-                let bar = *bar;
-                let dein = self.mssd.mdeinit(*iid, *last_end)?;
+                let dein = self.mssd.mdeinit(iid, last_end)?;
                 let mut end = dein.done;
                 if !dein.host_output.is_empty() {
-                    let n = dein.host_output.len() as u64;
-                    let addr = match bar {
-                        Some(w) => {
-                            let buf = self.gpu.alloc(n).ok_or(RunError::OutOfGpuMemory)?;
-                            w.base + buf.offset
-                        }
-                        None => self.dram.alloc(n).ok_or(RunError::OutOfHostMemory)?,
-                    };
-                    let dma = self
-                        .fabric
-                        .dma(self.ssd_dev, DmaDir::Write, addr, n, dein.done)?;
-                    if bar.is_none() {
-                        self.membus.transfer(dma.start, n);
-                    }
-                    end = dma.end;
+                    end = self.push_output(dein.host_output.len() as u64, bar, dein.done)?;
                 }
                 let c = self.os.command_completion();
                 let iv = self.cpu_cores.acquire(
-                    end.max(*last_end),
+                    end.max(last_end),
                     self.cpu.duration(c.instructions, CodeClass::OsKernel),
                 );
-                let objects = match prefab.take() {
-                    Some(o) => o,
+                let digest = match prefab {
+                    Some(d) => d,
                     None => {
                         obj_bin.extend_from_slice(&dein.host_output);
-                        let o = Arc::new(ParsedColumns::decode(spec.schema.clone(), obj_bin)?);
-                        if let Some(k) = *memo_key {
-                            deser_memo::objects_put(k, o.clone());
+                        let d = ParsedColumns::decode(schema, &obj_bin)?.digest();
+                        if let Some(k) = memo_key {
+                            deser_memo::digest_put(k, d);
                         }
-                        o
+                        d
                     }
                 };
-                let mode = if bar.is_some() {
-                    Mode::MorpheusP2P
-                } else {
-                    Mode::Morpheus
-                };
-                Ok((spec.name.clone(), mode, iv.end, objects))
+                Ok((iv.end, digest))
             }
         }
     }
@@ -529,6 +703,36 @@ mod tests {
             sys.run_deserialize_many(&tenants),
             Err(RunError::NotGpuApp(_))
         ));
+    }
+
+    #[test]
+    fn a_run_after_serving_upgrades_the_digest_only_memo_entry() {
+        if !deser_memo::enabled() {
+            return;
+        }
+        let mut sys = System::new(SystemParams::paper_testbed());
+        sys.create_input_file("up.txt", &edge_text(20_000, 0x5eed_00a1))
+            .unwrap();
+        let spec = AppSpec::cpu_app("up", "up.txt", edge_schema(), 1, 50.0);
+        let replays = |sys: &mut System, keep_columns| {
+            let h = sys
+                .conventional_tenant(&spec, SimTime::ZERO, keep_columns)
+                .unwrap();
+            matches!(h.source, ParseSource::Replay(_))
+        };
+        // Serving records the digest only: it replays for serving, but a
+        // caller that needs the columns back parses live.
+        let mut cfg = crate::ServeConfig::new(1000.0, 0.01);
+        cfg.mode = Mode::Conventional;
+        let rep = sys.serve(std::slice::from_ref(&spec), &cfg).unwrap();
+        assert!(rep.completed > 0);
+        assert!(replays(&mut sys, false));
+        assert!(!replays(&mut sys, true));
+        // That live parse re-records the entry with columns, so the next
+        // run replays too.
+        sys.run(&spec, Mode::Conventional).unwrap();
+        assert!(replays(&mut sys, true));
+        assert!(replays(&mut sys, false));
     }
 
     #[test]

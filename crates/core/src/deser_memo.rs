@@ -22,7 +22,7 @@
 use crate::exec::AppSpec;
 use crate::system::ChunkIo;
 use crate::System;
-use morpheus_format::{ParseWork, ParsedColumns};
+use morpheus_format::{ObjectDigest, ParseWork, ParsedColumns};
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -97,17 +97,21 @@ pub(crate) struct DeviceReplay {
 }
 
 /// A recorded host-side parse of one file: the per-chunk parse-work
-/// deltas (priced live against the run's own cost model) and the final
-/// canonicalized objects.
+/// deltas (priced live against the run's own cost model) and the digest
+/// of the final canonicalized objects. The columns themselves are kept
+/// only when a [`System::run`] caller recorded the entry, because only it
+/// hands them back; serving never retains columns.
 #[derive(Debug)]
 pub(crate) struct HostReplay {
     pub per_chunk: Vec<ParseWork>,
-    pub objects: ParsedColumns,
+    pub digest: ObjectDigest,
+    pub objects: Option<ParsedColumns>,
 }
 
-/// Entry cap per table: a sweep touches tens of distinct inputs, and the
-/// host table holds whole object columns, so the caps bound memory rather
-/// than implement an eviction policy (insertion simply stops).
+/// Entry cap per table: a sweep touches tens of distinct inputs, and
+/// host entries recorded by [`System::run`] hold whole object columns, so
+/// the caps bound memory rather than implement an eviction policy
+/// (insertion simply stops).
 const MAX_ENTRIES: usize = 256;
 
 fn device_table() -> &'static Mutex<HashMap<MemoKey, Arc<DeviceReplay>>> {
@@ -120,13 +124,13 @@ fn host_table() -> &'static Mutex<HashMap<MemoKey, Arc<HostReplay>>> {
     T.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Decoded-object prefabs for the device path: the `ParsedColumns` a full
-/// MINIT→MREAD*→MDEINIT lifecycle decodes from its assembled byte stream.
-/// A pure function of the device memo key (fault-free lifecycles only), so
-/// later identical lifecycles can share the decoded columns by `Arc` and
-/// skip the byte-stream assembly and final decode entirely.
-fn objects_table() -> &'static Mutex<HashMap<MemoKey, Arc<ParsedColumns>>> {
-    static T: OnceLock<Mutex<HashMap<MemoKey, Arc<ParsedColumns>>>> = OnceLock::new();
+/// Object digests for the device path: the [`ObjectDigest`] of the
+/// objects a full MINIT→MREAD*→MDEINIT lifecycle decodes from its
+/// assembled byte stream. A pure function of the device memo key
+/// (fault-free lifecycles only), so later identical lifecycles skip the
+/// byte-stream assembly, the final decode and the checksum entirely.
+fn digest_table() -> &'static Mutex<HashMap<MemoKey, ObjectDigest>> {
+    static T: OnceLock<Mutex<HashMap<MemoKey, ObjectDigest>>> = OnceLock::new();
     T.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -152,16 +156,12 @@ pub(crate) fn device_put(key: MemoKey, rec: Arc<DeviceReplay>) {
     }
 }
 
-pub(crate) fn objects_get(key: MemoKey) -> Option<Arc<ParsedColumns>> {
-    objects_table()
-        .lock()
-        .expect("memo lock")
-        .get(&key)
-        .cloned()
+pub(crate) fn digest_get(key: MemoKey) -> Option<ObjectDigest> {
+    digest_table().lock().expect("memo lock").get(&key).copied()
 }
 
-pub(crate) fn objects_put(key: MemoKey, rec: Arc<ParsedColumns>) {
-    let mut t = objects_table().lock().expect("memo lock");
+pub(crate) fn digest_put(key: MemoKey, rec: ObjectDigest) {
+    let mut t = digest_table().lock().expect("memo lock");
     if t.len() < MAX_ENTRIES || t.contains_key(&key) {
         t.insert(key, rec);
     }
@@ -286,25 +286,39 @@ mod tests {
     fn tables_cap_but_allow_overwrite() {
         // Overwriting an existing key never counts against the cap.
         let k = (u64::MAX, u64::MAX);
+        let d = |records| ObjectDigest {
+            records,
+            bytes: 8 * records,
+            checksum: records ^ 0x5a,
+        };
+        // A digest-only host entry (what serving records) is upgraded in
+        // place by one that carries columns (what `System::run` records).
         host_put(
             k,
             Arc::new(HostReplay {
                 per_chunk: vec![],
-                objects: ParsedColumns::empty(morpheus_format::Schema::new(vec![
-                    morpheus_format::FieldKind::U32,
-                ])),
+                digest: d(0),
+                objects: None,
             }),
         );
-        assert!(host_get(k).is_some());
+        assert!(host_get(k).unwrap().objects.is_none());
         host_put(
             k,
             Arc::new(HostReplay {
                 per_chunk: vec![ParseWork::default()],
-                objects: ParsedColumns::empty(morpheus_format::Schema::new(vec![
+                digest: d(0),
+                objects: Some(ParsedColumns::empty(morpheus_format::Schema::new(vec![
                     morpheus_format::FieldKind::U32,
-                ])),
+                ]))),
             }),
         );
-        assert_eq!(host_get(k).unwrap().per_chunk.len(), 1);
+        let upgraded = host_get(k).unwrap();
+        assert_eq!(upgraded.per_chunk.len(), 1);
+        assert!(upgraded.objects.is_some());
+
+        digest_put(k, d(1));
+        assert_eq!(digest_get(k), Some(d(1)));
+        digest_put(k, d(2));
+        assert_eq!(digest_get(k), Some(d(2)));
     }
 }

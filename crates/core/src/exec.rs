@@ -15,11 +15,8 @@
 //!   memory through the BAR NVMe-P2P mapped.
 
 use crate::report::{Mode, Phases, RunReport};
-use crate::system::ChunkIo;
 use crate::{BinaryDeserializeApp, DeserializeApp, MorpheusError, StorageApp, StorageKind, System};
-use morpheus_format::{
-    BinaryStreamParser, Endianness, ParseError, ParseWork, ParsedColumns, Schema, StreamingParser,
-};
+use morpheus_format::{Endianness, ObjectDigest, ParseError, ParsedColumns, Schema};
 use morpheus_gpu::KernelCost;
 use morpheus_host::CodeClass;
 use morpheus_nvme::{MorpheusCommand, NvmeCommand, StatusCode};
@@ -134,42 +131,17 @@ impl AppSpec {
         self.input_format = format;
         self
     }
-}
 
-/// Host-side parser dispatch over the input encoding.
-enum HostParser {
-    Text(StreamingParser),
-    Binary(BinaryStreamParser),
-}
-
-impl HostParser {
-    fn new(schema: &Schema, format: InputFormat) -> HostParser {
-        match format {
-            InputFormat::Text => HostParser::Text(StreamingParser::new(schema.clone())),
-            InputFormat::Binary(e) => {
-                HostParser::Binary(BinaryStreamParser::new(schema.clone(), e))
-            }
-        }
-    }
-
-    fn feed(&mut self, chunk: &[u8]) -> Result<(), ParseError> {
-        match self {
-            HostParser::Text(p) => p.feed(chunk),
-            HostParser::Binary(p) => p.feed(chunk),
-        }
-    }
-
-    fn work(&self) -> ParseWork {
-        match self {
-            HostParser::Text(p) => p.work(),
-            HostParser::Binary(p) => p.work(),
-        }
-    }
-
-    fn finish(self) -> Result<ParsedColumns, ParseError> {
-        match self {
-            HostParser::Text(p) => p.finish(),
-            HostParser::Binary(p) => p.finish(),
+    /// The StorageApp that deserializes this spec's input encoding on the
+    /// drive: every Morpheus path (solo, tenant, served) installs this one.
+    pub(crate) fn storage_app(&self) -> Box<dyn StorageApp> {
+        match self.input_format {
+            InputFormat::Text => Box::new(DeserializeApp::new(&self.name, self.schema.clone())),
+            InputFormat::Binary(e) => Box::new(BinaryDeserializeApp::new(
+                &self.name,
+                self.schema.clone(),
+                e,
+            )),
         }
     }
 }
@@ -340,191 +312,86 @@ impl System {
     }
 
     fn run_conventional(&mut self, spec: &AppSpec) -> Result<RunOutcome, RunError> {
-        let meta = self
-            .fs
-            .open(&spec.input)
-            .map_err(|_| RunError::UnknownFile(spec.input.clone()))?
-            .clone();
-        let (objects, window) = self.host_deser_window(spec, &meta, SimTime::ZERO)?;
-        self.finish_run(spec, Mode::Conventional, objects, window)
+        let (objects, digest, window) = self.host_deser_window(spec, SimTime::ZERO)?;
+        self.finish_run(spec, Mode::Conventional, objects, digest, window)
     }
 
     /// The host-side `read()`+parse loop of Fig. 1, shared by the
-    /// conventional mode and the Morpheus fallback path: deserializes the
-    /// whole file starting no earlier than `start`, allocates the object
-    /// region, and returns the objects with the window summary.
+    /// conventional mode and the Morpheus fallback path: drives the host
+    /// engine ([`System::step_host`]) over the whole file starting no
+    /// earlier than `start`, framing each chunk with its fault roll, NVMe
+    /// round trip and spans, then allocates the object region and returns
+    /// the objects, their digest and the window summary.
     fn host_deser_window(
         &mut self,
         spec: &AppSpec,
-        meta: &morpheus_host::FileMeta,
         start: SimTime,
-    ) -> Result<(ParsedColumns, DeserWindow), RunError> {
-        let chunks = Self::file_chunks(meta, self.params.conventional_chunk_bytes);
-        // Record/replay of the parse work (see `deser_memo`): storage I/O,
-        // OS costs, and CPU-core grants always run live against this run's
-        // timelines; only the parser itself is skipped when a recording
-        // for this exact content and chunking exists. The recorded values
-        // (per-chunk work deltas, canonical objects) are pure functions of
-        // the key, so replayed runs are byte-identical to live ones.
-        let memo_key = self.host_memo_key(spec, &chunks);
-        let replay = memo_key.and_then(crate::deser_memo::host_get);
-        if let Some(r) = &replay {
-            assert_eq!(
-                r.per_chunk.len(),
-                chunks.len(),
-                "deser-memo chunk-count mismatch (key collision?)"
-            );
-        }
-        let mut parser = match replay {
-            None => Some(HostParser::new(&spec.schema, spec.input_format)),
-            Some(_) => None,
-        };
-        let mut recorded: Vec<ParseWork> = Vec::new();
-        // Buffer X of Fig. 1(b): the raw-text landing buffer.
-        let buf_addr = self
-            .dram
-            .alloc(self.params.conventional_chunk_bytes)
-            .ok_or(RunError::OutOfHostMemory)?;
-        let mut last_work = ParseWork::default();
-        let mut cpu_ready = start;
+    ) -> Result<(ParsedColumns, ObjectDigest, DeserWindow), RunError> {
+        let mut h = self.conventional_tenant(spec, start, true)?;
+        let nvme = matches!(self.params.storage, StorageKind::NvmeSsd);
         let mut cpu_busy = SimDuration::ZERO;
         // QD-1 blocking reads: the next command is submitted when the
         // previous one's data has landed (traced as the NVMe lifecycle).
         let mut submit = start;
-        for (ci, c) in chunks.iter().enumerate() {
-            let cid = self.alloc_cid();
+        while let Some(c) = h.next_chunk() {
             // The injected-timeout floor: `start` when the command went
             // out untouched, later when reissues pushed it back. On this
             // path there is nothing left to fall back to, so an exhausted
             // reissue budget is a clean run failure.
-            let floor = if matches!(self.params.storage, StorageKind::NvmeSsd) {
-                self.issue_with_timeouts(submit, start)
-                    .map_err(|(_, attempts)| RunError::CommandTimeout { attempts })?
+            let floor = if nvme {
+                let cid = self.alloc_cid();
+                let floor = self
+                    .issue_with_timeouts(submit, start)
+                    .map_err(|(_, attempts)| RunError::CommandTimeout { attempts })?;
+                let cmd = NvmeCommand::read(cid, 1, c.slba, c.blocks, h.buf_addr);
+                self.round_trip(cmd, StatusCode::Success, 0);
+                floor
             } else {
                 start
             };
-            let (text, io_done) = self.conventional_io(c, cid, buf_addr, floor)?;
-            if matches!(self.params.storage, StorageKind::NvmeSsd) {
+            let step = self.step_host(&mut h, floor)?;
+            if nvme {
                 self.tracer.span_bytes(
                     TraceLayer::Nvme,
                     NVME_TRACK,
                     "READ",
                     submit,
-                    io_done,
+                    step.io_done,
                     c.valid_bytes,
                 );
                 self.nvme_lat
-                    .record(io_done.duration_since(submit).as_nanos());
-                submit = io_done;
+                    .record(step.io_done.duration_since(submit).as_nanos());
+                submit = step.io_done;
             }
-            let dw = match &replay {
-                Some(r) => r.per_chunk[ci],
-                None => {
-                    let p = parser.as_mut().expect("live path has a parser");
-                    p.feed(&text[..c.valid_bytes as usize])?;
-                    let w = p.work();
-                    let dw = w.since(&last_work);
-                    last_work = w;
-                    if memo_key.is_some() {
-                        recorded.push(dw);
-                    }
-                    dw
-                }
-            };
-            let os_cost = self.os.buffered_read(c.valid_bytes);
-            let os_t = self.cpu.duration(os_cost.instructions, CodeClass::OsKernel);
-            let parse_t = self.cpu.duration(
-                self.params.host_cost.int_path_instructions(&dw)
-                    + self.params.host_cost.float_path_instructions(&dw),
-                CodeClass::Deserialize,
-            );
-            let iv = self
-                .cpu_cores
-                .acquire(io_done.max(cpu_ready), os_t + parse_t);
             self.tracer
-                .instant(TraceLayer::Host, OS_TRACK, "context-switch", iv.start);
+                .instant(TraceLayer::Host, OS_TRACK, "context-switch", step.cpu.start);
             self.tracer.span_bytes(
                 TraceLayer::Host,
                 self.cpu_cores.name(),
                 "read+parse",
-                iv.start,
-                iv.end,
+                step.cpu.start,
+                step.cpu.end,
                 c.valid_bytes,
             );
-            cpu_ready = iv.end;
-            cpu_busy += iv.duration();
-            // The parse loop streams the text back out of DRAM.
-            self.membus.account(c.valid_bytes);
+            cpu_busy += step.cpu.duration();
         }
-        let objects = match replay {
-            Some(r) => r.objects.clone(),
-            None => {
-                let mut o = parser.take().expect("live path has a parser").finish()?;
-                o.canonicalize();
-                if let Some(key) = memo_key {
-                    crate::deser_memo::host_put(
-                        key,
-                        std::sync::Arc::new(crate::deser_memo::HostReplay {
-                            per_chunk: recorded,
-                            objects: o.clone(),
-                        }),
-                    );
-                }
-                o
-            }
-        };
-        let obj_bytes = objects.binary_bytes();
+        let text_bytes = h.text_bytes();
+        let (end, digest, objects) = h.finish()?;
+        let objects = objects.expect("built to keep its columns");
         // Location Y of Fig. 1(b): the object arrays.
         let obj_addr = self
             .dram
-            .alloc(obj_bytes.max(1))
+            .alloc(digest.bytes.max(1))
             .ok_or(RunError::OutOfHostMemory)?;
-        self.membus.account(obj_bytes);
+        self.membus.account(digest.bytes);
         let window = DeserWindow {
-            end: cpu_ready,
+            end,
             cpu_busy,
-            text_bytes: meta.len,
+            text_bytes,
             obj_addr,
             fell_back: false,
         };
-        Ok((objects, window))
-    }
-
-    /// One conventional-path input chunk on the configured storage device,
-    /// served no earlier than `ready`.
-    fn conventional_io(
-        &mut self,
-        c: &ChunkIo,
-        cid: u16,
-        buf_addr: u64,
-        ready: SimTime,
-    ) -> Result<(Vec<u8>, SimTime), RunError> {
-        match self.params.storage {
-            StorageKind::NvmeSsd => {
-                let cmd = NvmeCommand::read(cid, 1, c.slba, c.blocks, buf_addr);
-                self.round_trip(cmd, StatusCode::Success, 0);
-                let (data, t) = self.mssd.dev.read_range(c.slba, c.blocks, ready)?;
-                let dma =
-                    self.fabric
-                        .dma(self.ssd_dev, DmaDir::Write, buf_addr, c.valid_bytes, t)?;
-                let mb = self.membus.transfer(dma.start, c.valid_bytes);
-                Ok((data, dma.end.max(mb.end)))
-            }
-            StorageKind::RamDrive => {
-                let data = self.mssd.dev.read_range_untimed(c.slba, c.blocks)?;
-                let mb = self.membus.transfer(ready, c.valid_bytes);
-                Ok((data, mb.end))
-            }
-            StorageKind::Hdd => {
-                let data = self.mssd.dev.read_range_untimed(c.slba, c.blocks)?;
-                let seek = SimDuration::from_secs_f64(self.params.hdd_seek_ms / 1e3);
-                let stream =
-                    SimDuration::from_secs_f64(c.valid_bytes as f64 / (self.params.hdd_mbs * 1e6));
-                let iv = self.hdd.acquire(ready, seek + stream);
-                let mb = self.membus.transfer(iv.start, c.valid_bytes);
-                Ok((data, iv.end.max(mb.end)))
-            }
-        }
+        Ok((objects, digest, window))
     }
 
     /// Rolls the NVMe command-loss dice for one submission at `submit`.
@@ -685,19 +552,14 @@ impl System {
             fi.counters.host_fallbacks += 1;
             fi.fallback_cause = Some(cause);
         }
-        let meta = self
-            .fs
-            .open(&spec.input)
-            .map_err(|_| RunError::UnknownFile(spec.input.clone()))?
-            .clone();
-        let (objects, mut window) = self.host_deser_window(spec, &meta, at)?;
+        let (objects, digest, mut window) = self.host_deser_window(spec, at)?;
         window.fell_back = true;
         let mode = if p2p {
             Mode::MorpheusP2P
         } else {
             Mode::Morpheus
         };
-        self.finish_run(spec, mode, objects, window)
+        self.finish_run(spec, mode, objects, digest, window)
     }
 
     fn try_morpheus(&mut self, spec: &AppSpec, p2p: bool) -> Result<RunOutcome, MorpheusAbort> {
@@ -709,14 +571,7 @@ impl System {
         let chunks = stream.chunks().to_vec();
         let memo_key = self.device_memo_key(spec, &chunks);
         let iid = self.alloc_instance();
-        let app: Box<dyn StorageApp> = match spec.input_format {
-            InputFormat::Text => Box::new(DeserializeApp::new(&spec.name, spec.schema.clone())),
-            InputFormat::Binary(e) => Box::new(BinaryDeserializeApp::new(
-                &spec.name,
-                spec.schema.clone(),
-                e,
-            )),
-        };
+        let app = spec.storage_app();
         let code_bytes = app.code_bytes();
 
         // Host side: issue MINIT (one syscall + switch into the driver).
@@ -828,7 +683,8 @@ impl System {
         } else {
             Mode::Morpheus
         };
-        Ok(self.finish_run(spec, mode, objects, window)?)
+        let digest = objects.digest();
+        Ok(self.finish_run(spec, mode, objects, digest, window)?)
     }
 
     /// DMAs one MREAD's output to its destination (host DRAM or the GPU
@@ -846,13 +702,7 @@ impl System {
             return Ok(None);
         }
         let n = output.len() as u64;
-        let addr = match bar {
-            Some(w) => {
-                let buf = self.gpu.alloc(n).ok_or(RunError::OutOfGpuMemory)?;
-                w.base + buf.offset
-            }
-            None => self.dram.alloc(n).ok_or(RunError::OutOfHostMemory)?,
-        };
+        let addr = self.alloc_output(n, bar)?;
         if blocks > 0 {
             let cid = self.alloc_cid();
             let wire = MorpheusCommand::Read {
@@ -891,15 +741,26 @@ impl System {
     }
 
     /// Shared tail: other-CPU phase, copy phase, kernel phase, report.
+    /// `digest` is `objects.digest()`, which the host engine already has
+    /// (from its memo or its own finish), so the run does not re-hash.
     fn finish_run(
         &mut self,
         spec: &AppSpec,
         mode: Mode,
         objects: ParsedColumns,
+        digest: ObjectDigest,
         window: DeserWindow,
     ) -> Result<RunOutcome, RunError> {
-        let records = objects.records;
-        let obj_bytes = objects.binary_bytes();
+        debug_assert_eq!(
+            objects.digest(),
+            digest,
+            "the digest must describe these objects"
+        );
+        let ObjectDigest {
+            records,
+            bytes: obj_bytes,
+            checksum,
+        } = digest;
         let membus_deser = self.membus.traffic_bytes();
         let acct = self.os.accounting();
 
@@ -1037,7 +898,7 @@ impl System {
             text_bytes: window.text_bytes,
             object_bytes: obj_bytes,
             records,
-            checksum: objects.checksum(),
+            checksum,
             effective_bandwidth_mbs: crate::report::mb_per_sec(obj_bytes, deser_s),
             context_switches: acct.context_switches,
             cs_per_second: if deser_s > 0.0 {
@@ -1226,5 +1087,26 @@ mod tests {
             slow_speedup > fast_speedup,
             "slow {slow_speedup} should exceed fast {fast_speedup}"
         );
+    }
+
+    #[test]
+    fn conventional_runs_release_every_command_id_on_every_storage() {
+        // Small chunks so the file takes many reads. Only NVMe reads are
+        // commands; a RAM-drive or HDD read must not hold a CID either.
+        for storage in [
+            StorageKind::NvmeSsd,
+            StorageKind::RamDrive,
+            StorageKind::Hdd,
+        ] {
+            let mut params = SystemParams::paper_testbed();
+            params.storage = storage;
+            params.conventional_chunk_bytes = 16 << 10;
+            let mut sys = System::new(params);
+            sys.create_input_file("edges.txt", &edge_text(20_000))
+                .unwrap();
+            let spec = AppSpec::cpu_app("bfs", "edges.txt", edge_schema(), 4, 100.0);
+            sys.run(&spec, Mode::Conventional).unwrap();
+            assert_eq!(sys.in_flight_cids.len(), 0, "{storage:?}");
+        }
     }
 }

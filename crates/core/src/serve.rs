@@ -17,8 +17,8 @@ use crate::cache::{self, CacheEvent, CacheHit, CacheStats, CacheTier};
 use crate::concurrent::TenantState;
 use crate::exec::{AppSpec, MorpheusAbort, RunError};
 use crate::report::{mb_per_sec, Mode};
-use crate::{DeserializeApp, StorageApp, StorageKind, System};
-use morpheus_format::ParsedColumns;
+use crate::{StorageKind, System};
+use morpheus_format::ObjectDigest;
 use morpheus_host::CodeClass;
 use morpheus_nvme::{AdminController, MorpheusCommand, NvmeCommand, StatusCode};
 use morpheus_pcie::{BarWindow, DmaDir};
@@ -28,7 +28,6 @@ use morpheus_simcore::{
 };
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
 
 /// Trace track for serving-layer events (admission, waits, requests).
 const SERVE_TRACK: &str = "serve";
@@ -399,8 +398,8 @@ struct ServeCtx<'a> {
     /// Per-app format digests (part of the cache key), computed once.
     digests: Vec<u64>,
     /// Per-app deserializer code sizes for MINIT, computed once — the
-    /// dispatch loop must not rebuild a `DeserializeApp` (name string +
-    /// schema clone) per request just to read this.
+    /// dispatch loop must not rebuild a StorageApp (name string + schema
+    /// clone) per request just to read this.
     code_lens: Vec<u32>,
 }
 
@@ -520,6 +519,13 @@ impl System {
         // The arrival window closed; serve out the queue.
         self.drain_due(&mut st, &mut ctx, SimTime::from_nanos(u64::MAX))?;
         debug_assert_eq!(st.queued, 0);
+        // The request ledger: every offered request completed, was shed,
+        // or failed (overflow fallbacks and fault re-dispatches complete).
+        debug_assert_eq!(
+            st.rep.completed + st.rep.shed + st.rep.failed,
+            st.rep.offered,
+            "request ledger out of balance"
+        );
 
         // Totals and derived rates.
         st.rep.doorbell_writes = (0..apps.len())
@@ -624,10 +630,7 @@ impl System {
             cmds_scratch: Vec::new(),
         };
         let digests: Vec<u64> = apps.iter().map(cache::format_digest).collect();
-        let code_lens: Vec<u32> = apps
-            .iter()
-            .map(|a| DeserializeApp::new(&a.name, a.schema.clone()).code_bytes())
-            .collect();
+        let code_lens: Vec<u32> = apps.iter().map(|a| a.storage_app().code_bytes()).collect();
         let ctx = ServeCtx {
             cfg,
             apps,
@@ -766,31 +769,22 @@ impl System {
             }
         };
         let dram_before = self.dram.allocated();
-        let mut t = self.conventional_tenant(spec, floor)?;
-        while !t.finished_chunks() {
-            if let TenantState::Conventional {
-                chunks,
-                next,
-                buf_addr,
-                ..
-            } = &t
-            {
-                let c = chunks[*next];
-                let cid = self.alloc_cid();
-                wire.push((
-                    NvmeCommand::read(cid, 1, c.slba, c.blocks, *buf_addr),
-                    StatusCode::Success,
-                    0,
-                ));
-            }
-            self.step_tenant(&mut t)?;
+        let mut h = self.conventional_tenant(spec, floor, false)?;
+        while let Some(c) = h.next_chunk() {
+            let cid = self.alloc_cid();
+            wire.push((
+                NvmeCommand::read(cid, 1, c.slba, c.blocks, h.buf_addr),
+                StatusCode::Success,
+                0,
+            ));
+            self.step_host(&mut h, floor)?;
         }
-        let (_name, _mode, end, objects) = self.finish_tenant(&mut t)?;
+        let (end, objects, _) = h.finish()?;
         // Serving is steady-state: the request's buffers are returned once
         // its objects are handed to the application.
         let freed = self.dram.allocated().saturating_sub(dram_before);
         self.dram.free(freed);
-        self.record_done(st, r, start, end, &objects, ServePath::Host);
+        self.record_done(st, r, start, end, objects, ServePath::Host);
         Ok(end)
     }
 
@@ -834,7 +828,7 @@ impl System {
                     let end = self.cache_delivery(&hit, start, bar)?;
                     let freed = self.dram.allocated().saturating_sub(dram_before);
                     self.dram.free(freed);
-                    self.record_done(st, r, start, end, &hit.objects, ServePath::CacheHit);
+                    self.record_done(st, r, start, end, hit.objects, ServePath::CacheHit);
                     return Ok(end);
                 }
                 None => {
@@ -851,7 +845,7 @@ impl System {
             Ok((end, objects)) => {
                 let freed = self.dram.allocated().saturating_sub(dram_before);
                 self.dram.free(freed);
-                self.record_done(st, r, start, end, &objects, ServePath::Embedded);
+                self.record_done(st, r, start, end, objects, ServePath::Embedded);
                 if let Some(c) = self.object_cache.as_mut() {
                     c.admit(&spec.name, &spec.input, digest, objects);
                     self.emit_cache_events(end);
@@ -904,7 +898,7 @@ impl System {
         start: SimTime,
         bar: Option<BarWindow>,
         wire: &mut Vec<WireCmd>,
-    ) -> Result<(SimTime, Arc<ParsedColumns>), MorpheusAbort> {
+    ) -> Result<(SimTime, ObjectDigest), MorpheusAbort> {
         let ncores = self.mssd.dev.cores().cores();
         // Stable affinity: app k's instances always pin to core k % n, so
         // a tenant's requests queue behind each other, not behind
@@ -971,8 +965,8 @@ impl System {
         if let TenantState::Morpheus { last_end, .. } = &mut t {
             *last_end = floor;
         }
-        let (_name, _mode, end, objects) = self
-            .finish_tenant(&mut t)
+        let (end, objects) = self
+            .finish_tenant(t)
             .map_err(|e| Self::media_or_fatal(e, iid, floor))?;
         let cid = self.alloc_cid();
         wire.push((
@@ -992,15 +986,15 @@ impl System {
         r: Request,
         service_start: SimTime,
         end: SimTime,
-        objects: &ParsedColumns,
+        objects: ObjectDigest,
         path: ServePath,
     ) {
         st.rep.completed += 1;
         st.rep.records += objects.records;
-        let ck = objects.checksum();
+        let ck = objects.checksum;
         st.rep.checksum = st.rep.checksum.rotate_left(1) ^ ck;
         st.rep.checksum_unordered = st.rep.checksum_unordered.wrapping_add(ck);
-        st.obj_bytes += objects.binary_bytes();
+        st.obj_bytes += objects.bytes;
         let wait = service_start.saturating_duration_since(r.arrival);
         let service = end.saturating_duration_since(service_start);
         let e2e = end.saturating_duration_since(r.arrival);
@@ -1028,7 +1022,7 @@ impl System {
             "request",
             service_start,
             end,
-            objects.binary_bytes(),
+            objects.bytes,
         );
     }
 
@@ -1045,34 +1039,22 @@ impl System {
         start: SimTime,
         bar: Option<BarWindow>,
     ) -> Result<SimTime, RunError> {
-        let n = hit.bytes;
-        let addr = match bar {
-            Some(w) => {
-                let buf = self.gpu.alloc(n).ok_or(RunError::OutOfGpuMemory)?;
-                w.base + buf.offset
-            }
-            None => self.dram.alloc(n).ok_or(RunError::OutOfHostMemory)?,
-        };
+        let n = hit.objects.bytes;
         let done = match hit.tier {
-            CacheTier::Dram => {
-                let dma = self
-                    .fabric
-                    .dma(self.ssd_dev, DmaDir::Write, addr, n, start)?;
-                if bar.is_none() {
-                    self.membus.transfer(dma.start, n);
+            CacheTier::Dram => self.push_output(n, bar, start)?,
+            CacheTier::Host => {
+                self.alloc_output(n, bar)?;
+                match bar {
+                    // The GPU pulls the object out of host memory (address
+                    // 0 routes to host DRAM, where the spill tier lives).
+                    Some(_) => {
+                        self.fabric
+                            .dma(self.gpu_dev, DmaDir::Read, 0, n, start)?
+                            .end
+                    }
+                    None => self.membus.transfer(start, n).end,
                 }
-                dma.end
             }
-            CacheTier::Host => match bar {
-                // The GPU pulls the object out of host memory (address 0
-                // routes to host DRAM, where the spill tier lives).
-                Some(_) => {
-                    self.fabric
-                        .dma(self.gpu_dev, DmaDir::Read, 0, n, start)?
-                        .end
-                }
-                None => self.membus.transfer(start, n).end,
-            },
         };
         let c = self.os.command_completion();
         let iv = self

@@ -42,6 +42,6 @@ pub use binfmt::{encode_binary, parse_binary, BinaryStreamParser, Endianness};
 pub use error::{ParseError, ParseErrorKind};
 pub use printer::{SerializeWork, TextWriter};
 pub use scanner::TextScanner;
-pub use schema::{parse_buffer, Column, FieldKind, ParsedColumns, Schema};
+pub use schema::{parse_buffer, Column, FieldKind, ObjectDigest, ParsedColumns, Schema};
 pub use stream::{parse_chunked, StreamingParser};
 pub use work::{CostModel, ParseWork};

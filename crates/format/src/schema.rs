@@ -109,6 +109,20 @@ impl Column {
     }
 }
 
+/// What a consumer that only counts and verifies objects needs of them:
+/// their record count, binary size and checksum. Computed once per
+/// content with [`ParsedColumns::digest`], it stands in for the columns
+/// wherever nothing reads the values themselves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ObjectDigest {
+    /// Records deserialized.
+    pub records: u64,
+    /// Binary object size ([`ParsedColumns::binary_bytes`]).
+    pub bytes: u64,
+    /// [`ParsedColumns::checksum`] of the objects.
+    pub checksum: u64,
+}
+
 /// The application objects a deserialization produced: one column per
 /// schema field, in field order.
 #[derive(Debug, Clone, PartialEq)]
@@ -173,6 +187,15 @@ impl ParsedColumns {
             }
         }
         h
+    }
+
+    /// Records, binary size and checksum in one value.
+    pub fn digest(&self) -> ObjectDigest {
+        ObjectDigest {
+            records: self.records,
+            bytes: self.binary_bytes(),
+            checksum: self.checksum(),
+        }
     }
 
     /// Splits off the first `records` rows, leaving only the values of a
@@ -414,6 +437,16 @@ mod tests {
         assert_ne!(a.checksum(), b.checksum());
         let (a2, _) = parse_buffer(b"0 1\n", &edge_schema()).unwrap();
         assert_eq!(a.checksum(), a2.checksum());
+    }
+
+    #[test]
+    fn digest_carries_records_bytes_and_checksum() {
+        let (p, _) = parse_buffer(b"0 1\n2 3\n", &edge_schema()).unwrap();
+        let d = p.digest();
+        assert_eq!(
+            (d.records, d.bytes, d.checksum),
+            (p.records, p.binary_bytes(), p.checksum())
+        );
     }
 
     #[test]

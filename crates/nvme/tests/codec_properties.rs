@@ -72,7 +72,42 @@ fn morpheus_strategy() -> impl Strategy<Value = MorpheusCommand> {
     ]
 }
 
+/// An opcode byte: any value, or a valid opcode so that most 64-byte
+/// packets decode.
+fn opcode_byte_strategy() -> impl Strategy<Value = u8> {
+    prop_oneof![any::<u8>(), opcode_strategy().prop_map(|o| o as u8),]
+}
+
 proptest! {
+    /// Malformed packets never panic the codec: `decode` rejects every
+    /// length but 64 and unknown opcodes with `None`, and the typed
+    /// Morpheus view of whatever decodes never panics either.
+    #[test]
+    fn decode_never_panics_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..=128),
+    ) {
+        if let Some(cmd) = NvmeCommand::decode(&bytes) {
+            prop_assert_eq!(bytes.len(), 64);
+            let _ = MorpheusCommand::parse(&cmd);
+        }
+    }
+
+    #[test]
+    fn decode_never_panics_on_64_byte_packets(
+        mut bytes in proptest::collection::vec(any::<u8>(), 64),
+        opcode in opcode_byte_strategy(),
+    ) {
+        bytes[0] = opcode;
+        match NvmeCommand::decode(&bytes) {
+            Some(cmd) => {
+                prop_assert_eq!(cmd.opcode as u8, opcode);
+                let parsed = MorpheusCommand::parse(&cmd);
+                prop_assert_eq!(parsed.is_some(), cmd.opcode.is_morpheus());
+            }
+            None => prop_assert!(IoOpcode::from_u8(opcode).is_none()),
+        }
+    }
+
     #[test]
     fn packet_codec_round_trips(cmd in command_strategy()) {
         let bytes = cmd.encode();
