@@ -14,16 +14,25 @@
 //!
 //! Keys fold every input that determines the recorded values: the file's
 //! content digest, the app's schema/format, the chunk geometry, and (for
-//! the device path) the SSD config and embedded-core cost model. Fault
-//! injection perturbs functional behavior, so keys are only issued on
-//! fault-free runs. Set `MORPHEUS_DESER_MEMO=0` to disable replay (used
-//! for A/B timing comparisons).
+//! the device path) the drive configuration digest (SSD config,
+//! embedded-core cost model and page size), which each `MorpheusSsd`
+//! computes once at bring-up. Fault injection perturbs functional
+//! behavior, so keys are only issued on fault-free runs. Set
+//! `MORPHEUS_DESER_MEMO=0` to disable replay (used for A/B timing
+//! comparisons).
+//!
+//! Each table holds at most `MAX_ENTRIES` entries and evicts its oldest
+//! entry (first in, first out) to admit a new key, so a workload that
+//! touches more distinct inputs than that keeps replaying its recent ones.
+//! Recorded output bytes are shared (`Arc`), so a replayed MREAD or
+//! MDEINIT hands out the recording instead of copying it.
 
 use crate::exec::AppSpec;
 use crate::system::ChunkIo;
 use crate::System;
-use morpheus_format::{ObjectDigest, ParseWork, ParsedColumns};
-use std::collections::HashMap;
+use morpheus_format::{CostModel, ObjectDigest, ParseWork, ParsedColumns};
+use morpheus_ssd::Ssd;
+use std::collections::{HashMap, VecDeque};
 use std::fmt::{self, Write as _};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -76,14 +85,14 @@ impl fmt::Write for FnvStream {
 
 /// One recorded MREAD: its wire geometry (re-verified at replay), the
 /// embedded-core instruction count of each page's parse step, and the
-/// output bytes staged for DMA.
+/// output bytes staged for DMA (shared with every replay).
 #[derive(Debug)]
 pub(crate) struct CmdRecord {
     pub slba: u64,
     pub blocks: u64,
     pub valid_bytes: u64,
     pub page_instr: Vec<f64>,
-    pub output: Arc<[u8]>,
+    pub output: Arc<Vec<u8>>,
 }
 
 /// A full recorded MINIT→MREAD*→MDEINIT instance lifecycle.
@@ -93,7 +102,7 @@ pub(crate) struct DeviceReplay {
     /// MDEINIT instruction count (includes command dispatch, as charged).
     pub finish_instr: f64,
     pub retval: i32,
-    pub host_output: Arc<[u8]>,
+    pub host_output: Arc<Vec<u8>>,
 }
 
 /// A recorded host-side parse of one file: the per-chunk parse-work
@@ -108,20 +117,70 @@ pub(crate) struct HostReplay {
     pub objects: Option<ParsedColumns>,
 }
 
-/// Entry cap per table: a sweep touches tens of distinct inputs, and
-/// host entries recorded by [`System::run`] hold whole object columns, so
-/// the caps bound memory rather than implement an eviction policy
-/// (insertion simply stops).
+/// Entry cap per table. Host entries recorded by [`System::run`] hold
+/// whole object columns, so the cap bounds memory; past it a table evicts
+/// its oldest entry to admit a new key.
 const MAX_ENTRIES: usize = 256;
 
-fn device_table() -> &'static Mutex<HashMap<MemoKey, Arc<DeviceReplay>>> {
-    static T: OnceLock<Mutex<HashMap<MemoKey, Arc<DeviceReplay>>>> = OnceLock::new();
-    T.get_or_init(|| Mutex::new(HashMap::new()))
+/// A memo table of at most `cap` entries. Admitting a new key into a full
+/// table evicts the oldest one (first in, first out); overwriting a key
+/// already present replaces its value in place, keeps its age and evicts
+/// nothing.
+#[derive(Debug)]
+struct BoundedTable<V> {
+    map: HashMap<MemoKey, V>,
+    /// Keys in insertion order, oldest first.
+    order: VecDeque<MemoKey>,
+    cap: usize,
 }
 
-fn host_table() -> &'static Mutex<HashMap<MemoKey, Arc<HostReplay>>> {
-    static T: OnceLock<Mutex<HashMap<MemoKey, Arc<HostReplay>>>> = OnceLock::new();
-    T.get_or_init(|| Mutex::new(HashMap::new()))
+impl<V: Clone> BoundedTable<V> {
+    fn new(cap: usize) -> Self {
+        assert!(cap > 0, "a memo table holds at least one entry");
+        BoundedTable {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            cap,
+        }
+    }
+
+    fn get(&self, key: MemoKey) -> Option<V> {
+        self.map.get(&key).cloned()
+    }
+
+    fn put(&mut self, key: MemoKey, value: V) {
+        if let Some(slot) = self.map.get_mut(&key) {
+            *slot = value;
+            return;
+        }
+        if self.map.len() == self.cap {
+            let oldest = self
+                .order
+                .pop_front()
+                .expect("a full table has an oldest key");
+            self.map.remove(&oldest);
+        }
+        self.order.push_back(key);
+        self.map.insert(key, value);
+        debug_assert!(self.map.len() <= self.cap && self.order.len() == self.map.len());
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.map.len()
+    }
+}
+
+type Table<V> = Mutex<BoundedTable<V>>;
+
+fn device_table() -> &'static Table<Arc<DeviceReplay>> {
+    static T: OnceLock<Table<Arc<DeviceReplay>>> = OnceLock::new();
+    T.get_or_init(|| Mutex::new(BoundedTable::new(MAX_ENTRIES)))
+}
+
+fn host_table() -> &'static Table<Arc<HostReplay>> {
+    static T: OnceLock<Table<Arc<HostReplay>>> = OnceLock::new();
+    T.get_or_init(|| Mutex::new(BoundedTable::new(MAX_ENTRIES)))
 }
 
 /// Object digests for the device path: the [`ObjectDigest`] of the
@@ -129,9 +188,9 @@ fn host_table() -> &'static Mutex<HashMap<MemoKey, Arc<HostReplay>>> {
 /// assembled byte stream. A pure function of the device memo key
 /// (fault-free lifecycles only), so later identical lifecycles skip the
 /// byte-stream assembly, the final decode and the checksum entirely.
-fn digest_table() -> &'static Mutex<HashMap<MemoKey, ObjectDigest>> {
-    static T: OnceLock<Mutex<HashMap<MemoKey, ObjectDigest>>> = OnceLock::new();
-    T.get_or_init(|| Mutex::new(HashMap::new()))
+fn digest_table() -> &'static Table<ObjectDigest> {
+    static T: OnceLock<Table<ObjectDigest>> = OnceLock::new();
+    T.get_or_init(|| Mutex::new(BoundedTable::new(MAX_ENTRIES)))
 }
 
 /// True unless `MORPHEUS_DESER_MEMO=0` (or `off`) is set.
@@ -146,36 +205,40 @@ pub(crate) fn enabled() -> bool {
 }
 
 pub(crate) fn device_get(key: MemoKey) -> Option<Arc<DeviceReplay>> {
-    device_table().lock().expect("memo lock").get(&key).cloned()
+    device_table().lock().expect("memo lock").get(key)
 }
 
 pub(crate) fn device_put(key: MemoKey, rec: Arc<DeviceReplay>) {
-    let mut t = device_table().lock().expect("memo lock");
-    if t.len() < MAX_ENTRIES || t.contains_key(&key) {
-        t.insert(key, rec);
-    }
+    device_table().lock().expect("memo lock").put(key, rec);
 }
 
 pub(crate) fn digest_get(key: MemoKey) -> Option<ObjectDigest> {
-    digest_table().lock().expect("memo lock").get(&key).copied()
+    digest_table().lock().expect("memo lock").get(key)
 }
 
 pub(crate) fn digest_put(key: MemoKey, rec: ObjectDigest) {
-    let mut t = digest_table().lock().expect("memo lock");
-    if t.len() < MAX_ENTRIES || t.contains_key(&key) {
-        t.insert(key, rec);
-    }
+    digest_table().lock().expect("memo lock").put(key, rec);
 }
 
 pub(crate) fn host_get(key: MemoKey) -> Option<Arc<HostReplay>> {
-    host_table().lock().expect("memo lock").get(&key).cloned()
+    host_table().lock().expect("memo lock").get(key)
 }
 
 pub(crate) fn host_put(key: MemoKey, rec: Arc<HostReplay>) {
-    let mut t = host_table().lock().expect("memo lock");
-    if t.len() < MAX_ENTRIES || t.contains_key(&key) {
-        t.insert(key, rec);
-    }
+    host_table().lock().expect("memo lock").put(key, rec);
+}
+
+/// Digest of everything about a drive that shapes a StorageApp's
+/// per-page instruction counts and outputs: the embedded-core cost table,
+/// the controller configuration and the flash page size. A
+/// `MorpheusSsd` computes it once at bring-up (see
+/// `MorpheusSsd::drive_digest`); the Debug rendering folds every field,
+/// so adding a field cannot silently drop out of the key.
+pub(crate) fn drive_digest(dev: &Ssd, device_cost: &CostModel) -> u64 {
+    let mut s = FnvStream::new(0xcbf29ce4_84222325);
+    let _ = write!(s, "{device_cost:?}|{:?}", dev.config());
+    s.u64(dev.page_bytes());
+    s.finish()
 }
 
 impl System {
@@ -218,18 +281,10 @@ impl System {
         let content = self.content_digest(&spec.input)?;
         let mut s = FnvStream::new(0x84222325_cbf29ce4);
         // Everything that shapes per-page instruction counts and outputs:
-        // the app (schema + encoding + name), the embedded-core cost
-        // table, and the drive geometry the page loop derives from.
-        let _ = write!(
-            s,
-            "{:?}|{:?}|{}|{:?}|{:?}",
-            spec.schema,
-            spec.input_format,
-            spec.name,
-            self.mssd.device_cost(),
-            self.mssd.dev.config(),
-        );
-        s.u64(self.mssd.dev.page_bytes());
+        // the app (schema + encoding + name) and the drive (cost table,
+        // controller config, page size: one digest cached at bring-up).
+        let _ = write!(s, "{:?}|{:?}|{}", spec.schema, spec.input_format, spec.name);
+        s.u64(self.mssd.drive_digest());
         s.u64(chunks.len() as u64);
         for c in chunks {
             s.u64(c.slba);
@@ -320,5 +375,84 @@ mod tests {
         assert_eq!(digest_get(k), Some(d(1)));
         digest_put(k, d(2));
         assert_eq!(digest_get(k), Some(d(2)));
+    }
+
+    #[test]
+    fn a_full_table_evicts_its_oldest_entries() {
+        // A local table: the process-global ones hold other tests' entries.
+        let mut t = BoundedTable::new(MAX_ENTRIES);
+        let k = 5u64;
+        let n = MAX_ENTRIES as u64 + k;
+        for i in 0..n {
+            t.put((i, 1), i);
+            assert!(t.len() <= MAX_ENTRIES);
+            assert_eq!(t.get((i, 1)), Some(i), "the newest entry is always kept");
+        }
+        assert_eq!(t.len(), MAX_ENTRIES);
+        for i in 0..k {
+            assert_eq!(t.get((i, 1)), None, "oldest entry {i} evicted");
+        }
+        for i in n - k..n {
+            assert_eq!(t.get((i, 1)), Some(i), "newest entry {i} kept");
+        }
+        // Overwriting a present key replaces it in place and evicts
+        // nothing; the entry keeps its age, so the next new key evicts it.
+        let oldest = (k, 1);
+        t.put(oldest, 0);
+        assert_eq!(t.len(), MAX_ENTRIES);
+        assert_eq!(t.get(oldest), Some(0));
+        assert_eq!(t.get((k + 1, 1)), Some(k + 1));
+        t.put((n, 1), n);
+        assert_eq!(t.len(), MAX_ENTRIES);
+        assert_eq!(t.get(oldest), None);
+        assert_eq!(t.get((k + 1, 1)), Some(k + 1));
+    }
+
+    /// One edit to the testbed parameters.
+    type Vary = fn(&mut crate::SystemParams);
+
+    /// The device key of one file on a system built from `params`.
+    fn device_key(params: crate::SystemParams) -> MemoKey {
+        let mut sys = System::new(params);
+        sys.create_input_file("key.txt", b"1 2\n3 4\n").unwrap();
+        let spec = AppSpec::cpu_app(
+            "key",
+            "key.txt",
+            morpheus_format::Schema::new(vec![morpheus_format::FieldKind::U32; 2]),
+            1,
+            1.0,
+        );
+        let meta = sys.fs.open("key.txt").unwrap().clone();
+        let chunks = System::file_chunks(&meta, sys.params.mread_chunk_bytes);
+        sys.device_memo_key(&spec, &chunks)
+            .expect("memo on, no faults")
+    }
+
+    #[test]
+    fn every_drive_parameter_reaches_the_device_key() {
+        if !enabled() {
+            return;
+        }
+        let base = crate::SystemParams::paper_testbed;
+        let key = device_key(base());
+        assert_eq!(key, device_key(base()), "identical drives share keys");
+        let variants: [(&str, Vary); 9] = [
+            ("embedded_cores", |p| p.ssd.embedded_cores += 1),
+            ("core_clock_hz", |p| p.ssd.core_clock_hz *= 1.5),
+            ("isram_bytes", |p| p.ssd.isram_bytes *= 2),
+            ("dsram_bytes", |p| p.ssd.dsram_bytes *= 2),
+            ("dram_bytes", |p| p.ssd.dram_bytes /= 2),
+            ("command_dispatch_instructions", |p| {
+                p.ssd.command_dispatch_instructions += 1.0
+            }),
+            ("ftl.read_retries", |p| p.ssd.ftl.read_retries += 1),
+            ("device_cost", |p| p.device_cost.float_penalty *= 2.0),
+            ("page_bytes", |p| p.flash_geometry.page_bytes *= 2),
+        ];
+        for (name, vary) in variants {
+            let mut p = base();
+            vary(&mut p);
+            assert_ne!(device_key(p).1, key.1, "{name} must change the device key");
+        }
     }
 }

@@ -18,6 +18,8 @@ use morpheus_ssd::{Ssd, SsdError};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Errors from the Morpheus firmware, each mapping onto an NVMe status.
 #[derive(Debug)]
@@ -111,8 +113,8 @@ pub struct DeinitOutcome {
     /// The StorageApp's return value (travels in the completion entry).
     pub retval: i32,
     /// Output still bound for the host (the deserialization direction's
-    /// final records).
-    pub host_output: Vec<u8>,
+    /// final records). Shared: a replayed MDEINIT hands out the recording.
+    pub host_output: Arc<Vec<u8>>,
     /// Completion time.
     pub done: SimTime,
     /// Total bytes this instance streamed to flash through MWRITE.
@@ -134,8 +136,9 @@ pub struct MwriteOutcome {
 #[derive(Debug)]
 pub struct MreadOutcome {
     /// Binary object bytes produced by the app for this chunk (bound for
-    /// the command's DMA address).
-    pub output: Vec<u8>,
+    /// the command's DMA address). Shared: a replayed MREAD hands out the
+    /// recording.
+    pub output: Arc<Vec<u8>>,
     /// When the last parsed byte's output is staged and DMA can begin.
     pub done: SimTime,
     /// Embedded-core time consumed parsing this chunk.
@@ -156,7 +159,7 @@ enum InstanceMemo {
     /// Keyed run with a prior recording: skip the StorageApp entirely and
     /// replay the recorded functional results against live timelines.
     Play {
-        rec: std::sync::Arc<DeviceReplay>,
+        rec: Arc<DeviceReplay>,
         next: usize,
     },
 }
@@ -168,6 +171,8 @@ struct Instance {
     /// Serialization point: packets of one instance run on one core in
     /// order (§IV-B routes same-instance packets to the same core).
     last_done: SimTime,
+    /// Controller DRAM this instance actually reserved at MINIT (0 when
+    /// the reservation did not fit), returned exactly at teardown.
     dram_reserved: u64,
     /// The embedded core this instance is pinned to (§IV-B: "delivers all
     /// packets with the same instance ID to the same core").
@@ -206,7 +211,7 @@ const IO_QUEUE_ID: u16 = 1;
 /// let ready = mssd.minit(1, Box::new(DeserializeApp::new("edges", schema.clone())), SimTime::ZERO)?;
 /// let out = mssd.mread(1, 0, 1, 8, ready)?;                 // MREAD through the app
 /// let done = mssd.mdeinit(1, out.done)?;                    // collect the tail + retval
-/// let mut bytes = out.output;
+/// let mut bytes = out.output.to_vec();                     // shared bytes
 /// bytes.extend_from_slice(&done.host_output);
 /// let objects = ParsedColumns::decode(schema, &bytes).unwrap();
 /// assert_eq!(objects.columns[0].as_ints().unwrap(), &[5, 7]);
@@ -220,6 +225,8 @@ pub struct MorpheusSsd {
     /// The admin controller: Identify and I/O queue management.
     pub admin: AdminController,
     device_cost: CostModel,
+    /// Memo digest of the drive configuration, fixed at bring-up.
+    drive_digest: u64,
     instances: HashMap<u32, Instance>,
     parse_core_busy: SimDuration,
     tracer: Tracer,
@@ -238,6 +245,7 @@ impl MorpheusSsd {
             "io queue creation cannot fail at bring-up"
         );
         MorpheusSsd {
+            drive_digest: deser_memo::drive_digest(&dev, &device_cost),
             dev,
             admin,
             device_cost,
@@ -265,6 +273,18 @@ impl MorpheusSsd {
     /// The embedded-core cost table in use.
     pub fn device_cost(&self) -> &CostModel {
         &self.device_cost
+    }
+
+    /// The deserialization memo's digest of this drive's configuration
+    /// (see `deser_memo::drive_digest`), computed once at bring-up. Debug
+    /// builds recompute it to catch a configuration changed since.
+    pub(crate) fn drive_digest(&self) -> u64 {
+        debug_assert_eq!(
+            self.drive_digest,
+            deser_memo::drive_digest(&self.dev, &self.device_cost),
+            "drive configuration changed after bring-up"
+        );
+        self.drive_digest
     }
 
     /// Total embedded-core time spent executing StorageApps (powers the
@@ -373,9 +393,11 @@ impl MorpheusSsd {
             });
         }
         let dsram = self.dev.config().dsram_bytes;
-        // Reserve a staging area in controller DRAM for the instance.
-        let dram_reserved = dsram as u64 * 4;
-        self.dev.alloc_dram(dram_reserved);
+        // Reserve a staging area in controller DRAM for the instance. When
+        // it does not fit (an object cache may hold the whole part) the
+        // instance runs without one and frees nothing at teardown.
+        let staging = dsram as u64 * 4;
+        let dram_reserved = self.dev.alloc_dram(staging).map_or(0, |_| staging);
         // Install cost: command dispatch plus copying the image to I-SRAM.
         let instr =
             self.dev.config().command_dispatch_instructions + app.code_bytes() as f64 * 0.25;
@@ -447,58 +469,37 @@ impl MorpheusSsd {
             dispatch.end,
         );
 
+        // A replaying instance consumes its recorded commands in issue
+        // order; a recording one collects per-page costs as it parses.
+        let inst = self
+            .instances
+            .get_mut(&instance_id)
+            .expect("existence checked above");
+        let recording = match &mut inst.memo {
+            InstanceMemo::Play { rec, next } => {
+                let (rec, k) = (Arc::clone(rec), *next);
+                *next += 1;
+                return self.mread_replay(
+                    &rec,
+                    k,
+                    instance_id,
+                    core,
+                    slba,
+                    blocks,
+                    valid_bytes,
+                    dispatch.end,
+                );
+            }
+            InstanceMemo::Record { .. } => true,
+            InstanceMemo::Off => false,
+        };
         let page_bytes = self.dev.page_bytes();
         let byte_start = slba * LBA_BYTES;
         let byte_len = (blocks * LBA_BYTES).min(valid_bytes);
-        let mut outcome = MreadOutcome {
-            output: Vec::new(),
-            done: dispatch.end,
-            core_busy: SimDuration::ZERO,
-        };
-        // A replaying instance consumes its recorded commands in issue
-        // order; a recording one collects per-page costs as it parses.
-        let play = {
-            let inst = self
-                .instances
-                .get_mut(&instance_id)
-                .expect("existence checked above");
-            match &mut inst.memo {
-                InstanceMemo::Play { rec, next } => {
-                    let k = *next;
-                    *next += 1;
-                    Some((rec.clone(), k))
-                }
-                _ => None,
-            }
-        };
-        if let Some((rec, k)) = play {
-            return self.mread_replay(
-                &rec,
-                k,
-                instance_id,
-                core,
-                slba,
-                blocks,
-                valid_bytes,
-                outcome,
-            );
-        }
-        let recording = matches!(
-            self.instances[&instance_id].memo,
-            InstanceMemo::Record { .. }
-        );
-        if byte_len == 0 {
-            if recording {
-                // Keep the recorded command sequence aligned with replay.
-                self.record_mread(instance_id, slba, blocks, valid_bytes, Vec::new(), &[]);
-            }
-            return Ok(outcome);
-        }
-        let first_page = byte_start / page_bytes;
-        let last_page = (byte_start + byte_len - 1) / page_bytes;
-
+        let mut done = dispatch.end;
+        let mut core_busy = SimDuration::ZERO;
         let mut page_instr: Vec<f64> = Vec::new();
-        for lpn in first_page..=last_page {
+        for lpn in flash_pages(byte_start, byte_len, page_bytes) {
             let page_base = lpn * page_bytes;
             let lo = byte_start.max(page_base) - page_base;
             let hi = (byte_start + byte_len).min(page_base + page_bytes) - page_base;
@@ -536,58 +537,45 @@ impl MorpheusSsd {
                 .get_mut(&instance_id)
                 .expect("existence checked above");
             inst.last_done = iv.end;
-            outcome.core_busy += iv.duration();
-            outcome.done = outcome.done.max(iv.end);
+            core_busy += iv.duration();
+            done = done.max(iv.end);
         }
         let inst = self
             .instances
             .get_mut(&instance_id)
             .expect("existence checked above");
-        outcome.output = inst.ctx.take_output();
-        if recording {
-            self.record_mread(
-                instance_id,
-                slba,
-                blocks,
-                valid_bytes,
-                page_instr,
-                &outcome.output,
-            );
-        }
-        self.parse_core_busy += outcome.core_busy;
-        Ok(outcome)
-    }
-
-    /// Appends one MREAD's functional results to a recording instance.
-    fn record_mread(
-        &mut self,
-        instance_id: u32,
-        slba: u64,
-        blocks: u64,
-        valid_bytes: u64,
-        page_instr: Vec<f64>,
-        output: &[u8],
-    ) {
-        let inst = self
-            .instances
-            .get_mut(&instance_id)
-            .expect("existence checked above");
-        if let InstanceMemo::Record { cmds, .. } = &mut inst.memo {
-            cmds.push(CmdRecord {
-                slba,
-                blocks,
-                valid_bytes,
-                page_instr,
-                output: output.to_vec().into(),
-            });
-        }
+        let mut output = inst.ctx.take_output();
+        let output = match &mut inst.memo {
+            InstanceMemo::Record { cmds, .. } => {
+                // The recording outlives this command and every replay
+                // hands it out, so it keeps no spare capacity.
+                output.shrink_to_fit();
+                let output = Arc::new(output);
+                cmds.push(CmdRecord {
+                    slba,
+                    blocks,
+                    valid_bytes,
+                    page_instr,
+                    output: Arc::clone(&output),
+                });
+                output
+            }
+            _ => Arc::new(output),
+        };
+        self.parse_core_busy += core_busy;
+        Ok(MreadOutcome {
+            output,
+            done,
+            core_busy,
+        })
     }
 
     /// Replays one recorded MREAD: flash page timing, embedded-core grants,
     /// and trace spans all run live, but the per-page instruction counts
     /// and the staged output come from the recording instead of the
-    /// StorageApp. Geometry is asserted against the record — a mismatch
-    /// means a memo-key collision, which must never pass silently.
+    /// StorageApp; the output is the recording's own shared buffer.
+    /// Geometry is asserted against the record — a mismatch means a
+    /// memo-key collision, which must never pass silently.
     #[allow(clippy::too_many_arguments)]
     fn mread_replay(
         &mut self,
@@ -598,7 +586,7 @@ impl MorpheusSsd {
         slba: u64,
         blocks: u64,
         valid_bytes: u64,
-        mut outcome: MreadOutcome,
+        dispatch_end: SimTime,
     ) -> Result<MreadOutcome, MorpheusError> {
         let cmd = rec
             .cmds
@@ -608,21 +596,18 @@ impl MorpheusSsd {
             cmd.slba == slba && cmd.blocks == blocks && cmd.valid_bytes == valid_bytes,
             "deser-memo replay geometry mismatch (key collision?)"
         );
-        let dispatch_end = outcome.done;
         let page_bytes = self.dev.page_bytes();
         let byte_start = slba * LBA_BYTES;
         let byte_len = (blocks * LBA_BYTES).min(valid_bytes);
-        if byte_len == 0 {
-            return Ok(outcome);
-        }
-        let first_page = byte_start / page_bytes;
-        let last_page = (byte_start + byte_len - 1) / page_bytes;
+        let mut done = dispatch_end;
+        let mut core_busy = SimDuration::ZERO;
+        let pages = flash_pages(byte_start, byte_len, page_bytes);
         assert_eq!(
-            cmd.page_instr.len(),
-            (last_page - first_page + 1) as usize,
+            cmd.page_instr.len() as u64,
+            pages.end - pages.start,
             "deser-memo replay page-count mismatch (key collision?)"
         );
-        for (pi, lpn) in (first_page..=last_page).enumerate() {
+        for (pi, lpn) in pages.enumerate() {
             let page_base = lpn * page_bytes;
             let lo = byte_start.max(page_base) - page_base;
             let hi = (byte_start + byte_len).min(page_base + page_bytes) - page_base;
@@ -648,12 +633,15 @@ impl MorpheusSsd {
                 .get_mut(&instance_id)
                 .expect("existence checked above");
             inst.last_done = iv.end;
-            outcome.core_busy += iv.duration();
-            outcome.done = outcome.done.max(iv.end);
+            core_busy += iv.duration();
+            done = done.max(iv.end);
         }
-        outcome.output = cmd.output.to_vec();
-        self.parse_core_busy += outcome.core_busy;
-        Ok(outcome)
+        self.parse_core_busy += core_busy;
+        Ok(MreadOutcome {
+            output: Arc::clone(&cmd.output),
+            done,
+            core_busy,
+        })
     }
 
     /// MWRITE: pushes host-supplied `data` *through* the StorageApp; the
@@ -801,7 +789,7 @@ impl MorpheusSsd {
             self.dev.free_dram(inst.dram_reserved);
             return Ok(DeinitOutcome {
                 retval: rec.retval,
-                host_output: rec.host_output.to_vec(),
+                host_output: Arc::clone(&rec.host_output),
                 done: iv.end,
                 flushed_to_flash: 0,
             });
@@ -855,19 +843,25 @@ impl MorpheusSsd {
         }
         let inst = self.instances.remove(&instance_id).expect("still present");
         self.dev.free_dram(inst.dram_reserved);
-        if let InstanceMemo::Record { key, cmds } = inst.memo {
-            if !writes_to_flash {
+        let host_output = match inst.memo {
+            InstanceMemo::Record { key, cmds } if !writes_to_flash => {
+                // Every replay hands out this buffer, so it keeps no
+                // spare capacity.
+                host_output.shrink_to_fit();
+                let host_output = Arc::new(host_output);
                 deser_memo::device_put(
                     key,
-                    std::sync::Arc::new(DeviceReplay {
+                    Arc::new(DeviceReplay {
                         cmds,
                         finish_instr: instr,
                         retval,
-                        host_output: host_output.clone().into(),
+                        host_output: Arc::clone(&host_output),
                     }),
                 );
+                host_output
             }
-        }
+            _ => Arc::new(host_output),
+        };
         Ok(DeinitOutcome {
             retval,
             host_output,
@@ -907,6 +901,15 @@ impl MorpheusSsd {
             .post(decoded.cid, status, result)
             .expect("runtime reaps completions promptly");
         qp.cq.reap().expect("completion just posted")
+    }
+}
+
+/// The flash pages holding bytes `[byte_start, byte_start + byte_len)`,
+/// none when the range is empty.
+fn flash_pages(byte_start: u64, byte_len: u64, page_bytes: u64) -> Range<u64> {
+    match byte_len {
+        0 => 0..0,
+        n => byte_start / page_bytes..(byte_start + n - 1) / page_bytes + 1,
     }
 }
 
@@ -950,7 +953,7 @@ mod tests {
         assert_eq!(dein.retval, 4);
         assert!(dein.done >= out.done);
         assert_eq!(dein.flushed_to_flash, 0);
-        let mut bytes = out.output;
+        let mut bytes = out.output.to_vec();
         bytes.extend_from_slice(&dein.host_output);
         let cols = ParsedColumns::decode(edge_schema(), &bytes).unwrap();
         assert_eq!(cols.records, 4);
@@ -1043,7 +1046,7 @@ mod tests {
         let a = m.mread(1, 0, 1, 512, SimTime::ZERO).unwrap();
         let b = m.mread(1, 1, 1, 1024 - 512, a.done).unwrap();
         let dein = m.mdeinit(1, b.done).unwrap();
-        let mut bytes = a.output;
+        let mut bytes = a.output.to_vec();
         bytes.extend_from_slice(&b.output);
         bytes.extend_from_slice(&dein.host_output);
         let cols = ParsedColumns::decode(edge_schema(), &bytes).unwrap();
@@ -1082,6 +1085,42 @@ mod tests {
         assert_eq!(e.cid, 11);
         assert_eq!(e.result, 42);
         assert!(e.status.is_success());
+    }
+
+    #[test]
+    fn replays_share_the_recorded_output_bytes() {
+        // No trailing newline: the last record reaches the host at MDEINIT.
+        let text = b"1 2\n3 4\n5 6\n7 8";
+        let lifecycle = |m: &mut MorpheusSsd, key: Option<MemoKey>| {
+            let app = Box::new(DeserializeApp::new("edges", edge_schema()));
+            let t0 = m.minit_keyed(1, app, SimTime::ZERO, key).unwrap();
+            let out = m.mread(1, 0, 1, text.len() as u64, t0).unwrap();
+            let dein = m.mdeinit(1, out.done).unwrap();
+            (out.output, dein.host_output)
+        };
+        let mut m = mssd();
+        m.dev.load_at(0, text).unwrap();
+        let (live, live_tail) = lifecycle(&mut m, None);
+        assert!(!live.is_empty() && !live_tail.is_empty());
+        // A key no other test issues: the first keyed lifecycle records.
+        let key = (0x5aa2_ed0b_7e5e_0001, 0x5aa2_ed0b_7e5e_0002);
+        let (out, tail) = lifecycle(&mut m, Some(key));
+        let rec = deser_memo::device_get(key).expect("published at MDEINIT");
+        assert!(
+            Arc::ptr_eq(&out, &rec.cmds[0].output),
+            "records the live buffer"
+        );
+        assert!(Arc::ptr_eq(&tail, &rec.host_output));
+        for _ in 0..2 {
+            let (out, tail) = lifecycle(&mut m, Some(key));
+            assert!(
+                Arc::ptr_eq(&out, &rec.cmds[0].output),
+                "replay copies nothing"
+            );
+            assert!(Arc::ptr_eq(&tail, &rec.host_output));
+            assert_eq!(out, live, "replayed bytes are the live run's");
+            assert_eq!(tail, live_tail);
+        }
     }
 
     #[test]
@@ -1164,9 +1203,9 @@ mod concurrency_tests {
             "two instances should overlap: makespan {makespan}, serial core time {serial}"
         );
         // And their outputs are the identical object stream.
-        let mut bytes_a = a.output;
+        let mut bytes_a = a.output.to_vec();
         bytes_a.extend_from_slice(&d1.host_output);
-        let mut bytes_b = b.output;
+        let mut bytes_b = b.output.to_vec();
         bytes_b.extend_from_slice(&d2.host_output);
         assert_eq!(bytes_a, bytes_b);
     }

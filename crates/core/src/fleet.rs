@@ -542,7 +542,9 @@ impl Fleet {
         let plan = ControlPlan::compile(&self.cfg.control, n, &self.cfg.kills, horizon);
         let mut slices: Vec<Vec<Request>> = vec![Vec::new(); n];
         let mut rebalanced = 0u64;
-        for r in offered_requests(cfg, apps.len()) {
+        let reqs = offered_requests(cfg, apps.len());
+        let routed = reqs.len() as u64;
+        for r in reqs {
             let primary = placement[r.app];
             let d = self
                 .route(&plan, primary, r.arrival)
@@ -557,6 +559,14 @@ impl Fleet {
             per_device.push(self.devices[d].serve_requests(apps, cfg, slice)?);
         }
         let aggregate = aggregate_reports(&per_device);
+        // The fleet-wide request ledger: every routed request is offered
+        // to exactly one device, and completed, shed or failed there.
+        debug_assert_eq!(aggregate.offered, routed, "routed requests lost");
+        debug_assert_eq!(
+            aggregate.completed + aggregate.shed + aggregate.failed,
+            aggregate.offered,
+            "fleet request ledger out of balance"
+        );
         let control = control_on.then(|| ControlReport::build(&plan, &per_device));
         self.ctl_plan = control_on.then_some(plan);
         Ok(FleetReport {

@@ -456,6 +456,9 @@ impl System {
             self.params.storage == StorageKind::NvmeSsd,
             "serving models the NVMe path"
         );
+        // Conservation: serving closes every instance it opens, and so
+        // returns exactly the controller DRAM those instances reserved.
+        let dram_base = self.mssd.dev.dram_used();
         let (mut st, mut ctx) = self.begin_serve(apps, cfg, reqs.len() as u64);
         // Per-run cache view: counters are lifetime totals (the cache
         // survives across runs so warmed state carries over), so the
@@ -525,6 +528,12 @@ impl System {
             st.rep.completed + st.rep.shed + st.rep.failed,
             st.rep.offered,
             "request ledger out of balance"
+        );
+        debug_assert_eq!(self.mssd.live_instances(), 0, "instance left live");
+        debug_assert_eq!(
+            self.mssd.dev.dram_used(),
+            dram_base,
+            "controller DRAM reservations out of balance"
         );
 
         // Totals and derived rates.
@@ -1338,6 +1347,21 @@ mod tests {
             "hits must skip embedded-core parsing: {hot_parse} vs {off_parse}"
         );
         sys.clear_object_cache();
+    }
+
+    #[test]
+    fn minit_frees_only_the_controller_dram_it_reserved() {
+        // A cache holding all of controller DRAM leaves MINIT no room for
+        // its staging area; teardown must not free the cache's share.
+        let (mut sys, specs) = serving_system(2, 500);
+        let dram = sys.mssd.dev.config().dram_bytes;
+        sys.set_object_cache(crate::CacheConfig::new(dram));
+        let rep = sys.serve(&specs, &quick_cfg(Mode::Morpheus)).unwrap();
+        assert!(rep.completed > 0);
+        assert_eq!(sys.mssd.live_instances(), 0);
+        assert_eq!(sys.mssd.dev.dram_used(), dram, "the cache keeps its share");
+        sys.clear_object_cache();
+        assert_eq!(sys.mssd.dev.dram_used(), 0);
     }
 
     #[test]
