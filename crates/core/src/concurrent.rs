@@ -9,11 +9,16 @@
 //! round-robin so resource contention is modelled at chunk granularity —
 //! and reports per-tenant and aggregate throughput.
 //!
-//! The per-tenant state machine ([`TenantState`]) is shared with the
-//! open-loop serving layer (`serve.rs`), which steps tenants one request
-//! at a time instead of round-robin. Its host half ([`HostTenant`]) is the
-//! only host deserialization engine: `System::run`'s conventional mode and
-//! Morpheus fallback drive it too.
+//! A tenant is one of two engines, and each is the only engine of its
+//! kind: [`HostTenant`] (Fig. 1's `read()`+parse loop) and
+//! [`DeviceTenant`] (one StorageApp lifecycle, MINIT → MREAD* → MDEINIT).
+//! Three callers step them: the round-robin loop here, `System::run`
+//! (`exec.rs`, a tenant of one, with its fallback onto the host engine)
+//! and the open-loop serving layer (`serve.rs`, one request at a time).
+//! Each caller keeps its own framing around the steps — fault gates, NVMe
+//! wire commands, trace spans — because the framings differ: solo runs and
+//! serving gate the same commands at different floors
+//! (`docs/FAULT_MODEL.md`).
 
 use crate::deser_memo::{self, HostReplay, MemoKey};
 use crate::exec::{AppSpec, InputFormat, RunError};
@@ -24,6 +29,7 @@ use morpheus_format::{
     BinaryStreamParser, ObjectDigest, ParseError, ParseWork, ParsedColumns, Schema, StreamingParser,
 };
 use morpheus_host::CodeClass;
+use morpheus_nvme::{MorpheusCommand, NvmeCommand};
 use morpheus_pcie::{BarWindow, DmaDir};
 use morpheus_simcore::{Interval, SimDuration, SimTime};
 use std::sync::Arc;
@@ -189,43 +195,101 @@ impl HostTenant {
     }
 }
 
-/// Per-tenant progress state, stepped one chunk at a time. Built via
-/// [`System::conventional_tenant`] / [`System::morpheus_tenant`] and driven
-/// with [`System::step_tenant`] / [`System::finish_tenant`].
-pub(crate) enum TenantState {
-    /// Host-side `read()`+parse tenant.
-    Conventional(HostTenant),
-    /// In-SSD StorageApp tenant.
-    Morpheus {
-        /// Schema the assembled object stream decodes against.
-        schema: Schema,
-        chunks: Vec<ChunkIo>,
-        next: usize,
-        iid: u32,
-        /// Instance-ready floor every MREAD respects (fault injection may
-        /// push it back).
-        ready: SimTime,
-        last_end: SimTime,
-        obj_bin: Vec<u8>,
-        /// P2P delivery window; `None` delivers objects to host DRAM.
-        bar: Option<BarWindow>,
-        /// Device memo key (fault-free runs only), under which this
-        /// lifecycle's object digest is published for later reuse.
-        memo_key: Option<MemoKey>,
-        /// The object digest of an earlier identical lifecycle. When
-        /// present the byte-stream assembly and final decode are skipped;
-        /// every timed step (flash, cores, DMA, bus) still runs live.
-        prefab: Option<ObjectDigest>,
-    },
+/// The device deserialization engine: one StorageApp lifecycle of §IV-A
+/// (MINIT, one MREAD per chunk, MDEINIT) over one file, opened with
+/// [`System::device_tenant`], stepped an MREAD at a time with
+/// [`System::step_device`] and closed with [`System::finish_device`]. The
+/// mirror of [`HostTenant`]: each caller keeps only its own framing —
+/// fault gates, wire commands, spans — around the steps.
+///
+/// The firmware records and replays the StorageApp's work (see
+/// `deser_memo`); the engine adds the objects' digest. When an earlier
+/// identical lifecycle published one, the object stream is neither
+/// assembled nor decoded; every timed step (flash, cores, DMA, bus) still
+/// runs live.
+pub(crate) struct DeviceTenant {
+    /// Schema the assembled object stream decodes against.
+    schema: Schema,
+    chunks: Vec<ChunkIo>,
+    next: usize,
+    iid: u32,
+    /// When MINIT finished: the instance is ready for MREADs.
+    pub(crate) ready: SimTime,
+    /// When the last step's objects were delivered (staged, for a step
+    /// that returned none).
+    pub(crate) last_end: SimTime,
+    /// MINIT's operands: the StorageApp's code size and the file length.
+    code_len: u32,
+    pub(crate) file_len: u64,
+    obj_bin: Vec<u8>,
+    /// Object bytes pushed off the drive so far.
+    pushed: u64,
+    /// P2P delivery window; `None` delivers objects to host DRAM.
+    bar: Option<BarWindow>,
+    /// Device memo key (fault-free runs only), under which this
+    /// lifecycle's object digest is published for later reuse.
+    memo_key: Option<MemoKey>,
+    /// The object digest of an earlier identical lifecycle.
+    prefab: Option<ObjectDigest>,
 }
 
-impl TenantState {
-    pub(crate) fn finished_chunks(&self) -> bool {
-        match self {
-            TenantState::Conventional(h) => h.next_chunk().is_none(),
-            TenantState::Morpheus { chunks, next, .. } => *next >= chunks.len(),
-        }
+/// One MREAD's timing.
+pub(crate) struct DeviceChunk {
+    /// When the MREAD's objects were staged for DMA.
+    pub done: SimTime,
+    /// The completion wakeup, when the MREAD returned objects.
+    pub wakeup: Option<Interval>,
+}
+
+/// How a device lifecycle ended.
+pub(crate) struct DeviceEnd {
+    /// When MDEINIT finished on the drive.
+    pub done: SimTime,
+    /// The completion wakeup that reaped MDEINIT.
+    pub wakeup: Interval,
+    /// The StorageApp's return value.
+    pub retval: i32,
+    /// The objects' digest.
+    pub digest: ObjectDigest,
+    /// The columns, when the lifecycle decoded its object stream (always,
+    /// for an engine built to keep them).
+    pub objects: Option<ParsedColumns>,
+}
+
+impl DeviceTenant {
+    /// The chunk the next [`System::step_device`] reads, if any is left.
+    pub(crate) fn next_chunk(&self) -> Option<ChunkIo> {
+        self.chunks.get(self.next).copied()
     }
+
+    /// The MINIT command that installed this instance.
+    pub(crate) fn init_command(&self, cid: u16) -> NvmeCommand {
+        MorpheusCommand::Init {
+            instance_id: self.iid,
+            code_ptr: 0x4000,
+            code_len: self.code_len,
+            arg: self.file_len as u32,
+        }
+        .into_command(cid, 1)
+    }
+
+    /// The MREAD command for chunk `c`.
+    pub(crate) fn read_command(&self, c: ChunkIo, cid: u16) -> NvmeCommand {
+        MorpheusCommand::Read {
+            instance_id: self.iid,
+            slba: c.slba,
+            blocks: c.blocks,
+            dma_addr: 0x2000,
+        }
+        .into_command(cid, 1)
+    }
+}
+
+/// Per-tenant progress state of [`System::run_deserialize_many`]: one
+/// engine per tenant.
+enum TenantState {
+    Conventional(HostTenant),
+    Morpheus(DeviceTenant),
 }
 
 impl System {
@@ -386,43 +450,127 @@ impl System {
         Ok(dma.end)
     }
 
-    /// Builds a Morpheus tenant: takes the MINIT syscall on a host core no
-    /// earlier than `start` and initializes instance `iid` on the drive.
-    /// The caller picks `iid` (so a dispatcher can pin instances to
-    /// embedded cores) and the delivery target (`bar` for P2P).
-    pub(crate) fn morpheus_tenant(
+    /// Builds the device engine for `spec`'s file: runs MINIT of instance
+    /// `iid`, issued to the drive at `issue`. The caller picks `iid` (so a
+    /// dispatcher can pin instances to embedded cores) and the delivery
+    /// target (`bar` for P2P). With `keep_columns` the engine ignores a
+    /// memoized digest and decodes the objects, so
+    /// [`System::finish_device`] hands the columns back.
+    pub(crate) fn device_tenant(
         &mut self,
         spec: &AppSpec,
         iid: u32,
-        start: SimTime,
+        issue: SimTime,
         bar: Option<BarWindow>,
-    ) -> Result<TenantState, RunError> {
+        keep_columns: bool,
+    ) -> Result<DeviceTenant, RunError> {
+        // The host resolves the file's layout (the runtime's
+        // `ms_stream_create`, §V-A2): the drive never parses a filesystem.
         let meta = self
             .fs
             .open(&spec.input)
             .map_err(|_| RunError::UnknownFile(spec.input.clone()))?;
+        let file_len = meta.len;
         let chunks = Self::file_chunks(meta, self.params.mread_chunk_bytes);
         let memo_key = self.device_memo_key(spec, &chunks);
-        let prefab = memo_key.and_then(deser_memo::digest_get);
-        let c = self.os.command_completion();
-        let iv = self.cpu_cores.acquire(
-            start,
-            self.cpu.duration(c.instructions, CodeClass::OsKernel),
-        );
-        let ready = self
-            .mssd
-            .minit_keyed(iid, spec.storage_app(), iv.end, memo_key)?;
-        Ok(TenantState::Morpheus {
+        let prefab = memo_key
+            .filter(|_| !keep_columns)
+            .and_then(deser_memo::digest_get);
+        let app = spec.storage_app();
+        let code_len = app.code_bytes();
+        let ready = self.mssd.minit_keyed(iid, app, issue, memo_key)?;
+        Ok(DeviceTenant {
+            schema: spec.schema.clone(),
             chunks,
             next: 0,
             iid,
             ready,
             last_end: ready,
+            code_len,
+            file_len,
             obj_bin: Vec::new(),
+            pushed: 0,
             bar,
             memo_key,
             prefab,
-            schema: spec.schema.clone(),
+        })
+    }
+
+    /// Runs the engine's next MREAD, issued to the drive at `issue`,
+    /// pushes its objects and takes the completion wakeup.
+    pub(crate) fn step_device(
+        &mut self,
+        t: &mut DeviceTenant,
+        issue: SimTime,
+    ) -> Result<DeviceChunk, RunError> {
+        let c = t.chunks[t.next];
+        t.next += 1;
+        let out = self
+            .mssd
+            .mread(t.iid, c.slba, c.blocks, c.valid_bytes, issue)?;
+        let wakeup = match out.output.len() as u64 {
+            0 => None,
+            n => {
+                let dma_end = self.push_output(n, t.bar, out.done)?;
+                t.pushed += n;
+                Some(self.command_wakeup(dma_end))
+            }
+        };
+        t.last_end = t.last_end.max(wakeup.map_or(out.done, |iv| iv.end));
+        // With a prefab in hand the assembled stream is never decoded, so
+        // skip the copy (the length above still priced the DMA and bus).
+        if t.prefab.is_none() {
+            t.obj_bin.extend_from_slice(&out.output);
+        }
+        Ok(DeviceChunk {
+            done: out.done,
+            wakeup,
+        })
+    }
+
+    /// Runs the engine's MDEINIT, issued to the drive at `issue`, pushes
+    /// the final objects and takes the completion wakeup. A live lifecycle
+    /// decodes its object stream and publishes the digest to the memo.
+    pub(crate) fn finish_device(
+        &mut self,
+        mut t: DeviceTenant,
+        issue: SimTime,
+    ) -> Result<DeviceEnd, RunError> {
+        let dein = self.mssd.mdeinit(t.iid, issue)?;
+        let end = match dein.host_output.len() as u64 {
+            0 => dein.done,
+            n => {
+                t.pushed += n;
+                self.push_output(n, t.bar, dein.done)?
+            }
+        };
+        let wakeup = self.command_wakeup(end);
+        let (digest, objects) = match t.prefab {
+            Some(d) => (d, None),
+            None => {
+                t.obj_bin.extend_from_slice(&dein.host_output);
+                let o = ParsedColumns::decode(t.schema, &t.obj_bin)?;
+                let d = o.digest();
+                if let Some(k) = t.memo_key {
+                    deser_memo::digest_put(k, d);
+                }
+                (d, Some(o))
+            }
+        };
+        // Route conservation: the bytes pushed off the drive (every MREAD
+        // output plus the MDEINIT tail) are the objects' bytes, whether
+        // this lifecycle decoded them or an earlier one.
+        debug_assert_eq!(t.pushed, digest.bytes, "object bytes lost on the route");
+        debug_assert_eq!(
+            dein.retval, digest.records as i32,
+            "MDEINIT returns the record count"
+        );
+        Ok(DeviceEnd {
+            done: dein.done,
+            wakeup,
+            retval: dein.retval,
+            digest,
+            objects,
         })
     }
 
@@ -460,7 +608,9 @@ impl System {
                 )?),
                 Mode::Morpheus => {
                     let iid = self.alloc_instance();
-                    self.morpheus_tenant(spec, iid, SimTime::ZERO, None)?
+                    let syscall = self.command_wakeup(SimTime::ZERO);
+                    let d = self.device_tenant(spec, iid, syscall.end, None, false)?;
+                    TenantState::Morpheus(d)
                 }
                 Mode::MorpheusP2P => return Err(RunError::NotGpuApp(spec.name.clone())),
             };
@@ -471,11 +621,18 @@ impl System {
         loop {
             let mut progressed = false;
             for t in states.iter_mut() {
-                if t.finished_chunks() {
-                    continue;
+                match t {
+                    TenantState::Conventional(h) if h.next_chunk().is_some() => {
+                        let floor = h.start;
+                        self.step_host(h, floor)?;
+                    }
+                    TenantState::Morpheus(d) if d.next_chunk().is_some() => {
+                        let issue = d.ready;
+                        self.step_device(d, issue)?;
+                    }
+                    _ => continue,
                 }
                 progressed = true;
-                self.step_tenant(t)?;
             }
             if !progressed {
                 break;
@@ -486,7 +643,17 @@ impl System {
         let mut reports = Vec::with_capacity(states.len());
         let mut makespan = SimTime::ZERO;
         for ((spec, mode), t) in tenants.iter().zip(states) {
-            let (end, objects) = self.finish_tenant(t)?;
+            let (end, objects) = match t {
+                TenantState::Conventional(h) => {
+                    let (end, digest, _) = h.finish()?;
+                    (end, digest)
+                }
+                TenantState::Morpheus(d) => {
+                    let issue = d.last_end;
+                    let e = self.finish_device(d, issue)?;
+                    (e.wakeup.end, e.digest)
+                }
+            };
             makespan = makespan.max(end);
             reports.push(TenantReport {
                 app: spec.name.clone(),
@@ -505,99 +672,6 @@ impl System {
             makespan_s,
             context_switches: self.os.accounting().context_switches,
         })
-    }
-
-    /// Issues one chunk of one tenant.
-    pub(crate) fn step_tenant(&mut self, t: &mut TenantState) -> Result<(), RunError> {
-        match t {
-            TenantState::Conventional(h) => {
-                let floor = h.start;
-                self.step_host(h, floor).map(drop)
-            }
-            TenantState::Morpheus {
-                chunks,
-                next,
-                iid,
-                ready,
-                last_end,
-                obj_bin,
-                bar,
-                prefab,
-                ..
-            } => {
-                let bar = *bar;
-                let c = chunks[*next];
-                *next += 1;
-                let out = self
-                    .mssd
-                    .mread(*iid, c.slba, c.blocks, c.valid_bytes, *ready)?;
-                if !out.output.is_empty() {
-                    let dma_end = self.push_output(out.output.len() as u64, bar, out.done)?;
-                    let w = self.os.command_completion();
-                    let iv = self.cpu_cores.acquire(
-                        dma_end,
-                        self.cpu.duration(w.instructions, CodeClass::OsKernel),
-                    );
-                    *last_end = (*last_end).max(iv.end);
-                } else {
-                    *last_end = (*last_end).max(out.done);
-                }
-                // With a prefab in hand the assembled stream is never
-                // decoded, so skip the copy (lengths above still priced
-                // the DMA and bus legs identically).
-                if prefab.is_none() {
-                    obj_bin.extend_from_slice(&out.output);
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Completes a tenant's stream and returns its end time and its
-    /// objects' digest.
-    pub(crate) fn finish_tenant(
-        &mut self,
-        t: TenantState,
-    ) -> Result<(SimTime, ObjectDigest), RunError> {
-        match t {
-            TenantState::Conventional(h) => {
-                let (end, digest, _) = h.finish()?;
-                Ok((end, digest))
-            }
-            TenantState::Morpheus {
-                schema,
-                iid,
-                last_end,
-                mut obj_bin,
-                bar,
-                memo_key,
-                prefab,
-                ..
-            } => {
-                let dein = self.mssd.mdeinit(iid, last_end)?;
-                let mut end = dein.done;
-                if !dein.host_output.is_empty() {
-                    end = self.push_output(dein.host_output.len() as u64, bar, dein.done)?;
-                }
-                let c = self.os.command_completion();
-                let iv = self.cpu_cores.acquire(
-                    end.max(last_end),
-                    self.cpu.duration(c.instructions, CodeClass::OsKernel),
-                );
-                let digest = match prefab {
-                    Some(d) => d,
-                    None => {
-                        obj_bin.extend_from_slice(&dein.host_output);
-                        let d = ParsedColumns::decode(schema, &obj_bin)?.digest();
-                        if let Some(k) = memo_key {
-                            deser_memo::digest_put(k, d);
-                        }
-                        d
-                    }
-                };
-                Ok((iv.end, digest))
-            }
-        }
     }
 }
 

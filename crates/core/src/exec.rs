@@ -13,6 +13,15 @@
 //!   interrupt per chunk.
 //! * [`Mode::MorpheusP2P`] — same, but MREAD results DMA straight into GPU
 //!   memory through the BAR NVMe-P2P mapped.
+//!
+//! The engines themselves live in `concurrent.rs`: the host engine
+//! (`HostTenant`) and the device engine (`DeviceTenant`), which serving and
+//! the multi-tenant runs step too, so a solo run is a tenant of one. What
+//! stays here is the solo framing around their steps: the fault gates at
+//! the solo floors, the round trips on the shared I/O queue, the trace
+//! spans and the `nvme_lat` histogram. Serving frames the same engines its
+//! own way (`serve.rs`), because it gates the same commands at different
+//! floors (`docs/FAULT_MODEL.md`).
 
 use crate::report::{Mode, Phases, RunReport};
 use crate::{BinaryDeserializeApp, DeserializeApp, MorpheusError, StorageApp, StorageKind, System};
@@ -339,10 +348,10 @@ impl System {
             // path there is nothing left to fall back to, so an exhausted
             // reissue budget is a clean run failure.
             let floor = if nvme {
-                let cid = self.alloc_cid();
                 let floor = self
                     .issue_with_timeouts(submit, start)
                     .map_err(|(_, attempts)| RunError::CommandTimeout { attempts })?;
+                let cid = self.alloc_cid();
                 let cmd = NvmeCommand::read(cid, 1, c.slba, c.blocks, h.buf_addr);
                 self.round_trip(cmd, StatusCode::Success, 0);
                 floor
@@ -513,6 +522,30 @@ impl System {
         }
     }
 
+    /// Reaps instance `iid` of a Morpheus stream that failed at `at`, in
+    /// solo runs and serving alike: tears the instance down, emits the
+    /// `host-fallback` instant on trace track `track`, and counts the
+    /// fallback and its `cause`. Returns the synthetic MDEINIT, to be
+    /// completed with the failure status.
+    pub(crate) fn reap_fallback(
+        &mut self,
+        track: &str,
+        at: SimTime,
+        iid: u32,
+        cause: String,
+    ) -> NvmeCommand {
+        self.mssd.abort_instance(iid);
+        let cid = self.alloc_cid();
+        let wire = MorpheusCommand::Deinit { instance_id: iid }.into_command(cid, 1);
+        self.tracer
+            .instant(TraceLayer::Host, track, "host-fallback", at);
+        if let Some(fi) = self.faults.as_mut() {
+            fi.counters.host_fallbacks += 1;
+            fi.fallback_cause = Some(cause);
+        }
+        wire
+    }
+
     fn run_morpheus(&mut self, spec: &AppSpec, p2p: bool) -> Result<RunOutcome, RunError> {
         match self.try_morpheus(spec, p2p) {
             Ok(out) => Ok(out),
@@ -540,18 +573,10 @@ impl System {
         status: StatusCode,
         cause: String,
     ) -> Result<RunOutcome, RunError> {
-        self.mssd.abort_instance(iid);
         // The driver's abort path reaps the instance's stream with a
         // synthetic completion carrying the failure status.
-        let cid = self.alloc_cid();
-        let wire = MorpheusCommand::Deinit { instance_id: iid }.into_command(cid, 1);
+        let wire = self.reap_fallback(OS_TRACK, at, iid, cause);
         self.round_trip(wire, status, 0);
-        self.tracer
-            .instant(TraceLayer::Host, OS_TRACK, "host-fallback", at);
-        if let Some(fi) = self.faults.as_mut() {
-            fi.counters.host_fallbacks += 1;
-            fi.fallback_cause = Some(cause);
-        }
         let (objects, digest, mut window) = self.host_deser_window(spec, at)?;
         window.fell_back = true;
         let mode = if p2p {
@@ -563,39 +588,15 @@ impl System {
     }
 
     fn try_morpheus(&mut self, spec: &AppSpec, p2p: bool) -> Result<RunOutcome, MorpheusAbort> {
-        // The runtime resolves the file into a stream (ms_stream_create):
-        // permission checks and LBA layout stay on the host, §V-A2.
-        let stream = crate::ms_stream_create(&self.fs, &spec.input, self.params.mread_chunk_bytes)
-            .map_err(|_| RunError::UnknownFile(spec.input.clone()))?;
-        let meta = stream.meta().clone();
-        let chunks = stream.chunks().to_vec();
-        let memo_key = self.device_memo_key(spec, &chunks);
         let iid = self.alloc_instance();
-        let app = spec.storage_app();
-        let code_bytes = app.code_bytes();
-
         // Host side: issue MINIT (one syscall + switch into the driver).
-        let init_cost = self.os.command_completion();
-        let init_iv = self.cpu_cores.acquire(
-            SimTime::ZERO,
-            self.cpu
-                .duration(init_cost.instructions, CodeClass::OsKernel),
-        );
+        let init_iv = self.command_wakeup(SimTime::ZERO);
         let mut cpu_busy = init_iv.duration();
-        let cid = self.alloc_cid();
-        let wire = MorpheusCommand::Init {
-            instance_id: iid,
-            code_ptr: 0x4000,
-            code_len: code_bytes,
-            arg: meta.len as u32,
-        }
-        .into_command(cid, 1);
         let issue = self.fault_gate("MINIT", iid, init_iv.end)?;
-        self.round_trip(wire, StatusCode::Success, 0);
-        let ready = self
-            .mssd
-            .minit_keyed(iid, app, issue, memo_key)
-            .map_err(|e| MorpheusAbort::Fatal(e.into()))?;
+        let bar = p2p.then(|| self.map_gpu_bar());
+        let mut t = self.device_tenant(spec, iid, issue, bar, true)?;
+        let cid = self.alloc_cid();
+        self.round_trip(t.init_command(cid), StatusCode::Success, 0);
         self.tracer.span(
             TraceLayer::Host,
             self.cpu_cores.name(),
@@ -604,77 +605,67 @@ impl System {
             init_iv.end,
         );
         self.tracer
-            .span(TraceLayer::Nvme, NVME_TRACK, "MINIT", init_iv.end, ready);
+            .span(TraceLayer::Nvme, NVME_TRACK, "MINIT", init_iv.end, t.ready);
 
-        let bar = if p2p { Some(self.map_gpu_bar()) } else { None };
-        let mut obj_bin: Vec<u8> = Vec::new();
-        let mut last_end = ready;
-        for c in &chunks {
-            let issue = self.fault_gate("MREAD", iid, ready)?;
-            let out = self
-                .mssd
-                .mread(iid, c.slba, c.blocks, c.valid_bytes, issue)
-                .map_err(|e| Self::media_or_fatal(e.into(), iid, issue))?;
+        while let Some(c) = t.next_chunk() {
             // MREADs are all queued once the instance is up (async queue
-            // depth): the command's lifecycle runs submit → staging done.
+            // depth): each one's floor is the instance-ready time, pushed
+            // back only by its own faults, and its lifecycle runs submit →
+            // staging done.
+            let issue = self.fault_gate("MREAD", iid, t.ready)?;
+            let step = self
+                .step_device(&mut t, issue)
+                .map_err(|e| Self::media_or_fatal(e, iid, issue))?;
+            let cid = self.alloc_cid();
+            self.round_trip(t.read_command(c, cid), StatusCode::Success, 0);
             self.tracer.span_bytes(
                 TraceLayer::Nvme,
                 NVME_TRACK,
                 "MREAD",
-                ready,
-                out.done,
+                t.ready,
+                step.done,
                 c.valid_bytes,
             );
             self.nvme_lat
-                .record(out.done.duration_since(ready).as_nanos());
-            let end = self.deliver_output(&out.output, bar, iid, c.slba, c.blocks)?;
-            if let Some(e) = end {
-                cpu_busy += e.1;
-                last_end = last_end.max(e.0);
-            } else {
-                last_end = last_end.max(out.done);
+                .record(step.done.duration_since(t.ready).as_nanos());
+            if let Some(iv) = step.wakeup {
+                self.tracer
+                    .instant(TraceLayer::Host, OS_TRACK, "context-switch", iv.start);
+                self.tracer.span(
+                    TraceLayer::Host,
+                    self.cpu_cores.name(),
+                    "completion",
+                    iv.start,
+                    iv.end,
+                );
+                cpu_busy += iv.duration();
             }
-            obj_bin.extend_from_slice(&out.output);
         }
 
         // MDEINIT: collect the final output and the return value.
+        let (last_end, text_bytes) = (t.last_end, t.file_len);
+        let issue = self.fault_gate("MDEINIT", iid, last_end)?;
+        let end = self
+            .finish_device(t, issue)
+            .map_err(|e| Self::media_or_fatal(e, iid, issue))?;
+        self.tracer
+            .span(TraceLayer::Nvme, NVME_TRACK, "MDEINIT", last_end, end.done);
         let cid = self.alloc_cid();
         let wire = MorpheusCommand::Deinit { instance_id: iid }.into_command(cid, 1);
-        let issue = self.fault_gate("MDEINIT", iid, last_end)?;
-        let dein = self
-            .mssd
-            .mdeinit(iid, issue)
-            .map_err(|e| Self::media_or_fatal(e.into(), iid, issue))?;
-        self.tracer
-            .span(TraceLayer::Nvme, NVME_TRACK, "MDEINIT", last_end, dein.done);
-        let (retval, tail, dein_done) = (dein.retval, dein.host_output, dein.done);
-        self.round_trip(wire, StatusCode::Success, retval as u32);
-        let end = self.deliver_output(&tail, bar, iid, 0, 0)?;
-        let deinit_wakeup = {
-            let c = self.os.command_completion();
-            let base = end.map(|e| e.0).unwrap_or(dein_done);
-            let iv = self
-                .cpu_cores
-                .acquire(base, self.cpu.duration(c.instructions, CodeClass::OsKernel));
-            self.tracer.span(
-                TraceLayer::Host,
-                self.cpu_cores.name(),
-                "mdeinit-wakeup",
-                iv.start,
-                iv.end,
-            );
-            cpu_busy += iv.duration();
-            iv.end
-        };
-        obj_bin.extend_from_slice(&tail);
+        self.round_trip(wire, StatusCode::Success, end.retval as u32);
+        self.tracer.span(
+            TraceLayer::Host,
+            self.cpu_cores.name(),
+            "mdeinit-wakeup",
+            end.wakeup.start,
+            end.wakeup.end,
+        );
+        cpu_busy += end.wakeup.duration();
 
-        let objects = ParsedColumns::decode(spec.schema.clone(), &obj_bin)
-            .map_err(|e| MorpheusAbort::Fatal(e.into()))?;
-        debug_assert_eq!(retval as u64 as i64 as i32, objects.records as i32);
         let window = DeserWindow {
-            end: deinit_wakeup,
+            end: end.wakeup.end,
             cpu_busy,
-            text_bytes: meta.len,
+            text_bytes,
             obj_addr: 0x2000,
             fell_back: false,
         };
@@ -683,61 +674,8 @@ impl System {
         } else {
             Mode::Morpheus
         };
-        let digest = objects.digest();
-        Ok(self.finish_run(spec, mode, objects, digest, window)?)
-    }
-
-    /// DMAs one MREAD's output to its destination (host DRAM or the GPU
-    /// BAR) and takes the per-completion host wakeup. Returns the wakeup's
-    /// (end, cpu-time), or `None` for empty outputs.
-    fn deliver_output(
-        &mut self,
-        output: &[u8],
-        bar: Option<morpheus_pcie::BarWindow>,
-        iid: u32,
-        slba: u64,
-        blocks: u64,
-    ) -> Result<Option<(SimTime, SimDuration)>, RunError> {
-        if output.is_empty() {
-            return Ok(None);
-        }
-        let n = output.len() as u64;
-        let addr = self.alloc_output(n, bar)?;
-        if blocks > 0 {
-            let cid = self.alloc_cid();
-            let wire = MorpheusCommand::Read {
-                instance_id: iid,
-                slba,
-                blocks,
-                dma_addr: addr,
-            }
-            .into_command(cid, 1);
-            self.round_trip(wire, StatusCode::Success, 0);
-        }
-        // The SSD pushes finished objects; time base is the caller's
-        // staging completion, which the fabric sees via its own timelines.
-        let ready = self.mssd.dev.cores().horizon();
-        let dma = self
-            .fabric
-            .dma(self.ssd_dev, DmaDir::Write, addr, n, ready)?;
-        if bar.is_none() {
-            self.membus.transfer(dma.start, n);
-        }
-        let c = self.os.command_completion();
-        let iv = self.cpu_cores.acquire(
-            dma.end,
-            self.cpu.duration(c.instructions, CodeClass::OsKernel),
-        );
-        self.tracer
-            .instant(TraceLayer::Host, OS_TRACK, "context-switch", iv.start);
-        self.tracer.span(
-            TraceLayer::Host,
-            self.cpu_cores.name(),
-            "completion",
-            iv.start,
-            iv.end,
-        );
-        Ok(Some((iv.end, iv.duration())))
+        let objects = end.objects.expect("built to keep its columns");
+        Ok(self.finish_run(spec, mode, objects, end.digest, window)?)
     }
 
     /// Shared tail: other-CPU phase, copy phase, kernel phase, report.
@@ -1107,6 +1045,54 @@ mod tests {
             let spec = AppSpec::cpu_app("bfs", "edges.txt", edge_schema(), 4, 100.0);
             sys.run(&spec, Mode::Conventional).unwrap();
             assert_eq!(sys.in_flight_cids.len(), 0, "{storage:?}");
+        }
+    }
+
+    #[test]
+    fn a_solo_morpheus_run_is_a_tenant_of_one() {
+        // 64 KiB MREADs keep a debug build fast: 500, 20k and 40k edges
+        // take 1, 3 and 5 of them. The last input lacks its final newline,
+        // so its MDEINIT returns the last record.
+        let mut params = SystemParams::paper_testbed();
+        params.mread_chunk_bytes = 64 << 10;
+        let mut sys = System::new(params);
+        let mut unterminated = edge_text(20_000);
+        unterminated.pop();
+        let inputs = [
+            edge_text(500),
+            edge_text(20_000),
+            edge_text(40_000),
+            unterminated,
+        ];
+        for (i, text) in inputs.iter().enumerate() {
+            let file = format!("solo{i}.txt");
+            sys.create_input_file(&file, text).unwrap();
+            let spec = AppSpec::cpu_app("bfs", &file, edge_schema(), 4, 100.0);
+            let solo = sys.run(&spec, Mode::Morpheus).unwrap().report;
+            let one = sys.run_deserialize_many(&[(spec, Mode::Morpheus)]).unwrap();
+            let tenant = &one.tenants[0];
+            assert_eq!(solo.phases.deserialization_s, tenant.deser_s, "{file}");
+            assert_eq!(solo.context_switches, one.context_switches, "{file}");
+            assert_eq!(solo.checksum, tenant.checksum, "{file}");
+        }
+    }
+
+    #[test]
+    fn failed_and_degraded_runs_release_every_command_id() {
+        // A crash degrades the run to the host path; a certain timeout
+        // spends the reissue budget and then fails the host path too.
+        for (plan, mode) in [
+            ("seed=1,crash=1", Mode::Morpheus),
+            ("seed=1,timeout=1", Mode::Morpheus),
+            ("seed=1,timeout=1", Mode::Conventional),
+        ] {
+            let mut sys = test_system();
+            sys.create_input_file("edges.txt", &edge_text(20_000))
+                .unwrap();
+            sys.set_fault_plan(morpheus_simcore::FaultPlan::parse(plan).unwrap());
+            let spec = AppSpec::cpu_app("bfs", "edges.txt", edge_schema(), 4, 100.0);
+            let _ = sys.run(&spec, mode);
+            assert_eq!(sys.in_flight_cids.len(), 0, "{plan} {mode}");
         }
     }
 }

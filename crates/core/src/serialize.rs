@@ -134,11 +134,7 @@ impl System {
             cpu_ready = iv.end;
             cpu_busy += iv.duration();
             // write() syscall per batch.
-            let c = self.os.command_completion();
-            let os_iv = self.cpu_cores.acquire(
-                cpu_ready,
-                self.cpu.duration(c.instructions, CodeClass::OsKernel),
-            );
+            let os_iv = self.command_wakeup(cpu_ready);
             cpu_ready = os_iv.end;
             cpu_busy += os_iv.duration();
 
@@ -189,11 +185,7 @@ impl System {
         base_slba: u64,
     ) -> Result<(SimTime, SimDuration, u64), RunError> {
         let iid = self.alloc_instance();
-        let init = self.os.command_completion();
-        let init_iv = self.cpu_cores.acquire(
-            SimTime::ZERO,
-            self.cpu.duration(init.instructions, CodeClass::OsKernel),
-        );
+        let init_iv = self.command_wakeup(SimTime::ZERO);
         let mut cpu_busy = init_iv.duration();
         let app = SerializeApp::new("serialize", objects.schema.clone());
         let ready = self.mssd.minit(iid, Box::new(app), init_iv.end)?;
@@ -225,11 +217,7 @@ impl System {
             self.round_trip(wire, StatusCode::Success, 0);
             let out = self.mssd.mwrite(iid, base_slba, &bin, dma.end)?;
             // One host wakeup per completion.
-            let c = self.os.command_completion();
-            let iv = self.cpu_cores.acquire(
-                out.durable,
-                self.cpu.duration(c.instructions, CodeClass::OsKernel),
-            );
+            let iv = self.command_wakeup(out.durable);
             cpu_busy += iv.duration();
             issue = iv.end;
         }
@@ -237,11 +225,7 @@ impl System {
         let wire = MorpheusCommand::Deinit { instance_id: iid }.into_command(cid, 1);
         let dein = self.mssd.mdeinit(iid, issue)?;
         self.round_trip(wire, StatusCode::Success, dein.retval as u32);
-        let c = self.os.command_completion();
-        let iv = self.cpu_cores.acquire(
-            dein.done,
-            self.cpu.duration(c.instructions, CodeClass::OsKernel),
-        );
+        let iv = self.command_wakeup(dein.done);
         cpu_busy += iv.duration();
         Ok((iv.end, cpu_busy, dein.flushed_to_flash))
     }

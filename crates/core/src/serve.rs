@@ -14,12 +14,10 @@
 //! byte-identical across repeats and across bench `--jobs` values.
 
 use crate::cache::{self, CacheEvent, CacheHit, CacheStats, CacheTier};
-use crate::concurrent::TenantState;
 use crate::exec::{AppSpec, MorpheusAbort, RunError};
 use crate::report::{mb_per_sec, Mode};
 use crate::{StorageKind, System};
 use morpheus_format::ObjectDigest;
-use morpheus_host::CodeClass;
 use morpheus_nvme::{AdminController, MorpheusCommand, NvmeCommand, StatusCode};
 use morpheus_pcie::{BarWindow, DmaDir};
 use morpheus_simcore::{
@@ -397,18 +395,13 @@ struct ServeCtx<'a> {
     admin: AdminController,
     /// Per-app format digests (part of the cache key), computed once.
     digests: Vec<u64>,
-    /// Per-app deserializer code sizes for MINIT, computed once — the
-    /// dispatch loop must not rebuild a StorageApp (name string + schema
-    /// clone) per request just to read this.
-    code_lens: Vec<u32>,
 }
 
 /// One tenant's spec plus its precomputed format digest (the cache key
-/// half that doesn't depend on the request) and MINIT code size.
+/// half that doesn't depend on the request).
 struct Tenant<'a> {
     spec: &'a AppSpec,
     digest: u64,
-    code_len: u32,
 }
 
 impl System {
@@ -639,14 +632,12 @@ impl System {
             cmds_scratch: Vec::new(),
         };
         let digests: Vec<u64> = apps.iter().map(cache::format_digest).collect();
-        let code_lens: Vec<u32> = apps.iter().map(|a| a.storage_app().code_bytes()).collect();
         let ctx = ServeCtx {
             cfg,
             apps,
             bar,
             admin,
             digests,
-            code_lens,
         };
         (st, ctx)
     }
@@ -728,7 +719,6 @@ impl System {
                     let tenant = Tenant {
                         spec,
                         digest: ctx.digests[app],
-                        code_len: ctx.code_lens[app],
                     };
                     self.morpheus_service(st, &tenant, *r, start, ctx.bar, &mut wire)
                 }
@@ -850,7 +840,7 @@ impl System {
             }
         }
         let dram_before = self.dram.allocated();
-        match self.try_morpheus_service(spec, r.app, tenant.code_len, start, bar, wire) {
+        match self.try_morpheus_service(spec, r.app, start, bar, wire) {
             Ok((end, objects)) => {
                 let freed = self.dram.allocated().saturating_sub(dram_before);
                 self.dram.free(freed);
@@ -872,19 +862,8 @@ impl System {
                 if let Some(s) = st.sampler.as_mut() {
                     s.count("fault_redispatches", at);
                 }
-                self.mssd.abort_instance(iid);
-                let cid = self.alloc_cid();
-                wire.push((
-                    MorpheusCommand::Deinit { instance_id: iid }.into_command(cid, 1),
-                    status,
-                    0,
-                ));
-                self.tracer
-                    .instant(TraceLayer::Host, SERVE_TRACK, "host-fallback", at);
-                if let Some(fi) = self.faults.as_mut() {
-                    fi.counters.host_fallbacks += 1;
-                    fi.fallback_cause = Some(cause);
-                }
+                let reap = self.reap_fallback(SERVE_TRACK, at, iid, cause);
+                wire.push((reap, status, 0));
                 // Return any partial output the aborted stream delivered.
                 let freed = self.dram.allocated().saturating_sub(dram_before);
                 self.dram.free(freed);
@@ -897,13 +876,14 @@ impl System {
     }
 
     /// The drive-side service of one request: MINIT → MREAD per chunk →
-    /// MDEINIT, each behind the solo driver's
-    /// [`fault_gate`](System::fault_gate).
+    /// MDEINIT on the device engine, each behind a
+    /// [`fault_gate`](System::fault_gate). Unlike a solo run, the MINIT
+    /// gate comes before the host syscall, and each MREAD's floor is the
+    /// previous one's, so one stalled MREAD delays every later one.
     fn try_morpheus_service(
         &mut self,
         spec: &AppSpec,
         app: usize,
-        code_len: u32,
         start: SimTime,
         bar: Option<BarWindow>,
         wire: &mut Vec<WireCmd>,
@@ -913,77 +893,34 @@ impl System {
         // a tenant's requests queue behind each other, not behind
         // strangers.
         let iid = self.alloc_instance_pinned(app % ncores, ncores);
-        let file_len = self
-            .fs
-            .open(&spec.input)
-            .map_err(|_| MorpheusAbort::Fatal(RunError::UnknownFile(spec.input.clone())))?
-            .len;
-
         let floor = self.fault_gate("MINIT", iid, start)?;
-        let cid = self.alloc_cid();
-        wire.push((
-            MorpheusCommand::Init {
-                instance_id: iid,
-                code_ptr: 0x4000,
-                code_len,
-                arg: file_len as u32,
-            }
-            .into_command(cid, 1),
-            StatusCode::Success,
-            0,
-        ));
+        let syscall = self.command_wakeup(floor);
         let mut t = self
-            .morpheus_tenant(spec, iid, floor, bar)
+            .device_tenant(spec, iid, syscall.end, bar, false)
             .map_err(MorpheusAbort::Fatal)?;
+        let cid = self.alloc_cid();
+        wire.push((t.init_command(cid), StatusCode::Success, 0));
 
-        while !t.finished_chunks() {
-            let (ready0, c) = match &t {
-                TenantState::Morpheus {
-                    ready,
-                    chunks,
-                    next,
-                    ..
-                } => (*ready, chunks[*next]),
-                TenantState::Conventional { .. } => unreachable!("constructed as morpheus"),
-            };
-            let floor = self.fault_gate("MREAD", iid, ready0)?;
-            if let TenantState::Morpheus { ready, .. } = &mut t {
-                *ready = floor;
-            }
+        let mut floor = t.ready;
+        while let Some(c) = t.next_chunk() {
+            floor = self.fault_gate("MREAD", iid, floor)?;
             let cid = self.alloc_cid();
-            wire.push((
-                MorpheusCommand::Read {
-                    instance_id: iid,
-                    slba: c.slba,
-                    blocks: c.blocks,
-                    dma_addr: 0x2000,
-                }
-                .into_command(cid, 1),
-                StatusCode::Success,
-                0,
-            ));
-            self.step_tenant(&mut t)
+            wire.push((t.read_command(c, cid), StatusCode::Success, 0));
+            self.step_device(&mut t, floor)
                 .map_err(|e| Self::media_or_fatal(e, iid, floor))?;
         }
 
-        let last0 = match &t {
-            TenantState::Morpheus { last_end, .. } => *last_end,
-            TenantState::Conventional { .. } => unreachable!("constructed as morpheus"),
-        };
-        let floor = self.fault_gate("MDEINIT", iid, last0)?;
-        if let TenantState::Morpheus { last_end, .. } = &mut t {
-            *last_end = floor;
-        }
-        let (end, objects) = self
-            .finish_tenant(t)
+        let floor = self.fault_gate("MDEINIT", iid, t.last_end)?;
+        let end = self
+            .finish_device(t, floor)
             .map_err(|e| Self::media_or_fatal(e, iid, floor))?;
         let cid = self.alloc_cid();
         wire.push((
             MorpheusCommand::Deinit { instance_id: iid }.into_command(cid, 1),
             StatusCode::Success,
-            objects.records as u32,
+            end.retval as u32,
         ));
-        Ok((end, objects))
+        Ok((end.wakeup.end, end.digest))
     }
 
     /// Books one completed request: counters, latency histograms, trace,
@@ -1065,11 +1002,7 @@ impl System {
                 }
             }
         };
-        let c = self.os.command_completion();
-        let iv = self
-            .cpu_cores
-            .acquire(done, self.cpu.duration(c.instructions, CodeClass::OsKernel));
-        Ok(iv.end)
+        Ok(self.command_wakeup(done).end)
     }
 
     /// Drains the cache's state-change log into `cache`-track trace

@@ -5,10 +5,12 @@ use crate::faults::FaultInjector;
 use crate::{MorpheusSsd, SystemParams};
 use morpheus_flash::EccModel;
 use morpheus_gpu::Gpu;
-use morpheus_host::{Cpu, FileMeta, FsError, HostDram, MemBus, OsModel, SimFs};
+use morpheus_host::{CodeClass, Cpu, FileMeta, FsError, HostDram, MemBus, OsModel, SimFs};
 use morpheus_nvme::{CompletionEntry, NvmeCommand, StatusCode, LBA_BYTES, MAX_IO_BLOCKS};
 use morpheus_pcie::{BarWindow, DeviceId, Fabric};
-use morpheus_simcore::{Bandwidth, FaultCounters, FaultPlan, Histogram, Timeline, Tracer};
+use morpheus_simcore::{
+    Bandwidth, FaultCounters, FaultPlan, Histogram, Interval, SimTime, Timeline, Tracer,
+};
 use morpheus_ssd::{Ssd, SsdError};
 
 /// One I/O command's worth of a file: an LBA range plus how many of its
@@ -540,6 +542,16 @@ impl System {
     /// reaped.
     pub(crate) fn release_cid(&mut self, cid: u16) {
         self.in_flight_cids.remove(cid);
+    }
+
+    /// Books one host wakeup for an NVMe command completion (or the
+    /// syscall that issues a command) on a host core, no earlier than
+    /// `at`: the OS path of [`OsModel::command_completion`], priced as
+    /// kernel code. Returns the core grant.
+    pub fn command_wakeup(&mut self, at: SimTime) -> Interval {
+        let c = self.os.command_completion();
+        self.cpu_cores
+            .acquire(at, self.cpu.duration(c.instructions, CodeClass::OsKernel))
     }
 
     /// Drives one command through the shared I/O queue's full wire

@@ -111,11 +111,7 @@ pub fn scan_morpheus(sys: &mut System, kv: &KvStore, lo: u64, hi: u64) -> ScanOu
     sys.reset_timing();
     let (slba, blocks) = kv.region();
     let iid = sys.allocate_instance_id();
-    let init = sys.os.command_completion();
-    let init_iv = sys.cpu_cores.acquire(
-        SimTime::ZERO,
-        sys.cpu.duration(init.instructions, CodeClass::OsKernel),
-    );
+    let init_iv = sys.command_wakeup(SimTime::ZERO);
     let mut cpu_busy = init_iv.duration();
     let app = KvScanApp::new(kv.config().bucket_bytes, lo, hi);
     let ready = sys.mssd.minit(iid, Box::new(app), init_iv.end)?;
@@ -142,11 +138,7 @@ pub fn scan_morpheus(sys: &mut System, kv: &KvStore, lo: u64, hi: u64) -> ScanOu
                 out.done,
             )?;
             sys.membus.transfer(dma.start, out.output.len() as u64);
-            let c = sys.os.command_completion();
-            let iv = sys.cpu_cores.acquire(
-                dma.end,
-                sys.cpu.duration(c.instructions, CodeClass::OsKernel),
-            );
+            let iv = sys.command_wakeup(dma.end);
             cpu_busy += iv.duration();
             last = last.max(iv.end);
         } else {
@@ -157,11 +149,7 @@ pub fn scan_morpheus(sys: &mut System, kv: &KvStore, lo: u64, hi: u64) -> ScanOu
     }
     let dein = sys.mssd.mdeinit(iid, last)?;
     out_bytes.extend_from_slice(&dein.host_output);
-    let c = sys.os.command_completion();
-    let iv = sys.cpu_cores.acquire(
-        dein.done.max(last),
-        sys.cpu.duration(c.instructions, CodeClass::OsKernel),
-    );
+    let iv = sys.command_wakeup(dein.done.max(last));
     cpu_busy += iv.duration();
 
     let matches = decode_pairs(&out_bytes);
