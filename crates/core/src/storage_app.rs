@@ -106,8 +106,19 @@ impl DeviceCtx {
     /// (host DRAM or GPU memory — the runtime binds the target address).
     pub fn ms_memcpy(&mut self, bytes: &[u8]) {
         self.staged.extend_from_slice(bytes);
+        self.flush_if_half_full();
+    }
+
+    /// Flushes the staged output once it fills more than half the D-SRAM.
+    /// A flush into an empty `flushed` buffer moves the staging buffer
+    /// rather than copying it.
+    fn flush_if_half_full(&mut self) {
         if self.staged.len() as u64 > self.dsram_bytes as u64 / 2 {
-            self.flushed.append(&mut self.staged);
+            if self.flushed.is_empty() {
+                std::mem::swap(&mut self.flushed, &mut self.staged);
+            } else {
+                self.flushed.append(&mut self.staged);
+            }
             self.flushes += 1;
         }
     }
@@ -254,12 +265,13 @@ impl DeserializeApp {
 ///
 /// No `canonicalize` pass is needed first: `encode_rows` applies the same
 /// width casts, so the bytes equal those of the canonicalized host objects.
+/// The rows are encoded straight into the staging buffer, which then flushes
+/// exactly as one `ms_memcpy` of those bytes would.
 pub(crate) fn emit_rows(ctx: &mut DeviceCtx, rows: &ParsedColumns) -> u64 {
     if rows.records > 0 {
-        let mut buf = Vec::with_capacity(rows.binary_bytes() as usize);
-        rows.encode_rows(0, rows.records, &mut buf);
-        ctx.ms_memcpy(&buf);
-        ctx.charge_instructions(buf.len() as f64);
+        rows.encode_rows(0, rows.records, &mut ctx.staged);
+        ctx.flush_if_half_full();
+        ctx.charge_instructions(rows.binary_bytes() as f64);
     }
     rows.records
 }

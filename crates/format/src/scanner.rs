@@ -9,6 +9,53 @@ pub(crate) fn is_separator(b: u8) -> bool {
     matches!(b, b' ' | b'\t' | b'\n' | b'\r' | b',')
 }
 
+/// The position of the first non-separator byte of `buf` at or after `i`.
+#[inline]
+pub(crate) fn skip_separators(buf: &[u8], mut i: usize) -> usize {
+    while i < buf.len() && is_separator(buf[i]) {
+        i += 1;
+    }
+    i
+}
+
+/// Converts the integer token starting at `buf[i]` when it is an optional
+/// sign, 1–17 digits and then a separator or the end of `buf`, returning
+/// `(value, digits, end)`; `None` for any other token. 17 digits stay below
+/// 10^17, so no overflow check is needed, and the value equals
+/// [`TextScanner::parse_i64`]'s. The first eight bytes after the sign are
+/// classified and folded at once when `buf` has them; further digits, and
+/// tokens too close to the end for a whole chunk, go digit by digit.
+#[inline]
+pub(crate) fn short_int(buf: &[u8], i: usize) -> Option<(i64, u64, usize)> {
+    let neg = buf[i] == b'-';
+    let start = i + usize::from(neg || buf[i] == b'+');
+    let limit = buf.len().min(start + 17);
+    let mut end = start;
+    let mut v = 0i64;
+    if let Some(chunk) = buf.get(start..start + 8) {
+        let w = swar::load(chunk);
+        let nd = swar::leading_digits(w);
+        v = match nd {
+            0 => return None,
+            8 => swar::fold8(w),
+            _ => swar::fold_partial(w, nd),
+        } as i64;
+        end += nd;
+    }
+    while end < limit {
+        let d = buf[end].wrapping_sub(b'0');
+        if d >= 10 {
+            break;
+        }
+        v = v * 10 + i64::from(d);
+        end += 1;
+    }
+    if end == start || buf.get(end).is_some_and(|&b| !is_separator(b)) {
+        return None;
+    }
+    Some((if neg { -v } else { v }, (end - start) as u64, end))
+}
+
 /// SWAR (SIMD-within-a-register) helpers: classify and fold 8-byte chunks
 /// of the input at once, leaving partial chunks and everything after the
 /// first match to the scalar tail. All masks put their verdict in the high
@@ -263,19 +310,11 @@ impl<'a> TextScanner<'a> {
         self.work
     }
 
-    /// Skips separator bytes. The common gap between tokens is one or two
-    /// bytes, so the first few are walked scalar; only a longer run (blank
-    /// lines, padded columns) switches to 8-byte chunk classification,
-    /// with a scalar tail for the last partial chunk.
+    /// Skips separator bytes, counting them as scanned.
     pub fn skip_separators(&mut self) {
-        let buf = self.buf;
-        let start = self.pos;
-        let mut i = start;
-        while i < buf.len() && is_separator(buf[i]) {
-            i += 1;
-        }
-        self.pos = i;
-        self.work.bytes_scanned += (i - start) as u64;
+        let end = skip_separators(self.buf, self.pos);
+        self.work.bytes_scanned += (end - self.pos) as u64;
+        self.pos = end;
     }
 
     /// True once only separators remain.

@@ -1,6 +1,6 @@
 //! Record schemas and the columnar objects deserialization produces.
 
-use crate::{ParseError, ParseErrorKind, ParseWork, TextScanner};
+use crate::{ParseError, ParseErrorKind, ParseWork, StreamingParser};
 
 /// Binary type of one field in a record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -265,40 +265,50 @@ impl ParsedColumns {
 
     /// Encodes records `[from, to)` into little-endian binary at the
     /// declared field widths (the representation StorageApps DMA to the
-    /// host instead of text).
+    /// host instead of text), appending them to `out`.
+    ///
+    /// Column by column: each column's values go to their slots of the
+    /// row-major records, so the kind is matched once per column.
     ///
     /// # Panics
     ///
     /// Panics if the range exceeds the parsed record count.
     pub fn encode_rows(&self, from: u64, to: u64, out: &mut Vec<u8>) {
         assert!(from <= to && to <= self.records, "row range out of bounds");
-        for r in from..to {
-            for (kind, col) in self.schema.fields().iter().zip(&self.columns) {
-                match col {
-                    Column::Ints(v) => {
-                        let x = v[r as usize];
-                        match kind {
-                            FieldKind::U32 => out.extend_from_slice(&(x as u32).to_le_bytes()),
-                            FieldKind::I32 => out.extend_from_slice(&(x as i32).to_le_bytes()),
-                            FieldKind::U64 => out.extend_from_slice(&(x as u64).to_le_bytes()),
-                            FieldKind::I64 => out.extend_from_slice(&x.to_le_bytes()),
-                            _ => unreachable!("int column with float kind"),
-                        }
-                    }
-                    Column::Floats(v) => {
-                        let x = v[r as usize];
-                        match kind {
-                            FieldKind::F32 => out.extend_from_slice(&(x as f32).to_le_bytes()),
-                            FieldKind::F64 => out.extend_from_slice(&x.to_le_bytes()),
-                            _ => unreachable!("float column with int kind"),
-                        }
-                    }
+        let rows = from as usize..to as usize;
+        let rec = self.schema.record_bytes() as usize;
+        let start = out.len();
+        out.resize(start + rows.len() * rec, 0);
+        let out = &mut out[start..];
+        let mut off = 0;
+        for (kind, col) in self.schema.fields().iter().zip(&self.columns) {
+            match (kind, col) {
+                (FieldKind::U32, Column::Ints(v)) => put(out, rec, off, &v[rows.clone()], |x| {
+                    (x as u32).to_le_bytes()
+                }),
+                (FieldKind::I32, Column::Ints(v)) => put(out, rec, off, &v[rows.clone()], |x| {
+                    (x as i32).to_le_bytes()
+                }),
+                (FieldKind::U64, Column::Ints(v)) => put(out, rec, off, &v[rows.clone()], |x| {
+                    (x as u64).to_le_bytes()
+                }),
+                (FieldKind::I64, Column::Ints(v)) => {
+                    put(out, rec, off, &v[rows.clone()], i64::to_le_bytes)
                 }
+                (FieldKind::F32, Column::Floats(v)) => put(out, rec, off, &v[rows.clone()], |x| {
+                    (x as f32).to_le_bytes()
+                }),
+                (FieldKind::F64, Column::Floats(v)) => {
+                    put(out, rec, off, &v[rows.clone()], f64::to_le_bytes)
+                }
+                _ => unreachable!("columns built from the same schema"),
             }
+            off += kind.byte_width() as usize;
         }
     }
 
-    /// Decodes binary records produced by [`encode_rows`].
+    /// Decodes binary records produced by [`encode_rows`], column by
+    /// column.
     ///
     /// [`encode_rows`]: ParsedColumns::encode_rows
     ///
@@ -311,44 +321,72 @@ impl ParsedColumns {
         if !bytes.len().is_multiple_of(rec) {
             return Err(ParseError::new(bytes.len(), ParseErrorKind::UnexpectedEof));
         }
-        let mut out = ParsedColumns::empty(schema);
-        let records = bytes.len() / rec;
-        for col in &mut out.columns {
-            match col {
-                Column::Ints(v) => v.reserve_exact(records),
-                Column::Floats(v) => v.reserve_exact(records),
-            }
-        }
-        let kinds = out.schema.fields().to_vec();
-        let mut pos = 0;
-        while pos < bytes.len() {
-            for (i, kind) in kinds.iter().enumerate() {
-                let w = kind.byte_width() as usize;
-                let raw = &bytes[pos..pos + w];
-                match &mut out.columns[i] {
-                    Column::Ints(v) => v.push(match kind {
-                        FieldKind::U32 => u32::from_le_bytes(raw.try_into().unwrap()) as i64,
-                        FieldKind::I32 => i32::from_le_bytes(raw.try_into().unwrap()) as i64,
-                        FieldKind::U64 => u64::from_le_bytes(raw.try_into().unwrap()) as i64,
-                        FieldKind::I64 => i64::from_le_bytes(raw.try_into().unwrap()),
-                        _ => unreachable!("int column with float kind"),
-                    }),
-                    Column::Floats(v) => v.push(match kind {
-                        FieldKind::F32 => f32::from_le_bytes(raw.try_into().unwrap()) as f64,
-                        FieldKind::F64 => f64::from_le_bytes(raw.try_into().unwrap()),
-                        _ => unreachable!("float column with int kind"),
-                    }),
-                }
-                pos += w;
-            }
-            out.records += 1;
-        }
-        Ok(out)
+        let mut off = 0;
+        let columns = schema
+            .fields()
+            .iter()
+            .map(|kind| {
+                let col = match kind {
+                    FieldKind::U32 => {
+                        Column::Ints(get(bytes, rec, off, |b| u32::from_le_bytes(b) as i64))
+                    }
+                    FieldKind::I32 => {
+                        Column::Ints(get(bytes, rec, off, |b| i32::from_le_bytes(b) as i64))
+                    }
+                    FieldKind::U64 => {
+                        Column::Ints(get(bytes, rec, off, |b| u64::from_le_bytes(b) as i64))
+                    }
+                    FieldKind::I64 => Column::Ints(get(bytes, rec, off, i64::from_le_bytes)),
+                    FieldKind::F32 => {
+                        Column::Floats(get(bytes, rec, off, |b| f32::from_le_bytes(b) as f64))
+                    }
+                    FieldKind::F64 => Column::Floats(get(bytes, rec, off, f64::from_le_bytes)),
+                };
+                off += kind.byte_width() as usize;
+                col
+            })
+            .collect();
+        Ok(ParsedColumns {
+            schema,
+            columns,
+            records: (bytes.len() / rec) as u64,
+        })
     }
 }
 
-/// Parses an entire buffer of whitespace/comma-separated records against a
-/// schema (the conventional host path, which has the whole file in memory).
+/// Writes `bytes(x)` for each value into its row's field slot at `off`, in
+/// row-major `out` with `rec`-byte records.
+#[inline]
+fn put<T: Copy, const W: usize>(
+    out: &mut [u8],
+    rec: usize,
+    off: usize,
+    vals: &[T],
+    bytes: impl Fn(T) -> [u8; W],
+) {
+    for (row, &x) in out.chunks_exact_mut(rec).zip(vals) {
+        row[off..off + W].copy_from_slice(&bytes(x));
+    }
+}
+
+/// One column read from the field slot at `off` of every `rec`-byte record
+/// of `bytes`.
+#[inline]
+fn get<T, const W: usize>(
+    bytes: &[u8],
+    rec: usize,
+    off: usize,
+    value: impl Fn([u8; W]) -> T,
+) -> Vec<T> {
+    bytes
+        .chunks_exact(rec)
+        .map(|row| value(row[off..off + W].try_into().expect("a W-byte field slot")))
+        .collect()
+}
+
+/// Parses a buffer of whitespace/comma-separated records against a schema:
+/// the whole buffer is one chunk of a [`StreamingParser`], so this runs the
+/// same record loop as the streamed host and device parses.
 ///
 /// Returns the columns and the work performed.
 ///
@@ -359,22 +397,9 @@ pub fn parse_buffer(
     data: &[u8],
     schema: &Schema,
 ) -> Result<(ParsedColumns, ParseWork), ParseError> {
-    let mut out = ParsedColumns::empty(schema.clone());
-    let mut scanner = TextScanner::new(data);
-    'records: loop {
-        for (i, field) in schema.fields().iter().enumerate() {
-            if i == 0 && scanner.at_end() {
-                break 'records;
-            }
-            match (field.is_float(), &mut out.columns[i]) {
-                (false, Column::Ints(v)) => v.push(scanner.parse_i64()?),
-                (true, Column::Floats(v)) => v.push(scanner.parse_f64()?),
-                _ => unreachable!("columns built from the same schema"),
-            }
-        }
-        out.records += 1;
-    }
-    Ok((out, scanner.work()))
+    let mut parser = StreamingParser::new(schema.clone());
+    parser.feed(data)?;
+    parser.finish_with_work()
 }
 
 /// Ensures the input did not end in the middle of a record; exposed for the

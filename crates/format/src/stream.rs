@@ -4,10 +4,15 @@
 //! the NVMe transfer limit and the embedded core's D-SRAM (§V). A token can
 //! be split across two chunks, so the device-library parse loop keeps the
 //! unterminated tail of each chunk and prepends it to the next. This module
-//! implements that loop; its output is bit-identical to
-//! [`parse_buffer`](crate::schema::parse_buffer) over the concatenated
-//! input, which the property tests verify for arbitrary chunkings.
+//! implements that loop, and it is the only text record loop:
+//! [`parse_buffer`](crate::schema::parse_buffer) feeds it one chunk, the
+//! host engine 1 MiB chunks and the StorageApps one flash page at a time.
+//! `tests/parse_properties.rs` checks it, for arbitrary schemas and
+//! chunkings, against an independent oracle that parses every token with
+//! [`TextScanner`]: the columns, all five [`ParseWork`] counters, and the
+//! kind and offset of any error agree.
 
+use crate::scanner::{short_int, skip_separators};
 use crate::schema::incomplete_record_error;
 use crate::{Column, ParseError, ParseWork, ParsedColumns, Schema, TextScanner};
 
@@ -16,7 +21,6 @@ use crate::{Column, ParseError, ParseWork, ParsedColumns, Schema, TextScanner};
 /// See the [crate example](crate) for usage.
 #[derive(Debug, Clone)]
 pub struct StreamingParser {
-    schema: Schema,
     out: ParsedColumns,
     work: ParseWork,
     carry: Vec<u8>,
@@ -32,8 +36,7 @@ impl StreamingParser {
     /// Creates a parser for a schema.
     pub fn new(schema: Schema) -> Self {
         StreamingParser {
-            out: ParsedColumns::empty(schema.clone()),
-            schema,
+            out: ParsedColumns::empty(schema),
             work: ParseWork::default(),
             carry: Vec::new(),
             field_idx: 0,
@@ -120,7 +123,17 @@ impl StreamingParser {
     ///
     /// Fails if the stream ended in the middle of a record or the final
     /// token is malformed.
-    pub fn finish(mut self) -> Result<ParsedColumns, ParseError> {
+    pub fn finish(self) -> Result<ParsedColumns, ParseError> {
+        self.finish_with_work().map(|(out, _)| out)
+    }
+
+    /// Finishes and also returns the accumulated work, including the final
+    /// unterminated token's.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`finish`](StreamingParser::finish).
+    pub fn finish_with_work(mut self) -> Result<(ParsedColumns, ParseWork), ParseError> {
         if !self.carry.is_empty() {
             let carried = std::mem::take(&mut self.carry);
             self.parse_region(&carried, self.carry_start)?;
@@ -128,46 +141,62 @@ impl StreamingParser {
         if self.field_idx != 0 {
             return Err(incomplete_record_error(self.total_fed));
         }
-        Ok(self.out)
+        Ok((self.out, self.work))
     }
 
-    /// Finishes and also returns the accumulated work.
+    /// Parses a region guaranteed to contain only complete tokens: the one
+    /// record loop behind every text parse.
     ///
-    /// # Errors
-    ///
-    /// Same as [`finish`](StreamingParser::finish).
-    pub fn finish_with_work(self) -> Result<(ParsedColumns, ParseWork), ParseError> {
-        let work = self.work;
-        let out = self.finish()?;
-        Ok((out, work))
-    }
-
-    /// Parses a region guaranteed to contain only complete tokens.
+    /// An integer token made of an optional sign, 1–17 digits and then a
+    /// separator or the region end is converted inline ([`short_int`]).
+    /// Float tokens, and integer tokens that case rejects (a lone sign, 18
+    /// or more digits, a malformed token), are parsed by [`TextScanner`]
+    /// from their first byte, so their values, work and errors are the
+    /// scanner's. Every byte of a region is a separator or part of a token,
+    /// so a region parsed whole has scanned all of its bytes.
     fn parse_region(&mut self, data: &[u8], base: usize) -> Result<(), ParseError> {
-        let mut sc = TextScanner::with_base_offset(data, base);
-        loop {
-            if sc.at_end() {
-                break;
-            }
-            let kind = self.schema.fields()[self.field_idx];
-            match (kind.is_float(), &mut self.out.columns[self.field_idx]) {
-                (false, Column::Ints(v)) => v.push(sc.parse_i64()?),
-                (true, Column::Floats(v)) => v.push(sc.parse_f64()?),
-                _ => unreachable!("columns built from the same schema"),
-            }
+        let fields = self.out.columns.len();
+        let mut work = ParseWork::default();
+        let mut i = skip_separators(data, 0);
+        while i < data.len() {
+            i = match &mut self.out.columns[self.field_idx] {
+                Column::Ints(v) => match short_int(data, i) {
+                    Some((x, digits, end)) => {
+                        v.push(x);
+                        work.int_tokens += 1;
+                        work.int_digits += digits;
+                        end
+                    }
+                    None => {
+                        let mut sc = TextScanner::with_base_offset(&data[i..], base + i);
+                        v.push(sc.parse_i64()?);
+                        work.merge(&sc.work());
+                        i + sc.pos()
+                    }
+                },
+                Column::Floats(v) => {
+                    let mut sc = TextScanner::with_base_offset(&data[i..], base + i);
+                    v.push(sc.parse_f64()?);
+                    work.merge(&sc.work());
+                    i + sc.pos()
+                }
+            };
             self.field_idx += 1;
-            if self.field_idx == self.schema.fields().len() {
+            if self.field_idx == fields {
                 self.field_idx = 0;
                 self.out.records += 1;
             }
+            i = skip_separators(data, i);
         }
-        self.work.merge(&sc.work());
+        work.bytes_scanned = data.len() as u64;
+        self.work.merge(&work);
         Ok(())
     }
 }
 
-/// Convenience: parse a full buffer through the streaming machinery (used
-/// by tests comparing against [`parse_buffer`](crate::parse_buffer)).
+/// Convenience: parse a full buffer through the streaming machinery in
+/// `chunk_size` pieces (tests and benches use it to put chunk boundaries
+/// anywhere).
 ///
 /// # Errors
 ///

@@ -1,8 +1,9 @@
-//! Property tests: print→parse identity and streaming ≡ whole-buffer.
+//! Property tests: print→parse identity, streaming ≡ whole-buffer, and
+//! the record loop ≡ an independent per-token oracle.
 
 use morpheus_format::{
-    parse_binary, parse_buffer, parse_chunked, BinaryStreamParser, Endianness, FieldKind,
-    ParsedColumns, Schema, StreamingParser, TextScanner, TextWriter,
+    parse_binary, parse_buffer, parse_chunked, BinaryStreamParser, Column, Endianness, FieldKind,
+    ParseError, ParseWork, ParsedColumns, Schema, StreamingParser, TextScanner, TextWriter,
 };
 use proptest::prelude::*;
 
@@ -15,6 +16,99 @@ const KINDS: [FieldKind; 6] = [
     FieldKind::F64,
     FieldKind::I64,
 ];
+
+/// The oracle for the record loop: every token goes through
+/// [`TextScanner`], dispatched on its field's kind, over the whole buffer
+/// at once. It shares no code with `StreamingParser`'s loop beyond the
+/// scanner's own token parsers.
+fn oracle_parse(data: &[u8], schema: &Schema) -> Result<(ParsedColumns, ParseWork), ParseError> {
+    let mut out = ParsedColumns::empty(schema.clone());
+    let mut scanner = TextScanner::new(data);
+    'records: loop {
+        for (i, field) in schema.fields().iter().enumerate() {
+            if i == 0 && scanner.at_end() {
+                break 'records;
+            }
+            match (field.is_float(), &mut out.columns[i]) {
+                (false, Column::Ints(v)) => v.push(scanner.parse_i64()?),
+                (true, Column::Floats(v)) => v.push(scanner.parse_f64()?),
+                _ => unreachable!("columns built from the same schema"),
+            }
+        }
+        out.records += 1;
+    }
+    Ok((out, scanner.work()))
+}
+
+/// A parse result with floats as bits, so NaN compares equal to itself.
+type Outcome = Result<(u64, Vec<Vec<u64>>, ParseWork), ParseError>;
+
+fn outcome(r: Result<(ParsedColumns, ParseWork), ParseError>) -> Outcome {
+    r.map(|(cols, work)| {
+        let values = cols
+            .columns
+            .iter()
+            .map(|c| match c {
+                Column::Ints(v) => v.iter().map(|&x| x as u64).collect(),
+                Column::Floats(v) => v.iter().map(|x| x.to_bits()).collect(),
+            })
+            .collect();
+        (cols.records, values, work)
+    })
+}
+
+/// One generated token: well-formed integers of 1–21 digits with and
+/// without a sign (so 16–21 digits straddle the inline limit and i64
+/// overflow), the i64/u64 extremes, floats, a lone sign, and malformed
+/// tokens.
+fn token(choice: u8, raw: u64, len: u8) -> Vec<u8> {
+    let digits = |n: usize| -> Vec<u8> {
+        let mut x = raw;
+        (0..n)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                b'0' + ((x >> 33) % 10) as u8
+            })
+            .collect()
+    };
+    let sign: &[u8] = [&b""[..], b"-", b"+"][(raw >> 60) as usize % 3];
+    let n = 1 + len as usize % 21;
+    match choice % 16 {
+        0..=5 => [sign, &digits(1 + len as usize % 8)].concat(),
+        6..=8 => [sign, &digits(n)].concat(),
+        9 => [
+            &b"-9223372036854775808"[..],
+            b"9223372036854775807",
+            b"-9223372036854775809",
+            b"9223372036854775808",
+            b"18446744073709551615",
+            b"-0",
+            b"00000000000000000000042",
+        ][raw as usize % 7]
+            .to_vec(),
+        10 | 11 => [sign, &digits(n % 9 + 1), b".", &digits(len as usize % 7)].concat(),
+        12 => [
+            &digits(n % 4 + 1)[..],
+            b"e",
+            [&b""[..], b"-", b"+"][len as usize % 3],
+            &digits(2),
+        ]
+        .concat(),
+        13 => sign.first().map_or(b"-".to_vec(), |s| vec![*s]),
+        14 => [
+            &digits(n % 5 + 1)[..],
+            &[[b'x', b'.', b'-', 0xFF, b'e'][len as usize % 5]],
+        ]
+        .concat(),
+        _ => [
+            &[[b'x', b'.', b'e', 0xC3][len as usize % 4]][..],
+            &digits(len as usize % 3),
+        ]
+        .concat(),
+    }
+}
 
 /// The host reference: whole-buffer objects, narrowed, then encoded.
 fn canonical_bytes(mut cols: ParsedColumns) -> Vec<u8> {
@@ -161,6 +255,9 @@ proptest! {
         prop_assert_eq!(stream_work.int_tokens, whole_work.int_tokens);
         prop_assert_eq!(stream_work.float_tokens, whole_work.float_tokens);
         prop_assert_eq!(stream_work.bytes_scanned, whole_work.bytes_scanned);
+        let (oracle, oracle_work) = oracle_parse(&data, &schema).unwrap();
+        prop_assert_eq!(&whole, &oracle);
+        prop_assert_eq!(whole_work, oracle_work);
     }
 
     /// Work accounting never exceeds the input length for bytes scanned,
@@ -219,5 +316,44 @@ proptest! {
         let endian = if big_endian { Endianness::Big } else { Endianness::Little };
         let (whole, _) = parse_binary(data, &schema, endian).unwrap();
         prop_assert_eq!(drained_binary(data, &schema, endian, chunk), canonical_bytes(whole));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(768))]
+
+    /// The record loop, fed whole (`parse_buffer`) or in chunks of any size
+    /// from 1 byte, agrees with the per-token oracle on every schema over
+    /// the six kinds: the columns, all five work counters, and the kind and
+    /// offset of the first error. Inputs mix signs, 16–21-digit tokens,
+    /// `i64::MIN`, lone signs, malformed tokens and floats, and may end
+    /// mid-record or without a final separator.
+    #[test]
+    fn record_loop_matches_the_token_oracle(
+        picks in proptest::collection::vec(0usize..6, 1..6),
+        tokens in proptest::collection::vec(any::<(u8, u64, u8, u8)>(), 0..40),
+        valid_only in any::<bool>(),
+        chunk in 1usize..48,
+    ) {
+        let schema = Schema::new(picks.iter().map(|&k| KINDS[k]).collect());
+        let mut data = Vec::new();
+        for (i, &(choice, raw, len, sep)) in tokens.iter().enumerate() {
+            // Half the cases keep to integers of at most 18 digits, which
+            // parse in any column, so they run to the end of the input.
+            let (choice, len) = if valid_only { (choice % 9, len % 18) } else { (choice, len) };
+            data.extend(token(choice, raw, len));
+            let seps = b" \t\n\r,";
+            for k in 0..=(sep % 3) {
+                data.push(seps[(sep as usize + k as usize) % seps.len()]);
+            }
+            if i + 1 == tokens.len() && sep % 4 == 0 {
+                while data.last().is_some_and(|b| seps.contains(b)) {
+                    data.pop();
+                }
+            }
+        }
+        let want = outcome(oracle_parse(&data, &schema));
+        prop_assert_eq!(outcome(parse_buffer(&data, &schema)), want.clone());
+        prop_assert_eq!(outcome(parse_chunked(&data, &schema, chunk)), want);
     }
 }

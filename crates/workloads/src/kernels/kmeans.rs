@@ -4,15 +4,27 @@ use crate::kernels::KernelResult;
 use crate::Digest;
 use morpheus_format::ParsedColumns;
 
+/// Points assigned together: one block's distances stay in L1 while every
+/// centroid is tried against it.
+const BLOCK: usize = 256;
+
 /// Lloyd's algorithm: `k` clusters, `iters` iterations, seeded from the
 /// first `k` points. The first column is the point id; the rest are
 /// coordinates.
+///
+/// Coordinates are converted to `f64` once, one array per dimension. Each
+/// point's squared distance sums dimensions in order and the nearest
+/// centroid wins by strict `<` in centroid order, so every float operation
+/// has the operands and order of the point-at-a-time loop.
 pub fn kmeans(objects: &ParsedColumns, k: usize, iters: u32) -> KernelResult {
     let dims = objects.columns.len() - 1;
     let n = objects.records as usize;
-    let coords: Vec<&[i64]> = objects.columns[1..]
+    let coords: Vec<Vec<f64>> = objects.columns[1..]
         .iter()
-        .map(|c| c.as_ints().expect("point coordinates are integers"))
+        .map(|c| {
+            let col = c.as_ints().expect("point coordinates are integers");
+            col.iter().map(|&x| x as f64).collect()
+        })
         .collect();
     let k = k.min(n.max(1));
     if n == 0 {
@@ -24,23 +36,32 @@ pub fn kmeans(objects: &ParsedColumns, k: usize, iters: u32) -> KernelResult {
     let mut centroids = vec![0.0f64; k * dims];
     for c in 0..k {
         for (d, col) in coords.iter().enumerate() {
-            centroids[c * dims + d] = col[c] as f64;
+            centroids[c * dims + d] = col[c];
         }
     }
     let mut assign = vec![0usize; n];
+    let mut best = [0.0f64; BLOCK];
+    let mut dist = [0.0f64; BLOCK];
     for _ in 0..iters {
-        // Assignment step.
-        for (i, a) in assign.iter_mut().enumerate() {
-            let mut best = f64::INFINITY;
+        // Assignment step, a block of points at a time.
+        for (b, block) in assign.chunks_mut(BLOCK).enumerate() {
+            let lo = b * BLOCK;
+            let len = block.len();
+            best[..len].fill(f64::INFINITY);
             for c in 0..k {
-                let mut dist = 0.0;
-                for (d, col) in coords.iter().enumerate() {
-                    let delta = col[i] as f64 - centroids[c * dims + d];
-                    dist += delta * delta;
+                let centroid = &centroids[c * dims..(c + 1) * dims];
+                dist[..len].fill(0.0);
+                for (col, &m) in coords.iter().zip(centroid) {
+                    for (acc, &x) in dist[..len].iter_mut().zip(&col[lo..lo + len]) {
+                        let delta = x - m;
+                        *acc += delta * delta;
+                    }
                 }
-                if dist < best {
-                    best = dist;
-                    *a = c;
+                for ((a, b), &d) in block.iter_mut().zip(&mut best[..len]).zip(&dist[..len]) {
+                    if d < *b {
+                        *b = d;
+                        *a = c;
+                    }
                 }
             }
         }
@@ -50,7 +71,7 @@ pub fn kmeans(objects: &ParsedColumns, k: usize, iters: u32) -> KernelResult {
         for (i, a) in assign.iter().enumerate() {
             counts[*a] += 1;
             for (d, col) in coords.iter().enumerate() {
-                sums[*a * dims + d] += col[i] as f64;
+                sums[*a * dims + d] += col[i];
             }
         }
         for c in 0..k {
@@ -66,7 +87,7 @@ pub fn kmeans(objects: &ParsedColumns, k: usize, iters: u32) -> KernelResult {
     let mut inertia = 0.0f64;
     for (i, a) in assign.iter().enumerate() {
         for (d, col) in coords.iter().enumerate() {
-            let delta = col[i] as f64 - centroids[*a * dims + d];
+            let delta = col[i] - centroids[*a * dims + d];
             inertia += delta * delta;
         }
     }

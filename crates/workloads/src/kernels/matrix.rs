@@ -100,10 +100,24 @@ pub fn lud(objects: &ParsedColumns) -> KernelResult {
         d.mix_f64(lu[k * n + k]);
         logdet += lu[k * n + k].abs().ln();
     }
-    // Verify a sample: (L·U) row 0 must reproduce A row 0 exactly.
-    for j in 0..n.min(8) {
-        let reconstructed = lu[j]; // U's first row is A's first row
-        assert!((reconstructed - a[j]).abs() < 1e-9);
+    // Verify a sample: rows n-1 and n/2 of L·U, L with its unit diagonal,
+    // must reproduce A's (row 0 would prove nothing: elimination never
+    // writes it). Row i of L·U sums L[i][m] times row m of U over m <= i.
+    let mut row = vec![0.0f64; n];
+    for i in [n.saturating_sub(1), n / 2] {
+        row.fill(0.0);
+        for m in 0..=i {
+            let l = if m == i { 1.0 } else { lu[i * n + m] };
+            for (r, u) in row[m..].iter_mut().zip(&lu[m * n + m..(m + 1) * n]) {
+                *r += l * u;
+            }
+        }
+        for (j, (r, x)) in row.iter().zip(&a[i * n..(i + 1) * n]).enumerate() {
+            assert!(
+                (r - x).abs() < 1e-9,
+                "L·U differs from A at ({i}, {j}): {r} vs {x}"
+            );
+        }
     }
     KernelResult {
         digest: d.value(),

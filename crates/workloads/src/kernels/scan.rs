@@ -3,36 +3,34 @@
 use crate::kernels::KernelResult;
 use crate::Digest;
 use morpheus_format::ParsedColumns;
-use std::collections::HashMap;
 
 /// Counts occurrences of every value (word count over integer tokens) and
-/// digests the full histogram in key order.
+/// digests the full histogram in key order: a sorted copy's runs are the
+/// histogram's entries, in that order.
 pub fn wordcount(objects: &ParsedColumns) -> KernelResult {
     let vals = objects.columns[0]
         .as_ints()
         .expect("wordcount input is an integer column");
-    let mut counts: HashMap<i64, u64> = HashMap::new();
-    for v in vals {
-        *counts.entry(*v).or_insert(0) += 1;
-    }
-    let mut keys: Vec<&i64> = counts.keys().collect();
-    keys.sort_unstable();
+    let mut sorted = vals.to_vec();
+    sorted.sort_unstable();
     let mut d = Digest::new();
     let mut top = (0i64, 0u64);
-    for k in keys {
-        let c = counts[k];
-        d.mix_i64(*k);
+    let mut distinct = 0usize;
+    for run in sorted.chunk_by(|a, b| a == b) {
+        let (k, c) = (run[0], run.len() as u64);
+        d.mix_i64(k);
         d.mix(c);
         if c > top.1 {
-            top = (*k, c);
+            top = (k, c);
         }
+        distinct += 1;
     }
     KernelResult {
         digest: d.value(),
         summary: format!(
             "wordcount: {} tokens, {} distinct, mode {} x{}",
             vals.len(),
-            counts.len(),
+            distinct,
             top.0,
             top.1
         ),
