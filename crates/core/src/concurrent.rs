@@ -19,9 +19,15 @@
 //! wire commands, trace spans — because the framings differ: solo runs and
 //! serving gate the same commands at different floors
 //! (`docs/FAULT_MODEL.md`).
+//!
+//! Each engine owns its memo table (see `deser_memo`): building it looks
+//! a recording up, and finishing it publishes a new one. The host engine
+//! replays parse work itself; the device engine hands the firmware an
+//! `InstanceMemo` that says where each MREAD's costs and output come from.
 
 use crate::deser_memo::{self, HostReplay, MemoKey};
 use crate::exec::{AppSpec, InputFormat, RunError};
+use crate::firmware::{DeviceReplay, InstanceMemo};
 use crate::report::{mb_per_sec, Mode};
 use crate::system::ChunkIo;
 use crate::{StorageKind, System};
@@ -202,11 +208,13 @@ impl HostTenant {
 /// mirror of [`HostTenant`]: each caller keeps only its own framing —
 /// fault gates, wire commands, spans — around the steps.
 ///
-/// The firmware records and replays the StorageApp's work (see
-/// `deser_memo`); the engine adds the objects' digest. When an earlier
-/// identical lifecycle published one, the object stream is neither
-/// assembled nor decoded; every timed step (flash, cores, DMA, bus) still
-/// runs live.
+/// The engine owns the device memo (see `deser_memo`). At MINIT it hands
+/// the firmware the instance's `InstanceMemo`: replay an identical
+/// lifecycle's recording, or record this one. At MDEINIT it publishes a
+/// recording together with its objects' digest. A replay's digest stands
+/// in for the objects, so the object stream is neither assembled nor
+/// decoded, unless the caller keeps the columns. Every timed step (flash,
+/// cores, DMA, bus) runs live either way.
 pub(crate) struct DeviceTenant {
     /// Schema the assembled object stream decodes against.
     schema: Schema,
@@ -226,10 +234,11 @@ pub(crate) struct DeviceTenant {
     pushed: u64,
     /// P2P delivery window; `None` delivers objects to host DRAM.
     bar: Option<BarWindow>,
-    /// Device memo key (fault-free runs only), under which this
-    /// lifecycle's object digest is published for later reuse.
+    /// Device memo key (fault-free runs only), under which a recording
+    /// lifecycle is published.
     memo_key: Option<MemoKey>,
-    /// The object digest of an earlier identical lifecycle.
+    /// The object digest of the replayed recording, unless the caller
+    /// keeps the columns.
     prefab: Option<ObjectDigest>,
 }
 
@@ -454,7 +463,7 @@ impl System {
     /// `iid`, issued to the drive at `issue`. The caller picks `iid` (so a
     /// dispatcher can pin instances to embedded cores) and the delivery
     /// target (`bar` for P2P). With `keep_columns` the engine ignores a
-    /// memoized digest and decodes the objects, so
+    /// replay's digest and decodes the objects, so
     /// [`System::finish_device`] hands the columns back.
     pub(crate) fn device_tenant(
         &mut self,
@@ -473,12 +482,16 @@ impl System {
         let file_len = meta.len;
         let chunks = Self::file_chunks(meta, self.params.mread_chunk_bytes);
         let memo_key = self.device_memo_key(spec, &chunks);
-        let prefab = memo_key
-            .filter(|_| !keep_columns)
-            .and_then(deser_memo::digest_get);
+        let rec = memo_key.and_then(deser_memo::device_get);
+        let prefab = rec.as_ref().filter(|_| !keep_columns).map(|r| r.digest);
+        let memo = match (memo_key, rec) {
+            (_, Some(rec)) => InstanceMemo::Play { rec, next: 0 },
+            (Some(_), None) => InstanceMemo::Record(Vec::new()),
+            (None, None) => InstanceMemo::Off,
+        };
         let app = spec.storage_app();
         let code_len = app.code_bytes();
-        let ready = self.mssd.minit_keyed(iid, app, issue, memo_key)?;
+        let ready = self.mssd.minit_with(iid, app, issue, memo)?;
         Ok(DeviceTenant {
             schema: spec.schema.clone(),
             chunks,
@@ -529,8 +542,9 @@ impl System {
     }
 
     /// Runs the engine's MDEINIT, issued to the drive at `issue`, pushes
-    /// the final objects and takes the completion wakeup. A live lifecycle
-    /// decodes its object stream and publishes the digest to the memo.
+    /// the final objects and takes the completion wakeup. A lifecycle
+    /// without a replay's digest decodes its object stream; a recording
+    /// one is published to the memo with that digest.
     pub(crate) fn finish_device(
         &mut self,
         mut t: DeviceTenant,
@@ -550,13 +564,21 @@ impl System {
             None => {
                 t.obj_bin.extend_from_slice(&dein.host_output);
                 let o = ParsedColumns::decode(t.schema, &t.obj_bin)?;
-                let d = o.digest();
-                if let Some(k) = t.memo_key {
-                    deser_memo::digest_put(k, d);
-                }
-                (d, Some(o))
+                (o.digest(), Some(o))
             }
         };
+        if let (Some(key), Some(rec)) = (t.memo_key, dein.recording) {
+            deser_memo::device_put(
+                key,
+                Arc::new(DeviceReplay {
+                    cmds: rec.cmds,
+                    finish_instr: rec.finish_instr,
+                    retval: dein.retval,
+                    host_output: dein.host_output,
+                    digest,
+                }),
+            );
+        }
         // Route conservation: the bytes pushed off the drive (every MREAD
         // output plus the MDEINIT tail) are the objects' bytes, whether
         // this lifecycle decoded them or an earlier one.
@@ -807,6 +829,40 @@ mod tests {
         sys.run(&spec, Mode::Conventional).unwrap();
         assert!(replays(&mut sys, true));
         assert!(replays(&mut sys, false));
+    }
+
+    #[test]
+    fn a_device_lifecycle_publishes_its_recording_with_its_digest() {
+        if !deser_memo::enabled() {
+            return;
+        }
+        let mut sys = System::new(SystemParams::paper_testbed());
+        sys.create_input_file("pub.txt", &edge_text(20_000, 0x5eed_00b2))
+            .unwrap();
+        let spec = AppSpec::cpu_app("pub", "pub.txt", edge_schema(), 1, 50.0);
+        let meta = sys.fs.open("pub.txt").unwrap().clone();
+        let chunks = System::file_chunks(&meta, sys.params.mread_chunk_bytes);
+        let key = sys.device_memo_key(&spec, &chunks).expect("memo on");
+        // The first run records the lifecycle and publishes it with the
+        // digest of the objects it returned.
+        let first = sys.run(&spec, Mode::Morpheus).unwrap();
+        let rec = deser_memo::device_get(key).expect("published at MDEINIT");
+        assert_eq!(rec.digest, first.objects.digest());
+        // Serving and a second run replay that recording: neither
+        // publishes another.
+        let mut cfg = crate::ServeConfig::new(1000.0, 0.01);
+        cfg.mode = Mode::Morpheus;
+        let rep = sys.serve(std::slice::from_ref(&spec), &cfg).unwrap();
+        assert!(rep.completed > 0);
+        let after_serve = deser_memo::device_get(key).unwrap();
+        assert!(Arc::ptr_eq(&rec, &after_serve));
+        let second = sys.run(&spec, Mode::Morpheus).unwrap();
+        assert!(Arc::ptr_eq(&rec, &deser_memo::device_get(key).unwrap()));
+        assert_eq!(second.objects, first.objects);
+        assert_eq!(
+            format!("{:?}", second.report),
+            format!("{:?}", first.report)
+        );
     }
 
     #[test]

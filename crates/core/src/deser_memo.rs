@@ -21,6 +21,17 @@
 //! `MORPHEUS_DESER_MEMO=0` to disable replay (used for A/B timing
 //! comparisons).
 //!
+//! There are two tables, each read by one engine constructor and written
+//! by one engine finish:
+//! - the device table holds whole StorageApp lifecycles
+//!   ([`DeviceReplay`]: per-page instruction counts, outputs, and the
+//!   objects' digest). `System::device_tenant` looks an entry up and hands
+//!   the firmware the instance's `InstanceMemo`; `System::finish_device`
+//!   publishes what a recording instance computed;
+//! - the host table holds host parses ([`HostReplay`]).
+//!   `System::conventional_tenant` looks an entry up; `HostTenant::finish`
+//!   publishes a live parse.
+//!
 //! Each table holds at most `MAX_ENTRIES` entries and evicts its oldest
 //! entry (first in, first out) to admit a new key, so a workload that
 //! touches more distinct inputs than that keeps replaying its recent ones.
@@ -28,6 +39,7 @@
 //! MDEINIT hands out the recording instead of copying it.
 
 use crate::exec::AppSpec;
+use crate::firmware::DeviceReplay;
 use crate::system::ChunkIo;
 use crate::System;
 use morpheus_format::{CostModel, ObjectDigest, ParseWork, ParsedColumns};
@@ -81,28 +93,6 @@ impl fmt::Write for FnvStream {
         self.bytes(s.as_bytes());
         Ok(())
     }
-}
-
-/// One recorded MREAD: its wire geometry (re-verified at replay), the
-/// embedded-core instruction count of each page's parse step, and the
-/// output bytes staged for DMA (shared with every replay).
-#[derive(Debug)]
-pub(crate) struct CmdRecord {
-    pub slba: u64,
-    pub blocks: u64,
-    pub valid_bytes: u64,
-    pub page_instr: Vec<f64>,
-    pub output: Arc<Vec<u8>>,
-}
-
-/// A full recorded MINIT→MREAD*→MDEINIT instance lifecycle.
-#[derive(Debug)]
-pub(crate) struct DeviceReplay {
-    pub cmds: Vec<CmdRecord>,
-    /// MDEINIT instruction count (includes command dispatch, as charged).
-    pub finish_instr: f64,
-    pub retval: i32,
-    pub host_output: Arc<Vec<u8>>,
 }
 
 /// A recorded host-side parse of one file: the per-chunk parse-work
@@ -183,16 +173,6 @@ fn host_table() -> &'static Table<Arc<HostReplay>> {
     T.get_or_init(|| Mutex::new(BoundedTable::new(MAX_ENTRIES)))
 }
 
-/// Object digests for the device path: the [`ObjectDigest`] of the
-/// objects a full MINIT→MREAD*→MDEINIT lifecycle decodes from its
-/// assembled byte stream. A pure function of the device memo key
-/// (fault-free lifecycles only), so later identical lifecycles skip the
-/// byte-stream assembly, the final decode and the checksum entirely.
-fn digest_table() -> &'static Table<ObjectDigest> {
-    static T: OnceLock<Table<ObjectDigest>> = OnceLock::new();
-    T.get_or_init(|| Mutex::new(BoundedTable::new(MAX_ENTRIES)))
-}
-
 /// True unless `MORPHEUS_DESER_MEMO=0` (or `off`) is set.
 pub(crate) fn enabled() -> bool {
     static E: OnceLock<bool> = OnceLock::new();
@@ -210,14 +190,6 @@ pub(crate) fn device_get(key: MemoKey) -> Option<Arc<DeviceReplay>> {
 
 pub(crate) fn device_put(key: MemoKey, rec: Arc<DeviceReplay>) {
     device_table().lock().expect("memo lock").put(key, rec);
-}
-
-pub(crate) fn digest_get(key: MemoKey) -> Option<ObjectDigest> {
-    digest_table().lock().expect("memo lock").get(key)
-}
-
-pub(crate) fn digest_put(key: MemoKey, rec: ObjectDigest) {
-    digest_table().lock().expect("memo lock").put(key, rec);
 }
 
 pub(crate) fn host_get(key: MemoKey) -> Option<Arc<HostReplay>> {
@@ -370,11 +342,6 @@ mod tests {
         let upgraded = host_get(k).unwrap();
         assert_eq!(upgraded.per_chunk.len(), 1);
         assert!(upgraded.objects.is_some());
-
-        digest_put(k, d(1));
-        assert_eq!(digest_get(k), Some(d(1)));
-        digest_put(k, d(2));
-        assert_eq!(digest_get(k), Some(d(2)));
     }
 
     #[test]

@@ -1094,5 +1094,19 @@ mod tests {
             let _ = sys.run(&spec, mode);
             assert_eq!(sys.in_flight_cids.len(), 0, "{plan} {mode}");
         }
+        // Malformed input fails the StorageApp itself: the run is fatal,
+        // and the failed MREAD leaves no CID, instance or controller DRAM.
+        let mut sys = test_system();
+        sys.create_input_file("bad.txt", b"1 2\nnot numeric\n3 4\n")
+            .unwrap();
+        let spec = AppSpec::cpu_app("bfs", "bad.txt", edge_schema(), 4, 100.0);
+        let err = sys.run(&spec, Mode::Morpheus).unwrap_err();
+        assert!(
+            matches!(err, RunError::Morpheus(MorpheusError::App(_))),
+            "{err:?}"
+        );
+        assert_eq!(sys.in_flight_cids.len(), 0);
+        assert_eq!(sys.mssd.live_instances(), 0);
+        assert_eq!(sys.mssd.dev.dram_used(), 0);
     }
 }

@@ -5,10 +5,17 @@
 //! the four new opcodes and routes all packets of one instance ID to the
 //! same embedded core; the firmware stages StorageApp output in controller
 //! DRAM for DMA; the FTL and conventional command handling are untouched.
+//!
+//! Every instance runs the same MREAD page loop and the same MDEINIT on
+//! live timelines. The [`InstanceMemo`] the device engine hands to MINIT
+//! decides only where each page's instruction count and each command's
+//! output come from: the StorageApp, or a recording of an identical
+//! lifecycle (see `deser_memo`, which the firmware itself never reads or
+//! writes).
 
-use crate::deser_memo::{self, CmdRecord, DeviceReplay, MemoKey};
+use crate::deser_memo;
 use crate::{AppError, DeviceCtx, StorageApp};
-use morpheus_format::CostModel;
+use morpheus_format::{CostModel, ObjectDigest};
 use morpheus_nvme::{
     AdminController, CompletionEntry, IdentifyController, MorpheusCaps, MorpheusCommand,
     NvmeCommand, QueuePair, StatusCode, LBA_BYTES,
@@ -119,6 +126,9 @@ pub struct DeinitOutcome {
     pub done: SimTime,
     /// Total bytes this instance streamed to flash through MWRITE.
     pub flushed_to_flash: u64,
+    /// What a recording instance computed, for the device engine to
+    /// publish; `None` for every other instance.
+    pub(crate) recording: Option<Recording>,
 }
 
 /// Result of one MWRITE executed through a StorageApp.
@@ -145,23 +155,53 @@ pub struct MreadOutcome {
     pub core_busy: SimDuration,
 }
 
-/// Record/replay state of one instance's deserialization (see
-/// `deser_memo`). `Off` for unkeyed instances and anything that MWRITEs.
+/// One recorded MREAD: its wire geometry (re-verified at replay), the
+/// embedded-core instruction count of each page's parse step, and the
+/// output bytes staged for DMA (shared with every replay).
 #[derive(Debug)]
-enum InstanceMemo {
+pub(crate) struct CmdRecord {
+    pub slba: u64,
+    pub blocks: u64,
+    pub valid_bytes: u64,
+    pub page_instr: Vec<f64>,
+    pub output: Arc<Vec<u8>>,
+}
+
+/// What a recording instance's MREADs and MDEINIT computed, handed back
+/// in [`DeinitOutcome`].
+#[derive(Debug)]
+pub(crate) struct Recording {
+    pub cmds: Vec<CmdRecord>,
+    /// MDEINIT instruction count (includes command dispatch, as charged).
+    pub finish_instr: f64,
+}
+
+/// A full recorded MINIT→MREAD*→MDEINIT instance lifecycle, as the device
+/// engine publishes it: the [`Recording`], MDEINIT's return value and
+/// output, and the digest of the objects the lifecycle decodes to.
+#[derive(Debug)]
+pub(crate) struct DeviceReplay {
+    pub cmds: Vec<CmdRecord>,
+    pub finish_instr: f64,
+    pub retval: i32,
+    pub host_output: Arc<Vec<u8>>,
+    pub digest: ObjectDigest,
+}
+
+/// Record/replay state of one instance's deserialization, picked by the
+/// device engine at MINIT. It decides only where each MREAD page's
+/// instruction count and each command's output come from.
+#[derive(Debug)]
+pub(crate) enum InstanceMemo {
+    /// The StorageApp runs (unkeyed instances, and any instance once it
+    /// MWRITEs).
     Off,
-    /// Fault-free keyed run with no prior recording: capture every MREAD's
-    /// per-page instruction counts and outputs, publish at MDEINIT.
-    Record {
-        key: MemoKey,
-        cmds: Vec<CmdRecord>,
-    },
-    /// Keyed run with a prior recording: skip the StorageApp entirely and
-    /// replay the recorded functional results against live timelines.
-    Play {
-        rec: Arc<DeviceReplay>,
-        next: usize,
-    },
+    /// The StorageApp runs, and every MREAD's per-page instruction counts
+    /// and output are kept; MDEINIT hands them back as a [`Recording`].
+    Record(Vec<CmdRecord>),
+    /// The StorageApp never runs: recording `rec` supplies the counts and
+    /// outputs, MREAD `next` first.
+    Play { rec: Arc<DeviceReplay>, next: usize },
 }
 
 #[derive(Debug)]
@@ -368,19 +408,19 @@ impl MorpheusSsd {
         app: Box<dyn StorageApp>,
         ready: SimTime,
     ) -> Result<SimTime, MorpheusError> {
-        self.minit_keyed(instance_id, app, ready, None)
+        self.minit_with(instance_id, app, ready, InstanceMemo::Off)
     }
 
-    /// MINIT with an optional deserialization-memo key (see `deser_memo`).
-    /// A key arms record/replay of the instance's functional work; `None`
-    /// behaves exactly like [`minit`](MorpheusSsd::minit). Install timing
-    /// (DRAM reservation, dispatch, the I-SRAM copy) always runs live.
-    pub(crate) fn minit_keyed(
+    /// MINIT of an instance whose record/replay state is `memo`;
+    /// [`InstanceMemo::Off`] behaves exactly like
+    /// [`minit`](MorpheusSsd::minit). Install timing (DRAM reservation,
+    /// dispatch, the I-SRAM copy) always runs live.
+    pub(crate) fn minit_with(
         &mut self,
         instance_id: u32,
         app: Box<dyn StorageApp>,
         ready: SimTime,
-        memo_key: Option<MemoKey>,
+        memo: InstanceMemo,
     ) -> Result<SimTime, MorpheusError> {
         if self.instances.contains_key(&instance_id) {
             return Err(MorpheusError::InstanceBusy(instance_id));
@@ -410,16 +450,6 @@ impl MorpheusSsd {
             iv.start,
             iv.end,
         );
-        let memo = match memo_key {
-            Some(key) => match deser_memo::device_get(key) {
-                Some(rec) => InstanceMemo::Play { rec, next: 0 },
-                None => InstanceMemo::Record {
-                    key,
-                    cmds: Vec::new(),
-                },
-            },
-            None => InstanceMemo::Off,
-        };
         self.instances.insert(
             instance_id,
             Instance {
@@ -447,7 +477,8 @@ impl MorpheusSsd {
     ///
     /// # Errors
     ///
-    /// Fails on unknown instances, app faults, and media errors.
+    /// Fails on unknown instances, app faults, and media errors; a failure
+    /// aborts the instance.
     pub fn mread(
         &mut self,
         instance_id: u32,
@@ -456,9 +487,29 @@ impl MorpheusSsd {
         valid_bytes: u64,
         ready: SimTime,
     ) -> Result<MreadOutcome, MorpheusError> {
-        let Some(core) = self.instances.get(&instance_id).map(|i| i.core) else {
-            return Err(MorpheusError::NoSuchInstance(instance_id));
-        };
+        let out = self.run_mread(instance_id, slba, blocks, valid_bytes, ready);
+        self.end_on_error(instance_id, out)
+    }
+
+    /// The MREAD page loop of every instance: flash page reads, embedded-core
+    /// grants and trace spans run live, and the instance's [`InstanceMemo`]
+    /// decides whether each page's instruction count and the staged output
+    /// come from the StorageApp or from a recording. A replay's geometry is
+    /// asserted against the record: a mismatch means a memo-key collision,
+    /// which must never pass silently.
+    fn run_mread(
+        &mut self,
+        instance_id: u32,
+        slba: u64,
+        blocks: u64,
+        valid_bytes: u64,
+        ready: SimTime,
+    ) -> Result<MreadOutcome, MorpheusError> {
+        let inst = self
+            .instances
+            .get_mut(&instance_id)
+            .ok_or(MorpheusError::NoSuchInstance(instance_id))?;
+        let core = inst.core;
         let dispatch_instr = self.dev.config().command_dispatch_instructions;
         let dispatch = self.dev.cores_mut().exec_on(core, ready, dispatch_instr);
         self.tracer.span(
@@ -468,60 +519,58 @@ impl MorpheusSsd {
             dispatch.start,
             dispatch.end,
         );
-
-        // A replaying instance consumes its recorded commands in issue
-        // order; a recording one collects per-page costs as it parses.
-        let inst = self
-            .instances
-            .get_mut(&instance_id)
-            .expect("existence checked above");
-        let recording = match &mut inst.memo {
-            InstanceMemo::Play { rec, next } => {
-                let (rec, k) = (Arc::clone(rec), *next);
-                *next += 1;
-                return self.mread_replay(
-                    &rec,
-                    k,
-                    instance_id,
-                    core,
-                    slba,
-                    blocks,
-                    valid_bytes,
-                    dispatch.end,
-                );
-            }
-            InstanceMemo::Record { .. } => true,
-            InstanceMemo::Off => false,
-        };
         let page_bytes = self.dev.page_bytes();
         let byte_start = slba * LBA_BYTES;
         let byte_len = (blocks * LBA_BYTES).min(valid_bytes);
+        let pages = flash_pages(byte_start, byte_len, page_bytes);
+        let recording = matches!(inst.memo, InstanceMemo::Record(_));
+        // A replaying instance consumes its recorded commands in issue order.
+        let played = match &mut inst.memo {
+            InstanceMemo::Play { rec, next } => {
+                let cmd = rec
+                    .cmds
+                    .get(*next)
+                    .expect("deser-memo replay ran out of recorded MREADs (key collision?)");
+                *next += 1;
+                assert!(
+                    cmd.slba == slba && cmd.blocks == blocks && cmd.valid_bytes == valid_bytes,
+                    "deser-memo replay geometry mismatch (key collision?)"
+                );
+                assert_eq!(
+                    cmd.page_instr.len() as u64,
+                    pages.end - pages.start,
+                    "deser-memo replay page-count mismatch (key collision?)"
+                );
+                Some(cmd)
+            }
+            _ => None,
+        };
         let mut done = dispatch.end;
         let mut core_busy = SimDuration::ZERO;
         let mut page_instr: Vec<f64> = Vec::new();
-        for lpn in flash_pages(byte_start, byte_len, page_bytes) {
+        for (pi, lpn) in pages.enumerate() {
             let page_base = lpn * page_bytes;
             let lo = byte_start.max(page_base) - page_base;
             let hi = (byte_start + byte_len).min(page_base + page_bytes) - page_base;
             let (page, avail) = self
                 .dev
                 .read_page_timed(morpheus_ftl::Lpn(lpn), dispatch.end)?;
-            let inst = self
-                .instances
-                .get_mut(&instance_id)
-                .expect("existence checked above");
-            // Borrows straight from the flash array's stored allocation
-            // when the range is page-backed (the hot case).
-            let chunk = page.slice(lo as usize, hi as usize);
-            inst.app
-                .on_chunk(&mut inst.ctx, &chunk)
-                .map_err(MorpheusError::App)?;
-            let work = inst.ctx.take_work();
-            let extra = inst.ctx.take_extra_instructions();
-            let instr = self.device_cost.total_instructions(&work) + extra;
-            if recording {
-                page_instr.push(instr);
-            }
+            let instr = match played {
+                Some(cmd) => cmd.page_instr[pi],
+                None => {
+                    // Borrows straight from the flash array's stored
+                    // allocation when the range is page-backed (the hot case).
+                    let chunk = page.slice(lo as usize, hi as usize);
+                    inst.app.on_chunk(&mut inst.ctx, &chunk)?;
+                    let work = inst.ctx.take_work();
+                    let extra = inst.ctx.take_extra_instructions();
+                    let instr = self.device_cost.total_instructions(&work) + extra;
+                    if recording {
+                        page_instr.push(instr);
+                    }
+                    instr
+                }
+            };
             let start = avail.max(inst.last_done);
             let iv = self.dev.cores_mut().exec_on(core, start, instr);
             self.tracer.span_bytes(
@@ -532,113 +581,29 @@ impl MorpheusSsd {
                 iv.end,
                 hi - lo,
             );
-            let inst = self
-                .instances
-                .get_mut(&instance_id)
-                .expect("existence checked above");
             inst.last_done = iv.end;
             core_busy += iv.duration();
             done = done.max(iv.end);
         }
-        let inst = self
-            .instances
-            .get_mut(&instance_id)
-            .expect("existence checked above");
-        let mut output = inst.ctx.take_output();
-        let output = match &mut inst.memo {
-            InstanceMemo::Record { cmds, .. } => {
-                // The recording outlives this command and every replay
-                // hands it out, so it keeps no spare capacity.
-                output.shrink_to_fit();
-                let output = Arc::new(output);
-                cmds.push(CmdRecord {
-                    slba,
-                    blocks,
-                    valid_bytes,
-                    page_instr,
-                    output: Arc::clone(&output),
-                });
+        let output = match played {
+            Some(cmd) => Arc::clone(&cmd.output),
+            None => {
+                let output = shared(inst.ctx.take_output(), recording);
+                if let InstanceMemo::Record(cmds) = &mut inst.memo {
+                    cmds.push(CmdRecord {
+                        slba,
+                        blocks,
+                        valid_bytes,
+                        page_instr,
+                        output: Arc::clone(&output),
+                    });
+                }
                 output
             }
-            _ => Arc::new(output),
         };
         self.parse_core_busy += core_busy;
         Ok(MreadOutcome {
             output,
-            done,
-            core_busy,
-        })
-    }
-
-    /// Replays one recorded MREAD: flash page timing, embedded-core grants,
-    /// and trace spans all run live, but the per-page instruction counts
-    /// and the staged output come from the recording instead of the
-    /// StorageApp; the output is the recording's own shared buffer.
-    /// Geometry is asserted against the record — a mismatch means a
-    /// memo-key collision, which must never pass silently.
-    #[allow(clippy::too_many_arguments)]
-    fn mread_replay(
-        &mut self,
-        rec: &DeviceReplay,
-        k: usize,
-        instance_id: u32,
-        core: usize,
-        slba: u64,
-        blocks: u64,
-        valid_bytes: u64,
-        dispatch_end: SimTime,
-    ) -> Result<MreadOutcome, MorpheusError> {
-        let cmd = rec
-            .cmds
-            .get(k)
-            .expect("deser-memo replay ran out of recorded MREADs (key collision?)");
-        assert!(
-            cmd.slba == slba && cmd.blocks == blocks && cmd.valid_bytes == valid_bytes,
-            "deser-memo replay geometry mismatch (key collision?)"
-        );
-        let page_bytes = self.dev.page_bytes();
-        let byte_start = slba * LBA_BYTES;
-        let byte_len = (blocks * LBA_BYTES).min(valid_bytes);
-        let mut done = dispatch_end;
-        let mut core_busy = SimDuration::ZERO;
-        let pages = flash_pages(byte_start, byte_len, page_bytes);
-        assert_eq!(
-            cmd.page_instr.len() as u64,
-            pages.end - pages.start,
-            "deser-memo replay page-count mismatch (key collision?)"
-        );
-        for (pi, lpn) in pages.enumerate() {
-            let page_base = lpn * page_bytes;
-            let lo = byte_start.max(page_base) - page_base;
-            let hi = (byte_start + byte_len).min(page_base + page_bytes) - page_base;
-            let (_page, avail) = self
-                .dev
-                .read_page_timed(morpheus_ftl::Lpn(lpn), dispatch_end)?;
-            let last_done = self.instances[&instance_id].last_done;
-            let start = avail.max(last_done);
-            let iv = self
-                .dev
-                .cores_mut()
-                .exec_on(core, start, cmd.page_instr[pi]);
-            self.tracer.span_bytes(
-                TraceLayer::Ssd,
-                self.dev.cores().core_name(core),
-                "parse",
-                iv.start,
-                iv.end,
-                hi - lo,
-            );
-            let inst = self
-                .instances
-                .get_mut(&instance_id)
-                .expect("existence checked above");
-            inst.last_done = iv.end;
-            core_busy += iv.duration();
-            done = done.max(iv.end);
-        }
-        self.parse_core_busy += core_busy;
-        Ok(MreadOutcome {
-            output: Arc::clone(&cmd.output),
             done,
             core_busy,
         })
@@ -652,7 +617,8 @@ impl MorpheusSsd {
     ///
     /// # Errors
     ///
-    /// Fails on unknown instances, app faults, and drive errors.
+    /// Fails on unknown instances, app faults, and drive errors; a failure
+    /// aborts the instance.
     pub fn mwrite(
         &mut self,
         instance_id: u32,
@@ -660,15 +626,24 @@ impl MorpheusSsd {
         data: &[u8],
         ready: SimTime,
     ) -> Result<MwriteOutcome, MorpheusError> {
-        let Some(core) = self.instances.get(&instance_id).map(|i| i.core) else {
-            return Err(MorpheusError::NoSuchInstance(instance_id));
-        };
-        let dispatch_instr = self.dev.config().command_dispatch_instructions;
-        let dispatch = self.dev.cores_mut().exec_on(core, ready, dispatch_instr);
+        let out = self.run_mwrite(instance_id, slba, data, ready);
+        self.end_on_error(instance_id, out)
+    }
+
+    fn run_mwrite(
+        &mut self,
+        instance_id: u32,
+        slba: u64,
+        data: &[u8],
+        ready: SimTime,
+    ) -> Result<MwriteOutcome, MorpheusError> {
         let inst = self
             .instances
             .get_mut(&instance_id)
-            .expect("existence checked above");
+            .ok_or(MorpheusError::NoSuchInstance(instance_id))?;
+        let core = inst.core;
+        let dispatch_instr = self.dev.config().command_dispatch_instructions;
+        let dispatch = self.dev.cores_mut().exec_on(core, ready, dispatch_instr);
         // The deser memo covers read-side lifecycles only: a replaying
         // instance never fed its app, so it cannot absorb writes, and a
         // recording one stops recording (serialization output depends on
@@ -678,9 +653,7 @@ impl MorpheusSsd {
             "memoized deserialization instance received MWRITE"
         );
         inst.memo = InstanceMemo::Off;
-        inst.app
-            .on_chunk(&mut inst.ctx, data)
-            .map_err(MorpheusError::App)?;
+        inst.app.on_chunk(&mut inst.ctx, data)?;
         let work = inst.ctx.take_work();
         let extra = inst.ctx.take_extra_instructions();
         let instr = self.device_cost.total_instructions(&work) + extra;
@@ -694,10 +667,6 @@ impl MorpheusSsd {
             iv.end,
             data.len() as u64,
         );
-        let inst = self
-            .instances
-            .get_mut(&instance_id)
-            .expect("existence checked above");
         inst.last_done = iv.end;
         inst.out_base_slba.get_or_insert(slba);
         let produced = inst.ctx.take_output();
@@ -750,77 +719,57 @@ impl MorpheusSsd {
     ///
     /// # Errors
     ///
-    /// Fails on unknown instances or if the app faults while finishing.
+    /// Fails on unknown instances, if the app faults while finishing, or
+    /// if the final flush fails; a failure aborts the instance.
     pub fn mdeinit(
         &mut self,
         instance_id: u32,
         ready: SimTime,
     ) -> Result<DeinitOutcome, MorpheusError> {
-        if !self.instances.contains_key(&instance_id) {
-            return Err(MorpheusError::NoSuchInstance(instance_id));
-        }
-        let core = self.instances[&instance_id].core;
-        let play = match &self.instances[&instance_id].memo {
+        let out = self.run_mdeinit(instance_id, ready);
+        self.end_on_error(instance_id, out)
+    }
+
+    /// The MDEINIT of every instance: the finish grant and span run live;
+    /// a replay takes the recorded cost (dispatch included), return value
+    /// and output instead of running `on_finish`.
+    fn run_mdeinit(
+        &mut self,
+        instance_id: u32,
+        ready: SimTime,
+    ) -> Result<DeinitOutcome, MorpheusError> {
+        let inst = self
+            .instances
+            .get_mut(&instance_id)
+            .ok_or(MorpheusError::NoSuchInstance(instance_id))?;
+        let (retval, instr, played) = match &inst.memo {
             InstanceMemo::Play { rec, next } => {
                 assert_eq!(
                     *next,
                     rec.cmds.len(),
                     "deser-memo replay finished with unconsumed MREADs (key collision?)"
                 );
-                Some(rec.clone())
+                (
+                    rec.retval,
+                    rec.finish_instr,
+                    Some(Arc::clone(&rec.host_output)),
+                )
             }
-            _ => None,
+            _ => {
+                let retval = inst.app.on_finish(&mut inst.ctx)?;
+                let work = inst.ctx.take_work();
+                let extra = inst.ctx.take_extra_instructions();
+                let instr = self.device_cost.total_instructions(&work)
+                    + extra
+                    + self.dev.config().command_dispatch_instructions;
+                (retval, instr, None)
+            }
         };
-        if let Some(rec) = play {
-            // Replay: the recorded finish cost (dispatch included) runs on
-            // the live core timeline; on_finish itself is skipped. Recorded
-            // lifecycles never wrote to flash, so there is nothing to flush.
-            let start = ready.max(self.instances[&instance_id].last_done);
-            let iv = self.dev.cores_mut().exec_on(core, start, rec.finish_instr);
-            self.tracer.span(
-                TraceLayer::Ssd,
-                self.dev.cores().core_name(core),
-                "finish",
-                iv.start,
-                iv.end,
-            );
-            self.parse_core_busy += iv.duration();
-            let inst = self.instances.remove(&instance_id).expect("still present");
-            self.dev.free_dram(inst.dram_reserved);
-            return Ok(DeinitOutcome {
-                retval: rec.retval,
-                host_output: Arc::clone(&rec.host_output),
-                done: iv.end,
-                flushed_to_flash: 0,
-            });
-        }
-        let (retval, instr, start, writes_to_flash) = {
-            let inst = self
-                .instances
-                .get_mut(&instance_id)
-                .expect("existence checked above");
-            let result = inst.app.on_finish(&mut inst.ctx);
-            let retval = match result {
-                Ok(v) => v,
-                Err(e) => {
-                    let inst = self.instances.remove(&instance_id).expect("still present");
-                    self.dev.free_dram(inst.dram_reserved);
-                    return Err(MorpheusError::App(e));
-                }
-            };
-            let work = inst.ctx.take_work();
-            let extra = inst.ctx.take_extra_instructions();
-            let instr = self.device_cost.total_instructions(&work)
-                + extra
-                + self.dev.config().command_dispatch_instructions;
-            (
-                retval,
-                instr,
-                ready.max(inst.last_done),
-                inst.out_base_slba.is_some(),
-            )
-        };
-        let iv = self.dev.cores_mut().exec_on(core, start, instr);
+        let core = inst.core;
+        let iv = self
+            .dev
+            .cores_mut()
+            .exec_on(core, ready.max(inst.last_done), instr);
         self.tracer.span(
             TraceLayer::Ssd,
             self.dev.cores().core_name(core),
@@ -830,44 +779,49 @@ impl MorpheusSsd {
         );
         self.parse_core_busy += iv.duration();
         let mut done = iv.end;
-        let mut host_output = Vec::new();
-        if writes_to_flash {
-            // Final records join the flash stream, not the host.
-            let inst = self.instances.get_mut(&instance_id).expect("still present");
+        let host_output = if inst.out_base_slba.is_some() {
+            // Final records join the flash stream, not the host (only an
+            // `Off` instance MWRITEs).
             let tail = inst.ctx.take_output();
             inst.out_pending.extend_from_slice(&tail);
             done = done.max(self.flush_instance_output(instance_id, iv.end, true)?);
+            Arc::default()
+        } else if let Some(output) = played {
+            output
         } else {
-            let inst = self.instances.get_mut(&instance_id).expect("still present");
-            host_output = inst.ctx.take_output();
-        }
+            let recording = matches!(inst.memo, InstanceMemo::Record(_));
+            shared(inst.ctx.take_output(), recording)
+        };
         let inst = self.instances.remove(&instance_id).expect("still present");
         self.dev.free_dram(inst.dram_reserved);
-        let host_output = match inst.memo {
-            InstanceMemo::Record { key, cmds } if !writes_to_flash => {
-                // Every replay hands out this buffer, so it keeps no
-                // spare capacity.
-                host_output.shrink_to_fit();
-                let host_output = Arc::new(host_output);
-                deser_memo::device_put(
-                    key,
-                    Arc::new(DeviceReplay {
-                        cmds,
-                        finish_instr: instr,
-                        retval,
-                        host_output: Arc::clone(&host_output),
-                    }),
-                );
-                host_output
-            }
-            _ => Arc::new(host_output),
+        let recording = match inst.memo {
+            InstanceMemo::Record(cmds) => Some(Recording {
+                cmds,
+                finish_instr: instr,
+            }),
+            _ => None,
         };
         Ok(DeinitOutcome {
             retval,
             host_output,
             done,
             flushed_to_flash: inst.out_flushed,
+            recording,
         })
+    }
+
+    /// Ends instance `instance_id` when its command failed: any failure
+    /// aborts the instance (the [`StorageApp`] contract), so no error
+    /// leaves an instance or its controller DRAM behind.
+    fn end_on_error<T>(
+        &mut self,
+        instance_id: u32,
+        out: Result<T, MorpheusError>,
+    ) -> Result<T, MorpheusError> {
+        if out.is_err() {
+            self.abort_instance(instance_id);
+        }
+        out
     }
 
     /// Wire-level protocol round trip: encodes `cmd`, submits it through
@@ -904,6 +858,16 @@ impl MorpheusSsd {
     }
 }
 
+/// A command's output, shared with the host. A recorded output outlives
+/// its command and every replay hands it out, so it keeps no spare
+/// capacity.
+fn shared(mut output: Vec<u8>, recorded: bool) -> Arc<Vec<u8>> {
+    if recorded {
+        output.shrink_to_fit();
+    }
+    Arc::new(output)
+}
+
 /// The flash pages holding bytes `[byte_start, byte_start + byte_len)`,
 /// none when the range is empty.
 fn flash_pages(byte_start: u64, byte_len: u64, page_bytes: u64) -> Range<u64> {
@@ -918,7 +882,7 @@ mod tests {
     use super::*;
     use crate::DeserializeApp;
     use morpheus_flash::{FlashGeometry, FlashTiming};
-    use morpheus_format::{FieldKind, ParsedColumns, Schema};
+    use morpheus_format::{FieldKind, ParsedColumns, Schema, TextWriter};
     use morpheus_ssd::SsdConfig;
 
     fn edge_schema() -> Schema {
@@ -1023,6 +987,9 @@ mod tests {
         .unwrap();
         let err = m.mread(1, 0, 1, 18, SimTime::ZERO).unwrap_err();
         assert_eq!(err.status(), StatusCode::AppFault);
+        // The fault aborted the instance and returned its controller DRAM.
+        assert_eq!(m.live_instances(), 0);
+        assert_eq!(m.dev.dram_used(), 0);
     }
 
     #[test]
@@ -1089,37 +1056,88 @@ mod tests {
 
     #[test]
     fn replays_share_the_recorded_output_bytes() {
-        // No trailing newline: the last record reaches the host at MDEINIT.
-        let text = b"1 2\n3 4\n5 6\n7 8";
-        let lifecycle = |m: &mut MorpheusSsd, key: Option<MemoKey>| {
+        // Three flash pages of records in two MREADs, so a replay walks
+        // several recorded commands and pages. No trailing newline: the
+        // last record reaches the host at MDEINIT.
+        let mut w = TextWriter::new();
+        for i in 0..1500u64 {
+            w.write_u64(i);
+            w.sep();
+            w.write_u64(i * 7 % 1000);
+            w.newline();
+        }
+        let mut text = w.into_bytes();
+        text.pop();
+        let blocks = (text.len() as u64).div_ceil(LBA_BYTES);
+        let half = blocks / 2;
+        // One lifecycle on reset timelines: its outcomes and the spans it
+        // traced.
+        let lifecycle = |m: &mut MorpheusSsd, memo| {
+            m.reset_timing();
+            let tracer = Tracer::enabled();
+            m.set_tracer(tracer.clone());
             let app = Box::new(DeserializeApp::new("edges", edge_schema()));
-            let t0 = m.minit_keyed(1, app, SimTime::ZERO, key).unwrap();
-            let out = m.mread(1, 0, 1, text.len() as u64, t0).unwrap();
-            let dein = m.mdeinit(1, out.done).unwrap();
-            (out.output, dein.host_output)
+            let t0 = m.minit_with(1, app, SimTime::ZERO, memo).unwrap();
+            let rest = text.len() as u64 - half * LBA_BYTES;
+            let reads = [
+                m.mread(1, 0, half, half * LBA_BYTES, t0).unwrap(),
+                m.mread(1, half, blocks - half, rest, t0).unwrap(),
+            ];
+            let end = m.mdeinit(1, reads[1].done).unwrap();
+            (reads, end, tracer.take().to_chrome_json())
         };
         let mut m = mssd();
-        m.dev.load_at(0, text).unwrap();
-        let (live, live_tail) = lifecycle(&mut m, None);
-        assert!(!live.is_empty() && !live_tail.is_empty());
-        // A key no other test issues: the first keyed lifecycle records.
-        let key = (0x5aa2_ed0b_7e5e_0001, 0x5aa2_ed0b_7e5e_0002);
-        let (out, tail) = lifecycle(&mut m, Some(key));
-        let rec = deser_memo::device_get(key).expect("published at MDEINIT");
-        assert!(
-            Arc::ptr_eq(&out, &rec.cmds[0].output),
-            "records the live buffer"
-        );
-        assert!(Arc::ptr_eq(&tail, &rec.host_output));
-        for _ in 0..2 {
-            let (out, tail) = lifecycle(&mut m, Some(key));
+        m.dev.load_at(0, &text).unwrap();
+        let (live, live_end, live_spans) = lifecycle(&mut m, InstanceMemo::Off);
+        assert!(!live_end.host_output.is_empty());
+        assert!(live_end.recording.is_none());
+        let (reads, end, spans) = lifecycle(&mut m, InstanceMemo::Record(Vec::new()));
+        assert_eq!(spans, live_spans, "recording changes no timeline work");
+        let recording = end.recording.expect("a recording instance hands it back");
+        let mut bytes = Vec::new();
+        for (out, cmd) in reads.iter().zip(&recording.cmds) {
             assert!(
-                Arc::ptr_eq(&out, &rec.cmds[0].output),
-                "replay copies nothing"
+                Arc::ptr_eq(&out.output, &cmd.output),
+                "records the live buffer"
             );
-            assert!(Arc::ptr_eq(&tail, &rec.host_output));
-            assert_eq!(out, live, "replayed bytes are the live run's");
-            assert_eq!(tail, live_tail);
+            bytes.extend_from_slice(&out.output);
+        }
+        bytes.extend_from_slice(&end.host_output);
+        let rec = Arc::new(DeviceReplay {
+            cmds: recording.cmds,
+            finish_instr: recording.finish_instr,
+            retval: end.retval,
+            host_output: Arc::clone(&end.host_output),
+            digest: ParsedColumns::decode(edge_schema(), &bytes)
+                .unwrap()
+                .digest(),
+        });
+        for _ in 0..2 {
+            let memo = InstanceMemo::Play {
+                rec: Arc::clone(&rec),
+                next: 0,
+            };
+            let (replay, replay_end, replay_spans) = lifecycle(&mut m, memo);
+            for k in 0..2 {
+                let (out, cmd) = (&replay[k], &rec.cmds[k]);
+                assert!(
+                    Arc::ptr_eq(&out.output, &cmd.output),
+                    "replay copies nothing"
+                );
+                assert_eq!(
+                    out.output, live[k].output,
+                    "replayed bytes are the live run's"
+                );
+                // The same timeline work in the same order.
+                assert_eq!(out.done, reads[k].done);
+                assert_eq!(out.core_busy, reads[k].core_busy);
+            }
+            assert!(Arc::ptr_eq(&replay_end.host_output, &rec.host_output));
+            assert_eq!(replay_end.host_output, live_end.host_output);
+            assert_eq!(replay_end.done, end.done);
+            assert_eq!(replay_end.retval, end.retval);
+            assert_eq!(replay_spans, spans);
+            assert!(replay_end.recording.is_none());
         }
     }
 

@@ -428,8 +428,7 @@ impl Fleet {
     /// The tenant→device assignment the configured policy produces for
     /// this app list. Pure and seeded: same (policy, seed, apps, fleet
     /// size, kill schedule) ⇒ same placement, regardless of traffic.
-    /// Devices dead at t=0 with no heal policy receive no tenants (see
-    /// [`placement_candidates`](Self::placement_candidates)).
+    /// Devices dead at t=0 with no heal policy receive no tenants.
     pub fn placement(&self, apps: &[AppSpec]) -> Vec<usize> {
         let cand = self.placement_candidates();
         let n = cand.len() as u64;

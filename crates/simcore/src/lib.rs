@@ -7,12 +7,6 @@
 //! * [`Timeline`] — a FIFO-queued, possibly multi-unit hardware resource
 //!   (a CPU core pool, a flash channel, a PCIe link, a DMA engine, ...).
 //! * [`Bandwidth`] — converts byte counts into service durations.
-//! * [`pipeline`] — runs a sequence of work items through a chain of
-//!   timelines, modelling the chunk-level pipelining that dominates the
-//!   Morpheus data path (flash read ∥ parse ∥ DMA).
-//! * [`PowerModel`] / [`EnergyReport`] — integrates component busy time into
-//!   whole-system power and energy, mirroring the paper's wall-meter
-//!   methodology (idle floor plus per-component deltas).
 //! * [`Metrics`] — a small ordered metric bag used by reports.
 //! * [`SplitMix64`] — a tiny deterministic PRNG so lower-level crates do not
 //!   need the `rand` dependency.
@@ -44,11 +38,8 @@
 #![deny(missing_docs)]
 
 mod arrivals;
-mod energy;
 mod faults;
-mod gantt;
 mod metrics;
-mod pipeline;
 mod rng;
 mod telemetry;
 mod time;
@@ -56,11 +47,8 @@ mod timeline;
 mod trace;
 
 pub use arrivals::{ArrivalProcess, ArrivalRateError, Zipfian};
-pub use energy::{EnergyReport, PowerModel, Rail, RailId};
 pub use faults::{render_error_chain, FaultCounters, FaultDice, FaultPlan};
-pub use gantt::render_gantt;
 pub use metrics::{Histogram, Metrics};
-pub use pipeline::{pipeline, PipelineResult, StageDemand};
 pub use rng::SplitMix64;
 pub use telemetry::{
     fmt_num, parse_duration, sparkline, BudgetPoint, SloKind, SloObjective, SloOutcome, SloSpec,

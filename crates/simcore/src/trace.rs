@@ -222,11 +222,10 @@ impl TraceBuf {
 /// disabled tracer ([`Tracer::disabled`], also [`Default`]) makes every
 /// record call a no-op branch — components can hold one unconditionally.
 ///
-/// Internally events are slab-stored in interned form (see
-/// [`CompactEvent`]): the record path performs two string-table lookups
-/// and a 40-byte push, no allocation. The owned-`String`
-/// [`TraceEvent`]s the public API exposes are materialized lazily by
-/// [`take`](Tracer::take)/[`snapshot`](Tracer::snapshot).
+/// Internally events are slab-stored in interned form: the record path
+/// performs two string-table lookups and a 40-byte push, no allocation.
+/// The owned-`String` [`TraceEvent`]s the public API exposes are
+/// materialized lazily by [`take`](Tracer::take)/[`snapshot`](Tracer::snapshot).
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
     inner: Option<Arc<Mutex<TraceBuf>>>,
@@ -682,8 +681,7 @@ impl TraceLog {
 
     /// Renders the compact per-resource summary: one row per track with
     /// event count, busy time, utilization over the trace horizon, and an
-    /// occupancy strip (`█` busy, `▒` partial, `·` idle) — the structured
-    /// successor of [`render_gantt`](crate::render_gantt).
+    /// occupancy strip (`█` busy, `▒` partial, `·` idle).
     pub fn summary(&self, width: usize) -> String {
         assert!(width > 0, "summary width must be positive");
         let end = self.end_ns().max(1);

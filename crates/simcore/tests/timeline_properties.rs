@@ -1,8 +1,7 @@
 //! Property tests for the simulation kernel: resource timelines never
-//! double-book, pipelines respect data dependencies, and makespans are
-//! bounded by work-conservation arguments.
+//! double-book and serve a single unit first come, first served.
 
-use morpheus_simcore::{pipeline, SimDuration, SimTime, StageDemand, Timeline};
+use morpheus_simcore::{SimDuration, SimTime, Timeline};
 use proptest::prelude::*;
 
 proptest! {
@@ -43,53 +42,6 @@ proptest! {
             let iv = t.acquire(SimTime::ZERO, SimDuration::from_nanos(*s));
             prop_assert_eq!(iv.start, last_end);
             last_end = iv.end;
-        }
-    }
-
-    /// Pipeline makespan bounds: at least the critical path of any single
-    /// item, at most the sum of every stage of every item (full serial).
-    #[test]
-    fn pipeline_makespan_bounds(
-        // Nonzero demands: zero-service items skip stages without queueing,
-        // which legitimately breaks completion-order monotonicity.
-        items in proptest::collection::vec(
-            proptest::collection::vec(1u64..200, 3),
-            1..30,
-        ),
-    ) {
-        let mut a = Timeline::new("a", 1);
-        let mut b = Timeline::new("b", 1);
-        let mut c = Timeline::new("c", 1);
-        let mut stages = [&mut a, &mut b, &mut c];
-        let r = pipeline(&mut stages, SimTime::ZERO, items.len(), |i, s| {
-            StageDemand::service(SimDuration::from_nanos(items[i][s]))
-        });
-        let serial: u64 = items.iter().flatten().sum();
-        let critical: u64 = items.iter().map(|it| it.iter().sum::<u64>()).max().unwrap();
-        let per_stage_max: u64 = (0..3).map(|s| items.iter().map(|it| it[s]).sum::<u64>()).max().unwrap();
-        let makespan = r.makespan().as_nanos();
-        prop_assert!(makespan <= serial, "{makespan} > serial {serial}");
-        prop_assert!(makespan >= critical, "{makespan} < critical {critical}");
-        prop_assert!(makespan >= per_stage_max, "{makespan} < bottleneck {per_stage_max}");
-        // Completions are monotone in item order for single-unit stages.
-        for w in r.item_done.windows(2) {
-            prop_assert!(w[0] <= w[1]);
-        }
-    }
-
-    /// Item completion times never precede the sum of their own demands.
-    #[test]
-    fn pipeline_items_respect_their_own_work(
-        items in proptest::collection::vec((1u64..100, 1u64..100), 1..40),
-    ) {
-        let mut a = Timeline::new("a", 2);
-        let mut b = Timeline::new("b", 2);
-        let mut stages = [&mut a, &mut b];
-        let r = pipeline(&mut stages, SimTime::ZERO, items.len(), |i, s| {
-            StageDemand::service(SimDuration::from_nanos(if s == 0 { items[i].0 } else { items[i].1 }))
-        });
-        for (i, done) in r.item_done.iter().enumerate() {
-            prop_assert!(done.as_nanos() >= items[i].0 + items[i].1);
         }
     }
 }
