@@ -10,7 +10,82 @@ pub struct SerializeWork {
     pub tokens: u64,
 }
 
+/// `"00" "01" … "99"`: integer tokens are written two digits per step.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// `10^d` for every `d` a `u64` holds; each is exact as an `f64` too.
+const POW10: [u64; 20] = {
+    let mut t = [1u64; 20];
+    let mut i = 1;
+    while i < 20 {
+        t[i] = t[i - 1] * 10;
+        i += 1;
+    }
+    t
+};
+
+/// Scaled magnitudes at or above this take the `format!` path: below it an
+/// `f64`'s fractional part is exact.
+const EXACT_LIMIT: f64 = (1u64 << 52) as f64;
+
+/// Writes `v`'s decimal digits right-aligned into `buf`, two per step, and
+/// returns the index of the first.
+#[inline]
+fn digits(mut v: u64, buf: &mut [u8; 20]) -> usize {
+    let mut i = buf.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        i -= 1;
+        buf[i] = b'0' + v as u8;
+    }
+    i
+}
+
+/// `|v|` rounded to `decimals` fractional digits, as a count of
+/// `10^-decimals`, when one `f64` product decides the rounding exactly.
+///
+/// The product `s = |v|·10^d` lies within `s·2^-53` of the exact value,
+/// and only a half-integer separates two roundings. So unless `s`'s
+/// fractional part is within `s·2^-52` of one half, `s` rounds to the
+/// integer the exact value does, which is what `format!` prints. `None`
+/// near a tie, at or above [`EXACT_LIMIT`], for a non-finite `v`, or for
+/// more decimals than [`POW10`] holds.
+fn round_scaled(v: f64, decimals: usize) -> Option<u64> {
+    let s = v.abs() * *POW10.get(decimals)? as f64;
+    if !(0.0..EXACT_LIMIT).contains(&s) {
+        return None;
+    }
+    let whole = s.floor();
+    let frac = s - whole;
+    if (frac - 0.5).abs() <= s * f64::EPSILON {
+        return None;
+    }
+    Some(whole as u64 + u64::from(frac > 0.5))
+}
+
 /// A growable text buffer with numeric formatting and work accounting.
+///
+/// The output is byte for byte what `to_string()` and `format!("{v:.d$}")`
+/// print, and [`work`](TextWriter::work) counts one token per `write_*`
+/// call, since serialization is priced from those counts.
 ///
 /// # Example
 ///
@@ -28,7 +103,7 @@ pub struct SerializeWork {
 #[derive(Debug, Clone, Default)]
 pub struct TextWriter {
     out: Vec<u8>,
-    work: SerializeWork,
+    tokens: u64,
 }
 
 impl TextWriter {
@@ -41,7 +116,7 @@ impl TextWriter {
     pub fn with_capacity(bytes: usize) -> Self {
         TextWriter {
             out: Vec::with_capacity(bytes),
-            work: SerializeWork::default(),
+            tokens: 0,
         }
     }
 
@@ -55,12 +130,17 @@ impl TextWriter {
         self.out
     }
 
-    /// Serialization work so far.
+    /// Serialization work so far: every byte in the buffer was emitted by
+    /// one of the writers.
     pub fn work(&self) -> SerializeWork {
-        self.work
+        SerializeWork {
+            bytes_emitted: self.out.len() as u64,
+            tokens: self.tokens,
+        }
     }
 
     /// Emitted length in bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.out.len()
     }
@@ -70,59 +150,66 @@ impl TextWriter {
         self.out.is_empty()
     }
 
-    fn push_token(&mut self, s: &str) {
-        self.out.extend_from_slice(s.as_bytes());
-        self.work.bytes_emitted += s.len() as u64;
-        self.work.tokens += 1;
+    /// Appends `v`'s digits (no token accounting).
+    #[inline]
+    fn put_u64(&mut self, v: u64) {
+        let mut buf = [0u8; 20];
+        let i = digits(v, &mut buf);
+        self.out.extend_from_slice(&buf[i..]);
     }
 
     /// Writes an unsigned integer token.
+    #[inline]
     pub fn write_u64(&mut self, v: u64) {
-        let mut buf = [0u8; 20];
-        let mut i = buf.len();
-        let mut v = v;
-        loop {
-            i -= 1;
-            buf[i] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
-        }
-        let s = std::str::from_utf8(&buf[i..]).expect("digits are ascii");
-        self.push_token(s);
+        self.put_u64(v);
+        self.tokens += 1;
     }
 
-    /// Writes a signed integer token.
+    /// Writes a signed integer token (the sign is part of the token).
+    #[inline]
     pub fn write_i64(&mut self, v: i64) {
         if v < 0 {
             self.out.push(b'-');
-            self.work.bytes_emitted += 1;
-            self.write_u64(v.unsigned_abs());
-            // The sign and magnitude are one token.
-            self.work.tokens -= 1;
-            self.work.tokens += 1;
-        } else {
-            self.write_u64(v as u64);
+        }
+        self.write_u64(v.unsigned_abs());
+    }
+
+    /// Writes a float token with `decimals` fractional digits, as
+    /// `format!("{v:.decimals$}")` prints it: through integers when one
+    /// scaled `f64` decides the rounding exactly, through `format!` near a
+    /// rounding tie, for huge magnitudes and for non-finite values.
+    pub fn write_f64(&mut self, v: f64, decimals: usize) {
+        self.tokens += 1;
+        let Some(n) = round_scaled(v, decimals) else {
+            use std::io::Write;
+            write!(self.out, "{v:.decimals$}").expect("writing to a Vec cannot fail");
+            return;
+        };
+        if v.is_sign_negative() {
+            self.out.push(b'-');
+        }
+        let scale = POW10[decimals];
+        self.put_u64(n / scale);
+        if decimals > 0 {
+            self.out.push(b'.');
+            let mut buf = [0u8; 20];
+            let i = digits(n % scale, &mut buf);
+            let width = buf.len() - i;
+            self.out.resize(self.out.len() + decimals - width, b'0');
+            self.out.extend_from_slice(&buf[i..]);
         }
     }
 
-    /// Writes a float token with `decimals` fractional digits.
-    pub fn write_f64(&mut self, v: f64, decimals: usize) {
-        let s = format!("{v:.decimals$}");
-        self.push_token(&s);
-    }
-
     /// Writes a single separating space (not counted as a token).
+    #[inline]
     pub fn sep(&mut self) {
         self.out.push(b' ');
-        self.work.bytes_emitted += 1;
     }
 
     /// Writes a newline (not counted as a token).
+    #[inline]
     pub fn newline(&mut self) {
         self.out.push(b'\n');
-        self.work.bytes_emitted += 1;
     }
 }
 

@@ -34,6 +34,18 @@ use crate::rng::SplitMix64;
 use crate::time::SimDuration;
 use std::fmt;
 
+/// Largest accepted `*-us` duration: one simulated hour, in µs. Larger
+/// stalls, windows and backoffs saturate or wrap simulated time.
+const MAX_FAULT_US: u64 = 3_600_000_000;
+/// Largest accepted `retries` and `flash-corr-retries`. A command that
+/// exhausts 16 reissues waits out `2^16 - 1` base backoffs, about 7.5
+/// simulated years at the one-hour bound; past about 48, the default
+/// 50 µs base alone doubles past the `u64` nanosecond clock.
+const MAX_FAULT_RETRIES: u64 = 16;
+/// Largest accepted `pcie-factor`: a degraded DMA's stretched service time
+/// must stay inside simulated time.
+const MAX_PCIE_FACTOR: f64 = 1e6;
+
 /// A seeded, deterministic schedule of injected faults.
 ///
 /// Built from a small `key=value` spec string (see [`FaultPlan::parse`]) or
@@ -119,14 +131,16 @@ impl FaultPlan {
     /// | `stall-us` | stall duration, µs |
     /// | `crash` | embedded-core crash probability |
     /// | `pcie` | degraded-DMA probability |
-    /// | `pcie-factor` | degraded-DMA slowdown factor (>= 1) |
+    /// | `pcie-factor` | degraded-DMA slowdown factor, in `[1, 10^6]` |
     ///
-    /// Probabilities must lie in `[0, 1]`.
+    /// Probabilities must lie in `[0, 1]`, every `*-us` duration is at most
+    /// one simulated hour (3600000000 µs), and both retry counts are at
+    /// most 16.
     ///
     /// # Errors
     ///
     /// Returns a human-readable message for unknown keys, malformed values,
-    /// and out-of-range probabilities.
+    /// and out-of-range or non-finite numbers.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::none();
         for item in spec.split(',') {
@@ -150,25 +164,41 @@ impl FaultPlan {
                 v.parse()
                     .map_err(|_| format!("{key} expects an unsigned integer, got {v:?}"))
             };
+            let nanos = |v: &str| -> Result<u64, String> {
+                match int(v)? {
+                    us @ 0..=MAX_FAULT_US => Ok(us * 1000),
+                    _ => Err(format!("{key} must be at most {MAX_FAULT_US} µs, got {v}")),
+                }
+            };
+            let retries = |v: &str| -> Result<u32, String> {
+                match int(v)? {
+                    n @ 0..=MAX_FAULT_RETRIES => Ok(n as u32),
+                    _ => Err(format!(
+                        "{key} must be at most {MAX_FAULT_RETRIES}, got {v}"
+                    )),
+                }
+            };
             match key {
                 "seed" => plan.seed = int(value)?,
                 "flash-corr" => plan.flash_correctable = prob(value)?,
-                "flash-corr-retries" => plan.flash_correction_retries = int(value)? as u32,
+                "flash-corr-retries" => plan.flash_correction_retries = retries(value)?,
                 "flash-uncorr" => plan.flash_uncorrectable = prob(value)?,
                 "timeout" => plan.nvme_timeout = prob(value)?,
-                "timeout-us" => plan.nvme_timeout_ns = int(value)?.saturating_mul(1000),
-                "retries" => plan.nvme_max_retries = int(value)? as u32,
-                "backoff-us" => plan.nvme_backoff_ns = int(value)?.saturating_mul(1000),
+                "timeout-us" => plan.nvme_timeout_ns = nanos(value)?,
+                "retries" => plan.nvme_max_retries = retries(value)?,
+                "backoff-us" => plan.nvme_backoff_ns = nanos(value)?,
                 "stall" => plan.core_stall = prob(value)?,
-                "stall-us" => plan.core_stall_ns = int(value)?.saturating_mul(1000),
+                "stall-us" => plan.core_stall_ns = nanos(value)?,
                 "crash" => plan.core_crash = prob(value)?,
                 "pcie" => plan.pcie_degrade = prob(value)?,
                 "pcie-factor" => {
                     let f: f64 = value
                         .parse()
                         .map_err(|_| format!("pcie-factor expects a number, got {value:?}"))?;
-                    if f < 1.0 {
-                        return Err(format!("pcie-factor must be >= 1, got {value}"));
+                    if !(1.0..=MAX_PCIE_FACTOR).contains(&f) {
+                        return Err(format!(
+                            "pcie-factor must be in [1, {MAX_PCIE_FACTOR:e}], got {value}"
+                        ));
                     }
                     plan.pcie_degrade_factor = f;
                 }
@@ -417,9 +447,36 @@ mod tests {
             "pcie-factor=0.5",  // below 1
             "warp-drive=0.5",   // unknown key
             "flash-corr=maybe", // malformed float
+            // Values that parse as numbers but break simulated time.
+            "pcie-factor=inf",
+            "pcie-factor=1e300",
+            "pcie-factor=nan",
+            "pcie-factor=1000001",
+            "stall-us=18446744073709551615",
+            "stall-us=3600000001",
+            "timeout-us=18446744073709551615",
+            "backoff-us=18446744073709551615",
+            "retries=4294967295",
+            "retries=17",
+            "flash-corr-retries=4294967296",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn parse_accepts_the_bounds() {
+        let p = FaultPlan::parse(
+            "pcie-factor=1000000,stall-us=3600000000,timeout-us=3600000000,\
+             backoff-us=3600000000,retries=16,flash-corr-retries=16",
+        )
+        .unwrap();
+        assert_eq!(p.pcie_degrade_factor, MAX_PCIE_FACTOR);
+        assert_eq!(p.core_stall_ns, MAX_FAULT_US * 1000);
+        assert_eq!(p.nvme_timeout_ns, MAX_FAULT_US * 1000);
+        assert_eq!(p.nvme_backoff_ns, MAX_FAULT_US * 1000);
+        assert_eq!(p.nvme_max_retries, 16);
+        assert_eq!(p.flash_correction_retries, 16);
     }
 
     #[test]

@@ -30,6 +30,7 @@ impl SplitMix64 {
     }
 
     /// Next 64 uniformly distributed bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -43,6 +44,7 @@ impl SplitMix64 {
     /// # Panics
     ///
     /// Panics if `bound` is zero.
+    #[inline]
     pub fn next_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");
         // Lemire-style rejection-free multiply-shift; bias is negligible for
@@ -51,6 +53,7 @@ impl SplitMix64 {
     }
 
     /// A uniform float in `[0, 1)`.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }

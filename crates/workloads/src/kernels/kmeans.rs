@@ -39,7 +39,7 @@ pub fn kmeans(objects: &ParsedColumns, k: usize, iters: u32) -> KernelResult {
             centroids[c * dims + d] = col[c];
         }
     }
-    let mut assign = vec![0usize; n];
+    let mut assign = vec![0u32; n];
     let mut best = [0.0f64; BLOCK];
     let mut dist = [0.0f64; BLOCK];
     for _ in 0..iters {
@@ -48,8 +48,8 @@ pub fn kmeans(objects: &ParsedColumns, k: usize, iters: u32) -> KernelResult {
             let lo = b * BLOCK;
             let len = block.len();
             best[..len].fill(f64::INFINITY);
-            for c in 0..k {
-                let centroid = &centroids[c * dims..(c + 1) * dims];
+            for c in 0..u32::try_from(k).expect("fewer than 2^32 clusters") {
+                let centroid = &centroids[c as usize * dims..(c as usize + 1) * dims];
                 dist[..len].fill(0.0);
                 for (col, &m) in coords.iter().zip(centroid) {
                     for (acc, &x) in dist[..len].iter_mut().zip(&col[lo..lo + len]) {
@@ -57,21 +57,25 @@ pub fn kmeans(objects: &ParsedColumns, k: usize, iters: u32) -> KernelResult {
                         *acc += delta * delta;
                     }
                 }
+                // A compare-select, not a branch: which centroid wins is
+                // data-dependent, so a branch mispredicts often. A distance
+                // is a sum of squares from +0.0, never NaN or -0.0, so
+                // `min` keeps `*b` exactly when `d < *b` fails.
                 for ((a, b), &d) in block.iter_mut().zip(&mut best[..len]).zip(&dist[..len]) {
-                    if d < *b {
-                        *b = d;
-                        *a = c;
-                    }
+                    let closer = u32::from(d < *b).wrapping_neg();
+                    *b = b.min(d);
+                    *a = (*a & !closer) | (c & closer);
                 }
             }
         }
         // Update step.
         let mut sums = vec![0.0f64; k * dims];
         let mut counts = vec![0u64; k];
-        for (i, a) in assign.iter().enumerate() {
-            counts[*a] += 1;
+        for (i, &a) in assign.iter().enumerate() {
+            let a = a as usize;
+            counts[a] += 1;
             for (d, col) in coords.iter().enumerate() {
-                sums[*a * dims + d] += col[i];
+                sums[a * dims + d] += col[i];
             }
         }
         for c in 0..k {
@@ -85,9 +89,9 @@ pub fn kmeans(objects: &ParsedColumns, k: usize, iters: u32) -> KernelResult {
     }
     let mut digest = Digest::new();
     let mut inertia = 0.0f64;
-    for (i, a) in assign.iter().enumerate() {
+    for (i, &a) in assign.iter().enumerate() {
         for (d, col) in coords.iter().enumerate() {
-            let delta = col[i] - centroids[*a * dims + d];
+            let delta = col[i] - centroids[a as usize * dims + d];
             inertia += delta * delta;
         }
     }

@@ -1,5 +1,6 @@
 //! Scan-style kernels over a token stream: word count and grep.
 
+use crate::kernels::sort::radix_sorted;
 use crate::kernels::KernelResult;
 use crate::Digest;
 use morpheus_format::ParsedColumns;
@@ -11,8 +12,7 @@ pub fn wordcount(objects: &ParsedColumns) -> KernelResult {
     let vals = objects.columns[0]
         .as_ints()
         .expect("wordcount input is an integer column");
-    let mut sorted = vals.to_vec();
-    sorted.sort_unstable();
+    let sorted = radix_sorted(vals);
     let mut d = Digest::new();
     let mut top = (0i64, 0u64);
     let mut distinct = 0usize;

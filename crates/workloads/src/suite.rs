@@ -274,9 +274,9 @@ fn generated_input(bench: &Benchmark, target_bytes: u64, seed: u64) -> Arc<Vec<u
     if let Some(hit) = table.lock().expect("input memo lock").get(&key) {
         return hit.clone();
     }
-    // Generate outside the lock: a miss can be minutes of formatting at
-    // scale 1, and parallel workers staging different benches must not
-    // serialize behind each other.
+    // Generate outside the lock: a miss formats up to the harness's 48 MB
+    // size clamp, about 0.2 s of text at 4 ns a byte, and parallel workers
+    // staging different benches must not serialize behind each other.
     let data = Arc::new(bench.generate(target_bytes, seed));
     let mut t = table.lock().expect("input memo lock");
     if t.len() < GENERATED_CAP || t.contains_key(&key) {

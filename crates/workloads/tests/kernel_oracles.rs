@@ -1,12 +1,12 @@
-//! Property tests: the flat-array `kmeans` and the sort-based `wordcount`
-//! against the implementations they replaced, kept here as oracles. The
-//! results must be equal, digest and summary, since the suite's digests
-//! are compared across modes and pinned by the benchmark.
+//! Property tests: the suite kernels against the implementations they
+//! replaced, kept here as oracles: the branchy point-at-a-time `kmeans`,
+//! and `sort` and `wordcount` over `sort_unstable`. The results must be
+//! equal, digest and summary, since the suite's digests are compared
+//! across modes and pinned by the benchmark.
 
 use morpheus_format::{Column, FieldKind, ParsedColumns, Schema};
-use morpheus_workloads::{kmeans, scan, Digest, KernelResult};
+use morpheus_workloads::{kmeans, scan, sort, Digest, KernelResult};
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 /// Point-at-a-time Lloyd's algorithm, converting each coordinate on use.
 fn oracle_kmeans(objects: &ParsedColumns, k: usize, iters: u32) -> KernelResult {
@@ -80,37 +80,74 @@ fn oracle_kmeans(objects: &ParsedColumns, k: usize, iters: u32) -> KernelResult 
     }
 }
 
-/// Word count through a hash map, digested over the sorted keys.
-fn oracle_wordcount(objects: &ParsedColumns) -> KernelResult {
-    let vals = objects.columns[0]
-        .as_ints()
-        .expect("wordcount input is an integer column");
-    let mut counts: HashMap<i64, u64> = HashMap::new();
-    for v in vals {
-        *counts.entry(*v).or_insert(0) += 1;
+/// Sort by `sort_unstable`, digesting order statistics and a strided
+/// sample.
+fn oracle_sort(objects: &ParsedColumns, label: &str) -> KernelResult {
+    let mut vals = objects.columns[0].as_ints().unwrap().to_vec();
+    vals.sort_unstable();
+    let mut d = Digest::new();
+    d.mix(vals.len() as u64);
+    let stride = (vals.len() / 1000).max(1);
+    for v in vals.iter().step_by(stride) {
+        d.mix_i64(*v);
     }
-    let mut keys: Vec<&i64> = counts.keys().collect();
-    keys.sort_unstable();
+    if let (Some(min), Some(max)) = (vals.first(), vals.last()) {
+        d.mix_i64(*min);
+        d.mix_i64(*max);
+        KernelResult {
+            digest: d.value(),
+            summary: format!("{label}: {} keys, min {min}, max {max}", vals.len()),
+        }
+    } else {
+        KernelResult {
+            digest: d.value(),
+            summary: format!("{label}: empty input"),
+        }
+    }
+}
+
+/// Word count over the runs of a `sort_unstable` copy.
+fn oracle_wordcount(objects: &ParsedColumns) -> KernelResult {
+    let vals = objects.columns[0].as_ints().unwrap();
+    let mut sorted = vals.to_vec();
+    sorted.sort_unstable();
     let mut d = Digest::new();
     let mut top = (0i64, 0u64);
-    for k in keys {
-        let c = counts[k];
-        d.mix_i64(*k);
+    let mut distinct = 0usize;
+    for run in sorted.chunk_by(|a, b| a == b) {
+        let (k, c) = (run[0], run.len() as u64);
+        d.mix_i64(k);
         d.mix(c);
         if c > top.1 {
-            top = (*k, c);
+            top = (k, c);
         }
+        distinct += 1;
     }
     KernelResult {
         digest: d.value(),
         summary: format!(
             "wordcount: {} tokens, {} distinct, mode {} x{}",
             vals.len(),
-            counts.len(),
+            distinct,
             top.0,
             top.1
         ),
     }
+}
+
+/// One integer column of `kind`.
+fn column(kind: FieldKind, vals: Vec<i64>) -> ParsedColumns {
+    let mut p = ParsedColumns::empty(Schema::new(vec![kind]));
+    p.records = vals.len() as u64;
+    p.columns[0] = Column::Ints(vals);
+    p
+}
+
+/// Both sort kernels and word count against their oracles.
+fn check_keys(p: &ParsedColumns) -> Result<(), TestCaseError> {
+    prop_assert_eq!(sort::sort(p, "sort"), oracle_sort(p, "sort"));
+    prop_assert_eq!(scan::wordcount(p), oracle_wordcount(p));
+    Ok(())
 }
 
 /// Integer columns under an id column, as the suite's point schemas have.
@@ -156,17 +193,49 @@ proptest! {
         prop_assert_eq!(kmeans::kmeans(&p, k, iters), oracle_kmeans(&p, k, iters));
     }
 
-    /// Equal results for any token column: empty, all one value, many
-    /// repeats, or nearly all distinct; ties for the mode included.
+    /// Equal results for any key column: empty, all one value, many
+    /// repeats, or nearly all distinct; ties for the mode included; spans
+    /// from zero to the full `i64` range, which takes every radix pass.
     #[test]
-    fn wordcount_matches_the_hash_map_oracle(
+    fn sort_and_wordcount_match_the_sort_unstable_oracles(
         vals in proptest::collection::vec(any::<i64>(), 0..600),
-        modulus in prop_oneof![Just(1i64), Just(7i64), Just(500i64), Just(i64::MAX)],
+        modulus in prop_oneof![
+            Just(1i64),
+            Just(7i64),
+            Just(500i64),
+            Just(1i64 << 20),
+            Just(1i64 << 33),
+            Just(i64::MAX),
+        ],
+        offset in prop_oneof![Just(0i64), Just(-1_000_000i64), Just(i64::MIN / 2)],
     ) {
-        let vals: Vec<i64> = vals.iter().map(|v| v % modulus).collect();
-        let mut p = ParsedColumns::empty(Schema::new(vec![FieldKind::U32]));
-        p.records = vals.len() as u64;
-        p.columns[0] = Column::Ints(vals);
-        prop_assert_eq!(scan::wordcount(&p), oracle_wordcount(&p));
+        let (modulus, offset): (i64, i64) = (modulus, offset);
+        let vals: Vec<i64> = vals.iter().map(|v| (v % modulus).wrapping_add(offset)).collect();
+        check_keys(&column(FieldKind::I64, vals))?;
     }
+}
+
+#[test]
+fn sort_and_wordcount_match_the_oracles_on_edge_columns() {
+    let span = |lo: i64, n: i64| (0..n).map(|i| lo + (i * 7919) % n).collect::<Vec<_>>();
+    let columns = vec![
+        vec![],
+        vec![42],
+        vec![-3; 1000],
+        vec![i64::MIN, i64::MAX],
+        vec![i64::MAX, 0, i64::MIN, -1, 1, i64::MIN, i64::MAX],
+        span(-500, 5000),
+        // Spans of 2^32 and just past it: 33-bit offsets, wider than any
+        // U32 column's.
+        vec![0, 1 << 32, 5, 1 << 31],
+        vec![-(1 << 32), 1, 0, -(1 << 32)],
+        (0..3000)
+            .map(|i: i64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15u64 as i64))
+            .collect(),
+    ];
+    for vals in columns {
+        check_keys(&column(FieldKind::I64, vals.clone()))
+            .unwrap_or_else(|e| panic!("{vals:?}: {e}"));
+    }
+    check_keys(&column(FieldKind::U32, span(0, 4096))).unwrap();
 }
