@@ -1,20 +1,19 @@
-//! Criterion: wall-clock of a full suite sweep, sequential vs parallel.
+//! Criterion: wall-clock of the paper's suite run, sequential vs parallel.
 //!
-//! This measures the real (host) time of the fan-out machinery every fig*
-//! binary now uses — the same `run_suite_parallel` call, at `--jobs 1`
-//! versus multiple workers — so the speedup of the parallel driver is a
-//! recorded number rather than folklore.
+//! This measures the real (host) time of `Harness::suite_run`, the one
+//! suite loop every figure renders from, at `--jobs 1` versus multiple
+//! workers, so the speedup of the parallel driver is a recorded number
+//! rather than folklore.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use morpheus::Mode;
-use morpheus_bench::{run_mode, Harness};
-use morpheus_workloads::suite;
+use morpheus_bench::Harness;
 use std::hint::black_box;
 
 fn bench_suite(c: &mut Criterion) {
-    let benches = suite();
     let mut g = c.benchmark_group("suite_wallclock");
-    g.throughput(Throughput::Elements(benches.len() as u64));
+    g.throughput(Throughput::Elements(
+        morpheus_workloads::suite().len() as u64
+    ));
     for jobs in [1usize, 4] {
         let h = Harness {
             scale: 4096,
@@ -22,15 +21,8 @@ fn bench_suite(c: &mut Criterion) {
             jobs,
             faults: None,
         };
-        g.bench_function(format!("conventional_jobs_{jobs}"), |b| {
-            b.iter(|| {
-                h.run_suite_parallel(black_box(&benches), |bench| {
-                    run_mode(&h, bench, Mode::Conventional)
-                        .report
-                        .phases
-                        .total_s()
-                })
-            })
+        g.bench_function(format!("suite_run_jobs_{jobs}"), |b| {
+            b.iter(|| black_box(h).suite_run().expect("fault-free run").apps.len())
         });
     }
     g.finish();

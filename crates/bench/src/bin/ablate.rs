@@ -1,260 +1,27 @@
-//! Ablation benches for the design choices DESIGN.md calls out.
-//!
-//! Sweeps (use `--sweep <name>` to run one, default all):
-//!
-//! * `cores`   — how many embedded cores the Morpheus-SSD needs. One
-//!   instance is pinned to one core (§IV-B), so single-app runs are flat,
-//!   but multiprogrammed hosts drive several instances.
-//! * `clock`   — embedded-core clock vs deserialization speedup.
-//! * `chunk`   — MREAD chunk size vs speedup (completion-interrupt
-//!   amortization vs pipeline granularity).
-//! * `float`   — soft-float penalty vs the SpMV outlier.
-//! * `multi`   — multiprogrammed co-runners: contention hurts the host
-//!   path (preemptions, faults, bus share) but not the in-SSD path.
-//! * `tenants` — N applications deserializing concurrently: conventional
-//!   tenants fight for host cores, Morpheus tenants spread over the
-//!   drive's embedded cores.
-//! * `scale`   — input-size stability of the headline speedup ratio.
+//! Ablation benches for the design choices DESIGN.md calls out
+//! (`morpheus_bench::reports::ablate`). `--sweep <name>` runs one sweep,
+//! default all.
 
-use morpheus::{Mode, System, SystemParams};
-use morpheus_bench::{print_table, run_parallel, Harness};
-use morpheus_simcore::render_error_chain;
-use morpheus_workloads::{run_benchmark, stage_input, suite, Benchmark};
-
-/// A sweep point's failure, rendered for the operator. Run failures are
-/// reported as full cause chains and exit 1 — a panicking worker thread
-/// would bury the cause under a backtrace.
-type SweepError = String;
-
-fn run_with(
-    params: SystemParams,
-    bench: &Benchmark,
-    bytes: u64,
-    seed: u64,
-) -> Result<(f64, f64), SweepError> {
-    let mut sys = System::new(params);
-    stage_input(&mut sys, bench, bytes, seed)
-        .map_err(|e| format!("staging {}: {}", bench.name, render_error_chain(&e)))?;
-    let conv = run_benchmark(&mut sys, bench, Mode::Conventional)
-        .map_err(|e| format!("{} (conventional): {}", bench.name, render_error_chain(&e)))?;
-    let morp = run_benchmark(&mut sys, bench, Mode::Morpheus)
-        .map_err(|e| format!("{} (morpheus): {}", bench.name, render_error_chain(&e)))?;
-    assert_eq!(conv.kernel, morp.kernel);
-    Ok((
-        morp.report.deser_speedup_over(&conv.report),
-        morp.report.total_speedup_over(&conv.report),
-    ))
-}
-
-/// Unwraps one sweep's rows, exiting 1 with the first rendered failure.
-fn rows_or_exit(rows: Vec<Result<Vec<String>, SweepError>>) -> Vec<Vec<String>> {
-    rows.into_iter()
-        .map(|r| {
-            r.unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            })
-        })
-        .collect()
-}
-
-const SWEEPS: [&str; 7] = [
-    "cores", "clock", "chunk", "float", "multi", "tenants", "scale",
-];
-
-fn wanted(name: &str) -> bool {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--sweep") {
-        Some(i) => args.get(i + 1).map(|s| s == name).unwrap_or(true),
-        None => true,
-    }
-}
+use morpheus_bench::reports::{ablate, Evaluation, SWEEPS};
+use morpheus_bench::{exit_usage, parse_flags, value_of, Harness};
 
 fn main() {
-    let h = Harness::from_args_with(&["--sweep"]);
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--sweep") {
-        if let Some(s) = args.get(i + 1) {
-            if !SWEEPS.contains(&s.as_str()) {
-                eprintln!("error: unknown sweep {s:?} (one of: {})", SWEEPS.join(", "));
-                std::process::exit(2);
-            }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut h = Harness::default();
+    let mut sweep = None;
+    let parsed = parse_flags(&args, |flag, it| {
+        if flag != "--sweep" {
+            return h.offer(flag, it);
         }
+        let v = value_of(flag, it)?;
+        if !SWEEPS.contains(&v.as_str()) {
+            return Err(format!("unknown sweep {v:?} (one of: {})", SWEEPS.join(", ")).into());
+        }
+        sweep = Some(v.clone());
+        Ok(true)
+    });
+    if let Err(e) = parsed {
+        exit_usage(&e, &format!("usage: {} [--sweep NAME]", Harness::USAGE));
     }
-    let benches = suite();
-    let pagerank = benches
-        .iter()
-        .find(|b| b.name == "pagerank")
-        .expect("suite");
-    let spmv = benches.iter().find(|b| b.name == "spmv").expect("suite");
-    let bytes = h.input_bytes(pagerank);
-
-    if wanted("cores") {
-        println!("\nablation: embedded core count (pagerank)");
-        let cores = [1u32, 2, 4, 8];
-        let rows = run_parallel(h.jobs, &cores, |cores| {
-            let mut p = SystemParams::paper_testbed();
-            p.ssd.embedded_cores = *cores;
-            let (d, t) = run_with(p, pagerank, bytes, h.seed)?;
-            Ok(vec![
-                format!("{cores}"),
-                format!("{d:.2}x"),
-                format!("{t:.2}x"),
-            ])
-        });
-        print_table(
-            &["cores", "deser_speedup", "total_speedup"],
-            &rows_or_exit(rows),
-        );
-        println!("(one instance is pinned to one core; extra cores serve other tenants)");
-    }
-
-    if wanted("clock") {
-        println!("\nablation: embedded core clock (pagerank)");
-        let clocks = [200.0, 400.0, 800.0, 1600.0];
-        let rows = run_parallel(h.jobs, &clocks, |mhz| {
-            let mut p = SystemParams::paper_testbed();
-            p.ssd.core_clock_hz = mhz * 1e6;
-            let (d, t) = run_with(p, pagerank, bytes, h.seed)?;
-            Ok(vec![
-                format!("{mhz:.0}MHz"),
-                format!("{d:.2}x"),
-                format!("{t:.2}x"),
-            ])
-        });
-        print_table(
-            &["clock", "deser_speedup", "total_speedup"],
-            &rows_or_exit(rows),
-        );
-    }
-
-    if wanted("chunk") {
-        println!("\nablation: MREAD chunk size (pagerank)");
-        let chunks = [1u64, 2, 4, 8, 16, 32];
-        let rows = run_parallel(h.jobs, &chunks, |mb| {
-            let mut p = SystemParams::paper_testbed();
-            p.mread_chunk_bytes = mb << 20;
-            let (d, t) = run_with(p, pagerank, bytes, h.seed)?;
-            Ok(vec![
-                format!("{mb}MiB"),
-                format!("{d:.2}x"),
-                format!("{t:.2}x"),
-            ])
-        });
-        print_table(
-            &["chunk", "deser_speedup", "total_speedup"],
-            &rows_or_exit(rows),
-        );
-    }
-
-    if wanted("float") {
-        println!("\nablation: soft-float penalty (spmv, the Fig. 8 outlier)");
-        let penalties = [1.0, 2.0, 4.0, 8.0, 16.0];
-        let rows = run_parallel(h.jobs, &penalties, |pen| {
-            let mut p = SystemParams::paper_testbed();
-            p.device_cost.float_penalty = *pen;
-            let (d, _) = run_with(p, spmv, h.input_bytes(spmv), h.seed)?;
-            Ok(vec![format!("{pen:.0}x"), format!("{d:.2}x")])
-        });
-        print_table(&["fp_penalty", "spmv_deser_speedup"], &rows_or_exit(rows));
-        println!("(an FPU-equipped controller would move spmv up to the integer apps)");
-    }
-
-    if wanted("multi") {
-        println!("\nablation: multiprogrammed co-runner (pagerank)");
-        use morpheus::CoRunner;
-        let cases = [
-            ("idle host", None),
-            ("moderate co-runner", Some(CoRunner::moderate())),
-            ("heavy co-runner", Some(CoRunner::heavy())),
-        ];
-        let rows = run_parallel(h.jobs, &cases, |(label, co)| {
-            let mut p = SystemParams::paper_testbed();
-            p.corunner = *co;
-            let (d, t) = run_with(p, pagerank, bytes, h.seed)?;
-            Ok(vec![
-                label.to_string(),
-                format!("{d:.2}x"),
-                format!("{t:.2}x"),
-            ])
-        });
-        print_table(
-            &["host load", "deser_speedup", "total_speedup"],
-            &rows_or_exit(rows),
-        );
-        println!("(contention widens the deserialization gap; total speedup compresses because");
-        println!(" the compute kernel — identical in both modes — slows with the stolen cores)");
-    }
-
-    if wanted("tenants") {
-        println!("\nablation: concurrent tenants (edge-list deserialization, aggregate MB/s)");
-        use morpheus::AppSpec;
-        use morpheus_format::{FieldKind, Schema, TextWriter};
-        let schema = Schema::new(vec![FieldKind::U32, FieldKind::U32]);
-        let counts = [1usize, 2, 4, 8];
-        let rows = run_parallel(h.jobs, &counts, |n| {
-            let mut sys = System::new(SystemParams::paper_testbed());
-            let mut specs = Vec::new();
-            for i in 0..*n {
-                let file = format!("tenant{i}.txt");
-                let mut w = TextWriter::new();
-                for j in 0..200_000u64 {
-                    w.write_u64((j * 7 + i as u64) % 100_000);
-                    w.sep();
-                    w.write_u64((j * 13 + i as u64) % 100_000);
-                    w.newline();
-                }
-                sys.create_input_file(&file, w.as_bytes())
-                    .map_err(|e| format!("staging {file}: {}", render_error_chain(&e)))?;
-                specs.push(AppSpec::cpu_app(
-                    &format!("t{i}"),
-                    &file,
-                    schema.clone(),
-                    1,
-                    50.0,
-                ));
-            }
-            let conv: Vec<_> = specs
-                .iter()
-                .map(|s| (s.clone(), Mode::Conventional))
-                .collect();
-            let morp: Vec<_> = specs.iter().map(|s| (s.clone(), Mode::Morpheus)).collect();
-            let c = sys
-                .run_deserialize_many(&conv)
-                .map_err(|e| format!("{n} conventional tenants: {}", render_error_chain(&e)))?;
-            let m = sys
-                .run_deserialize_many(&morp)
-                .map_err(|e| format!("{n} morpheus tenants: {}", render_error_chain(&e)))?;
-            Ok(vec![
-                format!("{n}"),
-                format!("{:.1}", c.aggregate_mbs),
-                format!("{:.1}", m.aggregate_mbs),
-                format!("{:.2}x", m.aggregate_mbs / c.aggregate_mbs),
-            ])
-        });
-        print_table(
-            &["tenants", "conventional", "morpheus", "advantage"],
-            &rows_or_exit(rows),
-        );
-        println!("(4 host cores vs 4 embedded cores; beyond 4 tenants both saturate,");
-        println!(" but the Morpheus host is still free to run real work — §III)");
-    }
-
-    if wanted("scale") {
-        println!("\nablation: input-scale stability of the speedup (pagerank)");
-        let sizes = [2u64, 4, 8, 16, 32];
-        let rows = run_parallel(h.jobs, &sizes, |mb| {
-            let (d, t) = run_with(SystemParams::paper_testbed(), pagerank, mb << 20, h.seed)?;
-            Ok(vec![
-                format!("{mb}MB"),
-                format!("{d:.2}x"),
-                format!("{t:.2}x"),
-            ])
-        });
-        print_table(
-            &["input", "deser_speedup", "total_speedup"],
-            &rows_or_exit(rows),
-        );
-        println!("(ratios are size-stable, justifying scaled-down staging)");
-    }
+    Evaluation::new(h).show(|e| ablate(e, sweep.as_deref()));
 }

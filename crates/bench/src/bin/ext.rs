@@ -1,97 +1,5 @@
-//! Extensions beyond the paper's evaluation (§I sketches both):
-//!
-//! * **Binary inputs** — packed foreign-endian records still need per-field
-//!   transformation; the conversion is pure integer work, so even
-//!   float-heavy data gains (no soft-float exposure).
-//! * **Serialization** — MWRITE pushes compact binary objects to the drive,
-//!   which formats the text file itself.
-
-use morpheus::{AppSpec, InputFormat, Mode, System, SystemParams};
-use morpheus_bench::{print_table, Harness};
-use morpheus_format::{encode_binary, parse_buffer, Endianness, FieldKind, Schema};
-use morpheus_workloads::sparse_coo_text;
+//! Extensions beyond the paper: binary inputs and serialization.
 
 fn main() {
-    let h = Harness::from_args();
-    let schema = Schema::new(vec![FieldKind::U32, FieldKind::U32, FieldKind::F64]);
-    let bytes = 8_000_000u64.max(2_000_000 * 256 / h.scale.max(1));
-
-    // Build the same logical dataset in three encodings.
-    let text = sparse_coo_text(bytes, h.seed);
-    let (mut objects, _) = parse_buffer(&text, &schema).expect("generated input parses");
-    objects.canonicalize();
-    let bin_be = encode_binary(&objects, Endianness::Big);
-
-    println!(
-        "Extension study over a float-valued COO dataset ({} records)\n",
-        objects.records
-    );
-
-    // --- deserialization: text vs foreign-endian binary ---
-    let mut rows = Vec::new();
-    let mut run_case = |label: &str, file: &str, data: &[u8], format: InputFormat| {
-        let mut sys = System::new(SystemParams::paper_testbed());
-        sys.create_input_file(file, data).unwrap();
-        let spec =
-            AppSpec::cpu_app(label, file, schema.clone(), 1, 1300.0).with_input_format(format);
-        let conv = sys.run(&spec, Mode::Conventional).unwrap();
-        let morp = sys.run(&spec, Mode::Morpheus).unwrap();
-        assert_eq!(conv.report.checksum, morp.report.checksum);
-        assert_eq!(conv.report.checksum, objects.checksum());
-        rows.push(vec![
-            label.to_string(),
-            format!("{:.1}MB", data.len() as f64 / 1e6),
-            format!("{:.3}s", conv.report.phases.deserialization_s),
-            format!("{:.3}s", morp.report.phases.deserialization_s),
-            format!("{:.2}x", morp.report.deser_speedup_over(&conv.report)),
-        ]);
-    };
-    run_case("spmv-text", "coo.txt", &text, InputFormat::Text);
-    run_case(
-        "spmv-binary-be",
-        "coo.bin",
-        &bin_be,
-        InputFormat::Binary(Endianness::Big),
-    );
-    print_table(
-        &["input", "size", "baseline", "morpheus", "deser speedup"],
-        &rows,
-    );
-    println!("(text floats hit the missing FPU; binary byte-swaps do not)\n");
-
-    // --- serialization: objects -> text file on the drive ---
-    let mut sys = System::new(SystemParams::paper_testbed());
-    let conv = sys
-        .run_serialize(&objects, "ser_conv.txt", Mode::Conventional)
-        .unwrap();
-    let morp = sys
-        .run_serialize(&objects, "ser_morph.txt", Mode::Morpheus)
-        .unwrap();
-    assert_eq!(
-        sys.read_file_bytes("ser_conv.txt").unwrap(),
-        sys.read_file_bytes("ser_morph.txt").unwrap()
-    );
-    println!("serialization of the same objects into a text file:");
-    print_table(
-        &["mode", "time", "cpu busy", "pcie bytes"],
-        &[
-            vec![
-                "conventional".into(),
-                format!("{:.3}s", conv.serialize_s),
-                format!("{:.3}s", conv.cpu_busy_s),
-                format!("{:.1}MB", conv.pcie_bytes as f64 / 1e6),
-            ],
-            vec![
-                "morpheus".into(),
-                format!("{:.3}s", morp.serialize_s),
-                format!("{:.3}s", morp.cpu_busy_s),
-                format!("{:.1}MB", morp.pcie_bytes as f64 / 1e6),
-            ],
-        ],
-    );
-    println!(
-        "\nserialization speedup: {:.2}x with {:.0}% less PCIe traffic (files byte-identical)",
-        conv.serialize_s / morp.serialize_s,
-        100.0 * (1.0 - morp.pcie_bytes as f64 / conv.pcie_bytes as f64)
-    );
+    morpheus_bench::reports::Evaluation::from_args().show(morpheus_bench::reports::ext);
 }

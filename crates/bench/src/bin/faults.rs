@@ -18,9 +18,12 @@
 //! control plane in force.
 
 use morpheus::Mode;
-use morpheus_bench::{geomean, parse_flags, print_table, ArgError, FleetArgs, Harness, ServeArgs};
+use morpheus_bench::{
+    exit_usage, geomean, parse_flags, print_table, run_parallel, ArgError, FleetArgs, Harness,
+    ServeArgs,
+};
 use morpheus_simcore::{render_error_chain, FaultCounters, FaultPlan};
-use morpheus_workloads::{run_benchmark, suite};
+use morpheus_workloads::{suite, AppRuns};
 
 /// The swept fault rates. Per rung `r`, probabilities scale as:
 /// correctable flash errors `10r`, uncorrectable `r/10`, NVMe command
@@ -60,12 +63,7 @@ fn main() {
     let mut args: Vec<String> = vec!["--scale".into(), "4096".into()];
     args.extend(std::env::args().skip(1));
     let (h, fleet) = parse(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        eprintln!(
-            "{}",
-            FleetArgs::usage("faults [--scale N] [--seed N] [--jobs N] [--faults SPEC]")
-        );
-        std::process::exit(2);
+        exit_usage(&e, &FleetArgs::usage(&format!("faults {}", Harness::USAGE)))
     });
     let fault_seed = h.faults.map(|p| p.seed).unwrap_or(1);
     println!(
@@ -79,23 +77,12 @@ fn main() {
             faults: plan_for(rate, fault_seed),
             ..h
         };
-        let outcomes = hr.run_suite_parallel(&benches, |bench| {
-            let mut sys = hr.app_system(bench);
-            let conv = run_benchmark(&mut sys, bench, Mode::Conventional);
-            let morp = run_benchmark(&mut sys, bench, Mode::Morpheus);
-            match (conv, morp) {
-                (Ok(c), Ok(m)) => {
-                    assert_eq!(
-                        c.report.checksum, m.report.checksum,
-                        "{}: objects must stay bit-identical under faults",
-                        bench.name
-                    );
-                    Some((m.report.deser_speedup_over(&c.report), m.report.faults))
-                }
-                // A run may fail cleanly (reissue budget spent); it is
-                // reported, not counted into the geomean.
-                _ => None,
-            }
+        let outcomes = run_parallel(hr.jobs, &benches, |bench| {
+            // A run may fail cleanly (reissue budget spent); it is
+            // reported, not counted into the geomean. The objects must
+            // stay bit-identical under faults, which `AppRuns` asserts.
+            let runs = AppRuns::run(&mut hr.app_system(bench), bench, false).ok()?;
+            Some((runs.deser_speedup(), runs.morpheus.faults))
         });
         let speedups: Vec<f64> = outcomes.iter().flatten().map(|(s, _)| *s).collect();
         let failed = outcomes.len() - speedups.len();

@@ -1,53 +1,5 @@
-//! Figure 10: context-switch frequency during object deserialization.
-//!
-//! Paper claims: Morpheus-SSD lowers context-switch *frequency* by **~98 %**
-//! and the *total count* by **~97 %** — the conventional path re-enters the
-//! kernel on every 64 KiB `read()` window, while the Morpheus path wakes
-//! once per multi-megabyte MREAD.
-
-use morpheus_bench::{mean, print_table, run_pair, Harness};
-use morpheus_workloads::suite;
+//! Figure 10: context switches during deserialization.
 
 fn main() {
-    let h = Harness::from_args();
-    println!(
-        "Figure 10: context switches during deserialization (scale 1/{})\n",
-        h.scale
-    );
-    let benches = suite();
-    let pairs = h.run_suite_parallel(&benches, |bench| run_pair(&h, bench));
-    let mut rows = Vec::new();
-    let mut freq_reduction = Vec::new();
-    let mut count_reduction = Vec::new();
-    for (bench, (conv, morp)) in benches.iter().zip(&pairs) {
-        freq_reduction.push(1.0 - morp.report.cs_per_second / conv.report.cs_per_second);
-        count_reduction
-            .push(1.0 - morp.report.context_switches as f64 / conv.report.context_switches as f64);
-        rows.push(vec![
-            bench.name.to_string(),
-            format!("{:.0}/s", conv.report.cs_per_second),
-            format!("{:.0}/s", morp.report.cs_per_second),
-            format!("{}", conv.report.context_switches),
-            format!("{}", morp.report.context_switches),
-        ]);
-    }
-    print_table(
-        &[
-            "app",
-            "base_rate",
-            "morph_rate",
-            "base_total",
-            "morph_total",
-        ],
-        &rows,
-    );
-    println!();
-    println!(
-        "average frequency reduction: {:.1}% (paper: ~98%)",
-        100.0 * mean(&freq_reduction)
-    );
-    println!(
-        "average total-count reduction: {:.1}% (paper: ~97%)",
-        100.0 * mean(&count_reduction)
-    );
+    morpheus_bench::reports::Evaluation::from_args().show(morpheus_bench::reports::fig10);
 }

@@ -1,64 +1,5 @@
 //! Figure 11 (§VII-B): end-to-end application speedup.
-//!
-//! Paper claims: Morpheus-SSD alone speeds total execution by **~1.32×**;
-//! adding NVMe-P2P (objects stream straight from the SSD into GPU memory)
-//! raises the gain to **~1.39×** on the heterogeneous (CUDA) applications.
-
-use morpheus::Mode;
-use morpheus_bench::{mean, print_table, Harness};
-use morpheus_workloads::{run_benchmark, suite};
 
 fn main() {
-    let h = Harness::from_args();
-    println!(
-        "Figure 11: end-to-end speedup over the conventional baseline (scale 1/{})\n",
-        h.scale
-    );
-    let benches = suite();
-    // Per benchmark: (baseline total_s, morpheus speedup, optional p2p speedup).
-    let results: Vec<(f64, f64, Option<f64>)> = h.run_suite_parallel(&benches, |bench| {
-        let mut sys = h.app_system(bench);
-        let conv = run_benchmark(&mut sys, bench, Mode::Conventional).expect("conventional");
-        let morp = run_benchmark(&mut sys, bench, Mode::Morpheus).expect("morpheus");
-        assert_eq!(conv.kernel, morp.kernel, "{}", bench.name);
-        let ms = morp.report.total_speedup_over(&conv.report);
-        let p2p = (bench.parallel_label == "CUDA").then(|| {
-            let p2p = run_benchmark(&mut sys, bench, Mode::MorpheusP2P).expect("p2p");
-            assert_eq!(conv.kernel, p2p.kernel, "{}", bench.name);
-            p2p.report.total_speedup_over(&conv.report)
-        });
-        (conv.report.phases.total_s(), ms, p2p)
-    });
-    let mut rows = Vec::new();
-    let mut morph_speedups = Vec::new();
-    let mut p2p_speedups = Vec::new();
-    for (bench, (base_total, ms, p2p)) in benches.iter().zip(&results) {
-        morph_speedups.push(*ms);
-        let p2p_cell = match p2p {
-            Some(ps) => {
-                p2p_speedups.push(*ps);
-                format!("{ps:.2}x")
-            }
-            None => "-".to_string(),
-        };
-        rows.push(vec![
-            bench.name.to_string(),
-            format!("{base_total:.3}s"),
-            format!("{ms:.2}x"),
-            p2p_cell,
-        ]);
-    }
-    print_table(
-        &["app", "baseline_total", "morpheus", "morpheus+p2p"],
-        &rows,
-    );
-    println!();
-    println!(
-        "average morpheus speedup: {:.2}x (paper: ~1.32x)",
-        mean(&morph_speedups)
-    );
-    println!(
-        "average morpheus+p2p speedup (CUDA apps): {:.2}x (paper: ~1.39x)",
-        mean(&p2p_speedups)
-    );
+    morpheus_bench::reports::Evaluation::from_args().show(morpheus_bench::reports::fig11);
 }

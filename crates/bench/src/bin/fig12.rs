@@ -1,45 +1,5 @@
 //! Figure 12 (§VII-C): Morpheus-SSD on a slower server.
-//!
-//! Paper claim: on a slower host (1.2 GHz), the conventional path's
-//! CPU-bound deserialization gets even worse while the in-SSD path is
-//! unchanged, so Morpheus-SSD's end-to-end gain grows to **~1.66×**.
-
-use morpheus::Mode;
-use morpheus::StorageKind;
-use morpheus_bench::{mean, print_table, Harness};
-use morpheus_workloads::{run_benchmark, suite};
 
 fn main() {
-    let h = Harness::from_args();
-    println!(
-        "Figure 12: end-to-end speedup on fast vs slow hosts (scale 1/{})\n",
-        h.scale
-    );
-    let benches = suite();
-    let results: Vec<(f64, f64)> = h.run_suite_parallel(&benches, |bench| {
-        let speedup_at = |freq: f64| {
-            let mut sys = h.app_system_with(bench, StorageKind::NvmeSsd, Some(freq));
-            let conv = run_benchmark(&mut sys, bench, Mode::Conventional).expect("conventional");
-            let morp = run_benchmark(&mut sys, bench, Mode::Morpheus).expect("morpheus");
-            assert_eq!(conv.kernel, morp.kernel, "{}", bench.name);
-            morp.report.total_speedup_over(&conv.report)
-        };
-        (speedup_at(2.5e9), speedup_at(1.2e9))
-    });
-    let mut rows = Vec::new();
-    let mut fast = Vec::new();
-    let mut slow = Vec::new();
-    for (bench, (f, s)) in benches.iter().zip(&results) {
-        fast.push(*f);
-        slow.push(*s);
-        rows.push(vec![
-            bench.name.to_string(),
-            format!("{f:.2}x"),
-            format!("{s:.2}x"),
-        ]);
-    }
-    print_table(&["app", "2.5GHz host", "1.2GHz host"], &rows);
-    println!();
-    println!("average at 2.5GHz: {:.2}x (paper: ~1.32x)", mean(&fast));
-    println!("average at 1.2GHz: {:.2}x (paper: ~1.66x)", mean(&slow));
+    morpheus_bench::reports::Evaluation::from_args().show(morpheus_bench::reports::fig12);
 }

@@ -1,50 +1,5 @@
 //! Figure 2: execution-time breakdown of the conventional model.
-//!
-//! Paper claim: with a high-speed NVMe SSD, the ten applications spend
-//! **~64 % of execution time deserializing objects**; the rest is other CPU
-//! computation, CPU↔GPU copies, and GPU kernels.
-
-use morpheus::Mode;
-use morpheus_bench::{mean, print_table, run_mode, Harness};
-use morpheus_workloads::suite;
 
 fn main() {
-    let h = Harness::from_args();
-    println!(
-        "Figure 2: conventional execution-time breakdown (scale 1/{})\n",
-        h.scale
-    );
-    let benches = suite();
-    let outs = h.run_suite_parallel(&benches, |bench| run_mode(&h, bench, Mode::Conventional));
-    let mut rows = Vec::new();
-    let mut fracs = Vec::new();
-    for (bench, out) in benches.iter().zip(&outs) {
-        let p = out.report.phases;
-        let total = p.total_s();
-        fracs.push(p.deserialization_fraction());
-        rows.push(vec![
-            bench.name.to_string(),
-            format!("{:.3}", total),
-            format!("{:.1}%", 100.0 * p.deserialization_s / total),
-            format!("{:.1}%", 100.0 * p.other_cpu_s / total),
-            format!("{:.1}%", 100.0 * p.copy_s / total),
-            format!("{:.1}%", 100.0 * p.kernel_s / total),
-        ]);
-    }
-    print_table(
-        &[
-            "app",
-            "total_s",
-            "deserialize",
-            "other_cpu",
-            "copy",
-            "kernel",
-        ],
-        &rows,
-    );
-    println!();
-    println!(
-        "average deserialization fraction: {:.1}%  (paper: ~64%)",
-        100.0 * mean(&fracs)
-    );
+    morpheus_bench::reports::Evaluation::from_args().show(morpheus_bench::reports::fig2);
 }

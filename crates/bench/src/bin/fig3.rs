@@ -1,80 +1,5 @@
-//! Figure 3: effective bandwidth of conventional deserialization across
-//! storage devices and CPU frequencies.
-//!
-//! Paper claims: object deserialization is **CPU-bound** — a RAM drive is
-//! essentially no better than the NVMe SSD; the HDD trails; underclocking
-//! the CPU from 2.5 GHz to 1.2 GHz degrades all devices about equally, so
-//! the device differences stay marginal.
-
-use morpheus::Mode;
-use morpheus::StorageKind;
-use morpheus_bench::{mean, print_table, Harness};
-use morpheus_workloads::{run_benchmark, suite};
+//! Figure 3: effective bandwidth of conventional deserialization.
 
 fn main() {
-    let h = Harness::from_args();
-    println!(
-        "Figure 3: effective deserialization bandwidth (MB/s of objects per I/O thread, scale 1/{})\n",
-        h.scale
-    );
-    let configs = [
-        ("nvme@2.5GHz", StorageKind::NvmeSsd, 2.5e9),
-        ("ram@2.5GHz", StorageKind::RamDrive, 2.5e9),
-        ("hdd@2.5GHz", StorageKind::Hdd, 2.5e9),
-        ("nvme@1.2GHz", StorageKind::NvmeSsd, 1.2e9),
-        ("ram@1.2GHz", StorageKind::RamDrive, 1.2e9),
-        ("hdd@1.2GHz", StorageKind::Hdd, 1.2e9),
-    ];
-    let benches = suite();
-    // One suite-parallel pass; each benchmark runs its six device/clock
-    // configs on a private fresh system, so fan-out changes nothing.
-    let bandwidths: Vec<Vec<f64>> = h.run_suite_parallel(&benches, |bench| {
-        configs
-            .iter()
-            .map(|(_, storage, freq)| {
-                let mut sys = h.app_system_with(bench, *storage, Some(*freq));
-                let out = run_benchmark(&mut sys, bench, Mode::Conventional).expect("run");
-                out.report.effective_bandwidth_mbs
-            })
-            .collect()
-    });
-    let mut rows = Vec::new();
-    let mut per_config: Vec<Vec<f64>> = vec![Vec::new(); configs.len()];
-    for (bench, bws) in benches.iter().zip(&bandwidths) {
-        let mut row = vec![bench.name.to_string()];
-        for (i, bw) in bws.iter().enumerate() {
-            row.push(format!("{bw:.1}"));
-            per_config[i].push(*bw);
-        }
-        rows.push(row);
-    }
-    let headers: Vec<&str> = std::iter::once("app")
-        .chain(configs.iter().map(|(n, _, _)| *n))
-        .collect();
-    print_table(&headers, &rows);
-    println!();
-    let mut avgs: Vec<(String, f64)> = Vec::new();
-    for (i, (name, _, _)) in configs.iter().enumerate() {
-        avgs.push((name.to_string(), mean(&per_config[i])));
-    }
-    for (name, avg) in &avgs {
-        println!("average {name}: {avg:.1} MB/s");
-    }
-    let nvme_fast = avgs[0].1;
-    let ram_fast = avgs[1].1;
-    let hdd_fast = avgs[2].1;
-    let nvme_slow = avgs[3].1;
-    println!();
-    println!(
-        "ram/nvme at 2.5GHz: {:.2} (paper: ~1.0, RAM no better than NVMe)",
-        ram_fast / nvme_fast
-    );
-    println!(
-        "nvme/hdd at 2.5GHz: {:.2} (paper: NVMe ahead of HDD)",
-        nvme_fast / hdd_fast
-    );
-    println!(
-        "nvme 2.5GHz vs 1.2GHz: {:.2} (paper: large degradation when underclocked => CPU-bound)",
-        nvme_fast / nvme_slow
-    );
+    morpheus_bench::reports::Evaluation::from_args().show(morpheus_bench::reports::fig3);
 }

@@ -1,36 +1,5 @@
 //! Figure 8: object-deserialization speedup with Morpheus-SSD.
-//!
-//! Paper claim: up to **2.3×**, average **1.66×**; SpMV is the outlier
-//! (~1.1×) because a third of its tokens are floats and the embedded cores
-//! have no FPU.
-
-use morpheus_bench::{mean, print_table, run_pair, Harness};
-use morpheus_workloads::suite;
 
 fn main() {
-    let h = Harness::from_args();
-    println!(
-        "Figure 8: deserialization speedup, Morpheus-SSD vs baseline (scale 1/{})\n",
-        h.scale
-    );
-    let benches = suite();
-    let pairs = h.run_suite_parallel(&benches, |bench| run_pair(&h, bench));
-    let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-    for (bench, (conv, morp)) in benches.iter().zip(&pairs) {
-        let s = morp.report.deser_speedup_over(&conv.report);
-        speedups.push(s);
-        rows.push(vec![
-            bench.name.to_string(),
-            format!("{:.3}s", conv.report.phases.deserialization_s),
-            format!("{:.3}s", morp.report.phases.deserialization_s),
-            format!("{s:.2}x"),
-        ]);
-    }
-    print_table(&["app", "baseline", "morpheus-ssd", "speedup"], &rows);
-    println!();
-    println!(
-        "average speedup: {:.2}x  (paper: ~1.66x, max ~2.3x, spmv lowest at ~1.1x)",
-        mean(&speedups)
-    );
+    morpheus_bench::reports::Evaluation::from_args().show(morpheus_bench::reports::fig8);
 }

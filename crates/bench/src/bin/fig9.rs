@@ -1,58 +1,5 @@
-//! Figure 9: normalized power and energy during object deserialization.
-//!
-//! Paper claims: Morpheus-SSD lowers total system power by **~7 % on
-//! average (up to 17 %)** and energy by **~42 %** — the baseline pulls
-//! ≈ +10.4 W over the 105 W idle floor, the Morpheus path only ≈ +1.8 W,
-//! and it also finishes sooner.
-
-use morpheus_bench::{mean, print_table, run_pair, Harness};
-use morpheus_workloads::suite;
+//! Figure 9: normalized power and energy during deserialization.
 
 fn main() {
-    let h = Harness::from_args();
-    println!(
-        "Figure 9: normalized power and energy during deserialization (scale 1/{})\n",
-        h.scale
-    );
-    let benches = suite();
-    let pairs = h.run_suite_parallel(&benches, |bench| run_pair(&h, bench));
-    let mut rows = Vec::new();
-    let mut power_ratios = Vec::new();
-    let mut energy_ratios = Vec::new();
-    for (bench, (conv, morp)) in benches.iter().zip(&pairs) {
-        let pr = morp.report.deser_power_watts / conv.report.deser_power_watts;
-        let er = morp.report.deser_energy_j / conv.report.deser_energy_j;
-        power_ratios.push(pr);
-        energy_ratios.push(er);
-        rows.push(vec![
-            bench.name.to_string(),
-            format!("{:.1}W", conv.report.deser_power_watts),
-            format!("{:.1}W", morp.report.deser_power_watts),
-            format!("{pr:.3}"),
-            format!("{:.1}J", conv.report.deser_energy_j),
-            format!("{:.1}J", morp.report.deser_energy_j),
-            format!("{er:.3}"),
-        ]);
-    }
-    print_table(
-        &[
-            "app",
-            "base_power",
-            "morph_power",
-            "power_ratio",
-            "base_energy",
-            "morph_energy",
-            "energy_ratio",
-        ],
-        &rows,
-    );
-    println!();
-    println!(
-        "average power ratio:  {:.3} (paper: ~0.93, i.e. 7% less power)",
-        mean(&power_ratios)
-    );
-    println!(
-        "average energy ratio: {:.3} (paper: ~0.58, i.e. 42% less energy)",
-        mean(&energy_ratios)
-    );
+    morpheus_bench::reports::Evaluation::from_args().show(morpheus_bench::reports::fig9);
 }

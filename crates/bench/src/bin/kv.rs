@@ -1,68 +1,5 @@
-//! Key-value scan offload (§I's "emitting key-value pairs from
-//! flash-based key-value store"): selectivity sweep.
-//!
-//! The in-storage scan wins hardest when few keys match — cold buckets
-//! never cross PCIe — and converges toward the conventional path as the
-//! range widens (everything must be shipped anyway).
-
-use morpheus::{System, SystemParams};
-use morpheus_bench::{print_table, Harness};
-use morpheus_kvstore::{scan_conventional, scan_morpheus, synth_pairs, KvConfig, KvStore};
+//! Key-value scan offload (§I): selectivity sweep.
 
 fn main() {
-    // The scan sweep has fixed sizing, but validate flags so `run_all`
-    // can forward its argument list here unchanged.
-    let _ = Harness::from_args();
-    let mut sys = System::new(SystemParams::paper_testbed());
-    let cfg = KvConfig {
-        buckets: 4096,
-        bucket_bytes: 4096,
-        probe_limit: 4,
-    };
-    let kv = KvStore::format(&mut sys.mssd.dev, 0, cfg).expect("format");
-    let key_space = 1_000_000u64;
-    for (k, v) in synth_pairs(60_000, key_space, 9) {
-        kv.put(&mut sys.mssd.dev, k, &v).expect("populate");
-    }
-    println!(
-        "KV region: {} buckets x {} B = {:.1} MB, 60k pairs\n",
-        cfg.buckets,
-        cfg.bucket_bytes,
-        kv.region_bytes() as f64 / 1e6
-    );
-
-    let mut rows = Vec::new();
-    for pct in [1u64, 10, 50, 100] {
-        let hi = key_space * pct / 100;
-        let (conv, conv_rep) = scan_conventional(&mut sys, &kv, 0, hi).expect("conventional");
-        let (morp, morp_rep) = scan_morpheus(&mut sys, &kv, 0, hi).expect("morpheus");
-        assert_eq!(conv, morp, "scans must agree");
-        rows.push(vec![
-            format!("{pct}%"),
-            format!("{}", morp_rep.matches),
-            format!("{:.2}ms", conv_rep.elapsed_s * 1e3),
-            format!("{:.2}ms", morp_rep.elapsed_s * 1e3),
-            format!("{:.2}x", conv_rep.elapsed_s / morp_rep.elapsed_s),
-            format!("{:.1}MB", conv_rep.pcie_bytes as f64 / 1e6),
-            format!("{:.1}MB", morp_rep.pcie_bytes as f64 / 1e6),
-            format!("{:.3}ms", conv_rep.host_cpu_busy_s * 1e3),
-            format!("{:.3}ms", morp_rep.host_cpu_busy_s * 1e3),
-        ]);
-    }
-    print_table(
-        &[
-            "selectivity",
-            "matches",
-            "host_scan",
-            "ssd_scan",
-            "speedup",
-            "pcie_host",
-            "pcie_ssd",
-            "cpu_host",
-            "cpu_ssd",
-        ],
-        &rows,
-    );
-    println!("\n(the scan is flash-bound either way, so elapsed time ties; the offload's win is");
-    println!("interconnect traffic and a freed host CPU — exactly the paper's §III argument)");
+    morpheus_bench::reports::Evaluation::from_args().show(morpheus_bench::reports::kv);
 }

@@ -1,64 +1,5 @@
-//! §II microbenchmarks: where the conventional path's time actually goes.
-//!
-//! Reproduces the three profiling observations the Morpheus design rests
-//! on:
-//!
-//! 1. the string-to-integer *conversion* itself is only a small share
-//!    (~15 %) of the parse-loop's instructions;
-//! 2. bypassing the stdio/locking machinery (keeping the same interface)
-//!    speeds parsing by ~1.6×;
-//! 3. the remaining code runs at IPC ≈ 1.2 — poor use of an out-of-order
-//!    core.
-
-use morpheus_bench::Harness;
-use morpheus_format::{parse_buffer, CostModel, FieldKind, Schema};
-use morpheus_host::{CodeClass, Cpu, CpuSpec};
-use morpheus_workloads::int_list_text;
+//! §II microbenchmarks: where the conventional path's time goes.
 
 fn main() {
-    // Fixed-size microbenchmarks, but validate flags so `run_all` can
-    // forward its argument list here unchanged.
-    let _ = Harness::from_args();
-    let text = int_list_text(8_000_000, 7, 1_000_000_000);
-    let schema = Schema::new(vec![FieldKind::U32]);
-    let (parsed, work) = parse_buffer(&text, &schema).expect("generated input parses");
-    let host = CostModel::host_cpu();
-    let cpu = Cpu::new(CpuSpec::xeon_quad());
-
-    println!(
-        "§II microbenchmarks over an {}-byte ASCII integer file\n",
-        text.len()
-    );
-
-    // (1) Convert fraction.
-    let convert = work.int_tokens as f64 * host.int_instr_per_token
-        + work.int_digits as f64 * host.int_instr_per_digit;
-    let total = host.total_instructions(&work);
-    println!(
-        "convert instructions: {:.1}% of the parse loop (paper: ~15%)",
-        100.0 * convert / total
-    );
-
-    // (2) Bypassing the stdio overhead: same interface, lean byte scanner.
-    let mut lean = host;
-    lean.scan_instr_per_byte = host.scan_instr_per_byte * 0.5;
-    let t_full = cpu.duration(host.total_instructions(&work), CodeClass::Deserialize);
-    let t_lean = cpu.duration(lean.total_instructions(&work), CodeClass::Deserialize);
-    println!(
-        "bypassing stdio/locking overheads speeds parsing by {:.2}x (paper: ~1.6x)",
-        t_full.as_secs_f64() / t_lean.as_secs_f64()
-    );
-
-    // (3) IPC of the remaining code.
-    println!(
-        "IPC of the deserialization loop: {} (paper: ~1.2)",
-        cpu.spec().ipc(CodeClass::Deserialize)
-    );
-
-    println!(
-        "\nparsed {} records, {:.1} MB of objects from {:.1} MB of text",
-        parsed.records,
-        parsed.binary_bytes() as f64 / 1e6,
-        text.len() as f64 / 1e6
-    );
+    morpheus_bench::reports::Evaluation::from_args().show(morpheus_bench::reports::micro);
 }

@@ -1,31 +1,17 @@
-//! Runs every figure/table regenerator in sequence (the full evaluation).
+//! Shows every table and figure in sequence (the full evaluation), in one
+//! process: the reports that show the paper's suite run share one.
 //!
 //! Usage: `cargo run --release -p morpheus-bench --bin run_all -- --scale 256 --jobs 4`
 //!
-//! Flags are validated here and forwarded verbatim to every child binary,
-//! so `--jobs N` fans each figure's suite loop out over N threads while
+//! `--jobs N` fans each report's suite loop out over N threads while
 //! keeping all printed output byte-identical to a sequential run.
 
-use morpheus_bench::Harness;
-use std::process::Command;
+use morpheus_bench::reports::{Evaluation, ALL};
 
 fn main() {
-    // Validate the flags up front (exit 2 on a typo) before launching
-    // thirteen child processes that would each fail half-way through.
-    let _ = Harness::from_args();
-    let passthrough: Vec<String> = std::env::args().skip(1).collect();
-    let bins = [
-        "table1", "fig2", "fig3", "fig8", "fig9", "fig10", "fig11", "fig12", "traffic", "micro",
-        "ablate", "ext", "kv",
-    ];
-    let me = std::env::current_exe().expect("current exe path");
-    let dir = me.parent().expect("exe directory");
-    for bin in bins {
-        println!("\n==================== {bin} ====================\n");
-        let status = Command::new(dir.join(bin))
-            .args(&passthrough)
-            .status()
-            .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
-        assert!(status.success(), "{bin} failed");
+    let e = Evaluation::from_args();
+    for (name, report) in ALL {
+        println!("\n==================== {name} ====================\n");
+        e.show(report);
     }
 }

@@ -17,7 +17,9 @@
 //! seeded fleet, so output is byte-identical across repeats and `--jobs`.
 
 use morpheus::{FleetReport, Mode, RunError};
-use morpheus_bench::{parse_flags, print_table, run_parallel, value_of, ArgError, ServeArgs};
+use morpheus_bench::{
+    exit_usage, parse_flags, print_table, run_parallel, value_of, ArgError, ServeArgs,
+};
 use morpheus_simcore::{parse_duration, render_error_chain, SimDuration};
 
 /// `serve`'s own flags; the shared ones follow in the usage text.
@@ -124,11 +126,7 @@ fn run_cell(cli: &Cli, mode: Mode, rps: f64) -> Result<(FleetReport, Option<Stri
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let cli = parse(&argv).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        eprintln!("{}", ServeArgs::usage(USAGE_HEAD));
-        std::process::exit(2);
-    });
+    let cli = parse(&argv).unwrap_or_else(|e| exit_usage(&e, &ServeArgs::usage(USAGE_HEAD)));
 
     let args = &cli.serve;
     let engaged = args.fleet.engaged();

@@ -1,39 +1,5 @@
 //! Table I: the benchmark applications and their input sizes.
 
-use morpheus_bench::{print_table, Harness};
-use morpheus_workloads::{suite, Suite};
-
 fn main() {
-    let h = Harness::from_args();
-    println!(
-        "Table I: applications and input data (staged at 1/{} scale)\n",
-        h.scale
-    );
-    let benches = suite();
-    let rows: Vec<Vec<String>> = h.run_suite_parallel(&benches, |b| {
-        let suite_name = match b.suite {
-            Suite::BigDataBench => "BigDataBench",
-            Suite::Rodinia => "Rodinia",
-            Suite::Standalone => "-",
-        };
-        vec![
-            b.name.to_string(),
-            suite_name.to_string(),
-            b.parallel_label.to_string(),
-            format!("{:.2} GB", b.nominal_bytes as f64 / 1e9),
-            format!("{:.1} MB", h.input_bytes(b) as f64 / 1e6),
-            format!("{:?}", b.schema().fields()),
-        ]
-    });
-    print_table(
-        &[
-            "app",
-            "suite",
-            "parallel",
-            "paper input",
-            "staged input",
-            "record schema",
-        ],
-        &rows,
-    );
+    morpheus_bench::reports::Evaluation::from_args().show(morpheus_bench::reports::table1);
 }

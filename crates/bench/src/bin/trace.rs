@@ -11,7 +11,9 @@
 //!   print a per-layer, per-event-name delta table.
 
 use morpheus::Mode;
-use morpheus_bench::Harness;
+use morpheus_bench::{
+    exit_usage, mode_named, parse_flags, value_of, ArgError, Harness, MODE_NAMES,
+};
 use morpheus_simcore::{render_error_chain, render_trace_diff, TraceLog, Tracer};
 use morpheus_workloads::{run_benchmark, suite};
 
@@ -37,36 +39,24 @@ enum Cmd {
 }
 
 /// The flag grammar, separated from process state so tests can drive it.
-fn parse(args: &[String]) -> Result<Cmd, String> {
-    fn value<'a>(flag: &str, it: &mut std::slice::Iter<'a, String>) -> Result<&'a String, String> {
-        it.next().ok_or_else(|| format!("{flag} requires a value"))
-    }
+fn parse(args: &[String]) -> Result<Cmd, ArgError> {
     let mut app: Option<String> = None;
     let mut mode = Mode::Morpheus;
     let mut trace_out: Option<String> = None;
     let mut summary_width = 48usize;
     let mut diff: Option<(String, String)> = None;
-    let mut harness_args: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--app" => app = Some(value("--app", &mut it)?.clone()),
+    let mut harness = Harness::default();
+    parse_flags(args, |flag, it| {
+        match flag {
+            "--app" => app = Some(value_of(flag, it)?.clone()),
             "--mode" => {
-                let v = value("--mode", &mut it)?;
-                mode = match v.as_str() {
-                    "conventional" => Mode::Conventional,
-                    "morpheus" => Mode::Morpheus,
-                    "morpheus+p2p" => Mode::MorpheusP2P,
-                    other => {
-                        return Err(format!(
-                            "--mode expects conventional|morpheus|morpheus+p2p, got {other:?}"
-                        ))
-                    }
-                };
+                let v = value_of(flag, it)?;
+                mode = mode_named(v)
+                    .ok_or_else(|| format!("--mode expects {MODE_NAMES}, got {v:?}"))?;
             }
-            "--trace-out" => trace_out = Some(value("--trace-out", &mut it)?.clone()),
+            "--trace-out" => trace_out = Some(value_of(flag, it)?.clone()),
             "--summary-width" => {
-                let v = value("--summary-width", &mut it)?;
+                let v = value_of(flag, it)?;
                 summary_width = v.parse().map_err(|_| {
                     format!("--summary-width expects a positive integer, got {v:?}")
                 })?;
@@ -75,21 +65,14 @@ fn parse(args: &[String]) -> Result<Cmd, String> {
                 }
             }
             "--diff" => {
-                let a = value("--diff", &mut it)?.clone();
+                let a = value_of(flag, it)?.clone();
                 let b = it.next().ok_or("--diff requires two trace files")?.clone();
                 diff = Some((a, b));
             }
-            // Harness flags: re-validated by the shared grammar below so
-            // `--scale 0` fails here exactly as it does in every figure
-            // binary.
-            "--scale" | "--seed" | "--jobs" | "--faults" => {
-                let v = value(arg, &mut it)?;
-                harness_args.push(arg.clone());
-                harness_args.push(v.clone());
-            }
-            other => return Err(format!("unknown flag {other:?}")),
+            _ => return harness.offer(flag, it),
         }
-    }
+        Ok(true)
+    })?;
     if let Some((a, b)) = diff {
         if app.is_some() || trace_out.is_some() {
             return Err("--diff cannot be combined with run flags".into());
@@ -97,7 +80,6 @@ fn parse(args: &[String]) -> Result<Cmd, String> {
         return Ok(Cmd::Diff { a, b });
     }
     let app = app.ok_or("missing required flag --app (or use --diff)")?;
-    let harness = Harness::parse(&harness_args, &[]).map_err(|e| e.0)?;
     Ok(Cmd::Run {
         app,
         mode,
@@ -120,11 +102,7 @@ fn load_trace(path: &str) -> TraceLog {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = parse(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        eprintln!("{USAGE}");
-        std::process::exit(2);
-    });
+    let cmd = parse(&args).unwrap_or_else(|e| exit_usage(&e, USAGE));
     match cmd {
         Cmd::Diff { a, b } => {
             let (la, lb) = (load_trace(&a), load_trace(&b));
@@ -162,7 +140,7 @@ fn main() {
                 Err(e) => {
                     // Injected faults can exhaust every recovery path; that
                     // is a clean failure, reported as the full cause chain.
-                    eprintln!("error: run failed: {}", render_error_chain(&e));
+                    eprintln!("error: run failed: {}", render_error_chain(&e.source));
                     std::process::exit(1);
                 }
             };

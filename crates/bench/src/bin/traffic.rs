@@ -1,57 +1,5 @@
-//! Interconnect traffic (§VII-A prose): bytes crossing the PCIe fabric and
-//! the CPU-memory bus per application.
-//!
-//! Paper claims: shipping binary objects instead of raw text cuts **PCIe
-//! traffic by ~22 %** and **CPU-memory-bus traffic by ~58 %**.
-
-use morpheus_bench::{mean, print_table, run_pair, Harness};
-use morpheus_workloads::suite;
+//! Interconnect traffic (§VII-A): PCIe and CPU-memory-bus bytes.
 
 fn main() {
-    let h = Harness::from_args();
-    println!(
-        "Interconnect traffic, conventional vs Morpheus-SSD (scale 1/{})\n",
-        h.scale
-    );
-    let benches = suite();
-    let pairs = h.run_suite_parallel(&benches, |bench| run_pair(&h, bench));
-    let mut rows = Vec::new();
-    let mut pcie_red = Vec::new();
-    let mut mem_red = Vec::new();
-    for (bench, (conv, morp)) in benches.iter().zip(&pairs) {
-        let pr = 1.0 - morp.report.pcie_bytes as f64 / conv.report.pcie_bytes as f64;
-        let mr = 1.0 - morp.report.membus_bytes as f64 / conv.report.membus_bytes as f64;
-        pcie_red.push(pr);
-        mem_red.push(mr);
-        rows.push(vec![
-            bench.name.to_string(),
-            format!("{:.1}MB", conv.report.pcie_bytes as f64 / 1e6),
-            format!("{:.1}MB", morp.report.pcie_bytes as f64 / 1e6),
-            format!("{:.1}%", 100.0 * pr),
-            format!("{:.1}MB", conv.report.membus_bytes as f64 / 1e6),
-            format!("{:.1}MB", morp.report.membus_bytes as f64 / 1e6),
-            format!("{:.1}%", 100.0 * mr),
-        ]);
-    }
-    print_table(
-        &[
-            "app",
-            "pcie_base",
-            "pcie_morph",
-            "pcie_saved",
-            "mem_base",
-            "mem_morph",
-            "mem_saved",
-        ],
-        &rows,
-    );
-    println!();
-    println!(
-        "average pcie reduction:   {:.1}% (paper: ~22%)",
-        100.0 * mean(&pcie_red)
-    );
-    println!(
-        "average membus reduction: {:.1}% (paper: ~58%)",
-        100.0 * mean(&mem_red)
-    );
+    morpheus_bench::reports::Evaluation::from_args().show(morpheus_bench::reports::traffic);
 }

@@ -12,17 +12,19 @@
 
 #![warn(missing_docs)]
 
+pub mod reports;
+
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use morpheus::{
     AppSpec, CacheConfig, CachePolicy, DeviceKill, Fleet, FleetConfig, FleetConfigError,
-    HealPolicy, Mode, PlacementPolicy, RollingUpdate, RunReport, ServeConfig, ServePolicy, SloSpec,
+    HealPolicy, Mode, PlacementPolicy, RollingUpdate, ServeConfig, ServePolicy, SloSpec,
     StorageKind, System, SystemParams, TelemetryConfig, MAX_RPS, MAX_TENANTS,
 };
 use morpheus_format::{FieldKind, Schema, TextWriter};
 use morpheus_simcore::{FaultPlan, SimDuration, SplitMix64};
-use morpheus_workloads::{run_benchmark, stage_input, BenchOutcome, Benchmark};
+use morpheus_workloads::{stage_input, suite, AppRuns, BenchError, Benchmark, SuiteRun};
 
 /// Command-line configuration shared by all figure binaries.
 #[derive(Debug, Clone, Copy)]
@@ -113,7 +115,7 @@ fn positive<T: FromStr + PartialOrd + From<u8>>(
     let v = value_of(flag, it)?;
     let n: T = v
         .parse()
-        .map_err(|_| ArgError(format!("{flag} expects a positive number, got {v:?}")))?;
+        .map_err(|_| ArgError(format!("{flag} expects a positive integer, got {v:?}")))?;
     if n < T::from(1u8) {
         return Err(ArgError(format!("{flag} must be >= 1")));
     }
@@ -129,47 +131,22 @@ fn number(flag: &str, what: &str, it: &mut Args<'_>) -> Result<f64, ArgError> {
 }
 
 impl Harness {
-    /// Parses `--scale N`, `--seed N` and `--jobs N` from the process
-    /// arguments. Unknown flags and malformed values are fatal (exit 2):
-    /// a typo like `--sacle` silently running the default configuration
-    /// would poison recorded results.
-    pub fn from_args() -> Self {
-        Self::from_args_with(&[])
-    }
+    /// Usage text of the harness flags.
+    pub const USAGE: &'static str = "[--scale N] [--seed N] [--jobs N] [--faults SPEC]";
 
-    /// Like [`Harness::from_args`] but tolerating `extra` flags that the
-    /// binary parses itself (each consumes one value argument).
-    pub fn from_args_with(extra: &[&str]) -> Self {
+    /// Parses `--scale N`, `--seed N`, `--jobs N` and `--faults SPEC` from
+    /// the process arguments. Unknown flags and malformed values are fatal
+    /// (exit 2): a typo like `--sacle` silently running the default
+    /// configuration would poison recorded results.
+    pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        match Self::parse(&args, extra) {
-            Ok(h) => h,
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!(
-                    "usage: [--scale N] [--seed N] [--jobs N] [--faults SPEC]{}",
-                    {
-                        let mut s = String::new();
-                        for f in extra {
-                            s.push_str(&format!(" [{f} V]"));
-                        }
-                        s
-                    }
-                );
-                std::process::exit(2);
-            }
-        }
+        Self::parse(&args).unwrap_or_else(|e| exit_usage(&e, &format!("usage: {}", Self::USAGE)))
     }
 
     /// The argument grammar, separated from process state for testing.
-    pub fn parse(args: &[String], extra: &[&str]) -> Result<Self, ArgError> {
+    pub fn parse(args: &[String]) -> Result<Self, ArgError> {
         let mut h = Harness::default();
-        parse_flags(args, |flag, it| {
-            if extra.contains(&flag) {
-                value_of(flag, it)?;
-                return Ok(true);
-            }
-            h.offer(flag, it)
-        })?;
+        parse_flags(args, |flag, it| h.offer(flag, it))?;
         Ok(h)
     }
 
@@ -177,18 +154,10 @@ impl Harness {
     /// `--faults`. Returns `Ok(false)` for any other flag.
     pub fn offer(&mut self, flag: &str, it: &mut Args<'_>) -> Result<bool, ArgError> {
         match flag {
-            "--scale" => {
-                let v = value_of(flag, it)?;
-                self.scale = v.parse().map_err(|_| {
-                    ArgError(format!("--scale expects a positive integer, got {v:?}"))
-                })?;
-                if self.scale == 0 {
-                    return Err(ArgError("--scale must be >= 1".into()));
-                }
-                Ok(true)
-            }
-            _ => Ok(self.offer_jobs(flag, it)? || self.offer_seed(flag, it)?),
+            "--scale" => self.scale = positive(flag, it)?,
+            _ => return Ok(self.offer_jobs(flag, it)? || self.offer_seed(flag, it)?),
         }
+        Ok(true)
     }
 
     /// Consumes `--jobs N`; `Ok(false)` for any other flag.
@@ -196,13 +165,7 @@ impl Harness {
         if flag != "--jobs" {
             return Ok(false);
         }
-        let v = value_of(flag, it)?;
-        self.jobs = v
-            .parse()
-            .map_err(|_| ArgError(format!("--jobs expects a positive integer, got {v:?}")))?;
-        if self.jobs == 0 {
-            return Err(ArgError("--jobs must be >= 1".into()));
-        }
+        self.jobs = positive(flag, it)?;
         Ok(true)
     }
 
@@ -226,22 +189,24 @@ impl Harness {
         Ok(true)
     }
 
-    /// Runs `f` once per benchmark on `self.jobs` worker threads and
-    /// returns the results in suite order, exactly as a sequential
-    /// `benches.iter().map(f)` would. Each invocation builds its own
-    /// fresh [`System`], so runs are independent and the fan-out cannot
-    /// perturb any simulated quantity — only wall-clock time.
-    pub fn run_suite_parallel<T, F>(&self, benches: &[Benchmark], f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&Benchmark) -> T + Sync,
-    {
-        run_parallel(self.jobs, benches, f)
-    }
-
     /// Bytes staged for a benchmark at this scale.
     pub fn input_bytes(&self, bench: &Benchmark) -> u64 {
         (bench.nominal_bytes / self.scale.max(1)).clamp(2_000_000, 48_000_000)
+    }
+
+    /// The paper's evaluation: each suite app on its own freshly staged
+    /// system, conventionally, on Morpheus-SSD and, for the Rodinia apps,
+    /// with NVMe-P2P ([`AppRuns::run`]), fanned out over `jobs` workers.
+    ///
+    /// # Errors
+    ///
+    /// The first failed run, in suite order.
+    pub fn suite_run(&self) -> Result<SuiteRun, BenchError> {
+        let apps = run_parallel(self.jobs, &suite(), |bench| {
+            AppRuns::run(&mut self.app_system(bench), bench, true)
+        });
+        let apps = apps.into_iter().collect::<Result<_, _>>()?;
+        Ok(SuiteRun { apps })
     }
 
     /// A fresh paper-testbed system with this benchmark's input staged.
@@ -265,13 +230,26 @@ impl Harness {
         }
         stage_input(&mut sys, bench, self.input_bytes(bench), self.seed)
             .expect("staging benchmark input");
-        // Arm faults only after staging: input files are always written
-        // intact, faults perturb the measured runs alone.
+        self.arm_faults(&mut sys);
+        sys
+    }
+
+    /// Arms the fault plan, if any, on `sys`. Call it after staging: input
+    /// files are always written intact, faults perturb the measured runs
+    /// alone.
+    pub fn arm_faults(&self, sys: &mut System) {
         if let Some(plan) = self.faults {
             sys.set_fault_plan(plan);
         }
-        sys
     }
+}
+
+/// Exits 2 on a bad command line, printing `err` and the binary's `usage`
+/// text to stderr.
+pub fn exit_usage(err: &ArgError, usage: &str) -> ! {
+    eprintln!("error: {err}");
+    eprintln!("{usage}");
+    std::process::exit(2);
 }
 
 /// The fleet and control-plane flags: `--devices`, `--placement`,
@@ -464,6 +442,14 @@ impl Default for ServeArgs {
 /// Every serving engine, in `--mode all` order.
 const ALL_MODES: [Mode; 3] = [Mode::Conventional, Mode::Morpheus, Mode::MorpheusP2P];
 
+/// The `--mode` names of single engines.
+pub const MODE_NAMES: &str = "conventional|morpheus|morpheus+p2p";
+
+/// The engine a `--mode` value names, e.g. `morpheus+p2p`.
+pub fn mode_named(name: &str) -> Option<Mode> {
+    ALL_MODES.into_iter().find(|m| m.to_string() == name)
+}
+
 impl ServeArgs {
     /// Usage fragment for the shared flags.
     pub const USAGE: &'static str = "[--duration S] [--depth N] [--batch N] [--sq-depth N] \
@@ -504,16 +490,11 @@ impl ServeArgs {
             }
             "--mode" => {
                 let v = value_of(flag, it)?;
-                self.modes = match v.as_str() {
-                    "all" => ALL_MODES.to_vec(),
-                    "conventional" => vec![Mode::Conventional],
-                    "morpheus" => vec![Mode::Morpheus],
-                    "morpheus+p2p" => vec![Mode::MorpheusP2P],
-                    other => {
-                        return Err(format!(
-                            "--mode expects all|conventional|morpheus|morpheus+p2p, got {other:?}"
-                        )
-                        .into());
+                self.modes = match mode_named(v) {
+                    Some(mode) => vec![mode],
+                    None if v == "all" => ALL_MODES.to_vec(),
+                    None => {
+                        return Err(format!("--mode expects all|{MODE_NAMES}, got {v:?}").into())
                     }
                 };
             }
@@ -712,25 +693,6 @@ where
     tagged.into_iter().map(|(_, t)| t).collect()
 }
 
-/// Runs one benchmark under one mode on its own fresh system.
-pub fn run_mode(h: &Harness, bench: &Benchmark, mode: Mode) -> BenchOutcome {
-    let mut sys = h.app_system(bench);
-    run_benchmark(&mut sys, bench, mode).expect("benchmark run")
-}
-
-/// Runs conventional and Morpheus over the *same* staged input.
-pub fn run_pair(h: &Harness, bench: &Benchmark) -> (BenchOutcome, BenchOutcome) {
-    let mut sys = h.app_system(bench);
-    let conv = run_benchmark(&mut sys, bench, Mode::Conventional).expect("conventional run");
-    let morp = run_benchmark(&mut sys, bench, Mode::Morpheus).expect("morpheus run");
-    assert_eq!(
-        conv.kernel, morp.kernel,
-        "{}: modes must compute identical results",
-        bench.name
-    );
-    (conv, morp)
-}
-
 /// Geometric mean.
 ///
 /// # Panics
@@ -746,16 +708,6 @@ pub fn geomean(xs: &[f64]) -> f64 {
         })
         .sum();
     (s / xs.len() as f64).exp()
-}
-
-/// Arithmetic mean.
-///
-/// # Panics
-///
-/// Panics on an empty slice.
-pub fn mean(xs: &[f64]) -> f64 {
-    assert!(!xs.is_empty(), "mean of empty slice");
-    xs.iter().sum::<f64>() / xs.len() as f64
 }
 
 /// Prints an aligned table.
@@ -780,11 +732,6 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Formats a report's deserialization seconds.
-pub fn deser_s(r: &RunReport) -> f64 {
-    r.phases.deserialization_s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -794,9 +741,8 @@ mod tests {
     }
 
     #[test]
-    fn geomean_and_mean() {
+    fn geomean_of_two() {
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert!((mean(&[1.0, 3.0]) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -811,14 +757,14 @@ mod tests {
 
     #[test]
     fn parse_accepts_known_flags() {
-        let h = Harness::parse(&argv(&["--scale", "64", "--seed", "7", "--jobs", "3"]), &[])
+        let h = Harness::parse(&argv(&["--scale", "64", "--seed", "7", "--jobs", "3"]))
             .expect("valid flags");
         assert_eq!((h.scale, h.seed, h.jobs), (64, 7, 3));
     }
 
     #[test]
     fn parse_rejects_unknown_flag() {
-        let err = Harness::parse(&argv(&["--sacle", "64"]), &[]).unwrap_err();
+        let err = Harness::parse(&argv(&["--sacle", "64"])).unwrap_err();
         assert!(err.0.contains("unknown flag"), "{err}");
     }
 
@@ -832,18 +778,10 @@ mod tests {
             vec!["--jobs"],
         ] {
             assert!(
-                Harness::parse(&argv(&bad), &[]).is_err(),
+                Harness::parse(&argv(&bad)).is_err(),
                 "should reject {bad:?}"
             );
         }
-    }
-
-    #[test]
-    fn parse_tolerates_registered_extras() {
-        let h = Harness::parse(&argv(&["--sweep", "cores", "--scale", "128"]), &["--sweep"])
-            .expect("registered extra flag");
-        assert_eq!(h.scale, 128);
-        assert!(Harness::parse(&argv(&["--sweep", "cores"]), &[]).is_err());
     }
 
     /// Parses `args` with the shared serving grammar alone, as a binary
@@ -1079,25 +1017,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_suite_reports_match_sequential_field_for_field() {
-        // The determinism contract of the tentpole: fanning the suite out
-        // over threads must not change a single reported quantity.
+    fn parallel_suite_run_matches_sequential_field_for_field() {
+        // Fanning the suite out over threads must not change a single
+        // reported quantity, in any mode.
         let h = Harness {
             scale: 8192,
             seed: 42,
             jobs: 1,
             faults: None,
         };
-        let benches: Vec<Benchmark> = morpheus_workloads::suite().into_iter().take(4).collect();
-        let seq = h.run_suite_parallel(&benches, |b| run_mode(&h, b, Mode::Conventional));
-        let hp = Harness { jobs: 4, ..h };
-        let par = hp.run_suite_parallel(&benches, |b| run_mode(&hp, b, Mode::Conventional));
-        assert_eq!(seq.len(), par.len());
-        for (s, p) in seq.iter().zip(&par) {
-            // RunReport has no PartialEq; its Debug form prints every
-            // field, so equal strings mean field-for-field equality.
-            assert_eq!(format!("{:?}", s.report), format!("{:?}", p.report));
-            assert_eq!(s.kernel, p.kernel);
-        }
+        let seq = h.suite_run().expect("fault-free run");
+        let par = Harness { jobs: 4, ..h }
+            .suite_run()
+            .expect("fault-free run");
+        assert_eq!(seq.apps.len(), 10);
+        // RunReport has no PartialEq; its Debug form prints every field,
+        // so equal strings mean field-for-field equality.
+        assert_eq!(format!("{seq:?}"), format!("{par:?}"));
     }
 }

@@ -1,7 +1,8 @@
 //! The parallel suite driver's contract: `--jobs N` must not change a
 //! single output byte, only wall-clock time. These tests run the real
-//! figure binaries (the exact artifacts `run_all` launches) sequentially
-//! and fanned out, and compare entire stdout captures.
+//! figure binaries sequentially and fanned out, and compare entire stdout
+//! captures. The command-line rows at the end pin how the binaries fail:
+//! a bad line exits 2, a failed run exits 1 with its rendered cause.
 
 use std::process::{Command, Output};
 
@@ -69,6 +70,45 @@ fn unknown_flag_is_rejected() {
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown flag"), "stderr: {err}");
+}
+
+#[test]
+fn failed_runs_are_errors_not_panics() {
+    // A lost NVMe command with no reissue budget fails the first run. The
+    // suite reports, `ablate` and `ext` must each name the app and mode and
+    // exit 1, which needs the fault plan armed on every system they build.
+    let faults = ["--scale", "8192", "--faults", "seed=1,timeout=1,retries=0"];
+    for (bin, extra) in [
+        (env!("CARGO_BIN_EXE_fig8"), &[][..]),
+        (env!("CARGO_BIN_EXE_ablate"), &["--sweep", "cores"][..]),
+        (env!("CARGO_BIN_EXE_ext"), &[][..]),
+    ] {
+        let out = Command::new(bin)
+            .args(faults)
+            .args(extra)
+            .output()
+            .expect("launch binary");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bin}: {err}");
+        assert!(
+            err.contains("error: ") && err.contains("(conventional)"),
+            "{bin}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{bin}: {err}");
+    }
+}
+
+#[test]
+fn ablate_rejects_unknown_and_missing_sweeps() {
+    for args in [&["--sweep", "nosuch"][..], &["--sweep"][..]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ablate"))
+            .args(args)
+            .output()
+            .expect("launch ablate");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "ablate {args:?}: {err}");
+        assert!(err.contains("usage:"), "ablate {args:?}: {err}");
+    }
 }
 
 #[test]

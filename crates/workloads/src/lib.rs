@@ -19,15 +19,14 @@
 //! # Example
 //!
 //! ```
-//! use morpheus::{Mode, System, SystemParams};
-//! use morpheus_workloads::{stage_input, suite, run_benchmark};
+//! use morpheus::{System, SystemParams};
+//! use morpheus_workloads::{stage_input, suite, AppRuns};
 //!
 //! let mut sys = System::new(SystemParams::paper_testbed());
 //! let bench = &suite()[0]; // PageRank
 //! stage_input(&mut sys, bench, 64 * 1024, 42).unwrap();
-//! let conv = run_benchmark(&mut sys, bench, Mode::Conventional).unwrap();
-//! let morp = run_benchmark(&mut sys, bench, Mode::Morpheus).unwrap();
-//! assert_eq!(conv.kernel.digest, morp.kernel.digest);
+//! let runs = AppRuns::run(&mut sys, bench, false).unwrap();
+//! assert!(runs.p2p.is_none() && runs.deser_speedup() > 0.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -35,9 +34,11 @@
 mod digest;
 mod gen;
 mod kernels;
+mod paper;
 mod suite;
 
 pub use digest::Digest;
 pub use gen::{edge_list_text, int_list_text, matrix_text, points_text, sparse_coo_text};
 pub use kernels::{graph, kmeans, matrix, nn, scan, sort, spmv, KernelResult};
-pub use suite::{run_benchmark, stage_input, suite, BenchOutcome, Benchmark, Suite};
+pub use paper::{AppRuns, Scorecard, SuiteRun};
+pub use suite::{run_benchmark, stage_input, suite, BenchError, BenchOutcome, Benchmark, Suite};

@@ -6,6 +6,7 @@ use morpheus::{AppSpec, Mode, RunError, RunReport, System};
 use morpheus_format::{FieldKind, ParsedColumns, Schema};
 use morpheus_ssd::SsdError;
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The benchmark suite an application came from.
@@ -285,18 +286,45 @@ fn generated_input(bench: &Benchmark, target_bytes: u64, seed: u64) -> Arc<Vec<u
     data
 }
 
+/// A failed run: the app, the mode, and the cause as its source.
+#[derive(Debug)]
+pub struct BenchError {
+    /// Application name.
+    pub app: &'static str,
+    /// The mode whose run failed.
+    pub mode: Mode,
+    /// Why it failed.
+    pub source: RunError,
+}
+
+impl fmt::Display for BenchError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} ({})", self.app, self.mode)
+    }
+}
+
+impl std::error::Error for BenchError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.source)
+    }
+}
+
 /// Runs a staged benchmark under `mode`, then executes the real kernel on
 /// the deserialized objects.
 ///
 /// # Errors
 ///
-/// See [`RunError`].
+/// The run's [`RunError`], with the app and the mode.
 pub fn run_benchmark(
     sys: &mut System,
     bench: &Benchmark,
     mode: Mode,
-) -> Result<BenchOutcome, RunError> {
-    let outcome = sys.run(&bench.spec(), mode)?;
+) -> Result<BenchOutcome, BenchError> {
+    let outcome = sys.run(&bench.spec(), mode).map_err(|source| BenchError {
+        app: bench.name,
+        mode,
+        source,
+    })?;
     let kernel = bench.kernel(&outcome.objects);
     Ok(BenchOutcome {
         report: outcome.report,
