@@ -9,7 +9,11 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use morpheus::{CacheConfig, CachePolicy, ObjectCache};
 use morpheus_format::{Column, FieldKind, ObjectDigest, ParsedColumns, Schema};
+use morpheus_simcore::SimTime;
 use std::hint::black_box;
+
+/// The cache costs no simulated time, so every call happens at zero.
+const T0: SimTime = SimTime::ZERO;
 
 /// The digest of a parsed object of `n` records (two i64 columns,
 /// `16 * n` bytes): what the cache holds per entry.
@@ -36,10 +40,10 @@ fn warmed_cache(policy: CachePolicy, files: usize) -> ObjectCache {
     for i in 0..files {
         let file = format!("f{i}.txt");
         // Two misses so the TinyLFU doorkeeper admits on the second.
-        let _ = cache.lookup("app", &file, 7);
-        cache.admit("app", &file, 7, obj(512, i as i64));
-        let _ = cache.lookup("app", &file, 7);
-        cache.admit("app", &file, 7, obj(512, i as i64));
+        let _ = cache.lookup("app", &file, 7, T0);
+        cache.admit("app", &file, 7, obj(512, i as i64), T0);
+        let _ = cache.lookup("app", &file, 7, T0);
+        cache.admit("app", &file, 7, obj(512, i as i64), T0);
     }
     cache
 }
@@ -55,7 +59,7 @@ fn bench_cache(c: &mut Criterion) {
                 let mut served = 0u64;
                 for i in 0..64 {
                     let file = format!("f{i}.txt");
-                    if cache.lookup(black_box("app"), &file, 7).is_some() {
+                    if cache.lookup(black_box("app"), &file, 7, T0).is_some() {
                         served += 1;
                     }
                 }
@@ -71,7 +75,7 @@ fn bench_cache(c: &mut Criterion) {
             let mut missed = 0u64;
             for i in 0..64 {
                 let file = format!("absent{i}.txt");
-                if cold.lookup(black_box("app"), &file, 7).is_none() {
+                if cold.lookup(black_box("app"), &file, 7, T0).is_none() {
                     missed += 1;
                 }
             }
@@ -94,9 +98,9 @@ fn bench_cache(c: &mut Criterion) {
         b.iter(|| {
             let file = format!("churn{}.txt", i % 257);
             i += 1;
-            let _ = cache.lookup("app", &file, 7);
-            cache.admit(black_box("app"), &file, 7, payload);
-            cache.take_events().len() as u64
+            let _ = cache.lookup("app", &file, 7, T0);
+            cache.admit(black_box("app"), &file, 7, payload, T0);
+            cache.stats().admitted
         })
     });
 

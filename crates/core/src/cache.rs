@@ -37,10 +37,12 @@
 //! logical tick, the sketch's hash salts derive from the configured seed,
 //! and no wall-clock or address-dependent state is consulted. Cache
 //! bookkeeping costs zero *simulated* time — only the delivery of a hit is
-//! timed, by the serving layer (`serve.rs`).
+//! timed, by the serving layer (`serve.rs`). Each probe and state change
+//! is recorded as a `cache`-track trace instant at the sim time the caller
+//! passes, through the cache's own [`Tracer`] handle.
 
 use morpheus_format::ObjectDigest;
-use morpheus_simcore::SplitMix64;
+use morpheus_simcore::{SimTime, SplitMix64, TraceLayer, Tracer};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -239,47 +241,8 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// A state change the cache performed, drained by the serving layer into
-/// the `cache` trace track.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CacheEvent {
-    /// A new object entered `tier`.
-    Admitted {
-        /// Tier the object entered.
-        tier: CacheTier,
-        /// Object size, bytes.
-        bytes: u64,
-    },
-    /// The admission gate refused an object.
-    Rejected {
-        /// Object size, bytes.
-        bytes: u64,
-    },
-    /// A DRAM victim was demoted to the host tier.
-    Spilled {
-        /// Object size, bytes.
-        bytes: u64,
-    },
-    /// An entry was dropped from `tier`.
-    Evicted {
-        /// Tier the entry left.
-        tier: CacheTier,
-        /// Object size, bytes.
-        bytes: u64,
-    },
-    /// A host-tier entry moved back to DRAM on a hit.
-    Promoted {
-        /// Object size, bytes.
-        bytes: u64,
-    },
-    /// File invalidation dropped `entries` entries.
-    Invalidated {
-        /// Entries dropped.
-        entries: u64,
-        /// Bytes dropped.
-        bytes: u64,
-    },
-}
+/// Trace track of the cache's probes and state changes.
+const CACHE_TRACK: &str = "cache";
 
 /// A successful lookup: which tier held the object and the object's
 /// digest. The simulator never reads cached values, so an entry holds
@@ -393,8 +356,9 @@ pub struct ObjectCache {
     stats: CacheStats,
     /// Bytes in the DRAM tier's protected segment.
     protected_bytes: u64,
-    /// State changes since the last [`take_events`](Self::take_events).
-    events: Vec<CacheEvent>,
+    /// Where probes and state changes are recorded (disabled until
+    /// [`set_tracer`](Self::set_tracer)).
+    tracer: Tracer,
 }
 
 impl ObjectCache {
@@ -409,8 +373,19 @@ impl ObjectCache {
             tick: 0,
             stats: CacheStats::default(),
             protected_bytes: 0,
-            events: Vec::new(),
+            tracer: Tracer::disabled(),
         }
+    }
+
+    /// Installs the trace handle the cache records its `cache`-track
+    /// instants through.
+    pub fn set_tracer(&mut self, tracer: Tracer) {
+        self.tracer = tracer;
+    }
+
+    /// Records one probe outcome or state change at `at`.
+    fn trace(&self, what: &str, at: SimTime) {
+        self.tracer.instant(TraceLayer::Ssd, CACHE_TRACK, what, at);
     }
 
     /// The configuration the cache was built with.
@@ -433,27 +408,28 @@ impl ObjectCache {
         self.entries.is_empty()
     }
 
-    /// Drains the state-change log (the serving layer turns these into
-    /// `cache`-track trace instants).
-    pub fn take_events(&mut self) -> Vec<CacheEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Looks up (app, file, digest). A hit refreshes recency, promotes
-    /// probation entries to the protected segment, and may promote a
-    /// host-tier entry back to DRAM (spilling victims); a miss only feeds
-    /// the frequency sketch. Returns `None` on a miss.
-    pub fn lookup(&mut self, app: &str, file: &str, digest: u64) -> Option<CacheHit> {
+    /// Looks up (app, file, digest) at sim time `at`. A hit refreshes
+    /// recency, promotes probation entries to the protected segment, and
+    /// may promote a host-tier entry back to DRAM (spilling victims); a
+    /// miss only feeds the frequency sketch. The `hit-dram`, `hit-host` or
+    /// `miss` instant is recorded before any change the probe causes.
+    /// Returns `None` on a miss.
+    pub fn lookup(&mut self, app: &str, file: &str, digest: u64, at: SimTime) -> Option<CacheHit> {
         self.tick += 1;
         let key: Key = (app.to_string(), file.to_string(), digest);
         let h = hash_key(&key);
         self.sketch.bump(h);
-        if !self.entries.contains_key(&key) {
-            self.stats.misses += 1;
-            return None;
-        }
         let tick = self.tick;
-        let e = self.entries.get_mut(&key).expect("checked above");
+        let Some(e) = self.entries.get_mut(&key) else {
+            self.stats.misses += 1;
+            self.trace("miss", at);
+            return None;
+        };
+        let what = match e.tier {
+            CacheTier::Dram => "hit-dram",
+            CacheTier::Host => "hit-host",
+        };
+        self.tracer.instant(TraceLayer::Ssd, CACHE_TRACK, what, at);
         e.last_used = tick;
         self.stats.hits += 1;
         let hit = CacheHit {
@@ -471,17 +447,24 @@ impl ObjectCache {
             }
             CacheTier::Host => {
                 self.stats.host_hits += 1;
-                self.try_promote(&key, h);
+                self.try_promote(&key, h, at);
             }
         }
         Some(hit)
     }
 
     /// Offers a freshly deserialized object, by its digest, for admission
-    /// (called by the serving layer after a miss completes). The frequency
-    /// gate, tier placement, spilling, and eviction all happen here; the
-    /// decision is recorded in the event log.
-    pub fn admit(&mut self, app: &str, file: &str, digest: u64, objects: ObjectDigest) {
+    /// at sim time `at` (called by the serving layer after a miss
+    /// completes). The frequency gate, tier placement, spilling, and
+    /// eviction all happen here, each traced as it happens.
+    pub fn admit(
+        &mut self,
+        app: &str,
+        file: &str,
+        digest: u64,
+        objects: ObjectDigest,
+        at: SimTime,
+    ) {
         self.tick += 1;
         let key: Key = (app.to_string(), file.to_string(), digest);
         let bytes = objects.bytes;
@@ -493,7 +476,7 @@ impl ObjectCache {
         // is refused; the second miss admits it. LRU admits everything.
         if self.cfg.policy == CachePolicy::TinyLfu && self.sketch.estimate(h) < 2 {
             self.stats.rejected += 1;
-            self.events.push(CacheEvent::Rejected { bytes });
+            self.trace("reject", at);
             return;
         }
         let tier = if bytes <= self.cfg.dram_bytes {
@@ -502,16 +485,16 @@ impl ObjectCache {
             CacheTier::Host
         } else {
             self.stats.rejected += 1;
-            self.events.push(CacheEvent::Rejected { bytes });
+            self.trace("reject", at);
             return;
         };
-        if tier == CacheTier::Dram && !self.make_dram_room(bytes, Some(h)) {
+        if tier == CacheTier::Dram && !self.make_dram_room(bytes, Some(h), at) {
             self.stats.rejected += 1;
-            self.events.push(CacheEvent::Rejected { bytes });
+            self.trace("reject", at);
             return;
         }
         if tier == CacheTier::Host {
-            self.make_host_room(bytes);
+            self.make_host_room(bytes, at);
         }
         match tier {
             CacheTier::Dram => self.stats.dram_bytes += bytes,
@@ -527,33 +510,38 @@ impl ObjectCache {
             },
         );
         self.stats.admitted += 1;
-        self.events.push(CacheEvent::Admitted { tier, bytes });
+        self.trace(
+            match tier {
+                CacheTier::Dram => "admit-dram",
+                CacheTier::Host => "admit-host",
+            },
+            at,
+        );
     }
 
-    /// Drops every entry deserialized from `file` (any app, any digest).
+    /// Drops every entry deserialized from `file` (any app, any digest),
+    /// recording one `invalidate` instant at `at` when any was cached.
     /// Returns how many entries were dropped.
-    pub fn invalidate_file(&mut self, file: &str) -> u64 {
+    pub fn invalidate_file(&mut self, file: &str, at: SimTime) -> u64 {
         let victims: Vec<Key> = self
             .entries
             .keys()
             .filter(|k| k.1 == file)
             .cloned()
             .collect();
-        let mut bytes = 0;
         for k in &victims {
-            bytes += self.drop_entry(k);
+            self.drop_entry(k);
         }
         let n = victims.len() as u64;
         if n > 0 {
             self.stats.invalidations += n;
-            self.events
-                .push(CacheEvent::Invalidated { entries: n, bytes });
+            self.trace("invalidate", at);
         }
         n
     }
 
-    /// Removes an entry, returning its size and fixing occupancy.
-    fn drop_entry(&mut self, key: &Key) -> u64 {
+    /// Removes an entry, fixing occupancy.
+    fn drop_entry(&mut self, key: &Key) {
         let e = self.entries.remove(key).expect("victim exists");
         match e.tier {
             CacheTier::Dram => {
@@ -564,7 +552,6 @@ impl ObjectCache {
             }
             CacheTier::Host => self.stats.host_bytes -= e.objects.bytes,
         }
-        e.objects.bytes
     }
 
     /// The LRU key of a DRAM segment (probation when `protected` is
@@ -604,7 +591,7 @@ impl ObjectCache {
     /// the TinyLFU gate (`incoming` is the new key's hash), stops and
     /// reports failure if a victim's estimated frequency exceeds the
     /// incoming key's — the newcomer has not earned the slot.
-    fn make_dram_room(&mut self, need: u64, incoming: Option<u64>) -> bool {
+    fn make_dram_room(&mut self, need: u64, incoming: Option<u64>, at: SimTime) -> bool {
         if need > self.cfg.dram_bytes {
             return false;
         }
@@ -619,41 +606,35 @@ impl ObjectCache {
                     }
                 }
             }
-            self.spill_to_host(&victim);
+            self.spill_to_host(&victim, at);
         }
         true
     }
 
     /// Frees host-tier space for `need` bytes by dropping host LRUs.
-    fn make_host_room(&mut self, need: u64) {
+    fn make_host_room(&mut self, need: u64, at: SimTime) {
         while self.stats.host_bytes + need > self.cfg.host_bytes {
             let Some(victim) = self.host_lru() else {
                 return;
             };
-            let bytes = self.drop_entry(&victim);
+            self.drop_entry(&victim);
             self.stats.evictions += 1;
-            self.events.push(CacheEvent::Evicted {
-                tier: CacheTier::Host,
-                bytes,
-            });
+            self.trace("evict", at);
         }
     }
 
     /// Demotes a DRAM entry to the host tier (or drops it when the host
     /// tier cannot hold it).
-    fn spill_to_host(&mut self, key: &Key) {
+    fn spill_to_host(&mut self, key: &Key, at: SimTime) {
         let e = self.entries.get(key).expect("victim exists");
         let bytes = e.objects.bytes;
         if bytes > self.cfg.host_bytes {
-            let bytes = self.drop_entry(key);
+            self.drop_entry(key);
             self.stats.evictions += 1;
-            self.events.push(CacheEvent::Evicted {
-                tier: CacheTier::Dram,
-                bytes,
-            });
+            self.trace("evict", at);
             return;
         }
-        self.make_host_room(bytes);
+        self.make_host_room(bytes, at);
         let e = self.entries.get_mut(key).expect("victim exists");
         if e.protected {
             e.protected = false;
@@ -663,15 +644,15 @@ impl ObjectCache {
         self.stats.dram_bytes -= bytes;
         self.stats.host_bytes += bytes;
         self.stats.spills += 1;
-        self.events.push(CacheEvent::Spilled { bytes });
+        self.trace("spill", at);
     }
 
     /// On a host-tier hit, tries to move the entry back to DRAM (same
     /// gate as admission: LRU always, TinyLFU only when the entry beats
     /// the would-be victim).
-    fn try_promote(&mut self, key: &Key, h: u64) {
+    fn try_promote(&mut self, key: &Key, h: u64, at: SimTime) {
         let bytes = self.entries.get(key).expect("hit entry").objects.bytes;
-        if bytes > self.cfg.dram_bytes || !self.make_dram_room(bytes, Some(h)) {
+        if bytes > self.cfg.dram_bytes || !self.make_dram_room(bytes, Some(h), at) {
             return;
         }
         // Making DRAM room can spill a victim onto the host tier, whose
@@ -685,7 +666,7 @@ impl ObjectCache {
         self.stats.host_bytes -= bytes;
         self.stats.dram_bytes += bytes;
         self.stats.promotions += 1;
-        self.events.push(CacheEvent::Promoted { bytes });
+        self.trace("promote", at);
     }
 }
 
@@ -708,6 +689,8 @@ pub fn format_digest(spec: &crate::AppSpec) -> u64 {
 mod tests {
     use super::*;
     use morpheus_format::{Column, FieldKind, ParsedColumns, Schema};
+
+    const T0: SimTime = SimTime::ZERO;
 
     /// The digest of an object of `n * 16` binary bytes.
     fn obj(n: usize, salt: i64) -> ObjectDigest {
@@ -735,14 +718,14 @@ mod tests {
     #[test]
     fn tinylfu_admits_on_second_miss() {
         let mut c = cache(1 << 20, 0, CachePolicy::TinyLfu);
-        assert!(c.lookup("a", "f", 1).is_none());
-        c.admit("a", "f", 1, obj(10, 0));
+        assert!(c.lookup("a", "f", 1, T0).is_none());
+        c.admit("a", "f", 1, obj(10, 0), T0);
         assert!(
-            c.lookup("a", "f", 1).is_none(),
+            c.lookup("a", "f", 1, T0).is_none(),
             "doorkeeper refuses first touch"
         );
-        c.admit("a", "f", 1, obj(10, 0));
-        assert!(c.lookup("a", "f", 1).is_some(), "second miss admits");
+        c.admit("a", "f", 1, obj(10, 0), T0);
+        assert!(c.lookup("a", "f", 1, T0).is_some(), "second miss admits");
         let s = c.stats();
         assert_eq!((s.rejected, s.admitted, s.hits, s.misses), (1, 1, 1, 2));
     }
@@ -750,9 +733,9 @@ mod tests {
     #[test]
     fn lru_admits_immediately() {
         let mut c = cache(1 << 20, 0, CachePolicy::Lru);
-        assert!(c.lookup("a", "f", 1).is_none());
-        c.admit("a", "f", 1, obj(10, 0));
-        assert!(c.lookup("a", "f", 1).is_some());
+        assert!(c.lookup("a", "f", 1, T0).is_none());
+        c.admit("a", "f", 1, obj(10, 0), T0);
+        assert!(c.lookup("a", "f", 1, T0).is_some());
     }
 
     #[test]
@@ -760,14 +743,14 @@ mod tests {
         // DRAM fits one object, host fits one more.
         let bytes = obj(64, 0).bytes;
         let mut c = cache(bytes + 8, bytes + 8, CachePolicy::Lru);
-        c.admit("a", "f0", 0, obj(64, 0));
-        c.admit("a", "f1", 1, obj(64, 1));
+        c.admit("a", "f0", 0, obj(64, 0), T0);
+        c.admit("a", "f1", 1, obj(64, 1), T0);
         assert_eq!(c.stats().spills, 1, "f0 spilled to host");
         assert!(matches!(
-            c.lookup("a", "f0", 0).expect("still cached").tier,
+            c.lookup("a", "f0", 0, T0).expect("still cached").tier,
             CacheTier::Host
         ));
-        c.admit("a", "f2", 2, obj(64, 2));
+        c.admit("a", "f2", 2, obj(64, 2), T0);
         // f1 spills; the host tier can only hold one, so its LRU drops.
         let s = c.stats();
         assert_eq!(s.spills, 2);
@@ -780,31 +763,34 @@ mod tests {
         let bytes = obj(64, 0).bytes;
         let mut c = cache(bytes + 8, 0, CachePolicy::TinyLfu);
         // Make f0 hot: admitted, then hit repeatedly.
-        assert!(c.lookup("a", "f0", 0).is_none());
-        c.admit("a", "f0", 0, obj(64, 0));
-        assert!(c.lookup("a", "f0", 0).is_none());
-        c.admit("a", "f0", 0, obj(64, 0));
+        assert!(c.lookup("a", "f0", 0, T0).is_none());
+        c.admit("a", "f0", 0, obj(64, 0), T0);
+        assert!(c.lookup("a", "f0", 0, T0).is_none());
+        c.admit("a", "f0", 0, obj(64, 0), T0);
         for _ in 0..10 {
-            assert!(c.lookup("a", "f0", 0).is_some());
+            assert!(c.lookup("a", "f0", 0, T0).is_some());
         }
         // A cold newcomer that needs f0's space is refused.
-        assert!(c.lookup("a", "f1", 1).is_none());
-        assert!(c.lookup("a", "f1", 1).is_none());
-        c.admit("a", "f1", 1, obj(64, 1));
-        assert!(c.lookup("a", "f0", 0).is_some(), "hot entry survives");
-        assert!(c.lookup("a", "f1", 1).is_none(), "cold newcomer refused");
+        assert!(c.lookup("a", "f1", 1, T0).is_none());
+        assert!(c.lookup("a", "f1", 1, T0).is_none());
+        c.admit("a", "f1", 1, obj(64, 1), T0);
+        assert!(c.lookup("a", "f0", 0, T0).is_some(), "hot entry survives");
+        assert!(
+            c.lookup("a", "f1", 1, T0).is_none(),
+            "cold newcomer refused"
+        );
     }
 
     #[test]
     fn invalidation_drops_every_entry_of_the_file() {
         let mut c = cache(1 << 20, 1 << 20, CachePolicy::Lru);
-        c.admit("a", "shared.txt", 1, obj(10, 0));
-        c.admit("b", "shared.txt", 2, obj(10, 1));
-        c.admit("c", "other.txt", 3, obj(10, 2));
-        assert_eq!(c.invalidate_file("shared.txt"), 2);
-        assert!(c.lookup("a", "shared.txt", 1).is_none());
-        assert!(c.lookup("b", "shared.txt", 2).is_none());
-        assert!(c.lookup("c", "other.txt", 3).is_some());
+        c.admit("a", "shared.txt", 1, obj(10, 0), T0);
+        c.admit("b", "shared.txt", 2, obj(10, 1), T0);
+        c.admit("c", "other.txt", 3, obj(10, 2), T0);
+        assert_eq!(c.invalidate_file("shared.txt", T0), 2);
+        assert!(c.lookup("a", "shared.txt", 1, T0).is_none());
+        assert!(c.lookup("b", "shared.txt", 2, T0).is_none());
+        assert!(c.lookup("c", "other.txt", 3, T0).is_some());
         assert_eq!(c.stats().invalidations, 2);
     }
 
@@ -813,8 +799,8 @@ mod tests {
         let mut c = cache(4096, 2048, CachePolicy::Lru);
         for i in 0..200u64 {
             let file = format!("f{}", i % 23);
-            let _ = c.lookup("a", &file, i % 23);
-            c.admit("a", &file, i % 23, obj(8 + (i % 13) as usize, i as i64));
+            let _ = c.lookup("a", &file, i % 23, T0);
+            c.admit("a", &file, i % 23, obj(8 + (i % 13) as usize, i as i64), T0);
             let s = c.stats();
             assert!(s.dram_bytes <= 4096, "dram over budget: {}", s.dram_bytes);
             assert!(s.host_bytes <= 2048, "host over budget: {}", s.host_bytes);
@@ -827,8 +813,8 @@ mod tests {
             let mut c = cache(2048, 1024, CachePolicy::TinyLfu);
             for i in 0..500u64 {
                 let file = format!("f{}", i * i % 17);
-                if c.lookup("a", &file, 0).is_none() {
-                    c.admit("a", &file, 0, obj(16, i as i64 % 17));
+                if c.lookup("a", &file, 0, T0).is_none() {
+                    c.admit("a", &file, 0, obj(16, i as i64 % 17), T0);
                 }
             }
             (c.stats(), c.len())
@@ -894,17 +880,48 @@ mod tests {
     }
 
     #[test]
-    fn events_report_state_changes() {
-        let mut c = cache(1 << 20, 0, CachePolicy::Lru);
-        c.admit("a", "f", 1, obj(10, 0));
-        let ev = c.take_events();
-        assert!(matches!(
-            ev.as_slice(),
-            [CacheEvent::Admitted {
-                tier: CacheTier::Dram,
-                ..
-            }]
-        ));
-        assert!(c.take_events().is_empty(), "drained");
+    fn probes_and_changes_trace_in_the_order_they_happen() {
+        // DRAM fits one object and the host tier two: each admission
+        // spills the DRAM entry, a host hit promotes by spilling, and the
+        // fourth object's spill evicts the host LRU.
+        let bytes = obj(64, 0).bytes;
+        let mut c = cache(bytes + 8, 2 * bytes + 8, CachePolicy::Lru);
+        let tracer = Tracer::enabled();
+        c.set_tracer(tracer.clone());
+        let at = SimTime::from_nanos;
+        assert!(c.lookup("a", "f0", 0, at(1)).is_none());
+        c.admit("a", "f0", 0, obj(64, 0), at(2));
+        c.admit("a", "f1", 1, obj(64, 1), at(3));
+        assert!(c.lookup("a", "f0", 0, at(4)).is_some());
+        c.admit("a", "f2", 2, obj(64, 2), at(5));
+        c.admit("a", "f3", 3, obj(64, 3), at(6));
+        assert_eq!(c.invalidate_file("f0", at(7)), 1);
+        assert_eq!(c.invalidate_file("f0", at(8)), 0, "nothing left to drop");
+        let seen: Vec<(String, u64)> = tracer
+            .take()
+            .events
+            .into_iter()
+            .map(|e| {
+                assert_eq!((e.layer, e.track.as_str()), (TraceLayer::Ssd, "cache"));
+                (e.name, e.start_ns)
+            })
+            .collect();
+        let want = [
+            ("miss", 1),
+            ("admit-dram", 2),
+            ("spill", 3),
+            ("admit-dram", 3),
+            ("hit-host", 4),
+            ("spill", 4),
+            ("promote", 4),
+            ("spill", 5),
+            ("admit-dram", 5),
+            ("evict", 6),
+            ("spill", 6),
+            ("admit-dram", 6),
+            ("invalidate", 7),
+        ];
+        let want: Vec<(String, u64)> = want.iter().map(|&(n, t)| (n.to_string(), t)).collect();
+        assert_eq!(seen, want);
     }
 }

@@ -481,11 +481,6 @@ impl Fleet {
             .min()
     }
 
-    /// True if `device` still admits requests at `at`.
-    pub fn alive_at(&self, device: usize, at: SimTime) -> bool {
-        self.killed_at(device).is_none_or(|t| at < t)
-    }
-
     /// Routes one arrival: the placement target if it admits at `at`,
     /// else the first admitting peer scanning upward from it
     /// (deterministic in the fleet config alone — the control plan is

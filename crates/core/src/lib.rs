@@ -82,8 +82,7 @@ mod system;
 
 pub use apps::{BinaryDeserializeApp, SerializeApp};
 pub use cache::{
-    format_digest, CacheConfig, CacheEvent, CacheHit, CachePolicy, CacheStats, CacheTier,
-    ObjectCache,
+    format_digest, CacheConfig, CacheHit, CachePolicy, CacheStats, CacheTier, ObjectCache,
 };
 pub use concurrent::{ConcurrentReport, TenantReport};
 pub use control::{

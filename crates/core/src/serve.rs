@@ -13,7 +13,7 @@
 //! rolls, and dispatch order derive from seeds, so a serve run is
 //! byte-identical across repeats and across bench `--jobs` values.
 
-use crate::cache::{self, CacheEvent, CacheHit, CacheStats, CacheTier};
+use crate::cache::{self, CacheHit, CacheStats, CacheTier};
 use crate::exec::{AppSpec, MorpheusAbort, RunError};
 use crate::report::{mb_per_sec, Mode};
 use crate::{StorageKind, System};
@@ -22,15 +22,13 @@ use morpheus_nvme::{AdminController, MorpheusCommand, NvmeCommand, StatusCode};
 use morpheus_pcie::{BarWindow, DmaDir};
 use morpheus_simcore::{
     ArrivalProcess, FaultCounters, Histogram, Metrics, SimDuration, SimTime, SplitMix64,
-    TelemetryConfig, TelemetryReport, TelemetrySampler, TraceLayer, Zipfian,
+    TelemetryConfig, TelemetryReport, TelemetrySampler, TraceLayer, Tracer, Zipfian,
 };
 use std::collections::VecDeque;
 use std::fmt;
 
 /// Trace track for serving-layer events (admission, waits, requests).
 const SERVE_TRACK: &str = "serve";
-/// Trace track for object-cache events (hits, misses, admission churn).
-const CACHE_TRACK: &str = "cache";
 /// Trace track for telemetry window-boundary instants.
 const TELEMETRY_TRACK: &str = "telemetry";
 /// Queue id of the first per-tenant I/O queue pair. Qid 0 is the admin
@@ -108,9 +106,9 @@ pub struct ServeConfig {
     /// earn hits.
     pub skew: f64,
     /// Windowed telemetry sampling plus SLO objectives. `None` (the
-    /// default) is the zero-cost path: no sampler is allocated, every
-    /// hook is a single `Option` branch, and the report renders exactly
-    /// as before.
+    /// default) is the zero-cost path: no sampler is allocated, each
+    /// serving event costs one `Option` branch, and the report renders
+    /// exactly as before.
     pub telemetry: Option<TelemetryConfig>,
 }
 
@@ -352,8 +350,11 @@ struct ServeState {
     rep: ServeReport,
     obj_bytes: u64,
     makespan: SimTime,
-    /// Windowed sampler (`None` keeps every hook a single branch).
+    /// Windowed sampler (`None` when the run does not sample).
     sampler: Option<TelemetrySampler>,
+    /// The system's trace handle; [`note`](ServeState::note) records the
+    /// `serve` track through it.
+    tracer: Tracer,
     /// Pooled scratch for one batch's wire commands: taken at the top of
     /// each dispatch, cleared, and put back, so steady-state serving does
     /// no per-batch `Vec` growth.
@@ -368,21 +369,134 @@ struct ServeState {
 /// request's service span is attributed to.
 #[derive(Debug, Clone, Copy)]
 enum ServePath {
-    /// Parsed on the drive's embedded cores.
+    /// Parsed on the drive's embedded cores (`ssd_busy_ns`).
     Embedded,
-    /// Parsed on host cores (conventional mode, overflow, re-dispatch).
+    /// Parsed on host cores: conventional mode, overflow, re-dispatch
+    /// (`host_busy_ns`).
     Host,
-    /// Delivered straight from the object cache.
+    /// Delivered straight from the object cache (`cache_busy_ns`).
     CacheHit,
 }
 
-impl ServePath {
-    /// The `*_busy_ns` telemetry series this path's service time feeds.
-    fn busy_series(self) -> &'static str {
-        match self {
-            ServePath::Embedded => "ssd_busy_ns",
-            ServePath::Host => "host_busy_ns",
-            ServePath::CacheHit => "cache_busy_ns",
+/// One serving outcome, booked at a sim time by [`ServeState::note`].
+#[derive(Debug, Clone, Copy)]
+enum ServeEvent {
+    /// A request arrived and found this many requests queued.
+    Offered(usize),
+    /// The request entered the admission queue.
+    Admitted,
+    /// The queue was full and [`ServePolicy::Shed`] dropped the request.
+    Shed,
+    /// The queue was full and [`ServePolicy::HostFallback`] sent the
+    /// request to the host.
+    Overflow,
+    /// A same-app batch was dispatched.
+    Batch,
+    /// A host-path request spent its reissue budget.
+    Failed,
+    /// The object cache held the request's objects.
+    CacheHit,
+    /// The object cache did not.
+    CacheMiss,
+    /// A fault sent a drive request to the host path.
+    FaultRedispatch,
+    /// A wire burst of this many NVMe commands was pumped.
+    WireBurst(usize),
+    /// A request completed: the request, its service start, its objects
+    /// and the path that served it.
+    Done(Request, SimTime, ObjectDigest, ServePath),
+}
+
+impl ServeState {
+    /// Books one serving event at `at` into its three sinks: the report's
+    /// counters and latency histograms, the telemetry windows (when
+    /// sampling) and the `serve` trace track (when tracing). During a run
+    /// nothing else writes them; each sink matches every event, so a new
+    /// signal cannot skip one by accident.
+    fn note(&mut self, at: SimTime, ev: ServeEvent) {
+        use ServeEvent as E;
+        let rep = &mut self.rep;
+        match ev {
+            E::Offered(_) => rep.offered += 1,
+            E::Admitted => rep.admitted += 1,
+            E::Shed => rep.shed += 1,
+            E::Overflow => rep.overflow_fallbacks += 1,
+            E::Batch => rep.batches += 1,
+            E::Failed => rep.failed += 1,
+            E::CacheHit | E::CacheMiss => {}
+            E::FaultRedispatch => rep.fault_redispatches += 1,
+            E::WireBurst(n) => rep.commands += n as u64,
+            E::Done(r, start, objects, _) => {
+                rep.completed += 1;
+                rep.records += objects.records;
+                rep.checksum = rep.checksum.rotate_left(1) ^ objects.checksum;
+                rep.checksum_unordered = rep.checksum_unordered.wrapping_add(objects.checksum);
+                let wait = start.saturating_duration_since(r.arrival);
+                let service = at.saturating_duration_since(start);
+                let e2e = at.saturating_duration_since(r.arrival);
+                rep.queue_wait_ns.record(wait.as_nanos());
+                rep.service_ns.record(service.as_nanos());
+                rep.e2e_ns.record(e2e.as_nanos());
+                self.obj_bytes += objects.bytes;
+            }
+        }
+        if matches!(ev, E::Failed | E::Done(..)) {
+            self.makespan = self.makespan.max(at);
+        }
+        if let Some(s) = self.sampler.as_mut() {
+            match ev {
+                E::Offered(queued) => {
+                    s.count("offered", at);
+                    s.gauge("queue_depth", at, queued as f64);
+                }
+                E::Admitted => s.count("admitted", at),
+                E::Shed => {
+                    s.count("shed", at);
+                    s.lost(at);
+                }
+                E::Failed => {
+                    s.count("failed", at);
+                    s.lost(at);
+                }
+                E::Overflow => s.count("overflow_fallbacks", at),
+                E::Batch => s.count("batches", at),
+                E::CacheHit => s.count("cache_hits", at),
+                E::CacheMiss => s.count("cache_misses", at),
+                E::FaultRedispatch => s.count("fault_redispatches", at),
+                // A batch of cache hits pumps an empty burst: nothing to sample.
+                E::WireBurst(0) => {}
+                E::WireBurst(n) => {
+                    s.add("nvme_commands", at, n as f64);
+                    s.gauge("nvme_wire", at, n as f64);
+                }
+                E::Done(r, start, _, path) => {
+                    let e2e = at.saturating_duration_since(r.arrival).as_nanos();
+                    let wait = start.saturating_duration_since(r.arrival).as_nanos();
+                    s.count("completed", at);
+                    s.latency("e2e_ns", at, e2e);
+                    s.latency("queue_wait_ns", at, wait);
+                    s.served(at, e2e);
+                    let busy = match path {
+                        ServePath::Embedded => "ssd_busy_ns",
+                        ServePath::Host => "host_busy_ns",
+                        ServePath::CacheHit => "cache_busy_ns",
+                    };
+                    s.span(busy, start, at);
+                }
+            }
+        }
+        let t = &self.tracer;
+        match ev {
+            E::Shed => t.instant(TraceLayer::Host, SERVE_TRACK, "shed", at),
+            E::Overflow => t.instant(TraceLayer::Host, SERVE_TRACK, "admit-overflow", at),
+            E::Failed => t.instant(TraceLayer::Host, SERVE_TRACK, "request-failed", at),
+            E::Done(r, start, objects, _) => {
+                let (arrival, bytes) = (r.arrival, objects.bytes);
+                t.span(TraceLayer::Host, SERVE_TRACK, "queue-wait", arrival, start);
+                t.span_bytes(TraceLayer::Host, SERVE_TRACK, "request", start, at, bytes);
+            }
+            E::Offered(_) | E::Admitted | E::Batch | E::CacheHit | E::CacheMiss => {}
+            E::FaultRedispatch | E::WireBurst(_) => {}
         }
     }
 }
@@ -452,7 +566,7 @@ impl System {
         // Conservation: serving closes every instance it opens, and so
         // returns exactly the controller DRAM those instances reserved.
         let dram_base = self.mssd.dev.dram_used();
-        let (mut st, mut ctx) = self.begin_serve(apps, cfg, reqs.len() as u64);
+        let (mut st, mut ctx) = self.begin_serve(apps, cfg);
         // Per-run cache view: counters are lifetime totals (the cache
         // survives across runs so warmed state carries over), so the
         // report subtracts this snapshot.
@@ -470,32 +584,12 @@ impl System {
             if st.queued > 0 {
                 self.drain_due(&mut st, &mut ctx, r.arrival)?;
             }
-            if let Some(s) = st.sampler.as_mut() {
-                s.count("offered", r.arrival);
-                s.gauge("queue_depth", r.arrival, st.queued as f64);
-            }
+            st.note(r.arrival, ServeEvent::Offered(st.queued));
             if st.queued >= cfg.depth {
                 match cfg.policy {
-                    ServePolicy::Shed => {
-                        st.rep.shed += 1;
-                        if let Some(s) = st.sampler.as_mut() {
-                            s.count("shed", r.arrival);
-                            s.lost(r.arrival);
-                        }
-                        self.tracer
-                            .instant(TraceLayer::Host, SERVE_TRACK, "shed", r.arrival);
-                    }
+                    ServePolicy::Shed => st.note(r.arrival, ServeEvent::Shed),
                     ServePolicy::HostFallback => {
-                        st.rep.overflow_fallbacks += 1;
-                        if let Some(s) = st.sampler.as_mut() {
-                            s.count("overflow_fallbacks", r.arrival);
-                        }
-                        self.tracer.instant(
-                            TraceLayer::Host,
-                            SERVE_TRACK,
-                            "admit-overflow",
-                            r.arrival,
-                        );
+                        st.note(r.arrival, ServeEvent::Overflow);
                         let mut wire = std::mem::take(&mut st.wire_scratch);
                         wire.clear();
                         self.host_service(&mut st, &ctx.apps[r.app], r, r.arrival, &mut wire)?;
@@ -506,10 +600,7 @@ impl System {
             } else {
                 st.pending[r.app].push_back(r);
                 st.queued += 1;
-                st.rep.admitted += 1;
-                if let Some(s) = st.sampler.as_mut() {
-                    s.count("admitted", r.arrival);
-                }
+                st.note(r.arrival, ServeEvent::Admitted);
             }
         }
         // The arrival window closed; serve out the queue.
@@ -594,7 +685,6 @@ impl System {
         &mut self,
         apps: &'a [AppSpec],
         cfg: &'a ServeConfig,
-        offered: u64,
     ) -> (ServeState, ServeCtx<'a>) {
         self.reset_timing();
         let bar = match cfg.mode {
@@ -620,13 +710,11 @@ impl System {
             pending: vec![VecDeque::new(); apps.len()],
             next_free: vec![SimTime::ZERO; apps.len()],
             queued: 0,
-            rep: ServeReport {
-                offered,
-                ..ServeReport::empty(cfg.mode, cfg.policy, cfg.rps, cfg.duration_s)
-            },
+            rep: ServeReport::empty(cfg.mode, cfg.policy, cfg.rps, cfg.duration_s),
             obj_bytes: 0,
             makespan: SimTime::ZERO,
             sampler: cfg.telemetry.as_ref().map(TelemetrySampler::new),
+            tracer: self.tracer.clone(),
             wire_scratch: Vec::new(),
             batch_scratch: Vec::new(),
             cmds_scratch: Vec::new(),
@@ -703,10 +791,7 @@ impl System {
         batch: &[Request],
         at: SimTime,
     ) -> Result<(), RunError> {
-        st.rep.batches += 1;
-        if let Some(s) = st.sampler.as_mut() {
-            s.count("batches", at);
-        }
+        st.note(at, ServeEvent::Batch);
         let spec = &ctx.apps[app];
         let mut wire = std::mem::take(&mut st.wire_scratch);
         wire.clear();
@@ -756,14 +841,7 @@ impl System {
         let floor = match self.issue_with_timeouts(start, start) {
             Ok(f) => f,
             Err((at, _attempts)) => {
-                st.rep.failed += 1;
-                if let Some(s) = st.sampler.as_mut() {
-                    s.count("failed", at);
-                    s.lost(at);
-                }
-                self.tracer
-                    .instant(TraceLayer::Host, SERVE_TRACK, "request-failed", at);
-                st.makespan = st.makespan.max(at);
+                st.note(at, ServeEvent::Failed);
                 return Ok(at);
             }
         };
@@ -783,7 +861,7 @@ impl System {
         // its objects are handed to the application.
         let freed = self.dram.allocated().saturating_sub(dram_before);
         self.dram.free(freed);
-        self.record_done(st, r, start, end, objects, ServePath::Host);
+        st.note(end, ServeEvent::Done(r, start, objects, ServePath::Host));
         Ok(end)
     }
 
@@ -810,33 +888,20 @@ impl System {
     ) -> Result<SimTime, RunError> {
         let (spec, digest) = (tenant.spec, tenant.digest);
         if let Some(c) = self.object_cache.as_mut() {
-            let probed = c.lookup(&spec.name, &spec.input, digest);
-            match probed {
+            match c.lookup(&spec.name, &spec.input, digest, start) {
                 Some(hit) => {
-                    let what = match hit.tier {
-                        CacheTier::Dram => "hit-dram",
-                        CacheTier::Host => "hit-host",
-                    };
-                    self.tracer
-                        .instant(TraceLayer::Ssd, CACHE_TRACK, what, start);
-                    if let Some(s) = st.sampler.as_mut() {
-                        s.count("cache_hits", start);
-                    }
-                    self.emit_cache_events(start);
+                    st.note(start, ServeEvent::CacheHit);
                     let dram_before = self.dram.allocated();
                     let end = self.cache_delivery(&hit, start, bar)?;
                     let freed = self.dram.allocated().saturating_sub(dram_before);
                     self.dram.free(freed);
-                    self.record_done(st, r, start, end, hit.objects, ServePath::CacheHit);
+                    st.note(
+                        end,
+                        ServeEvent::Done(r, start, hit.objects, ServePath::CacheHit),
+                    );
                     return Ok(end);
                 }
-                None => {
-                    self.tracer
-                        .instant(TraceLayer::Ssd, CACHE_TRACK, "miss", start);
-                    if let Some(s) = st.sampler.as_mut() {
-                        s.count("cache_misses", start);
-                    }
-                }
+                None => st.note(start, ServeEvent::CacheMiss),
             }
         }
         let dram_before = self.dram.allocated();
@@ -844,10 +909,12 @@ impl System {
             Ok((end, objects)) => {
                 let freed = self.dram.allocated().saturating_sub(dram_before);
                 self.dram.free(freed);
-                self.record_done(st, r, start, end, objects, ServePath::Embedded);
+                st.note(
+                    end,
+                    ServeEvent::Done(r, start, objects, ServePath::Embedded),
+                );
                 if let Some(c) = self.object_cache.as_mut() {
-                    c.admit(&spec.name, &spec.input, digest, objects);
-                    self.emit_cache_events(end);
+                    c.admit(&spec.name, &spec.input, digest, objects, end);
                 }
                 Ok(end)
             }
@@ -858,17 +925,15 @@ impl System {
                 status,
                 cause,
             }) => {
-                st.rep.fault_redispatches += 1;
-                if let Some(s) = st.sampler.as_mut() {
-                    s.count("fault_redispatches", at);
-                }
+                st.note(at, ServeEvent::FaultRedispatch);
                 let reap = self.reap_fallback(SERVE_TRACK, at, iid, cause);
                 wire.push((reap, status, 0));
                 // Return any partial output the aborted stream delivered.
                 let freed = self.dram.allocated().saturating_sub(dram_before);
                 self.dram.free(freed);
-                // Latency accounting keeps the original service start: the
-                // time lost to the fault is part of this request's story.
+                // The host run starts at detection: the failed drive
+                // attempt is booked as this request's queue wait, and its
+                // host busy span starts at `at`.
                 let end = self.host_service(st, spec, r, at, wire)?;
                 Ok(end.max(start))
             }
@@ -923,55 +988,6 @@ impl System {
         Ok((end.wakeup.end, end.digest))
     }
 
-    /// Books one completed request: counters, latency histograms, trace,
-    /// and — when sampling — the telemetry window holding its completion
-    /// (exact SLO good/bad classification plus path-attributed occupancy).
-    fn record_done(
-        &mut self,
-        st: &mut ServeState,
-        r: Request,
-        service_start: SimTime,
-        end: SimTime,
-        objects: ObjectDigest,
-        path: ServePath,
-    ) {
-        st.rep.completed += 1;
-        st.rep.records += objects.records;
-        let ck = objects.checksum;
-        st.rep.checksum = st.rep.checksum.rotate_left(1) ^ ck;
-        st.rep.checksum_unordered = st.rep.checksum_unordered.wrapping_add(ck);
-        st.obj_bytes += objects.bytes;
-        let wait = service_start.saturating_duration_since(r.arrival);
-        let service = end.saturating_duration_since(service_start);
-        let e2e = end.saturating_duration_since(r.arrival);
-        st.rep.queue_wait_ns.record(wait.as_nanos());
-        st.rep.service_ns.record(service.as_nanos());
-        st.rep.e2e_ns.record(e2e.as_nanos());
-        st.makespan = st.makespan.max(end);
-        if let Some(s) = st.sampler.as_mut() {
-            s.count("completed", end);
-            s.latency("e2e_ns", end, e2e.as_nanos());
-            s.latency("queue_wait_ns", end, wait.as_nanos());
-            s.served(end, e2e.as_nanos());
-            s.span(path.busy_series(), service_start, end);
-        }
-        self.tracer.span(
-            TraceLayer::Host,
-            SERVE_TRACK,
-            "queue-wait",
-            r.arrival,
-            service_start,
-        );
-        self.tracer.span_bytes(
-            TraceLayer::Host,
-            SERVE_TRACK,
-            "request",
-            service_start,
-            end,
-            objects.bytes,
-        );
-    }
-
     /// Times the delivery of a cache hit — the only cost a hit pays. A
     /// DRAM-tier hit is pushed by the controller over PCIe into host DRAM
     /// (or straight into the GPU BAR in P2P mode), exactly like the parse
@@ -1005,36 +1021,6 @@ impl System {
         Ok(self.command_wakeup(done).end)
     }
 
-    /// Drains the cache's state-change log into `cache`-track trace
-    /// instants anchored at `at` (zero-cost when tracing is disabled).
-    fn emit_cache_events(&mut self, at: SimTime) {
-        let Some(c) = self.object_cache.as_mut() else {
-            return;
-        };
-        let events = c.take_events();
-        if events.is_empty() {
-            return;
-        }
-        for ev in events {
-            let what = match ev {
-                CacheEvent::Admitted {
-                    tier: CacheTier::Dram,
-                    ..
-                } => "admit-dram",
-                CacheEvent::Admitted {
-                    tier: CacheTier::Host,
-                    ..
-                } => "admit-host",
-                CacheEvent::Rejected { .. } => "reject",
-                CacheEvent::Spilled { .. } => "spill",
-                CacheEvent::Evicted { .. } => "evict",
-                CacheEvent::Promoted { .. } => "promote",
-                CacheEvent::Invalidated { .. } => "invalidate",
-            };
-            self.tracer.instant(TraceLayer::Ssd, CACHE_TRACK, what, at);
-        }
-    }
-
     /// Pushes one batch's commands through the tenant's own submission
     /// queue in doorbell-coalesced waves: each wave fills the free ring
     /// slots with a single tail-doorbell MMIO
@@ -1049,12 +1035,7 @@ impl System {
         wire: &[WireCmd],
         at: SimTime,
     ) {
-        if let Some(s) = st.sampler.as_mut() {
-            if !wire.is_empty() {
-                s.add("nvme_commands", at, wire.len() as f64);
-                s.gauge("nvme_wire", at, wire.len() as f64);
-            }
-        }
+        st.note(at, ServeEvent::WireBurst(wire.len()));
         let qp = ctx
             .admin
             .io_queue(FIRST_TENANT_QID + app as u16)
@@ -1082,7 +1063,6 @@ impl System {
                 let e = qp.cq.reap().expect("completion just posted");
                 self.release_cid(e.cid);
             }
-            st.rep.commands += wave as u64;
             i += wave;
         }
         st.cmds_scratch = cmds;
@@ -1134,12 +1114,14 @@ mod tests {
     fn drain_due_with_an_empty_queue_touches_nothing() {
         // docs/PERF.md §b: the serve loop skips the dispatch scan while
         // the admission queue is empty. That is sound only if the scan is
-        // a no-op there: serve state, sampler and tracer stay untouched.
+        // a no-op there: serve state, sampler and tracer stay untouched. A
+        // tracer only appends, so an unchanged event count is an unchanged
+        // log.
         let (mut sys, specs) = serving_system(2, 200);
         sys.set_tracer(morpheus_simcore::Tracer::enabled());
         let mut cfg = quick_cfg(Mode::Morpheus);
         cfg.telemetry = Some(TelemetryConfig::new(SimDuration::from_micros(500)));
-        let (mut st, mut ctx) = sys.begin_serve(&specs, &cfg, 1);
+        let (mut st, mut ctx) = sys.begin_serve(&specs, &cfg);
         // Serve one request first, so the state checked is a used one.
         let arrival = SimTime::from_nanos(10_000);
         st.pending[1].push_back(Request { arrival, app: 1 });
@@ -1147,11 +1129,11 @@ mod tests {
         sys.drain_due(&mut st, &mut ctx, arrival).unwrap();
         assert_eq!((st.queued, st.rep.batches), (0, 1));
         assert!(st.sampler.is_some() && sys.tracer().recorded() > 0);
-        let before = (format!("{st:?}"), sys.tracer().snapshot());
+        let before = (format!("{st:?}"), sys.tracer().recorded());
         for up_to in [0, 10_000, 5_000_000, u64::MAX] {
             sys.drain_due(&mut st, &mut ctx, SimTime::from_nanos(up_to))
                 .unwrap();
-            let after = (format!("{st:?}"), sys.tracer().snapshot());
+            let after = (format!("{st:?}"), sys.tracer().recorded());
             assert_eq!(after, before, "drain_due up to {up_to} ns changed state");
         }
     }

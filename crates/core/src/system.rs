@@ -182,12 +182,15 @@ impl System {
     }
 
     /// Installs a trace handle across every layer of the platform (host,
-    /// NVMe, FTL, flash, StorageApp firmware, PCIe). Survives
-    /// [`reset_timing`](System::reset_timing), so enable it once and every
-    /// subsequent run records. Disabled by default at zero cost.
+    /// NVMe, FTL, flash, StorageApp firmware, PCIe, object cache).
+    /// Survives [`reset_timing`](System::reset_timing), so enable it once
+    /// and every subsequent run records. Disabled by default at zero cost.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.mssd.set_tracer(tracer.clone());
         self.fabric.set_tracer(tracer.clone());
+        if let Some(c) = self.object_cache.as_mut() {
+            c.set_tracer(tracer.clone());
+        }
         self.tracer = tracer;
     }
 
@@ -253,7 +256,9 @@ impl System {
                 .alloc(cfg.host_bytes)
                 .expect("object-cache host tier must fit host DRAM");
         }
-        self.object_cache = Some(ObjectCache::new(cfg));
+        let mut cache = ObjectCache::new(cfg);
+        cache.set_tracer(self.tracer.clone());
+        self.object_cache = Some(cache);
     }
 
     /// Uninstalls the object cache and returns its tier reservations.
@@ -278,22 +283,10 @@ impl System {
         // The deser-memo content digest is keyed by name and must never
         // survive a mutation of the underlying bytes.
         self.deser_digests.remove(file);
-        let Some(cache) = self.object_cache.as_mut() else {
-            return 0;
-        };
-        let n = cache.invalidate_file(file);
-        let events = cache.take_events();
-        let tracer = self.tracer.clone();
-        for _ in events {
-            // Mutation happens between timed runs; anchor at time zero.
-            tracer.instant(
-                morpheus_simcore::TraceLayer::Ssd,
-                "cache",
-                "invalidate",
-                morpheus_simcore::SimTime::ZERO,
-            );
-        }
-        n
+        // Mutation happens between timed runs; anchor at time zero.
+        self.object_cache
+            .as_mut()
+            .map_or(0, |c| c.invalidate_file(file, SimTime::ZERO))
     }
 
     /// Replaces a staged file's bytes (the file-mutation path; creates the
@@ -416,11 +409,6 @@ impl System {
     /// The fabric id of the SSD.
     pub fn ssd_device(&self) -> DeviceId {
         self.ssd_dev
-    }
-
-    /// The fabric id of the GPU.
-    pub fn gpu_device(&self) -> DeviceId {
-        self.gpu_dev
     }
 
     /// Rewinds every clock, counter, and occupancy to time zero while

@@ -55,11 +55,6 @@ impl PageData {
         Arc::ptr_eq(&a.0, &b.0)
     }
 
-    /// The shared allocation itself.
-    pub fn into_arc(self) -> Arc<[u8]> {
-        self.0
-    }
-
     /// An owned boxed copy of the payload. This is a full-payload copy and
     /// is counted by [`copy_audit`]; keep it off hot paths.
     pub fn to_boxed(&self) -> Box<[u8]> {

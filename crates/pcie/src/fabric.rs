@@ -365,11 +365,6 @@ impl Fabric {
         self.devices[id.0].bytes
     }
 
-    /// Busy time of a device's transmit link.
-    pub fn device_tx_busy(&self, id: DeviceId) -> SimDuration {
-        self.devices[id.0].tx.busy()
-    }
-
     /// Overrides the per-transfer hop latency.
     pub fn set_hop_latency(&mut self, latency: SimDuration) {
         self.hop_latency = latency;

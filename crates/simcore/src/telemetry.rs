@@ -259,11 +259,13 @@ struct GaugeAgg {
 }
 
 /// One window's raw folds (all commutative, so recording order is moot).
+/// Series are keyed by the `'static` names their callers pass, so
+/// recording allocates only when a window first sees a series.
 #[derive(Debug, Clone, Default)]
 struct Bucket {
-    counters: BTreeMap<String, f64>,
-    gauges: BTreeMap<String, GaugeAgg>,
-    hists: BTreeMap<String, Histogram>,
+    counters: BTreeMap<&'static str, f64>,
+    gauges: BTreeMap<&'static str, GaugeAgg>,
+    hists: BTreeMap<&'static str, Histogram>,
     /// Per-objective (good, bad) event counts.
     slo: Vec<(u64, u64)>,
 }
@@ -304,37 +306,34 @@ impl TelemetrySampler {
         at.as_nanos() / self.window.as_nanos()
     }
 
-    fn bucket(&mut self, at: SimTime) -> &mut Bucket {
-        let w = self.widx(at);
-        let n = self.slo.len();
-        self.buckets.entry(w).or_insert_with(|| Bucket {
-            slo: vec![(0, 0); n],
+    /// The bucket of window `w`, made on first use with one (good, bad)
+    /// slot per objective.
+    fn bucket_of(buckets: &mut BTreeMap<u64, Bucket>, w: u64, objectives: usize) -> &mut Bucket {
+        buckets.entry(w).or_insert_with(|| Bucket {
+            slo: vec![(0, 0); objectives],
             ..Bucket::default()
         })
     }
 
+    fn bucket(&mut self, at: SimTime) -> &mut Bucket {
+        let w = self.widx(at);
+        Self::bucket_of(&mut self.buckets, w, self.slo.len())
+    }
+
     /// Adds `v` to a windowed counter series at `at`.
-    pub fn add(&mut self, series: &str, at: SimTime, v: f64) {
-        *self
-            .bucket(at)
-            .counters
-            .entry(series.to_string())
-            .or_insert(0.0) += v;
+    pub fn add(&mut self, series: &'static str, at: SimTime, v: f64) {
+        *self.bucket(at).counters.entry(series).or_insert(0.0) += v;
     }
 
     /// Increments a windowed counter series at `at`.
-    pub fn count(&mut self, series: &str, at: SimTime) {
+    pub fn count(&mut self, series: &'static str, at: SimTime) {
         self.add(series, at, 1.0);
     }
 
     /// Samples a gauge (queue depth, ring occupancy) at `at`. The window
     /// reports its mean and max; a window with no samples reports 0.
-    pub fn gauge(&mut self, series: &str, at: SimTime, v: f64) {
-        let g = self
-            .bucket(at)
-            .gauges
-            .entry(series.to_string())
-            .or_default();
+    pub fn gauge(&mut self, series: &'static str, at: SimTime, v: f64) {
+        let g = self.bucket(at).gauges.entry(series).or_default();
         g.sum += v;
         g.n += 1;
         g.max = g.max.max(v);
@@ -343,19 +342,15 @@ impl TelemetrySampler {
     /// Records a latency sample into the window holding `at` (the window
     /// exports `_p50/_p95/_p99/_max/_count` columns and the run keeps a
     /// cumulative merge for histogram exposition).
-    pub fn latency(&mut self, series: &str, at: SimTime, ns: u64) {
-        self.bucket(at)
-            .hists
-            .entry(series.to_string())
-            .or_default()
-            .record(ns);
+    pub fn latency(&mut self, series: &'static str, at: SimTime, ns: u64) {
+        self.bucket(at).hists.entry(series).or_default().record(ns);
     }
 
     /// Attributes a busy span to a `*_busy_ns` counter, apportioned
     /// pro-rata across every window it overlaps. Windows derive a sibling
     /// `*_occ` occupancy column (busy ns per window ns; can exceed 1.0
     /// when parallel lanes overlap).
-    pub fn span(&mut self, series: &str, start: SimTime, end: SimTime) {
+    pub fn span(&mut self, series: &'static str, start: SimTime, end: SimTime) {
         let (s, e) = (start.as_nanos(), end.as_nanos());
         if e <= s {
             return;
@@ -379,9 +374,9 @@ impl TelemetrySampler {
     /// availability objectives, good for a latency objective iff `e2e_ns`
     /// is at or under its threshold.
     pub fn served(&mut self, at: SimTime, e2e_ns: u64) {
-        let slo = self.slo.clone();
-        let b = self.bucket(at);
-        for (i, o) in slo.iter().enumerate() {
+        let w = self.widx(at);
+        let b = Self::bucket_of(&mut self.buckets, w, self.slo.len());
+        for (i, o) in self.slo.iter().enumerate() {
             let good = match o.kind {
                 SloKind::Latency { threshold_ns } => e2e_ns <= threshold_ns,
                 SloKind::Availability => true,
@@ -398,9 +393,9 @@ impl TelemetrySampler {
     /// availability objectives, invisible to latency objectives (which
     /// judge only completed requests).
     pub fn lost(&mut self, at: SimTime) {
-        let slo = self.slo.clone();
-        let b = self.bucket(at);
-        for (i, o) in slo.iter().enumerate() {
+        let w = self.widx(at);
+        let b = Self::bucket_of(&mut self.buckets, w, self.slo.len());
+        for (i, o) in self.slo.iter().enumerate() {
             if o.kind == SloKind::Availability {
                 b.slo[i].1 += 1;
             }
@@ -428,7 +423,7 @@ impl TelemetrySampler {
 
         let mut windows = Vec::with_capacity(nwin as usize);
         let mut totals = Metrics::new();
-        let mut hists: BTreeMap<String, Histogram> = BTreeMap::new();
+        let mut hists: BTreeMap<&str, Histogram> = BTreeMap::new();
         for w in 0..nwin {
             let b = self.buckets.get(&w).unwrap_or(&empty);
             let mut m = Metrics::new();
@@ -448,7 +443,7 @@ impl TelemetrySampler {
             }
             for (k, h) in &b.hists {
                 h.export(k, &mut m);
-                hists.entry(k.clone()).or_default().merge(h);
+                hists.entry(k).or_default().merge(h);
             }
             if derives_rps {
                 m.set("rps", m.get("completed") / win_s);
@@ -479,7 +474,7 @@ impl TelemetrySampler {
             window_ns: win,
             windows,
             totals,
-            hists: hists.into_iter().collect(),
+            hists: hists.into_iter().map(|(k, h)| (k.to_string(), h)).collect(),
             slo,
         }
     }

@@ -145,11 +145,6 @@ impl SimDuration {
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
-
-    /// Multiplies the duration by an integer count.
-    pub fn mul_u64(self, n: u64) -> SimDuration {
-        SimDuration(self.0 * n)
-    }
 }
 
 impl Add<SimDuration> for SimTime {

@@ -91,8 +91,8 @@ impl Interval {
 /// is assigned to the unit that frees up earliest; the request starts no
 /// earlier than its `ready` time and no earlier than the unit is free.
 ///
-/// The timeline records total busy time per unit, the number of grants, and
-/// (optionally) every interval for trace dumps.
+/// The timeline records total busy time and the number of grants; the
+/// granted [`Interval`] is returned to the caller and not kept.
 ///
 /// [`acquire`]: Timeline::acquire
 #[derive(Debug, Clone)]
@@ -108,8 +108,6 @@ pub struct Timeline {
     free_heap: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, usize)>>,
     busy: SimDuration,
     grants: u64,
-    record: bool,
-    intervals: Vec<Interval>,
 }
 
 impl Timeline {
@@ -126,8 +124,6 @@ impl Timeline {
             free_heap: Self::fresh_heap(units),
             busy: SimDuration::ZERO,
             grants: 0,
-            record: false,
-            intervals: Vec::new(),
         }
     }
 
@@ -142,12 +138,6 @@ impl Timeline {
             .collect()
     }
 
-    /// Enables interval recording for trace dumps (off by default).
-    pub fn with_recording(mut self) -> Self {
-        self.record = true;
-        self
-    }
-
     /// The resource name.
     pub fn name(&self) -> &str {
         &self.name
@@ -158,26 +148,17 @@ impl Timeline {
         self.next_free.len()
     }
 
-    /// True if interval recording is enabled.
-    pub fn is_recording(&self) -> bool {
-        self.record
-    }
-
     /// Requests `service` time on the earliest-free unit, starting no
     /// earlier than `ready`. Zero-length requests are granted instantly at
     /// `ready` without occupying a unit (they count neither as busy time
-    /// nor as a grant, but are still recorded for trace dumps).
+    /// nor as a grant).
     pub fn acquire(&mut self, ready: SimTime, service: SimDuration) -> Interval {
         if service.is_zero() {
-            let iv = Interval {
+            return Interval {
                 start: ready,
                 end: ready,
                 unit: 0,
             };
-            if self.record {
-                self.intervals.push(iv);
-            }
-            return iv;
         }
         let unit = if self.next_free.len() == 1 {
             0
@@ -197,11 +178,7 @@ impl Timeline {
         }
         self.busy += service;
         self.grants += 1;
-        let iv = Interval { start, end, unit };
-        if self.record {
-            self.intervals.push(iv);
-        }
-        iv
+        Interval { start, end, unit }
     }
 
     /// Requests a transfer of `bytes` at rate `bw`.
@@ -238,20 +215,12 @@ impl Timeline {
         self.busy.as_secs_f64() / (end.as_secs_f64() * self.units() as f64)
     }
 
-    /// Recorded intervals (empty unless [`with_recording`] was used).
-    ///
-    /// [`with_recording`]: Timeline::with_recording
-    pub fn intervals(&self) -> &[Interval] {
-        &self.intervals
-    }
-
     /// Clears all state back to time zero, keeping configuration.
     pub fn reset(&mut self) {
         self.next_free.fill(SimTime::ZERO);
         self.free_heap = Self::fresh_heap(self.next_free.len());
         self.busy = SimDuration::ZERO;
         self.grants = 0;
-        self.intervals.clear();
     }
 }
 
@@ -328,22 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_service_is_recorded_when_recording() {
-        let mut t = Timeline::new("r", 1).with_recording();
-        assert!(t.is_recording());
-        t.acquire(at(5), SimDuration::ZERO);
-        assert_eq!(
-            t.intervals(),
-            [Interval {
-                start: at(5),
-                end: at(5),
-                unit: 0
-            }]
-        );
-        assert_eq!(t.grants(), 0, "instant grants stay free");
-    }
-
-    #[test]
     fn bandwidth_converts_bytes() {
         let bw = Bandwidth::from_mb_per_s(100.0);
         assert_eq!(bw.duration_for(100_000_000).as_secs_f64(), 1.0);
@@ -355,15 +308,6 @@ mod tests {
         let mut t = Timeline::new("r", 2);
         t.acquire(at(0), ns(10));
         assert!((t.utilization(at(10)) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn recording_captures_intervals() {
-        let mut t = Timeline::new("r", 1).with_recording();
-        t.acquire(at(0), ns(4));
-        t.acquire(at(0), ns(6));
-        assert_eq!(t.intervals().len(), 2);
-        assert_eq!(t.intervals()[1].start, at(4));
     }
 
     #[test]

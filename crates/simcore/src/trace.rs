@@ -225,7 +225,7 @@ impl TraceBuf {
 /// Internally events are slab-stored in interned form: the record path
 /// performs two string-table lookups and a 40-byte push, no allocation.
 /// The owned-`String` [`TraceEvent`]s the public API exposes are
-/// materialized lazily by [`take`](Tracer::take)/[`snapshot`](Tracer::snapshot).
+/// materialized lazily by [`take`](Tracer::take).
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
     inner: Option<Arc<Mutex<TraceBuf>>>,
@@ -388,20 +388,6 @@ impl Tracer {
             None => 0,
         }
     }
-
-    /// Copies the recorded events into a [`TraceLog`] without draining
-    /// them (empty if disabled). Used by telemetry reconstruction, which
-    /// must not steal the trace from the exporter.
-    pub fn snapshot(&self) -> TraceLog {
-        let events = match &self.inner {
-            Some(log) => {
-                let buf = log.lock().expect("tracer lock poisoned");
-                buf.events.iter().map(|e| buf.materialize(e)).collect()
-            }
-            None => Vec::new(),
-        };
-        TraceLog { events }
-    }
 }
 
 /// A completed run's events, ready for export or analysis.
@@ -411,7 +397,8 @@ pub struct TraceLog {
     pub events: Vec<TraceEvent>,
 }
 
-/// Aggregate of one `(layer, name)` event class (used by the diff tool).
+/// Aggregate of one `(layer, track, name)` event class (used by the diff
+/// tool).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceAggregate {
     /// Events of this class.
@@ -446,17 +433,6 @@ impl TraceLog {
             .map(TraceEvent::end_ns)
             .max()
             .unwrap_or(0)
-    }
-
-    /// Aggregates events per `(layer, name)` class.
-    pub fn aggregate(&self) -> BTreeMap<(TraceLayer, String), TraceAggregate> {
-        let mut out: BTreeMap<(TraceLayer, String), TraceAggregate> = BTreeMap::new();
-        for e in &self.events {
-            let a = out.entry((e.layer, e.name.clone())).or_default();
-            a.count += 1;
-            a.total_ns += e.dur_ns;
-        }
-        out
     }
 
     /// Aggregates events per `(layer, track, name)` class, so per-track
@@ -1094,7 +1070,7 @@ mod tests {
         let back = TraceLog::from_chrome_json(&json).expect("round trip");
         // Round trip preserves the multiset of events (order is canonical).
         assert_eq!(back.len(), log.len());
-        assert_eq!(back.aggregate(), log.aggregate());
+        assert_eq!(back.aggregate_tracks(), log.aggregate_tracks());
         let read = &back.events.iter().find(|e| e.name == "read").unwrap();
         assert_eq!(read.bytes, Some(8192));
         assert_eq!(read.start_ns, 100);
@@ -1135,19 +1111,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_sums_per_class() {
-        let t = Tracer::enabled();
-        t.span(TraceLayer::Flash, "ch0-cell", "read", at(0), at(10));
-        t.span(TraceLayer::Flash, "ch1-cell", "read", at(0), at(30));
-        t.span(TraceLayer::Pcie, "ssd-tx", "dma-host", at(0), at(5));
-        let agg = t.take().aggregate();
-        let read = agg[&(TraceLayer::Flash, "read".to_string())];
-        assert_eq!(read.count, 2);
-        assert_eq!(read.total_ns, 40);
-        assert_eq!(agg.len(), 2);
-    }
-
-    #[test]
     fn summary_shows_tracks_and_utilization() {
         let t = Tracer::enabled();
         t.span(TraceLayer::Flash, "ch0-cell", "read", at(0), at(50));
@@ -1173,16 +1136,6 @@ mod tests {
         assert!(d.contains("dma-p2p"), "{d}");
         assert!(d.contains("new"), "{d}");
         assert!(d.contains("TOTAL"), "{d}");
-    }
-
-    #[test]
-    fn snapshot_copies_without_draining() {
-        let t = Tracer::enabled();
-        t.span(TraceLayer::Host, "cpu", "parse", at(0), at(10));
-        let snap = t.snapshot();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(t.take().len(), 1, "snapshot must not drain the log");
-        assert!(Tracer::disabled().snapshot().is_empty());
     }
 
     #[test]
