@@ -17,12 +17,17 @@ fn bench_suite(c: &mut Criterion) {
     for jobs in [1usize, 4] {
         let h = Harness {
             scale: 4096,
-            seed: 42,
             jobs,
-            faults: None,
+            ..Harness::default()
         };
         g.bench_function(format!("suite_run_jobs_{jobs}"), |b| {
-            b.iter(|| black_box(h).suite_run().expect("fault-free run").apps.len())
+            b.iter(|| {
+                black_box(&h)
+                    .suite_run()
+                    .expect("fault-free run")
+                    .apps
+                    .len()
+            })
         });
     }
     g.finish();

@@ -75,7 +75,7 @@ fn main() {
     for rate in RATES {
         let hr = Harness {
             faults: plan_for(rate, fault_seed),
-            ..h
+            ..h.clone()
         };
         let outcomes = run_parallel(hr.jobs, &benches, |bench| {
             // A run may fail cleanly (reissue budget spent); it is
@@ -143,7 +143,7 @@ fn main() {
                 duration_s: 0.02,
                 harness: Harness {
                     faults: plan_for(rate, fault_seed),
-                    ..h
+                    ..h.clone()
                 },
                 fleet: fleet.clone(),
                 ..ServeArgs::default()

@@ -16,18 +16,20 @@ pub mod reports;
 
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use morpheus::{
     AppSpec, CacheConfig, CachePolicy, DeviceKill, Fleet, FleetConfig, FleetConfigError,
-    HealPolicy, Mode, PlacementPolicy, RollingUpdate, ServeConfig, ServePolicy, SloSpec,
-    StorageKind, System, SystemParams, TelemetryConfig, MAX_RPS, MAX_TENANTS,
+    HealPolicy, Mode, PlacementPolicy, ReplayStore, RollingUpdate, ServeConfig, ServePolicy,
+    SloSpec, StorageKind, System, SystemParams, TelemetryConfig, MAX_RPS, MAX_TENANTS,
 };
 use morpheus_format::{FieldKind, Schema, TextWriter};
 use morpheus_simcore::{FaultPlan, SimDuration, SplitMix64};
 use morpheus_workloads::{stage_input, suite, AppRuns, BenchError, Benchmark, SuiteRun};
 
-/// Command-line configuration shared by all figure binaries.
-#[derive(Debug, Clone, Copy)]
+/// Command-line configuration shared by all figure binaries, and the
+/// replay store every system and fleet it builds shares.
+#[derive(Debug, Clone)]
 pub struct Harness {
     /// Divisor applied to the paper's nominal input sizes.
     pub scale: u64,
@@ -38,6 +40,10 @@ pub struct Harness {
     /// Fault-injection plan (`--faults SPEC`), armed on every system the
     /// harness builds. `None` leaves every run fault-free.
     pub faults: Option<FaultPlan>,
+    /// The replay memo shared by every system and fleet the harness
+    /// builds (clones share it); `None` is memo-off
+    /// (`MORPHEUS_DESER_MEMO=0`).
+    pub replay: Option<Arc<ReplayStore>>,
 }
 
 impl Default for Harness {
@@ -47,7 +53,17 @@ impl Default for Harness {
             seed: 42,
             jobs: default_jobs(),
             faults: None,
+            replay: default_replay(),
         }
+    }
+}
+
+/// A fresh replay store, or none (memo-off, for A/B timing; the output is
+/// the same) when `MORPHEUS_DESER_MEMO` is `0`, `off` or `false`.
+fn default_replay() -> Option<Arc<ReplayStore>> {
+    match std::env::var("MORPHEUS_DESER_MEMO").as_deref() {
+        Ok("0" | "off" | "false") => None,
+        _ => Some(Arc::default()),
     }
 }
 
@@ -209,6 +225,29 @@ impl Harness {
         Ok(SuiteRun { apps })
     }
 
+    /// A fresh system from `params`, sharing the harness's replay store.
+    pub fn system(&self, params: SystemParams) -> System {
+        let mut sys = System::new(params);
+        sys.set_replay_store(self.replay.clone());
+        sys
+    }
+
+    /// A fresh paper-testbed fleet, sharing the harness's replay store.
+    pub fn fleet(&self, cfg: FleetConfig) -> Fleet {
+        let mut fleet = Fleet::new(SystemParams::paper_testbed(), cfg);
+        fleet.set_replay_store(self.replay.clone());
+        fleet
+    }
+
+    /// A fresh system built from `params` with `bytes` of `bench`'s input
+    /// staged, then the fault plan armed.
+    pub fn staged_system(&self, params: SystemParams, bench: &Benchmark, bytes: u64) -> System {
+        let mut sys = self.system(params);
+        stage_input(&mut sys, bench, bytes, self.seed).expect("staging benchmark input");
+        self.arm_faults(&mut sys);
+        sys
+    }
+
     /// A fresh paper-testbed system with this benchmark's input staged.
     pub fn app_system(&self, bench: &Benchmark) -> System {
         self.app_system_with(bench, StorageKind::NvmeSsd, None)
@@ -224,13 +263,10 @@ impl Harness {
     ) -> System {
         let mut params = SystemParams::paper_testbed();
         params.storage = storage;
-        let mut sys = System::new(params);
+        let mut sys = self.staged_system(params, bench, self.input_bytes(bench));
         if let Some(f) = freq_hz {
             sys.cpu.set_frequency(f);
         }
-        stage_input(&mut sys, bench, self.input_bytes(bench), self.seed)
-            .expect("staging benchmark input");
-        self.arm_faults(&mut sys);
         sys
     }
 
@@ -615,7 +651,7 @@ impl ServeArgs {
     /// plan armed and the object cache installed. A run without fleet
     /// flags is a fleet of one, which serves exactly like one `System`.
     pub fn build_fleet(&self) -> (Fleet, Vec<AppSpec>) {
-        let mut fleet = Fleet::new(SystemParams::paper_testbed(), self.fleet_config());
+        let mut fleet = self.harness.fleet(self.fleet_config());
         let specs = self.stage_tenants(&mut fleet);
         if let Some(plan) = self.harness.faults {
             fleet.set_fault_plan(plan);
@@ -1001,6 +1037,31 @@ mod tests {
     }
 
     #[test]
+    fn harness_systems_and_fleets_share_its_store() {
+        let h = Harness {
+            replay: Some(Arc::default()),
+            ..Harness::default()
+        };
+        let shared = h.replay.clone().unwrap();
+        let sys = h.app_system(&morpheus_workloads::suite()[9]);
+        assert!(Arc::ptr_eq(sys.replay_store().unwrap(), &shared));
+        let a = ServeArgs {
+            harness: h.clone(),
+            ..ServeArgs::default()
+        };
+        let (fleet, _) = a.build_fleet();
+        assert!(Arc::ptr_eq(
+            fleet.device(0).replay_store().unwrap(),
+            &shared
+        ));
+        let off = Harness { replay: None, ..h };
+        assert!(off
+            .system(SystemParams::paper_testbed())
+            .replay_store()
+            .is_none());
+    }
+
+    #[test]
     fn run_parallel_preserves_order() {
         let items: Vec<u64> = (0..100).collect();
         let seq: Vec<u64> = items.iter().map(|x| x * x).collect();
@@ -1022,9 +1083,8 @@ mod tests {
         // reported quantity, in any mode.
         let h = Harness {
             scale: 8192,
-            seed: 42,
             jobs: 1,
-            faults: None,
+            ..Harness::default()
         };
         let seq = h.suite_run().expect("fault-free run");
         let par = Harness { jobs: 4, ..h }

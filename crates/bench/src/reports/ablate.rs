@@ -16,10 +16,10 @@
 //!   drive's embedded cores.
 //! * `scale`   — input-size stability of the headline speedup ratio.
 
-use morpheus::{AppSpec, CoRunner, Mode, System, SystemParams};
+use morpheus::{AppSpec, CoRunner, Mode, SystemParams};
 use morpheus_format::{FieldKind, Schema, TextWriter};
 use morpheus_simcore::render_error_chain;
-use morpheus_workloads::{stage_input, suite, AppRuns, Benchmark};
+use morpheus_workloads::{suite, AppRuns, Benchmark};
 
 use super::{Evaluation, ReportError, Shown};
 use crate::{print_table, run_parallel, Harness};
@@ -37,10 +37,7 @@ fn speedups(
     bench: &Benchmark,
     bytes: u64,
 ) -> Result<[String; 2], ReportError> {
-    let mut sys = System::new(params);
-    stage_input(&mut sys, bench, bytes, h.seed).expect("staging benchmark input");
-    h.arm_faults(&mut sys);
-    let runs = AppRuns::run(&mut sys, bench, false)?;
+    let runs = AppRuns::run(&mut h.staged_system(params, bench, bytes), bench, false)?;
     Ok([runs.deser_speedup(), runs.total_speedup()].map(|s| format!("{s:.2}x")))
 }
 
@@ -124,7 +121,7 @@ pub fn ablate(e: &Evaluation, sweep: Option<&str>) -> Shown {
         let schema = Schema::new(vec![FieldKind::U32, FieldKind::U32]);
         let counts = [1usize, 2, 4, 8];
         let rows = sweep_rows(run_parallel(h.jobs, &counts, |n| {
-            let mut sys = System::new(SystemParams::paper_testbed());
+            let mut sys = h.system(SystemParams::paper_testbed());
             let mut specs = Vec::new();
             for i in 0..*n {
                 let file = format!("tenant{i}.txt");

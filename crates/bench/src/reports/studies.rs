@@ -1,7 +1,7 @@
 //! Studies beside the paper's figures: the §II microbenchmarks, the
 //! extensions §I sketches, and the key-value scan offload.
 
-use morpheus::{AppSpec, InputFormat, Mode, System, SystemParams};
+use morpheus::{AppSpec, InputFormat, Mode, SystemParams};
 use morpheus_format::{encode_binary, parse_buffer, CostModel, Endianness, FieldKind, Schema};
 use morpheus_host::{CodeClass, Cpu, CpuSpec};
 use morpheus_kvstore::{scan_conventional, scan_morpheus, synth_pairs, KvConfig, KvStore};
@@ -104,7 +104,7 @@ pub fn ext(e: &Evaluation) -> Shown {
     ];
     let mut rows = Vec::new();
     for (app, file, data, format) in cases {
-        let mut sys = System::new(SystemParams::paper_testbed());
+        let mut sys = h.system(SystemParams::paper_testbed());
         sys.create_input_file(file, data)?;
         h.arm_faults(&mut sys);
         let spec = AppSpec::cpu_app(app, file, schema.clone(), 1, 1300.0).with_input_format(format);
@@ -131,7 +131,7 @@ pub fn ext(e: &Evaluation) -> Shown {
     println!("(text floats hit the missing FPU; binary byte-swaps do not)\n");
 
     // --- serialization: objects -> text file on the drive ---
-    let mut sys = System::new(SystemParams::paper_testbed());
+    let mut sys = h.system(SystemParams::paper_testbed());
     h.arm_faults(&mut sys);
     let conv = sys.run_serialize(&objects, "ser_conv.txt", Mode::Conventional)?;
     let morp = sys.run_serialize(&objects, "ser_morph.txt", Mode::Morpheus)?;
@@ -164,8 +164,8 @@ pub fn ext(e: &Evaluation) -> Shown {
 /// never cross PCIe — and converges toward the conventional path as the
 /// range widens (everything must be shipped anyway). The sweep has a fixed
 /// size, so the harness flags change nothing.
-pub fn kv(_: &Evaluation) -> Shown {
-    let mut sys = System::new(SystemParams::paper_testbed());
+pub fn kv(e: &Evaluation) -> Shown {
+    let mut sys = e.harness.system(SystemParams::paper_testbed());
     let cfg = KvConfig {
         buckets: 4096,
         bucket_bytes: 4096,

@@ -42,7 +42,7 @@
 //! passes, through the cache's own [`Tracer`] handle.
 
 use morpheus_format::ObjectDigest;
-use morpheus_simcore::{SimTime, SplitMix64, TraceLayer, Tracer};
+use morpheus_simcore::{Fnv1a, SimTime, SplitMix64, TraceLayer, Tracer};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -331,19 +331,13 @@ impl FreqSketch {
 
 /// FNV-1a over the key's parts (stable, dependency-free).
 fn hash_key(key: &Key) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    eat(key.0.as_bytes());
-    eat(&[0]);
-    eat(key.1.as_bytes());
-    eat(&[0]);
-    eat(&key.2.to_le_bytes());
-    h
+    let mut h = Fnv1a::new();
+    h.bytes(key.0.as_bytes());
+    h.bytes(&[0]);
+    h.bytes(key.1.as_bytes());
+    h.bytes(&[0]);
+    h.bytes(&key.2.to_le_bytes());
+    h.value()
 }
 
 /// The tiered deserialized-object cache (see module docs for policy).
@@ -488,13 +482,13 @@ impl ObjectCache {
             self.trace("reject", at);
             return;
         };
-        if tier == CacheTier::Dram && !self.make_dram_room(bytes, Some(h), at) {
+        if tier == CacheTier::Dram && !self.make_dram_room(bytes, Some(h), None, at) {
             self.stats.rejected += 1;
             self.trace("reject", at);
             return;
         }
         if tier == CacheTier::Host {
-            self.make_host_room(bytes, at);
+            self.make_host_room(bytes, None, at);
         }
         match tier {
             CacheTier::Dram => self.stats.dram_bytes += bytes,
@@ -565,11 +559,11 @@ impl ObjectCache {
             .map(|(k, _)| k.clone())
     }
 
-    /// The LRU key of the host tier.
-    fn host_lru(&self) -> Option<Key> {
+    /// The LRU key of the host tier, other than `leaving`.
+    fn host_lru(&self, leaving: Option<&Key>) -> Option<Key> {
         self.entries
             .iter()
-            .filter(|(_, e)| e.tier == CacheTier::Host)
+            .filter(|(k, e)| e.tier == CacheTier::Host && Some(*k) != leaving)
             .min_by_key(|(k, e)| (e.last_used, (*k).clone()))
             .map(|(k, _)| k.clone())
     }
@@ -590,8 +584,15 @@ impl ObjectCache {
     /// (probation LRU first, then protected LRU) to the host tier. With
     /// the TinyLFU gate (`incoming` is the new key's hash), stops and
     /// reports failure if a victim's estimated frequency exceeds the
-    /// incoming key's — the newcomer has not earned the slot.
-    fn make_dram_room(&mut self, need: u64, incoming: Option<u64>, at: SimTime) -> bool {
+    /// incoming key's — the newcomer has not earned the slot. `leaving`
+    /// is a host-tier entry on its way up, never a spill's victim.
+    fn make_dram_room(
+        &mut self,
+        need: u64,
+        incoming: Option<u64>,
+        leaving: Option<&Key>,
+        at: SimTime,
+    ) -> bool {
         if need > self.cfg.dram_bytes {
             return false;
         }
@@ -606,15 +607,17 @@ impl ObjectCache {
                     }
                 }
             }
-            self.spill_to_host(&victim, at);
+            self.spill_to_host(&victim, leaving, at);
         }
         true
     }
 
-    /// Frees host-tier space for `need` bytes by dropping host LRUs.
-    fn make_host_room(&mut self, need: u64, at: SimTime) {
+    /// Frees host-tier space for `need` bytes by dropping host LRUs other
+    /// than `leaving`. Once `leaving` is the only host entry left, its
+    /// bytes make the room: they leave the tier as `need` arrives.
+    fn make_host_room(&mut self, need: u64, leaving: Option<&Key>, at: SimTime) {
         while self.stats.host_bytes + need > self.cfg.host_bytes {
-            let Some(victim) = self.host_lru() else {
+            let Some(victim) = self.host_lru(leaving) else {
                 return;
             };
             self.drop_entry(&victim);
@@ -624,8 +627,8 @@ impl ObjectCache {
     }
 
     /// Demotes a DRAM entry to the host tier (or drops it when the host
-    /// tier cannot hold it).
-    fn spill_to_host(&mut self, key: &Key, at: SimTime) {
+    /// tier cannot hold it), evicting any host entry but `leaving`.
+    fn spill_to_host(&mut self, key: &Key, leaving: Option<&Key>, at: SimTime) {
         let e = self.entries.get(key).expect("victim exists");
         let bytes = e.objects.bytes;
         if bytes > self.cfg.host_bytes {
@@ -634,7 +637,7 @@ impl ObjectCache {
             self.trace("evict", at);
             return;
         }
-        self.make_host_room(bytes, at);
+        self.make_host_room(bytes, leaving, at);
         let e = self.entries.get_mut(key).expect("victim exists");
         if e.protected {
             e.protected = false;
@@ -649,18 +652,24 @@ impl ObjectCache {
 
     /// On a host-tier hit, tries to move the entry back to DRAM (same
     /// gate as admission: LRU always, TinyLFU only when the entry beats
-    /// the would-be victim).
+    /// the would-be victim). The entry is never its own spill's victim,
+    /// so a full host tier makes the promotion a swap.
     fn try_promote(&mut self, key: &Key, h: u64, at: SimTime) {
         let bytes = self.entries.get(key).expect("hit entry").objects.bytes;
-        if bytes > self.cfg.dram_bytes || !self.make_dram_room(bytes, Some(h), at) {
+        if bytes > self.cfg.dram_bytes {
             return;
         }
-        // Making DRAM room can spill a victim onto the host tier, whose
-        // own eviction may pick this very entry. The hit was already
-        // served (the caller holds its digest); there is nothing to promote.
-        let Some(e) = self.entries.get_mut(key) else {
+        if !self.make_dram_room(bytes, Some(h), Some(key), at) {
+            // The gate stopped after a spill that counted on this entry's
+            // bytes leaving the host tier: it goes instead.
+            if self.stats.host_bytes > self.cfg.host_bytes {
+                self.drop_entry(key);
+                self.stats.evictions += 1;
+                self.trace("evict", at);
+            }
             return;
-        };
+        }
+        let e = self.entries.get_mut(key).expect("hit entry");
         e.tier = CacheTier::Dram;
         e.protected = false;
         self.stats.host_bytes -= bytes;
@@ -677,12 +686,7 @@ pub fn format_digest(spec: &crate::AppSpec) -> u64 {
     // `Debug` of a data-only enum/struct tree is stable for a fixed
     // compiler — and cache keys never cross process boundaries.
     let rendered = format!("{:?}|{:?}", spec.schema, spec.input_format);
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in rendered.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    Fnv1a::hash_bytes(rendered.as_bytes())
 }
 
 #[cfg(test)]
@@ -750,10 +754,12 @@ mod tests {
             c.lookup("a", "f0", 0, T0).expect("still cached").tier,
             CacheTier::Host
         ));
+        // The hit swapped f0 (back in DRAM) with f1 (now on the host).
+        assert_eq!((c.stats().spills, c.stats().promotions), (2, 1));
         c.admit("a", "f2", 2, obj(64, 2), T0);
-        // f1 spills; the host tier can only hold one, so its LRU drops.
+        // f0 spills; the host tier can only hold one, so its LRU drops.
         let s = c.stats();
-        assert_eq!(s.spills, 2);
+        assert_eq!(s.spills, 3);
         assert_eq!(s.evictions, 1);
         assert!(c.len() <= 2);
     }
@@ -923,5 +929,26 @@ mod tests {
         ];
         let want: Vec<(String, u64)> = want.iter().map(|&(n, t)| (n.to_string(), t)).collect();
         assert_eq!(seen, want);
+    }
+
+    #[test]
+    fn a_host_hit_into_full_tiers_promotes_as_a_swap() {
+        // Each tier holds one object. The host hit on f0 spills f1 into
+        // the full host tier, whose only entry is f0 itself, on its way up.
+        let bytes = obj(64, 0).bytes;
+        let mut c = cache(bytes + 8, bytes + 8, CachePolicy::Lru);
+        let tracer = Tracer::enabled();
+        c.set_tracer(tracer.clone());
+        c.admit("a", "f0", 0, obj(64, 0), T0);
+        c.admit("a", "f1", 1, obj(64, 1), T0);
+        tracer.take();
+        assert_eq!(c.lookup("a", "f0", 0, T0).unwrap().tier, CacheTier::Host);
+        let names: Vec<String> = tracer.take().events.into_iter().map(|e| e.name).collect();
+        assert_eq!(names, ["hit-host", "spill", "promote"]);
+        let st = c.stats();
+        assert_eq!((st.promotions, st.evictions), (1, 0));
+        assert_eq!((st.dram_bytes, st.host_bytes), (bytes, bytes));
+        assert_eq!(c.lookup("a", "f0", 0, T0).unwrap().tier, CacheTier::Dram);
+        assert_eq!(c.lookup("a", "f1", 1, T0).unwrap().tier, CacheTier::Host);
     }
 }

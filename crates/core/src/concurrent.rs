@@ -20,12 +20,13 @@
 //! serving gate the same commands at different floors
 //! (`docs/FAULT_MODEL.md`).
 //!
-//! Each engine owns its memo table (see `deser_memo`): building it looks
-//! a recording up, and finishing it publishes a new one. The host engine
-//! replays parse work itself; the device engine hands the firmware an
-//! `InstanceMemo` that says where each MREAD's costs and output come from.
+//! Each engine owns its table of the system's replay store (see
+//! `deser_memo`): building it looks a recording up, and finishing it
+//! publishes a new one. The host engine replays parse work itself; the
+//! device engine hands the firmware an `InstanceMemo` that says where each
+//! MREAD's costs and output come from.
 
-use crate::deser_memo::{self, HostReplay, MemoKey};
+use crate::deser_memo::{HostReplay, MemoKey, ReplayStore};
 use crate::exec::{AppSpec, InputFormat, RunError};
 use crate::firmware::{DeviceReplay, InstanceMemo};
 use crate::report::{mb_per_sec, Mode};
@@ -142,7 +143,8 @@ pub(crate) struct HostTenant {
     start: SimTime,
     cpu_ready: SimTime,
     source: ParseSource,
-    memo_key: Option<MemoKey>,
+    /// Where a live parse publishes its recording.
+    memo: Option<(MemoKey, Arc<ReplayStore>)>,
     /// The caller wants the columns back, not only their digest.
     keep_columns: bool,
 }
@@ -187,8 +189,8 @@ impl HostTenant {
         o.canonicalize();
         let digest = o.digest();
         let objects = self.keep_columns.then_some(o);
-        if let Some(key) = self.memo_key {
-            deser_memo::host_put(
+        if let Some((key, store)) = self.memo {
+            store.host_put(
                 key,
                 Arc::new(HostReplay {
                     per_chunk: recorded,
@@ -317,9 +319,10 @@ impl System {
             .open(&spec.input)
             .map_err(|_| RunError::UnknownFile(spec.input.clone()))?;
         let chunks = Self::file_chunks(meta, self.params.conventional_chunk_bytes);
-        let memo_key = self.host_memo_key(spec, &chunks);
-        let replay = memo_key
-            .and_then(deser_memo::host_get)
+        let memo = self.host_memo_key(spec, &chunks).zip(self.replay.clone());
+        let replay = memo
+            .as_ref()
+            .and_then(|(key, store)| store.host_get(*key))
             .filter(|r| !keep_columns || r.objects.is_some());
         if let Some(r) = &replay {
             assert_eq!(
@@ -346,7 +349,7 @@ impl System {
                     recorded: Vec::new(),
                 },
             },
-            memo_key,
+            memo,
             keep_columns,
         })
     }
@@ -373,7 +376,7 @@ impl System {
                 let w = parser.work();
                 let dw = w.since(last_work);
                 *last_work = w;
-                if h.memo_key.is_some() {
+                if h.memo.is_some() {
                     recorded.push(dw);
                 }
                 dw
@@ -482,7 +485,7 @@ impl System {
         let file_len = meta.len;
         let chunks = Self::file_chunks(meta, self.params.mread_chunk_bytes);
         let memo_key = self.device_memo_key(spec, &chunks);
-        let rec = memo_key.and_then(deser_memo::device_get);
+        let rec = memo_key.and_then(|key| self.replay.as_ref()?.device_get(key));
         let prefab = rec.as_ref().filter(|_| !keep_columns).map(|r| r.digest);
         let memo = match (memo_key, rec) {
             (_, Some(rec)) => InstanceMemo::Play { rec, next: 0 },
@@ -567,8 +570,8 @@ impl System {
                 (o.digest(), Some(o))
             }
         };
-        if let (Some(key), Some(rec)) = (t.memo_key, dein.recording) {
-            deser_memo::device_put(
+        if let (Some(key), Some(rec), Some(store)) = (t.memo_key, dein.recording, &self.replay) {
+            store.device_put(
                 key,
                 Arc::new(DeviceReplay {
                     cmds: rec.cmds,
@@ -803,9 +806,6 @@ mod tests {
 
     #[test]
     fn a_run_after_serving_upgrades_the_digest_only_memo_entry() {
-        if !deser_memo::enabled() {
-            return;
-        }
         let mut sys = System::new(SystemParams::paper_testbed());
         sys.create_input_file("up.txt", &edge_text(20_000, 0x5eed_00a1))
             .unwrap();
@@ -833,9 +833,6 @@ mod tests {
 
     #[test]
     fn a_device_lifecycle_publishes_its_recording_with_its_digest() {
-        if !deser_memo::enabled() {
-            return;
-        }
         let mut sys = System::new(SystemParams::paper_testbed());
         sys.create_input_file("pub.txt", &edge_text(20_000, 0x5eed_00b2))
             .unwrap();
@@ -846,7 +843,8 @@ mod tests {
         // The first run records the lifecycle and publishes it with the
         // digest of the objects it returned.
         let first = sys.run(&spec, Mode::Morpheus).unwrap();
-        let rec = deser_memo::device_get(key).expect("published at MDEINIT");
+        let store = sys.replay_store().unwrap().clone();
+        let rec = store.device_get(key).expect("published at MDEINIT");
         assert_eq!(rec.digest, first.objects.digest());
         // Serving and a second run replay that recording: neither
         // publishes another.
@@ -854,10 +852,10 @@ mod tests {
         cfg.mode = Mode::Morpheus;
         let rep = sys.serve(std::slice::from_ref(&spec), &cfg).unwrap();
         assert!(rep.completed > 0);
-        let after_serve = deser_memo::device_get(key).unwrap();
+        let after_serve = store.device_get(key).unwrap();
         assert!(Arc::ptr_eq(&rec, &after_serve));
         let second = sys.run(&spec, Mode::Morpheus).unwrap();
-        assert!(Arc::ptr_eq(&rec, &deser_memo::device_get(key).unwrap()));
+        assert!(Arc::ptr_eq(&rec, &store.device_get(key).unwrap()));
         assert_eq!(second.objects, first.objects);
         assert_eq!(
             format!("{:?}", second.report),

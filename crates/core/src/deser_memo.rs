@@ -1,99 +1,58 @@
-//! Cross-run record/replay memoization of deserialization work.
+//! Record/replay memoization of deserialization work, held in a
+//! [`ReplayStore`] value.
 //!
-//! A simulated deserialization spends most of its *wall-clock* time doing
-//! functional work whose result is fully determined by the input bytes:
-//! running the parser (host path) or the StorageApp chunk loop (device
-//! path). Design-space sweeps and benchmark suites re-run the same inputs
-//! under many configurations, so this module memoizes that functional work
-//! globally (process-wide) and replays it on later runs, while every
-//! *timing* decision — flash reads, core grants, DMA, spans — still
-//! executes live against the run's own timelines. Replayed runs are
-//! byte-identical to live runs by construction: the recorded values
+//! A simulated deserialization spends most of its *wall-clock* time on
+//! functional work fully determined by the input bytes: the parser (host
+//! path) or the StorageApp chunk loop (device path). Sweeps re-run the same
+//! inputs under many configurations, so a store records that work once and
+//! replays it, while every *timing* decision — flash reads, core grants,
+//! DMA, spans — still runs live against the run's own timelines. Replays
+//! are byte-identical to live runs by construction: the recorded values
 //! (per-page instruction counts, parse-work deltas, output bytes) are pure
 //! functions of the memo key.
 //!
-//! Keys fold every input that determines the recorded values: the file's
-//! content digest, the app's schema/format, the chunk geometry, and (for
-//! the device path) the drive configuration digest (SSD config,
-//! embedded-core cost model and page size), which each `MorpheusSsd`
-//! computes once at bring-up. Fault injection perturbs functional
-//! behavior, so keys are only issued on fault-free runs. Set
-//! `MORPHEUS_DESER_MEMO=0` to disable replay (used for A/B timing
-//! comparisons).
+//! A [`System`] holds its store as `Option<Arc<ReplayStore>>`:
+//! [`System::new`] makes a fresh one, `Fleet::try_new` shares one across
+//! its devices, and [`System::set_replay_store`] shares a store or, with
+//! `None`, turns the memo off. The library keeps no global table and reads
+//! no environment; the bench harness shares one store across everything it
+//! builds and maps `MORPHEUS_DESER_MEMO=0` onto `None`.
 //!
-//! There are two tables, each read by one engine constructor and written
-//! by one engine finish:
-//! - the device table holds whole StorageApp lifecycles
-//!   ([`DeviceReplay`]: per-page instruction counts, outputs, and the
-//!   objects' digest). `System::device_tenant` looks an entry up and hands
-//!   the firmware the instance's `InstanceMemo`; `System::finish_device`
-//!   publishes what a recording instance computed;
-//! - the host table holds host parses ([`HostReplay`]).
-//!   `System::conventional_tenant` looks an entry up; `HostTenant::finish`
-//!   publishes a live parse.
+//! Keys fold everything that shapes the recorded values: the file's
+//! content digest, the app's schema/format, the chunk geometry and, on the
+//! device path, the drive digest (SSD config, embedded-core cost model,
+//! page size) each `MorpheusSsd` computes once at bring-up. Fault injection
+//! perturbs functional behavior, so faulty runs get no key.
 //!
-//! Each table holds at most `MAX_ENTRIES` entries and evicts its oldest
-//! entry (first in, first out) to admit a new key, so a workload that
-//! touches more distinct inputs than that keeps replaying its recent ones.
-//! Recorded output bytes are shared (`Arc`), so a replayed MREAD or
-//! MDEINIT hands out the recording instead of copying it.
+//! A store has three tables:
+//! - device: whole StorageApp lifecycles ([`DeviceReplay`]), looked up by
+//!   `System::device_tenant` and published by `System::finish_device`;
+//! - host: host parses ([`HostReplay`]), looked up by
+//!   `System::conventional_tenant` and published by `HostTenant::finish`;
+//! - inputs: generated input text by exact (generator, bytes, seed)
+//!   ([`ReplayStore::generated_input`]).
+//!
+//! The device and host tables hold at most `MAX_ENTRIES` entries each and
+//! evict their oldest (first in, first out) to admit a new key; the input
+//! table stops admitting at `INPUT_ENTRIES`. Recorded output bytes are
+//! shared (`Arc`), so a replayed MREAD or MDEINIT hands out the recording.
 
 use crate::exec::AppSpec;
 use crate::firmware::DeviceReplay;
 use crate::system::ChunkIo;
 use crate::System;
 use morpheus_format::{CostModel, ObjectDigest, ParseWork, ParsedColumns};
+use morpheus_simcore::Fnv1a;
 use morpheus_ssd::Ssd;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::{self, Write as _};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A memo key: (content digest, configuration/geometry digest). Two
 /// independent 64-bit streams keep accidental collisions out of reach of
 /// any realistic sweep; an actual collision is caught by the replay-side
 /// geometry asserts.
 pub(crate) type MemoKey = (u64, u64);
-
-/// Streaming FNV-style digest, folding 8-byte lanes at a time.
-pub(crate) struct FnvStream(u64);
-
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-impl FnvStream {
-    pub(crate) fn new(seed: u64) -> Self {
-        FnvStream(seed)
-    }
-
-    /// Folds a byte slice. Lane alignment is part of the digest, so
-    /// callers streaming one logical buffer through several calls must
-    /// split only on 8-byte boundaries (file extents are LBA-sized, so
-    /// per-extent slices satisfy this).
-    pub(crate) fn bytes(&mut self, b: &[u8]) {
-        let mut chunks = b.chunks_exact(8);
-        for w in &mut chunks {
-            let v = u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
-            self.0 = (self.0 ^ v).wrapping_mul(FNV_PRIME);
-        }
-        for &byte in chunks.remainder() {
-            self.0 = (self.0 ^ byte as u64).wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(FNV_PRIME);
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Write for FnvStream {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.bytes(s.as_bytes());
-        Ok(())
-    }
-}
 
 /// A recorded host-side parse of one file: the per-chunk parse-work
 /// deltas (priced live against the run's own cost model) and the digest
@@ -107,33 +66,37 @@ pub(crate) struct HostReplay {
     pub objects: Option<ParsedColumns>,
 }
 
-/// Entry cap per table. Host entries recorded by [`System::run`] hold
-/// whole object columns, so the cap bounds memory; past it a table evicts
-/// its oldest entry to admit a new key.
+/// Entry cap of the device and host tables. Host entries recorded by
+/// [`System::run`] hold whole object columns, so the cap bounds memory;
+/// past it a table evicts its oldest entry to admit a new key.
 const MAX_ENTRIES: usize = 256;
 
-/// A memo table of at most `cap` entries. Admitting a new key into a full
-/// table evicts the oldest one (first in, first out); overwriting a key
-/// already present replaces its value in place, keeps its age and evicts
-/// nothing.
+/// Entry cap of the input table: a sweep touches a handful of (generator,
+/// size, seed) combinations, so the cap bounds memory rather than
+/// implement eviction.
+const INPUT_ENTRIES: usize = 64;
+
+/// A memo table of at most `MAX_ENTRIES` entries. Admitting a new key
+/// into a full table evicts the oldest one (first in, first out);
+/// overwriting a key already present replaces its value in place, keeps
+/// its age and evicts nothing.
 #[derive(Debug)]
 struct BoundedTable<V> {
     map: HashMap<MemoKey, V>,
     /// Keys in insertion order, oldest first.
     order: VecDeque<MemoKey>,
-    cap: usize,
 }
 
-impl<V: Clone> BoundedTable<V> {
-    fn new(cap: usize) -> Self {
-        assert!(cap > 0, "a memo table holds at least one entry");
+impl<V> Default for BoundedTable<V> {
+    fn default() -> Self {
         BoundedTable {
             map: HashMap::new(),
             order: VecDeque::new(),
-            cap,
         }
     }
+}
 
+impl<V: Clone> BoundedTable<V> {
     fn get(&self, key: MemoKey) -> Option<V> {
         self.map.get(&key).cloned()
     }
@@ -143,7 +106,7 @@ impl<V: Clone> BoundedTable<V> {
             *slot = value;
             return;
         }
-        if self.map.len() == self.cap {
+        if self.map.len() == MAX_ENTRIES {
             let oldest = self
                 .order
                 .pop_front()
@@ -152,52 +115,84 @@ impl<V: Clone> BoundedTable<V> {
         }
         self.order.push_back(key);
         self.map.insert(key, value);
-        debug_assert!(self.map.len() <= self.cap && self.order.len() == self.map.len());
-    }
-
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.map.len()
+        debug_assert!(self.map.len() <= MAX_ENTRIES && self.order.len() == self.map.len());
     }
 }
 
-type Table<V> = Mutex<BoundedTable<V>>;
+/// The input table's key: (generator name, target bytes, seed).
+type InputKey = (&'static str, u64, u64);
 
-fn device_table() -> &'static Table<Arc<DeviceReplay>> {
-    static T: OnceLock<Table<Arc<DeviceReplay>>> = OnceLock::new();
-    T.get_or_init(|| Mutex::new(BoundedTable::new(MAX_ENTRIES)))
+/// The replay memo: recorded device lifecycles, recorded host parses and
+/// generated inputs (see the module docs). Systems that share one (an
+/// `Arc`) replay each other's recordings; a replay is a pure function of
+/// its key, so sharing changes only how much work is redone, never an
+/// output. The tables lock independently, so parallel workers can share a
+/// store.
+#[derive(Default)]
+pub struct ReplayStore {
+    device: Mutex<BoundedTable<Arc<DeviceReplay>>>,
+    host: Mutex<BoundedTable<Arc<HostReplay>>>,
+    inputs: Mutex<HashMap<InputKey, Arc<Vec<u8>>>>,
 }
 
-fn host_table() -> &'static Table<Arc<HostReplay>> {
-    static T: OnceLock<Table<Arc<HostReplay>>> = OnceLock::new();
-    T.get_or_init(|| Mutex::new(BoundedTable::new(MAX_ENTRIES)))
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect("memo lock")
 }
 
-/// True unless `MORPHEUS_DESER_MEMO=0` (or `off`) is set.
-pub(crate) fn enabled() -> bool {
-    static E: OnceLock<bool> = OnceLock::new();
-    *E.get_or_init(|| {
-        !matches!(
-            std::env::var("MORPHEUS_DESER_MEMO").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        )
-    })
+impl ReplayStore {
+    pub(crate) fn device_get(&self, key: MemoKey) -> Option<Arc<DeviceReplay>> {
+        lock(&self.device).get(key)
+    }
+
+    pub(crate) fn device_put(&self, key: MemoKey, rec: Arc<DeviceReplay>) {
+        lock(&self.device).put(key, rec);
+    }
+
+    pub(crate) fn host_get(&self, key: MemoKey) -> Option<Arc<HostReplay>> {
+        lock(&self.host).get(key)
+    }
+
+    pub(crate) fn host_put(&self, key: MemoKey, rec: Arc<HostReplay>) {
+        lock(&self.host).put(key, rec);
+    }
+
+    /// The input `generate` makes for (`generator`, `bytes`, `seed`), made
+    /// once per store: generators are pure functions of those three, and a
+    /// suite sweep stages the same input onto every fresh [`System`], so
+    /// the text is formatted once and shared by `Arc` thereafter.
+    pub fn generated_input(
+        &self,
+        generator: &'static str,
+        bytes: u64,
+        seed: u64,
+        generate: impl FnOnce() -> Vec<u8>,
+    ) -> Arc<Vec<u8>> {
+        let key = (generator, bytes, seed);
+        if let Some(hit) = lock(&self.inputs).get(&key) {
+            return hit.clone();
+        }
+        // Generate outside the lock: a miss formats up to the harness's
+        // 48 MB size clamp, about 0.2 s of text at 4 ns a byte, and parallel
+        // workers staging different inputs must not serialize behind each
+        // other.
+        let data = Arc::new(generate());
+        let mut t = lock(&self.inputs);
+        if t.len() < INPUT_ENTRIES || t.contains_key(&key) {
+            t.insert(key, data.clone());
+        }
+        data
+    }
 }
 
-pub(crate) fn device_get(key: MemoKey) -> Option<Arc<DeviceReplay>> {
-    device_table().lock().expect("memo lock").get(key)
-}
-
-pub(crate) fn device_put(key: MemoKey, rec: Arc<DeviceReplay>) {
-    device_table().lock().expect("memo lock").put(key, rec);
-}
-
-pub(crate) fn host_get(key: MemoKey) -> Option<Arc<HostReplay>> {
-    host_table().lock().expect("memo lock").get(key)
-}
-
-pub(crate) fn host_put(key: MemoKey, rec: Arc<HostReplay>) {
-    host_table().lock().expect("memo lock").put(key, rec);
+impl fmt::Debug for ReplayStore {
+    /// Entry counts only: the recordings themselves are bulk data.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ReplayStore")
+            .field("device", &lock(&self.device).map.len())
+            .field("host", &lock(&self.host).map.len())
+            .field("inputs", &lock(&self.inputs).len())
+            .finish()
+    }
 }
 
 /// Digest of everything about a drive that shapes a StorageApp's
@@ -207,13 +202,26 @@ pub(crate) fn host_put(key: MemoKey, rec: Arc<HostReplay>) {
 /// `MorpheusSsd::drive_digest`); the Debug rendering folds every field,
 /// so adding a field cannot silently drop out of the key.
 pub(crate) fn drive_digest(dev: &Ssd, device_cost: &CostModel) -> u64 {
-    let mut s = FnvStream::new(0xcbf29ce4_84222325);
+    let mut s = Fnv1a::new();
     let _ = write!(s, "{device_cost:?}|{:?}", dev.config());
-    s.u64(dev.page_bytes());
-    s.finish()
+    s.word(dev.page_bytes());
+    s.value()
 }
 
 impl System {
+    /// The replay store this system records into and replays from;
+    /// `None` when the memo is off.
+    pub fn replay_store(&self) -> Option<&Arc<ReplayStore>> {
+        self.replay.as_ref()
+    }
+
+    /// Shares `store` with this system, or with `None` turns the memo off:
+    /// every later run deserializes live and records nothing. Outputs are
+    /// the same either way.
+    pub fn set_replay_store(&mut self, store: Option<Arc<ReplayStore>>) {
+        self.replay = store;
+    }
+
     /// Digest of a staged file's logical byte stream, cached per name.
     /// The cache is dropped by [`System::invalidate_cached_objects`], which
     /// every file-mutation path already calls. Returns `None` when the
@@ -223,7 +231,7 @@ impl System {
             return Some(d);
         }
         let meta = self.fs.open(name).ok()?.clone();
-        let mut s = FnvStream::new(0xcbf2_9ce4_8422_2325);
+        let mut s = Fnv1a::new();
         let mut remaining = meta.len;
         for e in &meta.extents {
             if remaining == 0 {
@@ -231,57 +239,58 @@ impl System {
             }
             let bytes = self.mssd.dev.read_range_untimed(e.slba, e.blocks).ok()?;
             let take = remaining.min(e.blocks * morpheus_nvme::LBA_BYTES) as usize;
-            s.bytes(&bytes[..take]);
+            // Extents are LBA-sized, so each slice starts on a lane.
+            s.lanes(&bytes[..take]);
             remaining -= take as u64;
         }
-        let d = s.finish();
+        let d = s.value();
         self.deser_digests.insert(name.to_string(), d);
         Some(d)
     }
 
     /// Memo key for a device-side (StorageApp) deserialization of `spec`
-    /// over `chunks`, or `None` when memoization is off or a fault plan is
+    /// over `chunks`, or `None` when the memo is off or a fault plan is
     /// armed (injected faults perturb functional behavior).
     pub(crate) fn device_memo_key(
         &mut self,
         spec: &AppSpec,
         chunks: &[ChunkIo],
     ) -> Option<MemoKey> {
-        if self.faults.is_some() || !enabled() {
+        if self.faults.is_some() || self.replay.is_none() {
             return None;
         }
         let content = self.content_digest(&spec.input)?;
-        let mut s = FnvStream::new(0x84222325_cbf29ce4);
+        let mut s = Fnv1a::with_basis(0x84222325_cbf29ce4);
         // Everything that shapes per-page instruction counts and outputs:
         // the app (schema + encoding + name) and the drive (cost table,
         // controller config, page size: one digest cached at bring-up).
         let _ = write!(s, "{:?}|{:?}|{}", spec.schema, spec.input_format, spec.name);
-        s.u64(self.mssd.drive_digest());
-        s.u64(chunks.len() as u64);
+        s.word(self.mssd.drive_digest());
+        s.word(chunks.len() as u64);
         for c in chunks {
-            s.u64(c.slba);
-            s.u64(c.blocks);
-            s.u64(c.valid_bytes);
+            s.word(c.slba);
+            s.word(c.blocks);
+            s.word(c.valid_bytes);
         }
-        Some((content, s.finish()))
+        Some((content, s.value()))
     }
 
     /// Memo key for a host-side parse of `spec` over `chunks` (the
     /// recorded parse-work deltas are platform-independent, so host cost
-    /// tables stay out of the key), or `None` when memoization is off or
-    /// a fault plan is armed.
+    /// tables stay out of the key), or `None` when the memo is off or a
+    /// fault plan is armed.
     pub(crate) fn host_memo_key(&mut self, spec: &AppSpec, chunks: &[ChunkIo]) -> Option<MemoKey> {
-        if self.faults.is_some() || !enabled() {
+        if self.faults.is_some() || self.replay.is_none() {
             return None;
         }
         let content = self.content_digest(&spec.input)?;
-        let mut s = FnvStream::new(0x9ce48422_2325cbf2);
+        let mut s = Fnv1a::with_basis(0x9ce48422_2325cbf2);
         let _ = write!(s, "{:?}|{:?}", spec.schema, spec.input_format);
-        s.u64(chunks.len() as u64);
+        s.word(chunks.len() as u64);
         for c in chunks {
-            s.u64(c.valid_bytes);
+            s.word(c.valid_bytes);
         }
-        Some((content, s.finish()))
+        Some((content, s.value()))
     }
 }
 
@@ -290,28 +299,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lane_digest_is_stable_across_aligned_splits() {
-        let data: Vec<u8> = (0..1000u32).map(|i| (i * 7) as u8).collect();
-        let mut whole = FnvStream::new(1);
-        whole.bytes(&data);
-        let mut split = FnvStream::new(1);
-        split.bytes(&data[..512]);
-        split.bytes(&data[512..]);
-        assert_eq!(whole.finish(), split.finish());
-    }
-
-    #[test]
-    fn digest_distinguishes_close_inputs() {
-        let mut a = FnvStream::new(1);
-        a.bytes(b"1 2\n3 4\n");
-        let mut b = FnvStream::new(1);
-        b.bytes(b"1 2\n3 5\n");
-        assert_ne!(a.finish(), b.finish());
-    }
-
-    #[test]
     fn tables_cap_but_allow_overwrite() {
         // Overwriting an existing key never counts against the cap.
+        let store = ReplayStore::default();
         let k = (u64::MAX, u64::MAX);
         let d = |records| ObjectDigest {
             records,
@@ -320,7 +310,7 @@ mod tests {
         };
         // A digest-only host entry (what serving records) is upgraded in
         // place by one that carries columns (what `System::run` records).
-        host_put(
+        store.host_put(
             k,
             Arc::new(HostReplay {
                 per_chunk: vec![],
@@ -328,8 +318,8 @@ mod tests {
                 objects: None,
             }),
         );
-        assert!(host_get(k).unwrap().objects.is_none());
-        host_put(
+        assert!(store.host_get(k).unwrap().objects.is_none());
+        store.host_put(
             k,
             Arc::new(HostReplay {
                 per_chunk: vec![ParseWork::default()],
@@ -339,23 +329,22 @@ mod tests {
                 ]))),
             }),
         );
-        let upgraded = host_get(k).unwrap();
+        let upgraded = store.host_get(k).unwrap();
         assert_eq!(upgraded.per_chunk.len(), 1);
         assert!(upgraded.objects.is_some());
     }
 
     #[test]
     fn a_full_table_evicts_its_oldest_entries() {
-        // A local table: the process-global ones hold other tests' entries.
-        let mut t = BoundedTable::new(MAX_ENTRIES);
+        let mut t = BoundedTable::default();
         let k = 5u64;
         let n = MAX_ENTRIES as u64 + k;
         for i in 0..n {
             t.put((i, 1), i);
-            assert!(t.len() <= MAX_ENTRIES);
+            assert!(t.map.len() <= MAX_ENTRIES);
             assert_eq!(t.get((i, 1)), Some(i), "the newest entry is always kept");
         }
-        assert_eq!(t.len(), MAX_ENTRIES);
+        assert_eq!(t.map.len(), MAX_ENTRIES);
         for i in 0..k {
             assert_eq!(t.get((i, 1)), None, "oldest entry {i} evicted");
         }
@@ -366,13 +355,67 @@ mod tests {
         // nothing; the entry keeps its age, so the next new key evicts it.
         let oldest = (k, 1);
         t.put(oldest, 0);
-        assert_eq!(t.len(), MAX_ENTRIES);
+        assert_eq!(t.map.len(), MAX_ENTRIES);
         assert_eq!(t.get(oldest), Some(0));
         assert_eq!(t.get((k + 1, 1)), Some(k + 1));
         t.put((n, 1), n);
-        assert_eq!(t.len(), MAX_ENTRIES);
+        assert_eq!(t.map.len(), MAX_ENTRIES);
         assert_eq!(t.get(oldest), None);
         assert_eq!(t.get((k + 1, 1)), Some(k + 1));
+    }
+
+    #[test]
+    fn generated_inputs_are_made_once_per_exact_key_up_to_the_cap() {
+        let store = ReplayStore::default();
+        let made = std::cell::Cell::new(0);
+        let gen = |g, bytes, seed| {
+            store.generated_input(g, bytes, seed, || {
+                made.set(made.get() + 1);
+                vec![seed as u8; bytes as usize]
+            })
+        };
+        let a = gen("a", 4, 1);
+        assert!(Arc::ptr_eq(&a, &gen("a", 4, 1)), "a hit shares the bytes");
+        assert_eq!(made.get(), 1);
+        gen("a", 4, 2);
+        gen("a", 5, 1);
+        gen("b", 4, 1);
+        assert_eq!(made.get(), 4, "each key part is exact");
+        for seed in 10..10 + INPUT_ENTRIES as u64 {
+            gen("c", 1, seed);
+        }
+        assert_eq!(
+            lock(&store.inputs).len(),
+            INPUT_ENTRIES,
+            "a full table admits nothing"
+        );
+        let before = made.get();
+        assert_eq!(*gen("a", 4, 1), vec![1; 4], "admitted entries stay");
+        assert_eq!(made.get(), before);
+    }
+
+    #[test]
+    fn systems_own_distinct_stores_and_memo_off_makes_no_keys() {
+        let mut a = System::new(crate::SystemParams::paper_testbed());
+        let b = System::new(crate::SystemParams::paper_testbed());
+        let (sa, sb) = (a.replay_store().unwrap(), b.replay_store().unwrap());
+        assert!(!Arc::ptr_eq(sa, sb), "System::new makes a fresh store");
+        let shared = sb.clone();
+        a.set_replay_store(Some(shared.clone()));
+        assert!(Arc::ptr_eq(a.replay_store().unwrap(), &shared));
+        a.create_input_file("off.txt", b"1 2\n").unwrap();
+        let spec = AppSpec::cpu_app("off", "off.txt", key_schema(), 1, 1.0);
+        let meta = a.fs.open("off.txt").unwrap().clone();
+        let chunks = System::file_chunks(&meta, a.params.mread_chunk_bytes);
+        assert!(a.host_memo_key(&spec, &chunks).is_some());
+        a.set_replay_store(None);
+        assert!(a.replay_store().is_none());
+        assert!(a.host_memo_key(&spec, &chunks).is_none());
+        assert!(a.device_memo_key(&spec, &chunks).is_none());
+    }
+
+    fn key_schema() -> morpheus_format::Schema {
+        morpheus_format::Schema::new(vec![morpheus_format::FieldKind::U32; 2])
     }
 
     /// One edit to the testbed parameters.
@@ -382,13 +425,7 @@ mod tests {
     fn device_key(params: crate::SystemParams) -> MemoKey {
         let mut sys = System::new(params);
         sys.create_input_file("key.txt", b"1 2\n3 4\n").unwrap();
-        let spec = AppSpec::cpu_app(
-            "key",
-            "key.txt",
-            morpheus_format::Schema::new(vec![morpheus_format::FieldKind::U32; 2]),
-            1,
-            1.0,
-        );
+        let spec = AppSpec::cpu_app("key", "key.txt", key_schema(), 1, 1.0);
         let meta = sys.fs.open("key.txt").unwrap().clone();
         let chunks = System::file_chunks(&meta, sys.params.mread_chunk_bytes);
         sys.device_memo_key(&spec, &chunks)
@@ -397,9 +434,6 @@ mod tests {
 
     #[test]
     fn every_drive_parameter_reaches_the_device_key() {
-        if !enabled() {
-            return;
-        }
         let base = crate::SystemParams::paper_testbed;
         let key = device_key(base());
         assert_eq!(key, device_key(base()), "identical drives share keys");

@@ -25,13 +25,15 @@ use crate::cache::{CacheConfig, CacheStats};
 use crate::control::{ControlConfig, ControlPlan, ControlReport};
 use crate::exec::{AppSpec, RunError};
 use crate::serve::{offered_requests, validate_serve_cfg, Request, ServeConfig, ServeReport};
-use crate::{System, SystemParams};
+use crate::{ReplayStore, System, SystemParams};
 use morpheus_simcore::{
-    FaultPlan, Metrics, SimDuration, SimTime, TraceEvent, TraceEventKind, TraceLayer, Tracer,
+    FaultPlan, Fnv1a, Metrics, SimDuration, SimTime, SplitMix64, TraceEvent, TraceEventKind,
+    TraceLayer, Tracer,
 };
 use morpheus_ssd::SsdError;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// How the placement layer assigns tenants (and their input files) to
 /// devices. Every policy is a pure, seeded function of the app list —
@@ -242,25 +244,6 @@ pub struct Fleet {
     ctl_plan: Option<ControlPlan>,
 }
 
-/// FNV-1a over a file name, the stable half of the placement key.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// SplitMix64 finalizer: diffuses the (file hash ^ seed) key so nearby
-/// names don't land on nearby devices.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl Fleet {
     /// Builds `cfg.devices` identical Morpheus-SSD systems.
     ///
@@ -275,7 +258,9 @@ impl Fleet {
     }
 
     /// Builds the fleet, rejecting an inconsistent config with a typed
-    /// [`FleetConfigError`] instead of panicking.
+    /// [`FleetConfigError`] instead of panicking. The devices share one
+    /// fresh [`ReplayStore`]: every device stages the same files, so one
+    /// device's recordings replay on the others.
     ///
     /// # Errors
     ///
@@ -286,11 +271,21 @@ impl Fleet {
         let devices = (0..cfg.devices)
             .map(|_| System::new(params.clone()))
             .collect();
-        Ok(Fleet {
+        let mut fleet = Fleet {
             cfg,
             devices,
             ctl_plan: None,
-        })
+        };
+        fleet.set_replay_store(Some(Arc::default()));
+        Ok(fleet)
+    }
+
+    /// Shares `store` with every device, or with `None` turns the memo
+    /// off fleet-wide (see [`System::set_replay_store`]).
+    pub fn set_replay_store(&mut self, store: Option<Arc<ReplayStore>>) {
+        for d in &mut self.devices {
+            d.set_replay_store(store.clone());
+        }
     }
 
     /// The fleet configuration.
@@ -436,7 +431,12 @@ impl Fleet {
             PlacementPolicy::RoundRobin => (0..apps.len()).map(|i| cand[i % n as usize]).collect(),
             PlacementPolicy::HashByFile => apps
                 .iter()
-                .map(|a| cand[(mix(fnv1a(a.input.as_bytes()) ^ self.cfg.seed) % n) as usize])
+                .map(|a| {
+                    // The SplitMix64 finalizer diffuses the (file hash ^
+                    // seed) key so nearby names don't land on nearby devices.
+                    let key = Fnv1a::hash_bytes(a.input.as_bytes()) ^ self.cfg.seed;
+                    cand[(SplitMix64::new(key).next_u64() % n) as usize]
+                })
                 .collect(),
             PlacementPolicy::CapacityAware => {
                 // Greedy least-bytes-first over tenants in list order;
@@ -917,6 +917,18 @@ mod tests {
             Fleet::try_new(SystemParams::paper_testbed(), FleetConfig::new(0)).is_err(),
             "zero devices is a config error too"
         );
+    }
+
+    #[test]
+    fn devices_share_one_store_per_fleet() {
+        let a = Fleet::new(SystemParams::paper_testbed(), FleetConfig::new(3));
+        let b = Fleet::new(SystemParams::paper_testbed(), FleetConfig::new(1));
+        let store = |f: &Fleet, i: usize| f.device(i).replay_store().unwrap().clone();
+        assert!((1..3).all(|i| Arc::ptr_eq(&store(&a, 0), &store(&a, i))));
+        assert!(!Arc::ptr_eq(&store(&a, 0), &store(&b, 0)));
+        let mut a = a;
+        a.set_replay_store(None);
+        assert!((0..3).all(|i| a.device(i).replay_store().is_none()));
     }
 
     #[test]

@@ -90,6 +90,7 @@ pub use control::{
     IllegalTransition, Lifecycle, RollingUpdate, Transition, TransitionCounts, DEFAULT_DRAIN,
     DEFAULT_REBOOT, DEFAULT_UPDATE,
 };
+pub use deser_memo::ReplayStore;
 pub use exec::{AppSpec, GpuKernelPerRecord, InputFormat, ParallelModel, RunError, RunOutcome};
 pub use firmware::{MorpheusError, MorpheusSsd, MreadOutcome, MwriteOutcome};
 pub use fleet::{

@@ -2,7 +2,7 @@
 
 use crate::cache::{CacheConfig, CacheStats, ObjectCache};
 use crate::faults::FaultInjector;
-use crate::{MorpheusSsd, SystemParams};
+use crate::{MorpheusSsd, ReplayStore, SystemParams};
 use morpheus_flash::EccModel;
 use morpheus_gpu::Gpu;
 use morpheus_host::{CodeClass, Cpu, FileMeta, FsError, HostDram, MemBus, OsModel, SimFs};
@@ -12,6 +12,7 @@ use morpheus_simcore::{
     Bandwidth, FaultCounters, FaultPlan, Histogram, Interval, SimTime, Timeline, Tracer,
 };
 use morpheus_ssd::{Ssd, SsdError};
+use std::sync::Arc;
 
 /// One I/O command's worth of a file: an LBA range plus how many of its
 /// bytes are real file content.
@@ -135,10 +136,13 @@ pub struct System {
     /// Per-file content digests backing the deserialization memo keys
     /// (`deser_memo`); dropped whenever the file mutates.
     pub(crate) deser_digests: std::collections::HashMap<String, u64>,
+    /// The replay memo runs record into and replay from; `None` is
+    /// memo-off. See [`set_replay_store`](System::set_replay_store).
+    pub(crate) replay: Option<Arc<ReplayStore>>,
 }
 
 impl System {
-    /// Builds the platform.
+    /// Builds the platform, with a fresh [`ReplayStore`] of its own.
     pub fn new(params: SystemParams) -> Self {
         let ssd = Ssd::with_ecc(
             params.ssd,
@@ -177,6 +181,7 @@ impl System {
             media_overridden: false,
             object_cache: None,
             deser_digests: std::collections::HashMap::new(),
+            replay: Some(Arc::default()),
             params,
         }
     }

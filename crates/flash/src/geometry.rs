@@ -72,11 +72,6 @@ impl FlashGeometry {
         self.total_pages() / self.pages_per_block as u64
     }
 
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.total_pages() * self.page_bytes as u64
-    }
-
     /// Builds a physical page address from coordinates.
     ///
     /// # Panics
@@ -138,7 +133,6 @@ mod tests {
         let g = FlashGeometry::small();
         assert_eq!(g.total_pages(), 2 * 8 * 16);
         assert_eq!(g.total_blocks(), 2 * 8);
-        assert_eq!(g.capacity_bytes(), 2 * 8 * 16 * 4096);
     }
 
     #[test]

@@ -108,12 +108,6 @@ impl Cpu {
         let ips = self.spec.ipc(class) * self.freq_hz;
         SimDuration::from_secs_f64(instructions / ips)
     }
-
-    /// Instructions one core retires in `time` for the given class
-    /// (inverse of [`duration`](Cpu::duration), used by co-runner models).
-    pub fn instructions_in(&self, time: SimDuration, class: CodeClass) -> f64 {
-        self.spec.ipc(class) * self.freq_hz * time.as_secs_f64()
-    }
 }
 
 #[cfg(test)]
@@ -145,14 +139,6 @@ mod tests {
         let deser = cpu.duration(1e9, CodeClass::Deserialize);
         let kernel = cpu.duration(1e9, CodeClass::AppKernel);
         assert!(kernel < deser);
-    }
-
-    #[test]
-    fn instructions_in_inverts_duration() {
-        let cpu = Cpu::new(CpuSpec::xeon_quad());
-        let d = cpu.duration(3e8, CodeClass::OsKernel);
-        let i = cpu.instructions_in(d, CodeClass::OsKernel);
-        assert!((i - 3e8).abs() / 3e8 < 1e-6);
     }
 
     #[test]

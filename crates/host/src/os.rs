@@ -12,9 +12,6 @@
 //! switches, and page faults, and accumulates totals for the context-switch
 //! figures (Fig. 10).
 
-use crate::{CodeClass, Cpu};
-use morpheus_simcore::SimDuration;
-
 /// Cost parameters of the conventional I/O path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OsParams {
@@ -54,7 +51,7 @@ impl Default for OsParams {
 /// Cost of a batch of OS work, before conversion to time.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OsCost {
-    /// Kernel-mode instructions to execute (at [`CodeClass::OsKernel`] IPC).
+    /// Kernel-mode instructions to execute (at [`CodeClass::OsKernel`](crate::CodeClass::OsKernel) IPC).
     pub instructions: f64,
     /// `read()` calls issued.
     pub syscalls: u64,
@@ -135,11 +132,6 @@ impl OsModel {
         }
     }
 
-    /// Converts a cost to CPU time on the given CPU.
-    pub fn time_for(&self, cost: &OsCost, cpu: &Cpu) -> SimDuration {
-        cpu.duration(cost.instructions, CodeClass::OsKernel)
-    }
-
     /// Accumulated totals.
     pub fn accounting(&self) -> OsAccounting {
         self.acct
@@ -160,7 +152,6 @@ impl Default for OsModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CpuSpec;
 
     #[test]
     fn read_costs_scale_with_bytes() {
@@ -206,18 +197,6 @@ mod tests {
         assert!(a.context_switches >= 17);
         os.reset();
         assert_eq!(os.accounting(), OsAccounting::default());
-    }
-
-    #[test]
-    fn time_conversion_uses_os_ipc() {
-        let os = OsModel::default();
-        let cpu = Cpu::new(CpuSpec::xeon_quad());
-        let cost = OsCost {
-            instructions: 2.5e9,
-            ..OsCost::default()
-        };
-        // 2.5e9 instructions at IPC 1.0 and 2.5 GHz = 1 second.
-        assert_eq!(os.time_for(&cost, &cpu).as_secs_f64(), 1.0);
     }
 
     #[test]

@@ -107,7 +107,6 @@ impl Error for PcieError {}
 
 #[derive(Debug)]
 struct DeviceSlot {
-    name: String,
     link: LinkConfig,
     /// Data leaving the device (toward the switch).
     tx: Timeline,
@@ -177,16 +176,10 @@ impl Fabric {
         self.devices.push(DeviceSlot {
             tx: Timeline::new(format!("{name}-tx"), 1),
             rx: Timeline::new(format!("{name}-rx"), 1),
-            name,
             link,
             bytes: 0,
         });
         DeviceId(self.devices.len() - 1)
-    }
-
-    /// Device name.
-    pub fn device_name(&self, id: DeviceId) -> &str {
-        &self.devices[id.0].name
     }
 
     /// Maps a BAR window of `size` bytes for `device` and returns it.
@@ -210,11 +203,6 @@ impl Fabric {
         let win = BarWindow { base, size, device };
         self.bars.push(win);
         Ok(win)
-    }
-
-    /// Unmaps a previously mapped window. Unknown windows are ignored.
-    pub fn unmap_bar(&mut self, window: BarWindow) {
-        self.bars.retain(|w| w != &window);
     }
 
     /// Resolves a bus address exactly as the switch routes TLPs.
@@ -398,8 +386,6 @@ mod tests {
         assert_eq!(f.route(w.base), Target::Device(gpu));
         assert_eq!(f.route(w.base + 4095), Target::Device(gpu));
         assert_eq!(f.route(w.base + 4096), Target::Unmapped);
-        f.unmap_bar(w);
-        assert_eq!(f.route(w.base), Target::Unmapped);
     }
 
     #[test]
@@ -517,12 +503,5 @@ mod tests {
             base.as_nanos() * 4
         );
         assert_eq!(f.traffic().degraded_dmas, 1);
-    }
-
-    #[test]
-    fn device_names_kept() {
-        let (f, ssd, gpu) = fabric();
-        assert_eq!(f.device_name(ssd), "ssd");
-        assert_eq!(f.device_name(gpu), "gpu");
     }
 }

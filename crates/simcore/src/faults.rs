@@ -32,6 +32,7 @@
 
 use crate::rng::SplitMix64;
 use crate::time::SimDuration;
+use crate::Fnv1a;
 use std::fmt;
 
 /// Largest accepted `*-us` duration: one simulated hour, in µs. Larger
@@ -212,7 +213,7 @@ impl FaultPlan {
     /// of the site name, so sites are mutually independent and a site's
     /// stream does not depend on declaration order.
     pub fn stream(&self, site: &str) -> SplitMix64 {
-        SplitMix64::new(self.seed ^ fnv1a(site.as_bytes()))
+        SplitMix64::new(self.seed ^ Fnv1a::hash_bytes(site.as_bytes()))
     }
 
     /// A Bernoulli dice for one site at probability `prob`.
@@ -249,16 +250,6 @@ impl Default for FaultPlan {
     fn default() -> Self {
         Self::none()
     }
-}
-
-/// 64-bit FNV-1a over bytes (stable site-name hashing for fault streams).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// A per-site Bernoulli dice: one [`SplitMix64`] stream plus a fixed

@@ -10,6 +10,7 @@
 //! * [`Metrics`] — a small ordered metric bag used by reports.
 //! * [`SplitMix64`] — a tiny deterministic PRNG so lower-level crates do not
 //!   need the `rand` dependency.
+//! * [`Fnv1a`] — the one stable hash (byte, word and lane folds).
 //! * [`ArrivalProcess`] / [`Zipfian`] — a seeded Poisson stream of request
 //!   timestamps and a seeded Zipfian popularity distribution for open-loop
 //!   serving experiments.
@@ -39,6 +40,7 @@
 
 mod arrivals;
 mod faults;
+mod hash;
 mod metrics;
 mod rng;
 mod telemetry;
@@ -48,6 +50,7 @@ mod trace;
 
 pub use arrivals::{ArrivalProcess, ArrivalRateError, Zipfian};
 pub use faults::{render_error_chain, FaultCounters, FaultDice, FaultPlan};
+pub use hash::Fnv1a;
 pub use metrics::{Histogram, Metrics};
 pub use rng::SplitMix64;
 pub use telemetry::{

@@ -37,11 +37,6 @@ impl Metrics {
         self.values.insert(name.to_string(), v);
     }
 
-    /// Increments the named metric by one.
-    pub fn inc(&mut self, name: &str) {
-        self.add(name, 1.0);
-    }
-
     /// Reads a metric; missing metrics read as zero.
     pub fn get(&self, name: &str) -> f64 {
         self.values.get(name).copied().unwrap_or(0.0)
@@ -299,8 +294,8 @@ mod tests {
     #[test]
     fn iteration_is_sorted() {
         let mut m = Metrics::new();
-        m.inc("zeta");
-        m.inc("alpha");
+        m.add("zeta", 1.0);
+        m.add("alpha", 1.0);
         let names: Vec<_> = m.iter().map(|(k, _)| k.to_string()).collect();
         assert_eq!(names, ["alpha", "zeta"]);
     }

@@ -46,11 +46,6 @@ impl Bandwidth {
         self.bytes_per_sec
     }
 
-    /// The rate in megabytes per second.
-    pub fn mb_per_s(self) -> f64 {
-        self.bytes_per_sec / 1e6
-    }
-
     /// Time needed to move `bytes` at this rate.
     pub fn duration_for(self, bytes: u64) -> SimDuration {
         SimDuration::from_secs_f64(bytes as f64 / self.bytes_per_sec)
@@ -99,13 +94,6 @@ impl Interval {
 pub struct Timeline {
     name: String,
     next_free: Vec<SimTime>,
-    /// Earliest-free-unit index: one `(free_at, unit)` entry per unit,
-    /// kept in lock-step with `next_free` (each grant pops the minimum and
-    /// pushes the unit back with its new free time). Ordered by
-    /// `(free_at, unit)`, so ties go to the lowest unit index — the same
-    /// grant order the linear minimum scan produced. Empty (unused) for
-    /// single-unit timelines, which short-circuit to unit 0.
-    free_heap: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, usize)>>,
     busy: SimDuration,
     grants: u64,
 }
@@ -121,21 +109,9 @@ impl Timeline {
         Timeline {
             name: name.into(),
             next_free: vec![SimTime::ZERO; units],
-            free_heap: Self::fresh_heap(units),
             busy: SimDuration::ZERO,
             grants: 0,
         }
-    }
-
-    fn fresh_heap(
-        units: usize,
-    ) -> std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, usize)>> {
-        if units == 1 {
-            return std::collections::BinaryHeap::new();
-        }
-        (0..units)
-            .map(|i| std::cmp::Reverse((SimTime::ZERO, i)))
-            .collect()
     }
 
     /// The resource name.
@@ -148,10 +124,10 @@ impl Timeline {
         self.next_free.len()
     }
 
-    /// Requests `service` time on the earliest-free unit, starting no
-    /// earlier than `ready`. Zero-length requests are granted instantly at
-    /// `ready` without occupying a unit (they count neither as busy time
-    /// nor as a grant).
+    /// Requests `service` time on the earliest-free unit (the lowest index
+    /// among ties), starting no earlier than `ready`. Zero-length requests
+    /// are granted instantly at `ready` without occupying a unit (they
+    /// count neither as busy time nor as a grant).
     pub fn acquire(&mut self, ready: SimTime, service: SimDuration) -> Interval {
         if service.is_zero() {
             return Interval {
@@ -160,22 +136,16 @@ impl Timeline {
                 unit: 0,
             };
         }
-        let unit = if self.next_free.len() == 1 {
-            0
-        } else {
-            let std::cmp::Reverse((free_at, unit)) = self
-                .free_heap
-                .pop()
-                .expect("timeline has at least one unit");
-            debug_assert_eq!(free_at, self.next_free[unit], "free-heap out of sync");
-            unit
-        };
-        let start = ready.max(self.next_free[unit]);
+        // `min_by_key` keeps the first of equal minima.
+        let (unit, &free_at) = self
+            .next_free
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, t)| t)
+            .expect("timeline has at least one unit");
+        let start = ready.max(free_at);
         let end = start + service;
         self.next_free[unit] = end;
-        if self.next_free.len() > 1 {
-            self.free_heap.push(std::cmp::Reverse((end, unit)));
-        }
         self.busy += service;
         self.grants += 1;
         Interval { start, end, unit }
@@ -218,7 +188,6 @@ impl Timeline {
     /// Clears all state back to time zero, keeping configuration.
     pub fn reset(&mut self) {
         self.next_free.fill(SimTime::ZERO);
-        self.free_heap = Self::fresh_heap(self.next_free.len());
         self.busy = SimDuration::ZERO;
         self.grants = 0;
     }
@@ -264,8 +233,7 @@ mod tests {
 
     #[test]
     fn tied_units_grant_in_index_order() {
-        // The heap must reproduce the linear scan's tie-break: among units
-        // freeing at the same time, the lowest index wins.
+        // Among units freeing at the same time, the lowest index wins.
         let mut t = Timeline::new("r", 4);
         for round in 0..3 {
             for want in 0..4 {
@@ -300,7 +268,7 @@ mod tests {
     fn bandwidth_converts_bytes() {
         let bw = Bandwidth::from_mb_per_s(100.0);
         assert_eq!(bw.duration_for(100_000_000).as_secs_f64(), 1.0);
-        assert!((bw.scaled(2.0).mb_per_s() - 200.0).abs() < 1e-9);
+        assert!((bw.scaled(2.0).bytes_per_s() - 200e6).abs() < 1e-3);
     }
 
     #[test]

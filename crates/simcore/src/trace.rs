@@ -141,30 +141,9 @@ impl TraceEvent {
     }
 }
 
-/// FNV-1a, as a [`std::hash::Hasher`], for the intern table: track/name
-/// strings are a few bytes, where SipHash's setup cost dominates.
-struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> Self {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl std::hash::Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
-
-type FnvBuild = std::hash::BuildHasherDefault<FnvHasher>;
+/// FNV-1a builds the intern table's hashes: track/name strings are a few
+/// bytes, where SipHash's setup cost dominates.
+type FnvBuild = std::hash::BuildHasherDefault<crate::Fnv1a>;
 
 /// A recorded event in interned form: `track`/`name` are string-table ids,
 /// so recording allocates nothing in steady state. 40 bytes per event vs

@@ -4,7 +4,7 @@ use crate::{EmbeddedCorePool, SsdConfig, SsdError};
 use morpheus_flash::{FlashArray, FlashGeometry, FlashOp, FlashOpKind, FlashTiming, PageData};
 use morpheus_ftl::{Ftl, Lpn};
 use morpheus_nvme::LBA_BYTES;
-use morpheus_simcore::{Histogram, SimDuration, SimTime, Timeline, TraceLayer, Tracer};
+use morpheus_simcore::{Histogram, SimTime, Timeline, TraceLayer, Tracer};
 use std::borrow::Cow;
 
 /// A zero-copy view of one logical page served by the controller.
@@ -477,11 +477,6 @@ impl Ssd {
         }
     }
 
-    /// Total busy time across channel cell timelines (flash activity).
-    pub fn flash_busy(&self) -> SimDuration {
-        self.channel_cell.iter().map(Timeline::busy).sum()
-    }
-
     /// Reads a range without charging simulated time (used when another
     /// storage device is being modelled over the same stored bytes, or for
     /// functional verification).
@@ -643,14 +638,5 @@ mod tests {
         assert_eq!(s.write_commands, 1);
         assert_eq!(s.bytes_read, 512);
         assert_eq!(s.bytes_written, 512);
-    }
-
-    #[test]
-    fn flash_busy_grows_with_reads() {
-        let mut ssd = small_ssd();
-        ssd.load_at(0, &[5u8; 4096]).unwrap();
-        assert!(ssd.flash_busy().is_zero());
-        ssd.read_range(0, 8, SimTime::ZERO).unwrap();
-        assert!(!ssd.flash_busy().is_zero());
     }
 }

@@ -1,24 +1,25 @@
 //! Order-sensitive result digests for cross-mode verification.
 
-/// An FNV-1a style accumulator for kernel results.
+use morpheus_simcore::Fnv1a;
+
+/// A word-wise FNV-1a accumulator for kernel results.
 ///
 /// Floats are digested by their rounded fixed-point value so that digests
 /// are stable across algebraically identical evaluation orders within one
 /// kernel implementation (kernels themselves are deterministic; rounding
 /// just guards against printing noise in summaries).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Digest(u64);
+pub struct Digest(Fnv1a);
 
 impl Digest {
     /// A fresh digest.
     pub fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
+        Digest(Fnv1a::new())
     }
 
     /// Mixes a word.
     pub fn mix(&mut self, v: u64) {
-        self.0 ^= v;
-        self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        self.0.word(v);
     }
 
     /// Mixes a signed value.
@@ -33,7 +34,7 @@ impl Digest {
 
     /// The digest value.
     pub fn value(&self) -> u64 {
-        self.0
+        self.0.value()
     }
 }
 

@@ -1,4 +1,4 @@
-//! Scan-style kernels over a token stream: word count and grep.
+//! Scan-style kernels over a token stream: word count.
 
 use crate::kernels::sort::radix_sorted;
 use crate::kernels::KernelResult;
@@ -37,26 +37,6 @@ pub fn wordcount(objects: &ParsedColumns) -> KernelResult {
     }
 }
 
-/// Grep-style filter: counts values inside `[lo, hi]` and digests the
-/// matching positions.
-pub fn grep_range(objects: &ParsedColumns, lo: i64, hi: i64) -> KernelResult {
-    let vals = objects.columns[0]
-        .as_ints()
-        .expect("grep input is an integer column");
-    let mut d = Digest::new();
-    let mut matches = 0u64;
-    for (i, v) in vals.iter().enumerate() {
-        if (lo..=hi).contains(v) {
-            matches += 1;
-            d.mix(i as u64);
-        }
-    }
-    KernelResult {
-        digest: d.value(),
-        summary: format!("grep: {matches} of {} values in [{lo}, {hi}]", vals.len()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,13 +53,6 @@ mod tests {
         let r = wordcount(&p);
         assert!(r.summary.contains("2 distinct"));
         assert!(r.summary.contains("mode 7 x3"));
-    }
-
-    #[test]
-    fn grep_counts_range_hits() {
-        let p = ints(b"1\n5\n10\n15\n");
-        let r = grep_range(&p, 5, 10);
-        assert!(r.summary.contains("2 of 4"));
     }
 
     #[test]

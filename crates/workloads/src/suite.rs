@@ -5,9 +5,8 @@ use crate::{edge_list_text, int_list_text, matrix_text, points_text, sparse_coo_
 use morpheus::{AppSpec, Mode, RunError, RunReport, System};
 use morpheus_format::{FieldKind, ParsedColumns, Schema};
 use morpheus_ssd::SsdError;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// The benchmark suite an application came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -240,7 +239,10 @@ pub struct BenchOutcome {
 
 /// Generates and stages a benchmark's input on the system's SSD. If the
 /// file is already staged (same name), this is a no-op so several modes
-/// can run over one staged input.
+/// can run over one staged input. The text comes from the system's
+/// replay store when it has one
+/// ([`ReplayStore::generated_input`](morpheus::ReplayStore::generated_input)),
+/// so systems sharing a store format each input once.
 ///
 /// # Errors
 ///
@@ -254,36 +256,12 @@ pub fn stage_input(
     if sys.fs.open(&bench.input_name()).is_ok() {
         return Ok(());
     }
-    let data = generated_input(bench, target_bytes, seed);
+    let generate = || bench.generate(target_bytes, seed);
+    let data = match sys.replay_store() {
+        Some(store) => store.generated_input(bench.name, target_bytes, seed, generate),
+        None => Arc::new(generate()),
+    };
     sys.create_input_file(&bench.input_name(), &data)
-}
-
-/// Entry cap for the generated-input memo: a sweep touches a handful of
-/// (benchmark, size, seed) combinations, so the cap bounds memory rather
-/// than implement eviction.
-const GENERATED_CAP: usize = 64;
-
-/// The generator output for `(bench, target_bytes, seed)`, memoized
-/// process-wide: generators are pure functions of their arguments, and
-/// suite sweeps stage the same input onto every fresh [`System`], so the
-/// text is formatted once and shared by `Arc` thereafter.
-fn generated_input(bench: &Benchmark, target_bytes: u64, seed: u64) -> Arc<Vec<u8>> {
-    #[allow(clippy::type_complexity)]
-    static T: OnceLock<Mutex<HashMap<(&'static str, u64, u64), Arc<Vec<u8>>>>> = OnceLock::new();
-    let table = T.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = (bench.name, target_bytes, seed);
-    if let Some(hit) = table.lock().expect("input memo lock").get(&key) {
-        return hit.clone();
-    }
-    // Generate outside the lock: a miss formats up to the harness's 48 MB
-    // size clamp, about 0.2 s of text at 4 ns a byte, and parallel workers
-    // staging different benches must not serialize behind each other.
-    let data = Arc::new(bench.generate(target_bytes, seed));
-    let mut t = table.lock().expect("input memo lock");
-    if t.len() < GENERATED_CAP || t.contains_key(&key) {
-        t.insert(key, data.clone());
-    }
-    data
 }
 
 /// A failed run: the app, the mode, and the cause as its source.

@@ -2,8 +2,7 @@
 //! input encoding in every mode, and the deserialization memo's
 //! record/replay never shows, whatever order the calls run in.
 //!
-//! Each test stages salted content no other test stages, so the
-//! process-wide memo starts cold for it.
+//! Each test builds its own `System`, whose replay store starts cold.
 
 use morpheus::{AppSpec, InputFormat, Mode, ServeConfig, System, SystemParams};
 use morpheus_format::{

@@ -25,7 +25,7 @@ fn scorecard_holds_its_bands_at_2mb_inputs() {
         scale: 8192,
         seed: 42,
         jobs: 2,
-        faults: None,
+        ..Harness::default()
     };
     let run = h.suite_run().expect("fault-free suite run");
     let card = Scorecard::measure(&run);
