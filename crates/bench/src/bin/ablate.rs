@@ -7,7 +7,7 @@ use morpheus_bench::{exit_usage, parse_flags, value_of, Harness};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut h = Harness::default();
+    let mut h = Harness::from_env();
     let mut sweep = None;
     let parsed = parse_flags(&args, |flag, it| {
         if flag != "--sweep" {

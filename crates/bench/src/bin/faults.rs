@@ -45,9 +45,9 @@ fn plan_for(rate: f64, seed: u64) -> Option<FaultPlan> {
     Some(p)
 }
 
-/// The harness flags plus the fleet/control group, nothing else.
-fn parse(args: &[String]) -> Result<(Harness, FleetArgs), ArgError> {
-    let mut h = Harness::default();
+/// The harness flags over `h`, plus the fleet/control group, nothing
+/// else.
+fn parse(args: &[String], mut h: Harness) -> Result<(Harness, FleetArgs), ArgError> {
     let mut fleet = FleetArgs::default();
     parse_flags(args, |flag, it| {
         Ok(h.offer(flag, it)? || fleet.offer(flag, it)?)
@@ -62,7 +62,7 @@ fn main() {
     // parser applies flags left to right.
     let mut args: Vec<String> = vec!["--scale".into(), "4096".into()];
     args.extend(std::env::args().skip(1));
-    let (h, fleet) = parse(&args).unwrap_or_else(|e| {
+    let (h, fleet) = parse(&args, Harness::from_env()).unwrap_or_else(|e| {
         exit_usage(&e, &FleetArgs::usage(&format!("faults {}", Harness::USAGE)))
     });
     let fault_seed = h.faults.map(|p| p.seed).unwrap_or(1);

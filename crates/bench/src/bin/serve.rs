@@ -18,7 +18,7 @@
 
 use morpheus::{FleetReport, Mode, RunError};
 use morpheus_bench::{
-    exit_usage, parse_flags, print_table, run_parallel, value_of, ArgError, ServeArgs,
+    exit_usage, parse_flags, print_table, run_parallel, value_of, ArgError, Harness, ServeArgs,
 };
 use morpheus_simcore::{parse_duration, render_error_chain, SimDuration};
 
@@ -38,8 +38,9 @@ struct Cli {
     csv: bool,
 }
 
-/// The flag grammar, separated from process state so tests can drive it.
-fn parse(args: &[String]) -> Result<Cli, ArgError> {
+/// The flag grammar over `harness`, separated from process state so tests
+/// can drive it.
+fn parse(args: &[String], harness: Harness) -> Result<Cli, ArgError> {
     let mut cli = Cli {
         serve: ServeArgs::default(),
         trace_out: None,
@@ -48,6 +49,7 @@ fn parse(args: &[String]) -> Result<Cli, ArgError> {
         prom_out: None,
         csv: false,
     };
+    cli.serve.harness = harness;
     parse_flags(args, |flag, it| {
         if cli.serve.offer(flag, it)? || cli.serve.harness.offer_jobs(flag, it)? {
             return Ok(true);
@@ -126,7 +128,8 @@ fn run_cell(cli: &Cli, mode: Mode, rps: f64) -> Result<(FleetReport, Option<Stri
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let cli = parse(&argv).unwrap_or_else(|e| exit_usage(&e, &ServeArgs::usage(USAGE_HEAD)));
+    let cli = parse(&argv, Harness::from_env())
+        .unwrap_or_else(|e| exit_usage(&e, &ServeArgs::usage(USAGE_HEAD)));
 
     let args = &cli.serve;
     let engaged = args.fleet.engaged();
@@ -357,6 +360,11 @@ mod tests {
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The grammar over the defaults, as with no environment set.
+    fn parse(args: &[String]) -> Result<Cli, ArgError> {
+        super::parse(args, Harness::default())
     }
 
     /// One `--mode`, one `--rps`: the shape single-cell outputs need.

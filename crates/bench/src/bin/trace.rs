@@ -38,14 +38,14 @@ enum Cmd {
     },
 }
 
-/// The flag grammar, separated from process state so tests can drive it.
-fn parse(args: &[String]) -> Result<Cmd, ArgError> {
+/// The flag grammar over `harness`, separated from process state so tests
+/// can drive it.
+fn parse(args: &[String], mut harness: Harness) -> Result<Cmd, ArgError> {
     let mut app: Option<String> = None;
     let mut mode = Mode::Morpheus;
     let mut trace_out: Option<String> = None;
     let mut summary_width = 48usize;
     let mut diff: Option<(String, String)> = None;
-    let mut harness = Harness::default();
     parse_flags(args, |flag, it| {
         match flag {
             "--app" => app = Some(value_of(flag, it)?.clone()),
@@ -102,7 +102,7 @@ fn load_trace(path: &str) -> TraceLog {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = parse(&args).unwrap_or_else(|e| exit_usage(&e, USAGE));
+    let cmd = parse(&args, Harness::from_env()).unwrap_or_else(|e| exit_usage(&e, USAGE));
     match cmd {
         Cmd::Diff { a, b } => {
             let (la, lb) = (load_trace(&a), load_trace(&b));
@@ -185,6 +185,11 @@ mod tests {
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The grammar over the defaults, as with no environment set.
+    fn parse(args: &[String]) -> Result<Cmd, ArgError> {
+        super::parse(args, Harness::default())
     }
 
     #[test]

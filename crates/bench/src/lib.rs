@@ -47,33 +47,17 @@ pub struct Harness {
 }
 
 impl Default for Harness {
+    /// Scale 256, seed 42, one job, no faults and a fresh replay store.
+    /// Reads no environment: [`Harness::from_env`] does.
     fn default() -> Self {
         Harness {
             scale: 256,
             seed: 42,
-            jobs: default_jobs(),
+            jobs: 1,
             faults: None,
-            replay: default_replay(),
+            replay: Some(Arc::default()),
         }
     }
-}
-
-/// A fresh replay store, or none (memo-off, for A/B timing; the output is
-/// the same) when `MORPHEUS_DESER_MEMO` is `0`, `off` or `false`.
-fn default_replay() -> Option<Arc<ReplayStore>> {
-    match std::env::var("MORPHEUS_DESER_MEMO").as_deref() {
-        Ok("0" | "off" | "false") => None,
-        _ => Some(Arc::default()),
-    }
-}
-
-/// Default worker count: `MORPHEUS_JOBS` if set, else 1 (sequential).
-fn default_jobs() -> usize {
-    std::env::var("MORPHEUS_JOBS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|j| *j >= 1)
-        .unwrap_or(1)
 }
 
 /// Parse error for a command line (exit 2).
@@ -150,20 +134,44 @@ impl Harness {
     /// Usage text of the harness flags.
     pub const USAGE: &'static str = "[--scale N] [--seed N] [--jobs N] [--faults SPEC]";
 
-    /// Parses `--scale N`, `--seed N`, `--jobs N` and `--faults SPEC` from
-    /// the process arguments. Unknown flags and malformed values are fatal
-    /// (exit 2): a typo like `--sacle` silently running the default
-    /// configuration would poison recorded results.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::parse(&args).unwrap_or_else(|e| exit_usage(&e, &format!("usage: {}", Self::USAGE)))
+    /// The defaults under the process environment, which only the
+    /// binaries' entry points read, once, before their flags (so `--jobs`
+    /// wins): `MORPHEUS_JOBS` sets the worker count (unset, malformed or
+    /// 0 reads as 1), and `MORPHEUS_DESER_MEMO` of `0`, `off` or `false`
+    /// turns the replay memo off (for A/B timing; the output is the same).
+    pub fn from_env() -> Self {
+        let jobs = std::env::var("MORPHEUS_JOBS")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .filter(|j| *j >= 1)
+            .unwrap_or(1);
+        let memo_off = matches!(
+            std::env::var("MORPHEUS_DESER_MEMO").as_deref(),
+            Ok("0" | "off" | "false")
+        );
+        Harness {
+            jobs,
+            replay: (!memo_off).then(Arc::default),
+            ..Harness::default()
+        }
     }
 
-    /// The argument grammar, separated from process state for testing.
-    pub fn parse(args: &[String]) -> Result<Self, ArgError> {
-        let mut h = Harness::default();
-        parse_flags(args, |flag, it| h.offer(flag, it))?;
-        Ok(h)
+    /// Parses `--scale N`, `--seed N`, `--jobs N` and `--faults SPEC` from
+    /// the process arguments over [`Harness::from_env`]. Unknown flags and
+    /// malformed values are fatal (exit 2): a typo like `--sacle` silently
+    /// running the default configuration would poison recorded results.
+    pub fn from_args() -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::from_env()
+            .parse(&args)
+            .unwrap_or_else(|e| exit_usage(&e, &format!("usage: {}", Self::USAGE)))
+    }
+
+    /// The harness flags in `args` applied over `self`: the grammar,
+    /// separated from process state for testing.
+    pub fn parse(mut self, args: &[String]) -> Result<Self, ArgError> {
+        parse_flags(args, |flag, it| self.offer(flag, it))?;
+        Ok(self)
     }
 
     /// Consumes one harness flag: `--scale`, `--jobs`, `--seed` or
@@ -427,8 +435,6 @@ pub struct ServeArgs {
     pub depth: usize,
     /// Most same-app requests per dispatch.
     pub batch: usize,
-    /// Per-tenant NVMe submission-queue depth.
-    pub sq_depth: usize,
     /// Overflow policy.
     pub policy: ServePolicy,
     /// Tenant count.
@@ -460,7 +466,6 @@ impl Default for ServeArgs {
             duration_s: 0.05,
             depth: 64,
             batch: 8,
-            sq_depth: 64,
             policy: ServePolicy::Shed,
             apps: 3,
             bytes: 64 * 1024,
@@ -488,7 +493,7 @@ pub fn mode_named(name: &str) -> Option<Mode> {
 
 impl ServeArgs {
     /// Usage fragment for the shared flags.
-    pub const USAGE: &'static str = "[--duration S] [--depth N] [--batch N] [--sq-depth N] \
+    pub const USAGE: &'static str = "[--duration S] [--depth N] [--batch N] \
                                      [--policy shed|fallback]\n\
                                      [--apps N] [--bytes N] [--skew F] [--slo SPEC] \
                                      [--seed N] [--faults SPEC]\n\
@@ -543,7 +548,6 @@ impl ServeArgs {
             }
             "--depth" => self.depth = positive(flag, it)?,
             "--batch" => self.batch = positive(flag, it)?,
-            "--sq-depth" => self.sq_depth = positive(flag, it)?,
             "--apps" => {
                 self.apps = positive(flag, it)?;
                 if self.apps > MAX_TENANTS {
@@ -608,7 +612,6 @@ impl ServeArgs {
             duration_s: self.duration_s,
             depth: self.depth,
             batch_max: self.batch,
-            sq_depth: self.sq_depth,
             mode,
             policy: self.policy,
             seed: self.harness.seed,
@@ -793,14 +796,17 @@ mod tests {
 
     #[test]
     fn parse_accepts_known_flags() {
-        let h = Harness::parse(&argv(&["--scale", "64", "--seed", "7", "--jobs", "3"]))
+        let h = Harness::default()
+            .parse(&argv(&["--scale", "64", "--seed", "7", "--jobs", "3"]))
             .expect("valid flags");
         assert_eq!((h.scale, h.seed, h.jobs), (64, 7, 3));
     }
 
     #[test]
     fn parse_rejects_unknown_flag() {
-        let err = Harness::parse(&argv(&["--sacle", "64"])).unwrap_err();
+        let err = Harness::default()
+            .parse(&argv(&["--sacle", "64"]))
+            .unwrap_err();
         assert!(err.0.contains("unknown flag"), "{err}");
     }
 
@@ -814,7 +820,7 @@ mod tests {
             vec!["--jobs"],
         ] {
             assert!(
-                Harness::parse(&argv(&bad)).is_err(),
+                Harness::default().parse(&argv(&bad)).is_err(),
                 "should reject {bad:?}"
             );
         }
@@ -834,10 +840,7 @@ mod tests {
         let a = serve_args(&[]).expect("valid");
         assert_eq!(a.modes, ALL_MODES.to_vec());
         assert_eq!(a.rps.len(), 6);
-        assert_eq!(
-            (a.duration_s, a.depth, a.batch, a.sq_depth),
-            (0.05, 64, 8, 64)
-        );
+        assert_eq!((a.duration_s, a.depth, a.batch), (0.05, 64, 8));
         assert_eq!((a.apps, a.bytes, a.skew), (3, 64 * 1024, 0.0));
         assert_eq!(a.policy, ServePolicy::Shed);
         assert_eq!(a.cache_policy, CachePolicy::TinyLfu);
@@ -868,8 +871,6 @@ mod tests {
             "16",
             "--batch",
             "4",
-            "--sq-depth",
-            "32",
             "--policy",
             "fallback",
             "--apps",
@@ -905,10 +906,7 @@ mod tests {
         .expect("valid");
         assert_eq!(a.rps, vec![100.0, 200.5]);
         assert_eq!(a.modes, vec![Mode::Morpheus]);
-        assert_eq!(
-            (a.duration_s, a.depth, a.batch, a.sq_depth),
-            (0.1, 16, 4, 32)
-        );
+        assert_eq!((a.duration_s, a.depth, a.batch), (0.1, 16, 4));
         assert_eq!((a.apps, a.bytes, a.skew), (2, 4096, 1.1));
         assert_eq!(a.policy, ServePolicy::HostFallback);
         assert_eq!(a.harness.seed, 7);
@@ -964,7 +962,7 @@ mod tests {
             vec!["--duration", "-1"],                          // negative
             vec!["--depth", "0"],                              // zero depth
             vec!["--batch", "x"],                              // malformed
-            vec!["--sq-depth", "0"],                           // zero queue
+            vec!["--sq-depth", "64"],                          // removed flag
             vec!["--policy", "drop"],                          // unknown policy
             vec!["--apps", "0"],                               // zero tenants
             vec!["--apps", "65535"],                           // past the 16-bit queue ids

@@ -58,7 +58,6 @@ fn serve_cfg(seed: u64, rps: f64, skew: f64, mode: Mode) -> ServeConfig {
         duration_s: 0.01,
         depth: 16,
         batch_max: 4,
-        sq_depth: 16,
         mode,
         policy: ServePolicy::HostFallback, // every offered request completes
         seed,

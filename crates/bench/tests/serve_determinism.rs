@@ -47,7 +47,6 @@ fn run_once(seed: u64, rps: f64, mode: Mode, faults: Option<&FaultPlan>) -> (Str
         duration_s: 0.01,
         depth: 8,
         batch_max: 4,
-        sq_depth: 16,
         mode,
         policy: ServePolicy::Shed,
         seed,

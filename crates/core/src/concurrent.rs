@@ -31,7 +31,7 @@ use crate::exec::{AppSpec, InputFormat, RunError};
 use crate::firmware::{DeviceReplay, InstanceMemo};
 use crate::report::{mb_per_sec, Mode};
 use crate::system::ChunkIo;
-use crate::{StorageKind, System};
+use crate::{ms_stream_create, CommandPlan, StorageKind, System};
 use morpheus_format::{
     BinaryStreamParser, ObjectDigest, ParseError, ParseWork, ParsedColumns, Schema, StreamingParser,
 };
@@ -101,10 +101,15 @@ impl HostParser {
         }
     }
 
-    fn finish(self) -> Result<ParsedColumns, ParseError> {
+    /// Ends the stream: the columns, and the total work including the
+    /// final unterminated token's.
+    fn finish(self) -> Result<(ParsedColumns, ParseWork), ParseError> {
         match self {
-            HostParser::Text(p) => p.finish(),
-            HostParser::Binary(p) => p.finish(),
+            HostParser::Text(p) => p.finish_with_work(),
+            HostParser::Binary(p) => {
+                let work = p.work();
+                Ok((p.finish()?, work))
+            }
         }
     }
 }
@@ -112,9 +117,13 @@ impl HostParser {
 /// Where the host engine's per-chunk parse work comes from.
 enum ParseSource {
     /// The parser runs; each chunk's work delta is recorded when the
-    /// engine has a memo key.
+    /// engine has a memo key. The last chunk's step ends the stream, so
+    /// its delta includes the final unterminated token's work.
     Live {
-        parser: Box<HostParser>,
+        /// Taken by the last chunk's step, which parks the columns in
+        /// `parsed`.
+        parser: Option<Box<HostParser>>,
+        parsed: Option<ParsedColumns>,
         last_work: ParseWork,
         recorded: Vec<ParseWork>,
     },
@@ -138,7 +147,7 @@ pub(crate) struct HostTenant {
     chunks: Vec<ChunkIo>,
     next: usize,
     /// Buffer X of Fig. 1(b): the raw-text landing buffer.
-    pub(crate) buf_addr: u64,
+    buf_addr: u64,
     /// The dispatch instant (the read floor of round-robin tenants).
     start: SimTime,
     cpu_ready: SimTime,
@@ -158,9 +167,11 @@ pub(crate) struct HostChunk {
 }
 
 impl HostTenant {
-    /// The chunk the next [`System::step_host`] reads, if any is left.
-    pub(crate) fn next_chunk(&self) -> Option<ChunkIo> {
-        self.chunks.get(self.next).copied()
+    /// The chunk the next [`System::step_host`] reads, if any is left,
+    /// and the NVMe READ that lands it in the engine's buffer.
+    pub(crate) fn next_read(&self) -> Option<(ChunkIo, NvmeCommand)> {
+        let c = *self.chunks.get(self.next)?;
+        Some((c, NvmeCommand::read(0, 1, c.slba, c.blocks, self.buf_addr)))
     }
 
     /// Bytes of the input file.
@@ -172,10 +183,13 @@ impl HostTenant {
     /// objects' digest, and the columns when the engine was built to keep
     /// them. A live parse publishes its recording to the memo.
     pub(crate) fn finish(self) -> Result<(SimTime, ObjectDigest, Option<ParsedColumns>), RunError> {
-        let (parser, recorded) = match self.source {
+        let (parser, parsed, recorded) = match self.source {
             ParseSource::Live {
-                parser, recorded, ..
-            } => (parser, recorded),
+                parser,
+                parsed,
+                recorded,
+                ..
+            } => (parser, parsed, recorded),
             ParseSource::Replay(r) => {
                 let objects = if self.keep_columns {
                     r.objects.clone()
@@ -185,7 +199,11 @@ impl HostTenant {
                 return Ok((self.cpu_ready, r.digest, objects));
             }
         };
-        let mut o = parser.finish()?;
+        // A file of no chunks was never stepped: its parse ends here.
+        let mut o = match parsed {
+            Some(o) => o,
+            None => parser.expect("finished at its last chunk").finish()?.0,
+        };
         o.canonicalize();
         let digest = o.digest();
         let objects = self.keep_columns.then_some(o);
@@ -208,7 +226,9 @@ impl HostTenant {
 /// [`System::device_tenant`], stepped an MREAD at a time with
 /// [`System::step_device`] and closed with [`System::finish_device`]. The
 /// mirror of [`HostTenant`]: each caller keeps only its own framing —
-/// fault gates, wire commands, spans — around the steps.
+/// fault gates, wire commands, spans — around the steps. The lifecycle is
+/// the runtime's [`CommandPlan`]: the engine runs the plan's chunks, and
+/// callers submit the plan's commands.
 ///
 /// The engine owns the device memo (see `deser_memo`). At MINIT it hands
 /// the firmware the instance's `InstanceMemo`: replay an identical
@@ -220,17 +240,15 @@ impl HostTenant {
 pub(crate) struct DeviceTenant {
     /// Schema the assembled object stream decodes against.
     schema: Schema,
-    chunks: Vec<ChunkIo>,
+    /// The lowered lifecycle: the stream's chunks and its commands.
+    pub(crate) plan: CommandPlan,
+    /// Index of the next MREAD.
     next: usize,
-    iid: u32,
     /// When MINIT finished: the instance is ready for MREADs.
     pub(crate) ready: SimTime,
     /// When the last step's objects were delivered (staged, for a step
     /// that returned none).
     pub(crate) last_end: SimTime,
-    /// MINIT's operands: the StorageApp's code size and the file length.
-    code_len: u32,
-    pub(crate) file_len: u64,
     obj_bin: Vec<u8>,
     /// Object bytes pushed off the drive so far.
     pushed: u64,
@@ -268,31 +286,11 @@ pub(crate) struct DeviceEnd {
 }
 
 impl DeviceTenant {
-    /// The chunk the next [`System::step_device`] reads, if any is left.
-    pub(crate) fn next_chunk(&self) -> Option<ChunkIo> {
-        self.chunks.get(self.next).copied()
-    }
-
-    /// The MINIT command that installed this instance.
-    pub(crate) fn init_command(&self, cid: u16) -> NvmeCommand {
-        MorpheusCommand::Init {
-            instance_id: self.iid,
-            code_ptr: 0x4000,
-            code_len: self.code_len,
-            arg: self.file_len as u32,
-        }
-        .into_command(cid, 1)
-    }
-
-    /// The MREAD command for chunk `c`.
-    pub(crate) fn read_command(&self, c: ChunkIo, cid: u16) -> NvmeCommand {
-        MorpheusCommand::Read {
-            instance_id: self.iid,
-            slba: c.slba,
-            blocks: c.blocks,
-            dma_addr: 0x2000,
-        }
-        .into_command(cid, 1)
+    /// The next MREAD [`System::step_device`] runs, if any is left: its
+    /// chunk and its command.
+    pub(crate) fn next_read(&self) -> Option<(ChunkIo, MorpheusCommand)> {
+        let c = *self.plan.stream.chunks().get(self.next)?;
+        Some((c, self.plan.read(self.next)))
     }
 }
 
@@ -344,7 +342,8 @@ impl System {
             source: match replay {
                 Some(r) => ParseSource::Replay(r),
                 None => ParseSource::Live {
-                    parser: Box::new(HostParser::new(&spec.schema, spec.input_format)),
+                    parser: Some(Box::new(HostParser::new(&spec.schema, spec.input_format))),
+                    parsed: None,
                     last_work: ParseWork::default(),
                     recorded: Vec::new(),
                 },
@@ -369,11 +368,19 @@ impl System {
             ParseSource::Replay(r) => r.per_chunk[ci],
             ParseSource::Live {
                 parser,
+                parsed,
                 last_work,
                 recorded,
             } => {
-                parser.feed(&data[..c.valid_bytes as usize])?;
-                let w = parser.work();
+                let p = parser.as_mut().expect("no chunk after the last");
+                p.feed(&data[..c.valid_bytes as usize])?;
+                let w = if h.next == h.chunks.len() {
+                    let (o, w) = parser.take().expect("fed above").finish()?;
+                    *parsed = Some(o);
+                    w
+                } else {
+                    p.work()
+                };
                 let dw = w.since(last_work);
                 *last_work = w;
                 if h.memo.is_some() {
@@ -478,13 +485,9 @@ impl System {
     ) -> Result<DeviceTenant, RunError> {
         // The host resolves the file's layout (the runtime's
         // `ms_stream_create`, §V-A2): the drive never parses a filesystem.
-        let meta = self
-            .fs
-            .open(&spec.input)
+        let stream = ms_stream_create(&self.fs, &spec.input, self.params.mread_chunk_bytes)
             .map_err(|_| RunError::UnknownFile(spec.input.clone()))?;
-        let file_len = meta.len;
-        let chunks = Self::file_chunks(meta, self.params.mread_chunk_bytes);
-        let memo_key = self.device_memo_key(spec, &chunks);
+        let memo_key = self.device_memo_key(spec, stream.chunks());
         let rec = memo_key.and_then(|key| self.replay.as_ref()?.device_get(key));
         let prefab = rec.as_ref().filter(|_| !keep_columns).map(|r| r.digest);
         let memo = match (memo_key, rec) {
@@ -493,17 +496,14 @@ impl System {
             (None, None) => InstanceMemo::Off,
         };
         let app = spec.storage_app();
-        let code_len = app.code_bytes();
+        let plan = CommandPlan::lower(stream, iid, app.code_bytes());
         let ready = self.mssd.minit_with(iid, app, issue, memo)?;
         Ok(DeviceTenant {
             schema: spec.schema.clone(),
-            chunks,
+            plan,
             next: 0,
-            iid,
             ready,
             last_end: ready,
-            code_len,
-            file_len,
             obj_bin: Vec::new(),
             pushed: 0,
             bar,
@@ -519,11 +519,11 @@ impl System {
         t: &mut DeviceTenant,
         issue: SimTime,
     ) -> Result<DeviceChunk, RunError> {
-        let c = t.chunks[t.next];
+        let c = t.plan.stream.chunks()[t.next];
         t.next += 1;
         let out = self
             .mssd
-            .mread(t.iid, c.slba, c.blocks, c.valid_bytes, issue)?;
+            .mread(t.plan.instance_id, c.slba, c.blocks, c.valid_bytes, issue)?;
         let wakeup = match out.output.len() as u64 {
             0 => None,
             n => {
@@ -553,7 +553,7 @@ impl System {
         mut t: DeviceTenant,
         issue: SimTime,
     ) -> Result<DeviceEnd, RunError> {
-        let dein = self.mssd.mdeinit(t.iid, issue)?;
+        let dein = self.mssd.mdeinit(t.plan.instance_id, issue)?;
         let end = match dein.host_output.len() as u64 {
             0 => dein.done,
             n => {
@@ -623,6 +623,23 @@ impl System {
             self.params.storage == StorageKind::NvmeSsd,
             "concurrent runs model the NVMe path"
         );
+        let first_iid = self.next_instance;
+        let out = self.deserialize_many(tenants);
+        if out.is_err() {
+            // A failed run aborts every instance it opened (finished ones
+            // are gone already), so none outlives it with its DRAM.
+            for iid in first_iid..self.next_instance {
+                self.mssd.abort_instance(iid);
+            }
+        }
+        out
+    }
+
+    /// The body of [`run_deserialize_many`](System::run_deserialize_many).
+    fn deserialize_many(
+        &mut self,
+        tenants: &[(AppSpec, Mode)],
+    ) -> Result<ConcurrentReport, RunError> {
         let mut states = Vec::with_capacity(tenants.len());
         for (spec, mode) in tenants {
             let state = match mode {
@@ -647,11 +664,11 @@ impl System {
             let mut progressed = false;
             for t in states.iter_mut() {
                 match t {
-                    TenantState::Conventional(h) if h.next_chunk().is_some() => {
+                    TenantState::Conventional(h) if h.next_read().is_some() => {
                         let floor = h.start;
                         self.step_host(h, floor)?;
                     }
-                    TenantState::Morpheus(d) if d.next_chunk().is_some() => {
+                    TenantState::Morpheus(d) if d.next_read().is_some() => {
                         let issue = d.ready;
                         self.step_device(d, issue)?;
                     }
@@ -705,6 +722,7 @@ mod tests {
     use super::*;
     use crate::{AppSpec, SystemParams};
     use morpheus_format::{FieldKind, Schema, TextWriter};
+    use proptest::prelude::*;
 
     fn edge_schema() -> Schema {
         Schema::new(vec![FieldKind::U32, FieldKind::U32])
@@ -861,6 +879,94 @@ mod tests {
             format!("{:?}", second.report),
             format!("{:?}", first.report)
         );
+    }
+
+    #[test]
+    fn a_failed_multi_tenant_run_leaves_no_instance_live() {
+        // The third tenant's last record is malformed: its MREAD fails
+        // while the first two tenants' instances are still open.
+        let (mut sys, mut specs) = system_with_tenants(2);
+        let mut bad = edge_text(2_000, 3);
+        bad.extend_from_slice(b"1 x\n");
+        sys.create_input_file("bad.txt", &bad).unwrap();
+        specs.push(AppSpec::cpu_app("bad", "bad.txt", edge_schema(), 1, 50.0));
+        let tenants: Vec<(AppSpec, Mode)> =
+            specs.iter().map(|s| (s.clone(), Mode::Morpheus)).collect();
+        let err = sys.run_deserialize_many(&tenants).unwrap_err();
+        assert!(matches!(err, RunError::Morpheus(_)), "{err:?}");
+        assert_eq!(sys.mssd.live_instances(), 0);
+        assert_eq!(sys.mssd.dev.dram_used(), 0, "staging areas returned");
+        // Serving on the same drive starts from a clean controller.
+        let mut cfg = crate::ServeConfig::new(1000.0, 0.01);
+        cfg.mode = Mode::Morpheus;
+        assert!(sys.serve(&specs[..2], &cfg).unwrap().completed > 0);
+    }
+
+    /// `u32 u64` records; without `terminated` the last one has no
+    /// newline, so its final token ends the stream.
+    fn pair_text(rows: &[(u32, u64)], terminated: bool) -> Vec<u8> {
+        let mut w = TextWriter::new();
+        for &(a, b) in rows {
+            w.write_u64(u64::from(a));
+            w.sep();
+            w.write_u64(b);
+            w.newline();
+        }
+        let mut text = w.into_bytes();
+        if !terminated {
+            text.pop();
+        }
+        text
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Both engines price every token, the final one too when no
+        /// newline ends the stream: the host engine's per-chunk work and
+        /// a `DeserializeApp`'s charges each sum to `parse_buffer`'s.
+        #[test]
+        fn both_engines_price_the_final_token(
+            rows in proptest::collection::vec((any::<u32>(), 0u64..1_000_000_000_000), 1..400),
+            terminated in any::<bool>(),
+            host_blocks in 1u64..16,
+            app_chunk in 1usize..4096,
+        ) {
+            let text = pair_text(&rows, terminated);
+            let schema = Schema::new(vec![FieldKind::U32, FieldKind::U64]);
+            let (_, want) = morpheus_format::parse_buffer(&text, &schema).unwrap();
+
+            // The host engine over `host_blocks`-LBA chunks; its memo
+            // recording holds the work each step priced.
+            let mut params = SystemParams::paper_testbed();
+            params.conventional_chunk_bytes = host_blocks * 512;
+            let mut sys = System::new(params);
+            sys.create_input_file("tail.txt", &text).unwrap();
+            let spec = AppSpec::cpu_app("tail", "tail.txt", schema.clone(), 1, 50.0);
+            let mut h = sys.conventional_tenant(&spec, SimTime::ZERO, false).unwrap();
+            let chunks = h.chunks.clone();
+            while h.next_read().is_some() {
+                sys.step_host(&mut h, SimTime::ZERO).unwrap();
+            }
+            h.finish().unwrap();
+            let key = sys.host_memo_key(&spec, &chunks).expect("memo on");
+            let rec = sys.replay_store().unwrap().host_get(key).expect("recorded");
+            let mut host = ParseWork::default();
+            rec.per_chunk.iter().for_each(|w| host.merge(w));
+            prop_assert_eq!(host, want);
+
+            // A StorageApp fed `app_chunk`-byte pieces, then finished.
+            let mut app = crate::DeserializeApp::new("tail", schema);
+            let mut ctx = crate::DeviceCtx::new(256 * 1024);
+            let mut device = ParseWork::default();
+            for piece in text.chunks(app_chunk) {
+                crate::StorageApp::on_chunk(&mut app, &mut ctx, piece).unwrap();
+                device.merge(&ctx.take_work());
+            }
+            crate::StorageApp::on_finish(&mut app, &mut ctx).unwrap();
+            device.merge(&ctx.take_work());
+            prop_assert_eq!(device, want);
+        }
     }
 
     #[test]

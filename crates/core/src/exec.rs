@@ -23,7 +23,9 @@
 //! own way (`serve.rs`), because it gates the same commands at different
 //! floors (`docs/FAULT_MODEL.md`).
 
+use crate::firmware::IO_QUEUE_ID;
 use crate::report::{Mode, Phases, RunReport};
+use crate::runtime::OBJECT_ADDR;
 use crate::{BinaryDeserializeApp, DeserializeApp, MorpheusError, StorageApp, StorageKind, System};
 use morpheus_format::{Endianness, ObjectDigest, ParseError, ParsedColumns, Schema};
 use morpheus_gpu::KernelCost;
@@ -342,7 +344,7 @@ impl System {
         // QD-1 blocking reads: the next command is submitted when the
         // previous one's data has landed (traced as the NVMe lifecycle).
         let mut submit = start;
-        while let Some(c) = h.next_chunk() {
+        while let Some((c, read)) = h.next_read() {
             // The injected-timeout floor: `start` when the command went
             // out untouched, later when reissues pushed it back. On this
             // path there is nothing left to fall back to, so an exhausted
@@ -351,9 +353,7 @@ impl System {
                 let floor = self
                     .issue_with_timeouts(submit, start)
                     .map_err(|(_, attempts)| RunError::CommandTimeout { attempts })?;
-                let cid = self.alloc_cid();
-                let cmd = NvmeCommand::read(cid, 1, c.slba, c.blocks, h.buf_addr);
-                self.round_trip(cmd, StatusCode::Success, 0);
+                self.pump(IO_QUEUE_ID, &[(read, StatusCode::Success, 0)]);
                 floor
             } else {
                 start
@@ -526,7 +526,9 @@ impl System {
     /// solo runs and serving alike: tears the instance down, emits the
     /// `host-fallback` instant on trace track `track`, and counts the
     /// fallback and its `cause`. Returns the synthetic MDEINIT, to be
-    /// completed with the failure status.
+    /// completed with the failure status. It is built here, not taken
+    /// from the instance's plan, because the instance may never have
+    /// started.
     pub(crate) fn reap_fallback(
         &mut self,
         track: &str,
@@ -535,8 +537,7 @@ impl System {
         cause: String,
     ) -> NvmeCommand {
         self.mssd.abort_instance(iid);
-        let cid = self.alloc_cid();
-        let wire = MorpheusCommand::Deinit { instance_id: iid }.into_command(cid, 1);
+        let wire = MorpheusCommand::Deinit { instance_id: iid }.into_command(0, 1);
         self.tracer
             .instant(TraceLayer::Host, track, "host-fallback", at);
         if let Some(fi) = self.faults.as_mut() {
@@ -576,7 +577,7 @@ impl System {
         // The driver's abort path reaps the instance's stream with a
         // synthetic completion carrying the failure status.
         let wire = self.reap_fallback(OS_TRACK, at, iid, cause);
-        self.round_trip(wire, status, 0);
+        self.pump(IO_QUEUE_ID, &[(wire, status, 0)]);
         let (objects, digest, mut window) = self.host_deser_window(spec, at)?;
         window.fell_back = true;
         let mode = if p2p {
@@ -595,8 +596,8 @@ impl System {
         let issue = self.fault_gate("MINIT", iid, init_iv.end)?;
         let bar = p2p.then(|| self.map_gpu_bar());
         let mut t = self.device_tenant(spec, iid, issue, bar, true)?;
-        let cid = self.alloc_cid();
-        self.round_trip(t.init_command(cid), StatusCode::Success, 0);
+        let minit = t.plan.init().into_command(0, 1);
+        self.pump(IO_QUEUE_ID, &[(minit, StatusCode::Success, 0)]);
         self.tracer.span(
             TraceLayer::Host,
             self.cpu_cores.name(),
@@ -607,7 +608,7 @@ impl System {
         self.tracer
             .span(TraceLayer::Nvme, NVME_TRACK, "MINIT", init_iv.end, t.ready);
 
-        while let Some(c) = t.next_chunk() {
+        while let Some((c, mread)) = t.next_read() {
             // MREADs are all queued once the instance is up (async queue
             // depth): each one's floor is the instance-ready time, pushed
             // back only by its own faults, and its lifecycle runs submit →
@@ -616,8 +617,8 @@ impl System {
             let step = self
                 .step_device(&mut t, issue)
                 .map_err(|e| Self::media_or_fatal(e, iid, issue))?;
-            let cid = self.alloc_cid();
-            self.round_trip(t.read_command(c, cid), StatusCode::Success, 0);
+            let mread = mread.into_command(0, 1);
+            self.pump(IO_QUEUE_ID, &[(mread, StatusCode::Success, 0)]);
             self.tracer.span_bytes(
                 TraceLayer::Nvme,
                 NVME_TRACK,
@@ -643,16 +644,18 @@ impl System {
         }
 
         // MDEINIT: collect the final output and the return value.
-        let (last_end, text_bytes) = (t.last_end, t.file_len);
+        let (last_end, text_bytes) = (t.last_end, t.plan.stream.len());
+        let mdeinit = t.plan.deinit().into_command(0, 1);
         let issue = self.fault_gate("MDEINIT", iid, last_end)?;
         let end = self
             .finish_device(t, issue)
             .map_err(|e| Self::media_or_fatal(e, iid, issue))?;
         self.tracer
             .span(TraceLayer::Nvme, NVME_TRACK, "MDEINIT", last_end, end.done);
-        let cid = self.alloc_cid();
-        let wire = MorpheusCommand::Deinit { instance_id: iid }.into_command(cid, 1);
-        self.round_trip(wire, StatusCode::Success, end.retval as u32);
+        self.pump(
+            IO_QUEUE_ID,
+            &[(mdeinit, StatusCode::Success, end.retval as u32)],
+        );
         self.tracer.span(
             TraceLayer::Host,
             self.cpu_cores.name(),
@@ -666,7 +669,7 @@ impl System {
             end: end.wakeup.end,
             cpu_busy,
             text_bytes,
-            obj_addr: 0x2000,
+            obj_addr: OBJECT_ADDR,
             fell_back: false,
         };
         let mode = if p2p {

@@ -14,12 +14,9 @@
 //! writes).
 
 use crate::deser_memo;
-use crate::{AppError, DeviceCtx, StorageApp};
+use crate::{AppError, DeviceCtx, StorageApp, MAX_TENANTS};
 use morpheus_format::{CostModel, ObjectDigest};
-use morpheus_nvme::{
-    AdminController, CompletionEntry, IdentifyController, MorpheusCaps, MorpheusCommand,
-    NvmeCommand, QueuePair, StatusCode, LBA_BYTES,
-};
+use morpheus_nvme::{AdminController, IdentifyController, MorpheusCaps, StatusCode, LBA_BYTES};
 use morpheus_simcore::{SimDuration, SimTime, TraceLayer, Tracer};
 use morpheus_ssd::{Ssd, SsdError};
 use std::collections::HashMap;
@@ -225,8 +222,12 @@ struct Instance {
     memo: InstanceMemo,
 }
 
-/// The host-visible I/O queue pair id created at bring-up.
-const IO_QUEUE_ID: u16 = 1;
+/// The I/O queue pair created at bring-up, which solo runs and
+/// serialization submit through.
+pub(crate) const IO_QUEUE_ID: u16 = 1;
+/// Depth of every I/O queue pair on the drive: the bring-up queue and
+/// each serving tenant's.
+pub(crate) const IO_QUEUE_DEPTH: usize = 64;
 
 /// The Morpheus-SSD: the baseline controller plus the StorageApp firmware.
 ///
@@ -262,7 +263,10 @@ const IO_QUEUE_ID: u16 = 1;
 pub struct MorpheusSsd {
     /// The underlying (unmodified) drive.
     pub dev: Ssd,
-    /// The admin controller: Identify and I/O queue management.
+    /// The admin controller: Identify and I/O queue management. It is the
+    /// drive's only NVMe front end: every command a run issues travels
+    /// one of its queue pairs (queue 1 from bring-up, plus one per tenant
+    /// while a serve runs).
     pub admin: AdminController,
     device_cost: CostModel,
     /// Memo digest of the drive configuration, fixed at bring-up.
@@ -275,11 +279,28 @@ pub struct MorpheusSsd {
 impl MorpheusSsd {
     /// Wraps a baseline SSD with the Morpheus firmware and performs the
     /// driver bring-up an NVMe host does: build the controller identity
-    /// and create the I/O queue pair through the admin command set.
+    /// and create the I/O queue pair through the admin command set. The
+    /// queue budget covers that pair plus one per serving tenant.
     pub fn new(dev: Ssd, device_cost: CostModel) -> Self {
-        let identity = Self::build_identity(dev.config());
-        let mut admin = AdminController::new(identity, 8);
-        let status = admin.create_io_queue(IO_QUEUE_ID, 64);
+        // Identify Controller: the standard fields plus the vendor-specific
+        // Morpheus capability block the host runtime uses to discover
+        // StorageApp support.
+        let cfg = dev.config();
+        let identity = IdentifyController {
+            vendor_id: 0x1b4b,
+            serial: "MORPH-0001".into(),
+            model: "Morpheus-SSD 512GB".into(),
+            mdts: 5,
+            namespaces: 1,
+            morpheus: Some(MorpheusCaps {
+                embedded_cores: cfg.embedded_cores,
+                core_clock_mhz: (cfg.core_clock_hz / 1e6) as u32,
+                isram_bytes: cfg.isram_bytes,
+                dsram_bytes: cfg.dsram_bytes,
+            }),
+        };
+        let mut admin = AdminController::new(identity, 1 + MAX_TENANTS as u16);
+        let status = admin.create_io_queue(IO_QUEUE_ID, IO_QUEUE_DEPTH);
         assert!(
             status.is_success(),
             "io queue creation cannot fail at bring-up"
@@ -301,13 +322,6 @@ impl MorpheusSsd {
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.dev.set_tracer(tracer.clone());
         self.tracer = tracer;
-    }
-
-    /// The I/O queue pair the host runtime drives.
-    pub fn io_queue(&mut self) -> &mut QueuePair {
-        self.admin
-            .io_queue(IO_QUEUE_ID)
-            .expect("created at bring-up")
     }
 
     /// The embedded-core cost table in use.
@@ -353,29 +367,6 @@ impl MorpheusSsd {
     /// [`reserve_object_cache`](MorpheusSsd::reserve_object_cache).
     pub fn release_object_cache(&mut self, bytes: u64) {
         self.dev.free_dram(bytes);
-    }
-
-    /// Serves Identify Controller: the standard fields plus the
-    /// vendor-specific Morpheus capability block the host runtime uses to
-    /// discover StorageApp support.
-    pub fn identify(&self) -> IdentifyController {
-        Self::build_identity(self.dev.config())
-    }
-
-    fn build_identity(cfg: &morpheus_ssd::SsdConfig) -> IdentifyController {
-        IdentifyController {
-            vendor_id: 0x1b4b,
-            serial: "MORPH-0001".into(),
-            model: "Morpheus-SSD 512GB".into(),
-            mdts: 5,
-            namespaces: 1,
-            morpheus: Some(MorpheusCaps {
-                embedded_cores: cfg.embedded_cores,
-                core_clock_mhz: (cfg.core_clock_hz / 1e6) as u32,
-                isram_bytes: cfg.isram_bytes,
-                dsram_bytes: cfg.dsram_bytes,
-            }),
-        }
     }
 
     /// Rewinds all timing state (drive timelines plus the firmware's
@@ -823,39 +814,6 @@ impl MorpheusSsd {
         }
         out
     }
-
-    /// Wire-level protocol round trip: encodes `cmd`, submits it through
-    /// the real submission queue, pops it on the device side, re-decodes,
-    /// and posts `status`/`result` through the completion queue, returning
-    /// the reaped entry. Keeps every timed run exercising the actual NVMe
-    /// packet path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue is full (the runtime serializes commands) or
-    /// the packet fails to round-trip (a protocol bug).
-    pub fn protocol_round_trip(
-        &mut self,
-        cmd: NvmeCommand,
-        status: StatusCode,
-        result: u32,
-    ) -> CompletionEntry {
-        let qp = self.io_queue();
-        qp.sq.submit(cmd).expect("runtime serializes commands");
-        let wire = qp.sq.pop().expect("just submitted");
-        let bytes = wire.encode();
-        let decoded = NvmeCommand::decode(&bytes).expect("codec round-trips");
-        assert_eq!(decoded, cmd, "protocol corruption");
-        if decoded.opcode.is_morpheus() {
-            // Firmware sanity: the typed view must parse.
-            MorpheusCommand::parse(&decoded).expect("morpheus command parses");
-        }
-        let qp = self.io_queue();
-        qp.cq
-            .post(decoded.cid, status, result)
-            .expect("runtime reaps completions promptly");
-        qp.cq.reap().expect("completion just posted")
-    }
 }
 
 /// A command's output, shared with the host. A recorded output outlives
@@ -1042,16 +1000,6 @@ mod tests {
         let (data, _) = m.dev.read_range(64, 1, dein.done).unwrap();
         let cols = ParsedColumns::decode(edge_schema(), &data[..16]).unwrap();
         assert_eq!(cols.columns[0].as_ints().unwrap(), &[9, 7]);
-    }
-
-    #[test]
-    fn protocol_round_trip_returns_completion() {
-        let mut m = mssd();
-        let cmd = MorpheusCommand::Deinit { instance_id: 3 }.into_command(11, 1);
-        let e = m.protocol_round_trip(cmd, StatusCode::Success, 42);
-        assert_eq!(e.cid, 11);
-        assert_eq!(e.result, 42);
-        assert!(e.status.is_success());
     }
 
     #[test]

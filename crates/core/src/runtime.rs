@@ -11,49 +11,44 @@
 //! §V-B: the compiler replaces a StorageApp call site with runtime calls
 //! that issue MINIT, break the stream into MREADs no larger than the NVMe
 //! transfer limit, and finish with MDEINIT. [`CommandPlan`] is that lowered
-//! sequence, inspectable before execution; the `System` drivers execute an
-//! equivalent plan command by command through the real submission queue.
+//! sequence and the only place MINIT and MREAD are built: the device
+//! engine opens every instance from one, and solo runs and serving submit
+//! exactly its commands through the drive's I/O queues.
 
 use crate::system::ChunkIo;
 use crate::System;
-use morpheus_host::{FileMeta, FsError, SimFs};
+use morpheus_host::{FsError, SimFs};
 use morpheus_nvme::MorpheusCommand;
+
+/// Host bus address of the StorageApp code image MINIT installs.
+pub(crate) const CODE_ADDR: u64 = 0x4000;
+/// Host bus address MREAD results are DMAed to.
+pub(crate) const OBJECT_ADDR: u64 = 0x2000;
 
 /// A Morpheus stream: the host-resolved layout of one input file.
 ///
-/// Created by [`ms_stream_create`]; owns the file's byte length and the
-/// MREAD-sized chunks covering it.
+/// Created by [`ms_stream_create`]; holds the file's byte length and the
+/// MREAD-sized chunks covering it, nothing else.
 #[derive(Debug, Clone)]
 pub struct MsStream {
-    name: String,
-    meta: FileMeta,
+    len: u64,
     chunks: Vec<ChunkIo>,
 }
 
 impl MsStream {
-    /// The file's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Exact byte length of the stream.
     pub fn len(&self) -> u64 {
-        self.meta.len
+        self.len
     }
 
     /// True for an empty file.
     pub fn is_empty(&self) -> bool {
-        self.meta.len == 0
+        self.len == 0
     }
 
     /// The MREAD-sized pieces covering the file, in order.
     pub fn chunks(&self) -> &[ChunkIo] {
         &self.chunks
-    }
-
-    /// The underlying extent layout.
-    pub fn meta(&self) -> &FileMeta {
-        &self.meta
     }
 }
 
@@ -66,64 +61,87 @@ impl MsStream {
 ///
 /// Returns [`FsError::NotFound`] for unknown files.
 pub fn ms_stream_create(fs: &SimFs, name: &str, chunk_bytes: u64) -> Result<MsStream, FsError> {
-    let meta = fs.open(name)?.clone();
-    let chunks = System::file_chunks(&meta, chunk_bytes);
+    let meta = fs.open(name)?;
     Ok(MsStream {
-        name: name.to_string(),
-        meta,
-        chunks,
+        len: meta.len,
+        chunks: System::file_chunks(meta, chunk_bytes),
     })
 }
 
+/// MINIT of instance `instance_id`: installs `code_len` bytes of
+/// StorageApp code from [`CODE_ADDR`], passing the length of the app's
+/// input as its argument word.
+pub(crate) fn minit(instance_id: u32, code_len: u32, input_len: u64) -> MorpheusCommand {
+    MorpheusCommand::Init {
+        instance_id,
+        code_ptr: CODE_ADDR,
+        code_len,
+        arg: input_len as u32,
+    }
+}
+
 /// The NVMe command sequence the Morpheus compiler's inserted runtime
-/// calls will issue for one StorageApp invocation (§V-B).
+/// calls issue for one StorageApp invocation (§V-B): MINIT, one MREAD per
+/// chunk of the stream, MDEINIT. The plan owns its stream and lowers each
+/// command when asked, so stepping it copies nothing.
 #[derive(Debug, Clone)]
 pub struct CommandPlan {
-    /// Commands in issue order: MINIT, the MREADs, MDEINIT.
-    pub commands: Vec<MorpheusCommand>,
+    /// The stream the plan reads.
+    pub stream: MsStream,
     /// The instance every command targets.
     pub instance_id: u32,
+    code_len: u32,
 }
 
 impl CommandPlan {
-    /// Lowers a stream into the plan for `instance_id`, with StorageApp
-    /// code of `code_len` bytes at host address `code_ptr` and results
-    /// DMAed to `dma_base`.
-    pub fn lower(
-        stream: &MsStream,
-        instance_id: u32,
-        code_ptr: u64,
-        code_len: u32,
-        dma_base: u64,
-    ) -> CommandPlan {
-        let mut commands = Vec::with_capacity(stream.chunks().len() + 2);
-        commands.push(MorpheusCommand::Init {
-            instance_id,
-            code_ptr,
-            code_len,
-            arg: stream.len() as u32,
-        });
-        for c in stream.chunks() {
-            commands.push(MorpheusCommand::Read {
-                instance_id,
-                slba: c.slba,
-                blocks: c.blocks,
-                dma_addr: dma_base,
-            });
-        }
-        commands.push(MorpheusCommand::Deinit { instance_id });
+    /// Lowers `stream` into the plan of instance `instance_id`, running
+    /// StorageApp code of `code_len` bytes.
+    pub fn lower(stream: MsStream, instance_id: u32, code_len: u32) -> CommandPlan {
         CommandPlan {
-            commands,
+            stream,
             instance_id,
+            code_len,
         }
+    }
+
+    /// The MINIT that opens the instance.
+    pub fn init(&self) -> MorpheusCommand {
+        minit(self.instance_id, self.code_len, self.stream.len)
     }
 
     /// Number of MREAD commands in the plan.
     pub fn reads(&self) -> usize {
-        self.commands
-            .iter()
-            .filter(|c| matches!(c, MorpheusCommand::Read { .. }))
-            .count()
+        self.stream.chunks.len()
+    }
+
+    /// MREAD `i`: the stream's chunk `i`, read through the instance.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `i` is below [`reads`](CommandPlan::reads).
+    pub fn read(&self, i: usize) -> MorpheusCommand {
+        let c = self.stream.chunks[i];
+        MorpheusCommand::Read {
+            instance_id: self.instance_id,
+            slba: c.slba,
+            blocks: c.blocks,
+            dma_addr: OBJECT_ADDR,
+        }
+    }
+
+    /// The MDEINIT that closes the instance.
+    pub fn deinit(&self) -> MorpheusCommand {
+        MorpheusCommand::Deinit {
+            instance_id: self.instance_id,
+        }
+    }
+
+    /// Every command in issue order: MINIT, the MREADs, MDEINIT.
+    pub fn commands(&self) -> impl Iterator<Item = MorpheusCommand> + '_ {
+        let reads = (0..self.reads()).map(|i| self.read(i));
+        std::iter::once(self.init())
+            .chain(reads)
+            .chain(std::iter::once(self.deinit()))
     }
 }
 
@@ -168,24 +186,26 @@ mod tests {
     fn plan_brackets_reads_with_init_and_deinit() {
         let fs = fs_with("in.txt", 3 << 20);
         let s = ms_stream_create(&fs, "in.txt", 1 << 20).unwrap();
-        let plan = CommandPlan::lower(&s, 7, 0x4000, 16 * 1024, 0x9000);
-        assert_eq!(plan.commands.len(), 3 + 2);
+        let plan = CommandPlan::lower(s, 7, 16 * 1024);
+        let commands: Vec<MorpheusCommand> = plan.commands().collect();
+        assert_eq!(commands.len(), 3 + 2);
         assert_eq!(plan.reads(), 3);
         assert!(matches!(
-            plan.commands.first(),
+            commands.first(),
             Some(MorpheusCommand::Init { instance_id: 7, arg, .. }) if *arg == (3u32 << 20)
         ));
         assert!(matches!(
-            plan.commands.last(),
+            commands.last(),
             Some(MorpheusCommand::Deinit { instance_id: 7 })
         ));
         // Reads are ordered and contiguous over the file.
         let mut next_slba = 0;
-        for c in &plan.commands[1..plan.commands.len() - 1] {
-            if let MorpheusCommand::Read { slba, blocks, .. } = c {
-                assert_eq!(*slba, next_slba);
-                next_slba += blocks;
-            }
+        for c in &commands[1..commands.len() - 1] {
+            let MorpheusCommand::Read { slba, blocks, .. } = c else {
+                panic!("{c:?} between MINIT and MDEINIT");
+            };
+            assert_eq!(*slba, next_slba);
+            next_slba += blocks;
         }
     }
 

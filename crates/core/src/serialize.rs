@@ -11,7 +11,8 @@
 //!   inside the drive, so only the compact binary representation crosses
 //!   the interconnect.
 
-use crate::{Mode, RunError, SerializeApp, System};
+use crate::firmware::IO_QUEUE_ID;
+use crate::{runtime, Mode, RunError, SerializeApp, StorageApp, System};
 use morpheus_format::{Column, ParsedColumns, TextWriter};
 use morpheus_host::CodeClass;
 use morpheus_nvme::{MorpheusCommand, NvmeCommand, StatusCode, LBA_BYTES};
@@ -160,15 +161,14 @@ impl System {
                 self.mssd
                     .dev
                     .write_range(base_slba + text_off / LBA_BYTES, &chunk, dma.end)?;
-            let cid = self.alloc_cid();
             let cmd = NvmeCommand::write(
-                cid,
+                0,
                 1,
                 base_slba + text_off / LBA_BYTES,
                 (chunk.len() as u64).div_ceil(LBA_BYTES),
                 src_addr,
             );
-            self.round_trip(cmd, StatusCode::Success, 0);
+            self.pump(IO_QUEUE_ID, &[(cmd, StatusCode::Success, 0)]);
             text_off += chunk.len() as u64;
             end = end.max(durable);
             if rec == objects.records && carry.is_empty() {
@@ -188,7 +188,10 @@ impl System {
         let init_iv = self.command_wakeup(SimTime::ZERO);
         let mut cpu_busy = init_iv.duration();
         let app = SerializeApp::new("serialize", objects.schema.clone());
+        let minit =
+            runtime::minit(iid, app.code_bytes(), objects.binary_bytes()).into_command(0, 1);
         let ready = self.mssd.minit(iid, Box::new(app), init_iv.end)?;
+        self.pump(IO_QUEUE_ID, &[(minit, StatusCode::Success, 0)]);
         let src_addr = self.dram.alloc(1 << 20).ok_or(RunError::OutOfHostMemory)?;
 
         let mut rec = 0u64;
@@ -206,25 +209,26 @@ impl System {
                 bin.len() as u64,
                 issue,
             )?;
-            let cid = self.alloc_cid();
             let wire = MorpheusCommand::Write {
                 instance_id: iid,
                 slba: base_slba,
                 blocks: (bin.len() as u64).div_ceil(LBA_BYTES),
                 dma_addr: src_addr,
             }
-            .into_command(cid, 1);
-            self.round_trip(wire, StatusCode::Success, 0);
+            .into_command(0, 1);
+            self.pump(IO_QUEUE_ID, &[(wire, StatusCode::Success, 0)]);
             let out = self.mssd.mwrite(iid, base_slba, &bin, dma.end)?;
             // One host wakeup per completion.
             let iv = self.command_wakeup(out.durable);
             cpu_busy += iv.duration();
             issue = iv.end;
         }
-        let cid = self.alloc_cid();
-        let wire = MorpheusCommand::Deinit { instance_id: iid }.into_command(cid, 1);
+        let wire = MorpheusCommand::Deinit { instance_id: iid }.into_command(0, 1);
         let dein = self.mssd.mdeinit(iid, issue)?;
-        self.round_trip(wire, StatusCode::Success, dein.retval as u32);
+        self.pump(
+            IO_QUEUE_ID,
+            &[(wire, StatusCode::Success, dein.retval as u32)],
+        );
         let iv = self.command_wakeup(dein.done);
         cpu_busy += iv.duration();
         Ok((iv.end, cpu_busy, dein.flushed_to_flash))

@@ -15,10 +15,12 @@
 
 use crate::cache::{self, CacheHit, CacheStats, CacheTier};
 use crate::exec::{AppSpec, MorpheusAbort, RunError};
+use crate::firmware::IO_QUEUE_DEPTH;
 use crate::report::{mb_per_sec, Mode};
+use crate::system::WireCmd;
 use crate::{StorageKind, System};
 use morpheus_format::ObjectDigest;
-use morpheus_nvme::{AdminController, MorpheusCommand, NvmeCommand, StatusCode};
+use morpheus_nvme::StatusCode;
 use morpheus_pcie::{BarWindow, DmaDir};
 use morpheus_simcore::{
     ArrivalProcess, FaultCounters, Histogram, Metrics, SimDuration, SimTime, SplitMix64,
@@ -32,7 +34,7 @@ const SERVE_TRACK: &str = "serve";
 /// Trace track for telemetry window-boundary instants.
 const TELEMETRY_TRACK: &str = "telemetry";
 /// Queue id of the first per-tenant I/O queue pair. Qid 0 is the admin
-/// queue and qid 1 is the legacy shared queue the solo drivers use.
+/// queue and qid 1 the bring-up queue the solo drivers use.
 const FIRST_TENANT_QID: u16 = 2;
 /// Decorrelates the app-picking stream from the arrival-time stream so
 /// both can share one user-facing seed.
@@ -90,9 +92,6 @@ pub struct ServeConfig {
     pub depth: usize,
     /// Most same-app requests one dispatch coalesces.
     pub batch_max: usize,
-    /// Depth of each tenant's NVMe submission queue (bounds how many
-    /// commands one doorbell write can cover).
-    pub sq_depth: usize,
     /// Engine serving the requests.
     pub mode: Mode,
     /// Overflow policy.
@@ -120,7 +119,6 @@ impl ServeConfig {
             duration_s,
             depth: 64,
             batch_max: 8,
-            sq_depth: 64,
             mode: Mode::Morpheus,
             policy: ServePolicy::Shed,
             seed: 42,
@@ -334,10 +332,6 @@ pub(crate) fn validate_serve_cfg(cfg: &ServeConfig) {
     );
 }
 
-/// A command plus the completion the device will post for it, staged per
-/// batch and then pumped through the tenant's queue pair.
-type WireCmd = (NvmeCommand, StatusCode, u32);
-
 /// Mutable run state threaded through the dispatcher.
 #[derive(Debug)]
 struct ServeState {
@@ -361,8 +355,6 @@ struct ServeState {
     wire_scratch: Vec<WireCmd>,
     /// Pooled scratch for the requests coalesced into one batch.
     batch_scratch: Vec<Request>,
-    /// Pooled scratch for one doorbell wave's decoded commands.
-    cmds_scratch: Vec<NvmeCommand>,
 }
 
 /// Which engine completed a request — the occupancy series a completed
@@ -501,12 +493,11 @@ impl ServeState {
     }
 }
 
-/// Immutable-ish dispatch context (the admin controller owns the queues).
+/// Immutable dispatch context of one run.
 struct ServeCtx<'a> {
     cfg: &'a ServeConfig,
     apps: &'a [AppSpec],
     bar: Option<BarWindow>,
-    admin: AdminController,
     /// Per-app format digests (part of the cache key), computed once.
     digests: Vec<u64>,
 }
@@ -566,46 +557,15 @@ impl System {
         // Conservation: serving closes every instance it opens, and so
         // returns exactly the controller DRAM those instances reserved.
         let dram_base = self.mssd.dev.dram_used();
-        let (mut st, mut ctx) = self.begin_serve(apps, cfg);
+        let (mut st, ctx) = self.begin_serve(apps, cfg);
         // Per-run cache view: counters are lifetime totals (the cache
         // survives across runs so warmed state carries over), so the
         // report subtracts this snapshot.
         let cache_base = self.object_cache.as_ref().map(|c| c.stats());
-
-        for r in reqs {
-            // Serve everything whose dispatch time has passed, so the
-            // queue length this arrival sees is current. With nothing
-            // queued the scan is a no-op (docs/PERF.md §b), so an idle
-            // system jumps straight to this arrival.
-            debug_assert_eq!(
-                st.queued,
-                st.pending.iter().map(VecDeque::len).sum::<usize>()
-            );
-            if st.queued > 0 {
-                self.drain_due(&mut st, &mut ctx, r.arrival)?;
-            }
-            st.note(r.arrival, ServeEvent::Offered(st.queued));
-            if st.queued >= cfg.depth {
-                match cfg.policy {
-                    ServePolicy::Shed => st.note(r.arrival, ServeEvent::Shed),
-                    ServePolicy::HostFallback => {
-                        st.note(r.arrival, ServeEvent::Overflow);
-                        let mut wire = std::mem::take(&mut st.wire_scratch);
-                        wire.clear();
-                        self.host_service(&mut st, &ctx.apps[r.app], r, r.arrival, &mut wire)?;
-                        self.pump_wire(&mut st, &mut ctx, r.app, &wire, r.arrival);
-                        st.wire_scratch = wire;
-                    }
-                }
-            } else {
-                st.pending[r.app].push_back(r);
-                st.queued += 1;
-                st.note(r.arrival, ServeEvent::Admitted);
-            }
-        }
-        // The arrival window closed; serve out the queue.
-        self.drain_due(&mut st, &mut ctx, SimTime::from_nanos(u64::MAX))?;
-        debug_assert_eq!(st.queued, 0);
+        let served = self.dispatch(&mut st, &ctx, reqs);
+        // The tenant queues go whether the run served or failed.
+        let doorbells = self.end_serve(apps.len());
+        served?;
         // The request ledger: every offered request completed, was shed,
         // or failed (overflow fallbacks and fault re-dispatches complete).
         debug_assert_eq!(
@@ -621,15 +581,7 @@ impl System {
         );
 
         // Totals and derived rates.
-        st.rep.doorbell_writes = (0..apps.len())
-            .map(|a| {
-                ctx.admin
-                    .io_queue(FIRST_TENANT_QID + a as u16)
-                    .expect("queue created above")
-                    .sq
-                    .doorbell_writes()
-            })
-            .sum();
+        st.rep.doorbell_writes = doorbells;
         st.rep.makespan_s = st.makespan.as_secs_f64();
         st.rep.sustained_rps = if st.rep.makespan_s > 0.0 {
             st.rep.completed as f64 / st.rep.makespan_s
@@ -692,17 +644,18 @@ impl System {
             _ => None,
         };
 
-        // One NVMe queue pair per tenant app, created through the admin
-        // queue exactly as a driver would.
+        // One NVMe queue pair per tenant app, created on the drive's
+        // controller through the admin command set exactly as a driver
+        // would; `end_serve` deletes them.
         assert!(
             apps.len() <= MAX_TENANTS,
             "{} tenants exceed MAX_TENANTS ({MAX_TENANTS}): tenant i needs NVMe I/O queue \
              {FIRST_TENANT_QID} + i",
             apps.len()
         );
-        let mut admin = AdminController::new(self.mssd.identify(), apps.len() as u16 + 1);
+        let admin = &mut self.mssd.admin;
         for a in 0..apps.len() {
-            let sc = admin.create_io_queue(FIRST_TENANT_QID + a as u16, cfg.sq_depth);
+            let sc = admin.create_io_queue(FIRST_TENANT_QID + a as u16, IO_QUEUE_DEPTH);
             assert_eq!(sc, StatusCode::Success, "tenant queue creation failed");
         }
 
@@ -717,17 +670,77 @@ impl System {
             tracer: self.tracer.clone(),
             wire_scratch: Vec::new(),
             batch_scratch: Vec::new(),
-            cmds_scratch: Vec::new(),
         };
         let digests: Vec<u64> = apps.iter().map(cache::format_digest).collect();
         let ctx = ServeCtx {
             cfg,
             apps,
             bar,
-            admin,
             digests,
         };
         (st, ctx)
+    }
+
+    /// Offers every request in arrival order, then serves out the queue.
+    fn dispatch(
+        &mut self,
+        st: &mut ServeState,
+        ctx: &ServeCtx<'_>,
+        reqs: Vec<Request>,
+    ) -> Result<(), RunError> {
+        let cfg = ctx.cfg;
+        for r in reqs {
+            // Serve everything whose dispatch time has passed, so the
+            // queue length this arrival sees is current. With nothing
+            // queued the scan is a no-op (docs/PERF.md §b), so an idle
+            // system jumps straight to this arrival.
+            debug_assert_eq!(
+                st.queued,
+                st.pending.iter().map(VecDeque::len).sum::<usize>()
+            );
+            if st.queued > 0 {
+                self.drain_due(st, ctx, r.arrival)?;
+            }
+            st.note(r.arrival, ServeEvent::Offered(st.queued));
+            if st.queued >= cfg.depth {
+                match cfg.policy {
+                    ServePolicy::Shed => st.note(r.arrival, ServeEvent::Shed),
+                    ServePolicy::HostFallback => {
+                        st.note(r.arrival, ServeEvent::Overflow);
+                        let mut wire = std::mem::take(&mut st.wire_scratch);
+                        wire.clear();
+                        let served =
+                            self.host_service(st, &ctx.apps[r.app], r, r.arrival, &mut wire);
+                        st.note(r.arrival, ServeEvent::WireBurst(wire.len()));
+                        self.pump(FIRST_TENANT_QID + r.app as u16, &wire);
+                        st.wire_scratch = wire;
+                        served?;
+                    }
+                }
+            } else {
+                st.pending[r.app].push_back(r);
+                st.queued += 1;
+                st.note(r.arrival, ServeEvent::Admitted);
+            }
+        }
+        // The arrival window closed; serve out the queue.
+        self.drain_due(st, ctx, SimTime::from_nanos(u64::MAX))?;
+        debug_assert_eq!(st.queued, 0);
+        Ok(())
+    }
+
+    /// Deletes the run's tenant queue pairs, so the controller holds only
+    /// its bring-up queue again, and returns their doorbell writes.
+    fn end_serve(&mut self, tenants: usize) -> u64 {
+        let admin = &mut self.mssd.admin;
+        (0..tenants)
+            .map(|a| FIRST_TENANT_QID + a as u16)
+            .map(|qid| {
+                let writes = admin.io_queue(qid).expect("created").sq.doorbell_writes();
+                assert_eq!(admin.delete_io_queue(qid), StatusCode::Success);
+                writes
+            })
+            .sum()
     }
 
     /// Dispatches every batch whose dispatch time is at or before `up_to`,
@@ -738,7 +751,7 @@ impl System {
     fn drain_due(
         &mut self,
         st: &mut ServeState,
-        ctx: &mut ServeCtx<'_>,
+        ctx: &ServeCtx<'_>,
         up_to: SimTime,
     ) -> Result<(), RunError> {
         loop {
@@ -782,11 +795,12 @@ impl System {
     /// Serves one same-app batch dispatched at `at`: requests run FIFO on
     /// the app's lane, their commands accumulate into one wire burst, and
     /// the burst is pumped through the app's submission queue with
-    /// coalesced doorbells.
+    /// coalesced doorbells. A failed batch drains its wire too: every
+    /// command it issued completes before the error surfaces.
     fn serve_batch(
         &mut self,
         st: &mut ServeState,
-        ctx: &mut ServeCtx<'_>,
+        ctx: &ServeCtx<'_>,
         app: usize,
         batch: &[Request],
         at: SimTime,
@@ -816,10 +830,9 @@ impl System {
                 }
             }
         }
-        if outcome.is_ok() {
-            st.next_free[app] = start;
-            self.pump_wire(st, ctx, app, &wire, at);
-        }
+        st.next_free[app] = start;
+        st.note(at, ServeEvent::WireBurst(wire.len()));
+        self.pump(FIRST_TENANT_QID + app as u16, &wire);
         st.wire_scratch = wire;
         outcome
     }
@@ -847,13 +860,8 @@ impl System {
         };
         let dram_before = self.dram.allocated();
         let mut h = self.conventional_tenant(spec, floor, false)?;
-        while let Some(c) = h.next_chunk() {
-            let cid = self.alloc_cid();
-            wire.push((
-                NvmeCommand::read(cid, 1, c.slba, c.blocks, h.buf_addr),
-                StatusCode::Success,
-                0,
-            ));
+        while let Some((_, read)) = h.next_read() {
+            wire.push((read, StatusCode::Success, 0));
             self.step_host(&mut h, floor)?;
         }
         let (end, objects, _) = h.finish()?;
@@ -963,28 +971,22 @@ impl System {
         let mut t = self
             .device_tenant(spec, iid, syscall.end, bar, false)
             .map_err(MorpheusAbort::Fatal)?;
-        let cid = self.alloc_cid();
-        wire.push((t.init_command(cid), StatusCode::Success, 0));
+        wire.push((t.plan.init().into_command(0, 1), StatusCode::Success, 0));
 
         let mut floor = t.ready;
-        while let Some(c) = t.next_chunk() {
+        while let Some((_, mread)) = t.next_read() {
             floor = self.fault_gate("MREAD", iid, floor)?;
-            let cid = self.alloc_cid();
-            wire.push((t.read_command(c, cid), StatusCode::Success, 0));
+            wire.push((mread.into_command(0, 1), StatusCode::Success, 0));
             self.step_device(&mut t, floor)
                 .map_err(|e| Self::media_or_fatal(e, iid, floor))?;
         }
 
+        let mdeinit = t.plan.deinit().into_command(0, 1);
         let floor = self.fault_gate("MDEINIT", iid, t.last_end)?;
         let end = self
             .finish_device(t, floor)
             .map_err(|e| Self::media_or_fatal(e, iid, floor))?;
-        let cid = self.alloc_cid();
-        wire.push((
-            MorpheusCommand::Deinit { instance_id: iid }.into_command(cid, 1),
-            StatusCode::Success,
-            end.retval as u32,
-        ));
+        wire.push((mdeinit, StatusCode::Success, end.retval as u32));
         Ok((end.wakeup.end, end.digest))
     }
 
@@ -1019,53 +1021,6 @@ impl System {
             }
         };
         Ok(self.command_wakeup(done).end)
-    }
-
-    /// Pushes one batch's commands through the tenant's own submission
-    /// queue in doorbell-coalesced waves: each wave fills the free ring
-    /// slots with a single tail-doorbell MMIO
-    /// ([`SubmissionQueue::submit_batch`](morpheus_nvme::SubmissionQueue::submit_batch)),
-    /// then the device drains the ring, the codec is verified byte-exact,
-    /// and completions are posted and reaped — releasing each CID.
-    fn pump_wire(
-        &mut self,
-        st: &mut ServeState,
-        ctx: &mut ServeCtx<'_>,
-        app: usize,
-        wire: &[WireCmd],
-        at: SimTime,
-    ) {
-        st.note(at, ServeEvent::WireBurst(wire.len()));
-        let qp = ctx
-            .admin
-            .io_queue(FIRST_TENANT_QID + app as u16)
-            .expect("queue created at serve start");
-        let mut cmds = std::mem::take(&mut st.cmds_scratch);
-        let mut i = 0;
-        while i < wire.len() {
-            let wave = ctx.cfg.sq_depth.min(wire.len() - i);
-            cmds.clear();
-            cmds.extend(wire[i..i + wave].iter().map(|(c, _, _)| *c));
-            qp.sq
-                .submit_batch(&cmds)
-                .expect("wave sized to the ring depth");
-            for (cmd, status, result) in &wire[i..i + wave] {
-                let popped = qp.sq.pop().expect("just submitted");
-                let bytes = popped.encode();
-                let decoded = NvmeCommand::decode(&bytes).expect("codec round-trips");
-                assert_eq!(decoded, *cmd, "wire corruption");
-                if decoded.opcode.is_morpheus() {
-                    MorpheusCommand::parse(&decoded).expect("morpheus command parses");
-                }
-                qp.cq
-                    .post(decoded.cid, *status, *result)
-                    .expect("host reaps promptly");
-                let e = qp.cq.reap().expect("completion just posted");
-                self.release_cid(e.cid);
-            }
-            i += wave;
-        }
-        st.cmds_scratch = cmds;
     }
 }
 
@@ -1121,17 +1076,17 @@ mod tests {
         sys.set_tracer(morpheus_simcore::Tracer::enabled());
         let mut cfg = quick_cfg(Mode::Morpheus);
         cfg.telemetry = Some(TelemetryConfig::new(SimDuration::from_micros(500)));
-        let (mut st, mut ctx) = sys.begin_serve(&specs, &cfg);
+        let (mut st, ctx) = sys.begin_serve(&specs, &cfg);
         // Serve one request first, so the state checked is a used one.
         let arrival = SimTime::from_nanos(10_000);
         st.pending[1].push_back(Request { arrival, app: 1 });
         st.queued = 1;
-        sys.drain_due(&mut st, &mut ctx, arrival).unwrap();
+        sys.drain_due(&mut st, &ctx, arrival).unwrap();
         assert_eq!((st.queued, st.rep.batches), (0, 1));
         assert!(st.sampler.is_some() && sys.tracer().recorded() > 0);
         let before = (format!("{st:?}"), sys.tracer().recorded());
         for up_to in [0, 10_000, 5_000_000, u64::MAX] {
-            sys.drain_due(&mut st, &mut ctx, SimTime::from_nanos(up_to))
+            sys.drain_due(&mut st, &ctx, SimTime::from_nanos(up_to))
                 .unwrap();
             let after = (format!("{st:?}"), sys.tracer().recorded());
             assert_eq!(after, before, "drain_due up to {up_to} ns changed state");
@@ -1499,6 +1454,69 @@ mod tests {
             "per-window fault counts sum to the report"
         );
         sys.set_fault_plan(FaultPlan::none());
+    }
+
+    /// No CID in flight, and the controller back to its bring-up queue.
+    fn assert_front_end_idle(sys: &mut System, after: &str) {
+        assert_eq!(sys.in_flight_cids.len(), 0, "CIDs in flight after {after}");
+        assert_eq!(sys.mssd.admin.io_queue_count(), 1, "queues after {after}");
+        assert!(
+            sys.mssd.admin.io_queue(1).is_some(),
+            "queue 1 after {after}"
+        );
+    }
+
+    #[test]
+    fn every_front_end_call_leaves_no_cid_in_flight() {
+        // Each driver, once returning Ok and once Err, leaves the drive's
+        // only front end as bring-up left it.
+        let (mut sys, specs) = serving_system(2, 500);
+        sys.create_input_file("bad.txt", b"1 2\nnot numeric\n3 4\n")
+            .unwrap();
+        let bad = AppSpec::cpu_app("bad", "bad.txt", edge_schema(), 1, 50.0);
+        for mode in [Mode::Conventional, Mode::Morpheus] {
+            sys.run(&specs[0], mode).unwrap();
+            assert_front_end_idle(&mut sys, &format!("a {mode} run"));
+            sys.run(&bad, mode).unwrap_err();
+            assert_front_end_idle(&mut sys, &format!("a failed {mode} run"));
+            sys.serve(&specs, &quick_cfg(mode)).unwrap();
+            assert_front_end_idle(&mut sys, &format!("a {mode} serve"));
+            // A request of the second tenant fails its batch, and at depth
+            // 1 it fails on the overflow path too.
+            let failing = [specs[0].clone(), bad.clone()];
+            for (policy, depth) in [(ServePolicy::Shed, 64), (ServePolicy::HostFallback, 1)] {
+                let mut cfg = quick_cfg(mode);
+                (cfg.policy, cfg.depth, cfg.rps) = (policy, depth, 50_000.0);
+                sys.serve(&failing, &cfg).unwrap_err();
+                assert_front_end_idle(&mut sys, &format!("a failed {mode} {policy} serve"));
+                assert_eq!(sys.mssd.live_instances(), 0);
+            }
+        }
+        let objects = sys.run(&specs[0], Mode::Conventional).unwrap().objects;
+        for mode in [Mode::Conventional, Mode::Morpheus] {
+            sys.run_serialize(&objects, &format!("{mode}.txt"), mode)
+                .unwrap();
+            assert_front_end_idle(&mut sys, &format!("a {mode} serialization"));
+        }
+        // The output name is taken.
+        sys.run_serialize(&objects, "morpheus.txt", Mode::Morpheus)
+            .unwrap_err();
+        assert_front_end_idle(&mut sys, "a failed serialization");
+
+        let mut fleet =
+            crate::Fleet::new(SystemParams::paper_testbed(), crate::FleetConfig::new(2));
+        fleet
+            .create_input_file("svc0.txt", &edge_text(500, 0))
+            .unwrap();
+        fleet
+            .create_input_file("bad.txt", b"1 2\nnot numeric\n3 4\n")
+            .unwrap();
+        let cfg = quick_cfg(Mode::Morpheus);
+        fleet.serve(&specs[..1], &cfg).unwrap();
+        fleet.serve(&[specs[0].clone(), bad], &cfg).unwrap_err();
+        for d in 0..fleet.num_devices() {
+            assert_front_end_idle(fleet.device_mut(d), "a fleet serve");
+        }
     }
 
     #[test]

@@ -294,8 +294,10 @@ impl StorageApp for DeserializeApp {
 
     fn on_finish(&mut self, ctx: &mut DeviceCtx) -> Result<i32, AppError> {
         let parser = self.parser.take().expect("on_finish called twice");
-        // The final carry may hold one last unterminated token.
-        let rest = parser.finish()?;
+        // The final carry may hold one last unterminated token: its parse
+        // is charged here, at MDEINIT.
+        let (rest, work) = parser.finish_with_work()?;
+        ctx.charge_work(&work.since(&self.last_work));
         Ok((self.emitted_records + emit_rows(ctx, &rest)) as i32)
     }
 }

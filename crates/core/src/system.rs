@@ -2,11 +2,12 @@
 
 use crate::cache::{CacheConfig, CacheStats, ObjectCache};
 use crate::faults::FaultInjector;
+use crate::firmware::IO_QUEUE_DEPTH;
 use crate::{MorpheusSsd, ReplayStore, SystemParams};
 use morpheus_flash::EccModel;
 use morpheus_gpu::Gpu;
 use morpheus_host::{CodeClass, Cpu, FileMeta, FsError, HostDram, MemBus, OsModel, SimFs};
-use morpheus_nvme::{CompletionEntry, NvmeCommand, StatusCode, LBA_BYTES, MAX_IO_BLOCKS};
+use morpheus_nvme::{MorpheusCommand, NvmeCommand, StatusCode, LBA_BYTES, MAX_IO_BLOCKS};
 use morpheus_pcie::{BarWindow, DeviceId, Fabric};
 use morpheus_simcore::{
     Bandwidth, FaultCounters, FaultPlan, Histogram, Interval, SimTime, Timeline, Tracer,
@@ -28,6 +29,11 @@ pub struct ChunkIo {
     /// Byte offset of this chunk within the file.
     pub file_offset: u64,
 }
+
+/// A command bound for an I/O queue pair, with the status and result
+/// dword of the completion the device posts for it. Its CID is the
+/// pump's to assign ([`System::pump`]).
+pub(crate) type WireCmd = (NvmeCommand, StatusCode, u32);
 
 /// Fixed-size bitmap over the full 16-bit command-identifier space.
 ///
@@ -118,6 +124,8 @@ pub struct System {
     /// commands in flight (NVMe 1.2 §4.2), so the allocator must skip
     /// these when the 16-bit counter wraps under sustained load.
     pub(crate) in_flight_cids: CidSet,
+    /// The pump's scratch for one doorbell wave of tagged commands.
+    wave: Vec<NvmeCommand>,
     pub(crate) tracer: Tracer,
     pub(crate) nvme_lat: Histogram,
     /// The installed fault plan (inactive by default).
@@ -174,6 +182,7 @@ impl System {
             next_instance: 1,
             next_cid: 0,
             in_flight_cids: CidSet::new(),
+            wave: Vec::new(),
             tracer: Tracer::disabled(),
             nvme_lat: Histogram::new(),
             fault_plan: FaultPlan::none(),
@@ -514,10 +523,9 @@ impl System {
     }
 
     /// Allocates a command identifier that is unique among commands in
-    /// flight, wrapping past CIDs still awaiting completion. Callers must
-    /// pair every allocation with [`release_cid`](System::release_cid)
-    /// once the completion is reaped.
-    pub(crate) fn alloc_cid(&mut self) -> u16 {
+    /// flight, wrapping past CIDs still awaiting completion. The
+    /// [`pump`](System::pump) releases it once the completion is reaped.
+    fn alloc_cid(&mut self) -> u16 {
         assert!(
             self.in_flight_cids.len() < usize::from(u16::MAX) + 1,
             "all 65536 command identifiers are in flight"
@@ -531,12 +539,6 @@ impl System {
         }
     }
 
-    /// Returns a command identifier to the pool after its completion was
-    /// reaped.
-    pub(crate) fn release_cid(&mut self, cid: u16) {
-        self.in_flight_cids.remove(cid);
-    }
-
     /// Books one host wakeup for an NVMe command completion (or the
     /// syscall that issues a command) on a host core, no earlier than
     /// `at`: the OS path of [`OsModel::command_completion`], priced as
@@ -547,25 +549,45 @@ impl System {
             .acquire(at, self.cpu.duration(c.instructions, CodeClass::OsKernel))
     }
 
-    /// Drives one command through the shared I/O queue's full wire
-    /// protocol (encode → decode → completion) and releases its CID for
-    /// reuse once the completion is reaped, mirroring a real driver's CID
-    /// lifecycle.
-    pub(crate) fn round_trip(
-        &mut self,
-        cmd: NvmeCommand,
-        status: StatusCode,
-        result: u32,
-    ) -> CompletionEntry {
-        let e = self.mssd.protocol_round_trip(cmd, status, result);
-        self.release_cid(e.cid);
-        e
+    /// Drives `wire` through I/O queue pair `qid` of the drive's
+    /// controller: the one place a command crosses the wire, so a CID is
+    /// in flight only inside this call. Each doorbell-coalesced wave tags
+    /// up to a ring's worth of commands with free CIDs and submits them
+    /// with one tail-doorbell write; the device pops each, its codec must
+    /// round-trip byte-exact (and a Morpheus command parse, or this
+    /// panics), and its completion is posted and reaped and its CID freed.
+    pub(crate) fn pump(&mut self, qid: u16, wire: &[WireCmd]) {
+        let mut tagged = std::mem::take(&mut self.wave);
+        for wave in wire.chunks(IO_QUEUE_DEPTH) {
+            tagged.clear();
+            for (cmd, _, _) in wave {
+                let cid = self.alloc_cid();
+                tagged.push(NvmeCommand { cid, ..*cmd });
+            }
+            let qp = self.mssd.admin.io_queue(qid).expect("queue created");
+            qp.sq.submit_batch(&tagged).expect("a wave fits the ring");
+            for (sent, (_, status, result)) in tagged.iter().zip(wave) {
+                let popped = qp.sq.pop().expect("just submitted");
+                let decoded = NvmeCommand::decode(&popped.encode()).expect("codec round-trips");
+                assert_eq!(decoded, *sent, "wire corruption");
+                if decoded.opcode.is_morpheus() {
+                    MorpheusCommand::parse(&decoded).expect("morpheus command parses");
+                }
+                qp.cq
+                    .post(decoded.cid, *status, *result)
+                    .expect("host reaps promptly");
+                let e = qp.cq.reap().expect("completion just posted");
+                self.in_flight_cids.remove(e.cid);
+            }
+        }
+        self.wave = tagged;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::firmware::IO_QUEUE_ID;
     use morpheus_flash::FlashGeometry;
 
     fn small_system() -> System {
@@ -639,26 +661,22 @@ mod tests {
     }
 
     #[test]
-    fn cid_allocation_survives_u16_exhaustion() {
-        // Regression: sustained serving issues far more than 65 536
-        // commands; the allocator must wrap without colliding with CIDs
-        // still in flight.
+    fn the_pump_drains_bursts_past_the_ring_and_the_cid_space() {
+        // A burst longer than the ring goes in waves of one doorbell each;
+        // 70 000 commands also wrap the 16-bit CID counter, which must
+        // skip the CIDs a caller still holds.
         let mut sys = small_system();
         let held: Vec<u16> = (0..8).map(|_| sys.alloc_cid()).collect();
-        let held_set: std::collections::HashSet<u16> = held.iter().copied().collect();
-        for _ in 0..70_000u32 {
-            let cid = sys.alloc_cid();
-            assert!(
-                !held_set.contains(&cid),
-                "fresh CID {cid} collides with an in-flight command"
-            );
-            let cmd = NvmeCommand::new(morpheus_nvme::IoOpcode::Flush, cid, 1);
-            let e = sys.round_trip(cmd, StatusCode::Success, 0);
-            assert_eq!(e.cid, cid);
-        }
-        // The long-held commands complete last; their CIDs stayed theirs.
+        let cmd = NvmeCommand::new(morpheus_nvme::IoOpcode::Flush, 0, 1);
+        let wire = vec![(cmd, StatusCode::Success, 0); 70_000];
+        sys.pump(IO_QUEUE_ID, &wire);
+        let qp = sys.mssd.admin.io_queue(IO_QUEUE_ID).unwrap();
+        assert_eq!(qp.sq.doorbell_writes(), 70_000u64.div_ceil(64));
+        assert!(qp.sq.is_empty(), "the device popped every command");
+        assert_eq!(qp.cq.outstanding(), 0, "every completion was reaped");
+        assert_eq!(sys.in_flight_cids.len(), held.len(), "only the held CIDs");
         for cid in held {
-            sys.release_cid(cid);
+            assert!(!sys.in_flight_cids.insert(cid), "CID {cid} stayed held");
         }
     }
 }

@@ -115,7 +115,7 @@ fn nvme_protocol_path_is_exercised() {
     // Every command travelled through the real submission queue (created
     // by the admin command set at bring-up).
     assert_eq!(sys.mssd.admin.io_queue_count(), 1);
-    let qp = sys.mssd.io_queue();
+    let qp = sys.mssd.admin.io_queue(1).expect("created at bring-up");
     assert!(qp.sq.doorbell_writes() > 0);
     assert!(qp.sq.is_empty(), "no commands left in flight");
     assert_eq!(qp.cq.outstanding(), 0, "all completions reaped");
@@ -212,8 +212,8 @@ fn headline_speedups_in_paper_range() {
 #[test]
 fn identify_advertises_morpheus_capabilities() {
     let sys = staged_system();
-    let id = sys.mssd.identify();
-    let page = id.encode();
+    // The drive's controller serves the Identify page the host DMA-reads.
+    let page = sys.mssd.admin.identify();
     let back = morpheus_nvme::IdentifyController::decode(&page[..]).unwrap();
     let caps = back
         .morpheus

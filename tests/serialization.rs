@@ -4,6 +4,7 @@
 use morpheus::{ms_stream_create, CommandPlan, Mode, System, SystemParams};
 use morpheus_format::{parse_buffer, FieldKind, Schema, TextWriter};
 use morpheus_nvme::MorpheusCommand;
+use morpheus_simcore::Tracer;
 
 fn objects(n: u64) -> morpheus_format::ParsedColumns {
     let schema = Schema::new(vec![FieldKind::I32, FieldKind::U32]);
@@ -65,23 +66,53 @@ fn serialization_report_is_consistent() {
 
 #[test]
 fn command_plan_matches_what_the_driver_issues() {
-    let mut sys = System::new(SystemParams::paper_testbed());
-    let data = vec![b'7'; 3_000_000];
-    // "7 7 7 ..." would not parse as pairs; this test only inspects layout.
-    sys.create_input_file("layout.bin", &data).unwrap();
-    let stream = ms_stream_create(&sys.fs, "layout.bin", sys.params.mread_chunk_bytes).unwrap();
-    let plan = CommandPlan::lower(&stream, 42, 0x4000, 16 * 1024, 0x2000);
-    // One MINIT + ceil(3MB / 8MiB) = 1 MREAD + one MDEINIT.
-    assert_eq!(plan.reads(), 1);
-    assert_eq!(plan.commands.len(), 3);
-    let covered: u64 = plan
-        .commands
-        .iter()
-        .filter_map(|c| match c {
-            MorpheusCommand::Read { blocks, .. } => Some(*blocks * 512),
-            _ => None,
-        })
-        .sum();
-    assert!(covered >= stream.len());
-    assert!(covered - stream.len() < 512, "over-read is under one block");
+    // 64 KiB MREADs over a file split into 100 KiB extents, so the plan
+    // has several reads and extent boundaries cut some of them short.
+    let mut params = SystemParams::paper_testbed();
+    params.mread_chunk_bytes = 64 << 10;
+    let mut sys = System::new(params);
+    sys.fs.set_max_extent_blocks(200);
+    let objs = objects(30_000);
+    let mut text = TextWriter::new();
+    for r in 0..objs.records as usize {
+        text.write_i64(objs.columns[0].as_ints().unwrap()[r]);
+        text.sep();
+        text.write_i64(objs.columns[1].as_ints().unwrap()[r]);
+        text.newline();
+    }
+    sys.create_input_file("layout.txt", text.as_bytes())
+        .unwrap();
+    let stream = ms_stream_create(&sys.fs, "layout.txt", sys.params.mread_chunk_bytes).unwrap();
+    let plan = CommandPlan::lower(stream, 42, 16 * 1024);
+    assert!(plan.reads() > 3, "{} reads", plan.reads());
+
+    sys.set_tracer(Tracer::enabled());
+    let doorbells = |sys: &mut System| sys.mssd.admin.io_queue(1).unwrap().sq.doorbell_writes();
+    let before = doorbells(&mut sys);
+    let spec = morpheus::AppSpec::cpu_app("layout", "layout.txt", objs.schema.clone(), 2, 50.0);
+    let run = sys.run(&spec, Mode::Morpheus).unwrap();
+    assert_eq!(run.objects, objs);
+    // A solo run submits each command on its own doorbell: exactly the
+    // plan's commands crossed queue 1.
+    assert_eq!(doorbells(&mut sys) - before, plan.commands().count() as u64);
+
+    // The driver traces each command's lifecycle on the queue's track, in
+    // issue order; an MREAD span carries the bytes the command moved.
+    let log = sys.tracer().take();
+    let issued: Vec<_> = log.events.iter().filter(|e| e.track == "ioq1").collect();
+    assert_eq!(issued.len(), plan.commands().count());
+    for (cmd, span) in plan.commands().zip(&issued) {
+        match cmd {
+            MorpheusCommand::Init { .. } => assert_eq!(span.name, "MINIT"),
+            MorpheusCommand::Read { blocks, .. } => {
+                assert_eq!(span.name, "MREAD");
+                let bytes = span.bytes.expect("MREAD spans carry bytes");
+                assert_eq!(bytes.div_ceil(512), blocks, "MREAD geometry");
+            }
+            MorpheusCommand::Deinit { .. } => assert_eq!(span.name, "MDEINIT"),
+            MorpheusCommand::Write { .. } => panic!("a read plan has no MWRITE"),
+        }
+    }
+    let read: u64 = issued.iter().filter_map(|e| e.bytes).sum();
+    assert_eq!(read, plan.stream.len(), "the MREADs cover the file once");
 }
