@@ -9,16 +9,17 @@
 //! round-robin so resource contention is modelled at chunk granularity —
 //! and reports per-tenant and aggregate throughput.
 //!
-//! A tenant is one of two engines, and each is the only engine of its
-//! kind: [`HostTenant`] (Fig. 1's `read()`+parse loop) and
-//! [`DeviceTenant`] (one StorageApp lifecycle, MINIT → MREAD* → MDEINIT).
-//! Three callers step them: the round-robin loop here, `System::run`
-//! (`exec.rs`, a tenant of one, with its fallback onto the host engine)
-//! and the open-loop serving layer (`serve.rs`, one request at a time).
-//! Each caller keeps its own framing around the steps — fault gates, NVMe
-//! wire commands, trace spans — because the framings differ: solo runs and
-//! serving gate the same commands at different floors
-//! (`docs/FAULT_MODEL.md`).
+//! There are two engines, and each is the only engine of its kind:
+//! [`HostTenant`] (Fig. 1's `read()`+parse loop) and [`DeviceTenant`] (one
+//! StorageApp lifecycle, MINIT → MREAD* → MDEINIT). One driver frames them:
+//! an [`InFlight`] request, opened on either engine and stepped one
+//! command at a time. Each step passes the command's fault gate at its
+//! submission, runs the engine, and yields the command's wire form and a
+//! [`StepEvent`]; a device failure the host can absorb reaps the instance
+//! and moves the same request onto the host engine. Every caller steps
+//! it: `System::run` (`exec.rs`, a request of one), the round-robin loop
+//! here, and serving (`serve.rs`). They differ only in loop order, in
+//! where they pump the commands, and in which sink reads the events.
 //!
 //! Each engine owns its table of the system's replay store (see
 //! `deser_memo`): building it looks a recording up, and finishing it
@@ -27,18 +28,18 @@
 //! MREAD's costs and output come from.
 
 use crate::deser_memo::{HostReplay, MemoKey, ReplayStore};
-use crate::exec::{AppSpec, InputFormat, RunError};
+use crate::exec::{AppSpec, InputFormat, MorpheusAbort, RunError};
 use crate::firmware::{DeviceReplay, InstanceMemo};
 use crate::report::{mb_per_sec, Mode};
-use crate::system::ChunkIo;
+use crate::system::{ChunkIo, WireCmd};
 use crate::{ms_stream_create, CommandPlan, StorageKind, System};
 use morpheus_format::{
     BinaryStreamParser, ObjectDigest, ParseError, ParseWork, ParsedColumns, Schema, StreamingParser,
 };
 use morpheus_host::CodeClass;
-use morpheus_nvme::{MorpheusCommand, NvmeCommand};
+use morpheus_nvme::{MorpheusCommand, NvmeCommand, StatusCode};
 use morpheus_pcie::{BarWindow, DmaDir};
-use morpheus_simcore::{Interval, SimDuration, SimTime};
+use morpheus_simcore::{FaultCounters, Interval, SimDuration, SimTime};
 use std::sync::Arc;
 
 /// One tenant's outcome.
@@ -69,6 +70,8 @@ pub struct ConcurrentReport {
     pub aggregate_mbs: f64,
     /// Context switches across all tenants.
     pub context_switches: u64,
+    /// Injected faults and recoveries (all zero without a fault plan).
+    pub faults: FaultCounters,
 }
 
 /// Host-side parser dispatch over the input encoding.
@@ -133,8 +136,7 @@ enum ParseSource {
 
 /// The host deserialization engine: Fig. 1's `read()`+parse loop over one
 /// file, stepped a chunk at a time with [`System::step_host`] and closed
-/// with [`HostTenant::finish`]. Each caller keeps only its own framing —
-/// fault rolls, wire commands, spans — around the steps.
+/// with [`HostTenant::finish`]. An [`InFlight`] request frames the steps.
 ///
 /// Record/replay of the parse work (see `deser_memo`): storage I/O, OS
 /// costs and CPU-core grants always run live against the caller's
@@ -148,8 +150,11 @@ pub(crate) struct HostTenant {
     next: usize,
     /// Buffer X of Fig. 1(b): the raw-text landing buffer.
     buf_addr: u64,
-    /// The dispatch instant (the read floor of round-robin tenants).
+    /// The dispatch instant: no READ is served earlier.
     start: SimTime,
+    /// When the next READ is submitted: QD-1 blocking reads submit each
+    /// one when the previous one's data has landed.
+    submit: SimTime,
     cpu_ready: SimTime,
     source: ParseSource,
     /// Where a live parse publishes its recording.
@@ -158,25 +163,12 @@ pub(crate) struct HostTenant {
     keep_columns: bool,
 }
 
-/// One host chunk's timing.
-pub(crate) struct HostChunk {
-    /// When the chunk's bytes had landed in the host buffer.
-    pub io_done: SimTime,
-    /// The host-core grant that ran the `read()` return and the parse.
-    pub cpu: Interval,
-}
-
 impl HostTenant {
     /// The chunk the next [`System::step_host`] reads, if any is left,
     /// and the NVMe READ that lands it in the engine's buffer.
     pub(crate) fn next_read(&self) -> Option<(ChunkIo, NvmeCommand)> {
         let c = *self.chunks.get(self.next)?;
         Some((c, NvmeCommand::read(0, 1, c.slba, c.blocks, self.buf_addr)))
-    }
-
-    /// Bytes of the input file.
-    pub(crate) fn text_bytes(&self) -> u64 {
-        self.chunks.iter().map(|c| c.valid_bytes).sum()
     }
 
     /// Completes the parse. Returns when the last chunk's parse ended, the
@@ -225,10 +217,9 @@ impl HostTenant {
 /// (MINIT, one MREAD per chunk, MDEINIT) over one file, opened with
 /// [`System::device_tenant`], stepped an MREAD at a time with
 /// [`System::step_device`] and closed with [`System::finish_device`]. The
-/// mirror of [`HostTenant`]: each caller keeps only its own framing —
-/// fault gates, wire commands, spans — around the steps. The lifecycle is
-/// the runtime's [`CommandPlan`]: the engine runs the plan's chunks, and
-/// callers submit the plan's commands.
+/// mirror of [`HostTenant`]: an [`InFlight`] request frames the steps. The
+/// lifecycle is the runtime's [`CommandPlan`]: the engine runs the plan's
+/// chunks, and the request submits the plan's commands.
 ///
 /// The engine owns the device memo (see `deser_memo`). At MINIT it hands
 /// the firmware the instance's `InstanceMemo`: replay an identical
@@ -238,17 +229,15 @@ impl HostTenant {
 /// decoded, unless the caller keeps the columns. Every timed step (flash,
 /// cores, DMA, bus) runs live either way.
 pub(crate) struct DeviceTenant {
-    /// Schema the assembled object stream decodes against.
-    schema: Schema,
     /// The lowered lifecycle: the stream's chunks and its commands.
-    pub(crate) plan: CommandPlan,
+    plan: CommandPlan,
     /// Index of the next MREAD.
     next: usize,
     /// When MINIT finished: the instance is ready for MREADs.
-    pub(crate) ready: SimTime,
+    ready: SimTime,
     /// When the last step's objects were delivered (staged, for a step
     /// that returned none).
-    pub(crate) last_end: SimTime,
+    last_end: SimTime,
     obj_bin: Vec<u8>,
     /// Object bytes pushed off the drive so far.
     pushed: u64,
@@ -262,27 +251,18 @@ pub(crate) struct DeviceTenant {
     prefab: Option<ObjectDigest>,
 }
 
-/// One MREAD's timing.
-pub(crate) struct DeviceChunk {
-    /// When the MREAD's objects were staged for DMA.
-    pub done: SimTime,
-    /// The completion wakeup, when the MREAD returned objects.
-    pub wakeup: Option<Interval>,
-}
-
 /// How a device lifecycle ended.
 pub(crate) struct DeviceEnd {
     /// When MDEINIT finished on the drive.
-    pub done: SimTime,
+    done: SimTime,
     /// The completion wakeup that reaped MDEINIT.
-    pub wakeup: Interval,
+    wakeup: Interval,
     /// The StorageApp's return value.
-    pub retval: i32,
-    /// The objects' digest.
-    pub digest: ObjectDigest,
+    retval: i32,
+    digest: ObjectDigest,
     /// The columns, when the lifecycle decoded its object stream (always,
     /// for an engine built to keep them).
-    pub objects: Option<ParsedColumns>,
+    objects: Option<ParsedColumns>,
 }
 
 impl DeviceTenant {
@@ -294,11 +274,155 @@ impl DeviceTenant {
     }
 }
 
-/// Per-tenant progress state of [`System::run_deserialize_many`]: one
-/// engine per tenant.
-enum TenantState {
-    Conventional(HostTenant),
-    Morpheus(DeviceTenant),
+/// Where a request is opened: the host engine, or StorageApp instance
+/// `iid` on the drive delivering to the P2P window `bar` (host DRAM when
+/// `None`).
+pub(crate) enum Target {
+    Host,
+    Device(u32, Option<BarWindow>),
+}
+
+/// The engine an [`InFlight`] request is on.
+enum Engine {
+    /// A device request before its MINIT, issued no earlier than `start`.
+    Minit {
+        iid: u32,
+        bar: Option<BarWindow>,
+        start: SimTime,
+    },
+    Host(HostTenant),
+    Device(DeviceTenant),
+    /// The device lifecycle after its MDEINIT.
+    Ended(DeviceEnd),
+}
+
+/// One in-flight deserialization request: `spec`'s file parsed into
+/// objects on one engine, opened with [`System::open_request`], stepped
+/// one command at a time with [`System::step_request`] and closed with
+/// [`InFlight::finish`]. Solo runs, multi-tenant runs and serving all
+/// drive requests; see the module docs.
+pub(crate) struct InFlight<'a> {
+    spec: &'a AppSpec,
+    engine: Engine,
+    /// The caller wants the columns back, not only their digest.
+    keep_columns: bool,
+    /// Host CPU time the current engine has spent on the request:
+    /// syscalls and completion wakeups, or `read()` returns and parses.
+    cpu_busy: SimDuration,
+}
+
+/// What one step of a request did, for the driver's sink.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum StepEvent {
+    /// MINIT: the host core that ran the issuing syscall, and when the
+    /// instance was ready for MREADs.
+    Minit { syscall: Interval, ready: SimTime },
+    /// A host READ of `bytes`, submitted at `submit`, landed at `io_done`
+    /// and returned and parsed on the host core grant `cpu`.
+    Read {
+        bytes: u64,
+        submit: SimTime,
+        io_done: SimTime,
+        cpu: Interval,
+    },
+    /// An MREAD of `bytes`, queued when the instance was ready (`ready`),
+    /// staged at `done`, and its completion wakeup when it returned objects.
+    Mread {
+        bytes: u64,
+        ready: SimTime,
+        done: SimTime,
+        wakeup: Option<Interval>,
+    },
+    /// MDEINIT, issued when the last objects were delivered (`issue`),
+    /// done on the drive at `done` and reaped on the host core `wakeup`.
+    Mdeinit {
+        issue: SimTime,
+        done: SimTime,
+        wakeup: Interval,
+    },
+    /// The device attempt failed at `at`: its instance was reaped and the
+    /// request moved onto the host engine from `at`.
+    Fallback { at: SimTime },
+    /// A host READ was lost `attempts` times, the last detected at `at`.
+    /// The host path has nothing to fall back to: the request failed.
+    Lost { at: SimTime, attempts: u32 },
+}
+
+/// One step: the command that crossed the wire, with the completion the
+/// drive posts for it (none for a RAM-drive or HDD read, or a lost READ),
+/// and what happened.
+pub(crate) type Step = (Option<WireCmd>, StepEvent);
+
+impl StepEvent {
+    /// Host-core time the step took: the issuing syscall, the completion
+    /// wakeup, or the `read()` return and parse.
+    fn host_cpu(&self) -> SimDuration {
+        match *self {
+            StepEvent::Minit { syscall: iv, .. }
+            | StepEvent::Read { cpu: iv, .. }
+            | StepEvent::Mread {
+                wakeup: Some(iv), ..
+            }
+            | StepEvent::Mdeinit { wakeup: iv, .. } => iv.duration(),
+            _ => SimDuration::ZERO,
+        }
+    }
+}
+
+/// A finished request.
+pub(crate) struct Delivered {
+    /// When the objects were delivered.
+    pub end: SimTime,
+    pub digest: ObjectDigest,
+    /// The columns, when the request was opened to keep them.
+    pub objects: Option<ParsedColumns>,
+    /// Host CPU time the delivering engine spent on the request.
+    pub cpu_busy: SimDuration,
+    /// The host engine parsed the objects (conventional mode or a
+    /// fallback), so they sit in host DRAM.
+    pub on_host: bool,
+}
+
+impl InFlight<'_> {
+    /// True once the request has no step left:
+    /// [`finish`](InFlight::finish) it.
+    pub(crate) fn done(&self) -> bool {
+        match &self.engine {
+            Engine::Host(h) => h.next == h.chunks.len(),
+            Engine::Ended(_) => true,
+            Engine::Minit { .. } | Engine::Device(_) => false,
+        }
+    }
+
+    /// True while the request has a MINIT, READ or MREAD left: every step
+    /// but MDEINIT.
+    pub(crate) fn reading(&self) -> bool {
+        match &self.engine {
+            Engine::Minit { .. } => true,
+            Engine::Host(h) => h.next < h.chunks.len(),
+            Engine::Device(t) => t.next < t.plan.stream.chunks().len(),
+            Engine::Ended(_) => false,
+        }
+    }
+
+    /// Closes a request whose steps are done.
+    pub(crate) fn finish(self) -> Result<Delivered, RunError> {
+        let ((end, digest, objects), on_host) = match self.engine {
+            Engine::Host(h) => (h.finish()?, true),
+            Engine::Ended(e) => ((e.wakeup.end, e.digest, e.objects), false),
+            Engine::Minit { .. } | Engine::Device(_) => {
+                unreachable!("a request finishes after its last step")
+            }
+        };
+        let cpu_busy = self.cpu_busy;
+        Ok(Delivered {
+            end,
+            digest,
+            objects,
+            cpu_busy,
+            on_host,
+        })
+    }
 }
 
 impl System {
@@ -338,6 +462,7 @@ impl System {
             next: 0,
             buf_addr,
             start,
+            submit: start,
             cpu_ready: start,
             source: match replay {
                 Some(r) => ParseSource::Replay(r),
@@ -359,7 +484,7 @@ impl System {
         &mut self,
         h: &mut HostTenant,
         floor: SimTime,
-    ) -> Result<HostChunk, RunError> {
+    ) -> Result<StepEvent, RunError> {
         let ci = h.next;
         let c = h.chunks[ci];
         h.next += 1;
@@ -402,12 +527,17 @@ impl System {
         h.cpu_ready = cpu.end;
         // The parse loop streams the text back out of DRAM.
         self.membus.account(c.valid_bytes);
-        Ok(HostChunk { io_done, cpu })
+        let submit = std::mem::replace(&mut h.submit, io_done);
+        Ok(StepEvent::Read {
+            bytes: c.valid_bytes,
+            submit,
+            io_done,
+            cpu,
+        })
     }
 
     /// One host-path input chunk on the configured storage device, served
-    /// no earlier than `ready`. The NVMe command itself is the caller's:
-    /// a solo run round-trips it, serving pushes it onto the wire.
+    /// no earlier than `ready`. The NVMe command itself is the request's.
     fn conventional_io(
         &mut self,
         c: &ChunkIo,
@@ -499,7 +629,6 @@ impl System {
         let plan = CommandPlan::lower(stream, iid, app.code_bytes());
         let ready = self.mssd.minit_with(iid, app, issue, memo)?;
         Ok(DeviceTenant {
-            schema: spec.schema.clone(),
             plan,
             next: 0,
             ready,
@@ -518,7 +647,7 @@ impl System {
         &mut self,
         t: &mut DeviceTenant,
         issue: SimTime,
-    ) -> Result<DeviceChunk, RunError> {
+    ) -> Result<StepEvent, RunError> {
         let c = t.plan.stream.chunks()[t.next];
         t.next += 1;
         let out = self
@@ -538,7 +667,9 @@ impl System {
         if t.prefab.is_none() {
             t.obj_bin.extend_from_slice(&out.output);
         }
-        Ok(DeviceChunk {
+        Ok(StepEvent::Mread {
+            bytes: c.valid_bytes,
+            ready: t.ready,
             done: out.done,
             wakeup,
         })
@@ -546,11 +677,13 @@ impl System {
 
     /// Runs the engine's MDEINIT, issued to the drive at `issue`, pushes
     /// the final objects and takes the completion wakeup. A lifecycle
-    /// without a replay's digest decodes its object stream; a recording
-    /// one is published to the memo with that digest.
+    /// without a replay's digest decodes its object stream against
+    /// `schema`; a recording one is published to the memo with that
+    /// digest.
     pub(crate) fn finish_device(
         &mut self,
-        mut t: DeviceTenant,
+        t: &mut DeviceTenant,
+        schema: &Schema,
         issue: SimTime,
     ) -> Result<DeviceEnd, RunError> {
         let dein = self.mssd.mdeinit(t.plan.instance_id, issue)?;
@@ -566,7 +699,7 @@ impl System {
             Some(d) => (d, None),
             None => {
                 t.obj_bin.extend_from_slice(&dein.host_output);
-                let o = ParsedColumns::decode(t.schema, &t.obj_bin)?;
+                let o = ParsedColumns::decode(schema.clone(), &t.obj_bin)?;
                 (o.digest(), Some(o))
             }
         };
@@ -599,18 +732,154 @@ impl System {
         })
     }
 
+    /// Opens a request for `spec`'s file on `target`, dispatched at
+    /// `start`. A host request builds its engine now; a device request's
+    /// first step is its MINIT. With `keep_columns` the request hands the
+    /// columns back from [`InFlight::finish`].
+    pub(crate) fn open_request<'a>(
+        &mut self,
+        spec: &'a AppSpec,
+        target: Target,
+        start: SimTime,
+        keep_columns: bool,
+    ) -> Result<InFlight<'a>, RunError> {
+        let engine = match target {
+            Target::Host => Engine::Host(self.conventional_tenant(spec, start, keep_columns)?),
+            Target::Device(iid, bar) => Engine::Minit { iid, bar, start },
+        };
+        Ok(InFlight {
+            spec,
+            engine,
+            keep_columns,
+            cpu_busy: SimDuration::ZERO,
+        })
+    }
+
+    /// Runs the next command of a request that is not
+    /// [`done`](InFlight::done): its fault gate at submission, the engine
+    /// step and its wire command, and books the host CPU time it took.
+    /// Every device error ends the attempt in
+    /// [`fall_back`](System::fall_back), so none leaves an instance or its
+    /// controller DRAM behind: a spent reissue budget, a crashed core or
+    /// uncorrectable media moves the request onto the host engine, and any
+    /// other error fails it.
+    pub(crate) fn step_request(&mut self, req: &mut InFlight<'_>) -> Result<Step, RunError> {
+        let step = match &mut req.engine {
+            Engine::Host(h) => self.step_read(h)?,
+            Engine::Minit { .. } | Engine::Device(_) => match self.step_morpheus(req) {
+                Ok(step) => step,
+                Err(abort) => self.fall_back(req, abort)?,
+            },
+            Engine::Ended(_) => unreachable!("a done request has no step"),
+        };
+        req.cpu_busy += step.1.host_cpu();
+        Ok(step)
+    }
+
+    /// A host request's next READ, gated at its own submission (QD-1:
+    /// when the previous one's data landed) and served no earlier than the
+    /// request's dispatch.
+    fn step_read(&mut self, h: &mut HostTenant) -> Result<Step, RunError> {
+        let (_, read) = h.next_read().expect("a READ is left");
+        let nvme = self.params.storage == StorageKind::NvmeSsd;
+        let floor = match nvme {
+            true => match self.issue_with_timeouts(h.submit, h.start) {
+                Ok(floor) => floor,
+                Err((at, attempts)) => return Ok((None, StepEvent::Lost { at, attempts })),
+            },
+            false => h.start,
+        };
+        let ev = self.step_host(h, floor)?;
+        Ok((nvme.then_some((read, StatusCode::Success, 0)), ev))
+    }
+
+    /// A device request's next command: MINIT, each MREAD, then MDEINIT.
+    /// MINIT is gated after the syscall that issues it, each MREAD from
+    /// the instance-ready time (they are all queued once the instance is
+    /// up), and MDEINIT once the last objects are delivered.
+    fn step_morpheus(&mut self, req: &mut InFlight<'_>) -> Result<Step, MorpheusAbort> {
+        let ok = StatusCode::Success;
+        let t = match &mut req.engine {
+            Engine::Minit { iid, bar, start } => {
+                let (iid, bar) = (*iid, *bar);
+                let syscall = self.command_wakeup(*start);
+                let issue = self.fault_gate("MINIT", syscall.end)?;
+                let t = self.device_tenant(req.spec, iid, issue, bar, req.keep_columns)?;
+                let (ready, cmd) = (t.ready, t.plan.init().into_command(0, 1));
+                req.engine = Engine::Device(t);
+                return Ok((Some((cmd, ok, 0)), StepEvent::Minit { syscall, ready }));
+            }
+            Engine::Device(t) => t,
+            Engine::Host(_) | Engine::Ended(_) => unreachable!("not on the device engine"),
+        };
+        if let Some((_, mread)) = t.next_read() {
+            let issue = self.fault_gate("MREAD", t.ready)?;
+            let ev = self
+                .step_device(t, issue)
+                .map_err(|e| Self::media_or_fatal(e, issue))?;
+            return Ok((Some((mread.into_command(0, 1), ok, 0)), ev));
+        }
+        let last_end = t.last_end;
+        let issue = self.fault_gate("MDEINIT", last_end)?;
+        let e = self
+            .finish_device(t, &req.spec.schema, issue)
+            .map_err(|e| Self::media_or_fatal(e, issue))?;
+        let cmd = (t.plan.deinit().into_command(0, 1), ok, e.retval as u32);
+        let ev = StepEvent::Mdeinit {
+            issue: last_end,
+            done: e.done,
+            wakeup: e.wakeup,
+        };
+        req.engine = Engine::Ended(e);
+        Ok((Some(cmd), ev))
+    }
+
+    /// The one fallback: ends a device attempt that `abort`ed. It reaps
+    /// the instance, then fails the request, or counts the fallback and
+    /// its cause and moves the request onto the host engine from the
+    /// detection time. The failed command posts no completion of its own:
+    /// its status rides the reap's MDEINIT, built here rather than taken
+    /// from the plan because the instance may never have started.
+    fn fall_back(
+        &mut self,
+        req: &mut InFlight<'_>,
+        abort: MorpheusAbort,
+    ) -> Result<Step, RunError> {
+        let iid = match &req.engine {
+            Engine::Minit { iid, .. } => *iid,
+            Engine::Device(t) => t.plan.instance_id,
+            Engine::Host(_) | Engine::Ended(_) => unreachable!("not on the device engine"),
+        };
+        self.mssd.abort_instance(iid);
+        let (at, status, cause) = match abort {
+            MorpheusAbort::Fatal(e) => return Err(e),
+            MorpheusAbort::Fallback { at, status, cause } => (at, status, cause),
+        };
+        if let Some(fi) = self.faults.as_mut() {
+            fi.counters.host_fallbacks += 1;
+            fi.fallback_cause = Some(cause);
+        }
+        req.engine = Engine::Host(self.conventional_tenant(req.spec, at, req.keep_columns)?);
+        // A request's CPU time is its delivering engine's.
+        req.cpu_busy = SimDuration::ZERO;
+        let reap = MorpheusCommand::Deinit { instance_id: iid }.into_command(0, 1);
+        Ok((Some((reap, status, 0)), StepEvent::Fallback { at }))
+    }
+
     /// Runs the deserialization phase of several tenants concurrently.
     ///
-    /// Chunks are issued round-robin across tenants, so host cores, the
+    /// Commands are issued round-robin across tenants, so host cores, the
     /// memory bus, flash channels, embedded cores, and PCIe links all
     /// contend exactly as the shared timelines dictate. Only
     /// [`Mode::Conventional`] and [`Mode::Morpheus`] tenants are supported
-    /// (P2P is a single-accelerator concept).
+    /// (P2P is a single-accelerator concept). Faults are injected and
+    /// absorbed as in a solo run.
     ///
     /// # Errors
     ///
     /// Fails on an empty tenant list ([`RunError::NoTenants`]), unknown
-    /// files, parse failures, firmware faults, or an unsupported mode.
+    /// files, parse failures, firmware faults, a host read that spent its
+    /// reissue budget, or an unsupported mode.
     pub fn run_deserialize_many(
         &mut self,
         tenants: &[(AppSpec, Mode)],
@@ -640,70 +909,37 @@ impl System {
         &mut self,
         tenants: &[(AppSpec, Mode)],
     ) -> Result<ConcurrentReport, RunError> {
-        let mut states = Vec::with_capacity(tenants.len());
+        let mut reqs = Vec::with_capacity(tenants.len());
         for (spec, mode) in tenants {
-            let state = match mode {
-                Mode::Conventional => TenantState::Conventional(self.conventional_tenant(
-                    spec,
-                    SimTime::ZERO,
-                    false,
-                )?),
-                Mode::Morpheus => {
-                    let iid = self.alloc_instance();
-                    let syscall = self.command_wakeup(SimTime::ZERO);
-                    let d = self.device_tenant(spec, iid, syscall.end, None, false)?;
-                    TenantState::Morpheus(d)
-                }
+            let target = match mode {
+                Mode::Conventional => Target::Host,
+                Mode::Morpheus => Target::Device(self.alloc_instance(), None),
                 Mode::MorpheusP2P => return Err(RunError::NotGpuApp(spec.name.clone())),
             };
-            states.push(state);
+            reqs.push(self.open_request(spec, target, SimTime::ZERO, false)?);
         }
-
-        // Round-robin chunk issue until everyone has drained their file.
-        loop {
-            let mut progressed = false;
-            for t in states.iter_mut() {
-                match t {
-                    TenantState::Conventional(h) if h.next_read().is_some() => {
-                        let floor = h.start;
-                        self.step_host(h, floor)?;
-                    }
-                    TenantState::Morpheus(d) if d.next_read().is_some() => {
-                        let issue = d.ready;
-                        self.step_device(d, issue)?;
-                    }
-                    _ => continue,
-                }
-                progressed = true;
-            }
-            if !progressed {
-                break;
+        // Reads go round-robin until every tenant has drained its file;
+        // then each tenant's MDEINIT (or a late fallback's reads), in order.
+        while reqs.iter().any(InFlight::reading) {
+            for r in reqs.iter_mut().filter(|r| r.reading()) {
+                self.step_on_queue1(r)?;
             }
         }
-
-        // Finish every tenant and assemble reports.
-        let mut reports = Vec::with_capacity(states.len());
+        let mut reports = Vec::with_capacity(reqs.len());
         let mut makespan = SimTime::ZERO;
-        for ((spec, mode), t) in tenants.iter().zip(states) {
-            let (end, objects) = match t {
-                TenantState::Conventional(h) => {
-                    let (end, digest, _) = h.finish()?;
-                    (end, digest)
-                }
-                TenantState::Morpheus(d) => {
-                    let issue = d.last_end;
-                    let e = self.finish_device(d, issue)?;
-                    (e.wakeup.end, e.digest)
-                }
-            };
+        for ((spec, mode), mut r) in tenants.iter().zip(reqs) {
+            while !r.done() {
+                self.step_on_queue1(&mut r)?;
+            }
+            let Delivered { end, digest, .. } = r.finish()?;
             makespan = makespan.max(end);
             reports.push(TenantReport {
                 app: spec.name.clone(),
                 mode: *mode,
                 deser_s: end.as_secs_f64(),
-                records: objects.records,
-                checksum: objects.checksum,
-                object_bytes: objects.bytes,
+                records: digest.records,
+                checksum: digest.checksum,
+                object_bytes: digest.bytes,
             });
         }
         let makespan_s = makespan.as_secs_f64();
@@ -713,6 +949,7 @@ impl System {
             tenants: reports,
             makespan_s,
             context_switches: self.os.accounting().context_switches,
+            faults: self.collect_fault_counters(),
         })
     }
 }
@@ -900,6 +1137,59 @@ mod tests {
         let mut cfg = crate::ServeConfig::new(1000.0, 0.01);
         cfg.mode = Mode::Morpheus;
         assert!(sys.serve(&specs[..2], &cfg).unwrap().completed > 0);
+    }
+
+    #[test]
+    fn a_certain_crash_falls_back_on_every_tenant() {
+        let (mut sys, specs) = system_with_tenants(3);
+        let tenants: Vec<(AppSpec, Mode)> =
+            specs.iter().map(|s| (s.clone(), Mode::Morpheus)).collect();
+        let clean = sys.run_deserialize_many(&tenants).unwrap();
+        sys.set_fault_plan(morpheus_simcore::FaultPlan::parse("seed=1,crash=1").unwrap());
+        let rep = sys.run_deserialize_many(&tenants).unwrap();
+        assert_eq!(rep.faults.core_crashes, 3, "every MINIT crashed");
+        assert_eq!(rep.faults.host_fallbacks, 3);
+        for (t, want) in rep.tenants.iter().zip(&clean.tenants) {
+            assert_eq!(
+                (t.records, t.checksum),
+                (want.records, want.checksum),
+                "{}",
+                t.app
+            );
+            assert!(t.deser_s > want.deser_s, "{} parsed on the host", t.app);
+        }
+        assert_eq!(sys.mssd.live_instances(), 0);
+        assert_eq!(sys.mssd.dev.dram_used(), 0);
+    }
+
+    #[test]
+    fn a_failed_object_push_leaves_no_instance_live() {
+        // Object memory far smaller than one MREAD's objects: the push
+        // fails after its MREAD ran, into host DRAM or into GPU memory.
+        let mut params = SystemParams::paper_testbed();
+        params.host_dram_bytes = 4 << 10;
+        params.gpu.memory_bytes = 4 << 10;
+        let mut sys = System::new(params);
+        sys.create_input_file("push.txt", &edge_text(20_000, 0x5eed_00c3))
+            .unwrap();
+        let spec = AppSpec::gpu_app("push", "push.txt", edge_schema(), 40.0, 16.0, 20.0);
+        let apps = std::slice::from_ref(&spec);
+        for mode in [Mode::Morpheus, Mode::MorpheusP2P] {
+            let exhausted = |e: &RunError| match mode {
+                Mode::MorpheusP2P => matches!(e, RunError::OutOfGpuMemory),
+                _ => matches!(e, RunError::OutOfHostMemory),
+            };
+            let err = sys.run(&spec, mode).unwrap_err();
+            assert!(exhausted(&err), "{mode} run: {err:?}");
+            assert_eq!(sys.mssd.live_instances(), 0, "{mode} run");
+            assert_eq!(sys.mssd.dev.dram_used(), 0, "{mode} run");
+            let mut cfg = crate::ServeConfig::new(1000.0, 0.01);
+            cfg.mode = mode;
+            let err = sys.serve(apps, &cfg).unwrap_err();
+            assert!(exhausted(&err), "{mode} serve: {err:?}");
+            assert_eq!(sys.mssd.live_instances(), 0, "{mode} serve");
+            assert_eq!(sys.mssd.dev.dram_used(), 0, "{mode} serve");
+        }
     }
 
     /// `u32 u64` records; without `terminated` the last one has no

@@ -14,15 +14,17 @@
 //! * [`Mode::MorpheusP2P`] — same, but MREAD results DMA straight into GPU
 //!   memory through the BAR NVMe-P2P mapped.
 //!
-//! The engines themselves live in `concurrent.rs`: the host engine
-//! (`HostTenant`) and the device engine (`DeviceTenant`), which serving and
-//! the multi-tenant runs step too, so a solo run is a tenant of one. What
-//! stays here is the solo framing around their steps: the fault gates at
-//! the solo floors, the round trips on the shared I/O queue, the trace
-//! spans and the `nvme_lat` histogram. Serving frames the same engines its
-//! own way (`serve.rs`), because it gates the same commands at different
-//! floors (`docs/FAULT_MODEL.md`).
+//! A solo run is one in-flight request (`concurrent.rs`), the driver that
+//! multi-tenant runs and serving step too: opened on the host or the
+//! device engine, stepped to its end, then [`finish_run`]'s other-CPU,
+//! copy and kernel phases. What stays here is the queue-1 sink that reads
+//! its steps (each command on its own doorbell, the `ioq1`, `os` and
+//! host-core trace spans, and the `nvme_lat` histogram), the fault gates
+//! every request's steps pass (`docs/FAULT_MODEL.md`), and the report.
+//!
+//! [`finish_run`]: System::finish_run
 
+use crate::concurrent::{Delivered, InFlight, StepEvent, Target};
 use crate::firmware::IO_QUEUE_ID;
 use crate::report::{Mode, Phases, RunReport};
 use crate::runtime::OBJECT_ADDR;
@@ -30,9 +32,9 @@ use crate::{BinaryDeserializeApp, DeserializeApp, MorpheusError, StorageApp, Sto
 use morpheus_format::{Endianness, ObjectDigest, ParseError, ParsedColumns, Schema};
 use morpheus_gpu::KernelCost;
 use morpheus_host::CodeClass;
-use morpheus_nvme::{MorpheusCommand, NvmeCommand, StatusCode};
+use morpheus_nvme::StatusCode;
 use morpheus_pcie::{DmaDir, PcieError};
-use morpheus_simcore::{FaultCounters, Metrics, SimDuration, SimTime, TraceLayer};
+use morpheus_simcore::{FaultCounters, Metrics, SimTime, TraceLayer};
 use morpheus_ssd::SsdError;
 use std::error::Error;
 use std::fmt;
@@ -259,21 +261,7 @@ pub struct RunOutcome {
     pub objects: ParsedColumns,
 }
 
-/// Internal summary of the deserialization window.
-struct DeserWindow {
-    end: SimTime,
-    cpu_busy: SimDuration,
-    text_bytes: u64,
-    /// Host address of the object region (0 when objects live on the GPU).
-    obj_addr: u64,
-    /// True when a Morpheus-mode run degraded to host deserialization:
-    /// the objects ended up in host DRAM, so a P2P run still owes the
-    /// host-to-GPU copy.
-    fell_back: bool,
-}
-
-/// Why a Morpheus-mode attempt (a suite run or one served request) was
-/// abandoned.
+/// Why a device attempt of a request was abandoned.
 pub(crate) enum MorpheusAbort {
     /// Unrecoverable: surface the error to the caller.
     Fatal(RunError),
@@ -281,9 +269,7 @@ pub(crate) enum MorpheusAbort {
     Fallback {
         /// Simulated time the failure was detected (fallback starts here).
         at: SimTime,
-        /// Instance to reap (may never have been created).
-        iid: u32,
-        /// NVMe status the driver posts for the failed command.
+        /// NVMe status the reap posts for the failed command.
         status: StatusCode,
         /// Rendered cause chain, for the report and logs.
         cause: String,
@@ -309,98 +295,79 @@ impl System {
         if matches!(spec.parallel, ParallelModel::GpuCuda) && spec.gpu_kernel.is_none() {
             return Err(RunError::MissingGpuKernel(spec.name.clone()));
         }
+        if mode == Mode::MorpheusP2P && !matches!(spec.parallel, ParallelModel::GpuCuda) {
+            return Err(RunError::NotGpuApp(spec.name.clone()));
+        }
         self.reset_timing();
-        match mode {
-            Mode::Conventional => self.run_conventional(spec),
-            Mode::Morpheus => self.run_morpheus(spec, false),
-            Mode::MorpheusP2P => {
-                if !matches!(spec.parallel, ParallelModel::GpuCuda) {
-                    return Err(RunError::NotGpuApp(spec.name.clone()));
-                }
-                self.run_morpheus(spec, true)
-            }
-        }
-    }
-
-    fn run_conventional(&mut self, spec: &AppSpec) -> Result<RunOutcome, RunError> {
-        let (objects, digest, window) = self.host_deser_window(spec, SimTime::ZERO)?;
-        self.finish_run(spec, Mode::Conventional, objects, digest, window)
-    }
-
-    /// The host-side `read()`+parse loop of Fig. 1, shared by the
-    /// conventional mode and the Morpheus fallback path: drives the host
-    /// engine ([`System::step_host`]) over the whole file starting no
-    /// earlier than `start`, framing each chunk with its fault roll, NVMe
-    /// round trip and spans, then allocates the object region and returns
-    /// the objects, their digest and the window summary.
-    fn host_deser_window(
-        &mut self,
-        spec: &AppSpec,
-        start: SimTime,
-    ) -> Result<(ParsedColumns, ObjectDigest, DeserWindow), RunError> {
-        let mut h = self.conventional_tenant(spec, start, true)?;
-        let nvme = matches!(self.params.storage, StorageKind::NvmeSsd);
-        let mut cpu_busy = SimDuration::ZERO;
-        // QD-1 blocking reads: the next command is submitted when the
-        // previous one's data has landed (traced as the NVMe lifecycle).
-        let mut submit = start;
-        while let Some((c, read)) = h.next_read() {
-            // The injected-timeout floor: `start` when the command went
-            // out untouched, later when reissues pushed it back. On this
-            // path there is nothing left to fall back to, so an exhausted
-            // reissue budget is a clean run failure.
-            let floor = if nvme {
-                let floor = self
-                    .issue_with_timeouts(submit, start)
-                    .map_err(|(_, attempts)| RunError::CommandTimeout { attempts })?;
-                self.pump(IO_QUEUE_ID, &[(read, StatusCode::Success, 0)]);
-                floor
-            } else {
-                start
-            };
-            let step = self.step_host(&mut h, floor)?;
-            if nvme {
-                self.tracer.span_bytes(
-                    TraceLayer::Nvme,
-                    NVME_TRACK,
-                    "READ",
-                    submit,
-                    step.io_done,
-                    c.valid_bytes,
-                );
-                self.nvme_lat
-                    .record(step.io_done.duration_since(submit).as_nanos());
-                submit = step.io_done;
-            }
-            self.tracer
-                .instant(TraceLayer::Host, OS_TRACK, "context-switch", step.cpu.start);
-            self.tracer.span_bytes(
-                TraceLayer::Host,
-                self.cpu_cores.name(),
-                "read+parse",
-                step.cpu.start,
-                step.cpu.end,
-                c.valid_bytes,
-            );
-            cpu_busy += step.cpu.duration();
-        }
-        let text_bytes = h.text_bytes();
-        let (end, digest, objects) = h.finish()?;
-        let objects = objects.expect("built to keep its columns");
-        // Location Y of Fig. 1(b): the object arrays.
-        let obj_addr = self
-            .dram
-            .alloc(digest.bytes.max(1))
-            .ok_or(RunError::OutOfHostMemory)?;
-        self.membus.account(digest.bytes);
-        let window = DeserWindow {
-            end,
-            cpu_busy,
-            text_bytes,
-            obj_addr,
-            fell_back: false,
+        let target = match mode {
+            Mode::Conventional => Target::Host,
+            Mode::Morpheus => Target::Device(self.alloc_instance(), None),
+            Mode::MorpheusP2P => Target::Device(self.alloc_instance(), Some(self.map_gpu_bar())),
         };
-        Ok((objects, digest, window))
+        let mut req = self.open_request(spec, target, SimTime::ZERO, true)?;
+        while !req.done() {
+            self.step_on_queue1(&mut req)?;
+        }
+        let delivered = req.finish()?;
+        self.finish_run(spec, mode, delivered)
+    }
+
+    /// The sink of solo and multi-tenant runs: runs the request's next
+    /// step, submits its command on queue 1 with a doorbell of its own,
+    /// and traces it on the `ioq1`, `os` and host-core tracks (recording
+    /// each READ's and MREAD's latency in `nvme_lat`). A lost host READ
+    /// fails the run.
+    pub(crate) fn step_on_queue1(&mut self, req: &mut InFlight<'_>) -> Result<(), RunError> {
+        let (cmd, ev) = self.step_request(req)?;
+        if let Some(cmd) = cmd {
+            self.pump(IO_QUEUE_ID, &[cmd]);
+        }
+        let (t, core) = (&self.tracer, self.cpu_cores.name());
+        let (host, nvme) = (TraceLayer::Host, TraceLayer::Nvme);
+        match ev {
+            StepEvent::Minit { syscall, ready } => {
+                t.span(host, core, "minit-syscall", syscall.start, syscall.end);
+                t.span(nvme, NVME_TRACK, "MINIT", syscall.end, ready);
+            }
+            StepEvent::Read {
+                bytes,
+                submit,
+                io_done,
+                cpu,
+            } => {
+                if self.params.storage == StorageKind::NvmeSsd {
+                    t.span_bytes(nvme, NVME_TRACK, "READ", submit, io_done, bytes);
+                    self.nvme_lat
+                        .record(io_done.duration_since(submit).as_nanos());
+                }
+                t.instant(host, OS_TRACK, "context-switch", cpu.start);
+                t.span_bytes(host, core, "read+parse", cpu.start, cpu.end, bytes);
+            }
+            StepEvent::Mread {
+                bytes,
+                ready,
+                done,
+                wakeup,
+            } => {
+                t.span_bytes(nvme, NVME_TRACK, "MREAD", ready, done, bytes);
+                self.nvme_lat.record(done.duration_since(ready).as_nanos());
+                if let Some(iv) = wakeup {
+                    t.instant(host, OS_TRACK, "context-switch", iv.start);
+                    t.span(host, core, "completion", iv.start, iv.end);
+                }
+            }
+            StepEvent::Mdeinit {
+                issue,
+                done,
+                wakeup,
+            } => {
+                t.span(nvme, NVME_TRACK, "MDEINIT", issue, done);
+                t.span(host, core, "mdeinit-wakeup", wakeup.start, wakeup.end);
+            }
+            StepEvent::Fallback { at } => t.instant(host, OS_TRACK, "host-fallback", at),
+            StepEvent::Lost { attempts, .. } => return Err(RunError::CommandTimeout { attempts }),
+        }
+        Ok(())
     }
 
     /// Rolls the NVMe command-loss dice for one submission at `submit`.
@@ -444,76 +411,53 @@ impl System {
         }
     }
 
-    /// Rolls the embedded-core stall dice for a Morpheus command about to
-    /// dispatch at `ready`; a hit delays it by the plan's stall duration.
-    pub(crate) fn inject_core_stall(&mut self, ready: SimTime) -> SimTime {
-        let Some(fi) = self.faults.as_mut() else {
-            return ready;
-        };
-        if fi.plan.core_stall <= 0.0 || !fi.stall.roll() {
-            return ready;
-        }
-        fi.counters.core_stalls += 1;
-        let stall = fi.plan.stall_duration();
-        self.tracer
-            .instant(TraceLayer::Ssd, "faults", "core-stall", ready);
-        ready + stall
-    }
-
-    /// Rolls the embedded-core crash dice for a Morpheus command at `at`;
-    /// `Some(at)` means the core crashed and the instance is lost.
-    pub(crate) fn inject_core_crash(&mut self, at: SimTime) -> Option<SimTime> {
-        let fi = self.faults.as_mut()?;
-        if fi.plan.core_crash <= 0.0 || !fi.crash.roll() {
-            return None;
-        }
-        fi.counters.core_crashes += 1;
-        self.tracer
-            .instant(TraceLayer::Ssd, "faults", "core-crash", at);
-        Some(at)
-    }
-
     /// The fault gate every Morpheus command (`cmd`: MINIT, MREAD or
-    /// MDEINIT of instance `iid`, ready at `ready`) passes before the
-    /// firmware runs it, in the suite driver and the serving path alike:
+    /// MDEINIT, submitted at `ready`) passes before the firmware runs it:
     /// the command may be lost on the wire, then find its embedded core
-    /// stalled or crashed. Returns the command's device-ready floor; a
-    /// spent reissue budget or a crash is a [`MorpheusAbort::Fallback`].
+    /// stalled (delayed by the plan's stall) or crashed. Returns the
+    /// command's device-ready floor; a spent reissue budget or a crash is
+    /// a [`MorpheusAbort::Fallback`].
     pub(crate) fn fault_gate(
         &mut self,
         cmd: &str,
-        iid: u32,
         ready: SimTime,
     ) -> Result<SimTime, MorpheusAbort> {
-        let floor = self
+        let mut floor = self
             .issue_with_timeouts(ready, ready)
             .map_err(|(at, attempts)| MorpheusAbort::Fallback {
                 at,
-                iid,
                 status: StatusCode::CommandTimeout,
                 cause: format!("{cmd} lost {attempts} times; reissue budget spent"),
             })?;
-        let floor = self.inject_core_stall(floor);
-        match self.inject_core_crash(floor) {
-            Some(at) => Err(MorpheusAbort::Fallback {
-                at,
-                iid,
-                status: StatusCode::CoreFault,
-                cause: format!("embedded core crashed during {cmd}"),
-            }),
-            None => Ok(floor),
+        let Some(fi) = self.faults.as_mut() else {
+            return Ok(floor);
+        };
+        if fi.plan.core_stall > 0.0 && fi.stall.roll() {
+            fi.counters.core_stalls += 1;
+            self.tracer
+                .instant(TraceLayer::Ssd, "faults", "core-stall", floor);
+            floor += fi.plan.stall_duration();
         }
+        if fi.plan.core_crash <= 0.0 || !fi.crash.roll() {
+            return Ok(floor);
+        }
+        fi.counters.core_crashes += 1;
+        self.tracer
+            .instant(TraceLayer::Ssd, "faults", "core-crash", floor);
+        Err(MorpheusAbort::Fallback {
+            at: floor,
+            status: StatusCode::CoreFault,
+            cause: format!("embedded core crashed during {cmd}"),
+        })
     }
 
-    /// Classifies a failed firmware step of instance `iid` at `at`:
-    /// uncorrectable media falls back to the host path, any other error
-    /// is fatal.
-    pub(crate) fn media_or_fatal(err: RunError, iid: u32, at: SimTime) -> MorpheusAbort {
+    /// Classifies a failed firmware step detected at `at`: uncorrectable
+    /// media falls back to the host path, any other error is fatal.
+    pub(crate) fn media_or_fatal(err: RunError, at: SimTime) -> MorpheusAbort {
         match err {
             RunError::Morpheus(e) if e.status() == StatusCode::MediaUncorrectable => {
                 MorpheusAbort::Fallback {
                     at,
-                    iid,
                     status: StatusCode::MediaUncorrectable,
                     cause: morpheus_simcore::render_error_chain(&e),
                 }
@@ -522,181 +466,39 @@ impl System {
         }
     }
 
-    /// Reaps instance `iid` of a Morpheus stream that failed at `at`, in
-    /// solo runs and serving alike: tears the instance down, emits the
-    /// `host-fallback` instant on trace track `track`, and counts the
-    /// fallback and its `cause`. Returns the synthetic MDEINIT, to be
-    /// completed with the failure status. It is built here, not taken
-    /// from the instance's plan, because the instance may never have
-    /// started.
-    pub(crate) fn reap_fallback(
-        &mut self,
-        track: &str,
-        at: SimTime,
-        iid: u32,
-        cause: String,
-    ) -> NvmeCommand {
-        self.mssd.abort_instance(iid);
-        let wire = MorpheusCommand::Deinit { instance_id: iid }.into_command(0, 1);
-        self.tracer
-            .instant(TraceLayer::Host, track, "host-fallback", at);
-        if let Some(fi) = self.faults.as_mut() {
-            fi.counters.host_fallbacks += 1;
-            fi.fallback_cause = Some(cause);
-        }
-        wire
-    }
-
-    fn run_morpheus(&mut self, spec: &AppSpec, p2p: bool) -> Result<RunOutcome, RunError> {
-        match self.try_morpheus(spec, p2p) {
-            Ok(out) => Ok(out),
-            Err(MorpheusAbort::Fatal(e)) => Err(e),
-            Err(MorpheusAbort::Fallback {
-                at,
-                iid,
-                status,
-                cause,
-            }) => self.morpheus_fallback(spec, p2p, at, iid, status, cause),
-        }
-    }
-
-    /// Graceful degradation: reap the failed Morpheus command with its
-    /// error status, tear the instance down, and rerun deserialization on
-    /// the host starting at the failure time. The run still produces
-    /// bit-identical objects — just later, and visibly so in the report's
-    /// fault counters and the trace.
-    fn morpheus_fallback(
-        &mut self,
-        spec: &AppSpec,
-        p2p: bool,
-        at: SimTime,
-        iid: u32,
-        status: StatusCode,
-        cause: String,
-    ) -> Result<RunOutcome, RunError> {
-        // The driver's abort path reaps the instance's stream with a
-        // synthetic completion carrying the failure status.
-        let wire = self.reap_fallback(OS_TRACK, at, iid, cause);
-        self.pump(IO_QUEUE_ID, &[(wire, status, 0)]);
-        let (objects, digest, mut window) = self.host_deser_window(spec, at)?;
-        window.fell_back = true;
-        let mode = if p2p {
-            Mode::MorpheusP2P
-        } else {
-            Mode::Morpheus
-        };
-        self.finish_run(spec, mode, objects, digest, window)
-    }
-
-    fn try_morpheus(&mut self, spec: &AppSpec, p2p: bool) -> Result<RunOutcome, MorpheusAbort> {
-        let iid = self.alloc_instance();
-        // Host side: issue MINIT (one syscall + switch into the driver).
-        let init_iv = self.command_wakeup(SimTime::ZERO);
-        let mut cpu_busy = init_iv.duration();
-        let issue = self.fault_gate("MINIT", iid, init_iv.end)?;
-        let bar = p2p.then(|| self.map_gpu_bar());
-        let mut t = self.device_tenant(spec, iid, issue, bar, true)?;
-        let minit = t.plan.init().into_command(0, 1);
-        self.pump(IO_QUEUE_ID, &[(minit, StatusCode::Success, 0)]);
-        self.tracer.span(
-            TraceLayer::Host,
-            self.cpu_cores.name(),
-            "minit-syscall",
-            init_iv.start,
-            init_iv.end,
-        );
-        self.tracer
-            .span(TraceLayer::Nvme, NVME_TRACK, "MINIT", init_iv.end, t.ready);
-
-        while let Some((c, mread)) = t.next_read() {
-            // MREADs are all queued once the instance is up (async queue
-            // depth): each one's floor is the instance-ready time, pushed
-            // back only by its own faults, and its lifecycle runs submit →
-            // staging done.
-            let issue = self.fault_gate("MREAD", iid, t.ready)?;
-            let step = self
-                .step_device(&mut t, issue)
-                .map_err(|e| Self::media_or_fatal(e, iid, issue))?;
-            let mread = mread.into_command(0, 1);
-            self.pump(IO_QUEUE_ID, &[(mread, StatusCode::Success, 0)]);
-            self.tracer.span_bytes(
-                TraceLayer::Nvme,
-                NVME_TRACK,
-                "MREAD",
-                t.ready,
-                step.done,
-                c.valid_bytes,
-            );
-            self.nvme_lat
-                .record(step.done.duration_since(t.ready).as_nanos());
-            if let Some(iv) = step.wakeup {
-                self.tracer
-                    .instant(TraceLayer::Host, OS_TRACK, "context-switch", iv.start);
-                self.tracer.span(
-                    TraceLayer::Host,
-                    self.cpu_cores.name(),
-                    "completion",
-                    iv.start,
-                    iv.end,
-                );
-                cpu_busy += iv.duration();
-            }
-        }
-
-        // MDEINIT: collect the final output and the return value.
-        let (last_end, text_bytes) = (t.last_end, t.plan.stream.len());
-        let mdeinit = t.plan.deinit().into_command(0, 1);
-        let issue = self.fault_gate("MDEINIT", iid, last_end)?;
-        let end = self
-            .finish_device(t, issue)
-            .map_err(|e| Self::media_or_fatal(e, iid, issue))?;
-        self.tracer
-            .span(TraceLayer::Nvme, NVME_TRACK, "MDEINIT", last_end, end.done);
-        self.pump(
-            IO_QUEUE_ID,
-            &[(mdeinit, StatusCode::Success, end.retval as u32)],
-        );
-        self.tracer.span(
-            TraceLayer::Host,
-            self.cpu_cores.name(),
-            "mdeinit-wakeup",
-            end.wakeup.start,
-            end.wakeup.end,
-        );
-        cpu_busy += end.wakeup.duration();
-
-        let window = DeserWindow {
-            end: end.wakeup.end,
-            cpu_busy,
-            text_bytes,
-            obj_addr: OBJECT_ADDR,
-            fell_back: false,
-        };
-        let mode = if p2p {
-            Mode::MorpheusP2P
-        } else {
-            Mode::Morpheus
-        };
-        let objects = end.objects.expect("built to keep its columns");
-        Ok(self.finish_run(spec, mode, objects, end.digest, window)?)
-    }
-
     /// Shared tail: other-CPU phase, copy phase, kernel phase, report.
-    /// `digest` is `objects.digest()`, which the host engine already has
-    /// (from its memo or its own finish), so the run does not re-hash.
+    /// Objects the host engine parsed get their region in host DRAM
+    /// (location Y of Fig. 1(b)). `delivered.digest` describes its objects,
+    /// so the run does not re-hash them.
     fn finish_run(
         &mut self,
         spec: &AppSpec,
         mode: Mode,
-        objects: ParsedColumns,
-        digest: ObjectDigest,
-        window: DeserWindow,
+        delivered: Delivered,
     ) -> Result<RunOutcome, RunError> {
+        let Delivered {
+            end,
+            digest,
+            objects,
+            cpu_busy,
+            on_host,
+        } = delivered;
+        let objects = objects.expect("opened to keep its columns");
         debug_assert_eq!(
             objects.digest(),
             digest,
             "the digest must describe these objects"
         );
+        let obj_addr = if on_host {
+            let addr = self
+                .dram
+                .alloc(digest.bytes.max(1))
+                .ok_or(RunError::OutOfHostMemory)?;
+            self.membus.account(digest.bytes);
+            addr
+        } else {
+            OBJECT_ADDR
+        };
         let ObjectDigest {
             records,
             bytes: obj_bytes,
@@ -707,10 +509,9 @@ impl System {
 
         // Other host computation (setup, partitioning, result handling).
         let other_instr = spec.other_cpu_instr_per_record * records as f64;
-        let other_iv = self.cpu_cores.acquire(
-            window.end,
-            self.cpu.duration(other_instr, CodeClass::AppKernel),
-        );
+        let other_iv = self
+            .cpu_cores
+            .acquire(end, self.cpu.duration(other_instr, CodeClass::AppKernel));
         self.tracer.span(
             TraceLayer::Host,
             self.cpu_cores.name(),
@@ -718,7 +519,7 @@ impl System {
             other_iv.start,
             other_iv.end,
         );
-        let mut cpu_busy_total = window.cpu_busy + other_iv.duration();
+        let mut cpu_busy_total = cpu_busy + other_iv.duration();
 
         let mut copy_s = 0.0;
         let kernel_start;
@@ -747,7 +548,7 @@ impl System {
             }
             ParallelModel::GpuCuda => {
                 let gk = spec.gpu_kernel.expect("checked in run()");
-                let copy_end = if mode == Mode::MorpheusP2P && !window.fell_back {
+                let copy_end = if mode == Mode::MorpheusP2P && !on_host {
                     other_iv.end
                 } else {
                     // Pageable cudaMemcpy H2D: the driver first stages the
@@ -758,7 +559,7 @@ impl System {
                     let dma = self.fabric.dma(
                         self.gpu_dev,
                         DmaDir::Read,
-                        window.obj_addr,
+                        obj_addr,
                         obj_bytes,
                         staged.end,
                     )?;
@@ -779,7 +580,7 @@ impl System {
         }
 
         // --- measurements ---
-        let deser_s = window.end.as_secs_f64();
+        let deser_s = end.as_secs_f64();
         let total_s = kernel_end.as_secs_f64();
         let p = self.params.power;
         let cpu_delta = p.cpu_delta(self.cpu.frequency());
@@ -787,7 +588,7 @@ impl System {
             self.mssd.parse_core_busy().as_secs_f64() / self.params.ssd.embedded_cores as f64;
         let dram_j_deser = p.dram_watts_per_gbs * (membus_deser as f64 / 1e9);
         let deser_energy = p.idle_watts * deser_s
-            + cpu_delta * window.cpu_busy.as_secs_f64()
+            + cpu_delta * cpu_busy.as_secs_f64()
             + p.ssd_cores_delta_watts * ssd_pool_busy_s
             + dram_j_deser;
         let gpu_busy_s = self.gpu.busy().as_secs_f64();
@@ -802,7 +603,7 @@ impl System {
             "ssd_parse_core_busy_s",
             self.mssd.parse_core_busy().as_secs_f64(),
         );
-        metrics.set("cpu_busy_deser_s", window.cpu_busy.as_secs_f64());
+        metrics.set("cpu_busy_deser_s", cpu_busy.as_secs_f64());
         metrics.set("gpu_busy_s", gpu_busy_s);
         metrics.set("pcie_p2p_bytes", self.fabric.traffic().p2p_bytes as f64);
         metrics.set("kernel_start_s", kernel_start.as_secs_f64());
@@ -836,7 +637,7 @@ impl System {
                     .saturating_duration_since(kernel_start)
                     .as_secs_f64(),
             },
-            text_bytes: window.text_bytes,
+            text_bytes: self.fs.open(&spec.input).map_or(0, |m| m.len),
             object_bytes: obj_bytes,
             records,
             checksum,
@@ -1052,12 +853,16 @@ mod tests {
     }
 
     #[test]
-    fn a_solo_morpheus_run_is_a_tenant_of_one() {
-        // 64 KiB MREADs keep a debug build fast: 500, 20k and 40k edges
-        // take 1, 3 and 5 of them. The last input lacks its final newline,
-        // so its MDEINIT returns the last record.
+    fn a_solo_run_is_a_tenant_of_one() {
+        // 64 KiB MREADs and 16 KiB host reads keep a debug build fast:
+        // 500, 20k and 40k edges take 1, 3 and 5 MREADs. The last input
+        // lacks its final newline, so its MDEINIT returns the last record.
+        // Under the faulty plan both engines lose commands, MREADs stall,
+        // crash or fail on media, and host reads fail on media or spend
+        // their reissue budget: a solo run and a tenant of one still agree.
         let mut params = SystemParams::paper_testbed();
         params.mread_chunk_bytes = 64 << 10;
+        params.conventional_chunk_bytes = 16 << 10;
         let mut sys = System::new(params);
         let mut unterminated = edge_text(20_000);
         unterminated.pop();
@@ -1067,17 +872,52 @@ mod tests {
             edge_text(40_000),
             unterminated,
         ];
-        for (i, text) in inputs.iter().enumerate() {
-            let file = format!("solo{i}.txt");
-            sys.create_input_file(&file, text).unwrap();
-            let spec = AppSpec::cpu_app("bfs", &file, edge_schema(), 4, 100.0);
-            let solo = sys.run(&spec, Mode::Morpheus).unwrap().report;
-            let one = sys.run_deserialize_many(&[(spec, Mode::Morpheus)]).unwrap();
-            let tenant = &one.tenants[0];
-            assert_eq!(solo.phases.deserialization_s, tenant.deser_s, "{file}");
-            assert_eq!(solo.context_switches, one.context_switches, "{file}");
-            assert_eq!(solo.checksum, tenant.checksum, "{file}");
+        let specs: Vec<AppSpec> = (0..inputs.len())
+            .map(|i| {
+                let file = format!("solo{i}.txt");
+                sys.create_input_file(&file, &inputs[i]).unwrap();
+                AppSpec::cpu_app("bfs", &file, edge_schema(), 4, 100.0)
+            })
+            .collect();
+        let plans = [
+            "",
+            "seed=3,timeout=0.3,retries=2,stall=0.3,crash=0.1",
+            "seed=2,flash-uncorr=0.4",
+        ];
+        let mut seen = FaultCounters::default();
+        let mut failed = 0;
+        for plan in plans {
+            sys.set_fault_plan(morpheus_simcore::FaultPlan::parse(plan).unwrap());
+            for mode in [Mode::Conventional, Mode::Morpheus] {
+                for spec in &specs {
+                    let at = format!("{} {mode} {plan:?}", spec.input);
+                    let solo = sys.run(spec, mode);
+                    let one = sys.run_deserialize_many(&[(spec.clone(), mode)]);
+                    let (solo, one) = match (solo, one) {
+                        (Ok(solo), Ok(one)) => (solo.report, one),
+                        (Err(a), Err(b)) => {
+                            assert_eq!(a.to_string(), b.to_string(), "{at}");
+                            failed += 1;
+                            continue;
+                        }
+                        (a, b) => panic!("{at}: {:?} vs {:?}", a.map(|_| ()), b.map(|_| ())),
+                    };
+                    let tenant = &one.tenants[0];
+                    assert_eq!(solo.phases.deserialization_s, tenant.deser_s, "{at}");
+                    assert_eq!(solo.context_switches, one.context_switches, "{at}");
+                    assert_eq!(solo.checksum, tenant.checksum, "{at}");
+                    assert_eq!(solo.faults, one.faults, "{at}");
+                    seen.merge(&solo.faults);
+                }
+            }
         }
+        // The faulty plan exercised every fault and both outcomes.
+        assert!(seen.nvme_timeouts > 0 && seen.core_stalls > 0, "{seen:?}");
+        assert!(seen.core_crashes > 0 && seen.media_failures > 0, "{seen:?}");
+        assert!(
+            seen.host_fallbacks > 0 && failed > 0,
+            "{seen:?}, {failed} failed"
+        );
     }
 
     #[test]

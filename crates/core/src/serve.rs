@@ -14,7 +14,8 @@
 //! byte-identical across repeats and across bench `--jobs` values.
 
 use crate::cache::{self, CacheHit, CacheStats, CacheTier};
-use crate::exec::{AppSpec, MorpheusAbort, RunError};
+use crate::concurrent::{StepEvent, Target};
+use crate::exec::{AppSpec, RunError};
 use crate::firmware::IO_QUEUE_DEPTH;
 use crate::report::{mb_per_sec, Mode};
 use crate::system::WireCmd;
@@ -482,13 +483,14 @@ impl ServeState {
             E::Shed => t.instant(TraceLayer::Host, SERVE_TRACK, "shed", at),
             E::Overflow => t.instant(TraceLayer::Host, SERVE_TRACK, "admit-overflow", at),
             E::Failed => t.instant(TraceLayer::Host, SERVE_TRACK, "request-failed", at),
+            E::FaultRedispatch => t.instant(TraceLayer::Host, SERVE_TRACK, "host-fallback", at),
             E::Done(r, start, objects, _) => {
                 let (arrival, bytes) = (r.arrival, objects.bytes);
                 t.span(TraceLayer::Host, SERVE_TRACK, "queue-wait", arrival, start);
                 t.span_bytes(TraceLayer::Host, SERVE_TRACK, "request", start, at, bytes);
             }
             E::Offered(_) | E::Admitted | E::Batch | E::CacheHit | E::CacheMiss => {}
-            E::FaultRedispatch | E::WireBurst(_) => {}
+            E::WireBurst(_) => {}
         }
     }
 }
@@ -496,10 +498,9 @@ impl ServeState {
 /// Immutable dispatch context of one run.
 struct ServeCtx<'a> {
     cfg: &'a ServeConfig,
-    apps: &'a [AppSpec],
+    /// One per app, in app order.
+    tenants: Vec<Tenant<'a>>,
     bar: Option<BarWindow>,
-    /// Per-app format digests (part of the cache key), computed once.
-    digests: Vec<u64>,
 }
 
 /// One tenant's spec plus its precomputed format digest (the cache key
@@ -671,13 +672,14 @@ impl System {
             wire_scratch: Vec::new(),
             batch_scratch: Vec::new(),
         };
-        let digests: Vec<u64> = apps.iter().map(cache::format_digest).collect();
-        let ctx = ServeCtx {
-            cfg,
-            apps,
-            bar,
-            digests,
-        };
+        let tenants = apps
+            .iter()
+            .map(|spec| Tenant {
+                spec,
+                digest: cache::format_digest(spec),
+            })
+            .collect();
+        let ctx = ServeCtx { cfg, tenants, bar };
         (st, ctx)
     }
 
@@ -709,8 +711,9 @@ impl System {
                         st.note(r.arrival, ServeEvent::Overflow);
                         let mut wire = std::mem::take(&mut st.wire_scratch);
                         wire.clear();
+                        let tenant = &ctx.tenants[r.app];
                         let served =
-                            self.host_service(st, &ctx.apps[r.app], r, r.arrival, &mut wire);
+                            self.serve_request(st, tenant, r, r.arrival, Target::Host, &mut wire);
                         st.note(r.arrival, ServeEvent::WireBurst(wire.len()));
                         self.pump(FIRST_TENANT_QID + r.app as u16, &wire);
                         st.wire_scratch = wire;
@@ -756,7 +759,7 @@ impl System {
     ) -> Result<(), RunError> {
         loop {
             let mut best: Option<(SimTime, usize)> = None;
-            for a in 0..ctx.apps.len() {
+            for a in 0..ctx.tenants.len() {
                 if let Some(front) = st.pending[a].front() {
                     let d = st.next_free[a].max(front.arrival);
                     let better = match best {
@@ -806,20 +809,18 @@ impl System {
         at: SimTime,
     ) -> Result<(), RunError> {
         st.note(at, ServeEvent::Batch);
-        let spec = &ctx.apps[app];
+        let tenant = &ctx.tenants[app];
         let mut wire = std::mem::take(&mut st.wire_scratch);
         wire.clear();
         let mut start = at;
         let mut outcome = Ok(());
         for r in batch {
             let end = match ctx.cfg.mode {
-                Mode::Conventional => self.host_service(st, spec, *r, start, &mut wire),
+                Mode::Conventional => {
+                    self.serve_request(st, tenant, *r, start, Target::Host, &mut wire)
+                }
                 Mode::Morpheus | Mode::MorpheusP2P => {
-                    let tenant = Tenant {
-                        spec,
-                        digest: ctx.digests[app],
-                    };
-                    self.morpheus_service(st, &tenant, *r, start, ctx.bar, &mut wire)
+                    self.morpheus_service(st, tenant, *r, start, ctx.bar, &mut wire)
                 }
             };
             match end {
@@ -837,46 +838,64 @@ impl System {
         outcome
     }
 
-    /// Serves one request on the host path (conventional mode, overflow
-    /// fallback, and fault re-dispatch all land here). Returns when the
-    /// request finished; a spent reissue budget fails just this request.
-    fn host_service(
+    /// Serves one request of `tenant` on `target` from `start`, pushing
+    /// each command onto the batch's `wire`, and returns when it finished.
+    /// A fault re-dispatches a drive request to the host path (the request
+    /// falls back, as a solo run does), and its host service starts at the
+    /// detection time: the failed drive attempt is booked as queue wait. A
+    /// host read that spends its reissue budget fails just this request.
+    /// The request's host buffers are returned once its objects are handed
+    /// to the application (serving is steady-state), and drive-parsed
+    /// objects are offered to the object cache.
+    fn serve_request(
         &mut self,
         st: &mut ServeState,
-        spec: &AppSpec,
+        tenant: &Tenant<'_>,
         r: Request,
         start: SimTime,
+        target: Target,
         wire: &mut Vec<WireCmd>,
     ) -> Result<SimTime, RunError> {
-        // One command-loss roll per request; this path has nothing deeper
-        // to fall back to, so an exhausted budget is a clean per-request
-        // failure rather than a run failure.
-        let floor = match self.issue_with_timeouts(start, start) {
-            Ok(f) => f,
-            Err((at, _attempts)) => {
-                st.note(at, ServeEvent::Failed);
-                return Ok(at);
-            }
-        };
         let dram_before = self.dram.allocated();
-        let mut h = self.conventional_tenant(spec, floor, false)?;
-        while let Some((_, read)) = h.next_read() {
-            wire.push((read, StatusCode::Success, 0));
-            self.step_host(&mut h, floor)?;
+        let mut service_start = start;
+        let mut req = self.open_request(tenant.spec, target, start, false)?;
+        while !req.done() {
+            let (cmd, ev) = self.step_request(&mut req)?;
+            wire.extend(cmd);
+            match ev {
+                StepEvent::Fallback { at } => {
+                    st.note(at, ServeEvent::FaultRedispatch);
+                    service_start = at;
+                }
+                StepEvent::Lost { at, .. } => {
+                    self.free_since(dram_before);
+                    st.note(at, ServeEvent::Failed);
+                    return Ok(at.max(start));
+                }
+                _ => {}
+            }
         }
-        let (end, objects, _) = h.finish()?;
-        // Serving is steady-state: the request's buffers are returned once
-        // its objects are handed to the application.
-        let freed = self.dram.allocated().saturating_sub(dram_before);
-        self.dram.free(freed);
-        st.note(end, ServeEvent::Done(r, start, objects, ServePath::Host));
-        Ok(end)
+        let d = req.finish()?;
+        self.free_since(dram_before);
+        let path = match d.on_host {
+            true => ServePath::Host,
+            false => ServePath::Embedded,
+        };
+        st.note(d.end, ServeEvent::Done(r, service_start, d.digest, path));
+        if let (false, Some(c)) = (d.on_host, self.object_cache.as_mut()) {
+            let spec = tenant.spec;
+            c.admit(&spec.name, &spec.input, tenant.digest, d.digest, d.end);
+        }
+        Ok(d.end.max(start))
     }
 
-    /// Serves one request on the drive. Faults re-dispatch to the host
-    /// path via the same degradation contract as the solo driver: reap the
-    /// failed stream with its error status, count the fallback, rerun on
-    /// the host from the detection time.
+    /// Returns the host DRAM allocated since `before`.
+    fn free_since(&mut self, before: u64) {
+        let freed = self.dram.allocated().saturating_sub(before);
+        self.dram.free(freed);
+    }
+
+    /// Serves one request on the drive, on its tenant's embedded core.
     ///
     /// With an object cache installed the request probes it first: a hit
     /// skips the admission wire, flash I/O, parsing, and the embedded
@@ -901,8 +920,7 @@ impl System {
                     st.note(start, ServeEvent::CacheHit);
                     let dram_before = self.dram.allocated();
                     let end = self.cache_delivery(&hit, start, bar)?;
-                    let freed = self.dram.allocated().saturating_sub(dram_before);
-                    self.dram.free(freed);
+                    self.free_since(dram_before);
                     st.note(
                         end,
                         ServeEvent::Done(r, start, hit.objects, ServePath::CacheHit),
@@ -912,82 +930,12 @@ impl System {
                 None => st.note(start, ServeEvent::CacheMiss),
             }
         }
-        let dram_before = self.dram.allocated();
-        match self.try_morpheus_service(spec, r.app, start, bar, wire) {
-            Ok((end, objects)) => {
-                let freed = self.dram.allocated().saturating_sub(dram_before);
-                self.dram.free(freed);
-                st.note(
-                    end,
-                    ServeEvent::Done(r, start, objects, ServePath::Embedded),
-                );
-                if let Some(c) = self.object_cache.as_mut() {
-                    c.admit(&spec.name, &spec.input, digest, objects, end);
-                }
-                Ok(end)
-            }
-            Err(MorpheusAbort::Fatal(e)) => Err(e),
-            Err(MorpheusAbort::Fallback {
-                at,
-                iid,
-                status,
-                cause,
-            }) => {
-                st.note(at, ServeEvent::FaultRedispatch);
-                let reap = self.reap_fallback(SERVE_TRACK, at, iid, cause);
-                wire.push((reap, status, 0));
-                // Return any partial output the aborted stream delivered.
-                let freed = self.dram.allocated().saturating_sub(dram_before);
-                self.dram.free(freed);
-                // The host run starts at detection: the failed drive
-                // attempt is booked as this request's queue wait, and its
-                // host busy span starts at `at`.
-                let end = self.host_service(st, spec, r, at, wire)?;
-                Ok(end.max(start))
-            }
-        }
-    }
-
-    /// The drive-side service of one request: MINIT → MREAD per chunk →
-    /// MDEINIT on the device engine, each behind a
-    /// [`fault_gate`](System::fault_gate). Unlike a solo run, the MINIT
-    /// gate comes before the host syscall, and each MREAD's floor is the
-    /// previous one's, so one stalled MREAD delays every later one.
-    fn try_morpheus_service(
-        &mut self,
-        spec: &AppSpec,
-        app: usize,
-        start: SimTime,
-        bar: Option<BarWindow>,
-        wire: &mut Vec<WireCmd>,
-    ) -> Result<(SimTime, ObjectDigest), MorpheusAbort> {
         let ncores = self.mssd.dev.cores().cores();
         // Stable affinity: app k's instances always pin to core k % n, so
         // a tenant's requests queue behind each other, not behind
         // strangers.
-        let iid = self.alloc_instance_pinned(app % ncores, ncores);
-        let floor = self.fault_gate("MINIT", iid, start)?;
-        let syscall = self.command_wakeup(floor);
-        let mut t = self
-            .device_tenant(spec, iid, syscall.end, bar, false)
-            .map_err(MorpheusAbort::Fatal)?;
-        wire.push((t.plan.init().into_command(0, 1), StatusCode::Success, 0));
-
-        let mut floor = t.ready;
-        while let Some((_, mread)) = t.next_read() {
-            floor = self.fault_gate("MREAD", iid, floor)?;
-            wire.push((mread.into_command(0, 1), StatusCode::Success, 0));
-            self.step_device(&mut t, floor)
-                .map_err(|e| Self::media_or_fatal(e, iid, floor))?;
-        }
-
-        let mdeinit = t.plan.deinit().into_command(0, 1);
-        let floor = self.fault_gate("MDEINIT", iid, t.last_end)?;
-        let end = self
-            .finish_device(t, floor)
-            .map_err(|e| Self::media_or_fatal(e, iid, floor))?;
-        wire.push((mdeinit, StatusCode::Success, end.retval as u32));
-        Ok((end.wakeup.end, end.digest))
+        let iid = self.alloc_instance_pinned(r.app % ncores, ncores);
+        self.serve_request(st, tenant, r, start, Target::Device(iid, bar), wire)
     }
 
     /// Times the delivery of a cache hit — the only cost a hit pays. A
@@ -1517,6 +1465,42 @@ mod tests {
         for d in 0..fleet.num_devices() {
             assert_front_end_idle(fleet.device_mut(d), "a fleet serve");
         }
+    }
+
+    #[test]
+    fn a_failed_mread_posts_the_same_commands_on_every_driver() {
+        // Seed 2 of this plan fails the sixth 64 KiB MREAD on media after
+        // the FTL's retries, and not the fallback's host READ.
+        let mut params = SystemParams::paper_testbed();
+        params.mread_chunk_bytes = 64 << 10;
+        let mut sys = System::new(params);
+        sys.create_input_file("media.txt", &edge_text(40_000, 0))
+            .unwrap();
+        let spec = AppSpec::cpu_app("media", "media.txt", edge_schema(), 1, 50.0);
+        sys.set_fault_plan(FaultPlan::parse("seed=2,flash-uncorr=0.4").unwrap());
+        let doorbells = |sys: &mut System| sys.mssd.admin.io_queue(1).unwrap().sq.doorbell_writes();
+        let before = doorbells(&mut sys);
+        let solo = sys.run(&spec, Mode::Morpheus).unwrap().report;
+        // A solo run rings queue 1 once per command.
+        let posted = doorbells(&mut sys) - before;
+        assert_eq!(solo.faults.host_fallbacks, 1);
+        assert!(sys.last_fallback_cause().unwrap().contains("media failure"));
+        // MINIT, five MREADs, the reap's MDEINIT and one host READ: the
+        // failed MREAD posts nothing of its own.
+        assert_eq!(posted, 8);
+        let mut cfg = ServeConfig::new(1000.0, 0.01);
+        cfg.mode = Mode::Morpheus;
+        let one = Request {
+            arrival: SimTime::ZERO,
+            app: 0,
+        };
+        let rep = sys
+            .serve_requests(std::slice::from_ref(&spec), &cfg, vec![one])
+            .unwrap();
+        assert_eq!((rep.completed, rep.fault_redispatches), (1, 1));
+        assert_eq!(rep.commands, posted);
+        assert_eq!(rep.checksum_unordered, solo.checksum);
+        sys.set_fault_plan(FaultPlan::none());
     }
 
     #[test]

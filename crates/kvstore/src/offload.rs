@@ -106,11 +106,27 @@ pub fn scan_conventional(sys: &mut System, kv: &KvStore, lo: u64, hi: u64) -> Sc
 ///
 /// # Errors
 ///
-/// Propagates firmware/drive failures.
+/// Propagates firmware/drive failures and host-memory exhaustion; a failed
+/// scan aborts its instance, so none outlives it with its controller DRAM.
 pub fn scan_morpheus(sys: &mut System, kv: &KvStore, lo: u64, hi: u64) -> ScanOutcome<RunError> {
     sys.reset_timing();
-    let (slba, blocks) = kv.region();
     let iid = sys.allocate_instance_id();
+    let out = scan_on_instance(sys, kv, iid, lo, hi);
+    if out.is_err() {
+        sys.mssd.abort_instance(iid);
+    }
+    out
+}
+
+/// The body of [`scan_morpheus`] on instance `iid`.
+fn scan_on_instance(
+    sys: &mut System,
+    kv: &KvStore,
+    iid: u32,
+    lo: u64,
+    hi: u64,
+) -> ScanOutcome<RunError> {
+    let (slba, blocks) = kv.region();
     let init_iv = sys.command_wakeup(SimTime::ZERO);
     let mut cpu_busy = init_iv.duration();
     let app = KvScanApp::new(kv.config().bucket_bytes, lo, hi);
@@ -170,7 +186,11 @@ mod tests {
     use morpheus::SystemParams;
 
     fn populated_system() -> (System, KvStore) {
-        let mut sys = System::new(SystemParams::paper_testbed());
+        populated(SystemParams::paper_testbed())
+    }
+
+    fn populated(params: SystemParams) -> (System, KvStore) {
+        let mut sys = System::new(params);
         let kv = KvStore::format(
             &mut sys.mssd.dev,
             0,
@@ -212,5 +232,16 @@ mod tests {
         assert_eq!(conv.len(), 4_000);
         assert_eq!(conv, morp);
         assert_eq!(morp_rep.matches, 4_000);
+    }
+
+    #[test]
+    fn a_scan_whose_matches_find_no_host_memory_leaves_no_instance_live() {
+        let mut params = SystemParams::paper_testbed();
+        params.host_dram_bytes = 4 << 10;
+        let (mut sys, kv) = populated(params);
+        let err = scan_morpheus(&mut sys, &kv, 0, u64::MAX).unwrap_err();
+        assert!(matches!(err, RunError::OutOfHostMemory), "{err:?}");
+        assert_eq!(sys.mssd.live_instances(), 0);
+        assert_eq!(sys.mssd.dev.dram_used(), 0, "staging area returned");
     }
 }

@@ -23,10 +23,10 @@ const GOLDEN: &[(&str, &str, usize, u64)] = &[
     ("cache", "trace", 143870, 0xd621ca73686212e9),
     ("cache", "csv", 4154, 0x63e60fd820a51b73),
     ("cache", "prom", 55131, 0xbb169338cc22e006),
-    ("faults", "report", 1296, 0xf722cb375dfcfadd),
-    ("faults", "trace", 129777, 0xa2d13d8645b3b391),
-    ("faults", "csv", 2844, 0x4b55c00fb92d470f),
-    ("faults", "prom", 31524, 0xa46ff31871d42ea5),
+    ("faults", "report", 1293, 0xf0ff3bd5947dd32b),
+    ("faults", "trace", 129814, 0x36f0619683b89df1),
+    ("faults", "csv", 2858, 0x87de1bdc65272e6f),
+    ("faults", "prom", 31537, 0x8ebdb6ef5315097d),
     ("fallback", "report", 1011, 0x838bc5766116ce58),
     ("fallback", "trace", 215221, 0x648e7eb4414b6f5c),
     ("fallback", "csv", 1820, 0xd9150adfc14fb5db),
