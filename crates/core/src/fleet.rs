@@ -310,27 +310,34 @@ impl Fleet {
     }
 
     /// Stages a file on **every** device (full replication; see the type
-    /// docs). Untimed, like [`System::create_input_file`].
+    /// docs). Untimed, like [`System::create_input_file`]. `data` is copied
+    /// once into one image that every replica's pages view: pages are
+    /// immutable, so sharing it cannot couple the devices.
     ///
     /// # Errors
     ///
     /// Propagates the first device's filesystem or drive error.
     pub fn create_input_file(&mut self, name: &str, data: &[u8]) -> Result<(), SsdError> {
+        let image = Arc::from(data);
         for d in &mut self.devices {
-            d.create_input_file(name, data)?;
+            d.stage_image(name, &image)?;
         }
         Ok(())
     }
 
     /// Replaces a staged file's bytes on every device, invalidating any
-    /// cached objects parsed from the old bytes.
+    /// cached objects parsed from the old bytes and discarding the old
+    /// pages (see [`System::overwrite_input_file`]); the new bytes are
+    /// one image shared by every replica, as in
+    /// [`create_input_file`](Fleet::create_input_file).
     ///
     /// # Errors
     ///
     /// Propagates the first device's filesystem or drive error.
     pub fn overwrite_input_file(&mut self, name: &str, data: &[u8]) -> Result<(), SsdError> {
+        let image = Arc::from(data);
         for d in &mut self.devices {
-            d.overwrite_input_file(name, data)?;
+            d.restage_image(name, &image)?;
         }
         Ok(())
     }

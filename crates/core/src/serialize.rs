@@ -179,12 +179,29 @@ impl System {
     }
 
     /// Host pushes binary objects; the drive formats and stores the text.
+    /// A failure after MINIT aborts the instance, so none outlives the run
+    /// with its controller DRAM.
     fn serialize_morpheus(
         &mut self,
         objects: &ParsedColumns,
         base_slba: u64,
     ) -> Result<(SimTime, SimDuration, u64), RunError> {
         let iid = self.alloc_instance();
+        let out = self.serialize_on_instance(iid, objects, base_slba);
+        if out.is_err() {
+            self.mssd.abort_instance(iid);
+        }
+        out
+    }
+
+    /// The body of [`serialize_morpheus`](System::serialize_morpheus) on
+    /// instance `iid`.
+    fn serialize_on_instance(
+        &mut self,
+        iid: u32,
+        objects: &ParsedColumns,
+        base_slba: u64,
+    ) -> Result<(SimTime, SimDuration, u64), RunError> {
         let init_iv = self.command_wakeup(SimTime::ZERO);
         let mut cpu_busy = init_iv.duration();
         let app = SerializeApp::new("serialize", objects.schema.clone());
@@ -312,6 +329,21 @@ mod tests {
         assert!(sys
             .run_serialize(&objs, "x.txt", Mode::MorpheusP2P)
             .is_err());
+    }
+
+    #[test]
+    fn a_failed_serialization_leaves_no_instance_live() {
+        // Host DRAM cannot hold the 1 MiB staging buffer allocated after
+        // MINIT reserved the instance's controller DRAM.
+        let mut params = SystemParams::paper_testbed();
+        params.host_dram_bytes = 512 << 10;
+        let mut sys = System::new(params);
+        let err = sys
+            .run_serialize(&objects(100), "oom.txt", Mode::Morpheus)
+            .unwrap_err();
+        assert!(matches!(err, RunError::OutOfHostMemory), "{err:?}");
+        assert_eq!(sys.mssd.live_instances(), 0);
+        assert_eq!(sys.mssd.dev.dram_used(), 0);
     }
 
     #[test]

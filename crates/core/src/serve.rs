@@ -21,6 +21,7 @@ use crate::report::{mb_per_sec, Mode};
 use crate::system::WireCmd;
 use crate::{StorageKind, System};
 use morpheus_format::ObjectDigest;
+use morpheus_gpu::GpuMark;
 use morpheus_nvme::StatusCode;
 use morpheus_pcie::{BarWindow, DmaDir};
 use morpheus_simcore::{
@@ -510,6 +511,14 @@ struct Tenant<'a> {
     digest: u64,
 }
 
+/// The object memory in use before a request allocated any: host DRAM
+/// occupancy and the GPU allocator's point.
+#[derive(Clone, Copy)]
+struct ObjectMark {
+    dram: u64,
+    gpu: GpuMark,
+}
+
 impl System {
     /// Runs an open-loop serving experiment: Poisson arrivals at `cfg.rps`
     /// for `cfg.duration_s` simulated seconds each pick one of `apps`
@@ -844,9 +853,10 @@ impl System {
     /// falls back, as a solo run does), and its host service starts at the
     /// detection time: the failed drive attempt is booked as queue wait. A
     /// host read that spends its reissue budget fails just this request.
-    /// The request's host buffers are returned once its objects are handed
-    /// to the application (serving is steady-state), and drive-parsed
-    /// objects are offered to the object cache.
+    /// The request's object memory (host buffers, or GPU memory in P2P
+    /// mode) is returned once its objects are handed to the application
+    /// (serving is steady-state), and drive-parsed objects are offered to
+    /// the object cache.
     fn serve_request(
         &mut self,
         st: &mut ServeState,
@@ -856,7 +866,7 @@ impl System {
         target: Target,
         wire: &mut Vec<WireCmd>,
     ) -> Result<SimTime, RunError> {
-        let dram_before = self.dram.allocated();
+        let held = self.object_mark();
         let mut service_start = start;
         let mut req = self.open_request(tenant.spec, target, start, false)?;
         while !req.done() {
@@ -868,7 +878,7 @@ impl System {
                     service_start = at;
                 }
                 StepEvent::Lost { at, .. } => {
-                    self.free_since(dram_before);
+                    self.free_since(held);
                     st.note(at, ServeEvent::Failed);
                     return Ok(at.max(start));
                 }
@@ -876,7 +886,7 @@ impl System {
             }
         }
         let d = req.finish()?;
-        self.free_since(dram_before);
+        self.free_since(held);
         let path = match d.on_host {
             true => ServePath::Host,
             false => ServePath::Embedded,
@@ -889,10 +899,20 @@ impl System {
         Ok(d.end.max(start))
     }
 
-    /// Returns the host DRAM allocated since `before`.
-    fn free_since(&mut self, before: u64) {
-        let freed = self.dram.allocated().saturating_sub(before);
+    /// Where object memory stands before a request allocates any.
+    fn object_mark(&self) -> ObjectMark {
+        ObjectMark {
+            dram: self.dram.allocated(),
+            gpu: self.gpu.mark(),
+        }
+    }
+
+    /// Returns the host DRAM and GPU memory allocated since `held`.
+    /// Addresses only route DMAs, so reusing GPU space moves no timing.
+    fn free_since(&mut self, held: ObjectMark) {
+        let freed = self.dram.allocated().saturating_sub(held.dram);
         self.dram.free(freed);
+        self.gpu.rewind(held.gpu);
     }
 
     /// Serves one request on the drive, on its tenant's embedded core.
@@ -918,9 +938,9 @@ impl System {
             match c.lookup(&spec.name, &spec.input, digest, start) {
                 Some(hit) => {
                     st.note(start, ServeEvent::CacheHit);
-                    let dram_before = self.dram.allocated();
+                    let held = self.object_mark();
                     let end = self.cache_delivery(&hit, start, bar)?;
-                    self.free_since(dram_before);
+                    self.free_since(held);
                     st.note(
                         end,
                         ServeEvent::Done(r, start, hit.objects, ServePath::CacheHit),
@@ -1501,6 +1521,57 @@ mod tests {
         assert_eq!(rep.commands, posted);
         assert_eq!(rep.checksum_unordered, solo.checksum);
         sys.set_fault_plan(FaultPlan::none());
+    }
+
+    /// A system whose GPU holds `gpu_bytes` of objects, MREADs of
+    /// `chunk_bytes` and one GPU app over `records` edges.
+    fn small_gpu_system(gpu_bytes: u64, chunk_bytes: u64, records: u32) -> (System, AppSpec) {
+        let mut params = SystemParams::paper_testbed();
+        params.gpu.memory_bytes = gpu_bytes;
+        params.mread_chunk_bytes = chunk_bytes;
+        let mut sys = System::new(params);
+        sys.create_input_file("gpu.txt", &edge_text(records, 0x9e))
+            .unwrap();
+        let spec = AppSpec::gpu_app("gpu", "gpu.txt", edge_schema(), 40.0, 16.0, 20.0);
+        (sys, spec)
+    }
+
+    #[test]
+    fn p2p_serving_hands_gpu_object_memory_back() {
+        // 1 MiB of GPU memory holds 26 requests' 40 KB of objects at once;
+        // the cell serves over ten times that, so each must return its
+        // memory.
+        let (mut sys, spec) = small_gpu_system(1 << 20, 256 << 10, 5000);
+        let objects = sys
+            .run(&spec, Mode::MorpheusP2P)
+            .unwrap()
+            .report
+            .object_bytes;
+        let mut cfg = ServeConfig::new(2000.0, 0.3);
+        cfg.mode = Mode::MorpheusP2P;
+        let rep = sys.serve(std::slice::from_ref(&spec), &cfg).unwrap();
+        assert_eq!((rep.completed + rep.shed, rep.failed), (rep.offered, 0));
+        assert!(
+            rep.completed * objects > 10 << 20,
+            "{} x {objects} B",
+            rep.completed
+        );
+        assert_eq!(sys.gpu.allocated(), 0, "every request returned its objects");
+    }
+
+    #[test]
+    fn gpu_exhaustion_is_out_of_gpu_memory_not_a_fabric_error() {
+        // Small MREADs push small object batches, each padded to the GDDR
+        // burst: the padded buffers pass the end of GPU memory (and of its
+        // BAR window) before the raw bytes fill it.
+        let (mut sys, spec) = small_gpu_system(64 << 10, 2 << 10, 20_000);
+        let err = sys.run(&spec, Mode::MorpheusP2P).unwrap_err();
+        assert!(matches!(err, RunError::OutOfGpuMemory), "run: {err:?}");
+        let mut cfg = ServeConfig::new(1000.0, 0.01);
+        cfg.mode = Mode::MorpheusP2P;
+        let err = sys.serve(std::slice::from_ref(&spec), &cfg).unwrap_err();
+        assert!(matches!(err, RunError::OutOfGpuMemory), "serve: {err:?}");
+        assert_eq!(sys.mssd.live_instances(), 0);
     }
 
     #[test]

@@ -306,34 +306,53 @@ impl System {
     /// Replaces a staged file's bytes (the file-mutation path; creates the
     /// file if it does not exist). Cached objects parsed from the old
     /// bytes are invalidated first. The bump-allocated filesystem does not
-    /// reuse the old extents — staging is untimed, so only capacity is
-    /// lost.
+    /// reuse the old extents, so the old bytes are discarded: every page
+    /// lying wholly inside them is trimmed (untimed, like staging) and its
+    /// payload freed. A page shared with a live neighbour keeps its bytes.
     ///
     /// # Errors
     ///
     /// Propagates filesystem and drive errors.
     pub fn overwrite_input_file(&mut self, name: &str, data: &[u8]) -> Result<(), SsdError> {
-        let _ = self.fs.remove(name);
-        self.create_input_file(name, data)
+        self.restage_image(name, &Arc::from(data))
     }
 
     /// Creates a file and stages its bytes on the SSD (untimed: inputs are
     /// on the drive before the measured window starts, as in the paper).
-    /// Invalidates any cached objects keyed to `name` (a re-created name
-    /// is a mutation).
+    /// `data` is copied once, into an image the drive's whole pages view
+    /// (see [`Ssd::load_image`]). Invalidates any cached objects keyed to
+    /// `name` (a re-created name is a mutation).
     ///
     /// # Errors
     ///
     /// Propagates filesystem and drive errors.
     pub fn create_input_file(&mut self, name: &str, data: &[u8]) -> Result<(), SsdError> {
+        self.stage_image(name, &Arc::from(data))
+    }
+
+    /// [`overwrite_input_file`](System::overwrite_input_file) from a staged
+    /// image.
+    pub(crate) fn restage_image(&mut self, name: &str, image: &Arc<[u8]>) -> Result<(), SsdError> {
+        if let Ok(old) = self.fs.remove(name) {
+            for e in &old.extents {
+                self.mssd.dev.discard(e.slba, e.blocks)?;
+            }
+        }
+        self.stage_image(name, image)
+    }
+
+    /// [`create_input_file`](System::create_input_file) from a staged
+    /// image: the one staging path, which a fleet runs once per device
+    /// over one shared image.
+    pub(crate) fn stage_image(&mut self, name: &str, image: &Arc<[u8]>) -> Result<(), SsdError> {
         self.invalidate_cached_objects(name);
         let meta = self
             .fs
-            .create(name, data.len() as u64)
+            .create(name, image.len() as u64)
             .map_err(|e| match e {
                 FsError::NoSpace => SsdError::LbaOutOfRange {
                     slba: 0,
-                    blocks: data.len() as u64 / LBA_BYTES,
+                    blocks: image.len() as u64 / LBA_BYTES,
                 },
                 other => panic!("file staging failed: {other}"),
             })?
@@ -341,11 +360,11 @@ impl System {
         let mut off = 0usize;
         for e in &meta.extents {
             let ext_bytes = (e.blocks * LBA_BYTES) as usize;
-            let end = (off + ext_bytes).min(data.len());
+            let end = (off + ext_bytes).min(image.len());
             if off >= end {
                 break;
             }
-            self.mssd.dev.load_at(e.slba, &data[off..end])?;
+            self.mssd.dev.load_image(e.slba, image, off..end)?;
             off = end;
         }
         Ok(())
@@ -589,6 +608,7 @@ mod tests {
     use super::*;
     use crate::firmware::IO_QUEUE_ID;
     use morpheus_flash::FlashGeometry;
+    use morpheus_ftl::Lpn;
 
     fn small_system() -> System {
         let mut p = SystemParams::paper_testbed();
@@ -602,6 +622,40 @@ mod tests {
         let data: Vec<u8> = (0..50_000u32).map(|i| (i % 241) as u8).collect();
         sys.create_input_file("input.bin", &data).unwrap();
         assert_eq!(sys.read_file_bytes("input.bin").unwrap(), data);
+    }
+
+    #[test]
+    fn an_overwrite_discards_only_the_old_files_whole_pages() {
+        let mut sys = small_system();
+        let file = |len: usize, salt: usize| -> Vec<u8> {
+            (0..len).map(|i| ((i * 7 + salt) % 251) as u8).collect()
+        };
+        let before = [file(50_001, 1), file(70_003, 2), file(33_333, 3)];
+        for (name, data) in ["a", "b", "c"].iter().zip(&before) {
+            sys.create_input_file(name, data).unwrap();
+        }
+        let old = sys.fs.open("b").unwrap().extents.clone();
+        let rewritten = file(41_000, 4);
+        sys.overwrite_input_file("b", &rewritten).unwrap();
+        assert_eq!(sys.read_file_bytes("a").unwrap(), before[0]);
+        assert_eq!(sys.read_file_bytes("c").unwrap(), before[2]);
+        assert_eq!(sys.read_file_bytes("b").unwrap(), rewritten);
+        // Old `b` starts and ends inside pages it shares with `a` and `c`:
+        // those stay, every page wholly inside it is gone.
+        let lbas = sys.mssd.dev.lbas_per_page();
+        let ftl = sys.mssd.dev.ftl();
+        let (first, end) = (
+            old[0].slba,
+            old[old.len() - 1].slba + old[old.len() - 1].blocks,
+        );
+        assert!(first % lbas != 0 && end % lbas != 0);
+        assert!(ftl.translate(Lpn(first / lbas)).is_some());
+        assert!(ftl.translate(Lpn(end / lbas)).is_some());
+        let whole = first.div_ceil(lbas)..end / lbas;
+        assert!(whole.end - whole.start > 10);
+        for lpn in whole {
+            assert_eq!(ftl.translate(Lpn(lpn)), None, "page {lpn}");
+        }
     }
 
     #[test]

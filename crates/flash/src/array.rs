@@ -1,4 +1,11 @@
 //! The flash array: page state, real contents, NAND rules, wear, errors.
+//!
+//! The array stores a payload for each valid page only, and derives every
+//! page's [`PageState`] from its block's write point: pages at or above it
+//! are free, pages below it are valid while they hold a payload and
+//! invalid once [`FlashArray::invalidate_page`] dropped it. Its memory so
+//! tracks the live data, not the geometry, and a stale page cannot be read
+//! back ([`FlashError::ReadOfStalePage`]).
 
 use crate::{BlockId, EccModel, FlashError, FlashGeometry, FlashTiming, PageData, Ppa};
 use morpheus_simcore::{SimDuration, SplitMix64};
@@ -12,7 +19,8 @@ pub enum PageState {
     Free,
     /// Holds live data.
     Valid,
-    /// Holds stale data awaiting erase (set by the FTL on overwrite/trim).
+    /// Programmed, but its data went stale (the FTL invalidated it on
+    /// overwrite, trim or relocation); awaits erase and cannot be read.
     Invalid,
 }
 
@@ -69,18 +77,21 @@ pub struct FlashStats {
 
 /// The NAND flash array.
 ///
-/// Stores real page contents (sparsely), enforces NAND programming rules,
-/// tracks per-block wear and state, and injects bit errors according to an
-/// [`EccModel`]. All operations are deterministic given the seed.
+/// Stores the contents of valid pages (sparsely), enforces NAND
+/// programming rules, tracks per-block wear and write points, and injects
+/// bit errors according to an [`EccModel`]. All operations are
+/// deterministic given the seed.
 #[derive(Debug, Clone)]
 pub struct FlashArray {
     geometry: FlashGeometry,
     timing: FlashTiming,
     ecc: EccModel,
     rng: SplitMix64,
+    /// Payloads of the valid pages; a page below its block's write point
+    /// with no entry here is invalid.
     data: HashMap<Ppa, PageData>,
-    state: Vec<PageState>,
-    /// Next programmable page index per block (NAND sequential-program rule).
+    /// Next programmable page index per block (NAND sequential-program
+    /// rule); the pages below it are programmed.
     write_point: Vec<u32>,
     erase_count: Vec<u64>,
     bad: Vec<bool>,
@@ -100,7 +111,6 @@ impl FlashArray {
         ecc: EccModel,
         seed: u64,
     ) -> Self {
-        let pages = geometry.total_pages() as usize;
         let blocks = geometry.total_blocks() as usize;
         FlashArray {
             geometry,
@@ -108,7 +118,6 @@ impl FlashArray {
             ecc,
             rng: SplitMix64::new(seed),
             data: HashMap::new(),
-            state: vec![PageState::Free; pages],
             write_point: vec![0; blocks],
             erase_count: vec![0; blocks],
             bad: vec![false; blocks],
@@ -146,7 +155,14 @@ impl FlashArray {
     ///
     /// Panics if `ppa` is out of range.
     pub fn page_state(&self, ppa: Ppa) -> PageState {
-        self.state[self.index(ppa)]
+        self.assert_in_range(ppa);
+        if !self.is_programmed(ppa) {
+            PageState::Free
+        } else if self.data.contains_key(&ppa) {
+            PageState::Valid
+        } else {
+            PageState::Invalid
+        }
     }
 
     /// Erase count of a block.
@@ -162,31 +178,38 @@ impl FlashArray {
     /// Number of valid pages in a block.
     pub fn valid_pages_in(&self, block: BlockId) -> u32 {
         let first = self.geometry.first_page_of(block).0;
-        (0..self.geometry.pages_per_block as u64)
-            .filter(|i| self.state[(first + i) as usize] == PageState::Valid)
+        let programmed = self.write_point[block.0 as usize] as u64;
+        (first..first + programmed)
+            .filter(|&p| self.data.contains_key(&Ppa(p)))
             .count() as u32
     }
 
-    /// Reads a page, returning a zero-copy handle to its contents and the
-    /// operation timing. The handle shares the stored allocation; it stays
-    /// valid (with the contents as of this read) even if the page is later
-    /// overwritten or erased.
+    /// Reads a valid page, returning a zero-copy handle to its contents and
+    /// the operation timing. The handle shares the stored allocation; it
+    /// stays valid (with the contents as of this read) even if the page is
+    /// later invalidated or erased.
     ///
     /// # Errors
     ///
     /// Returns [`FlashError::ReadOfFreePage`] for unprogrammed pages,
+    /// [`FlashError::ReadOfStalePage`] for invalidated ones,
     /// [`FlashError::BadBlock`] for retired blocks,
     /// [`FlashError::Uncorrectable`] when the error model injects a failure,
     /// and [`FlashError::OutOfRange`] for invalid addresses.
     pub fn read_page(&mut self, ppa: Ppa) -> Result<(PageData, FlashOp), FlashError> {
-        let idx = self.checked_index(ppa)?;
+        self.check(ppa)?;
         let block = self.geometry.block_of(ppa);
         if self.bad[block.0 as usize] {
             return Err(FlashError::BadBlock(block));
         }
-        if self.state[idx] == PageState::Free {
-            return Err(FlashError::ReadOfFreePage(ppa));
-        }
+        // Clone of the handle, not the payload: the read path never copies
+        // page contents (see `copy_audit`).
+        let Some(data) = self.data.get(&ppa).cloned() else {
+            return Err(match self.is_programmed(ppa) {
+                true => FlashError::ReadOfStalePage(ppa),
+                false => FlashError::ReadOfFreePage(ppa),
+            });
+        };
         if self.rng.chance(self.ecc.uncorrectable_prob) {
             self.stats.uncorrectable_reads += 1;
             return Err(FlashError::Uncorrectable(ppa));
@@ -197,13 +220,6 @@ impl FlashArray {
             cell_time += self.timing.read_latency * self.ecc.correction_retries as u64;
         }
         self.stats.reads += 1;
-        // Clone of the handle, not the payload: the read path never copies
-        // page contents (see `copy_audit`).
-        let data = self
-            .data
-            .get(&ppa)
-            .cloned()
-            .expect("valid/invalid page must have stored data");
         let op = FlashOp {
             kind: FlashOpKind::Read,
             channel: self.geometry.channel_of(ppa),
@@ -230,14 +246,15 @@ impl FlashArray {
 
     /// Programs a page from an existing [`PageData`] handle without copying
     /// the payload — the array stores the shared allocation. This is the
-    /// garbage collector's relocation path: a valid page moves blocks by
-    /// re-homing its handle, never its bytes.
+    /// garbage collector's relocation path (a valid page moves blocks by
+    /// re-homing its handle, never its bytes) and the staging path (a page
+    /// is a view of its file's image).
     ///
     /// # Errors
     ///
     /// Same rules as [`FlashArray::program_page`].
     pub fn program_page_data(&mut self, ppa: Ppa, data: PageData) -> Result<FlashOp, FlashError> {
-        let idx = self.checked_index(ppa)?;
+        self.check(ppa)?;
         let block = self.geometry.block_of(ppa);
         if self.bad[block.0 as usize] {
             return Err(FlashError::BadBlock(block));
@@ -249,11 +266,11 @@ impl FlashArray {
                 page_bytes: self.geometry.page_bytes,
             });
         }
-        if self.state[idx] != PageState::Free {
-            return Err(FlashError::ProgramTwice(ppa));
-        }
         let expected = self.write_point[block.0 as usize];
         let page_idx = self.geometry.page_in_block(ppa);
+        if page_idx < expected {
+            return Err(FlashError::ProgramTwice(ppa));
+        }
         if page_idx != expected {
             return Err(FlashError::ProgramOutOfOrder {
                 ppa,
@@ -261,7 +278,6 @@ impl FlashArray {
             });
         }
         self.write_point[block.0 as usize] = expected + 1;
-        self.state[idx] = PageState::Valid;
         let len = data.len() as u64;
         self.data.insert(ppa, data);
         self.stats.programs += 1;
@@ -273,18 +289,17 @@ impl FlashArray {
         })
     }
 
-    /// Marks a page's contents stale (an FTL-level operation that costs no
-    /// flash time — the out-of-band metadata update is folded into the
-    /// controller's own costs).
+    /// Marks a page's contents stale and drops its payload (an FTL-level
+    /// operation that costs no flash time — the out-of-band metadata
+    /// update is folded into the controller's own costs). Free and already
+    /// invalid pages are left as they are.
     ///
     /// # Panics
     ///
     /// Panics if `ppa` is out of range.
     pub fn invalidate_page(&mut self, ppa: Ppa) {
-        let idx = self.index(ppa);
-        if self.state[idx] == PageState::Valid {
-            self.state[idx] = PageState::Invalid;
-        }
+        self.assert_in_range(ppa);
+        self.data.remove(&ppa);
     }
 
     /// Erases a block, freeing all of its pages and advancing wear.
@@ -305,10 +320,8 @@ impl FlashArray {
             return Err(FlashError::BadBlock(block));
         }
         let first = self.geometry.first_page_of(block).0;
-        for i in 0..self.geometry.pages_per_block as u64 {
-            let ppa = Ppa(first + i);
-            self.state[ppa.0 as usize] = PageState::Free;
-            self.data.remove(&ppa);
+        for p in first..first + self.write_point[block.0 as usize] as u64 {
+            self.data.remove(&Ppa(p));
         }
         self.write_point[block.0 as usize] = 0;
         self.erase_count[block.0 as usize] += 1;
@@ -325,20 +338,24 @@ impl FlashArray {
         })
     }
 
-    fn index(&self, ppa: Ppa) -> usize {
+    /// True if `ppa` lies below its block's write point.
+    fn is_programmed(&self, ppa: Ppa) -> bool {
+        let block = self.geometry.block_of(ppa);
+        self.geometry.page_in_block(ppa) < self.write_point[block.0 as usize]
+    }
+
+    fn assert_in_range(&self, ppa: Ppa) {
         assert!(
             self.geometry.contains(ppa),
             "physical page {} out of range",
             ppa.0
         );
-        ppa.0 as usize
     }
 
-    fn checked_index(&self, ppa: Ppa) -> Result<usize, FlashError> {
-        if self.geometry.contains(ppa) {
-            Ok(ppa.0 as usize)
-        } else {
-            Err(FlashError::OutOfRange(ppa))
+    fn check(&self, ppa: Ppa) -> Result<(), FlashError> {
+        match self.geometry.contains(ppa) {
+            true => Ok(()),
+            false => Err(FlashError::OutOfRange(ppa)),
         }
     }
 }
@@ -420,15 +437,29 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_marks_page_stale_but_readable() {
+    fn invalidate_marks_page_stale_and_drops_its_payload() {
         let mut a = small();
         let ppa = a.geometry().ppa(0, 0, 0, 0, 0);
         a.program_page(ppa, b"x").unwrap();
+        let (held, _) = a.read_page(ppa).unwrap();
         a.invalidate_page(ppa);
         assert_eq!(a.page_state(ppa), PageState::Invalid);
-        // GC still needs to read stale pages' neighbours; reading invalid
-        // data is allowed at the flash level.
-        assert!(a.read_page(ppa).is_ok());
+        // GC reads only mapped pages, so the array keeps no stale payload
+        // and a stale read is an error; a handle taken earlier survives.
+        assert_eq!(
+            a.read_page(ppa).unwrap_err(),
+            FlashError::ReadOfStalePage(ppa)
+        );
+        assert_eq!(a.stats().reads, 1, "a stale read is not a flash read");
+        assert_eq!(&held[..], b"x");
+        // Invalidating again, or a free page, changes nothing.
+        a.invalidate_page(ppa);
+        let free = a.geometry().ppa(0, 0, 0, 0, 1);
+        a.invalidate_page(free);
+        assert_eq!(a.page_state(ppa), PageState::Invalid);
+        assert_eq!(a.page_state(free), PageState::Free);
+        a.program_page(free, b"y").unwrap();
+        assert_eq!(a.page_state(free), PageState::Valid);
     }
 
     #[test]

@@ -11,6 +11,9 @@ pub enum FlashError {
     OutOfRange(Ppa),
     /// Read of a page that was never programmed since its last erase.
     ReadOfFreePage(Ppa),
+    /// Read of a page whose contents went stale (overwritten, trimmed or
+    /// relocated): the array dropped its payload when it was invalidated.
+    ReadOfStalePage(Ppa),
     /// Program of a page that already holds data (NAND is program-once).
     ProgramTwice(Ppa),
     /// Program out of page order within a block (NAND requires sequential
@@ -41,6 +44,7 @@ impl fmt::Display for FlashError {
         match self {
             FlashError::OutOfRange(p) => write!(f, "physical page {} out of range", p.0),
             FlashError::ReadOfFreePage(p) => write!(f, "read of unprogrammed page {}", p.0),
+            FlashError::ReadOfStalePage(p) => write!(f, "read of stale page {}", p.0),
             FlashError::ProgramTwice(p) => write!(f, "program of already-programmed page {}", p.0),
             FlashError::ProgramOutOfOrder { ppa, expected_page } => write!(
                 f,
@@ -109,6 +113,7 @@ mod tests {
         let errs: Vec<FlashError> = vec![
             FlashError::OutOfRange(Ppa(1)),
             FlashError::ReadOfFreePage(Ppa(2)),
+            FlashError::ReadOfStalePage(Ppa(2)),
             FlashError::ProgramTwice(Ppa(3)),
             FlashError::ProgramOutOfOrder {
                 ppa: Ppa(4),

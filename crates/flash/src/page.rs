@@ -1,15 +1,25 @@
 //! Zero-copy page payload handles.
 //!
-//! Page contents live in the array as reference-counted immutable buffers
-//! ([`Arc<[u8]>`]); a read hands out a [`PageData`] handle that shares the
-//! stored allocation instead of cloning it. The FTL's garbage collector
-//! relocates pages by moving the handle, and the SSD controller copies at
-//! most once — a sub-slice into the caller's destination buffer. Flash
-//! payloads in the simulated testbed are 4 KiB–16 KiB and every figure
-//! reads tens of thousands of them, so the former clone-per-hop (flash →
-//! FTL → controller → firmware) dominated allocator time.
+//! Page contents live in the array as views of reference-counted immutable
+//! buffers: a [`PageData`] is an [`Arc<[u8]>`] plus the byte range of it
+//! the page holds. A page programmed from a caller's bytes owns a buffer of
+//! its own; a page staged from a file image ([`PageData::view`]) shares the
+//! image, so a staged file is stored once however many of its pages, and
+//! however many drives, hold it. A read hands out a clone of the handle,
+//! not of the bytes; the FTL's garbage collector relocates pages by moving
+//! the handle, and the SSD controller copies at most once — a sub-slice
+//! into the caller's destination buffer. Flash payloads in the simulated
+//! testbed are 4 KiB–16 KiB and every figure reads tens of thousands of
+//! them, so the former clone-per-hop (flash → FTL → controller → firmware)
+//! dominated allocator time.
+//!
+//! The array holds a payload only while its page is valid: a page that
+//! goes stale drops its handle (a buffer is freed with its last view), and
+//! reading it is an error
+//! ([`FlashError::ReadOfStalePage`](crate::FlashError::ReadOfStalePage)).
 
-use std::ops::Deref;
+use std::fmt;
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 /// Audit of full-payload materializations on the read path.
@@ -35,37 +45,58 @@ pub mod copy_audit {
     }
 }
 
-/// A shared, immutable page payload.
+/// A shared, immutable page payload: bytes `range` of a shared buffer.
 ///
-/// Cheap to clone (reference count); dereferences to the stored bytes.
-/// May be shorter than the flash page when the original program wrote a
-/// short payload — readers zero-extend to page size where that matters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PageData(Arc<[u8]>);
+/// Cheap to clone (reference count); dereferences to the viewed bytes, and
+/// compares by them. May be shorter than the flash page when the original
+/// program wrote a short payload — readers zero-extend to page size where
+/// that matters.
+#[derive(Clone)]
+pub struct PageData {
+    buf: Arc<[u8]>,
+    range: Range<usize>,
+}
 
 impl PageData {
-    /// Wraps a payload, copying it into a shared allocation.
+    /// Wraps a payload, copying it into a buffer of its own.
     pub fn copy_from(data: &[u8]) -> Self {
-        PageData(Arc::from(data))
+        PageData::from(Arc::<[u8]>::from(data))
     }
 
-    /// True if both handles share one stored allocation (i.e. no payload
-    /// copy happened between them).
+    /// A view of bytes `range` of `buf`, sharing it without a copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` does not lie inside `buf`.
+    pub fn view(buf: &Arc<[u8]>, range: Range<usize>) -> Self {
+        assert!(
+            range.start <= range.end && range.end <= buf.len(),
+            "page view {range:?} outside a {}-byte buffer",
+            buf.len()
+        );
+        PageData {
+            buf: Arc::clone(buf),
+            range,
+        }
+    }
+
+    /// True if both handles view the same bytes of one stored allocation
+    /// (i.e. no payload copy happened between them).
     pub fn ptr_eq(a: &PageData, b: &PageData) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
+        Arc::ptr_eq(&a.buf, &b.buf) && a.range == b.range
     }
 
     /// An owned boxed copy of the payload. This is a full-payload copy and
     /// is counted by [`copy_audit`]; keep it off hot paths.
     pub fn to_boxed(&self) -> Box<[u8]> {
         copy_audit::record();
-        self.0[..].into()
+        self[..].into()
     }
 
     /// An owned `Vec` copy of the payload. Counted by [`copy_audit`].
     pub fn to_vec(&self) -> Vec<u8> {
         copy_audit::record();
-        self.0.to_vec()
+        self[..].to_vec()
     }
 }
 
@@ -73,13 +104,28 @@ impl Deref for PageData {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.0
+        &self.buf[self.range.clone()]
+    }
+}
+
+impl PartialEq for PageData {
+    fn eq(&self, other: &Self) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl Eq for PageData {}
+
+impl fmt::Debug for PageData {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("PageData").field(&&self[..]).finish()
     }
 }
 
 impl From<Arc<[u8]>> for PageData {
-    fn from(a: Arc<[u8]>) -> Self {
-        PageData(a)
+    fn from(buf: Arc<[u8]>) -> Self {
+        let range = 0..buf.len();
+        PageData { buf, range }
     }
 }
 
@@ -91,7 +137,7 @@ impl From<&[u8]> for PageData {
 
 impl AsRef<[u8]> for PageData {
     fn as_ref(&self) -> &[u8] {
-        &self.0
+        self
     }
 }
 
@@ -122,5 +168,27 @@ mod tests {
         let p = PageData::copy_from(&[1, 2, 3]);
         assert_eq!(p.len(), 3);
         assert_eq!(p.as_ref(), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn views_share_one_image() {
+        let image: Arc<[u8]> = Arc::from(&b"page-one|page-two"[..]);
+        let one = PageData::view(&image, 0..8);
+        let two = PageData::view(&image, 9..17);
+        assert_eq!(&one[..], b"page-one");
+        assert_eq!(&two[..], b"page-two");
+        assert!(!PageData::ptr_eq(&one, &two), "different ranges");
+        assert!(PageData::ptr_eq(&two, &PageData::view(&image, 9..17)));
+        assert_eq!(one, PageData::copy_from(b"page-one"), "equal by bytes");
+        assert_eq!(Arc::strong_count(&image), 3);
+        drop((one, two));
+        assert_eq!(Arc::strong_count(&image), 1, "views release the image");
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn a_view_past_its_buffer_panics() {
+        let image: Arc<[u8]> = Arc::from(&b"short"[..]);
+        let _ = PageData::view(&image, 2..6);
     }
 }

@@ -3,7 +3,7 @@
 
 use morpheus_flash::{BlockId, FlashArray, FlashError, FlashGeometry, FlashTiming, PageState, Ppa};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -27,7 +27,7 @@ proptest! {
 
     /// The array must agree with a simple reference model: page contents
     /// after programs/erases, program-once, sequential-program order, and
-    /// reads of free pages failing.
+    /// reads of free and of stale pages failing.
     #[test]
     fn flash_matches_reference_model(
         ops in {
@@ -37,8 +37,10 @@ proptest! {
     ) {
         let g = FlashGeometry::small();
         let mut flash = FlashArray::new(g, FlashTiming::default());
-        // Reference: contents + per-block write pointer.
+        // Reference: readable contents, programmed-but-stale pages, and the
+        // per-block write pointer.
         let mut contents: HashMap<u64, u8> = HashMap::new();
+        let mut stale: HashSet<u64> = HashSet::new();
         let mut write_point: HashMap<u64, u32> = HashMap::new();
         let ppb = g.pages_per_block as u64;
 
@@ -49,6 +51,7 @@ proptest! {
                     let block = p / ppb;
                     let idx = (p % ppb) as u32;
                     let expect_ok = !contents.contains_key(&p)
+                        && !stale.contains(&p)
                         && *write_point.entry(block).or_insert(0) == idx;
                     match flash.program_page(ppa, &[v]) {
                         Ok(_) => {
@@ -57,7 +60,7 @@ proptest! {
                             write_point.insert(block, idx + 1);
                         }
                         Err(FlashError::ProgramTwice(_)) => {
-                            prop_assert!(contents.contains_key(&p));
+                            prop_assert!(contents.contains_key(&p) || stale.contains(&p));
                         }
                         Err(FlashError::ProgramOutOfOrder { expected_page, .. }) => {
                             prop_assert_ne!(expected_page, idx);
@@ -71,7 +74,10 @@ proptest! {
                         prop_assert_eq!(Some(data[0]), want, "stale data at {}", p);
                     }
                     Err(FlashError::ReadOfFreePage(_)) => {
-                        prop_assert!(!contents.contains_key(&p));
+                        prop_assert!(!contents.contains_key(&p) && !stale.contains(&p));
+                    }
+                    Err(FlashError::ReadOfStalePage(_)) => {
+                        prop_assert!(stale.contains(&p), "page {} is not stale", p);
                     }
                     Err(e) => return Err(TestCaseError::fail(format!("unexpected {e}"))),
                 },
@@ -79,13 +85,18 @@ proptest! {
                     flash.erase_block(BlockId(b)).unwrap();
                     for p in (b * ppb)..((b + 1) * ppb) {
                         contents.remove(&p);
+                        stale.remove(&p);
                     }
                     write_point.insert(b, 0);
                 }
                 Op::Invalidate(p) => {
                     if flash.geometry().contains(Ppa(p)) {
                         flash.invalidate_page(Ppa(p));
-                        // Contents stay readable (GC semantics).
+                        // The page leaves the readable set: the array drops
+                        // a stale page's payload.
+                        if contents.remove(&p).is_some() {
+                            stale.insert(p);
+                        }
                     }
                 }
             }
@@ -95,9 +106,16 @@ proptest! {
             let (data, _) = flash.read_page(Ppa(*p)).unwrap();
             prop_assert_eq!(data[0], *v);
         }
+        for p in &stale {
+            prop_assert_eq!(
+                flash.read_page(Ppa(*p)).unwrap_err(),
+                FlashError::ReadOfStalePage(Ppa(*p))
+            );
+            prop_assert_eq!(flash.page_state(Ppa(*p)), PageState::Invalid);
+        }
         for p in 0..g.total_pages() {
             let st = flash.page_state(Ppa(p));
-            if !contents.contains_key(&p) {
+            if !contents.contains_key(&p) && !stale.contains(&p) {
                 prop_assert_eq!(st, PageState::Free, "page {} should be free", p);
             } else {
                 prop_assert_ne!(st, PageState::Free, "page {} should hold data", p);

@@ -72,11 +72,17 @@ struct ChannelState {
 /// block and garbage-collects greedily (fewest valid pages, ties broken by
 /// erase count for wear levelling) when its free pool reaches the
 /// watermark. Logical capacity is the physical capacity minus the
-/// over-provisioning reserve.
+/// over-provisioning reserve. The L2P map is sized by use, not by
+/// capacity: it grows to the highest logical page written, so a drive
+/// holding little data keeps a small map (as demand-based page-mapped FTLs
+/// do, e.g. DFTL).
 #[derive(Debug, Clone)]
 pub struct Ftl {
     flash: FlashArray,
     cfg: FtlConfig,
+    /// Exported logical capacity in pages.
+    capacity: u64,
+    /// L2P map over `0..=` the highest logical page written so far.
     map: Vec<Option<Ppa>>,
     rmap: HashMap<Ppa, Lpn>,
     channels: Vec<ChannelState>,
@@ -106,7 +112,8 @@ impl Ftl {
         Ftl {
             flash,
             cfg,
-            map: vec![None; logical_pages as usize],
+            capacity: logical_pages,
+            map: Vec::new(),
             rmap: HashMap::new(),
             channels,
             next_channel: 0,
@@ -116,7 +123,7 @@ impl Ftl {
 
     /// Exported logical capacity in pages.
     pub fn capacity_pages(&self) -> u64 {
-        self.map.len() as u64
+        self.capacity
     }
 
     /// Bytes per logical page (same as the flash page size).
@@ -147,7 +154,7 @@ impl Ftl {
         *self.map.get(lpn.0 as usize)?
     }
 
-    /// Writes a logical page.
+    /// Writes a logical page, copying `data` into a buffer of its own.
     ///
     /// # Errors
     ///
@@ -155,6 +162,17 @@ impl Ftl {
     /// [`FtlError::NoFreeBlocks`] when the drive cannot make space, and
     /// propagates flash failures.
     pub fn write(&mut self, lpn: Lpn, data: &[u8]) -> Result<WriteOutcome, FtlError> {
+        self.write_data(lpn, PageData::copy_from(data))
+    }
+
+    /// Writes a logical page from a [`PageData`] handle without copying
+    /// its payload (the staging path: a page is a view of its file's
+    /// image).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`write`](Ftl::write).
+    pub fn write_data(&mut self, lpn: Lpn, data: PageData) -> Result<WriteOutcome, FtlError> {
         if lpn.0 >= self.capacity_pages() {
             return Err(FtlError::OutOfCapacity(lpn));
         }
@@ -169,17 +187,18 @@ impl Ftl {
         let mut gc_relocations = 0;
 
         // Invalidate the previous version, if any.
-        if let Some(old) = self.map[lpn.0 as usize].take() {
-            self.flash.invalidate_page(old);
-            self.rmap.remove(&old);
-        }
+        self.unmap(lpn);
 
         let channel = self.next_channel;
         self.next_channel = (self.next_channel + 1) % self.channels.len();
         let ppa = self.allocate(channel, true, &mut ops, &mut gc_relocations)?;
-        let op = self.flash.program_page(ppa, data)?;
+        let op = self.flash.program_page_data(ppa, data)?;
         ops.push(op);
-        self.map[lpn.0 as usize] = Some(ppa);
+        let idx = lpn.0 as usize;
+        if idx >= self.map.len() {
+            self.map.resize(idx + 1, None);
+        }
+        self.map[idx] = Some(ppa);
         self.rmap.insert(ppa, lpn);
         self.stats.host_writes += 1;
         Ok(WriteOutcome {
@@ -198,7 +217,7 @@ impl Ftl {
         if lpn.0 >= self.capacity_pages() {
             return Err(FtlError::OutOfCapacity(lpn));
         }
-        let ppa = self.map[lpn.0 as usize].ok_or(FtlError::Unmapped(lpn))?;
+        let ppa = self.translate(lpn).ok_or(FtlError::Unmapped(lpn))?;
         let mut ops = Vec::new();
         let mut retries = 0;
         loop {
@@ -227,7 +246,8 @@ impl Ftl {
         }
     }
 
-    /// Discards a logical page (NVMe Dataset Management / TRIM).
+    /// Discards a logical page (NVMe Dataset Management / TRIM): its flash
+    /// page goes stale and the array drops its payload.
     ///
     /// Trimming an unmapped page is a no-op, matching NVMe semantics.
     ///
@@ -238,11 +258,16 @@ impl Ftl {
         if lpn.0 >= self.capacity_pages() {
             return Err(FtlError::OutOfCapacity(lpn));
         }
-        if let Some(old) = self.map[lpn.0 as usize].take() {
+        self.unmap(lpn);
+        Ok(())
+    }
+
+    /// Unmaps `lpn` and invalidates its flash page, if it is mapped.
+    fn unmap(&mut self, lpn: Lpn) {
+        if let Some(old) = self.map.get_mut(lpn.0 as usize).and_then(Option::take) {
             self.flash.invalidate_page(old);
             self.rmap.remove(&old);
         }
-        Ok(())
     }
 
     /// Total free pages remaining across all channels (free blocks plus the
@@ -383,7 +408,7 @@ impl Ftl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use morpheus_flash::{EccModel, FlashGeometry, FlashTiming};
+    use morpheus_flash::{EccModel, FlashGeometry, FlashTiming, PageState};
 
     fn small_ftl() -> Ftl {
         Ftl::new(
@@ -437,6 +462,37 @@ mod tests {
             f.read(Lpn(cap)).unwrap_err(),
             FtlError::OutOfCapacity(_)
         ));
+    }
+
+    #[test]
+    fn the_last_logical_page_is_writable_and_capacity_is_fixed() {
+        let mut f = small_ftl();
+        let cap = f.capacity_pages();
+        let last = Lpn(cap - 1);
+        assert_eq!(f.translate(last), None);
+        f.write(last, b"last").unwrap();
+        assert_eq!(f.capacity_pages(), cap);
+        assert_eq!(&f.read(last).unwrap().data[..], b"last");
+        assert_eq!(f.read(Lpn(0)).unwrap_err(), FtlError::Unmapped(Lpn(0)));
+        f.trim(Lpn(cap - 2)).unwrap();
+        assert!(matches!(
+            f.write(Lpn(cap), b"x").unwrap_err(),
+            FtlError::OutOfCapacity(_)
+        ));
+        assert_eq!(f.capacity_pages(), cap);
+    }
+
+    #[test]
+    fn replaced_and_trimmed_pages_go_stale() {
+        let mut f = small_ftl();
+        f.write(Lpn(2), b"v1").unwrap();
+        let v1 = f.translate(Lpn(2)).unwrap();
+        f.write(Lpn(2), b"v2").unwrap();
+        let v2 = f.translate(Lpn(2)).unwrap();
+        f.trim(Lpn(2)).unwrap();
+        for old in [v1, v2] {
+            assert_eq!(f.flash().page_state(old), PageState::Invalid);
+        }
     }
 
     #[test]

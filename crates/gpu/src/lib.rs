@@ -65,6 +65,15 @@ pub struct DeviceBuffer {
     pub len: u64,
 }
 
+/// A point in the device-memory allocator's history, taken with
+/// [`Gpu::mark`]; [`Gpu::rewind`] to it returns every buffer allocated
+/// since.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GpuMark {
+    next_offset: u64,
+    allocated: u64,
+}
+
 /// Resource demands of one kernel launch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelCost {
@@ -119,23 +128,47 @@ impl Gpu {
         &self.spec
     }
 
-    /// Allocates device memory; `None` when capacity is exhausted.
+    /// Allocates device memory; `None` when the buffer, padded to the GDDR
+    /// burst alignment (256 B), would end past device memory. Buffers are
+    /// bump-allocated, so every returned buffer lies inside the memory a
+    /// BAR window over it maps.
     pub fn alloc(&mut self, bytes: u64) -> Option<DeviceBuffer> {
-        if bytes > self.spec.memory_bytes - self.allocated {
-            return None;
-        }
+        let end = bytes
+            .checked_next_multiple_of(256)
+            .and_then(|padded| self.next_offset.checked_add(padded))
+            .filter(|&end| end <= self.spec.memory_bytes)?;
         let buf = DeviceBuffer {
             offset: self.next_offset,
             len: bytes,
         };
-        self.next_offset += bytes.div_ceil(256) * 256; // GDDR burst alignment
+        self.next_offset = end;
         self.allocated += bytes;
         Some(buf)
     }
 
-    /// Releases `bytes` of device memory occupancy.
+    /// Releases `bytes` of device memory occupancy (the space itself is
+    /// reused only through [`rewind`](Gpu::rewind)).
     pub fn free(&mut self, bytes: u64) {
         self.allocated = self.allocated.saturating_sub(bytes);
+    }
+
+    /// The allocator's current point, to [`rewind`](Gpu::rewind) to.
+    pub fn mark(&self) -> GpuMark {
+        GpuMark {
+            next_offset: self.next_offset,
+            allocated: self.allocated,
+        }
+    }
+
+    /// Returns every buffer allocated since `mark`, reusing their space
+    /// (a request handing its objects back when it is done).
+    pub fn rewind(&mut self, mark: GpuMark) {
+        debug_assert!(
+            mark.next_offset <= self.next_offset,
+            "rewind to a mark past the allocator's current point"
+        );
+        self.next_offset = mark.next_offset;
+        self.allocated = mark.allocated;
     }
 
     /// Device memory currently allocated.
@@ -217,6 +250,35 @@ mod tests {
         assert!(gpu.alloc(u64::MAX).is_none());
         gpu.free(200);
         assert_eq!(gpu.allocated(), 0);
+    }
+
+    #[test]
+    fn the_padded_buffer_must_fit_device_memory() {
+        let mut spec = GpuSpec::k20();
+        spec.memory_bytes = 1024;
+        let mut gpu = Gpu::new(spec);
+        for _ in 0..4 {
+            gpu.alloc(200).unwrap();
+        }
+        // 800 raw bytes are allocated, but the four buffers span all 1024.
+        assert_eq!(gpu.allocated(), 800);
+        assert!(gpu.alloc(1).is_none());
+    }
+
+    #[test]
+    fn rewind_returns_everything_since_the_mark() {
+        let mut spec = GpuSpec::k20();
+        spec.memory_bytes = 4096;
+        let mut gpu = Gpu::new(spec);
+        let kept = gpu.alloc(100).unwrap();
+        let mark = gpu.mark();
+        let first = gpu.alloc(3000).unwrap();
+        assert!(gpu.alloc(3000).is_none());
+        gpu.rewind(mark);
+        assert_eq!(gpu.allocated(), 100);
+        let again = gpu.alloc(3000).unwrap();
+        assert_eq!(again, first);
+        assert!(again.offset >= kept.offset + 256);
     }
 
     #[test]

@@ -6,6 +6,8 @@ use morpheus_ftl::{Ftl, Lpn};
 use morpheus_nvme::LBA_BYTES;
 use morpheus_simcore::{Histogram, SimTime, Timeline, TraceLayer, Tracer};
 use std::borrow::Cow;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// A zero-copy view of one logical page served by the controller.
 ///
@@ -225,15 +227,56 @@ impl Ssd {
         self.dram_used
     }
 
-    /// Loads data at an LBA without charging simulated time — used to stage
-    /// workload input files before a timed run (the paper's inputs are
-    /// likewise on the drive before measurement starts).
+    /// Loads data at an LBA without charging simulated time (see
+    /// [`load_image`](Ssd::load_image); `data` is copied once).
     ///
     /// # Errors
     ///
     /// Propagates FTL failures and range errors.
     pub fn load_at(&mut self, slba: u64, data: &[u8]) -> Result<(), SsdError> {
-        self.write_bytes(slba, data, None).map(|_| ())
+        self.load_image(slba, &Arc::from(data), 0..data.len())
+    }
+
+    /// Loads bytes `range` of `image` at an LBA without charging simulated
+    /// time — used to stage workload input files before a timed run (the
+    /// paper's inputs are likewise on the drive before measurement
+    /// starts). Every whole page becomes a view of `image`, so the bytes
+    /// are not copied and drives staging one image share it; a page the
+    /// range covers in part is merged with the page's current contents
+    /// (read-modify-write), so a neighbour's bytes in it survive.
+    ///
+    /// # Errors
+    ///
+    /// Propagates FTL failures and range errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` does not lie inside `image`.
+    pub fn load_image(
+        &mut self,
+        slba: u64,
+        image: &Arc<[u8]>,
+        range: Range<usize>,
+    ) -> Result<(), SsdError> {
+        self.write_bytes(slba, image, range, None).map(|_| ())
+    }
+
+    /// Discards every page lying wholly inside LBAs `slba..slba + blocks`
+    /// (an untimed TRIM through [`Ftl::trim`]): the pages go stale and the
+    /// flash array frees their payloads. A page the range covers in part
+    /// keeps its bytes, since a neighbour may share it. A discarded page
+    /// reads as zeros, like a never-written one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SsdError::LbaOutOfRange`] beyond the namespace.
+    pub fn discard(&mut self, slba: u64, blocks: u64) -> Result<(), SsdError> {
+        self.check_range(slba, blocks)?;
+        let lbas = self.lbas_per_page();
+        for lpn in slba.div_ceil(lbas)..(slba + blocks) / lbas {
+            self.ftl.trim(Lpn(lpn))?;
+        }
+        Ok(())
     }
 
     /// Serves a timed read of `blocks` LBAs starting at `slba`.
@@ -298,7 +341,7 @@ impl Ssd {
         let dispatch = self
             .cores
             .exec(ready, self.cfg.command_dispatch_instructions);
-        let done = self.write_bytes(slba, data, Some(dispatch.end))?;
+        let done = self.write_bytes(slba, &Arc::from(data), 0..data.len(), Some(dispatch.end))?;
         self.stats.write_commands += 1;
         self.stats.bytes_written += data.len() as u64;
         Ok(done)
@@ -357,12 +400,16 @@ impl Ssd {
         ))
     }
 
+    /// Writes bytes `range` of `image` from LBA `slba`: whole pages as
+    /// views of `image`, partial pages by read-modify-write.
     fn write_bytes(
         &mut self,
         slba: u64,
-        data: &[u8],
+        image: &Arc<[u8]>,
+        range: Range<usize>,
         timed_from: Option<SimTime>,
     ) -> Result<SimTime, SsdError> {
+        let data = &image[range.clone()];
         let blocks = (data.len() as u64).div_ceil(LBA_BYTES);
         self.check_range(slba, blocks.max(1))?;
         let page_bytes = self.page_bytes();
@@ -378,17 +425,15 @@ impl Ssd {
             let page_base = lpn * page_bytes;
             let lo = byte_start.max(page_base) - page_base;
             let hi = (byte_start + byte_len).min(page_base + page_bytes) - page_base;
-            let src = &data
-                [(page_base + lo - byte_start) as usize..(page_base + hi - byte_start) as usize];
-            let full_page = lo == 0 && hi == page_bytes;
-            let mut page;
-            if full_page {
-                page = src.to_vec();
+            let src = range.start + (page_base + lo - byte_start) as usize
+                ..range.start + (page_base + hi - byte_start) as usize;
+            let page = if lo == 0 && hi == page_bytes {
+                PageData::view(image, src)
             } else {
                 // Read-modify-write: merge with the existing contents,
                 // copying straight out of the read handle's shared
                 // allocation into the new page image.
-                page = vec![0u8; page_bytes as usize];
+                let mut page = vec![0u8; page_bytes as usize];
                 if self.ftl.translate(Lpn(lpn)).is_some() {
                     let outcome = self.ftl.read(Lpn(lpn))?;
                     if let Some(t0) = timed_from {
@@ -398,9 +443,10 @@ impl Ssd {
                     }
                     page[..outcome.data.len()].copy_from_slice(&outcome.data);
                 }
-                page[lo as usize..hi as usize].copy_from_slice(src);
-            }
-            let outcome = self.ftl.write(Lpn(lpn), &page)?;
+                page[lo as usize..hi as usize].copy_from_slice(&image[src]);
+                PageData::copy_from(&page)
+            };
+            let outcome = self.ftl.write_data(Lpn(lpn), page)?;
             if let Some(t0) = timed_from {
                 for op in &outcome.ops {
                     done = done.max(self.apply_op(op, t0));
