@@ -1,59 +1,9 @@
-//! Additional StorageApps beyond text deserialization — the generalizations
-//! §I sketches: binary input formats and the serialization direction.
+//! The serialization direction (§I): a StorageApp that turns binary
+//! objects into text inside the drive. Deserialization, of every input
+//! encoding, is [`DeserializeApp`](crate::DeserializeApp).
 
-use crate::storage_app::emit_rows;
 use crate::{AppError, DeviceCtx, StorageApp};
-use morpheus_format::{
-    BinaryStreamParser, Endianness, ParseWork, ParsedColumns, Schema, TextWriter,
-};
-
-/// Deserializes *packed binary* records (possibly foreign-endian) into
-/// canonical application objects — the "binary inputs" extension of §I.
-///
-/// All conversion work is integer-path byte shuffling, so unlike text
-/// floats this never touches the missing FPU: binary float inputs are a
-/// best case for in-storage deserialization.
-#[derive(Debug)]
-pub struct BinaryDeserializeApp {
-    name: String,
-    parser: Option<BinaryStreamParser>,
-    emitted_records: u64,
-    last_work: ParseWork,
-}
-
-impl BinaryDeserializeApp {
-    /// Creates the app for a schema stored at the given byte order.
-    pub fn new(name: impl Into<String>, schema: Schema, endian: Endianness) -> Self {
-        BinaryDeserializeApp {
-            name: name.into(),
-            parser: Some(BinaryStreamParser::new(schema, endian)),
-            emitted_records: 0,
-            last_work: ParseWork::default(),
-        }
-    }
-}
-
-impl StorageApp for BinaryDeserializeApp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn on_chunk(&mut self, ctx: &mut DeviceCtx, data: &[u8]) -> Result<(), AppError> {
-        let parser = self.parser.as_mut().expect("on_chunk after finish");
-        parser.feed(data)?;
-        self.emitted_records += emit_rows(ctx, &parser.take_rows());
-        let work = parser.work();
-        ctx.charge_work(&work.since(&self.last_work));
-        self.last_work = work;
-        Ok(())
-    }
-
-    fn on_finish(&mut self, ctx: &mut DeviceCtx) -> Result<i32, AppError> {
-        let parser = self.parser.take().expect("on_finish called twice");
-        let rest = parser.finish()?;
-        Ok((self.emitted_records + emit_rows(ctx, &rest)) as i32)
-    }
-}
+use morpheus_format::{Endianness, InputFormat, Schema, StreamingParser, TextWriter};
 
 /// Device-side serialization instruction costs (the lean `ms_printf`
 /// loop): per emitted byte and per formatted token.
@@ -66,8 +16,9 @@ const SERIALIZE_INSTR_PER_TOKEN: f64 = 12.0;
 #[derive(Debug)]
 pub struct SerializeApp {
     name: String,
-    schema: Schema,
-    carry: Vec<u8>,
+    /// Decodes the pushed records, which MWRITE may split anywhere. Only
+    /// the `ms_printf` loop is priced, so its parse work is never charged.
+    parser: StreamingParser,
     records: u64,
 }
 
@@ -76,41 +27,9 @@ impl SerializeApp {
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         SerializeApp {
             name: name.into(),
-            schema,
-            carry: Vec::new(),
+            parser: StreamingParser::with_format(schema, InputFormat::Binary(Endianness::Little)),
             records: 0,
         }
-    }
-
-    fn serialize_complete(&mut self, ctx: &mut DeviceCtx, data: &[u8]) -> Result<(), AppError> {
-        let rec = self.schema.record_bytes() as usize;
-        let mut buf = std::mem::take(&mut self.carry);
-        buf.extend_from_slice(data);
-        let complete = buf.len() - buf.len() % rec;
-        let cols = ParsedColumns::decode(self.schema.clone(), &buf[..complete])
-            .expect("whole records by construction");
-        let mut w = TextWriter::new();
-        for r in 0..cols.records as usize {
-            for (i, col) in cols.columns.iter().enumerate() {
-                if i > 0 {
-                    w.sep();
-                }
-                match col {
-                    morpheus_format::Column::Ints(v) => w.write_i64(v[r]),
-                    morpheus_format::Column::Floats(v) => w.write_f64(v[r], 6),
-                }
-            }
-            w.newline();
-        }
-        self.records += cols.records;
-        let work = w.work();
-        ctx.charge_instructions(
-            work.bytes_emitted as f64 * SERIALIZE_INSTR_PER_BYTE
-                + work.tokens as f64 * SERIALIZE_INSTR_PER_TOKEN,
-        );
-        ctx.ms_memcpy(w.as_bytes());
-        self.carry = buf[complete..].to_vec();
-        Ok(())
     }
 }
 
@@ -120,14 +39,27 @@ impl StorageApp for SerializeApp {
     }
 
     fn on_chunk(&mut self, ctx: &mut DeviceCtx, data: &[u8]) -> Result<(), AppError> {
-        self.serialize_complete(ctx, data)
+        self.parser.feed(data)?;
+        let rows = self.parser.take_rows();
+        let mut w = TextWriter::new();
+        for r in 0..rows.records as usize {
+            w.write_row(&rows, r);
+        }
+        self.records += rows.records;
+        let work = w.work();
+        ctx.charge_instructions(
+            work.bytes_emitted as f64 * SERIALIZE_INSTR_PER_BYTE
+                + work.tokens as f64 * SERIALIZE_INSTR_PER_TOKEN,
+        );
+        ctx.ms_memcpy(w.as_bytes());
+        Ok(())
     }
 
     fn on_finish(&mut self, _ctx: &mut DeviceCtx) -> Result<i32, AppError> {
-        if !self.carry.is_empty() {
+        let partial = self.parser.carry_len();
+        if partial > 0 {
             return Err(AppError::App(format!(
-                "{} trailing bytes do not form a whole record",
-                self.carry.len()
+                "{partial} trailing bytes do not form a whole record"
             )));
         }
         Ok(self.records as i32)
@@ -137,7 +69,7 @@ impl StorageApp for SerializeApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use morpheus_format::{encode_binary, parse_buffer, FieldKind, TextScanner};
+    use morpheus_format::{parse_buffer, FieldKind, ParsedColumns, TextScanner};
 
     fn schema() -> Schema {
         Schema::new(vec![FieldKind::U32, FieldKind::F64])
@@ -147,58 +79,6 @@ mod tests {
         let (mut p, _) = parse_buffer(b"1 0.5\n2 -1.25\n3 9.0\n", &schema()).unwrap();
         p.canonicalize();
         p
-    }
-
-    #[test]
-    fn binary_app_round_trips_foreign_endian_input() {
-        let want = objects();
-        let input = encode_binary(&want, Endianness::Big);
-        let mut app = BinaryDeserializeApp::new("bin", schema(), Endianness::Big);
-        let mut ctx = DeviceCtx::new(256 * 1024);
-        // Feed with an awkward split mid-record.
-        app.on_chunk(&mut ctx, &input[..7]).unwrap();
-        app.on_chunk(&mut ctx, &input[7..]).unwrap();
-        let ret = app.on_finish(&mut ctx).unwrap();
-        assert_eq!(ret, 3);
-        let got = ParsedColumns::decode(schema(), &ctx.take_output()).unwrap();
-        assert_eq!(got, want);
-        // All charged work is integer-path (no soft-float exposure).
-        let w = ctx.take_work();
-        assert_eq!(w.float_tokens, 0);
-        assert!(w.int_tokens > 0);
-    }
-
-    #[test]
-    fn binary_parser_state_stays_one_page_across_a_long_stream() {
-        let mut text = Vec::new();
-        for i in 0..3_000u32 {
-            text.extend_from_slice(format!("{i} {}.5\n", i % 97).as_bytes());
-        }
-        let (mut want, _) = parse_buffer(&text, &schema()).unwrap();
-        want.canonicalize();
-        let input = encode_binary(&want, Endianness::Big);
-        let mut app = BinaryDeserializeApp::new("bin", schema(), Endianness::Big);
-        let mut ctx = DeviceCtx::new(256 * 1024);
-        // A page size that is not a multiple of the 12-byte record.
-        let page = 4096;
-        assert!(input.len() > 8 * page, "stream must span many pages");
-        for chunk in input.chunks(page) {
-            app.on_chunk(&mut ctx, chunk).unwrap();
-            let parser = app.parser.as_ref().unwrap();
-            assert_eq!(parser.records(), 0, "a complete record was left undrained");
-        }
-        assert_eq!(app.on_finish(&mut ctx).unwrap(), 3_000);
-        let got = ParsedColumns::decode(schema(), &ctx.take_output()).unwrap();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn binary_app_rejects_ragged_stream() {
-        let input = encode_binary(&objects(), Endianness::Little);
-        let mut app = BinaryDeserializeApp::new("bin", schema(), Endianness::Little);
-        let mut ctx = DeviceCtx::new(256 * 1024);
-        app.on_chunk(&mut ctx, &input[..input.len() - 1]).unwrap();
-        assert!(app.on_finish(&mut ctx).is_err());
     }
 
     #[test]
@@ -227,6 +107,10 @@ mod tests {
         let mut app = SerializeApp::new("ser", schema());
         let mut ctx = DeviceCtx::new(256 * 1024);
         app.on_chunk(&mut ctx, &[1, 2, 3]).unwrap();
-        assert!(app.on_finish(&mut ctx).is_err());
+        let err = app.on_finish(&mut ctx).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "storageapp failure: 3 trailing bytes do not form a whole record"
+        );
     }
 }

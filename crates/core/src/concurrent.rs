@@ -21,6 +21,12 @@
 //! here, and serving (`serve.rs`). They differ only in loop order, in
 //! where they pump the commands, and in which sink reads the events.
 //!
+//! Both engines parse every input encoding with one
+//! [`StreamingParser`] built for the spec's `InputFormat`: the host
+//! engine feeds it each READ's chunk, and the device engine installs a
+//! `DeserializeApp`, which feeds it each flash page. Each prices the work
+//! the parser hands out per chunk (`take_work`).
+//!
 //! Each engine owns its table of the system's replay store (see
 //! `deser_memo`): building it looks a recording up, and finishing it
 //! publishes a new one. The host engine replays parse work itself; the
@@ -28,14 +34,12 @@
 //! MREAD's costs and output come from.
 
 use crate::deser_memo::{HostReplay, MemoKey, ReplayStore};
-use crate::exec::{AppSpec, InputFormat, MorpheusAbort, RunError};
+use crate::exec::{AppSpec, MorpheusAbort, RunError};
 use crate::firmware::{DeviceReplay, InstanceMemo};
 use crate::report::{mb_per_sec, Mode};
 use crate::system::{ChunkIo, WireCmd};
 use crate::{ms_stream_create, CommandPlan, StorageKind, System};
-use morpheus_format::{
-    BinaryStreamParser, ObjectDigest, ParseError, ParseWork, ParsedColumns, Schema, StreamingParser,
-};
+use morpheus_format::{ObjectDigest, ParseWork, ParsedColumns, Schema, StreamingParser};
 use morpheus_host::CodeClass;
 use morpheus_nvme::{MorpheusCommand, NvmeCommand, StatusCode};
 use morpheus_pcie::{BarWindow, DmaDir};
@@ -74,60 +78,16 @@ pub struct ConcurrentReport {
     pub faults: FaultCounters,
 }
 
-/// Host-side parser dispatch over the input encoding.
-enum HostParser {
-    Text(StreamingParser),
-    Binary(BinaryStreamParser),
-}
-
-impl HostParser {
-    fn new(schema: &Schema, format: InputFormat) -> HostParser {
-        match format {
-            InputFormat::Text => HostParser::Text(StreamingParser::new(schema.clone())),
-            InputFormat::Binary(e) => {
-                HostParser::Binary(BinaryStreamParser::new(schema.clone(), e))
-            }
-        }
-    }
-
-    fn feed(&mut self, chunk: &[u8]) -> Result<(), ParseError> {
-        match self {
-            HostParser::Text(p) => p.feed(chunk),
-            HostParser::Binary(p) => p.feed(chunk),
-        }
-    }
-
-    fn work(&self) -> ParseWork {
-        match self {
-            HostParser::Text(p) => p.work(),
-            HostParser::Binary(p) => p.work(),
-        }
-    }
-
-    /// Ends the stream: the columns, and the total work including the
-    /// final unterminated token's.
-    fn finish(self) -> Result<(ParsedColumns, ParseWork), ParseError> {
-        match self {
-            HostParser::Text(p) => p.finish_with_work(),
-            HostParser::Binary(p) => {
-                let work = p.work();
-                Ok((p.finish()?, work))
-            }
-        }
-    }
-}
-
 /// Where the host engine's per-chunk parse work comes from.
 enum ParseSource {
-    /// The parser runs; each chunk's work delta is recorded when the
-    /// engine has a memo key. The last chunk's step ends the stream, so
-    /// its delta includes the final unterminated token's work.
+    /// The parser runs; each chunk's work is recorded when the engine has
+    /// a memo key. The last chunk's step ends the stream, so its work
+    /// includes the final unterminated token's.
     Live {
         /// Taken by the last chunk's step, which parks the columns in
         /// `parsed`.
-        parser: Option<Box<HostParser>>,
+        parser: Option<Box<StreamingParser>>,
         parsed: Option<ParsedColumns>,
-        last_work: ParseWork,
         recorded: Vec<ParseWork>,
     },
     /// A recording of this exact content and chunking.
@@ -194,7 +154,7 @@ impl HostTenant {
         // A file of no chunks was never stepped: its parse ends here.
         let mut o = match parsed {
             Some(o) => o,
-            None => parser.expect("finished at its last chunk").finish()?.0,
+            None => parser.expect("finished at its last chunk").finish()?,
         };
         o.canonicalize();
         let digest = o.digest();
@@ -467,9 +427,11 @@ impl System {
             source: match replay {
                 Some(r) => ParseSource::Replay(r),
                 None => ParseSource::Live {
-                    parser: Some(Box::new(HostParser::new(&spec.schema, spec.input_format))),
+                    parser: Some(Box::new(StreamingParser::with_format(
+                        spec.schema.clone(),
+                        spec.input_format,
+                    ))),
                     parsed: None,
-                    last_work: ParseWork::default(),
                     recorded: Vec::new(),
                 },
             },
@@ -494,20 +456,16 @@ impl System {
             ParseSource::Live {
                 parser,
                 parsed,
-                last_work,
                 recorded,
             } => {
                 let p = parser.as_mut().expect("no chunk after the last");
                 p.feed(&data[..c.valid_bytes as usize])?;
-                let w = if h.next == h.chunks.len() {
-                    let (o, w) = parser.take().expect("fed above").finish()?;
+                let mut dw = p.take_work();
+                if h.next == h.chunks.len() {
+                    let (o, rest) = parser.take().expect("fed above").finish_with_work()?;
+                    dw.merge(&rest);
                     *parsed = Some(o);
-                    w
-                } else {
-                    p.work()
-                };
-                let dw = w.since(last_work);
-                *last_work = w;
+                }
                 if h.memo.is_some() {
                     recorded.push(dw);
                 }

@@ -28,8 +28,8 @@ use crate::concurrent::{Delivered, InFlight, StepEvent, Target};
 use crate::firmware::IO_QUEUE_ID;
 use crate::report::{Mode, Phases, RunReport};
 use crate::runtime::OBJECT_ADDR;
-use crate::{BinaryDeserializeApp, DeserializeApp, MorpheusError, StorageApp, StorageKind, System};
-use morpheus_format::{Endianness, ObjectDigest, ParseError, ParsedColumns, Schema};
+use crate::{DeserializeApp, MorpheusError, StorageApp, StorageKind, System};
+use morpheus_format::{InputFormat, ObjectDigest, ParseError, ParsedColumns, Schema};
 use morpheus_gpu::KernelCost;
 use morpheus_host::CodeClass;
 use morpheus_nvme::StatusCode;
@@ -51,15 +51,6 @@ pub enum ParallelModel {
     CpuThreads(u32),
     /// CUDA kernel on the discrete GPU.
     GpuCuda,
-}
-
-/// How a staged input file is encoded (§I's "other input formats").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InputFormat {
-    /// Whitespace/comma-separated decimal text (the paper's focus).
-    Text,
-    /// Packed binary records at the given byte order.
-    Binary(Endianness),
 }
 
 /// Per-record GPU kernel demands.
@@ -148,14 +139,11 @@ impl AppSpec {
     /// The StorageApp that deserializes this spec's input encoding on the
     /// drive: every Morpheus path (solo, tenant, served) installs this one.
     pub(crate) fn storage_app(&self) -> Box<dyn StorageApp> {
-        match self.input_format {
-            InputFormat::Text => Box::new(DeserializeApp::new(&self.name, self.schema.clone())),
-            InputFormat::Binary(e) => Box::new(BinaryDeserializeApp::new(
-                &self.name,
-                self.schema.clone(),
-                e,
-            )),
-        }
+        Box::new(DeserializeApp::with_format(
+            &self.name,
+            self.schema.clone(),
+            self.input_format,
+        ))
     }
 }
 

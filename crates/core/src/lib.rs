@@ -80,7 +80,7 @@ mod serve;
 mod storage_app;
 mod system;
 
-pub use apps::{BinaryDeserializeApp, SerializeApp};
+pub use apps::SerializeApp;
 pub use cache::{
     format_digest, CacheConfig, CacheHit, CachePolicy, CacheStats, CacheTier, ObjectCache,
 };
@@ -91,7 +91,7 @@ pub use control::{
     DEFAULT_REBOOT, DEFAULT_UPDATE,
 };
 pub use deser_memo::ReplayStore;
-pub use exec::{AppSpec, GpuKernelPerRecord, InputFormat, ParallelModel, RunError, RunOutcome};
+pub use exec::{AppSpec, GpuKernelPerRecord, ParallelModel, RunError, RunOutcome};
 pub use firmware::{MorpheusError, MorpheusSsd, MreadOutcome, MwriteOutcome};
 pub use fleet::{
     aggregate_reports, DeviceDown, DeviceKill, Fleet, FleetConfig, FleetConfigError, FleetReport,
@@ -104,6 +104,9 @@ pub use serialize::SerializeReport;
 pub use serve::{ServeConfig, ServePolicy, ServeReport, MAX_RPS, MAX_TENANTS};
 pub use storage_app::{AppError, DeserializeApp, DeviceCtx, StorageApp};
 pub use system::{ChunkIo, System};
+
+// The input encoding an `AppSpec` names lives with its parser.
+pub use morpheus_format::InputFormat;
 
 // Re-export the telemetry vocabulary used in public signatures so bench
 // code can configure serving telemetry without naming the simcore crate.

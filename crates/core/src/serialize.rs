@@ -13,7 +13,7 @@
 
 use crate::firmware::IO_QUEUE_ID;
 use crate::{runtime, Mode, RunError, SerializeApp, StorageApp, System};
-use morpheus_format::{Column, ParsedColumns, TextWriter};
+use morpheus_format::{ParsedColumns, TextWriter};
 use morpheus_host::CodeClass;
 use morpheus_nvme::{MorpheusCommand, NvmeCommand, StatusCode, LBA_BYTES};
 use morpheus_pcie::DmaDir;
@@ -87,11 +87,15 @@ impl System {
         let base_slba = self.fs.open(output).expect("just created").extents[0].slba;
 
         let outcome = match mode {
-            Mode::Conventional => self.serialize_conventional(objects, base_slba)?,
-            Mode::Morpheus => self.serialize_morpheus(objects, base_slba)?,
+            Mode::Conventional => self.serialize_conventional(objects, base_slba),
+            Mode::Morpheus => self.serialize_morpheus(objects, base_slba),
             Mode::MorpheusP2P => unreachable!("rejected above"),
         };
-        let (end, cpu_busy, text_bytes) = outcome;
+        // A failed run leaves no file behind: neither its name nor its pages.
+        let (end, cpu_busy, text_bytes) = outcome.inspect_err(|_| {
+            self.remove_file(output)
+                .expect("a file's own extents lie in the namespace");
+        })?;
         self.fs.truncate(output, text_bytes).expect("file exists");
         let acct = self.os.accounting();
         Ok(SerializeReport {
@@ -122,7 +126,7 @@ impl System {
             let hi = (rec + RECORDS_PER_BATCH).min(objects.records);
             let mut w = TextWriter::new();
             for r in rec..hi {
-                render_record(objects, r as usize, &mut w);
+                w.write_row(objects, r as usize);
             }
             rec = hi;
             let work = w.work();
@@ -252,21 +256,6 @@ impl System {
     }
 }
 
-/// Renders one record exactly as [`SerializeApp`] does (shared format so
-/// the two paths produce byte-identical files).
-fn render_record(objects: &ParsedColumns, r: usize, w: &mut TextWriter) {
-    for (i, col) in objects.columns.iter().enumerate() {
-        if i > 0 {
-            w.sep();
-        }
-        match col {
-            Column::Ints(v) => w.write_i64(v[r]),
-            Column::Floats(v) => w.write_f64(v[r], 6),
-        }
-    }
-    w.newline();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,6 +333,13 @@ mod tests {
         assert!(matches!(err, RunError::OutOfHostMemory), "{err:?}");
         assert_eq!(sys.mssd.live_instances(), 0);
         assert_eq!(sys.mssd.dev.dram_used(), 0);
+        // Nor does its file: the name reads back as unknown and is free
+        // for a retry, which fails for the same reason.
+        assert!(sys.read_file_bytes("oom.txt").is_err());
+        let err = sys
+            .run_serialize(&objects(100), "oom.txt", Mode::Conventional)
+            .unwrap_err();
+        assert!(matches!(err, RunError::OutOfHostMemory), "{err:?}");
     }
 
     #[test]

@@ -8,14 +8,17 @@
 //! (`ms_stream`), parses with `ms_scanf`-style primitives (our
 //! [`TextScanner`](morpheus_format::TextScanner)/
 //! [`StreamingParser`](morpheus_format::StreamingParser)), and pushes
-//! results to the host with `ms_memcpy` ([`DeviceCtx::ms_memcpy`]).
+//! results to the host with `ms_memcpy` ([`DeviceCtx::ms_memcpy`]). One
+//! [`DeserializeApp`] deserializes every
+//! [`InputFormat`](morpheus_format::InputFormat): text and packed binary
+//! records run the same parser the host engine runs.
 //!
 //! The [`DeviceCtx`] enforces the platform restrictions of §V-A1: the
 //! working set must fit the embedded core's D-SRAM (larger sets must spill
 //! by flushing output early), and all host communication goes through the
 //! staged output buffer — a StorageApp cannot touch host memory directly.
 
-use morpheus_format::{ParseError, ParseWork, ParsedColumns, Schema, StreamingParser};
+use morpheus_format::{InputFormat, ParseError, ParseWork, ParsedColumns, Schema, StreamingParser};
 use std::error::Error;
 use std::fmt;
 
@@ -215,6 +218,12 @@ pub trait StorageApp: fmt::Debug + Send {
 /// scans the input stream against a [`Schema`], converts tokens to binary,
 /// and `ms_memcpy`s the resulting object records to the host.
 ///
+/// [`with_format`](DeserializeApp::with_format) deserializes packed binary
+/// records instead (possibly foreign-endian) — the "binary inputs"
+/// extension of §I. Their conversion is integer-path byte shuffling, so
+/// unlike text floats it never touches the missing FPU: binary float
+/// inputs are a best case for in-storage deserialization.
+///
 /// # Example
 ///
 /// Driving the app directly through the device-library surface:
@@ -236,26 +245,22 @@ pub trait StorageApp: fmt::Debug + Send {
 pub struct DeserializeApp {
     name: String,
     parser: Option<StreamingParser>,
-    schema: Schema,
     emitted_records: u64,
-    last_work: ParseWork,
 }
 
 impl DeserializeApp {
-    /// Creates the app for a record schema.
+    /// Creates the app for a record schema stored as text.
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
-        DeserializeApp {
-            name: name.into(),
-            parser: Some(StreamingParser::new(schema.clone())),
-            schema,
-            emitted_records: 0,
-            last_work: ParseWork::default(),
-        }
+        Self::with_format(name, schema, InputFormat::Text)
     }
 
-    /// The schema being deserialized.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
+    /// Creates the app for a record schema stored in `format`.
+    pub fn with_format(name: impl Into<String>, schema: Schema, format: InputFormat) -> Self {
+        DeserializeApp {
+            name: name.into(),
+            parser: Some(StreamingParser::with_format(schema, format)),
+            emitted_records: 0,
+        }
     }
 }
 
@@ -267,7 +272,7 @@ impl DeserializeApp {
 /// width casts, so the bytes equal those of the canonicalized host objects.
 /// The rows are encoded straight into the staging buffer, which then flushes
 /// exactly as one `ms_memcpy` of those bytes would.
-pub(crate) fn emit_rows(ctx: &mut DeviceCtx, rows: &ParsedColumns) -> u64 {
+fn emit_rows(ctx: &mut DeviceCtx, rows: &ParsedColumns) -> u64 {
     if rows.records > 0 {
         rows.encode_rows(0, rows.records, &mut ctx.staged);
         ctx.flush_if_half_full();
@@ -285,9 +290,7 @@ impl StorageApp for DeserializeApp {
         let parser = self.parser.as_mut().expect("on_chunk after finish");
         parser.feed(data)?;
         ctx.ensure_working_set(parser.carry_len() as u64 + data.len() as u64)?;
-        let work = parser.work();
-        ctx.charge_work(&work.since(&self.last_work));
-        self.last_work = work;
+        ctx.charge_work(&parser.take_work());
         self.emitted_records += emit_rows(ctx, &parser.take_rows());
         Ok(())
     }
@@ -297,7 +300,7 @@ impl StorageApp for DeserializeApp {
         // The final carry may hold one last unterminated token: its parse
         // is charged here, at MDEINIT.
         let (rest, work) = parser.finish_with_work()?;
-        ctx.charge_work(&work.since(&self.last_work));
+        ctx.charge_work(&work);
         Ok((self.emitted_records + emit_rows(ctx, &rest)) as i32)
     }
 }
@@ -305,7 +308,7 @@ impl StorageApp for DeserializeApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use morpheus_format::{parse_buffer, FieldKind, TextWriter};
+    use morpheus_format::{encode_binary, parse_buffer, Endianness, FieldKind, TextWriter};
 
     fn edge_schema() -> Schema {
         Schema::new(vec![FieldKind::U32, FieldKind::U32])
@@ -393,6 +396,72 @@ mod tests {
             app.on_chunk(&mut ctx, b"12 garbage\n"),
             Err(AppError::Parse(_))
         ));
+    }
+
+    fn mixed_schema() -> Schema {
+        Schema::new(vec![FieldKind::U32, FieldKind::F64])
+    }
+
+    fn mixed_objects() -> ParsedColumns {
+        let (mut p, _) = parse_buffer(b"1 0.5\n2 -1.25\n3 9.0\n", &mixed_schema()).unwrap();
+        p.canonicalize();
+        p
+    }
+
+    fn binary_app(endian: Endianness) -> DeserializeApp {
+        DeserializeApp::with_format("bin", mixed_schema(), InputFormat::Binary(endian))
+    }
+
+    #[test]
+    fn binary_app_round_trips_foreign_endian_input() {
+        let want = mixed_objects();
+        let input = encode_binary(&want, Endianness::Big);
+        let mut app = binary_app(Endianness::Big);
+        let mut ctx = DeviceCtx::new(256 * 1024);
+        // Feed with an awkward split mid-record.
+        app.on_chunk(&mut ctx, &input[..7]).unwrap();
+        app.on_chunk(&mut ctx, &input[7..]).unwrap();
+        let ret = app.on_finish(&mut ctx).unwrap();
+        assert_eq!(ret, 3);
+        let got = ParsedColumns::decode(mixed_schema(), &ctx.take_output()).unwrap();
+        assert_eq!(got, want);
+        // All charged work is integer-path (no soft-float exposure).
+        let w = ctx.take_work();
+        assert_eq!(w.float_tokens, 0);
+        assert!(w.int_tokens > 0);
+    }
+
+    #[test]
+    fn binary_parser_state_stays_one_page_across_a_long_stream() {
+        let mut text = Vec::new();
+        for i in 0..3_000u32 {
+            text.extend_from_slice(format!("{i} {}.5\n", i % 97).as_bytes());
+        }
+        let (mut want, _) = parse_buffer(&text, &mixed_schema()).unwrap();
+        want.canonicalize();
+        let input = encode_binary(&want, Endianness::Big);
+        let mut app = binary_app(Endianness::Big);
+        let mut ctx = DeviceCtx::new(256 * 1024);
+        // A page size that is not a multiple of the 12-byte record.
+        let page = 4096;
+        assert!(input.len() > 8 * page, "stream must span many pages");
+        for chunk in input.chunks(page) {
+            app.on_chunk(&mut ctx, chunk).unwrap();
+            let parser = app.parser.as_ref().unwrap();
+            assert_eq!(parser.records(), 0, "a complete record was left undrained");
+        }
+        assert_eq!(app.on_finish(&mut ctx).unwrap(), 3_000);
+        let got = ParsedColumns::decode(mixed_schema(), &ctx.take_output()).unwrap();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn binary_app_rejects_ragged_stream() {
+        let input = encode_binary(&mixed_objects(), Endianness::Little);
+        let mut app = binary_app(Endianness::Little);
+        let mut ctx = DeviceCtx::new(256 * 1024);
+        app.on_chunk(&mut ctx, &input[..input.len() - 1]).unwrap();
+        assert!(app.on_finish(&mut ctx).is_err());
     }
 
     #[test]

@@ -333,12 +333,19 @@ impl System {
     /// [`overwrite_input_file`](System::overwrite_input_file) from a staged
     /// image.
     pub(crate) fn restage_image(&mut self, name: &str, image: &Arc<[u8]>) -> Result<(), SsdError> {
+        self.remove_file(name)?;
+        self.stage_image(name, image)
+    }
+
+    /// Removes `name`, if it exists, and discards every page lying wholly
+    /// inside its extents.
+    pub(crate) fn remove_file(&mut self, name: &str) -> Result<(), SsdError> {
         if let Ok(old) = self.fs.remove(name) {
             for e in &old.extents {
                 self.mssd.dev.discard(e.slba, e.blocks)?;
             }
         }
-        self.stage_image(name, image)
+        Ok(())
     }
 
     /// [`create_input_file`](System::create_input_file) from a staged

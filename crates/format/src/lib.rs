@@ -38,7 +38,7 @@ mod schema;
 mod stream;
 mod work;
 
-pub use binfmt::{encode_binary, parse_binary, BinaryStreamParser, Endianness};
+pub use binfmt::{encode_binary, parse_binary, Endianness, InputFormat};
 pub use error::{ParseError, ParseErrorKind};
 pub use printer::{SerializeWork, TextWriter};
 pub use scanner::TextScanner;

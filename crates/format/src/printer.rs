@@ -1,6 +1,8 @@
 //! Text serialization (the inverse direction, used by workload generators
 //! and the `ms_printf` device-library primitive).
 
+use crate::{Column, ParsedColumns};
+
 /// Accounting of serialization work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SerializeWork {
@@ -200,6 +202,22 @@ impl TextWriter {
         }
     }
 
+    /// Writes record `row` of `objects` as one line of space-separated
+    /// tokens, floats at six decimals: the one row format of serialization,
+    /// so the host and drive paths produce byte-identical files.
+    pub fn write_row(&mut self, objects: &ParsedColumns, row: usize) {
+        for (i, col) in objects.columns.iter().enumerate() {
+            if i > 0 {
+                self.sep();
+            }
+            match col {
+                Column::Ints(v) => self.write_i64(v[row]),
+                Column::Floats(v) => self.write_f64(v[row], 6),
+            }
+        }
+        self.newline();
+    }
+
     /// Writes a single separating space (not counted as a token).
     #[inline]
     pub fn sep(&mut self) {
@@ -254,6 +272,18 @@ mod tests {
         let work = w.work();
         assert_eq!(work.bytes_emitted, w.len() as u64);
         assert_eq!(work.tokens, 2);
+    }
+
+    #[test]
+    fn rows_print_ints_whole_and_floats_at_six_decimals() {
+        use crate::{parse_buffer, FieldKind, Schema};
+        let schema = Schema::new(vec![FieldKind::I64, FieldKind::F64]);
+        let (objects, _) = parse_buffer(b"-3 0.5\n7 2\n", &schema).unwrap();
+        let mut w = TextWriter::new();
+        w.write_row(&objects, 1);
+        w.write_row(&objects, 0);
+        assert_eq!(w.as_bytes(), b"7 2.000000\n-3 0.500000\n");
+        assert_eq!(w.work().tokens, 4);
     }
 
     #[test]

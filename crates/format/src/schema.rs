@@ -317,40 +317,41 @@ impl ParsedColumns {
     /// Fails with [`ParseErrorKind::UnexpectedEof`] if `bytes` is not a
     /// whole number of records.
     pub fn decode(schema: Schema, bytes: &[u8]) -> Result<ParsedColumns, ParseError> {
-        let rec = schema.record_bytes() as usize;
+        let mut out = ParsedColumns::empty(schema);
+        out.decode_append(bytes)?;
+        Ok(out)
+    }
+
+    /// Appends the records [`decode`](ParsedColumns::decode) reads from
+    /// `bytes` to columns that hold whole records only.
+    pub(crate) fn decode_append(&mut self, bytes: &[u8]) -> Result<(), ParseError> {
+        let rec = self.schema.record_bytes() as usize;
         if !bytes.len().is_multiple_of(rec) {
             return Err(ParseError::new(bytes.len(), ParseErrorKind::UnexpectedEof));
         }
         let mut off = 0;
-        let columns = schema
-            .fields()
-            .iter()
-            .map(|kind| {
-                let col = match kind {
-                    FieldKind::U32 => {
-                        Column::Ints(get(bytes, rec, off, |b| u32::from_le_bytes(b) as i64))
-                    }
-                    FieldKind::I32 => {
-                        Column::Ints(get(bytes, rec, off, |b| i32::from_le_bytes(b) as i64))
-                    }
-                    FieldKind::U64 => {
-                        Column::Ints(get(bytes, rec, off, |b| u64::from_le_bytes(b) as i64))
-                    }
-                    FieldKind::I64 => Column::Ints(get(bytes, rec, off, i64::from_le_bytes)),
-                    FieldKind::F32 => {
-                        Column::Floats(get(bytes, rec, off, |b| f32::from_le_bytes(b) as f64))
-                    }
-                    FieldKind::F64 => Column::Floats(get(bytes, rec, off, f64::from_le_bytes)),
-                };
-                off += kind.byte_width() as usize;
-                col
-            })
-            .collect();
-        Ok(ParsedColumns {
-            schema,
-            columns,
-            records: (bytes.len() / rec) as u64,
-        })
+        for (kind, col) in self.schema.fields().iter().zip(&mut self.columns) {
+            match (kind, col) {
+                (FieldKind::U32, Column::Ints(v)) => {
+                    get(v, bytes, rec, off, |b| u32::from_le_bytes(b) as i64)
+                }
+                (FieldKind::I32, Column::Ints(v)) => {
+                    get(v, bytes, rec, off, |b| i32::from_le_bytes(b) as i64)
+                }
+                (FieldKind::U64, Column::Ints(v)) => {
+                    get(v, bytes, rec, off, |b| u64::from_le_bytes(b) as i64)
+                }
+                (FieldKind::I64, Column::Ints(v)) => get(v, bytes, rec, off, i64::from_le_bytes),
+                (FieldKind::F32, Column::Floats(v)) => {
+                    get(v, bytes, rec, off, |b| f32::from_le_bytes(b) as f64)
+                }
+                (FieldKind::F64, Column::Floats(v)) => get(v, bytes, rec, off, f64::from_le_bytes),
+                _ => unreachable!("columns built from the same schema"),
+            }
+            off += kind.byte_width() as usize;
+        }
+        self.records += (bytes.len() / rec) as u64;
+        Ok(())
     }
 }
 
@@ -369,19 +370,21 @@ fn put<T: Copy, const W: usize>(
     }
 }
 
-/// One column read from the field slot at `off` of every `rec`-byte record
-/// of `bytes`.
+/// Appends to `col` the value in the field slot at `off` of every
+/// `rec`-byte record of `bytes`.
 #[inline]
 fn get<T, const W: usize>(
+    col: &mut Vec<T>,
     bytes: &[u8],
     rec: usize,
     off: usize,
     value: impl Fn([u8; W]) -> T,
-) -> Vec<T> {
-    bytes
-        .chunks_exact(rec)
-        .map(|row| value(row[off..off + W].try_into().expect("a W-byte field slot")))
-        .collect()
+) {
+    col.extend(
+        bytes
+            .chunks_exact(rec)
+            .map(|row| value(row[off..off + W].try_into().expect("a W-byte field slot"))),
+    );
 }
 
 /// Parses a buffer of whitespace/comma-separated records against a schema:
@@ -400,12 +403,6 @@ pub fn parse_buffer(
     let mut parser = StreamingParser::new(schema.clone());
     parser.feed(data)?;
     parser.finish_with_work()
-}
-
-/// Ensures the input did not end in the middle of a record; exposed for the
-/// streaming parser.
-pub(crate) fn incomplete_record_error(offset: usize) -> ParseError {
-    ParseError::new(offset, ParseErrorKind::UnexpectedEof)
 }
 
 #[cfg(test)]

@@ -1,30 +1,45 @@
 //! Streaming parsing with chunk-boundary carry.
 //!
 //! StorageApps never see a whole file: MREAD delivers it in chunks sized by
-//! the NVMe transfer limit and the embedded core's D-SRAM (§V). A token can
-//! be split across two chunks, so the device-library parse loop keeps the
-//! unterminated tail of each chunk and prepends it to the next. This module
-//! implements that loop, and it is the only text record loop:
-//! [`parse_buffer`](crate::schema::parse_buffer) feeds it one chunk, the
-//! host engine 1 MiB chunks and the StorageApps one flash page at a time.
-//! `tests/parse_properties.rs` checks it, for arbitrary schemas and
-//! chunkings, against an independent oracle that parses every token with
-//! [`TextScanner`]: the columns, all five [`ParseWork`] counters, and the
-//! kind and offset of any error agree.
+//! the NVMe transfer limit and the embedded core's D-SRAM (§V). A token or
+//! a packed record can be split across two chunks, so the device-library
+//! parse loop keeps the unfinished tail of each chunk and prepends it to
+//! the next. [`StreamingParser`] implements that loop for every
+//! [`InputFormat`], and it is the only record loop: [`parse_buffer`] and
+//! [`parse_binary`] feed it one chunk, the host engine 1 MiB chunks and
+//! the StorageApps one flash page at a time. Text goes through one token
+//! loop; packed records through one field-wise byte swap and
+//! [`ParsedColumns::decode`]. `tests/parse_properties.rs` checks both, for
+//! arbitrary schemas and chunkings, against independent oracles (one
+//! parses every token with [`TextScanner`], the other converts every
+//! packed field on its own): the columns, all five [`ParseWork`] counters,
+//! and the kind and offset of any error agree.
+//!
+//! [`parse_buffer`]: crate::parse_buffer
+//! [`parse_binary`]: crate::parse_binary
 
+use crate::binfmt::swap_fields;
 use crate::scanner::{short_int, skip_separators};
-use crate::schema::incomplete_record_error;
-use crate::{Column, ParseError, ParseWork, ParsedColumns, Schema, TextScanner};
+use crate::{
+    Column, Endianness, InputFormat, ParseError, ParseErrorKind, ParseWork, ParsedColumns, Schema,
+    TextScanner,
+};
+use std::borrow::Cow;
 
 /// Incremental parser fed one chunk at a time.
 ///
 /// See the [crate example](crate) for usage.
 #[derive(Debug, Clone)]
 pub struct StreamingParser {
+    format: InputFormat,
     out: ParsedColumns,
+    /// Work not yet handed out by [`take_work`](StreamingParser::take_work).
     work: ParseWork,
+    /// The unterminated token (text) or the bytes of a partial record
+    /// (binary) awaiting the next chunk.
     carry: Vec<u8>,
-    /// Index of the next field within the current (possibly partial) record.
+    /// Index of the next field within the current (possibly partial) text
+    /// record.
     field_idx: usize,
     /// Total bytes fed so far (for global error offsets).
     total_fed: usize,
@@ -33,9 +48,15 @@ pub struct StreamingParser {
 }
 
 impl StreamingParser {
-    /// Creates a parser for a schema.
+    /// Creates a text parser for a schema.
     pub fn new(schema: Schema) -> Self {
+        Self::with_format(schema, InputFormat::Text)
+    }
+
+    /// Creates a parser for a schema stored in `format`.
+    pub fn with_format(schema: Schema, format: InputFormat) -> Self {
         StreamingParser {
+            format,
             out: ParsedColumns::empty(schema),
             work: ParseWork::default(),
             carry: Vec::new(),
@@ -50,9 +71,11 @@ impl StreamingParser {
         self.carry.len()
     }
 
-    /// Work performed so far.
-    pub fn work(&self) -> ParseWork {
-        self.work
+    /// Hands over the work performed since the last call: a caller that
+    /// prices each chunk takes it after every [`feed`](StreamingParser::feed)
+    /// and the rest from [`finish_with_work`](StreamingParser::finish_with_work).
+    pub fn take_work(&mut self) -> ParseWork {
+        std::mem::take(&mut self.work)
     }
 
     /// Complete records parsed since the last [`take_rows`].
@@ -75,10 +98,15 @@ impl StreamingParser {
     ///
     /// # Errors
     ///
-    /// Fails on malformed tokens; offsets are global stream offsets.
+    /// Fails on malformed text tokens; offsets are global stream offsets.
+    /// A binary feed never fails: every byte sequence is a valid prefix.
     pub fn feed(&mut self, chunk: &[u8]) -> Result<(), ParseError> {
         let chunk_start = self.total_fed;
         self.total_fed += chunk.len();
+        if let InputFormat::Binary(endian) = self.format {
+            self.feed_packed(chunk, endian);
+            return Ok(());
+        }
 
         let mut rest = chunk;
         let mut rest_start = chunk_start;
@@ -116,30 +144,68 @@ impl StreamingParser {
         Ok(())
     }
 
+    /// Decodes the whole packed records of the carry and `chunk`; the
+    /// bytes of a partial record become the new carry. The work is
+    /// [`parse_binary`](crate::parse_binary)'s: one store per field, one
+    /// swap op per byte of a big-endian record.
+    fn feed_packed(&mut self, chunk: &[u8], endian: Endianness) {
+        let schema = &self.out.schema;
+        let rec = schema.record_bytes() as usize;
+        let mut joined = std::mem::take(&mut self.carry);
+        let view: &[u8] = if joined.is_empty() {
+            chunk
+        } else {
+            joined.extend_from_slice(chunk);
+            &joined
+        };
+        let complete = view.len() - view.len() % rec;
+        let bytes = complete as u64;
+        self.work.merge(&ParseWork {
+            bytes_scanned: bytes,
+            int_tokens: bytes / rec as u64 * schema.fields().len() as u64,
+            int_digits: if endian == Endianness::Big { bytes } else { 0 },
+            ..ParseWork::default()
+        });
+        let mut records = Cow::Borrowed(&view[..complete]);
+        if endian == Endianness::Big {
+            swap_fields(records.to_mut(), schema);
+        }
+        self.out
+            .decode_append(&records)
+            .expect("whole records by construction");
+        self.carry.extend_from_slice(&view[complete..]);
+    }
+
     /// Finishes the stream, returning the parsed columns not yet handed
     /// over by [`take_rows`](StreamingParser::take_rows).
     ///
     /// # Errors
     ///
     /// Fails if the stream ended in the middle of a record or the final
-    /// token is malformed.
+    /// text token is malformed.
     pub fn finish(self) -> Result<ParsedColumns, ParseError> {
         self.finish_with_work().map(|(out, _)| out)
     }
 
-    /// Finishes and also returns the accumulated work, including the final
+    /// Finishes and also returns the work not yet handed out by
+    /// [`take_work`](StreamingParser::take_work), including the final
     /// unterminated token's.
     ///
     /// # Errors
     ///
     /// Same as [`finish`](StreamingParser::finish).
     pub fn finish_with_work(mut self) -> Result<(ParsedColumns, ParseWork), ParseError> {
-        if !self.carry.is_empty() {
+        if self.format == InputFormat::Text && !self.carry.is_empty() {
             let carried = std::mem::take(&mut self.carry);
             self.parse_region(&carried, self.carry_start)?;
         }
-        if self.field_idx != 0 {
-            return Err(incomplete_record_error(self.total_fed));
+        // What is left is a partial record: a text record's first fields,
+        // or a packed record's first bytes.
+        if self.field_idx != 0 || !self.carry.is_empty() {
+            return Err(ParseError::new(
+                self.total_fed,
+                ParseErrorKind::UnexpectedEof,
+            ));
         }
         Ok((self.out, self.work))
     }
@@ -280,6 +346,52 @@ mod tests {
             let (streamed, _) = parse_chunked(data, &schema, chunk).unwrap();
             assert_eq!(streamed.checksum(), whole.checksum());
         }
+    }
+
+    fn packed() -> (Schema, ParsedColumns, Vec<u8>) {
+        let schema = Schema::new(vec![FieldKind::U32, FieldKind::F64]);
+        let (mut p, _) = parse_buffer(b"1 0.5\n2 1.5\n3 -2.0\n4 9.25\n", &schema).unwrap();
+        p.canonicalize();
+        let bytes = crate::encode_binary(&p, Endianness::Big);
+        (schema, p, bytes)
+    }
+
+    #[test]
+    fn binary_chunked_matches_whole_for_every_split() {
+        let (schema, want, bytes) = packed();
+        let format = InputFormat::Binary(Endianness::Big);
+        for chunk in 1..bytes.len() {
+            let mut p = StreamingParser::with_format(schema.clone(), format);
+            for c in bytes.chunks(chunk) {
+                p.feed(c).unwrap();
+                assert!(p.carry_len() < 12, "only a partial record is carried");
+            }
+            assert_eq!(p.finish().unwrap(), want, "chunk size {chunk}");
+        }
+    }
+
+    #[test]
+    fn binary_incomplete_record_detected_at_finish() {
+        let (schema, _, bytes) = packed();
+        let mut p = StreamingParser::with_format(schema, InputFormat::Binary(Endianness::Big));
+        p.feed(&bytes[..bytes.len() - 3]).unwrap();
+        let err = p.finish().unwrap_err();
+        assert_eq!(err.offset, bytes.len() - 3);
+    }
+
+    #[test]
+    fn binary_work_accumulates_across_feeds() {
+        let (schema, _, bytes) = packed();
+        let mut p = StreamingParser::with_format(schema, InputFormat::Binary(Endianness::Big));
+        let mut w = ParseWork::default();
+        for c in bytes.chunks(5) {
+            p.feed(c).unwrap();
+            w.merge(&p.take_work());
+        }
+        let (_, rest) = p.finish_with_work().unwrap();
+        assert_eq!(rest, ParseWork::default(), "binary work is taken per feed");
+        assert_eq!(w.bytes_scanned, bytes.len() as u64);
+        assert_eq!(w.int_tokens, 8);
     }
 
     #[test]

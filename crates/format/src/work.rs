@@ -37,18 +37,6 @@ impl ParseWork {
         self.float_digits += other.float_digits;
     }
 
-    /// The work done between an `earlier` snapshot of a running total and
-    /// this one (the inverse of [`merge`](ParseWork::merge)).
-    pub fn since(&self, earlier: &ParseWork) -> ParseWork {
-        ParseWork {
-            bytes_scanned: self.bytes_scanned - earlier.bytes_scanned,
-            int_tokens: self.int_tokens - earlier.int_tokens,
-            int_digits: self.int_digits - earlier.int_digits,
-            float_tokens: self.float_tokens - earlier.float_tokens,
-            float_digits: self.float_digits - earlier.float_digits,
-        }
-    }
-
     /// Total tokens of any kind.
     pub fn tokens(&self) -> u64 {
         self.int_tokens + self.float_tokens
@@ -160,7 +148,6 @@ mod tests {
         a.merge(&sample_work());
         assert_eq!(a.bytes_scanned, 2000);
         assert_eq!(a.tokens(), 220);
-        assert_eq!(a.since(&sample_work()), sample_work());
     }
 
     #[test]

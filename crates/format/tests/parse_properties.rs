@@ -1,9 +1,11 @@
-//! Property tests: print→parse identity, streaming ≡ whole-buffer, and
-//! the record loop ≡ an independent per-token oracle.
+//! Property tests: print→parse identity, streaming ≡ whole-buffer, the
+//! text record loop ≡ an independent per-token oracle, and the packed
+//! record codec ≡ an independent per-field oracle.
 
 use morpheus_format::{
-    parse_binary, parse_buffer, parse_chunked, BinaryStreamParser, Column, Endianness, FieldKind,
-    ParseError, ParseWork, ParsedColumns, Schema, StreamingParser, TextScanner, TextWriter,
+    parse_binary, parse_buffer, parse_chunked, Column, Endianness, FieldKind, InputFormat,
+    ParseError, ParseErrorKind, ParseWork, ParsedColumns, Schema, StreamingParser, TextScanner,
+    TextWriter,
 };
 use proptest::prelude::*;
 
@@ -38,6 +40,88 @@ fn oracle_parse(data: &[u8], schema: &Schema) -> Result<(ParsedColumns, ParseWor
         out.records += 1;
     }
     Ok((out, scanner.work()))
+}
+
+/// The oracle for packed records: every field of every record is read,
+/// byte-swapped and widened on its own, and its work counted as it goes.
+/// It shares no code with the codec (`ParsedColumns::decode` behind a
+/// field-wise swap).
+fn oracle_binary(
+    data: &[u8],
+    schema: &Schema,
+    endian: Endianness,
+) -> Result<(ParsedColumns, ParseWork), ParseError> {
+    let rec = schema.record_bytes() as usize;
+    if !data.len().is_multiple_of(rec) {
+        return Err(ParseError::new(data.len(), ParseErrorKind::UnexpectedEof));
+    }
+    let mut out = ParsedColumns::empty(schema.clone());
+    let mut pos = 0usize;
+    let mut work = ParseWork {
+        bytes_scanned: data.len() as u64,
+        ..ParseWork::default()
+    };
+    while pos < data.len() {
+        for (i, kind) in schema.fields().iter().enumerate() {
+            let w = kind.byte_width() as usize;
+            let raw = &data[pos..pos + w];
+            work.int_tokens += 1;
+            if endian == Endianness::Big {
+                work.int_digits += w as u64; // swap cost, one op per byte
+            }
+            let le4 = |b: &[u8]| -> [u8; 4] {
+                let mut a: [u8; 4] = b.try_into().expect("width checked");
+                if endian == Endianness::Big {
+                    a.reverse();
+                }
+                a
+            };
+            let le8 = |b: &[u8]| -> [u8; 8] {
+                let mut a: [u8; 8] = b.try_into().expect("width checked");
+                if endian == Endianness::Big {
+                    a.reverse();
+                }
+                a
+            };
+            match &mut out.columns[i] {
+                Column::Ints(v) => v.push(match kind {
+                    FieldKind::U32 => u32::from_le_bytes(le4(raw)) as i64,
+                    FieldKind::I32 => i32::from_le_bytes(le4(raw)) as i64,
+                    FieldKind::U64 => u64::from_le_bytes(le8(raw)) as i64,
+                    FieldKind::I64 => i64::from_le_bytes(le8(raw)),
+                    _ => unreachable!("int column with float kind"),
+                }),
+                Column::Floats(v) => v.push(match kind {
+                    FieldKind::F32 => f32::from_le_bytes(le4(raw)) as f64,
+                    FieldKind::F64 => f64::from_le_bytes(le8(raw)),
+                    _ => unreachable!("float column with int kind"),
+                }),
+            }
+            pos += w;
+        }
+        out.records += 1;
+    }
+    Ok((out, work))
+}
+
+/// A parse of `data` fed in `chunk`-byte pieces whose work is the sum of
+/// every [`StreamingParser::take_work`] plus the `finish_with_work`
+/// remainder, as the host engine and the StorageApps price it.
+fn stream_taking_work(
+    data: &[u8],
+    schema: &Schema,
+    format: InputFormat,
+    chunk: usize,
+) -> Result<(ParsedColumns, ParseWork), ParseError> {
+    let mut p = StreamingParser::with_format(schema.clone(), format);
+    let mut work = ParseWork::default();
+    for c in data.chunks(chunk) {
+        p.feed(c)?;
+        work.merge(&p.take_work());
+    }
+    let (cols, rest) = p.finish_with_work()?;
+    work.merge(&rest);
+    Ok((cols, work))
 }
 
 /// A parse result with floats as bits, so NaN compares equal to itself.
@@ -139,7 +223,7 @@ fn drained_text(data: &[u8], schema: &Schema, chunk: usize) -> Vec<u8> {
 
 /// The same loop over a packed binary stream.
 fn drained_binary(data: &[u8], schema: &Schema, endian: Endianness, chunk: usize) -> Vec<u8> {
-    let mut p = BinaryStreamParser::new(schema.clone(), endian);
+    let mut p = StreamingParser::with_format(schema.clone(), InputFormat::Binary(endian));
     let mut out = Vec::new();
     for c in data.chunks(chunk) {
         p.feed(c).unwrap();
@@ -258,6 +342,10 @@ proptest! {
         let (oracle, oracle_work) = oracle_parse(&data, &schema).unwrap();
         prop_assert_eq!(&whole, &oracle);
         prop_assert_eq!(whole_work, oracle_work);
+        let (taken, taken_work) =
+            stream_taking_work(&data, &schema, InputFormat::Text, chunk).unwrap();
+        prop_assert_eq!(&taken, &whole);
+        prop_assert_eq!(taken_work, whole_work);
     }
 
     /// Work accounting never exceeds the input length for bytes scanned,
@@ -316,6 +404,31 @@ proptest! {
         let endian = if big_endian { Endianness::Big } else { Endianness::Little };
         let (whole, _) = parse_binary(data, &schema, endian).unwrap();
         prop_assert_eq!(drained_binary(data, &schema, endian, chunk), canonical_bytes(whole));
+    }
+
+    /// Packed records: `parse_binary`, and a binary `StreamingParser` fed
+    /// in chunks of any size from 1 byte, agree with the per-field oracle
+    /// on every schema over the six kinds and both byte orders: the
+    /// columns, all five work counters (for the stream, the sum of every
+    /// `take_work` plus the `finish_with_work` remainder), and the kind
+    /// and offset of the error a partial last record raises.
+    #[test]
+    fn binary_codec_matches_the_field_oracle(
+        picks in proptest::collection::vec(0usize..6, 1..7),
+        bytes in proptest::collection::vec(any::<u8>(), 0..1200),
+        ragged in any::<bool>(),
+        chunk in 1usize..160,
+        big_endian in any::<bool>(),
+    ) {
+        let schema = Schema::new(picks.iter().map(|&k| KINDS[k]).collect());
+        // A ragged stream keeps any trailing bytes of a partial record.
+        let whole = bytes.len() - bytes.len() % schema.record_bytes() as usize;
+        let data = if ragged { &bytes[..] } else { &bytes[..whole] };
+        let endian = if big_endian { Endianness::Big } else { Endianness::Little };
+        let want = outcome(oracle_binary(data, &schema, endian));
+        prop_assert_eq!(outcome(parse_binary(data, &schema, endian)), want.clone());
+        let format = InputFormat::Binary(endian);
+        prop_assert_eq!(outcome(stream_taking_work(data, &schema, format, chunk)), want);
     }
 }
 

@@ -57,13 +57,18 @@ impl StorageApp for ForwardEdgeFilter {
     fn on_chunk(&mut self, ctx: &mut DeviceCtx, data: &[u8]) -> Result<(), AppError> {
         let parser = self.parser.as_mut().expect("still live");
         parser.feed(data)?;
+        // The parse is priced at the embedded core's cost table, chunk by
+        // chunk, like `DeserializeApp`'s.
+        ctx.charge_work(&parser.take_work());
         let rows = parser.take_rows();
         self.filter(ctx, &rows);
         Ok(())
     }
 
     fn on_finish(&mut self, ctx: &mut DeviceCtx) -> Result<i32, AppError> {
-        let rows = self.parser.take().expect("finished once").finish()?;
+        let parser = self.parser.take().expect("finished once");
+        let (rows, work) = parser.finish_with_work()?;
+        ctx.charge_work(&work);
         self.filter(ctx, &rows);
         Ok(self.kept as i32)
     }
