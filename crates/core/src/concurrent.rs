@@ -31,9 +31,12 @@
 //! `deser_memo`): building it looks a recording up, and finishing it
 //! publishes a new one. The host engine replays parse work itself; the
 //! device engine hands the firmware an `InstanceMemo` that says where each
-//! MREAD's costs and output come from.
+//! MREAD's costs and output length come from. A request that hands its
+//! columns back (`System::run`) also holds an `ImageSlot`: it replays only
+//! with the object image in hand and decodes that, and a live run
+//! confirms or publishes the image.
 
-use crate::deser_memo::{HostReplay, MemoKey, ReplayStore};
+use crate::deser_memo::{HostReplay, ImageSlot, MemoKey, ReplayStore};
 use crate::exec::{AppSpec, MorpheusAbort, RunError};
 use crate::firmware::{DeviceReplay, InstanceMemo};
 use crate::report::{mb_per_sec, Mode};
@@ -101,10 +104,10 @@ enum ParseSource {
 /// Record/replay of the parse work (see `deser_memo`): storage I/O, OS
 /// costs and CPU-core grants always run live against the caller's
 /// timelines; only the parser itself is skipped when a recording for this
-/// exact content and chunking exists. The recorded values (per-chunk work
-/// deltas, the object digest, and for [`System::run`] the columns) are
-/// pure functions of the key, so replayed runs are byte-identical to live
-/// ones.
+/// exact content and chunking exists (and, for [`System::run`], the
+/// object image its columns decode from). The recorded values (per-chunk
+/// work deltas, the object digest, the image) are pure functions of the
+/// key, so replayed runs are byte-identical to live ones.
 pub(crate) struct HostTenant {
     chunks: Vec<ChunkIo>,
     next: usize,
@@ -121,6 +124,8 @@ pub(crate) struct HostTenant {
     memo: Option<(MemoKey, Arc<ReplayStore>)>,
     /// The caller wants the columns back, not only their digest.
     keep_columns: bool,
+    /// Where such a caller finds or publishes the object image.
+    image: Option<ImageSlot>,
 }
 
 impl HostTenant {
@@ -131,10 +136,15 @@ impl HostTenant {
         Some((c, NvmeCommand::read(0, 1, c.slba, c.blocks, self.buf_addr)))
     }
 
-    /// Completes the parse. Returns when the last chunk's parse ended, the
-    /// objects' digest, and the columns when the engine was built to keep
-    /// them. A live parse publishes its recording to the memo.
-    pub(crate) fn finish(self) -> Result<(SimTime, ObjectDigest, Option<ParsedColumns>), RunError> {
+    /// Completes the parse of `schema` records. Returns when the last
+    /// chunk's parse ended, the objects' digest, and the columns when the
+    /// engine was built to keep them: a replay decodes them from its image.
+    /// A live parse publishes its recording, and confirms or publishes the
+    /// image.
+    pub(crate) fn finish(
+        self,
+        schema: &Schema,
+    ) -> Result<(SimTime, ObjectDigest, Option<ParsedColumns>), RunError> {
         let (parser, parsed, recorded) = match self.source {
             ParseSource::Live {
                 parser,
@@ -143,11 +153,7 @@ impl HostTenant {
                 ..
             } => (parser, parsed, recorded),
             ParseSource::Replay(r) => {
-                let objects = if self.keep_columns {
-                    r.objects.clone()
-                } else {
-                    None
-                };
+                let objects = self.image.map(|slot| slot.decode(schema)).transpose()?;
                 return Ok((self.cpu_ready, r.digest, objects));
             }
         };
@@ -158,18 +164,23 @@ impl HostTenant {
         };
         o.canonicalize();
         let digest = o.digest();
-        let objects = self.keep_columns.then_some(o);
         if let Some((key, store)) = self.memo {
             store.host_put(
                 key,
                 Arc::new(HostReplay {
                     per_chunk: recorded,
                     digest,
-                    objects: objects.clone(),
                 }),
             );
         }
-        Ok((self.cpu_ready, digest, objects))
+        if let Some(slot) = self.image {
+            slot.confirm_or_publish(digest, || {
+                let mut stream = Vec::new();
+                o.encode_rows(0, o.records, &mut stream);
+                stream
+            });
+        }
+        Ok((self.cpu_ready, digest, self.keep_columns.then_some(o)))
     }
 }
 
@@ -185,9 +196,10 @@ impl HostTenant {
 /// the firmware the instance's `InstanceMemo`: replay an identical
 /// lifecycle's recording, or record this one. At MDEINIT it publishes a
 /// recording together with its objects' digest. A replay's digest stands
-/// in for the objects, so the object stream is neither assembled nor
-/// decoded, unless the caller keeps the columns. Every timed step (flash,
-/// cores, DMA, bus) runs live either way.
+/// in for the objects and its commands carry no bytes, so the object
+/// stream is never assembled; a caller that keeps the columns decodes them
+/// from the object image. Every timed step (flash, cores, DMA, bus) runs
+/// live either way.
 pub(crate) struct DeviceTenant {
     /// The lowered lifecycle: the stream's chunks and its commands.
     plan: CommandPlan,
@@ -206,9 +218,11 @@ pub(crate) struct DeviceTenant {
     /// Device memo key (fault-free runs only), under which a recording
     /// lifecycle is published.
     memo_key: Option<MemoKey>,
-    /// The object digest of the replayed recording, unless the caller
-    /// keeps the columns.
-    prefab: Option<ObjectDigest>,
+    /// The object digest of the replayed recording.
+    replayed: Option<ObjectDigest>,
+    /// Where a caller that keeps the columns finds or publishes the
+    /// object image.
+    image: Option<ImageSlot>,
 }
 
 /// How a device lifecycle ended.
@@ -220,8 +234,8 @@ pub(crate) struct DeviceEnd {
     /// The StorageApp's return value.
     retval: i32,
     digest: ObjectDigest,
-    /// The columns, when the lifecycle decoded its object stream (always,
-    /// for an engine built to keep them).
+    /// The columns: a live lifecycle decodes its object stream, and a
+    /// replay decodes the object image of a caller that keeps them.
     objects: Option<ParsedColumns>,
 }
 
@@ -368,7 +382,7 @@ impl InFlight<'_> {
     /// Closes a request whose steps are done.
     pub(crate) fn finish(self) -> Result<Delivered, RunError> {
         let ((end, digest, objects), on_host) = match self.engine {
-            Engine::Host(h) => (h.finish()?, true),
+            Engine::Host(h) => (h.finish(&self.spec.schema)?, true),
             Engine::Ended(e) => ((e.wakeup.end, e.digest, e.objects), false),
             Engine::Minit { .. } | Engine::Device(_) => {
                 unreachable!("a request finishes after its last step")
@@ -388,8 +402,9 @@ impl InFlight<'_> {
 impl System {
     /// Builds the host engine for `spec`'s file: CPU work starts no
     /// earlier than `start`. With `keep_columns` the engine hands the
-    /// columns back from [`HostTenant::finish`]; a memo entry recorded
-    /// without them is then parsed live and re-recorded with them.
+    /// columns back from [`HostTenant::finish`]; it then replays only when
+    /// the store also holds the object image, and otherwise parses live
+    /// and publishes it.
     pub(crate) fn conventional_tenant(
         &mut self,
         spec: &AppSpec,
@@ -402,10 +417,11 @@ impl System {
             .map_err(|_| RunError::UnknownFile(spec.input.clone()))?;
         let chunks = Self::file_chunks(meta, self.params.conventional_chunk_bytes);
         let memo = self.host_memo_key(spec, &chunks).zip(self.replay.clone());
+        let image = keep_columns.then(|| self.image_slot(spec)).flatten();
         let replay = memo
             .as_ref()
             .and_then(|(key, store)| store.host_get(*key))
-            .filter(|r| !keep_columns || r.objects.is_some());
+            .filter(|_| image.as_ref().is_none_or(ImageSlot::found));
         if let Some(r) = &replay {
             assert_eq!(
                 r.per_chunk.len(),
@@ -437,6 +453,7 @@ impl System {
             },
             memo,
             keep_columns,
+            image,
         })
     }
 
@@ -560,9 +577,10 @@ impl System {
     /// Builds the device engine for `spec`'s file: runs MINIT of instance
     /// `iid`, issued to the drive at `issue`. The caller picks `iid` (so a
     /// dispatcher can pin instances to embedded cores) and the delivery
-    /// target (`bar` for P2P). With `keep_columns` the engine ignores a
-    /// replay's digest and decodes the objects, so
-    /// [`System::finish_device`] hands the columns back.
+    /// target (`bar` for P2P). With `keep_columns`
+    /// [`System::finish_device`] hands the columns back: the engine then
+    /// replays only when the store also holds the object image, and
+    /// otherwise runs live and publishes it.
     pub(crate) fn device_tenant(
         &mut self,
         spec: &AppSpec,
@@ -576,8 +594,11 @@ impl System {
         let stream = ms_stream_create(&self.fs, &spec.input, self.params.mread_chunk_bytes)
             .map_err(|_| RunError::UnknownFile(spec.input.clone()))?;
         let memo_key = self.device_memo_key(spec, stream.chunks());
-        let rec = memo_key.and_then(|key| self.replay.as_ref()?.device_get(key));
-        let prefab = rec.as_ref().filter(|_| !keep_columns).map(|r| r.digest);
+        let image = keep_columns.then(|| self.image_slot(spec)).flatten();
+        let rec = memo_key
+            .and_then(|key| self.replay.as_ref()?.device_get(key))
+            .filter(|_| image.as_ref().is_none_or(ImageSlot::found));
+        let replayed = rec.as_ref().map(|r| r.digest);
         let memo = match (memo_key, rec) {
             (_, Some(rec)) => InstanceMemo::Play { rec, next: 0 },
             (Some(_), None) => InstanceMemo::Record(Vec::new()),
@@ -595,7 +616,8 @@ impl System {
             pushed: 0,
             bar,
             memo_key,
-            prefab,
+            replayed,
+            image,
         })
     }
 
@@ -611,7 +633,7 @@ impl System {
         let out = self
             .mssd
             .mread(t.plan.instance_id, c.slba, c.blocks, c.valid_bytes, issue)?;
-        let wakeup = match out.output.len() as u64 {
+        let wakeup = match out.output_len {
             0 => None,
             n => {
                 let dma_end = self.push_output(n, t.bar, out.done)?;
@@ -620,11 +642,9 @@ impl System {
             }
         };
         t.last_end = t.last_end.max(wakeup.map_or(out.done, |iv| iv.end));
-        // With a prefab in hand the assembled stream is never decoded, so
-        // skip the copy (the length above still priced the DMA and bus).
-        if t.prefab.is_none() {
-            t.obj_bin.extend_from_slice(&out.output);
-        }
+        // A replayed MREAD hands out no bytes: its length alone priced the
+        // DMA and bus above.
+        t.obj_bin.extend_from_slice(&out.output);
         Ok(StepEvent::Mread {
             bytes: c.valid_bytes,
             ready: t.ready,
@@ -634,10 +654,11 @@ impl System {
     }
 
     /// Runs the engine's MDEINIT, issued to the drive at `issue`, pushes
-    /// the final objects and takes the completion wakeup. A lifecycle
-    /// without a replay's digest decodes its object stream against
-    /// `schema`; a recording one is published to the memo with that
-    /// digest.
+    /// the final objects and takes the completion wakeup. A live lifecycle
+    /// decodes its object stream against `schema`, confirms or publishes
+    /// the object image when it has a slot, and a recording one is
+    /// published to the memo with its digest. A replay takes the recorded
+    /// digest and decodes the image when it has one.
     pub(crate) fn finish_device(
         &mut self,
         t: &mut DeviceTenant,
@@ -645,7 +666,7 @@ impl System {
         issue: SimTime,
     ) -> Result<DeviceEnd, RunError> {
         let dein = self.mssd.mdeinit(t.plan.instance_id, issue)?;
-        let end = match dein.host_output.len() as u64 {
+        let end = match dein.host_output_len {
             0 => dein.done,
             n => {
                 t.pushed += n;
@@ -653,12 +674,17 @@ impl System {
             }
         };
         let wakeup = self.command_wakeup(end);
-        let (digest, objects) = match t.prefab {
-            Some(d) => (d, None),
+        let image = t.image.take();
+        let (digest, objects) = match t.replayed {
+            Some(d) => (d, image.map(|slot| slot.decode(schema)).transpose()?),
             None => {
                 t.obj_bin.extend_from_slice(&dein.host_output);
                 let o = ParsedColumns::decode(schema.clone(), &t.obj_bin)?;
-                (o.digest(), Some(o))
+                let d = o.digest();
+                if let Some(slot) = image {
+                    slot.confirm_or_publish(d, || std::mem::take(&mut t.obj_bin));
+                }
+                (d, Some(o))
             }
         };
         if let (Some(key), Some(rec), Some(store)) = (t.memo_key, dein.recording, &self.replay) {
@@ -668,7 +694,7 @@ impl System {
                     cmds: rec.cmds,
                     finish_instr: rec.finish_instr,
                     retval: dein.retval,
-                    host_output: dein.host_output,
+                    host_output_len: dein.host_output_len,
                     digest,
                 }),
             );
@@ -1018,30 +1044,44 @@ mod tests {
     }
 
     #[test]
-    fn a_run_after_serving_upgrades_the_digest_only_memo_entry() {
+    fn a_run_that_keeps_columns_replays_only_with_the_object_image() {
         let mut sys = System::new(SystemParams::paper_testbed());
         sys.create_input_file("up.txt", &edge_text(20_000, 0x5eed_00a1))
             .unwrap();
         let spec = AppSpec::cpu_app("up", "up.txt", edge_schema(), 1, 50.0);
+        // Whether each engine, opened for a caller that keeps the columns
+        // or not, replays.
         let replays = |sys: &mut System, keep_columns| {
             let h = sys
                 .conventional_tenant(&spec, SimTime::ZERO, keep_columns)
                 .unwrap();
-            matches!(h.source, ParseSource::Replay(_))
+            let iid = sys.alloc_instance();
+            let t = sys
+                .device_tenant(&spec, iid, SimTime::ZERO, None, keep_columns)
+                .unwrap();
+            sys.mssd.abort_instance(iid);
+            (
+                matches!(h.source, ParseSource::Replay(_)),
+                t.replayed.is_some(),
+            )
         };
-        // Serving records the digest only: it replays for serving, but a
-        // caller that needs the columns back parses live.
-        let mut cfg = crate::ServeConfig::new(1000.0, 0.01);
-        cfg.mode = Mode::Conventional;
-        let rep = sys.serve(std::slice::from_ref(&spec), &cfg).unwrap();
-        assert!(rep.completed > 0);
-        assert!(replays(&mut sys, false));
-        assert!(!replays(&mut sys, true));
-        // That live parse re-records the entry with columns, so the next
-        // run replays too.
-        sys.run(&spec, Mode::Conventional).unwrap();
-        assert!(replays(&mut sys, true));
-        assert!(replays(&mut sys, false));
+        // Serving records counts and digests, no image: it replays for
+        // serving, but a caller that needs the columns back runs live.
+        for mode in [Mode::Conventional, Mode::Morpheus] {
+            let mut cfg = crate::ServeConfig::new(1000.0, 0.01);
+            cfg.mode = mode;
+            let rep = sys.serve(std::slice::from_ref(&spec), &cfg).unwrap();
+            assert!(rep.completed > 0);
+        }
+        assert_eq!(replays(&mut sys, false), (true, true));
+        assert_eq!(replays(&mut sys, true), (false, false));
+        // That live run publishes the image, so both engines then replay
+        // for every caller and hand back the same columns.
+        let live = sys.run(&spec, Mode::Morpheus).unwrap();
+        assert_eq!(replays(&mut sys, true), (true, true));
+        for mode in [Mode::Morpheus, Mode::Conventional] {
+            assert_eq!(sys.run(&spec, mode).unwrap().objects, live.objects);
+        }
     }
 
     #[test]
@@ -1196,7 +1236,7 @@ mod tests {
             while h.next_read().is_some() {
                 sys.step_host(&mut h, SimTime::ZERO).unwrap();
             }
-            h.finish().unwrap();
+            h.finish(&schema).unwrap();
             let key = sys.host_memo_key(&spec, &chunks).expect("memo on");
             let rec = sys.replay_store().unwrap().host_get(key).expect("recorded");
             let mut host = ParseWork::default();

@@ -8,8 +8,8 @@
 //! replays it, while every *timing* decision — flash reads, core grants,
 //! DMA, spans — still runs live against the run's own timelines. Replays
 //! are byte-identical to live runs by construction: the recorded values
-//! (per-page instruction counts, parse-work deltas, output bytes) are pure
-//! functions of the memo key.
+//! (per-page instruction counts, parse-work deltas, output lengths) are
+//! pure functions of the memo key.
 //!
 //! A [`System`] holds its store as `Option<Arc<ReplayStore>>`:
 //! [`System::new`] makes a fresh one, `Fleet::try_new` shares one across
@@ -24,24 +24,30 @@
 //! page size) each `MorpheusSsd` computes once at bring-up. Fault injection
 //! perturbs functional behavior, so faulty runs get no key.
 //!
-//! A store has three tables:
+//! A store has four tables:
 //! - device: whole StorageApp lifecycles ([`DeviceReplay`]), looked up by
 //!   `System::device_tenant` and published by `System::finish_device`;
 //! - host: host parses ([`HostReplay`]), looked up by
 //!   `System::conventional_tenant` and published by `HostTenant::finish`;
+//! - images: one object stream per (content, schema, input format)
+//!   ([`ObjectImage`]), read and written through an [`ImageSlot`] by the
+//!   runs that hand columns back ([`System::run`]);
 //! - inputs: generated input text by exact (generator, bytes, seed)
 //!   ([`ReplayStore::generated_input`]).
 //!
-//! The device and host tables hold at most `MAX_ENTRIES` entries each and
-//! evict their oldest (first in, first out) to admit a new key; the input
-//! table stops admitting at `INPUT_ENTRIES`. Recorded output bytes are
-//! shared (`Arc`), so a replayed MREAD or MDEINIT hands out the recording.
+//! The device, host and image tables hold at most `MAX_ENTRIES` entries
+//! each and evict their oldest (first in, first out) to admit a new key;
+//! the input table stops admitting at `INPUT_ENTRIES`. Recordings keep
+//! counts and lengths only: a replayed MREAD or MDEINIT reports its
+//! output's length, which is all the DMA and the bus price. The image
+//! table is the one place a store keeps object bytes, once per content
+//! however many drive configurations and chunkings recorded it.
 
 use crate::exec::AppSpec;
 use crate::firmware::DeviceReplay;
 use crate::system::ChunkIo;
 use crate::System;
-use morpheus_format::{CostModel, ObjectDigest, ParseWork, ParsedColumns};
+use morpheus_format::{CostModel, ObjectDigest, ParseError, ParseWork, ParsedColumns, Schema};
 use morpheus_simcore::Fnv1a;
 use morpheus_ssd::Ssd;
 use std::collections::{HashMap, VecDeque};
@@ -56,19 +62,27 @@ pub(crate) type MemoKey = (u64, u64);
 
 /// A recorded host-side parse of one file: the per-chunk parse-work
 /// deltas (priced live against the run's own cost model) and the digest
-/// of the final canonicalized objects. The columns themselves are kept
-/// only when a [`System::run`] caller recorded the entry, because only it
-/// hands them back; serving never retains columns.
+/// of the final canonicalized objects.
 #[derive(Debug)]
 pub(crate) struct HostReplay {
     pub per_chunk: Vec<ParseWork>,
     pub digest: ObjectDigest,
-    pub objects: Option<ParsedColumns>,
 }
 
-/// Entry cap of the device and host tables. Host entries recorded by
-/// [`System::run`] hold whole object columns, so the cap bounds memory;
-/// past it a table evicts its oldest entry to admit a new key.
+/// The objects one content parses to under one schema and input format,
+/// as the canonical little-endian record stream
+/// ([`ParsedColumns::encode_rows`]): byte for byte what a Morpheus
+/// lifecycle pushes off the drive. A replay that hands columns back
+/// decodes them from here.
+#[derive(Debug)]
+pub(crate) struct ObjectImage {
+    pub digest: ObjectDigest,
+    pub bytes: Vec<u8>,
+}
+
+/// Entry cap of the device, host and image tables. Images hold whole
+/// object streams, so the cap bounds memory; past it a table evicts its
+/// oldest entry to admit a new key.
 const MAX_ENTRIES: usize = 256;
 
 /// Entry cap of the input table: a sweep touches a handful of (generator,
@@ -122,16 +136,17 @@ impl<V: Clone> BoundedTable<V> {
 /// The input table's key: (generator name, target bytes, seed).
 type InputKey = (&'static str, u64, u64);
 
-/// The replay memo: recorded device lifecycles, recorded host parses and
-/// generated inputs (see the module docs). Systems that share one (an
-/// `Arc`) replay each other's recordings; a replay is a pure function of
-/// its key, so sharing changes only how much work is redone, never an
-/// output. The tables lock independently, so parallel workers can share a
-/// store.
+/// The replay memo: recorded device lifecycles, recorded host parses,
+/// object images and generated inputs (see the module docs). Systems that
+/// share one (an `Arc`) replay each other's recordings; a replay is a
+/// pure function of its key, so sharing changes only how much work is
+/// redone, never an output. The tables lock independently, so parallel
+/// workers can share a store.
 #[derive(Default)]
 pub struct ReplayStore {
     device: Mutex<BoundedTable<Arc<DeviceReplay>>>,
     host: Mutex<BoundedTable<Arc<HostReplay>>>,
+    images: Mutex<BoundedTable<Arc<ObjectImage>>>,
     inputs: Mutex<HashMap<InputKey, Arc<Vec<u8>>>>,
 }
 
@@ -190,8 +205,57 @@ impl fmt::Debug for ReplayStore {
         f.debug_struct("ReplayStore")
             .field("device", &lock(&self.device).map.len())
             .field("host", &lock(&self.host).map.len())
+            .field("images", &lock(&self.images).map.len())
             .field("inputs", &lock(&self.inputs).len())
             .finish()
+    }
+}
+
+/// Where a run that hands columns back finds its object image, or
+/// publishes the one it parsed: opened by [`System::image_slot`] for the
+/// runs of [`System::run`] only. Such a run replays only when the store
+/// holds both its engine's recording and the image, and then decodes the
+/// image; otherwise it runs live and its digest confirms the image or its
+/// stream becomes it.
+pub(crate) struct ImageSlot {
+    key: MemoKey,
+    store: Arc<ReplayStore>,
+    found: Option<Arc<ObjectImage>>,
+}
+
+impl ImageSlot {
+    /// True when the store held the image at open.
+    pub(crate) fn found(&self) -> bool {
+        self.found.is_some()
+    }
+
+    /// The columns of the image found at open.
+    pub(crate) fn decode(&self, schema: &Schema) -> Result<ParsedColumns, ParseError> {
+        let image = self.found.as_ref().expect("a replay opened with its image");
+        ParsedColumns::decode(schema.clone(), &image.bytes)
+    }
+
+    /// Ends a live run whose objects digest to `digest`: a found image must
+    /// carry the same digest (a mismatch is a key collision, which must not
+    /// pass silently), and a missing one is published from `stream`, the
+    /// objects' canonical record stream.
+    pub(crate) fn confirm_or_publish(self, digest: ObjectDigest, stream: impl FnOnce() -> Vec<u8>) {
+        if let Some(image) = &self.found {
+            assert_eq!(
+                image.digest, digest,
+                "object image digest mismatch (key collision?)"
+            );
+            return;
+        }
+        let mut bytes = stream();
+        debug_assert_eq!(
+            bytes.len() as u64,
+            digest.bytes,
+            "the stream is the objects"
+        );
+        bytes.shrink_to_fit();
+        let image = Arc::new(ObjectImage { digest, bytes });
+        lock(&self.store.images).put(self.key, image);
     }
 }
 
@@ -275,6 +339,22 @@ impl System {
         Some((content, s.value()))
     }
 
+    /// The image slot of `spec`'s objects, keyed by the file's content
+    /// digest, the schema and the input format, or `None` when the memo is
+    /// off or a fault plan is armed.
+    pub(crate) fn image_slot(&mut self, spec: &AppSpec) -> Option<ImageSlot> {
+        if self.faults.is_some() {
+            return None;
+        }
+        let store = self.replay.clone()?;
+        let content = self.content_digest(&spec.input)?;
+        let mut s = Fnv1a::with_basis(0x2325cbf2_9ce48422);
+        let _ = write!(s, "{:?}|{:?}", spec.schema, spec.input_format);
+        let key = (content, s.value());
+        let found = lock(&store.images).get(key);
+        Some(ImageSlot { key, store, found })
+    }
+
     /// Memo key for a host-side parse of `spec` over `chunks` (the
     /// recorded parse-work deltas are platform-independent, so host cost
     /// tables stay out of the key), or `None` when the memo is off or a
@@ -305,33 +385,37 @@ mod tests {
         let k = (u64::MAX, u64::MAX);
         let d = |records| ObjectDigest {
             records,
-            bytes: 8 * records,
+            bytes: 4 * records,
             checksum: records ^ 0x5a,
         };
-        // A digest-only host entry (what serving records) is upgraded in
-        // place by one that carries columns (what `System::run` records).
         store.host_put(
             k,
             Arc::new(HostReplay {
                 per_chunk: vec![],
                 digest: d(0),
-                objects: None,
             }),
         );
-        assert!(store.host_get(k).unwrap().objects.is_none());
         store.host_put(
             k,
             Arc::new(HostReplay {
                 per_chunk: vec![ParseWork::default()],
                 digest: d(0),
-                objects: Some(ParsedColumns::empty(morpheus_format::Schema::new(vec![
-                    morpheus_format::FieldKind::U32,
-                ]))),
             }),
         );
-        let upgraded = store.host_get(k).unwrap();
-        assert_eq!(upgraded.per_chunk.len(), 1);
-        assert!(upgraded.objects.is_some());
+        assert_eq!(store.host_get(k).unwrap().per_chunk.len(), 1);
+        assert_eq!(lock(&store.host).map.len(), 1);
+        // An image published under a key replaces the one there in place.
+        let image = |records| {
+            Arc::new(ObjectImage {
+                digest: d(records),
+                bytes: vec![0; 4 * records as usize],
+            })
+        };
+        let mut images = lock(&store.images);
+        images.put(k, image(1));
+        images.put(k, image(2));
+        assert_eq!(images.get(k).unwrap().digest, d(2));
+        assert_eq!(images.map.len(), 1);
     }
 
     #[test]

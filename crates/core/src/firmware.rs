@@ -117,8 +117,12 @@ pub struct DeinitOutcome {
     /// The StorageApp's return value (travels in the completion entry).
     pub retval: i32,
     /// Output still bound for the host (the deserialization direction's
-    /// final records). Shared: a replayed MDEINIT hands out the recording.
-    pub host_output: Arc<Vec<u8>>,
+    /// final records). Empty when the MDEINIT replays a recording, which
+    /// reports only the length.
+    pub host_output: Vec<u8>,
+    /// Bytes of host-bound output the MDEINIT staged for DMA:
+    /// `host_output`'s length, or the recorded length on a replay.
+    pub(crate) host_output_len: u64,
     /// Completion time.
     pub done: SimTime,
     /// Total bytes this instance streamed to flash through MWRITE.
@@ -143,9 +147,12 @@ pub struct MwriteOutcome {
 #[derive(Debug)]
 pub struct MreadOutcome {
     /// Binary object bytes produced by the app for this chunk (bound for
-    /// the command's DMA address). Shared: a replayed MREAD hands out the
-    /// recording.
-    pub output: Arc<Vec<u8>>,
+    /// the command's DMA address). Empty when the MREAD replays a
+    /// recording, which reports only the length.
+    pub output: Vec<u8>,
+    /// Object bytes the MREAD staged for DMA: `output`'s length, or the
+    /// recorded length on a replay.
+    pub(crate) output_len: u64,
     /// When the last parsed byte's output is staged and DMA can begin.
     pub done: SimTime,
     /// Embedded-core time consumed parsing this chunk.
@@ -154,14 +161,15 @@ pub struct MreadOutcome {
 
 /// One recorded MREAD: its wire geometry (re-verified at replay), the
 /// embedded-core instruction count of each page's parse step, and the
-/// output bytes staged for DMA (shared with every replay).
+/// length of the output staged for DMA. The bytes themselves are not
+/// kept: a replay prices only their length.
 #[derive(Debug)]
 pub(crate) struct CmdRecord {
     pub slba: u64,
     pub blocks: u64,
     pub valid_bytes: u64,
     pub page_instr: Vec<f64>,
-    pub output: Arc<Vec<u8>>,
+    pub output_len: u64,
 }
 
 /// What a recording instance's MREADs and MDEINIT computed, handed back
@@ -175,29 +183,30 @@ pub(crate) struct Recording {
 
 /// A full recorded MINIT→MREAD*→MDEINIT instance lifecycle, as the device
 /// engine publishes it: the [`Recording`], MDEINIT's return value and
-/// output, and the digest of the objects the lifecycle decodes to.
+/// output length, and the digest of the objects the lifecycle decodes to.
 #[derive(Debug)]
 pub(crate) struct DeviceReplay {
     pub cmds: Vec<CmdRecord>,
     pub finish_instr: f64,
     pub retval: i32,
-    pub host_output: Arc<Vec<u8>>,
+    pub host_output_len: u64,
     pub digest: ObjectDigest,
 }
 
 /// Record/replay state of one instance's deserialization, picked by the
 /// device engine at MINIT. It decides only where each MREAD page's
-/// instruction count and each command's output come from.
+/// instruction count and each command's output length come from.
 #[derive(Debug)]
 pub(crate) enum InstanceMemo {
     /// The StorageApp runs (unkeyed instances, and any instance once it
     /// MWRITEs).
     Off,
     /// The StorageApp runs, and every MREAD's per-page instruction counts
-    /// and output are kept; MDEINIT hands them back as a [`Recording`].
+    /// and output length are kept; MDEINIT hands them back as a
+    /// [`Recording`].
     Record(Vec<CmdRecord>),
     /// The StorageApp never runs: recording `rec` supplies the counts and
-    /// outputs, MREAD `next` first.
+    /// output lengths, MREAD `next` first, and no output bytes.
     Play { rec: Arc<DeviceReplay>, next: usize },
 }
 
@@ -252,7 +261,7 @@ pub(crate) const IO_QUEUE_DEPTH: usize = 64;
 /// let ready = mssd.minit(1, Box::new(DeserializeApp::new("edges", schema.clone())), SimTime::ZERO)?;
 /// let out = mssd.mread(1, 0, 1, 8, ready)?;                 // MREAD through the app
 /// let done = mssd.mdeinit(1, out.done)?;                    // collect the tail + retval
-/// let mut bytes = out.output.to_vec();                     // shared bytes
+/// let mut bytes = out.output;                               // the chunk's objects
 /// bytes.extend_from_slice(&done.host_output);
 /// let objects = ParsedColumns::decode(schema, &bytes).unwrap();
 /// assert_eq!(objects.columns[0].as_ints().unwrap(), &[5, 7]);
@@ -485,9 +494,10 @@ impl MorpheusSsd {
     /// The MREAD page loop of every instance: flash page reads, embedded-core
     /// grants and trace spans run live, and the instance's [`InstanceMemo`]
     /// decides whether each page's instruction count and the staged output
-    /// come from the StorageApp or from a recording. A replay's geometry is
-    /// asserted against the record: a mismatch means a memo-key collision,
-    /// which must never pass silently.
+    /// come from the StorageApp or from a recording, which supplies the
+    /// output's length only. A replay's geometry is asserted against the
+    /// record: a mismatch means a memo-key collision, which must never pass
+    /// silently.
     fn run_mread(
         &mut self,
         instance_id: u32,
@@ -538,7 +548,10 @@ impl MorpheusSsd {
         };
         let mut done = dispatch.end;
         let mut core_busy = SimDuration::ZERO;
-        let mut page_instr: Vec<f64> = Vec::new();
+        let mut page_instr: Vec<f64> = match recording {
+            true => Vec::with_capacity((pages.end - pages.start) as usize),
+            false => Vec::new(),
+        };
         for (pi, lpn) in pages.enumerate() {
             let page_base = lpn * page_bytes;
             let lo = byte_start.max(page_base) - page_base;
@@ -576,25 +589,27 @@ impl MorpheusSsd {
             core_busy += iv.duration();
             done = done.max(iv.end);
         }
-        let output = match played {
-            Some(cmd) => Arc::clone(&cmd.output),
+        let (output, output_len) = match played {
+            Some(cmd) => (Vec::new(), cmd.output_len),
             None => {
-                let output = shared(inst.ctx.take_output(), recording);
+                let output = inst.ctx.take_output();
+                let output_len = output.len() as u64;
                 if let InstanceMemo::Record(cmds) = &mut inst.memo {
                     cmds.push(CmdRecord {
                         slba,
                         blocks,
                         valid_bytes,
                         page_instr,
-                        output: Arc::clone(&output),
+                        output_len,
                     });
                 }
-                output
+                (output, output_len)
             }
         };
         self.parse_core_busy += core_busy;
         Ok(MreadOutcome {
             output,
+            output_len,
             done,
             core_busy,
         })
@@ -723,7 +738,7 @@ impl MorpheusSsd {
 
     /// The MDEINIT of every instance: the finish grant and span run live;
     /// a replay takes the recorded cost (dispatch included), return value
-    /// and output instead of running `on_finish`.
+    /// and output length instead of running `on_finish`.
     fn run_mdeinit(
         &mut self,
         instance_id: u32,
@@ -740,11 +755,7 @@ impl MorpheusSsd {
                     rec.cmds.len(),
                     "deser-memo replay finished with unconsumed MREADs (key collision?)"
                 );
-                (
-                    rec.retval,
-                    rec.finish_instr,
-                    Some(Arc::clone(&rec.host_output)),
-                )
+                (rec.retval, rec.finish_instr, Some(rec.host_output_len))
             }
             _ => {
                 let retval = inst.app.on_finish(&mut inst.ctx)?;
@@ -770,18 +781,19 @@ impl MorpheusSsd {
         );
         self.parse_core_busy += iv.duration();
         let mut done = iv.end;
-        let host_output = if inst.out_base_slba.is_some() {
+        let (host_output, host_output_len) = if inst.out_base_slba.is_some() {
             // Final records join the flash stream, not the host (only an
             // `Off` instance MWRITEs).
             let tail = inst.ctx.take_output();
             inst.out_pending.extend_from_slice(&tail);
             done = done.max(self.flush_instance_output(instance_id, iv.end, true)?);
-            Arc::default()
-        } else if let Some(output) = played {
-            output
+            (Vec::new(), 0)
+        } else if let Some(len) = played {
+            (Vec::new(), len)
         } else {
-            let recording = matches!(inst.memo, InstanceMemo::Record(_));
-            shared(inst.ctx.take_output(), recording)
+            let output = inst.ctx.take_output();
+            let len = output.len() as u64;
+            (output, len)
         };
         let inst = self.instances.remove(&instance_id).expect("still present");
         self.dev.free_dram(inst.dram_reserved);
@@ -795,6 +807,7 @@ impl MorpheusSsd {
         Ok(DeinitOutcome {
             retval,
             host_output,
+            host_output_len,
             done,
             flushed_to_flash: inst.out_flushed,
             recording,
@@ -814,16 +827,6 @@ impl MorpheusSsd {
         }
         out
     }
-}
-
-/// A command's output, shared with the host. A recorded output outlives
-/// its command and every replay hands it out, so it keeps no spare
-/// capacity.
-fn shared(mut output: Vec<u8>, recorded: bool) -> Arc<Vec<u8>> {
-    if recorded {
-        output.shrink_to_fit();
-    }
-    Arc::new(output)
 }
 
 /// The flash pages holding bytes `[byte_start, byte_start + byte_len)`,
@@ -1003,7 +1006,7 @@ mod tests {
     }
 
     #[test]
-    fn replays_share_the_recorded_output_bytes() {
+    fn replays_report_the_live_output_lengths() {
         // Three flash pages of records in two MREADs, so a replay walks
         // several recorded commands and pages. No trailing newline: the
         // last record reaches the host at MDEINIT.
@@ -1043,11 +1046,9 @@ mod tests {
         assert_eq!(spans, live_spans, "recording changes no timeline work");
         let recording = end.recording.expect("a recording instance hands it back");
         let mut bytes = Vec::new();
-        for (out, cmd) in reads.iter().zip(&recording.cmds) {
-            assert!(
-                Arc::ptr_eq(&out.output, &cmd.output),
-                "records the live buffer"
-            );
+        for ((out, cmd), live) in reads.iter().zip(&recording.cmds).zip(&live) {
+            assert_eq!(out.output, live.output, "a recording runs the app");
+            assert_eq!(cmd.output_len, out.output.len() as u64);
             bytes.extend_from_slice(&out.output);
         }
         bytes.extend_from_slice(&end.host_output);
@@ -1055,7 +1056,7 @@ mod tests {
             cmds: recording.cmds,
             finish_instr: recording.finish_instr,
             retval: end.retval,
-            host_output: Arc::clone(&end.host_output),
+            host_output_len: end.host_output_len,
             digest: ParsedColumns::decode(edge_schema(), &bytes)
                 .unwrap()
                 .digest(),
@@ -1066,25 +1067,21 @@ mod tests {
                 next: 0,
             };
             let (replay, replay_end, replay_spans) = lifecycle(&mut m, memo);
-            for k in 0..2 {
-                let (out, cmd) = (&replay[k], &rec.cmds[k]);
-                assert!(
-                    Arc::ptr_eq(&out.output, &cmd.output),
-                    "replay copies nothing"
-                );
-                assert_eq!(
-                    out.output, live[k].output,
-                    "replayed bytes are the live run's"
-                );
+            for (out, live) in replay.iter().zip(&live) {
+                assert!(out.output.is_empty(), "a replay hands out no bytes");
+                assert_eq!(out.output_len, live.output.len() as u64);
                 // The same timeline work in the same order.
-                assert_eq!(out.done, reads[k].done);
-                assert_eq!(out.core_busy, reads[k].core_busy);
+                assert_eq!(out.done, live.done);
+                assert_eq!(out.core_busy, live.core_busy);
             }
-            assert!(Arc::ptr_eq(&replay_end.host_output, &rec.host_output));
-            assert_eq!(replay_end.host_output, live_end.host_output);
-            assert_eq!(replay_end.done, end.done);
-            assert_eq!(replay_end.retval, end.retval);
-            assert_eq!(replay_spans, spans);
+            assert!(replay_end.host_output.is_empty());
+            assert_eq!(
+                replay_end.host_output_len,
+                live_end.host_output.len() as u64
+            );
+            assert_eq!(replay_end.done, live_end.done);
+            assert_eq!(replay_end.retval, live_end.retval);
+            assert_eq!(replay_spans, live_spans);
             assert!(replay_end.recording.is_none());
         }
     }

@@ -13,7 +13,7 @@
 
 use crate::firmware::IO_QUEUE_ID;
 use crate::{runtime, Mode, RunError, SerializeApp, StorageApp, System};
-use morpheus_format::{ParsedColumns, TextWriter};
+use morpheus_format::{Column, ParsedColumns, TextWriter};
 use morpheus_host::CodeClass;
 use morpheus_nvme::{MorpheusCommand, NvmeCommand, StatusCode, LBA_BYTES};
 use morpheus_pcie::DmaDir;
@@ -46,6 +46,28 @@ pub struct SerializeReport {
     pub context_switches: u64,
 }
 
+/// The most bytes [`TextWriter::write_row`] prints for one value of `col`,
+/// with the separator or newline after it. An integer prints at most 20
+/// characters, NaN 3, and a float at six decimals at most 27 below 1e19
+/// in magnitude (sign, 19 digits, point, 6 decimals). Larger floats print
+/// every integer digit, up to 317 characters, so they are measured.
+fn field_budget(col: &Column) -> u64 {
+    const INT: u64 = 21;
+    const FLOAT: u64 = 28;
+    match col {
+        Column::Ints(_) => INT,
+        Column::Floats(v) => v
+            .iter()
+            .filter(|x| x.abs() >= 1e19)
+            .map(|&x| {
+                let mut w = TextWriter::new();
+                w.write_f64(x, 6);
+                w.as_bytes().len() as u64 + 1
+            })
+            .fold(FLOAT, u64::max),
+    }
+}
+
 impl System {
     /// Serializes `objects` into a text file named `output` on the drive.
     ///
@@ -73,13 +95,7 @@ impl System {
         let obj_bytes = objects.binary_bytes();
         // Worst-case text size bounds the file allocation; the file is
         // truncated to the real length afterwards.
-        let per_record_max: u64 = objects
-            .schema
-            .fields()
-            .iter()
-            .map(|f| if f.is_float() { 28 } else { 21 })
-            .sum::<u64>()
-            + 1;
+        let per_record_max: u64 = objects.columns.iter().map(field_budget).sum::<u64>() + 1;
         let upper = (objects.records * per_record_max).max(LBA_BYTES);
         self.fs
             .create(output, upper)
@@ -335,11 +351,47 @@ mod tests {
         assert_eq!(sys.mssd.dev.dram_used(), 0);
         // Nor does its file: the name reads back as unknown and is free
         // for a retry, which fails for the same reason.
-        assert!(sys.read_file_bytes("oom.txt").is_err());
+        let err = sys.read_file_bytes("oom.txt").unwrap_err();
+        assert!(
+            matches!(&err, RunError::UnknownFile(n) if n == "oom.txt"),
+            "{err:?}"
+        );
         let err = sys
             .run_serialize(&objects(100), "oom.txt", Mode::Conventional)
             .unwrap_err();
         assert!(matches!(err, RunError::OutOfHostMemory), "{err:?}");
+    }
+
+    #[test]
+    fn huge_and_non_finite_floats_fit_their_file() {
+        // Six decimals print every integer digit: -f64::MAX takes 317
+        // bytes and f32::MAX 47, past the 28-byte budget of smaller values.
+        let mut rows = vec![(-f64::MAX, f64::from(f32::MAX)); 200];
+        rows.extend([
+            (f64::NAN, f64::INFINITY),
+            (f64::INFINITY, f64::NEG_INFINITY),
+            (f64::NEG_INFINITY, f64::NAN),
+        ]);
+        let (wide, narrow) = rows.iter().copied().unzip();
+        let objs = ParsedColumns {
+            schema: Schema::new(vec![FieldKind::F64, FieldKind::F32]),
+            columns: vec![Column::Floats(wide), Column::Floats(narrow)],
+            records: rows.len() as u64,
+        };
+        let mut want = TextWriter::new();
+        for r in 0..rows.len() {
+            want.write_row(&objs, r);
+        }
+        let mut sys = System::new(SystemParams::paper_testbed());
+        for (mode, file) in [
+            (Mode::Conventional, "huge_conv.txt"),
+            (Mode::Morpheus, "huge_morph.txt"),
+        ] {
+            let rep = sys.run_serialize(&objs, file, mode).unwrap();
+            assert_eq!(rep.text_bytes, want.as_bytes().len() as u64, "{mode}");
+            let text = sys.read_file_bytes(file).unwrap();
+            assert!(text == want.as_bytes(), "{mode} file differs");
+        }
     }
 
     #[test]

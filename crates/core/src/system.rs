@@ -3,7 +3,7 @@
 use crate::cache::{CacheConfig, CacheStats, ObjectCache};
 use crate::faults::FaultInjector;
 use crate::firmware::IO_QUEUE_DEPTH;
-use crate::{MorpheusSsd, ReplayStore, SystemParams};
+use crate::{MorpheusSsd, ReplayStore, RunError, SystemParams};
 use morpheus_flash::EccModel;
 use morpheus_gpu::Gpu;
 use morpheus_host::{CodeClass, Cpu, FileMeta, FsError, HostDram, MemBus, OsModel, SimFs};
@@ -381,12 +381,14 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Fails for unknown files or drive errors.
-    pub fn read_file_bytes(&mut self, name: &str) -> Result<Vec<u8>, SsdError> {
-        let meta = match self.fs.open(name) {
-            Ok(m) => m.clone(),
-            Err(_) => return Err(SsdError::LbaOutOfRange { slba: 0, blocks: 0 }),
-        };
+    /// [`RunError::UnknownFile`] for a name the file system does not know,
+    /// [`RunError::Ssd`] when the drive fails.
+    pub fn read_file_bytes(&mut self, name: &str) -> Result<Vec<u8>, RunError> {
+        let meta = self
+            .fs
+            .open(name)
+            .map_err(|_| RunError::UnknownFile(name.to_string()))?
+            .clone();
         let mut out = Vec::with_capacity(meta.len as usize);
         let mut remaining = meta.len;
         for e in &meta.extents {

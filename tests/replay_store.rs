@@ -2,7 +2,10 @@
 //! replay store (memo-off, everything deserialized live) and a `System`
 //! whose store an identical earlier run warmed (everything replayed) must
 //! let an observer see the same bytes — solo runs in every mode, traced
-//! and sampled serve cells on both engines, and concurrent tenants.
+//! and sampled serve cells on both engines, and concurrent tenants. The
+//! same holds step by step while a store fills: runs that hand columns
+//! back replay only with their object image, and one image serves every
+//! mode and drive configuration.
 
 use std::sync::Arc;
 
@@ -33,9 +36,10 @@ fn specs() -> [AppSpec; 2] {
     ]
 }
 
-/// A traced system with both inputs staged, sharing `store`.
-fn system(store: Option<Arc<ReplayStore>>) -> System {
-    let mut sys = System::new(SystemParams::paper_testbed());
+/// A traced system built from `params` with both inputs staged, sharing
+/// `store`.
+fn system(params: SystemParams, store: Option<Arc<ReplayStore>>) -> System {
+    let mut sys = System::new(params);
     sys.set_replay_store(store);
     sys.set_tracer(Tracer::enabled());
     sys.create_input_file("a.txt", &text(20_000, 1)).unwrap();
@@ -86,15 +90,106 @@ fn observe(sys: &mut System) -> Vec<(String, String)> {
 fn a_warm_store_and_no_store_show_the_same_bytes() {
     let store = Arc::new(ReplayStore::default());
     let cold_store = format!("{store:?}");
-    observe(&mut system(Some(store.clone())));
+    let testbed = SystemParams::paper_testbed;
+    observe(&mut system(testbed(), Some(store.clone())));
     let warmed = format!("{store:?}");
     assert_ne!(warmed, cold_store, "the first sequence records");
 
-    let replayed = observe(&mut system(Some(store.clone())));
+    let replayed = observe(&mut system(testbed(), Some(store.clone())));
     assert_eq!(format!("{store:?}"), warmed, "a warm sequence only replays");
-    let live = observe(&mut system(None));
+    let live = observe(&mut system(testbed(), None));
     assert_eq!(replayed.len(), live.len());
     for ((what, warm), (_, off)) in replayed.iter().zip(&live) {
         assert!(warm == off, "{what} differs between replay and memo-off");
     }
+}
+
+/// One step of a script: what an observer sees of it.
+type Step = fn(&mut System) -> String;
+
+/// A solo run of the GPU app: its report, its columns and its trace.
+fn run_in(sys: &mut System, mode: Mode) -> String {
+    let out = sys.run(&specs()[0], mode).unwrap();
+    let trace = sys.tracer().take().to_chrome_json();
+    format!("{:?}\n{:?}\n{trace}", out.report, out.objects)
+}
+
+/// Steps one system per `params`, all sharing one fresh store, and a twin
+/// set with no store: each step runs on the system it names, and must
+/// show the same bytes on both sets. Returns the store's entry counts
+/// after each step.
+fn fill(params: &[SystemParams], steps: &[(usize, Step)]) -> Vec<String> {
+    let store = Arc::new(ReplayStore::default());
+    let mut warm: Vec<System> = params
+        .iter()
+        .map(|p| system(p.clone(), Some(store.clone())))
+        .collect();
+    let mut off: Vec<System> = params.iter().map(|p| system(p.clone(), None)).collect();
+    steps
+        .iter()
+        .enumerate()
+        .map(|(i, &(on, step))| {
+            let seen = step(&mut warm[on]);
+            assert!(seen == step(&mut off[on]), "step {i} differs with no store");
+            format!("{store:?}")
+        })
+        .collect()
+}
+
+fn counts(device: usize, host: usize, images: usize) -> String {
+    format!("ReplayStore {{ device: {device}, host: {host}, images: {images}, inputs: 0 }}")
+}
+
+#[test]
+fn a_run_after_serving_runs_live_then_replays_its_image() {
+    // Serving records the lifecycle's counts and digest, no image, so the
+    // first run that hands columns back runs live and publishes the image;
+    // the second replays the recording and decodes the image.
+    let serve: Step = |sys| {
+        let gpu = &specs()[..1];
+        let rep = sys.serve(gpu, &serve_cfg(Mode::Morpheus)).unwrap();
+        format!("{rep}\n{}", sys.tracer().take().to_chrome_json())
+    };
+    let morpheus: Step = |sys| run_in(sys, Mode::Morpheus);
+    let after = fill(
+        &[SystemParams::paper_testbed()],
+        &[(0, serve), (0, morpheus), (0, morpheus)],
+    );
+    assert_eq!(after, [counts(1, 0, 0), counts(1, 0, 1), counts(1, 0, 1)]);
+}
+
+#[test]
+fn every_mode_shares_one_image() {
+    // The host parse publishes the image; the Morpheus lifecycle's digest
+    // confirms it, and the P2P run replays that lifecycle.
+    let after = fill(
+        &[SystemParams::paper_testbed()],
+        &[
+            (0, |sys| run_in(sys, Mode::Conventional)),
+            (0, |sys| run_in(sys, Mode::Morpheus)),
+            (0, |sys| run_in(sys, Mode::MorpheusP2P)),
+        ],
+    );
+    assert_eq!(after, [counts(0, 1, 1), counts(1, 1, 1), counts(1, 1, 1)]);
+}
+
+#[test]
+fn two_chunkings_record_twice_and_share_one_image() {
+    // Each MREAD chunk size records its own lifecycle over one image.
+    let mut small = SystemParams::paper_testbed();
+    small.mread_chunk_bytes = 64 << 10;
+    let morpheus: Step = |sys| run_in(sys, Mode::Morpheus);
+    let after = fill(
+        &[SystemParams::paper_testbed(), small],
+        &[(0, morpheus), (1, morpheus), (0, morpheus), (1, morpheus)],
+    );
+    assert_eq!(
+        after,
+        [
+            counts(1, 0, 1),
+            counts(2, 0, 1),
+            counts(2, 0, 1),
+            counts(2, 0, 1)
+        ]
+    );
 }
