@@ -108,6 +108,32 @@ fn diff_of_identical_traces_is_all_zero() {
 }
 
 #[test]
+fn diff_of_a_malformed_trace_exits_one_with_an_error() {
+    // 200,000 nested arrays, and a span whose times overflow u64
+    // nanoseconds: each is an `error:` line and exit 1, never a crash.
+    let ok = tmp_path("diff-ok.json");
+    std::fs::write(&ok, "{\"traceEvents\":[]}").unwrap();
+    let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+    let huge = "[{\"ph\":\"X\",\"cat\":\"host\",\"name\":\"s\",\"ts\":1e300,\"dur\":1e300}]";
+    for (name, text, cause) in [
+        ("diff-deep.json", deep.as_str(), "nest deeper"),
+        ("diff-huge.json", huge, "has ts 1e300"),
+    ] {
+        let bad = tmp_path(name);
+        std::fs::write(&bad, text).unwrap();
+        let out = trace_bin(&["--diff", bad.to_str().unwrap(), ok.to_str().unwrap()]);
+        std::fs::remove_file(&bad).ok();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(cause),
+            "{name}: {stderr}"
+        );
+    }
+    std::fs::remove_file(&ok).ok();
+}
+
+#[test]
 fn traces_are_byte_identical_across_jobs() {
     // One app per mode; `--jobs` may only change wall-clock time, never a
     // single simulated event.

@@ -11,7 +11,9 @@
 //!
 //! There are two engines, and each is the only engine of its kind:
 //! [`HostTenant`] (Fig. 1's `read()`+parse loop) and [`DeviceTenant`] (one
-//! StorageApp lifecycle, MINIT → MREAD* → MDEINIT). One driver frames them:
+//! StorageApp lifecycle, MINIT → MREAD* or MWRITE* → MDEINIT, for any
+//! StorageApp; the KV scan and serialization run theirs whole in
+//! [`System::run_instance`]). One driver frames deserialization on both:
 //! an [`InFlight`] request, opened on either engine and stepped one
 //! command at a time. Each step passes the command's fault gate at its
 //! submission, runs the engine, and yields the command's wire form and a
@@ -38,10 +40,10 @@
 
 use crate::deser_memo::{HostReplay, ImageSlot, MemoKey, ReplayStore};
 use crate::exec::{AppSpec, MorpheusAbort, RunError};
-use crate::firmware::{DeviceReplay, InstanceMemo};
+use crate::firmware::{DeinitOutcome, DeviceReplay, InstanceMemo, IO_QUEUE_ID};
 use crate::report::{mb_per_sec, Mode};
 use crate::system::{ChunkIo, WireCmd};
-use crate::{ms_stream_create, CommandPlan, StorageKind, System};
+use crate::{ms_stream_create, CommandPlan, MsStream, StorageApp, StorageKind, System};
 use morpheus_format::{ObjectDigest, ParseWork, ParsedColumns, Schema, StreamingParser};
 use morpheus_host::CodeClass;
 use morpheus_nvme::{MorpheusCommand, NvmeCommand, StatusCode};
@@ -184,39 +186,31 @@ impl HostTenant {
     }
 }
 
-/// The device deserialization engine: one StorageApp lifecycle of §IV-A
-/// (MINIT, one MREAD per chunk, MDEINIT) over one file, opened with
-/// [`System::device_tenant`], stepped an MREAD at a time with
-/// [`System::step_device`] and closed with [`System::finish_device`]. The
-/// mirror of [`HostTenant`]: an [`InFlight`] request frames the steps. The
-/// lifecycle is the runtime's [`CommandPlan`]: the engine runs the plan's
-/// chunks, and the request submits the plan's commands.
-///
-/// The engine owns the device memo (see `deser_memo`). At MINIT it hands
-/// the firmware the instance's `InstanceMemo`: replay an identical
-/// lifecycle's recording, or record this one. At MDEINIT it publishes a
-/// recording together with its objects' digest. A replay's digest stands
-/// in for the objects and its commands carry no bytes, so the object
-/// stream is never assembled; a caller that keeps the columns decodes them
-/// from the object image. Every timed step (flash, cores, DMA, bus) runs
-/// live either way.
+/// The device engine: one StorageApp instance lifecycle of §IV-A, run
+/// from its [`CommandPlan`] for any StorageApp: MINIT
+/// ([`System::open_instance`]), each MREAD or MWRITE, MDEINIT
+/// ([`System::close_instance`]). A deserialization request opens it with
+/// [`System::device_tenant`] and takes its objects with
+/// [`System::device_objects`], which own the device memo (`deser_memo`):
+/// replay an identical lifecycle's recording, or record this one and
+/// publish it with its objects' digest. A replay's commands carry no
+/// bytes; a caller that keeps the columns decodes them from the object
+/// image. Every timed step (flash, cores, DMA, bus) runs live either way.
 pub(crate) struct DeviceTenant {
-    /// The lowered lifecycle: the stream's chunks and its commands.
     plan: CommandPlan,
-    /// Index of the next MREAD.
+    /// Index of the next MREAD or MWRITE.
     next: usize,
-    /// When MINIT finished: the instance is ready for MREADs.
+    /// When MINIT finished.
     ready: SimTime,
-    /// When the last step's objects were delivered (staged, for a step
-    /// that returned none).
+    /// When the last step's output was delivered (staged, for an MREAD
+    /// that returned none) or its MWRITE's completion reaped.
     last_end: SimTime,
-    obj_bin: Vec<u8>,
-    /// Object bytes pushed off the drive so far.
-    pushed: u64,
-    /// P2P delivery window; `None` delivers objects to host DRAM.
+    /// The app's output so far (none on a replay).
+    output: Vec<u8>,
+    /// P2P delivery window; `None` delivers output to host DRAM.
     bar: Option<BarWindow>,
-    /// Device memo key (fault-free runs only), under which a recording
-    /// lifecycle is published.
+    /// Device memo key (fault-free deserialization only), under which a
+    /// recording lifecycle is published.
     memo_key: Option<MemoKey>,
     /// The object digest of the replayed recording.
     replayed: Option<ObjectDigest>,
@@ -225,27 +219,17 @@ pub(crate) struct DeviceTenant {
     image: Option<ImageSlot>,
 }
 
-/// How a device lifecycle ended.
-pub(crate) struct DeviceEnd {
-    /// When MDEINIT finished on the drive.
-    done: SimTime,
-    /// The completion wakeup that reaped MDEINIT.
-    wakeup: Interval,
-    /// The StorageApp's return value.
-    retval: i32,
-    digest: ObjectDigest,
-    /// The columns: a live lifecycle decodes its object stream, and a
-    /// replay decodes the object image of a caller that keeps them.
-    objects: Option<ParsedColumns>,
-}
-
-impl DeviceTenant {
-    /// The next MREAD [`System::step_device`] runs, if any is left: its
-    /// chunk and its command.
-    pub(crate) fn next_read(&self) -> Option<(ChunkIo, MorpheusCommand)> {
-        let c = *self.plan.stream.chunks().get(self.next)?;
-        Some((c, self.plan.read(self.next)))
-    }
+/// A StorageApp invocation run to its end by [`System::run_storage_app`].
+#[derive(Debug, Clone)]
+pub struct AppRun {
+    /// The app's output, in order: each MREAD's, then MDEINIT's.
+    pub output: Vec<u8>,
+    /// When the host reaped MDEINIT's completion.
+    pub end: SimTime,
+    /// Host CPU time: the MINIT syscall and every completion wakeup.
+    pub cpu_busy: SimDuration,
+    /// Bytes the app streamed to flash through MWRITEs.
+    pub(crate) flushed: u64,
 }
 
 /// Where a request is opened: the host engine, or StorageApp instance
@@ -258,16 +242,19 @@ pub(crate) enum Target {
 
 /// The engine an [`InFlight`] request is on.
 enum Engine {
-    /// A device request before its MINIT, issued no earlier than `start`.
+    /// A device request before its MINIT, issued no earlier than `start`:
+    /// its plan, the app MINIT installs, and its P2P window.
     Minit {
-        iid: u32,
+        plan: CommandPlan,
+        app: Option<Box<dyn StorageApp>>,
         bar: Option<BarWindow>,
         start: SimTime,
     },
     Host(HostTenant),
     Device(DeviceTenant),
-    /// The device lifecycle after its MDEINIT.
-    Ended(DeviceEnd),
+    /// The device lifecycle after its MDEINIT: when its objects were
+    /// delivered, their digest, and the columns when it decoded them.
+    Ended(SimTime, ObjectDigest, Option<ParsedColumns>),
 }
 
 /// One in-flight deserialization request: `spec`'s file parsed into
@@ -363,7 +350,7 @@ impl InFlight<'_> {
     pub(crate) fn done(&self) -> bool {
         match &self.engine {
             Engine::Host(h) => h.next == h.chunks.len(),
-            Engine::Ended(_) => true,
+            Engine::Ended(..) => true,
             Engine::Minit { .. } | Engine::Device(_) => false,
         }
     }
@@ -375,7 +362,7 @@ impl InFlight<'_> {
             Engine::Minit { .. } => true,
             Engine::Host(h) => h.next < h.chunks.len(),
             Engine::Device(t) => t.next < t.plan.stream.chunks().len(),
-            Engine::Ended(_) => false,
+            Engine::Ended(..) => false,
         }
     }
 
@@ -383,7 +370,7 @@ impl InFlight<'_> {
     pub(crate) fn finish(self) -> Result<Delivered, RunError> {
         let ((end, digest, objects), on_host) = match self.engine {
             Engine::Host(h) => (h.finish(&self.spec.schema)?, true),
-            Engine::Ended(e) => ((e.wakeup.end, e.digest, e.objects), false),
+            Engine::Ended(end, digest, objects) => ((end, digest, objects), false),
             Engine::Minit { .. } | Engine::Device(_) => {
                 unreachable!("a request finishes after its last step")
             }
@@ -511,9 +498,11 @@ impl System {
         })
     }
 
-    /// One host-path input chunk on the configured storage device, served
-    /// no earlier than `ready`. The NVMe command itself is the request's.
-    fn conventional_io(
+    /// Reads chunk `c` from the configured storage device into the host
+    /// buffer at `buf_addr`, no earlier than `ready`: its bytes, and when
+    /// they are in host memory, or the drive or fabric error. The NVMe
+    /// command is the caller's.
+    pub fn conventional_io(
         &mut self,
         c: &ChunkIo,
         buf_addr: u64,
@@ -574,26 +563,172 @@ impl System {
         Ok(dma.end)
     }
 
-    /// Builds the device engine for `spec`'s file: runs MINIT of instance
-    /// `iid`, issued to the drive at `issue`. The caller picks `iid` (so a
-    /// dispatcher can pin instances to embedded cores) and the delivery
-    /// target (`bar` for P2P). With `keep_columns`
-    /// [`System::finish_device`] hands the columns back: the engine then
-    /// replays only when the store also holds the object image, and
-    /// otherwise runs live and publishes it.
+    /// MINIT: installs `app` as `plan`'s instance, issued to the drive at
+    /// `issue`, with record/replay state `memo`.
+    fn open_instance(
+        &mut self,
+        plan: CommandPlan,
+        app: Box<dyn StorageApp>,
+        memo: InstanceMemo,
+        issue: SimTime,
+    ) -> Result<DeviceTenant, RunError> {
+        let ready = self.mssd.minit_with(plan.instance_id, app, issue, memo)?;
+        Ok(DeviceTenant {
+            plan,
+            next: 0,
+            ready,
+            last_end: ready,
+            output: Vec::new(),
+            bar: None,
+            memo_key: None,
+            replayed: None,
+            image: None,
+        })
+    }
+
+    /// Runs the engine's next MREAD, issued to the drive at `issue`, pushes
+    /// its output and takes the completion wakeup.
+    fn step_mread(&mut self, t: &mut DeviceTenant, issue: SimTime) -> Result<StepEvent, RunError> {
+        let c = t.plan.stream.chunks()[t.next];
+        t.next += 1;
+        let out = self
+            .mssd
+            .mread(t.plan.instance_id, c.slba, c.blocks, c.valid_bytes, issue)?;
+        let wakeup = match out.output_len {
+            0 => None,
+            n => {
+                let dma_end = self.push_output(n, t.bar, out.done)?;
+                Some(self.command_wakeup(dma_end))
+            }
+        };
+        t.last_end = t.last_end.max(wakeup.map_or(out.done, |iv| iv.end));
+        // A replayed MREAD hands out no bytes: its length alone priced the
+        // DMA and bus above.
+        t.output.extend_from_slice(&out.output);
+        Ok(StepEvent::Mread {
+            bytes: c.valid_bytes,
+            ready: t.ready,
+            done: out.done,
+            wakeup,
+        })
+    }
+
+    /// Runs the engine's next MWRITE of `data` once the previous command
+    /// completed: the host stages `data` over the memory bus, the drive
+    /// DMAs it in, and the host takes the completion wakeup.
+    fn step_mwrite(&mut self, t: &mut DeviceTenant, data: &[u8]) -> Result<Interval, RunError> {
+        let Some(MorpheusCommand::Write { slba, dma_addr, .. }) = t.plan.transfer(t.next) else {
+            unreachable!("an MREAD plan has no MWRITE");
+        };
+        t.next += 1;
+        let n = data.len() as u64;
+        self.membus.account(n);
+        let dma = self
+            .fabric
+            .dma(self.ssd_dev, DmaDir::Read, dma_addr, n, t.last_end)?;
+        let out = self.mssd.mwrite(t.plan.instance_id, slba, data, dma.end)?;
+        let wakeup = self.command_wakeup(out.durable);
+        t.last_end = wakeup.end;
+        Ok(wakeup)
+    }
+
+    /// MDEINIT, issued to the drive at `issue`: pushes the app's final
+    /// output and takes the completion wakeup.
+    fn close_instance(
+        &mut self,
+        t: &mut DeviceTenant,
+        issue: SimTime,
+    ) -> Result<(DeinitOutcome, Interval), RunError> {
+        let mut dein = self.mssd.mdeinit(t.plan.instance_id, issue)?;
+        let end = match dein.host_output_len {
+            0 => dein.done,
+            n => self.push_output(n, t.bar, dein.done)?,
+        };
+        t.output.append(&mut dein.host_output);
+        Ok((dein, self.command_wakeup(end)))
+    }
+
+    /// Runs `app` over `stream` as the runtime lowers a StorageApp call
+    /// (§V-B), timed from a reset: a fresh instance, MINIT, one MREAD per
+    /// chunk into host DRAM, MDEINIT, each command crossing I/O queue 1.
+    ///
+    /// # Errors
+    ///
+    /// Fails on firmware faults (the app's own included), drive and fabric
+    /// errors, and host-memory exhaustion; no instance outlives a failure.
+    pub fn run_storage_app(
+        &mut self,
+        app: Box<dyn StorageApp>,
+        stream: MsStream,
+    ) -> Result<AppRun, RunError> {
+        self.reset_timing();
+        let plan = CommandPlan::lower(stream, self.alloc_instance(), app.code_bytes());
+        self.run_instance(plan, app, |_, _| {})
+    }
+
+    /// Runs `app` through `plan` from time zero, each command on queue 1 with
+    /// a doorbell of its own; `payload` writes each MWRITE's bytes. No
+    /// command passes a fault gate: these clients have no host fallback
+    /// (`docs/FAULT_MODEL.md`). Any error after MINIT aborts the instance.
+    pub(crate) fn run_instance(
+        &mut self,
+        plan: CommandPlan,
+        app: Box<dyn StorageApp>,
+        mut payload: impl FnMut(&ChunkIo, &mut Vec<u8>),
+    ) -> Result<AppRun, RunError> {
+        let (ok, iid) = (StatusCode::Success, plan.instance_id);
+        let syscall = self.command_wakeup(SimTime::ZERO);
+        let minit = plan.init().into_command(0, 1);
+        let mut t = self.open_instance(plan, app, InstanceMemo::Off, syscall.end)?;
+        self.pump(IO_QUEUE_ID, &[(minit, ok, 0)]);
+        let ready = t.ready;
+        let mut steps = || {
+            let (mut cpu_busy, mut data) = (syscall.duration(), Vec::new());
+            while let Some(cmd) = t.plan.transfer(t.next) {
+                cpu_busy += match cmd {
+                    MorpheusCommand::Write { .. } => {
+                        data.clear();
+                        payload(&t.plan.stream.chunks()[t.next], &mut data);
+                        self.step_mwrite(&mut t, &data)?.duration()
+                    }
+                    _ => self.step_mread(&mut t, ready)?.host_cpu(),
+                };
+                self.pump(IO_QUEUE_ID, &[(cmd.into_command(0, 1), ok, 0)]);
+            }
+            let issue = t.last_end;
+            let (dein, wakeup) = self.close_instance(&mut t, issue)?;
+            let mdeinit = t.plan.deinit().into_command(0, 1);
+            self.pump(IO_QUEUE_ID, &[(mdeinit, ok, dein.retval as u32)]);
+            Ok(AppRun {
+                output: std::mem::take(&mut t.output),
+                end: wakeup.end,
+                cpu_busy: cpu_busy + wakeup.duration(),
+                flushed: dein.flushed_to_flash,
+            })
+        };
+        let out = steps();
+        if out.is_err() {
+            self.mssd.abort_instance(iid);
+        }
+        out
+    }
+
+    /// Builds the device engine for `spec`'s file: runs MINIT of `plan`'s
+    /// instance with `app`, issued to the drive at `issue`, delivering to
+    /// the P2P window `bar` (host DRAM when `None`). With
+    /// `keep_columns` [`System::device_objects`] hands the columns back:
+    /// the engine then replays only when the store also holds the object
+    /// image, and otherwise runs live and publishes it.
     pub(crate) fn device_tenant(
         &mut self,
         spec: &AppSpec,
-        iid: u32,
-        issue: SimTime,
+        plan: CommandPlan,
+        app: Box<dyn StorageApp>,
         bar: Option<BarWindow>,
+        issue: SimTime,
         keep_columns: bool,
     ) -> Result<DeviceTenant, RunError> {
-        // The host resolves the file's layout (the runtime's
-        // `ms_stream_create`, §V-A2): the drive never parses a filesystem.
-        let stream = ms_stream_create(&self.fs, &spec.input, self.params.mread_chunk_bytes)
-            .map_err(|_| RunError::UnknownFile(spec.input.clone()))?;
-        let memo_key = self.device_memo_key(spec, stream.chunks());
+        let memo_key = self.device_memo_key(spec, plan.stream.chunks());
         let image = keep_columns.then(|| self.image_slot(spec)).flatten();
         let rec = memo_key
             .and_then(|key| self.replay.as_ref()?.device_get(key))
@@ -604,90 +739,44 @@ impl System {
             (Some(_), None) => InstanceMemo::Record(Vec::new()),
             (None, None) => InstanceMemo::Off,
         };
-        let app = spec.storage_app();
-        let plan = CommandPlan::lower(stream, iid, app.code_bytes());
-        let ready = self.mssd.minit_with(iid, app, issue, memo)?;
+        let t = self.open_instance(plan, app, memo, issue)?;
         Ok(DeviceTenant {
-            plan,
-            next: 0,
-            ready,
-            last_end: ready,
-            obj_bin: Vec::new(),
-            pushed: 0,
             bar,
             memo_key,
             replayed,
             image,
+            ..t
         })
     }
 
-    /// Runs the engine's next MREAD, issued to the drive at `issue`,
-    /// pushes its objects and takes the completion wakeup.
-    pub(crate) fn step_device(
-        &mut self,
-        t: &mut DeviceTenant,
-        issue: SimTime,
-    ) -> Result<StepEvent, RunError> {
-        let c = t.plan.stream.chunks()[t.next];
-        t.next += 1;
-        let out = self
-            .mssd
-            .mread(t.plan.instance_id, c.slba, c.blocks, c.valid_bytes, issue)?;
-        let wakeup = match out.output_len {
-            0 => None,
-            n => {
-                let dma_end = self.push_output(n, t.bar, out.done)?;
-                t.pushed += n;
-                Some(self.command_wakeup(dma_end))
-            }
-        };
-        t.last_end = t.last_end.max(wakeup.map_or(out.done, |iv| iv.end));
-        // A replayed MREAD hands out no bytes: its length alone priced the
-        // DMA and bus above.
-        t.obj_bin.extend_from_slice(&out.output);
-        Ok(StepEvent::Mread {
-            bytes: c.valid_bytes,
-            ready: t.ready,
-            done: out.done,
-            wakeup,
-        })
-    }
-
-    /// Runs the engine's MDEINIT, issued to the drive at `issue`, pushes
-    /// the final objects and takes the completion wakeup. A live lifecycle
+    /// The objects of the engine's lifecycle, closed by `dein`: a live one
     /// decodes its object stream against `schema`, confirms or publishes
     /// the object image when it has a slot, and a recording one is
     /// published to the memo with its digest. A replay takes the recorded
     /// digest and decodes the image when it has one.
-    pub(crate) fn finish_device(
+    fn device_objects(
         &mut self,
         t: &mut DeviceTenant,
         schema: &Schema,
-        issue: SimTime,
-    ) -> Result<DeviceEnd, RunError> {
-        let dein = self.mssd.mdeinit(t.plan.instance_id, issue)?;
-        let end = match dein.host_output_len {
-            0 => dein.done,
-            n => {
-                t.pushed += n;
-                self.push_output(n, t.bar, dein.done)?
-            }
-        };
-        let wakeup = self.command_wakeup(end);
+        dein: DeinitOutcome,
+    ) -> Result<(ObjectDigest, Option<ParsedColumns>), RunError> {
         let image = t.image.take();
         let (digest, objects) = match t.replayed {
             Some(d) => (d, image.map(|slot| slot.decode(schema)).transpose()?),
             None => {
-                t.obj_bin.extend_from_slice(&dein.host_output);
-                let o = ParsedColumns::decode(schema.clone(), &t.obj_bin)?;
+                let o = ParsedColumns::decode(schema.clone(), &t.output)?;
                 let d = o.digest();
                 if let Some(slot) = image {
-                    slot.confirm_or_publish(d, || std::mem::take(&mut t.obj_bin));
+                    slot.confirm_or_publish(d, || std::mem::take(&mut t.output));
                 }
                 (d, Some(o))
             }
         };
         if let (Some(key), Some(rec), Some(store)) = (t.memo_key, dein.recording, &self.replay) {
+            // Route conservation: a replay pushes the recorded output lengths
+            // (every MREAD's and the MDEINIT tail) off the drive.
+            let pushed = rec.cmds.iter().map(|c| c.output_len).sum::<u64>() + dein.host_output_len;
+            debug_assert_eq!(pushed, digest.bytes, "object bytes lost on the route");
             store.device_put(
                 key,
                 Arc::new(DeviceReplay {
@@ -699,27 +788,18 @@ impl System {
                 }),
             );
         }
-        // Route conservation: the bytes pushed off the drive (every MREAD
-        // output plus the MDEINIT tail) are the objects' bytes, whether
-        // this lifecycle decoded them or an earlier one.
-        debug_assert_eq!(t.pushed, digest.bytes, "object bytes lost on the route");
         debug_assert_eq!(
             dein.retval, digest.records as i32,
             "MDEINIT returns the record count"
         );
-        Ok(DeviceEnd {
-            done: dein.done,
-            wakeup,
-            retval: dein.retval,
-            digest,
-            objects,
-        })
+        Ok((digest, objects))
     }
 
     /// Opens a request for `spec`'s file on `target`, dispatched at
-    /// `start`. A host request builds its engine now; a device request's
-    /// first step is its MINIT. With `keep_columns` the request hands the
-    /// columns back from [`InFlight::finish`].
+    /// `start`. A host request builds its engine now; a device request
+    /// lowers its plan now, and its first step is its MINIT. With
+    /// `keep_columns` the request hands the columns back from
+    /// [`InFlight::finish`].
     pub(crate) fn open_request<'a>(
         &mut self,
         spec: &'a AppSpec,
@@ -729,7 +809,18 @@ impl System {
     ) -> Result<InFlight<'a>, RunError> {
         let engine = match target {
             Target::Host => Engine::Host(self.conventional_tenant(spec, start, keep_columns)?),
-            Target::Device(iid, bar) => Engine::Minit { iid, bar, start },
+            Target::Device(iid, bar) => {
+                let stream = ms_stream_create(&self.fs, &spec.input, self.params.mread_chunk_bytes)
+                    .map_err(|_| RunError::UnknownFile(spec.input.clone()))?;
+                let app = spec.storage_app();
+                let plan = CommandPlan::lower(stream, iid, app.code_bytes());
+                Engine::Minit {
+                    plan,
+                    app: Some(app),
+                    bar,
+                    start,
+                }
+            }
         };
         Ok(InFlight {
             spec,
@@ -754,7 +845,7 @@ impl System {
                 Ok(step) => step,
                 Err(abort) => self.fall_back(req, abort)?,
             },
-            Engine::Ended(_) => unreachable!("a done request has no step"),
+            Engine::Ended(..) => unreachable!("a done request has no step"),
         };
         req.cpu_busy += step.1.host_cpu();
         Ok(step)
@@ -784,37 +875,46 @@ impl System {
     fn step_morpheus(&mut self, req: &mut InFlight<'_>) -> Result<Step, MorpheusAbort> {
         let ok = StatusCode::Success;
         let t = match &mut req.engine {
-            Engine::Minit { iid, bar, start } => {
-                let (iid, bar) = (*iid, *bar);
+            Engine::Minit {
+                plan,
+                app,
+                bar,
+                start,
+            } => {
                 let syscall = self.command_wakeup(*start);
                 let issue = self.fault_gate("MINIT", syscall.end)?;
-                let t = self.device_tenant(req.spec, iid, issue, bar, req.keep_columns)?;
-                let (ready, cmd) = (t.ready, t.plan.init().into_command(0, 1));
+                let cmd = plan.init().into_command(0, 1);
+                let app = app.take().expect("MINIT runs once");
+                let plan = plan.take();
+                let t = self.device_tenant(req.spec, plan, app, *bar, issue, req.keep_columns)?;
+                let ready = t.ready;
                 req.engine = Engine::Device(t);
                 return Ok((Some((cmd, ok, 0)), StepEvent::Minit { syscall, ready }));
             }
             Engine::Device(t) => t,
-            Engine::Host(_) | Engine::Ended(_) => unreachable!("not on the device engine"),
+            Engine::Host(_) | Engine::Ended(..) => unreachable!("not on the device engine"),
         };
-        if let Some((_, mread)) = t.next_read() {
+        if let Some(mread) = t.plan.transfer(t.next) {
             let issue = self.fault_gate("MREAD", t.ready)?;
             let ev = self
-                .step_device(t, issue)
+                .step_mread(t, issue)
                 .map_err(|e| Self::media_or_fatal(e, issue))?;
             return Ok((Some((mread.into_command(0, 1), ok, 0)), ev));
         }
         let last_end = t.last_end;
         let issue = self.fault_gate("MDEINIT", last_end)?;
-        let e = self
-            .finish_device(t, &req.spec.schema, issue)
+        let (dein, wakeup) = self
+            .close_instance(t, issue)
             .map_err(|e| Self::media_or_fatal(e, issue))?;
-        let cmd = (t.plan.deinit().into_command(0, 1), ok, e.retval as u32);
+        let (done, retval) = (dein.done, dein.retval);
+        let (digest, objects) = self.device_objects(t, &req.spec.schema, dein)?;
+        let cmd = (t.plan.deinit().into_command(0, 1), ok, retval as u32);
         let ev = StepEvent::Mdeinit {
             issue: last_end,
-            done: e.done,
-            wakeup: e.wakeup,
+            done,
+            wakeup,
         };
-        req.engine = Engine::Ended(e);
+        req.engine = Engine::Ended(wakeup.end, digest, objects);
         Ok((Some(cmd), ev))
     }
 
@@ -822,18 +922,19 @@ impl System {
     /// the instance, then fails the request, or counts the fallback and
     /// its cause and moves the request onto the host engine from the
     /// detection time. The failed command posts no completion of its own:
-    /// its status rides the reap's MDEINIT, built here rather than taken
-    /// from the plan because the instance may never have started.
+    /// its status rides the reap, the plan's MDEINIT (lowered when the
+    /// request opened, so even a MINIT that never ran has one).
     fn fall_back(
         &mut self,
         req: &mut InFlight<'_>,
         abort: MorpheusAbort,
     ) -> Result<Step, RunError> {
-        let iid = match &req.engine {
-            Engine::Minit { iid, .. } => *iid,
-            Engine::Device(t) => t.plan.instance_id,
-            Engine::Host(_) | Engine::Ended(_) => unreachable!("not on the device engine"),
+        let plan = match &req.engine {
+            Engine::Minit { plan, .. } => plan,
+            Engine::Device(t) => &t.plan,
+            Engine::Host(_) | Engine::Ended(..) => unreachable!("not on the device engine"),
         };
+        let (iid, reap) = (plan.instance_id, plan.deinit().into_command(0, 1));
         self.mssd.abort_instance(iid);
         let (at, status, cause) = match abort {
             MorpheusAbort::Fatal(e) => return Err(e),
@@ -846,7 +947,6 @@ impl System {
         req.engine = Engine::Host(self.conventional_tenant(req.spec, at, req.keep_columns)?);
         // A request's CPU time is its delivering engine's.
         req.cpu_busy = SimDuration::ZERO;
-        let reap = MorpheusCommand::Deinit { instance_id: iid }.into_command(0, 1);
         Ok((Some((reap, status, 0)), StepEvent::Fallback { at }))
     }
 
@@ -1056,14 +1156,17 @@ mod tests {
                 .conventional_tenant(&spec, SimTime::ZERO, keep_columns)
                 .unwrap();
             let iid = sys.alloc_instance();
-            let t = sys
-                .device_tenant(&spec, iid, SimTime::ZERO, None, keep_columns)
+            let target = Target::Device(iid, None);
+            let mut req = sys
+                .open_request(&spec, target, SimTime::ZERO, keep_columns)
                 .unwrap();
+            sys.step_request(&mut req).unwrap();
+            let Engine::Device(t) = &req.engine else {
+                panic!("MINIT opened the device engine");
+            };
+            let replayed = t.replayed.is_some();
             sys.mssd.abort_instance(iid);
-            (
-                matches!(h.source, ParseSource::Replay(_)),
-                t.replayed.is_some(),
-            )
+            (matches!(h.source, ParseSource::Replay(_)), replayed)
         };
         // Serving records counts and digests, no image: it replays for
         // serving, but a caller that needs the columns back runs live.

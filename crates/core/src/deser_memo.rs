@@ -26,7 +26,7 @@
 //!
 //! A store has four tables:
 //! - device: whole StorageApp lifecycles ([`DeviceReplay`]), looked up by
-//!   `System::device_tenant` and published by `System::finish_device`;
+//!   `System::device_tenant` and published by `System::device_objects`;
 //! - host: host parses ([`HostReplay`]), looked up by
 //!   `System::conventional_tenant` and published by `HostTenant::finish`;
 //! - images: one object stream per (content, schema, input format)

@@ -936,6 +936,13 @@ mod tests {
             matches!(err, RunError::Morpheus(MorpheusError::App(_))),
             "{err:?}"
         );
+        // Each layer's `Display` names only itself: the parse error
+        // appears once in the rendered chain.
+        assert_eq!(
+            morpheus_simcore::render_error_chain(&err),
+            "morpheus firmware error: storageapp fault: parse failure: \
+             unexpected byte 'n' at offset 4"
+        );
         assert_eq!(sys.in_flight_cids.len(), 0);
         assert_eq!(sys.mssd.live_instances(), 0);
         assert_eq!(sys.mssd.dev.dram_used(), 0);

@@ -878,7 +878,7 @@ mod tests {
         assert_eq!(dein.retval, 4);
         assert!(dein.done >= out.done);
         assert_eq!(dein.flushed_to_flash, 0);
-        let mut bytes = out.output.to_vec();
+        let mut bytes = out.output;
         bytes.extend_from_slice(&dein.host_output);
         let cols = ParsedColumns::decode(edge_schema(), &bytes).unwrap();
         assert_eq!(cols.records, 4);
@@ -974,7 +974,7 @@ mod tests {
         let a = m.mread(1, 0, 1, 512, SimTime::ZERO).unwrap();
         let b = m.mread(1, 1, 1, 1024 - 512, a.done).unwrap();
         let dein = m.mdeinit(1, b.done).unwrap();
-        let mut bytes = a.output.to_vec();
+        let mut bytes = a.output;
         bytes.extend_from_slice(&b.output);
         bytes.extend_from_slice(&dein.host_output);
         let cols = ParsedColumns::decode(edge_schema(), &bytes).unwrap();
@@ -1166,9 +1166,9 @@ mod concurrency_tests {
             "two instances should overlap: makespan {makespan}, serial core time {serial}"
         );
         // And their outputs are the identical object stream.
-        let mut bytes_a = a.output.to_vec();
+        let mut bytes_a = a.output;
         bytes_a.extend_from_slice(&d1.host_output);
-        let mut bytes_b = b.output.to_vec();
+        let mut bytes_b = b.output;
         bytes_b.extend_from_slice(&d2.host_output);
         assert_eq!(bytes_a, bytes_b);
     }

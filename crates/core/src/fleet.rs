@@ -310,8 +310,9 @@ impl Fleet {
     }
 
     /// Stages a file on **every** device (full replication; see the type
-    /// docs). Untimed, like [`System::create_input_file`]. `data` is copied
-    /// once into one image that every replica's pages view: pages are
+    /// docs), replacing a name that exists as
+    /// [`System::create_input_file`] does. Untimed. `data` is copied once
+    /// into one image that every replica's pages view: pages are
     /// immutable, so sharing it cannot couple the devices.
     ///
     /// # Errors
@@ -325,11 +326,10 @@ impl Fleet {
         Ok(())
     }
 
-    /// Replaces a staged file's bytes on every device, invalidating any
-    /// cached objects parsed from the old bytes and discarding the old
-    /// pages (see [`System::overwrite_input_file`]); the new bytes are
-    /// one image shared by every replica, as in
-    /// [`create_input_file`](Fleet::create_input_file).
+    /// Replaces a staged file's bytes on every device: the same as
+    /// [`create_input_file`](Fleet::create_input_file), which invalidates
+    /// any cached objects parsed from the old bytes and discards the old
+    /// pages (see [`System::create_input_file`]).
     ///
     /// # Errors
     ///
@@ -337,7 +337,7 @@ impl Fleet {
     pub fn overwrite_input_file(&mut self, name: &str, data: &[u8]) -> Result<(), SsdError> {
         let image = Arc::from(data);
         for d in &mut self.devices {
-            d.restage_image(name, &image)?;
+            d.stage_image(name, &image)?;
         }
         Ok(())
     }

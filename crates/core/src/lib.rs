@@ -84,7 +84,7 @@ pub use apps::SerializeApp;
 pub use cache::{
     format_digest, CacheConfig, CacheHit, CachePolicy, CacheStats, CacheTier, ObjectCache,
 };
-pub use concurrent::{ConcurrentReport, TenantReport};
+pub use concurrent::{AppRun, ConcurrentReport, TenantReport};
 pub use control::{
     ControlConfig, ControlPlan, ControlReport, DeviceControl, DeviceState, HealPolicy, Health,
     IllegalTransition, Lifecycle, RollingUpdate, Transition, TransitionCounts, DEFAULT_DRAIN,

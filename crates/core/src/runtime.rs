@@ -9,33 +9,44 @@
 //! filesystem.
 //!
 //! §V-B: the compiler replaces a StorageApp call site with runtime calls
-//! that issue MINIT, break the stream into MREADs no larger than the NVMe
-//! transfer limit, and finish with MDEINIT. [`CommandPlan`] is that lowered
-//! sequence and the only place MINIT and MREAD are built: the device
-//! engine opens every instance from one, and solo runs and serving submit
-//! exactly its commands through the drive's I/O queues.
+//! that issue MINIT, break the stream into MREADs (or the host's objects
+//! into MWRITEs) no larger than the NVMe transfer limit, and finish with
+//! MDEINIT. [`CommandPlan`] is that lowered sequence and the only place
+//! any Morpheus command is built: the device engine runs every instance
+//! from one, and every driver submits exactly its commands through the
+//! drive's I/O queues.
 
 use crate::system::ChunkIo;
 use crate::System;
-use morpheus_host::{FsError, SimFs};
-use morpheus_nvme::MorpheusCommand;
+use morpheus_host::{Extent, FileMeta, FsError, SimFs};
+use morpheus_nvme::{MorpheusCommand, LBA_BYTES};
 
 /// Host bus address of the StorageApp code image MINIT installs.
-pub(crate) const CODE_ADDR: u64 = 0x4000;
-/// Host bus address MREAD results are DMAed to.
+const CODE_ADDR: u64 = 0x4000;
+/// Host bus address of the runtime's object buffer: MREAD results are
+/// DMAed to it, and MWRITE payloads from it.
 pub(crate) const OBJECT_ADDR: u64 = 0x2000;
 
-/// A Morpheus stream: the host-resolved layout of one input file.
+/// A Morpheus stream: the host-resolved layout of one input.
 ///
-/// Created by [`ms_stream_create`]; holds the file's byte length and the
-/// MREAD-sized chunks covering it, nothing else.
-#[derive(Debug, Clone)]
+/// Created by [`ms_stream_create`] or [`MsStream::extent`]; holds the
+/// byte length and the MREAD-sized chunks covering it, nothing else.
+#[derive(Debug, Clone, Default)]
 pub struct MsStream {
     len: u64,
     chunks: Vec<ChunkIo>,
 }
 
 impl MsStream {
+    /// A stream over `blocks` LBAs from `slba`, every byte valid, chunked
+    /// like a file's: for inputs the host lays out itself without the
+    /// file system, such as a key-value table.
+    pub fn extent(slba: u64, blocks: u64, chunk_bytes: u64) -> MsStream {
+        let (len, extents) = (blocks * LBA_BYTES, vec![Extent { slba, blocks }]);
+        let chunks = System::file_chunks(&FileMeta { len, extents }, chunk_bytes);
+        MsStream { len, chunks }
+    }
+
     /// Exact byte length of the stream.
     pub fn len(&self) -> u64 {
         self.len
@@ -62,71 +73,100 @@ impl MsStream {
 /// Returns [`FsError::NotFound`] for unknown files.
 pub fn ms_stream_create(fs: &SimFs, name: &str, chunk_bytes: u64) -> Result<MsStream, FsError> {
     let meta = fs.open(name)?;
-    Ok(MsStream {
-        len: meta.len,
-        chunks: System::file_chunks(meta, chunk_bytes),
-    })
-}
-
-/// MINIT of instance `instance_id`: installs `code_len` bytes of
-/// StorageApp code from [`CODE_ADDR`], passing the length of the app's
-/// input as its argument word.
-pub(crate) fn minit(instance_id: u32, code_len: u32, input_len: u64) -> MorpheusCommand {
-    MorpheusCommand::Init {
-        instance_id,
-        code_ptr: CODE_ADDR,
-        code_len,
-        arg: input_len as u32,
-    }
+    let (len, chunks) = (meta.len, System::file_chunks(meta, chunk_bytes));
+    Ok(MsStream { len, chunks })
 }
 
 /// The NVMe command sequence the Morpheus compiler's inserted runtime
 /// calls issue for one StorageApp invocation (§V-B): MINIT, one MREAD per
-/// chunk of the stream, MDEINIT. The plan owns its stream and lowers each
-/// command when asked, so stepping it copies nothing.
+/// chunk of the stream (or one MWRITE per batch of host objects), then
+/// MDEINIT. The plan owns its stream and lowers each command when asked,
+/// so stepping it copies nothing.
 #[derive(Debug, Clone)]
 pub struct CommandPlan {
-    /// The stream the plan reads.
+    /// The stream the plan reads, or the batches it writes.
     pub stream: MsStream,
     /// The instance every command targets.
     pub instance_id: u32,
     code_len: u32,
+    writes: bool,
 }
 
 impl CommandPlan {
-    /// Lowers `stream` into the plan of instance `instance_id`, running
-    /// StorageApp code of `code_len` bytes.
+    /// Lowers `stream` into the MREAD plan of instance `instance_id`,
+    /// running StorageApp code of `code_len` bytes.
     pub fn lower(stream: MsStream, instance_id: u32, code_len: u32) -> CommandPlan {
         CommandPlan {
             stream,
             instance_id,
             code_len,
+            writes: false,
         }
     }
 
-    /// The MINIT that opens the instance.
+    /// Lowers the MWRITE plan (§I's serialization direction) of instance
+    /// `instance_id`: one MWRITE per `batch` bytes (which must not be zero)
+    /// of a `len`-byte object stream, the app's output streaming to flash
+    /// from `slba`.
+    pub fn lower_writes(len: u64, batch: u64, slba: u64, instance_id: u32, code_len: u32) -> Self {
+        let piece = |off| {
+            let valid_bytes = batch.min(len - off);
+            let blocks = valid_bytes.div_ceil(LBA_BYTES);
+            let file_offset = off;
+            ChunkIo {
+                slba,
+                blocks,
+                valid_bytes,
+                file_offset,
+            }
+        };
+        let chunks = (0..len).step_by(batch as usize).map(piece).collect();
+        let plan = CommandPlan::lower(MsStream { len, chunks }, instance_id, code_len);
+        CommandPlan {
+            writes: true,
+            ..plan
+        }
+    }
+
+    /// Moves the plan out, leaving its instance's reap behind.
+    pub(crate) fn take(&mut self) -> CommandPlan {
+        let stream = std::mem::take(&mut self.stream);
+        CommandPlan { stream, ..*self }
+    }
+
+    /// The MINIT that opens the instance, passing the input's length.
     pub fn init(&self) -> MorpheusCommand {
-        minit(self.instance_id, self.code_len, self.stream.len)
-    }
-
-    /// Number of MREAD commands in the plan.
-    pub fn reads(&self) -> usize {
-        self.stream.chunks.len()
-    }
-
-    /// MREAD `i`: the stream's chunk `i`, read through the instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `i` is below [`reads`](CommandPlan::reads).
-    pub fn read(&self, i: usize) -> MorpheusCommand {
-        let c = self.stream.chunks[i];
-        MorpheusCommand::Read {
+        MorpheusCommand::Init {
             instance_id: self.instance_id,
-            slba: c.slba,
-            blocks: c.blocks,
-            dma_addr: OBJECT_ADDR,
+            code_ptr: CODE_ADDR,
+            code_len: self.code_len,
+            arg: self.stream.len as u32,
         }
+    }
+
+    /// Number of MREAD commands in the plan (none in an MWRITE plan).
+    pub fn reads(&self) -> usize {
+        self.stream.chunks.len() * usize::from(!self.writes)
+    }
+
+    /// The MREAD, or MWRITE, over the stream's chunk `i`, if it has one.
+    pub fn transfer(&self, i: usize) -> Option<MorpheusCommand> {
+        let (c, instance_id) = (*self.stream.chunks.get(i)?, self.instance_id);
+        let (slba, blocks, dma_addr) = (c.slba, c.blocks, OBJECT_ADDR);
+        Some(match self.writes {
+            true => MorpheusCommand::Write {
+                instance_id,
+                slba,
+                blocks,
+                dma_addr,
+            },
+            false => MorpheusCommand::Read {
+                instance_id,
+                slba,
+                blocks,
+                dma_addr,
+            },
+        })
     }
 
     /// The MDEINIT that closes the instance.
@@ -136,11 +176,12 @@ impl CommandPlan {
         }
     }
 
-    /// Every command in issue order: MINIT, the MREADs, MDEINIT.
+    /// Every command in issue order: MINIT, the MREADs or MWRITEs,
+    /// MDEINIT.
     pub fn commands(&self) -> impl Iterator<Item = MorpheusCommand> + '_ {
-        let reads = (0..self.reads()).map(|i| self.read(i));
+        let data = (0..).map_while(|i| self.transfer(i));
         std::iter::once(self.init())
-            .chain(reads)
+            .chain(data)
             .chain(std::iter::once(self.deinit()))
     }
 }

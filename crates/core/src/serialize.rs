@@ -12,10 +12,10 @@
 //!   the interconnect.
 
 use crate::firmware::IO_QUEUE_ID;
-use crate::{runtime, Mode, RunError, SerializeApp, StorageApp, System};
+use crate::{AppRun, CommandPlan, Mode, RunError, SerializeApp, StorageApp, System};
 use morpheus_format::{Column, ParsedColumns, TextWriter};
 use morpheus_host::CodeClass;
-use morpheus_nvme::{MorpheusCommand, NvmeCommand, StatusCode, LBA_BYTES};
+use morpheus_nvme::{NvmeCommand, StatusCode, LBA_BYTES};
 use morpheus_pcie::DmaDir;
 use morpheus_simcore::{SimDuration, SimTime};
 
@@ -69,7 +69,8 @@ fn field_budget(col: &Column) -> u64 {
 }
 
 impl System {
-    /// Serializes `objects` into a text file named `output` on the drive.
+    /// Serializes `objects` into a text file named `output` on the drive,
+    /// replacing any file of that name.
     ///
     /// The produced file is byte-identical across modes (verified by the
     /// integration suite): records are written as space-separated tokens,
@@ -78,7 +79,8 @@ impl System {
     /// # Errors
     ///
     /// Fails for unsupported modes ([`Mode::MorpheusP2P`] has no meaning
-    /// here), firmware faults, or a full drive.
+    /// here), firmware faults, host-memory exhaustion, or a full drive
+    /// ([`RunError::Ssd`]). A failed run leaves no file of that name.
     pub fn run_serialize(
         &mut self,
         objects: &ParsedColumns,
@@ -88,23 +90,21 @@ impl System {
         if mode == Mode::MorpheusP2P {
             return Err(RunError::NotGpuApp(output.to_string()));
         }
-        // Writing `output` (the MWRITE path) mutates the file: any cached
-        // objects parsed from a previous incarnation of it must go.
-        self.invalidate_cached_objects(output);
         self.reset_timing();
         let obj_bytes = objects.binary_bytes();
         // Worst-case text size bounds the file allocation; the file is
-        // truncated to the real length afterwards.
+        // truncated to the real length afterwards. Writing `output` (the
+        // MWRITE path) re-creates it: a previous incarnation's pages and
+        // any objects cached from it go.
         let per_record_max: u64 = objects.columns.iter().map(field_budget).sum::<u64>() + 1;
         let upper = (objects.records * per_record_max).max(LBA_BYTES);
-        self.fs
-            .create(output, upper)
-            .map_err(|_| RunError::UnknownFile(output.to_string()))?;
-        let base_slba = self.fs.open(output).expect("just created").extents[0].slba;
+        let base_slba = self.create_file(output, upper)?.extents[0].slba;
 
         let outcome = match mode {
             Mode::Conventional => self.serialize_conventional(objects, base_slba),
-            Mode::Morpheus => self.serialize_morpheus(objects, base_slba),
+            Mode::Morpheus => self
+                .serialize_morpheus(objects, base_slba)
+                .map(|run| (run.end, run.cpu_busy, run.flushed)),
             Mode::MorpheusP2P => unreachable!("rejected above"),
         };
         // A failed run leaves no file behind: neither its name nor its pages.
@@ -198,77 +198,20 @@ impl System {
         Ok((end.max(cpu_ready), cpu_busy, text_off))
     }
 
-    /// Host pushes binary objects; the drive formats and stores the text.
-    /// A failure after MINIT aborts the instance, so none outlives the run
-    /// with its controller DRAM.
-    fn serialize_morpheus(
-        &mut self,
-        objects: &ParsedColumns,
-        base_slba: u64,
-    ) -> Result<(SimTime, SimDuration, u64), RunError> {
+    /// Host pushes binary objects, staged a batch of records at a time in
+    /// its 1 MiB object buffer, with one MWRITE each; the drive formats and
+    /// stores the text.
+    fn serialize_morpheus(&mut self, objs: &ParsedColumns, slba: u64) -> Result<AppRun, RunError> {
         let iid = self.alloc_instance();
-        let out = self.serialize_on_instance(iid, objects, base_slba);
-        if out.is_err() {
-            self.mssd.abort_instance(iid);
-        }
-        out
-    }
-
-    /// The body of [`serialize_morpheus`](System::serialize_morpheus) on
-    /// instance `iid`.
-    fn serialize_on_instance(
-        &mut self,
-        iid: u32,
-        objects: &ParsedColumns,
-        base_slba: u64,
-    ) -> Result<(SimTime, SimDuration, u64), RunError> {
-        let init_iv = self.command_wakeup(SimTime::ZERO);
-        let mut cpu_busy = init_iv.duration();
-        let app = SerializeApp::new("serialize", objects.schema.clone());
-        let minit =
-            runtime::minit(iid, app.code_bytes(), objects.binary_bytes()).into_command(0, 1);
-        let ready = self.mssd.minit(iid, Box::new(app), init_iv.end)?;
-        self.pump(IO_QUEUE_ID, &[(minit, StatusCode::Success, 0)]);
-        let src_addr = self.dram.alloc(1 << 20).ok_or(RunError::OutOfHostMemory)?;
-
-        let mut rec = 0u64;
-        let mut issue = ready;
-        while rec < objects.records {
-            let hi = (rec + RECORDS_PER_BATCH).min(objects.records);
-            let mut bin = Vec::new();
-            objects.encode_rows(rec, hi, &mut bin);
-            rec = hi;
-            self.membus.account(bin.len() as u64);
-            let dma = self.fabric.dma(
-                self.ssd_dev,
-                DmaDir::Read,
-                src_addr,
-                bin.len() as u64,
-                issue,
-            )?;
-            let wire = MorpheusCommand::Write {
-                instance_id: iid,
-                slba: base_slba,
-                blocks: (bin.len() as u64).div_ceil(LBA_BYTES),
-                dma_addr: src_addr,
-            }
-            .into_command(0, 1);
-            self.pump(IO_QUEUE_ID, &[(wire, StatusCode::Success, 0)]);
-            let out = self.mssd.mwrite(iid, base_slba, &bin, dma.end)?;
-            // One host wakeup per completion.
-            let iv = self.command_wakeup(out.durable);
-            cpu_busy += iv.duration();
-            issue = iv.end;
-        }
-        let wire = MorpheusCommand::Deinit { instance_id: iid }.into_command(0, 1);
-        let dein = self.mssd.mdeinit(iid, issue)?;
-        self.pump(
-            IO_QUEUE_ID,
-            &[(wire, StatusCode::Success, dein.retval as u32)],
-        );
-        let iv = self.command_wakeup(dein.done);
-        cpu_busy += iv.duration();
-        Ok((iv.end, cpu_busy, dein.flushed_to_flash))
+        self.dram.alloc(1 << 20).ok_or(RunError::OutOfHostMemory)?;
+        let app = SerializeApp::new("serialize", objs.schema.clone());
+        let (len, rec) = (objs.binary_bytes(), objs.schema.record_bytes());
+        let batch = RECORDS_PER_BATCH * rec;
+        let plan = CommandPlan::lower_writes(len, batch, slba, iid, app.code_bytes());
+        self.run_instance(plan, Box::new(app), |c, bin| {
+            let first = c.file_offset / rec;
+            objs.encode_rows(first, first + c.valid_bytes / rec, bin);
+        })
     }
 }
 
@@ -277,6 +220,7 @@ mod tests {
     use super::*;
     use crate::SystemParams;
     use morpheus_format::{parse_buffer, FieldKind, Schema};
+    use morpheus_ssd::SsdError;
 
     fn objects(n: u64) -> ParsedColumns {
         let schema = Schema::new(vec![FieldKind::U32, FieldKind::F64]);
@@ -360,6 +304,64 @@ mod tests {
             .run_serialize(&objects(100), "oom.txt", Mode::Conventional)
             .unwrap_err();
         assert!(matches!(err, RunError::OutOfHostMemory), "{err:?}");
+    }
+
+    #[test]
+    fn serializing_into_a_name_that_exists_replaces_the_file() {
+        let (a, b) = (objects(3_000), objects(1_000));
+        let mut want = TextWriter::new();
+        for r in 0..b.records as usize {
+            want.write_row(&b, r);
+        }
+        let mut sys = System::new(SystemParams::paper_testbed());
+        for mode in [Mode::Conventional, Mode::Morpheus] {
+            sys.run_serialize(&a, "twice.txt", mode).unwrap();
+            let rep = sys.run_serialize(&b, "twice.txt", mode).unwrap();
+            assert_eq!(rep.text_bytes, want.as_bytes().len() as u64, "{mode}");
+            let text = sys.read_file_bytes("twice.txt").unwrap();
+            assert!(
+                text == want.as_bytes(),
+                "{mode}: the second file reads back"
+            );
+        }
+        // A full volume is the drive error staging returns. The newest
+        // file ends where the volume's free blocks start.
+        let last = *sys.fs.open("twice.txt").unwrap().extents.last().unwrap();
+        let free = sys.mssd.dev.capacity_lbas() - (last.slba + last.blocks);
+        sys.fs.create("filler", free * LBA_BYTES).unwrap();
+        let err = sys
+            .run_serialize(&a, "twice.txt", Mode::Morpheus)
+            .unwrap_err();
+        assert!(
+            matches!(err, RunError::Ssd(SsdError::LbaOutOfRange { .. })),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn a_serialization_submits_its_plan_through_queue_1() {
+        // 40,000 records: three MWRITEs of up to 16,384 records.
+        let objs = objects(40_000);
+        let rec = objs.schema.record_bytes();
+        let plan = CommandPlan::lower_writes(objs.binary_bytes(), RECORDS_PER_BATCH * rec, 0, 1, 0);
+        assert_eq!((plan.reads(), plan.commands().count()), (0, 5));
+        let mut sys = System::new(SystemParams::paper_testbed());
+        let doorbells = |sys: &mut System| {
+            let qp = sys.mssd.admin.io_queue(IO_QUEUE_ID).unwrap();
+            (
+                qp.sq.doorbell_writes(),
+                qp.sq.is_empty(),
+                qp.cq.outstanding(),
+            )
+        };
+        let (before, ..) = doorbells(&mut sys);
+        sys.run_serialize(&objs, "plan.txt", Mode::Morpheus)
+            .unwrap();
+        let (after, drained, outstanding) = doorbells(&mut sys);
+        assert_eq!(after - before, plan.commands().count() as u64);
+        assert!(drained && outstanding == 0, "the rings are empty");
+        assert_eq!(sys.in_flight_cids.len(), 0);
+        assert_eq!(sys.mssd.live_instances(), 0);
     }
 
     #[test]

@@ -1466,10 +1466,16 @@ mod tests {
                 .unwrap();
             assert_front_end_idle(&mut sys, &format!("a {mode} serialization"));
         }
-        // The output name is taken.
-        sys.run_serialize(&objects, "morpheus.txt", Mode::Morpheus)
+        // Host DRAM smaller than the 1 MiB staging buffer fails it.
+        let dram = sys.params.host_dram_bytes;
+        sys.params.host_dram_bytes = 512 << 10;
+        let err = sys
+            .run_serialize(&objects, "morpheus.txt", Mode::Morpheus)
             .unwrap_err();
+        assert!(matches!(err, RunError::OutOfHostMemory), "{err:?}");
         assert_front_end_idle(&mut sys, "a failed serialization");
+        assert_eq!(sys.mssd.live_instances(), 0);
+        sys.params.host_dram_bytes = dram;
 
         let mut fleet =
             crate::Fleet::new(SystemParams::paper_testbed(), crate::FleetConfig::new(2));

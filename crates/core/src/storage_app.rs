@@ -41,7 +41,7 @@ pub enum AppError {
 impl fmt::Display for AppError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AppError::Parse(e) => write!(f, "parse failure: {e}"),
+            AppError::Parse(_) => write!(f, "parse failure"),
             AppError::SramOverflow { needed, dsram } => {
                 write!(
                     f,

@@ -303,25 +303,23 @@ impl System {
             .map_or(0, |c| c.invalidate_file(file, SimTime::ZERO))
     }
 
-    /// Replaces a staged file's bytes (the file-mutation path; creates the
-    /// file if it does not exist). Cached objects parsed from the old
-    /// bytes are invalidated first. The bump-allocated filesystem does not
-    /// reuse the old extents, so the old bytes are discarded: every page
-    /// lying wholly inside them is trimmed (untimed, like staging) and its
-    /// payload freed. A page shared with a live neighbour keeps its bytes.
+    /// Replaces a staged file's bytes: the file-mutation path, the same
+    /// as [`create_input_file`](System::create_input_file), which replaces
+    /// a name that exists.
     ///
     /// # Errors
     ///
     /// Propagates filesystem and drive errors.
     pub fn overwrite_input_file(&mut self, name: &str, data: &[u8]) -> Result<(), SsdError> {
-        self.restage_image(name, &Arc::from(data))
+        self.stage_image(name, &Arc::from(data))
     }
 
     /// Creates a file and stages its bytes on the SSD (untimed: inputs are
     /// on the drive before the measured window starts, as in the paper).
     /// `data` is copied once, into an image the drive's whole pages view
-    /// (see [`Ssd::load_image`]). Invalidates any cached objects keyed to
-    /// `name` (a re-created name is a mutation).
+    /// (see [`Ssd::load_image`]). Creating a name that exists replaces the
+    /// file: objects cached from it are invalidated and its whole pages
+    /// discarded.
     ///
     /// # Errors
     ///
@@ -330,15 +328,27 @@ impl System {
         self.stage_image(name, &Arc::from(data))
     }
 
-    /// [`overwrite_input_file`](System::overwrite_input_file) from a staged
-    /// image.
-    pub(crate) fn restage_image(&mut self, name: &str, image: &Arc<[u8]>) -> Result<(), SsdError> {
+    /// Creates `name` with room for `len` bytes, replacing any file of
+    /// that name: objects cached from it are invalidated and its whole
+    /// pages discarded ([`remove_file`](System::remove_file)). A full
+    /// volume is the drive's range error.
+    pub(crate) fn create_file(&mut self, name: &str, len: u64) -> Result<FileMeta, SsdError> {
+        self.invalidate_cached_objects(name);
         self.remove_file(name)?;
-        self.stage_image(name, image)
+        match self.fs.create(name, len) {
+            Ok(meta) => Ok(meta.clone()),
+            Err(FsError::NoSpace) => Err(SsdError::LbaOutOfRange {
+                slba: 0,
+                blocks: len / LBA_BYTES,
+            }),
+            Err(e) => unreachable!("a free name is created or the volume is full: {e}"),
+        }
     }
 
-    /// Removes `name`, if it exists, and discards every page lying wholly
-    /// inside its extents.
+    /// Removes `name`, if it exists. The bump-allocated filesystem does not
+    /// reuse its extents, so every page lying wholly inside them is trimmed
+    /// (untimed, like staging) and its payload freed; a page shared with a
+    /// live neighbour keeps its bytes.
     pub(crate) fn remove_file(&mut self, name: &str) -> Result<(), SsdError> {
         if let Ok(old) = self.fs.remove(name) {
             for e in &old.extents {
@@ -352,18 +362,7 @@ impl System {
     /// image: the one staging path, which a fleet runs once per device
     /// over one shared image.
     pub(crate) fn stage_image(&mut self, name: &str, image: &Arc<[u8]>) -> Result<(), SsdError> {
-        self.invalidate_cached_objects(name);
-        let meta = self
-            .fs
-            .create(name, image.len() as u64)
-            .map_err(|e| match e {
-                FsError::NoSpace => SsdError::LbaOutOfRange {
-                    slba: 0,
-                    blocks: image.len() as u64 / LBA_BYTES,
-                },
-                other => panic!("file staging failed: {other}"),
-            })?
-            .clone();
+        let meta = self.create_file(name, image.len() as u64)?;
         let mut off = 0usize;
         for e in &meta.extents {
             let ext_bytes = (e.blocks * LBA_BYTES) as usize;
@@ -527,12 +526,6 @@ impl System {
         ));
     }
 
-    /// Allocates a fresh StorageApp instance ID (for external runtimes
-    /// driving the firmware directly, e.g. the KV-store offload).
-    pub fn allocate_instance_id(&mut self) -> u32 {
-        self.alloc_instance()
-    }
-
     pub(crate) fn alloc_instance(&mut self) -> u32 {
         let id = self.next_instance;
         self.next_instance += 1;
@@ -664,6 +657,24 @@ mod tests {
         assert!(whole.end - whole.start > 10);
         for lpn in whole {
             assert_eq!(ftl.translate(Lpn(lpn)), None, "page {lpn}");
+        }
+    }
+
+    #[test]
+    fn creating_a_name_that_exists_replaces_the_file() {
+        let mut sys = small_system();
+        let first: Vec<u8> = (0..90_000u32).map(|i| (i % 239) as u8).collect();
+        let second: Vec<u8> = (0..41_000u32).map(|i| (i % 233) as u8).collect();
+        sys.create_input_file("twice.bin", &first).unwrap();
+        let old = sys.fs.open("twice.bin").unwrap().extents.clone();
+        sys.create_input_file("twice.bin", &second).unwrap();
+        assert_eq!(sys.read_file_bytes("twice.bin").unwrap(), second);
+        // The first file's whole pages are gone.
+        let lbas = sys.mssd.dev.lbas_per_page();
+        let whole = old[0].slba.div_ceil(lbas)..(old[0].slba + old[0].blocks) / lbas;
+        assert!(whole.end > whole.start);
+        for lpn in whole {
+            assert_eq!(sys.mssd.dev.ftl().translate(Lpn(lpn)), None, "page {lpn}");
         }
     }
 

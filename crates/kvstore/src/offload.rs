@@ -1,11 +1,9 @@
 //! Timed scan drivers: host-side filtering vs in-storage filtering.
 
 use crate::store::decode_bucket;
-use crate::{decode_pairs, KvError, KvScanApp, KvStore};
-use morpheus::{RunError, System};
+use crate::{decode_pairs, KvScanApp, KvStore};
+use morpheus::{MsStream, RunError, System};
 use morpheus_host::CodeClass;
-use morpheus_nvme::LBA_BYTES;
-use morpheus_pcie::DmaDir;
 use morpheus_simcore::{SimDuration, SimTime};
 
 /// Host binary-scan costs: a tight compare loop over resident buckets
@@ -14,7 +12,7 @@ const HOST_SCAN_INSTR_PER_BYTE: f64 = 0.5;
 const HOST_SCAN_INSTR_PER_RECORD: f64 = 4.0;
 
 /// Matched pairs plus the scan's measurements.
-pub type ScanOutcome<E> = Result<(Vec<(u64, Vec<u8>)>, ScanReport), E>;
+pub type ScanOutcome = Result<(Vec<(u64, Vec<u8>)>, ScanReport), RunError>;
 
 /// Measurements of one scan.
 #[derive(Debug, Clone)]
@@ -31,46 +29,24 @@ pub struct ScanReport {
     pub result_bytes: u64,
 }
 
-/// Conventional scan: the whole region streams to the host, which filters
-/// it on the CPU.
+/// Conventional scan: the whole region streams to the host in 1 MiB reads
+/// ([`System::conventional_io`]), and the host CPU filters their buckets.
 ///
 /// # Errors
 ///
 /// Propagates drive/fabric failures.
-pub fn scan_conventional(sys: &mut System, kv: &KvStore, lo: u64, hi: u64) -> ScanOutcome<KvError> {
+pub fn scan_conventional(sys: &mut System, kv: &KvStore, lo: u64, hi: u64) -> ScanOutcome {
     sys.reset_timing();
     let (slba, blocks) = kv.region();
-    let bucket_bytes = kv.config().bucket_bytes as u64;
-    let chunk_blocks = ((1 << 20) / LBA_BYTES).min(blocks);
-    let buf_addr = sys
-        .dram
-        .alloc(chunk_blocks * LBA_BYTES)
-        .expect("host buffer");
-
+    let stream = MsStream::extent(slba, blocks, 1 << 20);
+    let buf_addr = sys.dram.alloc(stream.chunks()[0].valid_bytes);
+    let buf_addr = buf_addr.expect("host buffer");
     let mut matches = Vec::new();
-    let mut cpu_ready = SimTime::ZERO;
-    let mut cpu_busy = SimDuration::ZERO;
-    let mut done = SimTime::ZERO;
-    let mut at = 0u64;
-    while at < blocks {
-        let take = chunk_blocks.min(blocks - at);
-        let (raw, t) = sys.mssd.dev.read_range(slba + at, take, SimTime::ZERO)?;
-        let dma = sys
-            .fabric
-            .dma(
-                sys.ssd_device(),
-                DmaDir::Write,
-                buf_addr,
-                take * LBA_BYTES,
-                t,
-            )
-            .expect("host buffer address is always mapped");
-        let mb = sys.membus.transfer(dma.start, take * LBA_BYTES);
-        let io_done = dma.end.max(mb.end);
-
-        // Host CPU filters the resident buckets.
+    let (mut cpu_ready, mut cpu_busy) = (SimTime::ZERO, SimDuration::ZERO);
+    for c in stream.chunks() {
+        let (raw, io_done) = sys.conventional_io(c, buf_addr, SimTime::ZERO)?;
         let mut records = 0u64;
-        for b in raw.chunks_exact(bucket_bytes as usize) {
+        for b in raw.chunks_exact(kv.config().bucket_bytes as usize) {
             for (k, v) in decode_bucket(b) {
                 records += 1;
                 if (lo..=hi).contains(&k) {
@@ -78,21 +54,17 @@ pub fn scan_conventional(sys: &mut System, kv: &KvStore, lo: u64, hi: u64) -> Sc
                 }
             }
         }
-        let instr = (take * LBA_BYTES) as f64 * HOST_SCAN_INSTR_PER_BYTE
+        let instr = c.valid_bytes as f64 * HOST_SCAN_INSTR_PER_BYTE
             + records as f64 * HOST_SCAN_INSTR_PER_RECORD;
-        let iv = sys.cpu_cores.acquire(
-            io_done.max(cpu_ready),
-            sys.cpu.duration(instr, CodeClass::AppKernel),
-        );
+        let cpu = sys.cpu.duration(instr, CodeClass::AppKernel);
+        let iv = sys.cpu_cores.acquire(io_done.max(cpu_ready), cpu);
         cpu_ready = iv.end;
         cpu_busy += iv.duration();
-        sys.membus.account(take * LBA_BYTES);
-        done = done.max(iv.end);
-        at += take;
+        sys.membus.account(c.valid_bytes);
     }
     let result_bytes: u64 = matches.iter().map(|(_, v)| 10 + v.len() as u64).sum();
     let report = ScanReport {
-        elapsed_s: done.as_secs_f64(),
+        elapsed_s: cpu_ready.as_secs_f64(),
         host_cpu_busy_s: cpu_busy.as_secs_f64(),
         pcie_bytes: sys.fabric.traffic().total_bytes,
         matches: matches.len() as u64,
@@ -102,79 +74,24 @@ pub fn scan_conventional(sys: &mut System, kv: &KvStore, lo: u64, hi: u64) -> Sc
 }
 
 /// Morpheus scan: a [`KvScanApp`] filters inside the drive; only matches
-/// cross the interconnect.
+/// cross the interconnect. The app runs as one StorageApp lifecycle
+/// ([`System::run_storage_app`]) over the table's region in 8 MiB MREADs.
 ///
 /// # Errors
 ///
 /// Propagates firmware/drive failures and host-memory exhaustion; a failed
-/// scan aborts its instance, so none outlives it with its controller DRAM.
-pub fn scan_morpheus(sys: &mut System, kv: &KvStore, lo: u64, hi: u64) -> ScanOutcome<RunError> {
-    sys.reset_timing();
-    let iid = sys.allocate_instance_id();
-    let out = scan_on_instance(sys, kv, iid, lo, hi);
-    if out.is_err() {
-        sys.mssd.abort_instance(iid);
-    }
-    out
-}
-
-/// The body of [`scan_morpheus`] on instance `iid`.
-fn scan_on_instance(
-    sys: &mut System,
-    kv: &KvStore,
-    iid: u32,
-    lo: u64,
-    hi: u64,
-) -> ScanOutcome<RunError> {
+/// scan leaves no instance live.
+pub fn scan_morpheus(sys: &mut System, kv: &KvStore, lo: u64, hi: u64) -> ScanOutcome {
     let (slba, blocks) = kv.region();
-    let init_iv = sys.command_wakeup(SimTime::ZERO);
-    let mut cpu_busy = init_iv.duration();
     let app = KvScanApp::new(kv.config().bucket_bytes, lo, hi);
-    let ready = sys.mssd.minit(iid, Box::new(app), init_iv.end)?;
-
-    let chunk_blocks = ((8 << 20) / LBA_BYTES).min(blocks);
-    let mut out_bytes = Vec::new();
-    let mut last = ready;
-    let mut at = 0u64;
-    while at < blocks {
-        let take = chunk_blocks.min(blocks - at);
-        let out = sys
-            .mssd
-            .mread(iid, slba + at, take, take * LBA_BYTES, ready)?;
-        if !out.output.is_empty() {
-            let addr = sys
-                .dram
-                .alloc(out.output.len() as u64)
-                .ok_or(RunError::OutOfHostMemory)?;
-            let dma = sys.fabric.dma(
-                sys.ssd_device(),
-                DmaDir::Write,
-                addr,
-                out.output.len() as u64,
-                out.done,
-            )?;
-            sys.membus.transfer(dma.start, out.output.len() as u64);
-            let iv = sys.command_wakeup(dma.end);
-            cpu_busy += iv.duration();
-            last = last.max(iv.end);
-        } else {
-            last = last.max(out.done);
-        }
-        out_bytes.extend_from_slice(&out.output);
-        at += take;
-    }
-    let dein = sys.mssd.mdeinit(iid, last)?;
-    out_bytes.extend_from_slice(&dein.host_output);
-    let iv = sys.command_wakeup(dein.done.max(last));
-    cpu_busy += iv.duration();
-
-    let matches = decode_pairs(&out_bytes);
+    let run = sys.run_storage_app(Box::new(app), MsStream::extent(slba, blocks, 8 << 20))?;
+    let matches = decode_pairs(&run.output);
     let report = ScanReport {
-        elapsed_s: iv.end.as_secs_f64(),
-        host_cpu_busy_s: cpu_busy.as_secs_f64(),
+        elapsed_s: run.end.as_secs_f64(),
+        host_cpu_busy_s: run.cpu_busy.as_secs_f64(),
         pcie_bytes: sys.fabric.traffic().total_bytes,
         matches: matches.len() as u64,
-        result_bytes: out_bytes.len() as u64,
+        result_bytes: run.output.len() as u64,
     };
     Ok((matches, report))
 }
@@ -183,7 +100,7 @@ fn scan_on_instance(
 mod tests {
     use super::*;
     use crate::{synth_pairs, KvConfig};
-    use morpheus::SystemParams;
+    use morpheus::{CommandPlan, SystemParams};
 
     fn populated_system() -> (System, KvStore) {
         populated(SystemParams::paper_testbed())
@@ -232,6 +149,39 @@ mod tests {
         assert_eq!(conv.len(), 4_000);
         assert_eq!(conv, morp);
         assert_eq!(morp_rep.matches, 4_000);
+    }
+
+    #[test]
+    fn a_scan_submits_its_plan_through_queue_1() {
+        // 2,100 buckets of 4 KiB: an 8 MiB MREAD and a short one.
+        let mut sys = System::new(SystemParams::paper_testbed());
+        let cfg = KvConfig {
+            buckets: 2_100,
+            bucket_bytes: 4096,
+            probe_limit: 4,
+        };
+        let kv = KvStore::format(&mut sys.mssd.dev, 0, cfg).unwrap();
+        for (k, v) in synth_pairs(4_000, 1_000_000, 3) {
+            kv.put(&mut sys.mssd.dev, k, &v).unwrap();
+        }
+        let (slba, blocks) = kv.region();
+        let plan = CommandPlan::lower(MsStream::extent(slba, blocks, 8 << 20), 1, 0);
+        assert_eq!(plan.reads(), 2);
+        let queue = |sys: &mut System| {
+            let qp = sys.mssd.admin.io_queue(1).unwrap();
+            (
+                qp.sq.doorbell_writes(),
+                qp.sq.is_empty(),
+                qp.cq.outstanding(),
+            )
+        };
+        let (before, ..) = queue(&mut sys);
+        let (pairs, _) = scan_morpheus(&mut sys, &kv, 0, 100_000).unwrap();
+        assert!(!pairs.is_empty());
+        let (after, drained, outstanding) = queue(&mut sys);
+        assert_eq!(after - before, plan.commands().count() as u64);
+        assert!(drained && outstanding == 0, "the rings are empty");
+        assert_eq!(sys.mssd.live_instances(), 0);
     }
 
     #[test]

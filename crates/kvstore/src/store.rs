@@ -59,7 +59,7 @@ impl fmt::Display for KvError {
         match self {
             KvError::TableFull(k) => write!(f, "no probe bucket has room for key {k}"),
             KvError::ValueTooLarge(n) => write!(f, "value of {n} bytes exceeds bucket capacity"),
-            KvError::Ssd(e) => write!(f, "drive error: {e}"),
+            KvError::Ssd(_) => write!(f, "drive error"),
         }
     }
 }
@@ -316,6 +316,22 @@ mod tests {
         );
         let kv = KvStore::format(&mut ssd, 0, KvConfig::default()).unwrap();
         (ssd, kv)
+    }
+
+    #[test]
+    fn a_drive_error_is_named_once() {
+        let mut ssd = Ssd::new(
+            SsdConfig::default(),
+            FlashGeometry::small(),
+            FlashTiming::default(),
+        );
+        let end = ssd.capacity_lbas();
+        let err = KvStore::format(&mut ssd, end, KvConfig::default()).unwrap_err();
+        assert!(matches!(err, KvError::Ssd(_)), "{err:?}");
+        assert_eq!(
+            morpheus_simcore::render_error_chain(&err),
+            format!("drive error: lba range {end}+8 out of range")
+        );
     }
 
     #[test]

@@ -424,7 +424,7 @@ impl TraceLog {
                 .entry((e.layer, e.track.clone(), e.name.clone()))
                 .or_default();
             a.count += 1;
-            a.total_ns += e.dur_ns;
+            a.total_ns = a.total_ns.saturating_add(e.dur_ns);
         }
         out
     }
@@ -552,7 +552,10 @@ impl TraceLog {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed construct.
+    /// Returns a description of the first malformed construct: invalid
+    /// JSON, arrays or objects nested more than 32 levels deep, a
+    /// missing field, or a `ts` or `dur` that is negative or does not fit
+    /// `u64` nanoseconds, alone or summed.
     pub fn from_chrome_json(text: &str) -> Result<TraceLog, String> {
         let root = json::parse(text)?;
         let events_json = match &root {
@@ -621,12 +624,17 @@ impl TraceLog {
                 }
                 _ => (None, None),
             };
+            let start_ns = micros_to_ns("ts", &name, ts)?;
+            let dur_ns = micros_to_ns("dur", &name, dur)?;
+            if start_ns.checked_add(dur_ns).is_none() {
+                return Err(format!("event {name:?} ends past u64 nanoseconds"));
+            }
             events.push(TraceEvent {
                 layer,
                 track: track.unwrap_or_else(|| "?".into()),
                 name,
-                start_ns: (ts * 1e3).round() as u64,
-                dur_ns: (dur * 1e3).round() as u64,
+                start_ns,
+                dur_ns,
                 kind,
                 bytes,
             });
@@ -647,7 +655,7 @@ impl TraceLog {
                 .entry((e.layer, &e.track))
                 .or_insert_with(|| (0, 0, vec![0.0; width]));
             row.0 += 1;
-            row.1 += e.dur_ns;
+            row.1 = row.1.saturating_add(e.dur_ns);
             let s = e.start_ns as f64 / end as f64 * width as f64;
             let t = e.end_ns() as f64 / end as f64 * width as f64;
             if e.start_ns == e.end_ns() {
@@ -809,10 +817,30 @@ fn escape_json(s: &str) -> String {
     out
 }
 
+/// A trace-event time of `us` microseconds (field `what` of event `name`)
+/// in whole nanoseconds, or an error naming the field when it is negative
+/// or does not fit `u64`.
+fn micros_to_ns(what: &str, name: &str, us: f64) -> Result<u64, String> {
+    // 2^64: every rounded value below it fits `u64`.
+    const LIMIT: f64 = 18_446_744_073_709_551_616.0;
+    let ns = (us * 1e3).round();
+    match (0.0..LIMIT).contains(&ns) {
+        true => Ok(ns as u64),
+        false => Err(format!(
+            "event {name:?} has {what} {us:?}, not a u64 count of nanoseconds"
+        )),
+    }
+}
+
 /// A minimal JSON parser — just enough to re-read exported traces (and
 /// any spec-conforming trace-event file) without a serde dependency,
 /// which the offline build environment does not have.
 mod json {
+    /// The deepest nesting of arrays and objects the parser accepts.
+    /// Exported traces nest four levels deep; the cap bounds the parser's
+    /// recursion, so a malformed file is an error, not a stack overflow.
+    pub const MAX_DEPTH: usize = 32;
+
     #[derive(Debug, Clone, PartialEq)]
     pub enum Value {
         Null,
@@ -826,7 +854,7 @@ mod json {
     pub fn parse(text: &str) -> Result<Value, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -849,11 +877,19 @@ mod json {
         }
     }
 
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+    /// Parses the value at `pos`, inside `depth` enclosing arrays and
+    /// objects.
+    fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         skip_ws(b, pos);
+        if matches!(b.get(*pos), Some(b'{' | b'[')) && depth == MAX_DEPTH {
+            return Err(format!(
+                "values nest deeper than {MAX_DEPTH} levels at byte {}",
+                *pos
+            ));
+        }
         match b.get(*pos) {
-            Some(b'{') => parse_object(b, pos),
-            Some(b'[') => parse_array(b, pos),
+            Some(b'{') => parse_object(b, pos, depth + 1),
+            Some(b'[') => parse_array(b, pos, depth + 1),
             Some(b'"') => Ok(Value::String(parse_string(b, pos)?)),
             Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
             Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
@@ -934,7 +970,7 @@ mod json {
         }
     }
 
-    fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+    fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         expect(b, pos, b'[')?;
         let mut items = Vec::new();
         skip_ws(b, pos);
@@ -943,7 +979,7 @@ mod json {
             return Ok(Value::Array(items));
         }
         loop {
-            items.push(parse_value(b, pos)?);
+            items.push(parse_value(b, pos, depth)?);
             skip_ws(b, pos);
             match b.get(*pos) {
                 Some(b',') => *pos += 1,
@@ -956,7 +992,7 @@ mod json {
         }
     }
 
-    fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+    fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         expect(b, pos, b'{')?;
         let mut fields = Vec::new();
         skip_ws(b, pos);
@@ -969,7 +1005,7 @@ mod json {
             let key = parse_string(b, pos)?;
             skip_ws(b, pos);
             expect(b, pos, b':')?;
-            fields.push((key, parse_value(b, pos)?));
+            fields.push((key, parse_value(b, pos, depth)?));
             skip_ws(b, pos);
             match b.get(*pos) {
                 Some(b',') => *pos += 1,
@@ -1070,6 +1106,57 @@ mod tests {
         assert!(a.contains("\"process_name\""));
         assert!(a.contains("\"thread_name\""));
         assert!(a.contains("\"ph\":\"X\""));
+    }
+
+    #[test]
+    fn malformed_imports_are_errors_that_name_their_construct() {
+        // Deep nesting is an error, not a stack overflow.
+        let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+        let err = TraceLog::from_chrome_json(&deep).unwrap_err();
+        assert!(err.contains("nest deeper than 32 levels"), "{err}");
+        // A real trace's four levels are well inside the cap.
+        let ok = "{\"traceEvents\":[{\"ph\":\"X\",\"cat\":\"host\",\"name\":\"n\",\
+                  \"ts\":1,\"dur\":2,\"args\":{\"track\":\"t\",\"x\":[[1]]}}]}";
+        assert_eq!(TraceLog::from_chrome_json(ok).unwrap().len(), 1);
+        let span = |ts: &str, dur: &str| {
+            let text = format!(
+                "[{{\"ph\":\"X\",\"cat\":\"host\",\"name\":\"s\",\"ts\":{ts},\"dur\":{dur}}}]"
+            );
+            TraceLog::from_chrome_json(&text)
+        };
+        for (ts, dur, field) in [
+            ("-1", "1", "ts"),
+            ("1", "-0.5", "dur"),
+            ("1e300", "1", "ts"),
+            ("0", "1e300", "dur"),
+            ("1e400", "1", "ts"),
+        ] {
+            let err = span(ts, dur).unwrap_err();
+            assert!(err.contains(&format!("has {field} ")), "{ts} {dur}: {err}");
+        }
+        // Each fits, but the span ends past u64 nanoseconds.
+        let err = span("1e16", "1e16").unwrap_err();
+        assert!(err.contains("ends past u64 nanoseconds"), "{err}");
+        assert_eq!(span("1e16", "0").unwrap().events[0].start_ns, 10u64.pow(19));
+    }
+
+    #[test]
+    fn track_totals_saturate_instead_of_overflowing() {
+        // Two spans whose durations each fit u64 nanoseconds but whose sum
+        // does not.
+        let dur = 1.5e16;
+        let text = format!(
+            "[{{\"ph\":\"X\",\"cat\":\"host\",\"name\":\"s\",\"ts\":0,\"dur\":{dur}}},\
+             {{\"ph\":\"X\",\"cat\":\"host\",\"name\":\"s\",\"ts\":0,\"dur\":{dur}}}]"
+        );
+        let log = TraceLog::from_chrome_json(&text).unwrap();
+        let totals: Vec<u64> = log
+            .aggregate_tracks()
+            .values()
+            .map(|a| a.total_ns)
+            .collect();
+        assert_eq!(totals, [u64::MAX]);
+        assert!(log.summary(8).contains("events"));
     }
 
     #[test]

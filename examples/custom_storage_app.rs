@@ -118,9 +118,8 @@ fn main() {
     let out = mssd.mread(1, 0, blocks, text.len() as u64, t0).unwrap();
     let dein = mssd.mdeinit(1, out.done).unwrap();
     let kept = dein.retval;
-    // Outputs are shared buffers (a memoized replay hands out its
-    // recording); concatenate them into one owned stream to decode.
-    let mut bytes = out.output.to_vec();
+    // The MREAD's objects, then MDEINIT's tail: one stream to decode.
+    let mut bytes = out.output;
     bytes.extend_from_slice(&dein.host_output);
     let filtered = ParsedColumns::decode(edge_schema(), &bytes).unwrap();
     assert_eq!(kept as u64, filtered.records);
