@@ -49,6 +49,7 @@ use morpheus_host::CodeClass;
 use morpheus_nvme::{MorpheusCommand, NvmeCommand, StatusCode};
 use morpheus_pcie::{BarWindow, DmaDir};
 use morpheus_simcore::{FaultCounters, Interval, SimDuration, SimTime};
+use morpheus_ssd::PageRead;
 use std::sync::Arc;
 
 /// One tenant's outcome.
@@ -135,7 +136,7 @@ impl HostTenant {
     /// and the NVMe READ that lands it in the engine's buffer.
     pub(crate) fn next_read(&self) -> Option<(ChunkIo, NvmeCommand)> {
         let c = *self.chunks.get(self.next)?;
-        Some((c, NvmeCommand::read(0, 1, c.slba, c.blocks, self.buf_addr)))
+        Some((c, c.read_command(self.buf_addr)))
     }
 
     /// Completes the parse of `schema` records. Returns when the last
@@ -454,8 +455,12 @@ impl System {
         let ci = h.next;
         let c = h.chunks[ci];
         h.next += 1;
-        let (data, io_done) = self.conventional_io(&c, h.buf_addr, floor)?;
+        // Every page of the READ is timed before the parser sees one, so a
+        // media error wins over a parse error in the same chunk.
+        let (pages, io_done) = self.conventional_io(&c, h.buf_addr, floor)?;
         let dw = match &mut h.source {
+            // A replay drops the page views unread: its recording holds
+            // their parse work.
             ParseSource::Replay(r) => r.per_chunk[ci],
             ParseSource::Live {
                 parser,
@@ -463,7 +468,14 @@ impl System {
                 recorded,
             } => {
                 let p = parser.as_mut().expect("no chunk after the last");
-                p.feed(&data[..c.valid_bytes as usize])?;
+                // Each page's valid bytes, read where flash stores them.
+                let mut left = c.valid_bytes as usize;
+                for page in &pages {
+                    let bytes = page.bytes();
+                    let take = left.min(bytes.len());
+                    p.feed(&bytes[..take])?;
+                    left -= take;
+                }
                 let mut dw = p.take_work();
                 if h.next == h.chunks.len() {
                     let (o, rest) = parser.take().expect("fed above").finish_with_work()?;
@@ -499,39 +511,62 @@ impl System {
     }
 
     /// Reads chunk `c` from the configured storage device into the host
-    /// buffer at `buf_addr`, no earlier than `ready`: its bytes, and when
-    /// they are in host memory, or the drive or fabric error. The NVMe
-    /// command is the caller's.
-    pub fn conventional_io(
+    /// buffer at `buf_addr`, no earlier than `ready`: a view of each page
+    /// it covers, and when its bytes are in host memory, or the drive or
+    /// fabric error. The NVMe command is the caller's.
+    pub(crate) fn conventional_io(
         &mut self,
         c: &ChunkIo,
         buf_addr: u64,
         ready: SimTime,
-    ) -> Result<(Vec<u8>, SimTime), RunError> {
+    ) -> Result<(Vec<PageRead>, SimTime), RunError> {
         match self.params.storage {
             StorageKind::NvmeSsd => {
-                let (data, t) = self.mssd.dev.read_range(c.slba, c.blocks, ready)?;
+                let (pages, t) = self.mssd.dev.read_range(c.slba, c.blocks, ready)?;
                 let dma =
                     self.fabric
                         .dma(self.ssd_dev, DmaDir::Write, buf_addr, c.valid_bytes, t)?;
                 let mb = self.membus.transfer(dma.start, c.valid_bytes);
-                Ok((data, dma.end.max(mb.end)))
+                Ok((pages, dma.end.max(mb.end)))
             }
             StorageKind::RamDrive => {
-                let data = self.mssd.dev.read_range_untimed(c.slba, c.blocks)?;
+                let pages = self.mssd.dev.read_range_untimed(c.slba, c.blocks)?;
                 let mb = self.membus.transfer(ready, c.valid_bytes);
-                Ok((data, mb.end))
+                Ok((pages, mb.end))
             }
             StorageKind::Hdd => {
-                let data = self.mssd.dev.read_range_untimed(c.slba, c.blocks)?;
+                let pages = self.mssd.dev.read_range_untimed(c.slba, c.blocks)?;
                 let seek = SimDuration::from_secs_f64(self.params.hdd_seek_ms / 1e3);
                 let stream =
                     SimDuration::from_secs_f64(c.valid_bytes as f64 / (self.params.hdd_mbs * 1e6));
                 let iv = self.hdd.acquire(ready, seek + stream);
                 let mb = self.membus.transfer(iv.start, c.valid_bytes);
-                Ok((data, iv.end.max(mb.end)))
+                Ok((pages, iv.end.max(mb.end)))
             }
         }
+    }
+
+    /// Reads chunk `c` into the host buffer at `buf_addr` with one READ,
+    /// served no earlier than `ready`: a view of each page it covers, and
+    /// when its bytes are in host memory. On an NVMe drive the READ
+    /// crosses I/O queue 1 through the drive's command pump, which books
+    /// no simulated time. The host-side KV scan reads this way.
+    ///
+    /// # Errors
+    ///
+    /// Fails on drive and fabric errors; a failed READ crosses no queue.
+    pub fn read_chunk(
+        &mut self,
+        c: &ChunkIo,
+        buf_addr: u64,
+        ready: SimTime,
+    ) -> Result<(Vec<PageRead>, SimTime), RunError> {
+        let read = self.conventional_io(c, buf_addr, ready)?;
+        if self.params.storage == StorageKind::NvmeSsd {
+            let cmd = c.read_command(buf_addr);
+            self.pump(IO_QUEUE_ID, &[(cmd, StatusCode::Success, 0)]);
+        }
+        Ok(read)
     }
 
     /// Allocates `n` bytes of object memory: host DRAM, or GPU memory

@@ -296,17 +296,9 @@ impl System {
         }
         let meta = self.fs.open(name).ok()?.clone();
         let mut s = Fnv1a::new();
-        let mut remaining = meta.len;
-        for e in &meta.extents {
-            if remaining == 0 {
-                break;
-            }
-            let bytes = self.mssd.dev.read_range_untimed(e.slba, e.blocks).ok()?;
-            let take = remaining.min(e.blocks * morpheus_nvme::LBA_BYTES) as usize;
-            // Extents are LBA-sized, so each slice starts on a lane.
-            s.lanes(&bytes[..take]);
-            remaining -= take as u64;
-        }
+        // Hashed in place, a page at a time: every piece but the last is
+        // whole LBAs, so each starts on a lane.
+        self.visit_file(&meta, |bytes| s.lanes(bytes)).ok()?;
         let d = s.value();
         self.deser_digests.insert(name.to_string(), d);
         Some(d)
@@ -377,6 +369,21 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SystemParams;
+
+    #[test]
+    fn the_content_digest_hashes_a_file_like_its_bytes_whole() {
+        // A fragmented file that starts mid-page and whose length is not a
+        // lane multiple, hashed a flash page at a time.
+        let mut sys = System::new(SystemParams::paper_testbed());
+        sys.fs.set_max_extent_blocks(7);
+        sys.create_input_file("pad", &[1u8; 700]).unwrap();
+        let data: Vec<u8> = (0..100_003u32).map(|i| (i * 31 % 251) as u8).collect();
+        sys.create_input_file("f", &data).unwrap();
+        let mut whole = Fnv1a::new();
+        whole.lanes(&data);
+        assert_eq!(sys.content_digest("f"), Some(whole.value()));
+    }
 
     #[test]
     fn tables_cap_but_allow_overwrite() {

@@ -556,16 +556,17 @@ impl MorpheusSsd {
             let page_base = lpn * page_bytes;
             let lo = byte_start.max(page_base) - page_base;
             let hi = (byte_start + byte_len).min(page_base + page_bytes) - page_base;
-            let (page, avail) = self
-                .dev
-                .read_page_timed(morpheus_ftl::Lpn(lpn), dispatch.end)?;
+            let (page, avail) = self.dev.read_page_timed(
+                morpheus_ftl::Lpn(lpn),
+                lo as usize..hi as usize,
+                dispatch.end,
+            )?;
             let instr = match played {
                 Some(cmd) => cmd.page_instr[pi],
                 None => {
                     // Borrows straight from the flash array's stored
                     // allocation when the range is page-backed (the hot case).
-                    let chunk = page.slice(lo as usize, hi as usize);
-                    inst.app.on_chunk(&mut inst.ctx, &chunk)?;
+                    inst.app.on_chunk(&mut inst.ctx, &page.bytes())?;
                     let work = inst.ctx.take_work();
                     let extra = inst.ctx.take_extra_instructions();
                     let instr = self.device_cost.total_instructions(&work) + extra;
@@ -1000,8 +1001,8 @@ mod tests {
         assert_eq!(dein.flushed_to_flash, 16);
         assert!(dein.host_output.is_empty());
         // The binary objects landed on flash at slba 64.
-        let (data, _) = m.dev.read_range(64, 1, dein.done).unwrap();
-        let cols = ParsedColumns::decode(edge_schema(), &data[..16]).unwrap();
+        let (pages, _) = m.dev.read_range(64, 1, dein.done).unwrap();
+        let cols = ParsedColumns::decode(edge_schema(), &pages[0].bytes()[..16]).unwrap();
         assert_eq!(cols.columns[0].as_ints().unwrap(), &[9, 7]);
     }
 

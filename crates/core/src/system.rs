@@ -30,6 +30,13 @@ pub struct ChunkIo {
     pub file_offset: u64,
 }
 
+impl ChunkIo {
+    /// The NVMe READ that lands this chunk in host memory at `buf_addr`.
+    pub(crate) fn read_command(&self, buf_addr: u64) -> NvmeCommand {
+        NvmeCommand::read(0, 1, self.slba, self.blocks, buf_addr)
+    }
+}
+
 /// A command bound for an I/O queue pair, with the status and result
 /// dword of the completion the device posts for it. Its CID is the
 /// pump's to assign ([`System::pump`]).
@@ -389,17 +396,32 @@ impl System {
             .map_err(|_| RunError::UnknownFile(name.to_string()))?
             .clone();
         let mut out = Vec::with_capacity(meta.len as usize);
-        let mut remaining = meta.len;
+        self.visit_file(&meta, |bytes| out.extend_from_slice(bytes))?;
+        Ok(out)
+    }
+
+    /// Hands `visit` a staged file's bytes in order, read untimed and one
+    /// flash page's worth at a time, where the drive stores them. Every
+    /// piece but the file's last is whole LBAs. Reads each extent whole,
+    /// up to the one that holds the file's last byte.
+    pub(crate) fn visit_file(
+        &mut self,
+        meta: &FileMeta,
+        mut visit: impl FnMut(&[u8]),
+    ) -> Result<(), SsdError> {
+        let mut remaining = meta.len as usize;
         for e in &meta.extents {
             if remaining == 0 {
                 break;
             }
-            let bytes = self.mssd.dev.read_range_untimed(e.slba, e.blocks)?;
-            let take = remaining.min(e.blocks * LBA_BYTES) as usize;
-            out.extend_from_slice(&bytes[..take]);
-            remaining -= take as u64;
+            for page in self.mssd.dev.read_range_untimed(e.slba, e.blocks)? {
+                let bytes = page.bytes();
+                let take = remaining.min(bytes.len());
+                visit(&bytes[..take]);
+                remaining -= take;
+            }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Splits a file into I/O chunks of at most `chunk_bytes` (and at most
@@ -541,6 +563,12 @@ impl System {
             self.next_instance += 1;
         }
         self.alloc_instance()
+    }
+
+    /// Command identifiers tagged on commands not yet completed: zero
+    /// whenever the command pump is not running.
+    pub fn cids_in_flight(&self) -> usize {
+        self.in_flight_cids.len()
     }
 
     /// Allocates a command identifier that is unique among commands in

@@ -7,8 +7,9 @@
 //! image, so a staged file is stored once however many of its pages, and
 //! however many drives, hold it. A read hands out a clone of the handle,
 //! not of the bytes; the FTL's garbage collector relocates pages by moving
-//! the handle, and the SSD controller copies at most once — a sub-slice
-//! into the caller's destination buffer. Flash payloads in the simulated
+//! the handle, and the SSD controller's range reads hand out one view per
+//! page, so only a caller that needs a range's bytes contiguous copies
+//! them. Flash payloads in the simulated
 //! testbed are 4 KiB–16 KiB and every figure reads tens of thousands of
 //! them, so the former clone-per-hop (flash → FTL → controller → firmware)
 //! dominated allocator time.

@@ -1,6 +1,7 @@
 //! Property tests: print→parse identity, streaming ≡ whole-buffer, the
-//! text record loop ≡ an independent per-token oracle, and the packed
-//! record codec ≡ an independent per-field oracle.
+//! text record loop ≡ an independent per-token oracle, the packed record
+//! codec ≡ an independent per-field oracle, and a chunk fed in pieces ≡
+//! the chunk fed whole.
 
 use morpheus_format::{
     parse_binary, parse_buffer, parse_chunked, Column, Endianness, FieldKind, InputFormat,
@@ -124,6 +125,44 @@ fn stream_taking_work(
     Ok((cols, work))
 }
 
+/// What a caller that prices each chunk sees of a stream fed `chunk` bytes
+/// at a time: the work taken and the records complete after every chunk,
+/// then the columns and the `finish_with_work` remainder, or the first
+/// error. With `pieces`, each chunk is fed as consecutive pieces whose
+/// sizes cycle through it, as the host engine feeds a READ's flash pages.
+fn chunk_trace(
+    data: &[u8],
+    schema: &Schema,
+    format: InputFormat,
+    chunk: usize,
+    pieces: Option<&[usize]>,
+) -> (Vec<(ParseWork, u64)>, Outcome) {
+    let mut p = StreamingParser::with_format(schema.clone(), format);
+    let mut sizes = pieces.unwrap_or(&[]).iter().copied().cycle();
+    let mut taken = Vec::new();
+    for c in data.chunks(chunk) {
+        let fed = match pieces {
+            None => p.feed(c),
+            Some(_) => {
+                let mut rest = c;
+                let mut fed = Ok(());
+                while !rest.is_empty() && fed.is_ok() {
+                    let (piece, tail) =
+                        rest.split_at(sizes.next().expect("a size").min(rest.len()));
+                    fed = p.feed(piece);
+                    rest = tail;
+                }
+                fed
+            }
+        };
+        if let Err(e) = fed {
+            return (taken, Err(e));
+        }
+        taken.push((p.take_work(), p.records()));
+    }
+    (taken, outcome(p.finish_with_work()))
+}
+
 /// A parse result with floats as bits, so NaN compares equal to itself.
 type Outcome = Result<(u64, Vec<Vec<u64>>, ParseWork), ParseError>;
 
@@ -192,6 +231,31 @@ fn token(choice: u8, raw: u64, len: u8) -> Vec<u8> {
         ]
         .concat(),
     }
+}
+
+/// Text of generated tokens, each followed by one to three separators.
+/// With `valid_only` every token is an integer of at most 18 digits, which
+/// parses in any column; the last token may lose its separators.
+fn token_text(tokens: &[(u8, u64, u8, u8)], valid_only: bool) -> Vec<u8> {
+    let seps = b" \t\n\r,";
+    let mut data = Vec::new();
+    for (i, &(choice, raw, len, sep)) in tokens.iter().enumerate() {
+        let (choice, len) = if valid_only {
+            (choice % 9, len % 18)
+        } else {
+            (choice, len)
+        };
+        data.extend(token(choice, raw, len));
+        for k in 0..=(sep % 3) {
+            data.push(seps[(sep as usize + k as usize) % seps.len()]);
+        }
+        if i + 1 == tokens.len() && sep % 4 == 0 {
+            while data.last().is_some_and(|b| seps.contains(b)) {
+                data.pop();
+            }
+        }
+    }
+    data
 }
 
 /// The host reference: whole-buffer objects, narrowed, then encoded.
@@ -440,7 +504,8 @@ proptest! {
     /// the six kinds: the columns, all five work counters, and the kind and
     /// offset of the first error. Inputs mix signs, 16–21-digit tokens,
     /// `i64::MIN`, lone signs, malformed tokens and floats, and may end
-    /// mid-record or without a final separator.
+    /// mid-record or without a final separator. Half the cases keep to
+    /// integers of at most 18 digits, so they run to the end of the input.
     #[test]
     fn record_loop_matches_the_token_oracle(
         picks in proptest::collection::vec(0usize..6, 1..6),
@@ -449,24 +514,45 @@ proptest! {
         chunk in 1usize..48,
     ) {
         let schema = Schema::new(picks.iter().map(|&k| KINDS[k]).collect());
-        let mut data = Vec::new();
-        for (i, &(choice, raw, len, sep)) in tokens.iter().enumerate() {
-            // Half the cases keep to integers of at most 18 digits, which
-            // parse in any column, so they run to the end of the input.
-            let (choice, len) = if valid_only { (choice % 9, len % 18) } else { (choice, len) };
-            data.extend(token(choice, raw, len));
-            let seps = b" \t\n\r,";
-            for k in 0..=(sep % 3) {
-                data.push(seps[(sep as usize + k as usize) % seps.len()]);
-            }
-            if i + 1 == tokens.len() && sep % 4 == 0 {
-                while data.last().is_some_and(|b| seps.contains(b)) {
-                    data.pop();
-                }
-            }
-        }
+        let data = token_text(&tokens, valid_only);
         let want = outcome(oracle_parse(&data, &schema));
         prop_assert_eq!(outcome(parse_buffer(&data, &schema)), want.clone());
         prop_assert_eq!(outcome(parse_chunked(&data, &schema, chunk)), want);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(384))]
+
+    /// A chunk fed as pieces of any size from 1 byte (a READ's flash
+    /// pages, fed where flash stores them) parses exactly as the chunk fed
+    /// whole: after every chunk the work `take_work` hands out and the
+    /// records complete agree, and so do the columns, the
+    /// `finish_with_work` remainder and the kind and offset of any error.
+    /// Text streams mix valid, malformed and float tokens under any
+    /// schema; binary streams are arbitrary bytes at either byte order,
+    /// whole records or ragged.
+    #[test]
+    fn a_chunk_fed_in_pieces_parses_like_the_chunk_fed_whole(
+        picks in proptest::collection::vec(0usize..6, 1..6),
+        tokens in proptest::collection::vec(any::<(u8, u64, u8, u8)>(), 0..40),
+        bytes in proptest::collection::vec(any::<u8>(), 0..600),
+        encoding in 0u8..4,
+        ragged in any::<bool>(),
+        chunk in 1usize..200,
+        pieces in proptest::collection::vec(1usize..64, 1..8),
+    ) {
+        let schema = Schema::new(picks.iter().map(|&k| KINDS[k]).collect());
+        let whole_records = bytes.len() - bytes.len() % schema.record_bytes() as usize;
+        let packed = if ragged { &bytes[..] } else { &bytes[..whole_records] };
+        let (data, format) = match encoding {
+            0 => (token_text(&tokens, true), InputFormat::Text),
+            1 => (token_text(&tokens, false), InputFormat::Text),
+            2 => (packed.to_vec(), InputFormat::Binary(Endianness::Little)),
+            _ => (packed.to_vec(), InputFormat::Binary(Endianness::Big)),
+        };
+        let whole = chunk_trace(&data, &schema, format, chunk, None);
+        let cut = chunk_trace(&data, &schema, format, chunk, Some(&pieces));
+        prop_assert_eq!(cut, whole);
     }
 }

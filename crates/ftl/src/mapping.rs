@@ -2,6 +2,7 @@
 
 use crate::{FtlConfig, FtlError};
 use morpheus_flash::{BlockId, FlashArray, FlashError, FlashOp, FlashOpKind, PageData, Ppa};
+use morpheus_simcore::SimDuration;
 use std::collections::{HashMap, VecDeque};
 
 /// Logical page number: index into the FTL's exported capacity, in units of
@@ -26,10 +27,28 @@ pub struct ReadOutcome {
     /// The page contents as last written — a zero-copy handle sharing the
     /// flash array's stored allocation (see [`PageData`]).
     pub data: PageData,
-    /// Flash operations, including failed attempts that were retried.
-    pub ops: Vec<FlashOp>,
-    /// Number of retries that were needed (0 = clean read).
+    /// The attempt that succeeded.
+    pub op: FlashOp,
+    /// Failed attempts before it (0 = clean read).
     pub retries: u32,
+    /// Die time each failed attempt held: one array read.
+    pub retry_cell_time: SimDuration,
+}
+
+impl ReadOutcome {
+    /// The flash operations of the read, in the order they ran: every
+    /// failed attempt, a read on the same channel that held the die for
+    /// [`retry_cell_time`](ReadOutcome::retry_cell_time) and moved
+    /// nothing over the bus, then the attempt that succeeded.
+    pub fn ops(&self) -> impl Iterator<Item = FlashOp> {
+        let failed = FlashOp {
+            kind: FlashOpKind::Read,
+            channel: self.op.channel,
+            cell_time: self.retry_cell_time,
+            bus_time: SimDuration::ZERO,
+        };
+        std::iter::repeat_n(failed, self.retries as usize).chain(std::iter::once(self.op))
+    }
 }
 
 /// FTL-level statistics.
@@ -218,24 +237,21 @@ impl Ftl {
             return Err(FtlError::OutOfCapacity(lpn));
         }
         let ppa = self.translate(lpn).ok_or(FtlError::Unmapped(lpn))?;
-        let mut ops = Vec::new();
         let mut retries = 0;
         loop {
             match self.flash.read_page(ppa) {
                 Ok((data, op)) => {
-                    ops.push(op);
                     self.stats.read_retries += retries as u64;
-                    return Ok(ReadOutcome { data, ops, retries });
+                    return Ok(ReadOutcome {
+                        data,
+                        op,
+                        retries,
+                        // A failed attempt still occupied the die for a read.
+                        retry_cell_time: self.flash.timing().read_latency,
+                    });
                 }
                 Err(FlashError::Uncorrectable(_)) if retries < self.cfg.read_retries => {
                     retries += 1;
-                    // A failed attempt still occupied the die for a read.
-                    ops.push(FlashOp {
-                        kind: FlashOpKind::Read,
-                        channel: self.flash.geometry().channel_of(ppa),
-                        cell_time: self.flash.timing().read_latency,
-                        bus_time: morpheus_simcore::SimDuration::ZERO,
-                    });
                 }
                 Err(e @ FlashError::Uncorrectable(_)) => {
                     self.stats.read_retries += retries as u64;
@@ -618,6 +634,7 @@ mod tests {
         let flash = FlashArray::with_ecc(FlashGeometry::small(), FlashTiming::default(), ecc, 99);
         let mut f = Ftl::new(flash, FtlConfig::default());
         f.write(Lpn(0), b"fragile").unwrap();
+        let channel = FlashGeometry::small().channel_of(f.translate(Lpn(0)).unwrap());
         let mut successes = 0;
         let mut retried = 0;
         for _ in 0..50 {
@@ -626,8 +643,24 @@ mod tests {
                     successes += 1;
                     if out.retries > 0 {
                         retried += 1;
-                        assert!(out.ops.len() as u32 == out.retries + 1);
                     }
+                    // Each failed attempt held the die for one array read
+                    // on the page's channel and moved nothing over the
+                    // bus; the last op is the read that succeeded.
+                    let failed = FlashOp {
+                        kind: FlashOpKind::Read,
+                        channel,
+                        cell_time: FlashTiming::default().read_latency,
+                        bus_time: SimDuration::ZERO,
+                    };
+                    let mut want = vec![failed; out.retries as usize];
+                    want.push(out.op);
+                    assert_eq!(out.ops().collect::<Vec<_>>(), want);
+                    assert_eq!(out.op.channel, channel);
+                    assert!(
+                        out.op.bus_time > SimDuration::ZERO,
+                        "the data crossed the bus"
+                    );
                     assert_eq!(&out.data[..], b"fragile");
                 }
                 Err(FtlError::MediaFailure(..)) => {}

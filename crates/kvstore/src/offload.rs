@@ -5,6 +5,7 @@ use crate::{decode_pairs, KvScanApp, KvStore};
 use morpheus::{MsStream, RunError, System};
 use morpheus_host::CodeClass;
 use morpheus_simcore::{SimDuration, SimTime};
+use morpheus_ssd::PageRead;
 
 /// Host binary-scan costs: a tight compare loop over resident buckets
 /// (nothing like the `scanf` text path — this is memcmp-class code).
@@ -29,8 +30,9 @@ pub struct ScanReport {
     pub result_bytes: u64,
 }
 
-/// Conventional scan: the whole region streams to the host in 1 MiB reads
-/// ([`System::conventional_io`]), and the host CPU filters their buckets.
+/// Conventional scan: the whole region streams to the host in 1 MiB READs
+/// on I/O queue 1 ([`System::read_chunk`]), and the host CPU filters
+/// their buckets.
 ///
 /// # Errors
 ///
@@ -44,7 +46,8 @@ pub fn scan_conventional(sys: &mut System, kv: &KvStore, lo: u64, hi: u64) -> Sc
     let mut matches = Vec::new();
     let (mut cpu_ready, mut cpu_busy) = (SimTime::ZERO, SimDuration::ZERO);
     for c in stream.chunks() {
-        let (raw, io_done) = sys.conventional_io(c, buf_addr, SimTime::ZERO)?;
+        let (pages, io_done) = sys.read_chunk(c, buf_addr, SimTime::ZERO)?;
+        let raw = PageRead::gather(&pages);
         let mut records = 0u64;
         for b in raw.chunks_exact(kv.config().bucket_bytes as usize) {
             for (k, v) in decode_bucket(b) {
@@ -182,6 +185,15 @@ mod tests {
         assert_eq!(after - before, plan.commands().count() as u64);
         assert!(drained && outstanding == 0, "the rings are empty");
         assert_eq!(sys.mssd.live_instances(), 0);
+
+        // The host scan streams the same 8.4 MB in nine 1 MiB READs, each
+        // rung on the same queue.
+        let (conv, _) = scan_conventional(&mut sys, &kv, 0, 100_000).unwrap();
+        assert_eq!(conv, pairs);
+        let (host, drained, outstanding) = queue(&mut sys);
+        assert_eq!(host - after, 9);
+        assert!(drained && outstanding == 0, "the rings are empty");
+        assert_eq!(sys.cids_in_flight(), 0);
     }
 
     #[test]

@@ -134,7 +134,7 @@ mod tests {
     use super::*;
     use crate::{decode_pairs, KvConfig, KvStore};
     use morpheus_flash::{FlashGeometry, FlashTiming};
-    use morpheus_ssd::{Ssd, SsdConfig};
+    use morpheus_ssd::{PageRead, Ssd, SsdConfig};
 
     fn populated() -> (Ssd, KvStore) {
         let mut ssd = Ssd::new(
@@ -158,7 +158,7 @@ mod tests {
         // Run the app directly over the raw region bytes, chunked
         // awkwardly (not bucket aligned).
         let (slba, blocks) = kv.region();
-        let raw = ssd.read_range_untimed(slba, blocks).unwrap();
+        let raw = PageRead::gather(&ssd.read_range_untimed(slba, blocks).unwrap());
         let mut app = KvScanApp::new(kv.config().bucket_bytes, lo, hi);
         let mut ctx = DeviceCtx::new(256 * 1024);
         for chunk in raw.chunks(3000) {
@@ -175,7 +175,7 @@ mod tests {
     fn empty_range_emits_nothing() {
         let (mut ssd, kv) = populated();
         let (slba, blocks) = kv.region();
-        let raw = ssd.read_range_untimed(slba, blocks).unwrap();
+        let raw = PageRead::gather(&ssd.read_range_untimed(slba, blocks).unwrap());
         let mut app = KvScanApp::new(kv.config().bucket_bytes, 20_000, 30_000);
         let mut ctx = DeviceCtx::new(256 * 1024);
         app.on_chunk(&mut ctx, &raw).unwrap();

@@ -1,7 +1,7 @@
 //! The on-flash hash-bucket table.
 
 use morpheus_nvme::LBA_BYTES;
-use morpheus_ssd::{Ssd, SsdError};
+use morpheus_ssd::{PageRead, Ssd, SsdError};
 use std::error::Error;
 use std::fmt;
 
@@ -180,11 +180,11 @@ impl KvStore {
     }
 
     fn read_bucket(&self, ssd: &mut Ssd, bucket: u32) -> Result<Vec<(u64, Vec<u8>)>, KvError> {
-        let raw = ssd.read_range_untimed(
+        let pages = ssd.read_range_untimed(
             self.bucket_lba(bucket),
             self.cfg.bucket_bytes as u64 / LBA_BYTES,
         )?;
-        Ok(decode_bucket(&raw))
+        Ok(decode_bucket(&PageRead::gather(&pages)))
     }
 
     fn write_bucket(

@@ -6,7 +6,7 @@ use morpheus::DeviceCtx;
 use morpheus::StorageApp;
 use morpheus_flash::{FlashGeometry, FlashTiming};
 use morpheus_kvstore::{decode_pairs, KvConfig, KvError, KvScanApp, KvStore};
-use morpheus_ssd::{Ssd, SsdConfig};
+use morpheus_ssd::{PageRead, Ssd, SsdConfig};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -84,7 +84,7 @@ proptest! {
         let want = kv.scan_range_host(&mut ssd, lo, hi).unwrap();
 
         let (slba, blocks) = kv.region();
-        let raw = ssd.read_range_untimed(slba, blocks).unwrap();
+        let raw = PageRead::gather(&ssd.read_range_untimed(slba, blocks).unwrap());
         let mut app = KvScanApp::new(kv.config().bucket_bytes, lo, hi);
         let mut ctx = DeviceCtx::new(256 * 1024);
         for c in raw.chunks(chunk) {

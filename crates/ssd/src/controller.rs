@@ -9,22 +9,36 @@ use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// A zero-copy view of one logical page served by the controller.
+/// A zero-copy view of the bytes a read covers in one logical page.
 ///
 /// Wraps the FTL's [`PageData`] handle (sharing the flash array's stored
 /// allocation) or represents an unmapped page, which reads as zeros
 /// without any backing allocation. Stored payloads may be shorter than
-/// the flash page; accessors zero-extend to page size.
+/// the flash page; accessors zero-extend them. A range read
+/// ([`Ssd::read_range`]) hands out one view per page it covers, so a
+/// caller that parses or hashes the bytes reads them where flash stores
+/// them, and one that needs them contiguous gathers them
+/// ([`PageRead::gather`]): the only copy on the read path.
 #[derive(Debug, Clone)]
 pub struct PageRead {
     data: Option<PageData>,
-    page_bytes: usize,
+    range: Range<usize>,
 }
 
 impl PageRead {
-    /// Logical size of the page in bytes.
-    pub fn page_bytes(&self) -> usize {
-        self.page_bytes
+    /// The bytes of the page this read covers, as offsets into the page.
+    pub fn range(&self) -> Range<usize> {
+        self.range.clone()
+    }
+
+    /// How many bytes this read covers.
+    pub fn len(&self) -> usize {
+        self.range.len()
+    }
+
+    /// True when the read covers no byte.
+    pub fn is_empty(&self) -> bool {
+        self.range.is_empty()
     }
 
     /// The shared payload handle, or `None` for an unmapped page.
@@ -32,35 +46,41 @@ impl PageRead {
         self.data.as_ref()
     }
 
-    /// Appends bytes `lo..hi` of the page onto `out`, zero-extending past
-    /// the stored payload. This is the read path's single payload copy —
-    /// straight from the flash array's allocation into the caller's
-    /// destination buffer.
-    pub fn copy_into(&self, lo: usize, hi: usize, out: &mut Vec<u8>) {
-        debug_assert!(lo <= hi && hi <= self.page_bytes);
-        let stored_end = match &self.data {
-            Some(d) => d.len().clamp(lo, hi),
-            None => lo,
-        };
-        if let Some(d) = &self.data {
-            out.extend_from_slice(&d[lo..stored_end]);
-        }
-        out.resize(out.len() + (hi - stored_end), 0);
-    }
-
-    /// Bytes `lo..hi` of the page: borrowed straight from the stored
-    /// allocation when the range is fully backed (the hot case — the
-    /// controller writes whole pages), owned and zero-extended otherwise.
-    pub fn slice(&self, lo: usize, hi: usize) -> Cow<'_, [u8]> {
-        debug_assert!(lo <= hi && hi <= self.page_bytes);
+    /// The covered bytes: borrowed straight from the stored allocation
+    /// when the payload backs them all (the hot case: the controller
+    /// writes whole pages), owned and zero-extended otherwise.
+    pub fn bytes(&self) -> Cow<'_, [u8]> {
         match &self.data {
-            Some(d) if d.len() >= hi => Cow::Borrowed(&d[lo..hi]),
+            Some(d) if d.len() >= self.range.end => Cow::Borrowed(&d[self.range.clone()]),
             _ => {
-                let mut v = Vec::with_capacity(hi - lo);
-                self.copy_into(lo, hi, &mut v);
+                let mut v = Vec::with_capacity(self.len());
+                self.copy_into(&mut v);
                 Cow::Owned(v)
             }
         }
+    }
+
+    /// Appends the covered bytes onto `out`, zero-extending past the
+    /// stored payload.
+    fn copy_into(&self, out: &mut Vec<u8>) {
+        let Range { start, end } = self.range;
+        let stored_end = match &self.data {
+            Some(d) => d.len().clamp(start, end),
+            None => start,
+        };
+        if let Some(d) = &self.data {
+            out.extend_from_slice(&d[start..stored_end]);
+        }
+        out.resize(out.len() + (end - stored_end), 0);
+    }
+
+    /// The bytes of `pages`, in order, in one buffer of their own.
+    pub fn gather(pages: &[PageRead]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(pages.iter().map(PageRead::len).sum());
+        for p in pages {
+            p.copy_into(&mut out);
+        }
+        out
     }
 }
 
@@ -281,10 +301,12 @@ impl Ssd {
 
     /// Serves a timed read of `blocks` LBAs starting at `slba`.
     ///
-    /// Returns the data and the time it is fully buffered in controller
-    /// DRAM (ready for DMA). Page reads stripe across channels and pipeline
-    /// on the per-channel cell/bus timelines. Unwritten blocks read as
-    /// zeros without touching flash (deallocated-block semantics).
+    /// Returns one [`PageRead`] view per flash page the range covers, in
+    /// order, and the time they are all buffered in controller DRAM
+    /// (ready for DMA). Every page is timed before this returns: page
+    /// reads stripe across channels and pipeline on the per-channel
+    /// cell/bus timelines. Unwritten blocks read as zeros without touching
+    /// flash (deallocated-block semantics).
     ///
     /// # Errors
     ///
@@ -295,32 +317,23 @@ impl Ssd {
         slba: u64,
         blocks: u64,
         ready: SimTime,
-    ) -> Result<(Vec<u8>, SimTime), SsdError> {
+    ) -> Result<(Vec<PageRead>, SimTime), SsdError> {
         self.check_range(slba, blocks)?;
         let dispatch = self
             .cores
             .exec(ready, self.cfg.command_dispatch_instructions);
         let start = dispatch.end;
-
-        let byte_start = slba * LBA_BYTES;
-        let byte_len = blocks * LBA_BYTES;
-        let page_bytes = self.page_bytes();
-        let first_page = byte_start / page_bytes;
-        let last_page = (byte_start + byte_len - 1) / page_bytes;
-
-        let mut out = Vec::with_capacity(byte_len as usize);
+        let spans = page_spans(self.page_bytes(), slba, blocks);
+        let mut pages = Vec::with_capacity(spans.size_hint().0);
         let mut done = start;
-        for lpn in first_page..=last_page {
-            let page_base = lpn * page_bytes;
-            let lo = byte_start.max(page_base) - page_base;
-            let hi = (byte_start + byte_len).min(page_base + page_bytes) - page_base;
-            let (page, avail) = self.read_page_timed(Lpn(lpn), start)?;
-            page.copy_into(lo as usize, hi as usize, &mut out);
+        for (lpn, range) in spans {
+            let (page, avail) = self.read_page_timed(lpn, range, start)?;
+            pages.push(page);
             done = done.max(avail);
         }
         self.stats.read_commands += 1;
-        self.stats.bytes_read += byte_len;
-        Ok((out, done))
+        self.stats.bytes_read += blocks * LBA_BYTES;
+        Ok((pages, done))
     }
 
     /// Serves a timed write of `data` starting at `slba` (read-modify-write
@@ -347,24 +360,19 @@ impl Ssd {
         Ok(done)
     }
 
-    /// Reads one full logical page with timing, returning a zero-copy
-    /// [`PageRead`] handle; unmapped pages read as zeros instantly without
-    /// allocating (used by the Morpheus firmware extension, which
-    /// pipelines parsing at page granularity).
+    /// Reads one logical page with timing, returning a zero-copy
+    /// [`PageRead`] view of its bytes `range`; unmapped pages read as zeros
+    /// instantly without allocating (used by the Morpheus firmware
+    /// extension, which pipelines parsing at page granularity).
     pub fn read_page_timed(
         &mut self,
         lpn: Lpn,
+        range: Range<usize>,
         ready: SimTime,
     ) -> Result<(PageRead, SimTime), SsdError> {
-        let page_bytes = self.page_bytes() as usize;
+        debug_assert!(range.start <= range.end && range.end <= self.page_bytes() as usize);
         if self.ftl.translate(lpn).is_none() {
-            return Ok((
-                PageRead {
-                    data: None,
-                    page_bytes,
-                },
-                ready,
-            ));
+            return Ok((PageRead { data: None, range }, ready));
         }
         let corrected_before = self.ftl.flash().stats().corrected_reads;
         let outcome = match self.ftl.read(lpn) {
@@ -387,17 +395,12 @@ impl Ssd {
                 .instant(TraceLayer::Ftl, "map", "read-retry", ready);
         }
         let mut avail = ready;
-        for op in &outcome.ops {
-            avail = self.apply_op(op, ready);
+        for op in outcome.ops() {
+            avail = self.apply_op(&op, ready);
         }
         self.read_lat.record(avail.duration_since(ready).as_nanos());
-        Ok((
-            PageRead {
-                data: Some(outcome.data),
-                page_bytes,
-            },
-            avail,
-        ))
+        let data = Some(outcome.data);
+        Ok((PageRead { data, range }, avail))
     }
 
     /// Writes bytes `range` of `image` from LBA `slba`: whole pages as
@@ -437,8 +440,8 @@ impl Ssd {
                 if self.ftl.translate(Lpn(lpn)).is_some() {
                     let outcome = self.ftl.read(Lpn(lpn))?;
                     if let Some(t0) = timed_from {
-                        for op in &outcome.ops {
-                            done = done.max(self.apply_op(op, t0));
+                        for op in outcome.ops() {
+                            done = done.max(self.apply_op(&op, t0));
                         }
                     }
                     page[..outcome.data.len()].copy_from_slice(&outcome.data);
@@ -525,33 +528,28 @@ impl Ssd {
 
     /// Reads a range without charging simulated time (used when another
     /// storage device is being modelled over the same stored bytes, or for
-    /// functional verification).
+    /// functional verification): the same views as
+    /// [`read_range`](Ssd::read_range).
     ///
     /// # Errors
     ///
     /// Same as [`read_range`](Ssd::read_range).
-    pub fn read_range_untimed(&mut self, slba: u64, blocks: u64) -> Result<Vec<u8>, SsdError> {
+    pub fn read_range_untimed(
+        &mut self,
+        slba: u64,
+        blocks: u64,
+    ) -> Result<Vec<PageRead>, SsdError> {
         self.check_range(slba, blocks)?;
-        let page_bytes = self.page_bytes();
-        let byte_start = slba * LBA_BYTES;
-        let byte_len = blocks * LBA_BYTES;
-        let first_page = byte_start / page_bytes;
-        let last_page = (byte_start + byte_len - 1) / page_bytes;
-        let mut out = Vec::with_capacity(byte_len as usize);
-        for lpn in first_page..=last_page {
-            let page_base = lpn * page_bytes;
-            let lo = byte_start.max(page_base) - page_base;
-            let hi = (byte_start + byte_len).min(page_base + page_bytes) - page_base;
-            let page = PageRead {
-                data: match self.ftl.translate(Lpn(lpn)) {
-                    Some(_) => Some(self.ftl.read(Lpn(lpn))?.data),
-                    None => None,
-                },
-                page_bytes: page_bytes as usize,
+        let spans = page_spans(self.page_bytes(), slba, blocks);
+        let mut pages = Vec::with_capacity(spans.size_hint().0);
+        for (lpn, range) in spans {
+            let data = match self.ftl.translate(lpn) {
+                Some(_) => Some(self.ftl.read(lpn)?.data),
+                None => None,
             };
-            page.copy_into(lo as usize, hi as usize, &mut out);
+            pages.push(PageRead { data, range });
         }
-        Ok(out)
+        Ok(pages)
     }
 
     /// Resets every timeline and counter to time zero while keeping the
@@ -576,6 +574,22 @@ impl Ssd {
     }
 }
 
+/// The logical pages LBAs `slba..slba + blocks` cover, each with the
+/// bytes of the page the range holds.
+fn page_spans(
+    page_bytes: u64,
+    slba: u64,
+    blocks: u64,
+) -> impl Iterator<Item = (Lpn, Range<usize>)> {
+    let (start, end) = (slba * LBA_BYTES, (slba + blocks) * LBA_BYTES);
+    (start / page_bytes..end.div_ceil(page_bytes)).map(move |lpn| {
+        let base = lpn * page_bytes;
+        let lo = start.max(base) - base;
+        let hi = end.min(base + page_bytes) - base;
+        (Lpn(lpn), lo as usize..hi as usize)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -594,16 +608,17 @@ mod tests {
         let data: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
         ssd.load_at(3, &data).unwrap();
         let blocks = (data.len() as u64).div_ceil(LBA_BYTES);
-        let (read, done) = ssd.read_range(3, blocks, SimTime::ZERO).unwrap();
-        assert_eq!(&read[..data.len()], &data[..]);
+        let (pages, done) = ssd.read_range(3, blocks, SimTime::ZERO).unwrap();
+        assert_eq!(&PageRead::gather(&pages)[..data.len()], &data[..]);
         assert!(done > SimTime::ZERO);
     }
 
     #[test]
     fn unwritten_blocks_read_zero_instantly() {
         let mut ssd = small_ssd();
-        let (data, done) = ssd.read_range(100, 2, SimTime::ZERO).unwrap();
-        assert!(data.iter().all(|b| *b == 0));
+        let (pages, done) = ssd.read_range(100, 2, SimTime::ZERO).unwrap();
+        assert!(pages.iter().all(|p| p.data().is_none()));
+        assert_eq!(PageRead::gather(&pages), vec![0u8; 1024]);
         // Only the dispatch cost, no flash time.
         let dispatch = ssd
             .cores()
@@ -616,8 +631,8 @@ mod tests {
         let mut ssd = small_ssd();
         let done = ssd.write_range(0, b"abcdef", SimTime::ZERO).unwrap();
         assert!(done > SimTime::ZERO);
-        let (data, _) = ssd.read_range(0, 1, SimTime::ZERO).unwrap();
-        assert_eq!(&data[..6], b"abcdef");
+        let (pages, _) = ssd.read_range(0, 1, SimTime::ZERO).unwrap();
+        assert_eq!(&pages[0].bytes()[..6], b"abcdef");
     }
 
     #[test]
@@ -627,9 +642,10 @@ mod tests {
         ssd.load_at(0, &page).unwrap();
         // Overwrite LBA 1 only (512 bytes inside the first page).
         ssd.write_range(1, &[9u8; 512], SimTime::ZERO).unwrap();
-        let (data, _) = ssd
+        let (pages, _) = ssd
             .read_range(0, ssd.lbas_per_page(), SimTime::ZERO)
             .unwrap();
+        let data = PageRead::gather(&pages);
         assert!(data[..512].iter().all(|b| *b == 7));
         assert!(data[512..1024].iter().all(|b| *b == 9));
         assert!(data[1024..].iter().all(|b| *b == 7));

@@ -19,12 +19,14 @@
 //! ```
 //! use morpheus_flash::{FlashGeometry, FlashTiming};
 //! use morpheus_simcore::SimTime;
-//! use morpheus_ssd::{Ssd, SsdConfig};
+//! use morpheus_ssd::{PageRead, Ssd, SsdConfig};
 //!
 //! let mut ssd = Ssd::new(SsdConfig::default(), FlashGeometry::small(), FlashTiming::default());
 //! ssd.load_at(0, b"hello world").unwrap();
-//! let (data, done) = ssd.read_range(0, 1, SimTime::ZERO).unwrap();
-//! assert_eq!(&data[..11], b"hello world");
+//! // One view per flash page the range covers, sharing the stored bytes.
+//! let (pages, done) = ssd.read_range(0, 1, SimTime::ZERO).unwrap();
+//! assert_eq!(&pages[0].bytes()[..11], b"hello world");
+//! assert_eq!(&PageRead::gather(&pages)[..11], b"hello world");
 //! assert!(done > SimTime::ZERO);
 //! ```
 

@@ -5,8 +5,9 @@ use morpheus_flash::{copy_audit, FlashGeometry, FlashTiming, PageData};
 use morpheus_ftl::Lpn;
 use morpheus_nvme::LBA_BYTES;
 use morpheus_simcore::SimTime;
-use morpheus_ssd::{Ssd, SsdConfig};
+use morpheus_ssd::{PageRead, Ssd, SsdConfig};
 use proptest::prelude::*;
+use std::borrow::Cow;
 
 fn small_ssd() -> Ssd {
     Ssd::new(
@@ -16,10 +17,11 @@ fn small_ssd() -> Ssd {
     )
 }
 
-/// The regression tripwire for the read hot path: serving bulk reads must
-/// not materialize any full-page payload copy (`PageData::to_boxed` /
-/// `to_vec`), no matter how many pages are touched. The single sanctioned
-/// copy is the sub-slice memcpy into the caller's output buffer.
+/// The regression tripwire for the read hot path: a range read, timed or
+/// not, hands out views of the stored payloads and copies no byte. No
+/// full-page payload is materialized (`PageData::to_boxed` / `to_vec`),
+/// each view shares the allocation a page read hands out, and its bytes
+/// borrow from it. Gathering the views is the caller's copy.
 #[test]
 fn bulk_reads_never_copy_full_pages() {
     let mut ssd = small_ssd();
@@ -31,9 +33,19 @@ fn bulk_reads_never_copy_full_pages() {
     let blocks = data.len() as u64 / LBA_BYTES;
     let (timed, _) = ssd.read_range(0, blocks, SimTime::ZERO).unwrap();
     let untimed = ssd.read_range_untimed(0, blocks).unwrap();
-    for lpn in 0..8 {
-        let (handle, _) = ssd.read_page_timed(Lpn(lpn), SimTime::ZERO).unwrap();
-        assert!(handle.data().is_some());
+    assert_eq!((timed.len(), untimed.len()), (8, 8), "one view per page");
+    for (lpn, (t, u)) in timed.iter().zip(&untimed).enumerate() {
+        let (handle, _) = ssd
+            .read_page_timed(Lpn(lpn as u64), 0..page, SimTime::ZERO)
+            .unwrap();
+        let stored = handle.data().expect("a mapped page");
+        assert!(PageData::ptr_eq(t.data().unwrap(), stored));
+        assert!(PageData::ptr_eq(u.data().unwrap(), stored));
+        assert_eq!(t.range(), 0..page);
+        assert!(
+            matches!(t.bytes(), Cow::Borrowed(_)),
+            "a backed view borrows"
+        );
     }
     assert_eq!(
         copy_audit::count(),
@@ -41,8 +53,8 @@ fn bulk_reads_never_copy_full_pages() {
         "the read hot path materialized a full-page copy"
     );
 
-    assert_eq!(&timed[..], &data[..]);
-    assert_eq!(&untimed[..], &data[..]);
+    assert_eq!(PageRead::gather(&timed), data);
+    assert_eq!(PageRead::gather(&untimed), data);
     assert!(ssd.ftl().flash().stats().reads > 0);
 }
 
@@ -52,22 +64,26 @@ fn bulk_reads_never_copy_full_pages() {
 fn page_handles_share_storage_across_the_stack() {
     let mut ssd = small_ssd();
     ssd.load_at(0, &vec![0x5A; 4096]).unwrap();
-    let (a, _) = ssd.read_page_timed(Lpn(0), SimTime::ZERO).unwrap();
-    let (b, _) = ssd.read_page_timed(Lpn(0), SimTime::ZERO).unwrap();
+    let (a, _) = ssd.read_page_timed(Lpn(0), 0..4096, SimTime::ZERO).unwrap();
+    let (b, _) = ssd.read_page_timed(Lpn(0), 8..16, SimTime::ZERO).unwrap();
     let (pa, pb) = (a.data().unwrap(), b.data().unwrap());
     assert!(PageData::ptr_eq(pa, pb), "controller reads must not copy");
 }
 
-/// Unmapped pages read as zeros without a backing allocation.
+/// Unmapped pages read as zeros without a backing allocation, and a view
+/// covers only the bytes its range holds in the page.
 #[test]
 fn unmapped_pages_have_no_backing_allocation() {
     let mut ssd = small_ssd();
-    let (handle, _) = ssd.read_page_timed(Lpn(5), SimTime::ZERO).unwrap();
+    let (handle, _) = ssd.read_page_timed(Lpn(5), 0..16, SimTime::ZERO).unwrap();
     assert!(handle.data().is_none());
-    assert!(handle.slice(0, 16).iter().all(|b| *b == 0));
-    let mut out = Vec::new();
-    handle.copy_into(8, 40, &mut out);
-    assert_eq!(out, vec![0u8; 32]);
+    assert_eq!(handle.bytes(), vec![0u8; 16]);
+    let lbas = ssd.lbas_per_page();
+    let (pages, _) = ssd.read_range(5 * lbas + 1, 2, SimTime::ZERO).unwrap();
+    assert_eq!(pages.len(), 1);
+    assert!(pages[0].data().is_none());
+    assert_eq!(pages[0].range(), 512..1536);
+    assert_eq!(PageRead::gather(&pages), vec![0u8; 1024]);
 }
 
 proptest! {
@@ -112,8 +128,11 @@ proptest! {
                 }
                 // Read and compare against the model.
                 _ => {
-                    let (got, _) =
+                    let (pages, _) =
                         ssd.read_range(slba, blocks, SimTime::ZERO).unwrap();
+                    let covered: usize = pages.iter().map(PageRead::len).sum();
+                    prop_assert_eq!(covered, byte_len);
+                    let got = PageRead::gather(&pages);
                     prop_assert_eq!(
                         &got[..],
                         &model[byte_start..byte_start + byte_len],
@@ -123,7 +142,7 @@ proptest! {
             }
         }
         // Final sweep: every block agrees with the model.
-        let all = ssd.read_range_untimed(0, cap).unwrap();
+        let all = PageRead::gather(&ssd.read_range_untimed(0, cap).unwrap());
         prop_assert_eq!(&all[..], &model[..]);
     }
 }

@@ -141,8 +141,8 @@ fn main() {
     let sample = b"11 22\n33 44\n";
     let wrote = mssd.mwrite(2, 1 << 20, sample, t1).unwrap();
     mssd.mdeinit(2, wrote.durable).unwrap();
-    let (stored, _) = mssd.dev.read_range(1 << 20, 1, wrote.durable).unwrap();
-    let stored = ParsedColumns::decode(edge_schema(), &stored[..16]).unwrap();
+    let (pages, _) = mssd.dev.read_range(1 << 20, 1, wrote.durable).unwrap();
+    let stored = ParsedColumns::decode(edge_schema(), &pages[0].bytes()[..16]).unwrap();
     assert_eq!(stored.columns[0].as_ints().unwrap(), &[11, 33]);
     println!(
         "MWRITE converted {} bytes of text into {} bytes of binary objects on flash",
