@@ -30,7 +30,7 @@ use morpheus_simcore::{
     FaultPlan, Fnv1a, Metrics, SimDuration, SimTime, SplitMix64, TraceEvent, TraceEventKind,
     TraceLayer, Tracer,
 };
-use morpheus_ssd::SsdError;
+use morpheus_ssd::{BoundaryPages, SsdError};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -312,16 +312,22 @@ impl Fleet {
     /// Stages a file on **every** device (full replication; see the type
     /// docs), replacing a name that exists as
     /// [`System::create_input_file`] does. Untimed. `data` is copied once
-    /// into one image that every replica's pages view: pages are
-    /// immutable, so sharing it cannot couple the devices.
+    /// into one image that every replica's whole pages view, and each page
+    /// the file shares with a neighbour is merged once: every replica
+    /// whose merge comes out byte for byte the same programs a view of
+    /// that page ([`Ssd::load_image`](morpheus_ssd::Ssd::load_image)),
+    /// and a replica whose bytes differ builds its own. Pages are
+    /// immutable, so sharing them cannot couple the devices; each still
+    /// reads and writes through its own FTL.
     ///
     /// # Errors
     ///
     /// Propagates the first device's filesystem or drive error.
     pub fn create_input_file(&mut self, name: &str, data: &[u8]) -> Result<(), SsdError> {
         let image = Arc::from(data);
+        let mut merged = BoundaryPages::default();
         for d in &mut self.devices {
-            d.stage_image(name, &image)?;
+            d.stage_image(name, &image, &mut merged)?;
         }
         Ok(())
     }
@@ -335,11 +341,7 @@ impl Fleet {
     ///
     /// Propagates the first device's filesystem or drive error.
     pub fn overwrite_input_file(&mut self, name: &str, data: &[u8]) -> Result<(), SsdError> {
-        let image = Arc::from(data);
-        for d in &mut self.devices {
-            d.stage_image(name, &image)?;
-        }
-        Ok(())
+        self.create_input_file(name, data)
     }
 
     /// Installs the same fault plan on every device (use
@@ -715,6 +717,7 @@ mod tests {
     use super::*;
     use crate::report::Mode;
     use morpheus_format::{FieldKind, Schema, TextWriter};
+    use morpheus_ssd::PageData;
 
     fn edge_text(n: u32, salt: u64) -> Vec<u8> {
         let mut w = TextWriter::new();
@@ -740,6 +743,94 @@ mod tests {
             specs.push(AppSpec::cpu_app(&name, &file, schema.clone(), 1, 50.0));
         }
         (fleet, specs)
+    }
+
+    fn bytes(len: usize, salt: usize) -> Vec<u8> {
+        (0..len).map(|i| ((i * 7 + salt) % 251) as u8).collect()
+    }
+
+    /// The pages `name` starts or ends inside of on `sys`, and the stored
+    /// payload of each.
+    fn boundary_pages(sys: &mut System, name: &str) -> Vec<(u64, PageData)> {
+        let meta = sys.fs.open(name).unwrap();
+        let start = meta.extents[0].slba;
+        let end = start + meta.total_blocks();
+        let lbas = sys.mssd.dev.lbas_per_page();
+        [start, end]
+            .into_iter()
+            .filter(|lba| lba % lbas != 0)
+            .map(|lba| {
+                let lpn = lba / lbas;
+                let pages = sys.mssd.dev.read_range_untimed(lpn * lbas, lbas).unwrap();
+                (lpn, pages[0].data().cloned().expect("a mapped page"))
+            })
+            .collect()
+    }
+
+    /// Three files whose boundaries fall inside pages, but for `a`'s start.
+    fn staged() -> Vec<(&'static str, Vec<u8>)> {
+        [("a", 50_001), ("b", 70_003), ("c", 33_333)]
+            .map(|(name, len)| (name, bytes(len, len)))
+            .into()
+    }
+
+    #[test]
+    fn replicas_share_each_boundary_page() {
+        let mut fleet = Fleet::new(SystemParams::paper_testbed(), FleetConfig::new(4));
+        let files = staged();
+        for (name, data) in &files {
+            fleet.create_input_file(name, data).unwrap();
+        }
+        let mut shared = 0;
+        for (name, data) in &files {
+            let first = boundary_pages(fleet.device_mut(0), name);
+            for d in 0..4 {
+                let pages = boundary_pages(fleet.device_mut(d), name);
+                assert_eq!(pages.len(), first.len());
+                for ((lpn, page), (lpn0, page0)) in pages.iter().zip(&first) {
+                    assert_eq!(lpn, lpn0);
+                    assert!(PageData::ptr_eq(page, page0), "{name} page {lpn} on {d}");
+                    shared += 1;
+                }
+                assert_eq!(fleet.device_mut(d).read_file_bytes(name).unwrap(), *data);
+            }
+        }
+        assert_eq!(shared, 4 * 5, "a starts aligned; five boundaries");
+    }
+
+    #[test]
+    fn a_diverged_replica_merges_its_own_boundary_pages() {
+        let mut fleet = Fleet::new(SystemParams::paper_testbed(), FleetConfig::new(4));
+        let extra = bytes(1_000, 9);
+        fleet
+            .device_mut(0)
+            .create_input_file("extra", &extra)
+            .unwrap();
+        let files = staged();
+        for (name, data) in &files {
+            fleet.create_input_file(name, data).unwrap();
+        }
+        for (name, data) in &files {
+            let own = boundary_pages(fleet.device_mut(0), name);
+            let peer = boundary_pages(fleet.device_mut(1), name);
+            for (_, page) in &own {
+                assert!(peer.iter().all(|(_, p)| !PageData::ptr_eq(page, p)));
+            }
+            for d in 2..4 {
+                for ((_, page), (_, p)) in
+                    boundary_pages(fleet.device_mut(d), name).iter().zip(&peer)
+                {
+                    assert!(
+                        PageData::ptr_eq(page, p),
+                        "{name} on {d}: the peers still share"
+                    );
+                }
+            }
+            for d in 0..4 {
+                assert_eq!(fleet.device_mut(d).read_file_bytes(name).unwrap(), *data);
+            }
+        }
+        assert_eq!(fleet.device_mut(0).read_file_bytes("extra").unwrap(), extra);
     }
 
     fn quick_cfg() -> ServeConfig {

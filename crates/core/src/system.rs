@@ -12,7 +12,7 @@ use morpheus_pcie::{BarWindow, DeviceId, Fabric};
 use morpheus_simcore::{
     Bandwidth, FaultCounters, FaultPlan, Histogram, Interval, SimTime, Timeline, Tracer,
 };
-use morpheus_ssd::{Ssd, SsdError};
+use morpheus_ssd::{BoundaryPages, Ssd, SsdError};
 use std::sync::Arc;
 
 /// One I/O command's worth of a file: an LBA range plus how many of its
@@ -318,27 +318,29 @@ impl System {
     ///
     /// Propagates filesystem and drive errors.
     pub fn overwrite_input_file(&mut self, name: &str, data: &[u8]) -> Result<(), SsdError> {
-        self.stage_image(name, &Arc::from(data))
+        self.create_input_file(name, data)
     }
 
     /// Creates a file and stages its bytes on the SSD (untimed: inputs are
     /// on the drive before the measured window starts, as in the paper).
-    /// `data` is copied once, into an image the drive's whole pages view
-    /// (see [`Ssd::load_image`]). Creating a name that exists replaces the
-    /// file: objects cached from it are invalidated and its whole pages
-    /// discarded.
+    /// `data` is copied once, into an image the drive's whole pages view;
+    /// a page the file shares with a neighbour is merged once, in the
+    /// allocation the drive stores (see [`Ssd::load_image`]). Creating a
+    /// name that exists replaces the file: objects cached from it are
+    /// invalidated and its pages discarded, together with any page it
+    /// shared only with files already removed (see [`Ssd::discard`]).
     ///
     /// # Errors
     ///
     /// Propagates filesystem and drive errors.
     pub fn create_input_file(&mut self, name: &str, data: &[u8]) -> Result<(), SsdError> {
-        self.stage_image(name, &Arc::from(data))
+        self.stage_image(name, &Arc::from(data), &mut BoundaryPages::default())
     }
 
     /// Creates `name` with room for `len` bytes, replacing any file of
-    /// that name: objects cached from it are invalidated and its whole
-    /// pages discarded ([`remove_file`](System::remove_file)). A full
-    /// volume is the drive's range error.
+    /// that name: objects cached from it are invalidated and its pages
+    /// discarded ([`remove_file`](System::remove_file)). A full volume is
+    /// the drive's range error.
     pub(crate) fn create_file(&mut self, name: &str, len: u64) -> Result<FileMeta, SsdError> {
         self.invalidate_cached_objects(name);
         self.remove_file(name)?;
@@ -353,22 +355,37 @@ impl System {
     }
 
     /// Removes `name`, if it exists. The bump-allocated filesystem does not
-    /// reuse its extents, so every page lying wholly inside them is trimmed
-    /// (untimed, like staging) and its payload freed; a page shared with a
-    /// live neighbour keeps its bytes.
+    /// reuse its blocks, so the removed file's pages are trimmed (untimed,
+    /// like staging) and their payloads freed: the drive discards the
+    /// free gap the file leaves ([`SimFs::gap_around`]), from the previous
+    /// live file's end to the next live file's start or the allocator's
+    /// frontier. A page the file shared with a live neighbour, or with the
+    /// next file to be created, keeps its bytes; a page it shared only
+    /// with files already removed goes too. The discard is clamped to the
+    /// file's own pages: the rest of the gap went with the files that
+    /// held it.
     pub(crate) fn remove_file(&mut self, name: &str) -> Result<(), SsdError> {
-        if let Ok(old) = self.fs.remove(name) {
-            for e in &old.extents {
-                self.mssd.dev.discard(e.slba, e.blocks)?;
-            }
-        }
-        Ok(())
+        let Ok(old) = self.fs.remove(name) else {
+            return Ok(());
+        };
+        // The bump allocator gives a file one contiguous run of blocks.
+        let span = old.extents[0].slba..old.extents[0].slba + old.total_blocks();
+        let gap = self.fs.gap_around(span.clone());
+        let lbas = self.mssd.dev.lbas_per_page();
+        let start = gap.start.max(span.start / lbas * lbas);
+        let end = gap.end.min(span.end.div_ceil(lbas) * lbas);
+        self.mssd.dev.discard(start, end - start)
     }
 
     /// [`create_input_file`](System::create_input_file) from a staged
     /// image: the one staging path, which a fleet runs once per device
-    /// over one shared image.
-    pub(crate) fn stage_image(&mut self, name: &str, image: &Arc<[u8]>) -> Result<(), SsdError> {
+    /// over one shared image and one `merged` set of boundary pages.
+    pub(crate) fn stage_image(
+        &mut self,
+        name: &str,
+        image: &Arc<[u8]>,
+        merged: &mut BoundaryPages,
+    ) -> Result<(), SsdError> {
         let meta = self.create_file(name, image.len() as u64)?;
         let mut off = 0usize;
         for e in &meta.extents {
@@ -377,7 +394,7 @@ impl System {
             if off >= end {
                 break;
             }
-            self.mssd.dev.load_image(e.slba, image, off..end)?;
+            self.mssd.dev.load_image(e.slba, image, off..end, merged)?;
             off = end;
         }
         Ok(())
@@ -686,6 +703,75 @@ mod tests {
         for lpn in whole {
             assert_eq!(ftl.translate(Lpn(lpn)), None, "page {lpn}");
         }
+    }
+
+    #[test]
+    fn a_boundary_page_goes_once_no_live_or_next_file_shares_it() {
+        let mut sys = small_system();
+        let file = |len: usize, salt: usize| -> Vec<u8> {
+            (0..len).map(|i| ((i * 7 + salt) % 251) as u8).collect()
+        };
+        // `t` lies inside the page `a` ends in and `b` starts in, and `c`
+        // ends inside the page the next file will start in.
+        let names = ["a", "t", "b", "c"];
+        let data = [
+            file(50_001, 1),
+            file(1_000, 2),
+            file(30_000, 3),
+            file(20_000, 4),
+        ];
+        for (name, bytes) in names.iter().zip(&data) {
+            sys.create_input_file(name, bytes).unwrap();
+        }
+        let lbas = sys.mssd.dev.lbas_per_page();
+        let span = |sys: &System, name: &str| {
+            let meta = sys.fs.open(name).unwrap();
+            meta.extents[0].slba..meta.extents[0].slba + meta.total_blocks()
+        };
+        let [a, t, b, c] = names.map(|n| span(&sys, n));
+        let (ab, bc, frontier) = (t.start / lbas, c.start / lbas, c.end / lbas);
+        assert_eq!(
+            ((a.end - 1) / lbas, (t.end - 1) / lbas, b.start / lbas),
+            (ab, ab, ab)
+        );
+        assert_eq!((b.end - 1) / lbas, bc);
+        assert!(b.end % lbas != 0 && c.end % lbas != 0);
+        let mapped = |sys: &System, lpn: u64| sys.mssd.dev.ftl().translate(Lpn(lpn)).is_some();
+        let intact = |sys: &mut System, live: &[usize]| {
+            for &i in live {
+                assert_eq!(
+                    sys.read_file_bytes(names[i]).unwrap(),
+                    data[i],
+                    "{}",
+                    names[i]
+                );
+            }
+        };
+
+        // `a` and `b` still cover `t`'s page.
+        sys.remove_file("t").unwrap();
+        assert!(mapped(&sys, ab));
+        intact(&mut sys, &[0, 2, 3]);
+        // `a`'s pages go, but not the one `b` still covers.
+        sys.remove_file("a").unwrap();
+        assert!((0..ab).all(|lpn| !mapped(&sys, lpn)));
+        assert!(mapped(&sys, ab));
+        intact(&mut sys, &[2, 3]);
+        // `b` was the last live file in that page, so it goes with `b`'s
+        // own; the page `b` shares with `c` stays.
+        sys.remove_file("b").unwrap();
+        assert!((ab..bc).all(|lpn| !mapped(&sys, lpn)));
+        assert!(mapped(&sys, bc));
+        intact(&mut sys, &[3]);
+        // With `c` every page goes but the frontier page, which the next
+        // file shares.
+        sys.remove_file("c").unwrap();
+        assert!((bc..frontier).all(|lpn| !mapped(&sys, lpn)));
+        assert!(mapped(&sys, frontier));
+        let next = file(9_000, 5);
+        sys.create_input_file("d", &next).unwrap();
+        assert_eq!(span(&sys, "d").start, c.end);
+        assert_eq!(sys.read_file_bytes("d").unwrap(), next);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// A contiguous run of logical blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,6 +175,25 @@ impl SimFs {
             .ok_or_else(|| FsError::NotFound(name.to_string()))
     }
 
+    /// The free blocks around `blocks`, which no live file holds (a
+    /// removed file's span): from the end of the last live extent before
+    /// it to the start of the first live extent after it, or to the
+    /// allocator's frontier, where the next file will start. Visits every
+    /// live extent once and allocates nothing.
+    pub fn gap_around(&self, blocks: Range<u64>) -> Range<u64> {
+        let mut gap = 0..self.next_lba;
+        for e in self.files.values().flat_map(|m| &m.extents) {
+            let end = e.slba + e.blocks;
+            debug_assert!(end <= blocks.start || e.slba >= blocks.end);
+            if end <= blocks.start {
+                gap.start = gap.start.max(end);
+            } else {
+                gap.end = gap.end.min(e.slba);
+            }
+        }
+        gap
+    }
+
     /// Iterates file names in sorted order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.files.keys().map(String::as_str)
@@ -250,6 +270,25 @@ mod tests {
         fs.truncate("x", 100).unwrap();
         assert_eq!(fs.open("x").unwrap().len, 100);
         assert!(fs.truncate("missing", 0).is_err());
+    }
+
+    #[test]
+    fn a_gap_runs_from_the_previous_live_file_to_the_next_or_the_frontier() {
+        let mut fs = SimFs::new(512, 1 << 20);
+        for (name, len) in [("a", 1000), ("b", 2000), ("c", 700), ("d", 3000)] {
+            fs.create(name, len).unwrap();
+        }
+        let span = |m: &FileMeta| m.extents[0].slba..m.extents[0].slba + m.total_blocks();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| span(fs.open(n).unwrap()));
+        fs.remove("b").unwrap();
+        assert_eq!(fs.gap_around(b.clone()), a.end..c.start);
+        fs.remove("c").unwrap();
+        assert_eq!(fs.gap_around(c), a.end..d.start);
+        fs.remove("a").unwrap();
+        assert_eq!(fs.gap_around(a), 0..d.start);
+        fs.remove("d").unwrap();
+        assert_eq!(fs.gap_around(d.clone()), 0..d.end, "the frontier ends it");
+        assert_eq!(fs.gap_around(b), 0..d.end);
     }
 
     #[test]

@@ -254,16 +254,22 @@ impl Ssd {
     ///
     /// Propagates FTL failures and range errors.
     pub fn load_at(&mut self, slba: u64, data: &[u8]) -> Result<(), SsdError> {
-        self.load_image(slba, &Arc::from(data), 0..data.len())
+        let mut merged = BoundaryPages::default();
+        self.load_image(slba, &Arc::from(data), 0..data.len(), &mut merged)
     }
 
     /// Loads bytes `range` of `image` at an LBA without charging simulated
     /// time — used to stage workload input files before a timed run (the
     /// paper's inputs are likewise on the drive before measurement
     /// starts). Every whole page becomes a view of `image`, so the bytes
-    /// are not copied and drives staging one image share it; a page the
+    /// are not copied and drives staging one image share it. A page the
     /// range covers in part is merged with the page's current contents
-    /// (read-modify-write), so a neighbour's bytes in it survive.
+    /// (read-modify-write), so a neighbour's bytes in it survive; the
+    /// merge is built once per staging call: when `merged` already holds a
+    /// page with exactly the merged bytes (another replica built it), this
+    /// drive programs a view of that page. Either way the drive reads its
+    /// old page and writes the new one through its own FTL, so its map,
+    /// stats and wear are what a private copy would leave.
     ///
     /// # Errors
     ///
@@ -277,15 +283,21 @@ impl Ssd {
         slba: u64,
         image: &Arc<[u8]>,
         range: Range<usize>,
+        merged: &mut BoundaryPages,
     ) -> Result<(), SsdError> {
-        self.write_bytes(slba, image, range, None).map(|_| ())
+        self.write_bytes(slba, image, range, None, merged)
+            .map(|_| ())
     }
 
     /// Discards every page lying wholly inside LBAs `slba..slba + blocks`
     /// (an untimed TRIM through [`Ftl::trim`]): the pages go stale and the
     /// flash array frees their payloads. A page the range covers in part
     /// keeps its bytes, since a neighbour may share it. A discarded page
-    /// reads as zeros, like a never-written one.
+    /// reads as zeros, like a never-written one. A caller that passes the
+    /// whole free gap around a removed file (as `System::remove_file`
+    /// does) also trims the pages the file shared with neighbours that
+    /// are gone, while a page shared with a live file or with the next
+    /// allocation stays partial and keeps its bytes.
     ///
     /// # Errors
     ///
@@ -354,7 +366,10 @@ impl Ssd {
         let dispatch = self
             .cores
             .exec(ready, self.cfg.command_dispatch_instructions);
-        let done = self.write_bytes(slba, &Arc::from(data), 0..data.len(), Some(dispatch.end))?;
+        let image = Arc::from(data);
+        let mut merged = BoundaryPages::default();
+        let done =
+            self.write_bytes(slba, &image, 0..data.len(), Some(dispatch.end), &mut merged)?;
         self.stats.write_commands += 1;
         self.stats.bytes_written += data.len() as u64;
         Ok(done)
@@ -404,13 +419,15 @@ impl Ssd {
     }
 
     /// Writes bytes `range` of `image` from LBA `slba`: whole pages as
-    /// views of `image`, partial pages by read-modify-write.
+    /// views of `image`, partial pages by read-modify-write, sharing a
+    /// page of `merged` whose bytes the merge would reproduce.
     fn write_bytes(
         &mut self,
         slba: u64,
         image: &Arc<[u8]>,
         range: Range<usize>,
         timed_from: Option<SimTime>,
+        merged: &mut BoundaryPages,
     ) -> Result<SimTime, SsdError> {
         let data = &image[range.clone()];
         let blocks = (data.len() as u64).div_ceil(LBA_BYTES);
@@ -433,10 +450,8 @@ impl Ssd {
             let page = if lo == 0 && hi == page_bytes {
                 PageData::view(image, src)
             } else {
-                // Read-modify-write: merge with the existing contents,
-                // copying straight out of the read handle's shared
-                // allocation into the new page image.
-                let mut page = vec![0u8; page_bytes as usize];
+                // Read-modify-write: merge with the existing contents.
+                let mut old = None;
                 if self.ftl.translate(Lpn(lpn)).is_some() {
                     let outcome = self.ftl.read(Lpn(lpn))?;
                     if let Some(t0) = timed_from {
@@ -444,10 +459,15 @@ impl Ssd {
                             done = done.max(self.apply_op(&op, t0));
                         }
                     }
-                    page[..outcome.data.len()].copy_from_slice(&outcome.data);
+                    old = Some(outcome.data);
                 }
-                page[lo as usize..hi as usize].copy_from_slice(&image[src]);
-                PageData::copy_from(&page)
+                let merge = Merge {
+                    old: old.as_deref().unwrap_or_default(),
+                    at: lo as usize,
+                    new: &image[src],
+                    page_bytes: page_bytes as usize,
+                };
+                merged.share_or_build(Lpn(lpn), old.as_ref(), &merge)
             };
             let outcome = self.ftl.write_data(Lpn(lpn), page)?;
             if let Some(t0) = timed_from {
@@ -574,6 +594,87 @@ impl Ssd {
     }
 }
 
+/// The partial pages one staging call has merged, so that a replica
+/// whose read-modify-write comes out byte for byte the same programs a
+/// view of the page another replica built instead of a copy of its own.
+///
+/// A fleet stages a file on every device through one of these
+/// ([`Ssd::load_image`]); a solo staging call or a timed write uses a
+/// fresh one. A page leaves it when the drive that holds it replaces it,
+/// so it never keeps a page alive that no drive maps.
+#[derive(Debug, Default)]
+pub struct BoundaryPages {
+    pages: Vec<(Lpn, PageData)>,
+}
+
+impl BoundaryPages {
+    /// The page `merge` produces at `lpn`, where the drive held `old`: a
+    /// view of a held page with exactly those bytes, or a new page, held
+    /// from now on. A held page that `old` is (this drive built or shared
+    /// it earlier in the call) is dropped, since the write replaces it.
+    fn share_or_build(&mut self, lpn: Lpn, old: Option<&PageData>, merge: &Merge<'_>) -> PageData {
+        if let Some(old) = old {
+            self.pages
+                .retain(|(at, held)| *at != lpn || !PageData::ptr_eq(held, old));
+        }
+        if let Some((_, held)) = self
+            .pages
+            .iter()
+            .find(|(at, held)| *at == lpn && merge.produces(held))
+        {
+            return held.clone();
+        }
+        let page = merge.build();
+        self.pages.push((lpn, page.clone()));
+        page
+    }
+}
+
+/// One page's read-modify-write: `old` (zero-extended to `page_bytes`)
+/// with `new` written at byte `at`.
+struct Merge<'a> {
+    old: &'a [u8],
+    at: usize,
+    new: &'a [u8],
+    page_bytes: usize,
+}
+
+impl Merge<'_> {
+    /// The bytes of `old` in `range`, as far as it stores them.
+    fn old_in(&self, range: Range<usize>) -> &[u8] {
+        let len = self.old.len();
+        &self.old[range.start.min(len)..range.end.min(len)]
+    }
+
+    /// Builds the merged page in the allocation it is stored in.
+    fn build(&self) -> PageData {
+        let end = self.at + self.new.len();
+        let mut buf: Arc<[u8]> = std::iter::repeat_n(0u8, self.page_bytes).collect();
+        let page = Arc::get_mut(&mut buf).expect("a new page has one owner");
+        let head = self.old_in(0..self.at);
+        page[..head.len()].copy_from_slice(head);
+        page[self.at..end].copy_from_slice(self.new);
+        let tail = self.old_in(end..self.page_bytes);
+        page[end..end + tail.len()].copy_from_slice(tail);
+        PageData::from(buf)
+    }
+
+    /// True when `page` holds exactly the bytes [`build`](Merge::build)
+    /// would, compared in place.
+    fn produces(&self, page: &[u8]) -> bool {
+        let end = self.at + self.new.len();
+        let matches_old = |range: Range<usize>| {
+            let old = self.old_in(range.clone());
+            let (stored, zeros) = page[range].split_at(old.len());
+            stored == old && zeros.iter().all(|&b| b == 0)
+        };
+        page.len() == self.page_bytes
+            && page[self.at..end] == *self.new
+            && matches_old(0..self.at)
+            && matches_old(end..self.page_bytes)
+    }
+}
+
 /// The logical pages LBAs `slba..slba + blocks` cover, each with the
 /// bytes of the page the range holds.
 fn page_spans(
@@ -649,6 +750,78 @@ mod tests {
         assert!(data[..512].iter().all(|b| *b == 7));
         assert!(data[512..1024].iter().all(|b| *b == 9));
         assert!(data[1024..].iter().all(|b| *b == 7));
+    }
+
+    #[test]
+    fn drives_merging_the_same_bytes_share_one_page() {
+        let mut drives = [small_ssd(), small_ssd(), small_ssd()];
+        let page = drives[0].page_bytes() as usize;
+        for (i, d) in drives.iter_mut().enumerate() {
+            d.load_at(0, &vec![if i == 1 { 9 } else { 7 }; page * 3])
+                .unwrap();
+        }
+        // From byte 1536: pages 0 and 2 are merged, page 1 is a view.
+        let image: Arc<[u8]> = (0..page * 2).map(|i| (i % 251) as u8).collect();
+        let mut merged = BoundaryPages::default();
+        for d in &mut drives {
+            d.load_image(3, &image, 0..page * 2, &mut merged).unwrap();
+        }
+        let stored = |d: &mut Ssd, lpn: u64| {
+            let lbas = d.lbas_per_page();
+            d.read_range_untimed(lpn * lbas, lbas).unwrap()[0]
+                .data()
+                .cloned()
+                .unwrap()
+        };
+        for lpn in [0, 2] {
+            let [a, b, c] = drives.each_mut().map(|d| stored(d, lpn));
+            assert!(PageData::ptr_eq(&a, &c), "page {lpn} is built once");
+            assert!(!PageData::ptr_eq(&a, &b), "other old bytes, own page");
+        }
+        for (i, d) in drives.iter_mut().enumerate() {
+            let old = if i == 1 { 9 } else { 7 };
+            let mut want = vec![old; page * 3];
+            want[1536..1536 + image.len()].copy_from_slice(&image);
+            let blocks = (page * 3) as u64 / LBA_BYTES;
+            let pages = d.read_range_untimed(0, blocks).unwrap();
+            assert_eq!(PageRead::gather(&pages), want, "drive {i}");
+        }
+    }
+
+    #[test]
+    fn a_page_the_drive_replaces_leaves_the_boundary_set() {
+        let mut ssd = small_ssd();
+        let image: Arc<[u8]> = Arc::from(&[5u8; 2048][..]);
+        let mut merged = BoundaryPages::default();
+        ssd.load_image(0, &image, 0..512, &mut merged).unwrap();
+        ssd.load_image(1, &image, 512..2048, &mut merged).unwrap();
+        let (now, _) = ssd.read_page_timed(Lpn(0), 0..4096, SimTime::ZERO).unwrap();
+        assert_eq!(merged.pages.len(), 1, "only the page the drive maps");
+        assert!(PageData::ptr_eq(&merged.pages[0].1, now.data().unwrap()));
+        assert_eq!(&now.bytes()[..2048], &image[..]);
+    }
+
+    #[test]
+    fn a_merge_is_compared_in_place_as_it_would_be_built() {
+        let new = [3u8; 100];
+        for old_len in [0, 40, 150, 400, 512] {
+            let old: Vec<u8> = (0..old_len).map(|i| (i % 7 + 1) as u8).collect();
+            let merge = Merge {
+                old: &old,
+                at: 100,
+                new: &new,
+                page_bytes: 512,
+            };
+            let page = merge.build();
+            assert_eq!(page.len(), 512);
+            assert!(merge.produces(&page), "old {old_len} B");
+            for flip in [0, 99, 100, 199, 200, 511] {
+                let mut other = page.to_vec();
+                other[flip] ^= 0x80;
+                assert!(!merge.produces(&other), "old {old_len} B, byte {flip}");
+            }
+            assert!(!merge.produces(&page[..511]), "a short page");
+        }
     }
 
     #[test]

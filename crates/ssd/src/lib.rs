@@ -38,7 +38,7 @@ mod cores;
 mod error;
 
 pub use config::SsdConfig;
-pub use controller::{PageRead, Ssd, SsdStats};
+pub use controller::{BoundaryPages, PageRead, Ssd, SsdStats};
 pub use cores::EmbeddedCorePool;
 pub use error::SsdError;
 pub use morpheus_flash::{copy_audit, PageData};

@@ -2,11 +2,13 @@
 //!
 //! A counting global allocator measures the live heap a `System` holds
 //! empty, what staging sixteen 64 KB files on a 16-device fleet adds, and
-//! what each overwrite of a staged file adds. The FTL map grows only to
-//! the highest page written, the flash array stores valid pages only, a
-//! fleet's replicas view one staged image, and an overwrite discards the
-//! old file's whole pages. One `#[test]`, so nothing else in this process
-//! allocates while it measures.
+//! what each overwrite of a staged file adds, on one drive and on a
+//! 16-device fleet. The FTL map grows only to the highest page written,
+//! the flash array stores valid pages only, a fleet's replicas view one
+//! staged image and one merged page per boundary between files, and an
+//! overwrite discards every old page no live file or next allocation
+//! shares. One `#[test]`, so nothing else in this process allocates while
+//! it measures.
 
 use morpheus::{Fleet, FleetConfig, System, SystemParams};
 use morpheus_format::TextWriter;
@@ -72,6 +74,16 @@ fn edge_text(bytes: u64, seed: u64) -> Vec<u8> {
     w.into_bytes()
 }
 
+/// The live heap each of `rounds` overwrites adds, on average, when
+/// `overwrite` is handed two texts in turn.
+fn per_overwrite(rounds: usize, texts: &[Vec<u8>], mut overwrite: impl FnMut(&[u8])) -> usize {
+    let before = live();
+    for r in 0..rounds {
+        overwrite(&texts[r % 2]);
+    }
+    live().saturating_sub(before) / rounds
+}
+
 #[test]
 fn a_drive_holds_only_its_live_pages() {
     let texts: Vec<Vec<u8>> = (0..16).map(|i| edge_text(64_000, i)).collect();
@@ -86,7 +98,8 @@ fn a_drive_holds_only_its_live_pages() {
         empty / KIB
     );
 
-    // Sixteen replicas of sixteen files share one image per file.
+    // Sixteen replicas of sixteen files share one image per file and one
+    // merged page per boundary between two files.
     let mut fleet = Fleet::try_new(SystemParams::paper_testbed(), FleetConfig::new(16))
         .expect("a 16-device fleet is valid");
     let before = live();
@@ -97,33 +110,56 @@ fn a_drive_holds_only_its_live_pages() {
     }
     let staged = live().saturating_sub(before);
     assert!(
-        staged < 8 * KIB * KIB,
+        staged < 2 * KIB * KIB,
         "staging 16 x 64 KB on 16 devices adds {} KiB",
         staged / KIB
     );
+
+    // An overwrite on every replica leaves no page behind: the old file's
+    // pages go, and so does each page it shared with a file already gone.
+    let rounds = 50;
+    let fleet_overwrite = per_overwrite(rounds, &texts[2..4], |text| {
+        fleet
+            .overwrite_input_file("svc0.txt", text)
+            .expect("the rewrite fits the drive");
+    });
+    assert!(
+        fleet_overwrite < 16 * KIB,
+        "each overwrite on 16 devices adds {} B",
+        fleet_overwrite
+    );
+    for d in [0, 15] {
+        let sys = fleet.device_mut(d);
+        assert_eq!(sys.read_file_bytes("svc1.txt").unwrap(), texts[1]);
+        assert_eq!(
+            sys.read_file_bytes("svc0.txt").unwrap(),
+            texts[2 + (rounds - 1) % 2]
+        );
+    }
     drop(fleet);
 
-    // An overwrite discards the old file's whole pages; only the page it
-    // shares with its neighbour stays.
+    // The same on one drive.
     for (i, text) in texts.iter().take(2).enumerate() {
         solo.create_input_file(&format!("svc{i}.txt"), text)
             .expect("tenant inputs fit the drive");
     }
     let rounds = 200;
-    let before = live();
-    for r in 0..rounds {
-        solo.overwrite_input_file("svc0.txt", &texts[2 + r % 2])
+    let solo_overwrite = per_overwrite(rounds, &texts[2..4], |text| {
+        solo.overwrite_input_file("svc0.txt", text)
             .expect("the rewrite fits the drive");
-    }
-    let per_overwrite = live().saturating_sub(before) / rounds;
+    });
     assert!(
-        per_overwrite < 24 * KIB,
-        "each overwrite adds {} KiB",
-        per_overwrite / KIB
+        solo_overwrite < 2 * KIB,
+        "each overwrite adds {} B",
+        solo_overwrite
     );
     assert_eq!(solo.read_file_bytes("svc1.txt").unwrap(), texts[1]);
     assert_eq!(
         solo.read_file_bytes("svc0.txt").unwrap(),
         texts[2 + (rounds - 1) % 2]
+    );
+    eprintln!(
+        "empty {empty} B, fleet staging {staged} B, fleet overwrite {fleet_overwrite} B, \
+         solo overwrite {solo_overwrite} B"
     );
 }
