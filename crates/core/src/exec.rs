@@ -822,7 +822,7 @@ mod tests {
     #[test]
     fn conventional_runs_release_every_command_id_on_every_storage() {
         // Small chunks so the file takes many reads. Only NVMe reads are
-        // commands; a RAM-drive or HDD read must not hold a CID either.
+        // commands; a RAM-drive or HDD read must not leave one queued either.
         for storage in [
             StorageKind::NvmeSsd,
             StorageKind::RamDrive,
@@ -836,7 +836,7 @@ mod tests {
                 .unwrap();
             let spec = AppSpec::cpu_app("bfs", "edges.txt", edge_schema(), 4, 100.0);
             sys.run(&spec, Mode::Conventional).unwrap();
-            assert_eq!(sys.in_flight_cids.len(), 0, "{storage:?}");
+            sys.assert_front_end_idle(&format!("{storage:?}"));
         }
     }
 
@@ -923,10 +923,10 @@ mod tests {
             sys.set_fault_plan(morpheus_simcore::FaultPlan::parse(plan).unwrap());
             let spec = AppSpec::cpu_app("bfs", "edges.txt", edge_schema(), 4, 100.0);
             let _ = sys.run(&spec, mode);
-            assert_eq!(sys.in_flight_cids.len(), 0, "{plan} {mode}");
+            sys.assert_front_end_idle(&format!("{plan} {mode}"));
         }
         // Malformed input fails the StorageApp itself: the run is fatal,
-        // and the failed MREAD leaves no CID, instance or controller DRAM.
+        // and the failed MREAD leaves no command, instance or controller DRAM.
         let mut sys = test_system();
         sys.create_input_file("bad.txt", b"1 2\nnot numeric\n3 4\n")
             .unwrap();
@@ -943,7 +943,7 @@ mod tests {
             "morpheus firmware error: storageapp fault: parse failure: \
              unexpected byte 'n' at offset 4"
         );
-        assert_eq!(sys.in_flight_cids.len(), 0);
+        sys.assert_front_end_idle("a failed MREAD");
         assert_eq!(sys.mssd.live_instances(), 0);
         assert_eq!(sys.mssd.dev.dram_used(), 0);
     }

@@ -22,7 +22,6 @@ use morpheus_ssd::{Ssd, SsdError};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Errors from the Morpheus firmware, each mapping onto an NVMe status.
@@ -520,10 +519,9 @@ impl MorpheusSsd {
             dispatch.start,
             dispatch.end,
         );
-        let page_bytes = self.dev.page_bytes();
-        let byte_start = slba * LBA_BYTES;
         let byte_len = (blocks * LBA_BYTES).min(valid_bytes);
-        let pages = flash_pages(byte_start, byte_len, page_bytes);
+        let spans = self.dev.page_spans(slba * LBA_BYTES, byte_len);
+        let pages = spans.size_hint().0;
         let recording = matches!(inst.memo, InstanceMemo::Record(_));
         // A replaying instance consumes its recorded commands in issue order.
         let played = match &mut inst.memo {
@@ -538,8 +536,8 @@ impl MorpheusSsd {
                     "deser-memo replay geometry mismatch (key collision?)"
                 );
                 assert_eq!(
-                    cmd.page_instr.len() as u64,
-                    pages.end - pages.start,
+                    cmd.page_instr.len(),
+                    pages,
                     "deser-memo replay page-count mismatch (key collision?)"
                 );
                 Some(cmd)
@@ -549,18 +547,12 @@ impl MorpheusSsd {
         let mut done = dispatch.end;
         let mut core_busy = SimDuration::ZERO;
         let mut page_instr: Vec<f64> = match recording {
-            true => Vec::with_capacity((pages.end - pages.start) as usize),
+            true => Vec::with_capacity(pages),
             false => Vec::new(),
         };
-        for (pi, lpn) in pages.enumerate() {
-            let page_base = lpn * page_bytes;
-            let lo = byte_start.max(page_base) - page_base;
-            let hi = (byte_start + byte_len).min(page_base + page_bytes) - page_base;
-            let (page, avail) = self.dev.read_page_timed(
-                morpheus_ftl::Lpn(lpn),
-                lo as usize..hi as usize,
-                dispatch.end,
-            )?;
+        for (pi, (lpn, range)) in spans.enumerate() {
+            let parsed = range.len() as u64;
+            let (page, avail) = self.dev.read_page_timed(lpn, range, dispatch.end)?;
             let instr = match played {
                 Some(cmd) => cmd.page_instr[pi],
                 None => {
@@ -584,7 +576,7 @@ impl MorpheusSsd {
                 "parse",
                 iv.start,
                 iv.end,
-                hi - lo,
+                parsed,
             );
             inst.last_done = iv.end;
             core_busy += iv.duration();
@@ -827,15 +819,6 @@ impl MorpheusSsd {
             self.abort_instance(instance_id);
         }
         out
-    }
-}
-
-/// The flash pages holding bytes `[byte_start, byte_start + byte_len)`,
-/// none when the range is empty.
-fn flash_pages(byte_start: u64, byte_len: u64, page_bytes: u64) -> Range<u64> {
-    match byte_len {
-        0 => 0..0,
-        n => byte_start / page_bytes..(byte_start + n - 1) / page_bytes + 1,
     }
 }
 

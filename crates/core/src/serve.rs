@@ -1424,16 +1424,6 @@ mod tests {
         sys.set_fault_plan(FaultPlan::none());
     }
 
-    /// No CID in flight, and the controller back to its bring-up queue.
-    fn assert_front_end_idle(sys: &mut System, after: &str) {
-        assert_eq!(sys.in_flight_cids.len(), 0, "CIDs in flight after {after}");
-        assert_eq!(sys.mssd.admin.io_queue_count(), 1, "queues after {after}");
-        assert!(
-            sys.mssd.admin.io_queue(1).is_some(),
-            "queue 1 after {after}"
-        );
-    }
-
     #[test]
     fn every_front_end_call_leaves_no_cid_in_flight() {
         // Each driver, once returning Ok and once Err, leaves the drive's
@@ -1444,11 +1434,11 @@ mod tests {
         let bad = AppSpec::cpu_app("bad", "bad.txt", edge_schema(), 1, 50.0);
         for mode in [Mode::Conventional, Mode::Morpheus] {
             sys.run(&specs[0], mode).unwrap();
-            assert_front_end_idle(&mut sys, &format!("a {mode} run"));
+            sys.assert_front_end_idle(&format!("a {mode} run"));
             sys.run(&bad, mode).unwrap_err();
-            assert_front_end_idle(&mut sys, &format!("a failed {mode} run"));
+            sys.assert_front_end_idle(&format!("a failed {mode} run"));
             sys.serve(&specs, &quick_cfg(mode)).unwrap();
-            assert_front_end_idle(&mut sys, &format!("a {mode} serve"));
+            sys.assert_front_end_idle(&format!("a {mode} serve"));
             // A request of the second tenant fails its batch, and at depth
             // 1 it fails on the overflow path too.
             let failing = [specs[0].clone(), bad.clone()];
@@ -1456,7 +1446,7 @@ mod tests {
                 let mut cfg = quick_cfg(mode);
                 (cfg.policy, cfg.depth, cfg.rps) = (policy, depth, 50_000.0);
                 sys.serve(&failing, &cfg).unwrap_err();
-                assert_front_end_idle(&mut sys, &format!("a failed {mode} {policy} serve"));
+                sys.assert_front_end_idle(&format!("a failed {mode} {policy} serve"));
                 assert_eq!(sys.mssd.live_instances(), 0);
             }
         }
@@ -1464,7 +1454,7 @@ mod tests {
         for mode in [Mode::Conventional, Mode::Morpheus] {
             sys.run_serialize(&objects, &format!("{mode}.txt"), mode)
                 .unwrap();
-            assert_front_end_idle(&mut sys, &format!("a {mode} serialization"));
+            sys.assert_front_end_idle(&format!("a {mode} serialization"));
         }
         // Host DRAM smaller than the 1 MiB staging buffer fails it.
         let dram = sys.params.host_dram_bytes;
@@ -1473,7 +1463,7 @@ mod tests {
             .run_serialize(&objects, "morpheus.txt", Mode::Morpheus)
             .unwrap_err();
         assert!(matches!(err, RunError::OutOfHostMemory), "{err:?}");
-        assert_front_end_idle(&mut sys, "a failed serialization");
+        sys.assert_front_end_idle("a failed serialization");
         assert_eq!(sys.mssd.live_instances(), 0);
         sys.params.host_dram_bytes = dram;
 
@@ -1489,7 +1479,7 @@ mod tests {
         fleet.serve(&specs[..1], &cfg).unwrap();
         fleet.serve(&[specs[0].clone(), bad], &cfg).unwrap_err();
         for d in 0..fleet.num_devices() {
-            assert_front_end_idle(fleet.device_mut(d), "a fleet serve");
+            fleet.device_mut(d).assert_front_end_idle("a fleet serve");
         }
     }
 

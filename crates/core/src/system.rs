@@ -42,52 +42,6 @@ impl ChunkIo {
 /// pump's to assign ([`System::pump`]).
 pub(crate) type WireCmd = (NvmeCommand, StatusCode, u32);
 
-/// Fixed-size bitmap over the full 16-bit command-identifier space.
-///
-/// The CID allocator probes and clears this on every command issue and
-/// completion — the serving hot path — where a `HashSet<u16>` pays a hash
-/// and a heap-bucket walk per operation. One bit per CID (8 KiB total)
-/// makes membership a shift and mask, with the same insert/remove
-/// semantics the set had.
-#[derive(Debug)]
-pub(crate) struct CidSet {
-    words: Box<[u64; 1024]>,
-    len: usize,
-}
-
-impl CidSet {
-    pub(crate) fn new() -> Self {
-        CidSet {
-            words: Box::new([0u64; 1024]),
-            len: 0,
-        }
-    }
-
-    /// Marks `id` in flight; returns false if it already was.
-    pub(crate) fn insert(&mut self, id: u16) -> bool {
-        let (w, bit) = (usize::from(id) >> 6, 1u64 << (id & 63));
-        if self.words[w] & bit != 0 {
-            return false;
-        }
-        self.words[w] |= bit;
-        self.len += 1;
-        true
-    }
-
-    /// Clears `id` after its completion is reaped.
-    pub(crate) fn remove(&mut self, id: u16) {
-        let (w, bit) = (usize::from(id) >> 6, 1u64 << (id & 63));
-        if self.words[w] & bit != 0 {
-            self.words[w] &= !bit;
-            self.len -= 1;
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-}
-
 /// The modelled platform: a quad-core Xeon host with DDR3 memory, a PCIe
 /// 3.0 fabric, the Morpheus-SSD, and a K20-class GPU.
 ///
@@ -126,11 +80,6 @@ pub struct System {
     pub(crate) gpu_dev: DeviceId,
     pub(crate) gpu_bar: Option<BarWindow>,
     pub(crate) next_instance: u32,
-    pub(crate) next_cid: u16,
-    /// CIDs handed out but not yet completed. A CID is only unique among
-    /// commands in flight (NVMe 1.2 §4.2), so the allocator must skip
-    /// these when the 16-bit counter wraps under sustained load.
-    pub(crate) in_flight_cids: CidSet,
     /// The pump's scratch for one doorbell wave of tagged commands.
     wave: Vec<NvmeCommand>,
     pub(crate) tracer: Tracer,
@@ -187,8 +136,6 @@ impl System {
             gpu_dev,
             gpu_bar: None,
             next_instance: 1,
-            next_cid: 0,
-            in_flight_cids: CidSet::new(),
             wave: Vec::new(),
             tracer: Tracer::disabled(),
             nvme_lat: Histogram::new(),
@@ -582,29 +529,6 @@ impl System {
         self.alloc_instance()
     }
 
-    /// Command identifiers tagged on commands not yet completed: zero
-    /// whenever the command pump is not running.
-    pub fn cids_in_flight(&self) -> usize {
-        self.in_flight_cids.len()
-    }
-
-    /// Allocates a command identifier that is unique among commands in
-    /// flight, wrapping past CIDs still awaiting completion. The
-    /// [`pump`](System::pump) releases it once the completion is reaped.
-    fn alloc_cid(&mut self) -> u16 {
-        assert!(
-            self.in_flight_cids.len() < usize::from(u16::MAX) + 1,
-            "all 65536 command identifiers are in flight"
-        );
-        loop {
-            let id = self.next_cid;
-            self.next_cid = self.next_cid.wrapping_add(1);
-            if self.in_flight_cids.insert(id) {
-                return id;
-            }
-        }
-    }
-
     /// Books one host wakeup for an NVMe command completion (or the
     /// syscall that issues a command) on a host core, no earlier than
     /// `at`: the OS path of [`OsModel::command_completion`], priced as
@@ -616,20 +540,24 @@ impl System {
     }
 
     /// Drives `wire` through I/O queue pair `qid` of the drive's
-    /// controller: the one place a command crosses the wire, so a CID is
-    /// in flight only inside this call. Each doorbell-coalesced wave tags
-    /// up to a ring's worth of commands with free CIDs and submits them
-    /// with one tail-doorbell write; the device pops each, its codec must
-    /// round-trip byte-exact (and a Morpheus command parse, or this
-    /// panics), and its completion is posted and reaped and its CID freed.
+    /// controller: the one place a command crosses the wire and the one
+    /// place a CID is assigned. Each doorbell-coalesced wave submits up to
+    /// a ring's worth of commands with one tail-doorbell write, each
+    /// tagged with its index in the wave: a CID need only be unique among
+    /// a queue's outstanding commands (NVMe 1.2 §4.2), and each wave is
+    /// reaped before the next is submitted, so none is outstanding between
+    /// waves or after this returns. The device pops each command, its
+    /// codec must round-trip byte-exact (and a Morpheus command parse, or
+    /// this panics), and the completion reaped for it must carry its CID.
     pub(crate) fn pump(&mut self, qid: u16, wire: &[WireCmd]) {
         let mut tagged = std::mem::take(&mut self.wave);
         for wave in wire.chunks(IO_QUEUE_DEPTH) {
             tagged.clear();
-            for (cmd, _, _) in wave {
-                let cid = self.alloc_cid();
-                tagged.push(NvmeCommand { cid, ..*cmd });
-            }
+            tagged.extend(
+                wave.iter()
+                    .zip(0u16..)
+                    .map(|((cmd, _, _), cid)| NvmeCommand { cid, ..*cmd }),
+            );
             let qp = self.mssd.admin.io_queue(qid).expect("queue created");
             qp.sq.submit_batch(&tagged).expect("a wave fits the ring");
             for (sent, (_, status, result)) in tagged.iter().zip(wave) {
@@ -643,10 +571,26 @@ impl System {
                     .post(decoded.cid, *status, *result)
                     .expect("host reaps promptly");
                 let e = qp.cq.reap().expect("completion just posted");
-                self.in_flight_cids.remove(e.cid);
+                assert_eq!(e.cid, sent.cid, "a completion carries its command's CID");
             }
         }
         self.wave = tagged;
+    }
+}
+
+#[cfg(test)]
+impl System {
+    /// Asserts the drive's front end is as bring-up left it: only queue 1
+    /// is left, its submission ring is empty and its completion ring
+    /// drained, so no command is outstanding.
+    pub(crate) fn assert_front_end_idle(&mut self, after: &str) {
+        let admin = &mut self.mssd.admin;
+        assert_eq!(admin.io_queue_count(), 1, "queues after {after}");
+        let qp = admin
+            .io_queue(crate::firmware::IO_QUEUE_ID)
+            .unwrap_or_else(|| panic!("no queue 1 after {after}"));
+        assert!(qp.sq.is_empty(), "commands queued after {after}");
+        assert_eq!(qp.cq.outstanding(), 0, "completions unreaped after {after}");
     }
 }
 
@@ -833,10 +777,9 @@ mod tests {
     }
 
     #[test]
-    fn instance_and_cid_allocation_advances() {
+    fn instance_allocation_advances() {
         let mut sys = small_system();
         assert_ne!(sys.alloc_instance(), sys.alloc_instance());
-        assert_ne!(sys.alloc_cid(), sys.alloc_cid());
     }
 
     #[test]
@@ -849,22 +792,28 @@ mod tests {
     }
 
     #[test]
-    fn the_pump_drains_bursts_past_the_ring_and_the_cid_space() {
-        // A burst longer than the ring goes in waves of one doorbell each;
-        // 70 000 commands also wrap the 16-bit CID counter, which must
-        // skip the CIDs a caller still holds.
+    fn the_pump_drains_bursts_past_the_ring_in_waves() {
+        // A burst longer than the ring goes in waves of one doorbell each.
+        // 70 000 commands would wrap a 16-bit CID counter; a CID is its
+        // command's index in its wave, and no wave outlives the pump.
         let mut sys = small_system();
-        let held: Vec<u16> = (0..8).map(|_| sys.alloc_cid()).collect();
         let cmd = NvmeCommand::new(morpheus_nvme::IoOpcode::Flush, 0, 1);
         let wire = vec![(cmd, StatusCode::Success, 0); 70_000];
         sys.pump(IO_QUEUE_ID, &wire);
         let qp = sys.mssd.admin.io_queue(IO_QUEUE_ID).unwrap();
         assert_eq!(qp.sq.doorbell_writes(), 70_000u64.div_ceil(64));
-        assert!(qp.sq.is_empty(), "the device popped every command");
-        assert_eq!(qp.cq.outstanding(), 0, "every completion was reaped");
-        assert_eq!(sys.in_flight_cids.len(), held.len(), "only the held CIDs");
-        for cid in held {
-            assert!(!sys.in_flight_cids.insert(cid), "CID {cid} stayed held");
-        }
+        sys.assert_front_end_idle("a 70 000-command burst");
+    }
+
+    #[test]
+    #[should_panic(expected = "a completion carries its command's CID")]
+    fn the_pump_rejects_a_completion_for_another_command() {
+        // A completion left on the ring is reaped ahead of the one the
+        // device posts for the pump's command, and its CID gives it away.
+        let mut sys = small_system();
+        let qp = sys.mssd.admin.io_queue(IO_QUEUE_ID).unwrap();
+        qp.cq.post(0xbeef, StatusCode::Success, 0).unwrap();
+        let cmd = NvmeCommand::new(morpheus_nvme::IoOpcode::Flush, 0, 1);
+        sys.pump(IO_QUEUE_ID, &[(cmd, StatusCode::Success, 0)]);
     }
 }

@@ -193,7 +193,7 @@ mod tests {
         let (host, drained, outstanding) = queue(&mut sys);
         assert_eq!(host - after, 9);
         assert!(drained && outstanding == 0, "the rings are empty");
-        assert_eq!(sys.cids_in_flight(), 0);
+        assert_eq!(sys.mssd.admin.io_queue_count(), 1, "only queue 1 is left");
     }
 
     #[test]

@@ -227,6 +227,22 @@ impl Ssd {
         self.ftl.capacity_pages() * self.lbas_per_page()
     }
 
+    /// The logical pages that namespace bytes `start..start + len` cover,
+    /// in order, each with the bytes of the page the range holds; none
+    /// when `len` is 0. The size hint is the exact page count.
+    pub fn page_spans(&self, start: u64, len: u64) -> impl Iterator<Item = (Lpn, Range<usize>)> {
+        let (page_bytes, end) = (self.page_bytes(), start + len);
+        let pages = match len {
+            0 => 0..0,
+            _ => start / page_bytes..end.div_ceil(page_bytes),
+        };
+        pages.map(move |lpn| {
+            let base = lpn * page_bytes;
+            let (lo, hi) = (start.max(base) - base, end.min(base + page_bytes) - base);
+            (Lpn(lpn), lo as usize..hi as usize)
+        })
+    }
+
     /// Reserves controller DRAM (e.g. for StorageApp buffers); `None` when
     /// exhausted.
     pub fn alloc_dram(&mut self, bytes: u64) -> Option<u64> {
@@ -335,7 +351,7 @@ impl Ssd {
             .cores
             .exec(ready, self.cfg.command_dispatch_instructions);
         let start = dispatch.end;
-        let spans = page_spans(self.page_bytes(), slba, blocks);
+        let spans = self.page_spans(slba * LBA_BYTES, blocks * LBA_BYTES);
         let mut pages = Vec::with_capacity(spans.size_hint().0);
         let mut done = start;
         for (lpn, range) in spans {
@@ -429,31 +445,21 @@ impl Ssd {
         timed_from: Option<SimTime>,
         merged: &mut BoundaryPages,
     ) -> Result<SimTime, SsdError> {
-        let data = &image[range.clone()];
-        let blocks = (data.len() as u64).div_ceil(LBA_BYTES);
+        let blocks = (range.len() as u64).div_ceil(LBA_BYTES);
         self.check_range(slba, blocks.max(1))?;
         let page_bytes = self.page_bytes();
-        let byte_start = slba * LBA_BYTES;
-        let byte_len = data.len() as u64;
-        if byte_len == 0 {
-            return Ok(timed_from.unwrap_or(SimTime::ZERO));
-        }
-        let first_page = byte_start / page_bytes;
-        let last_page = (byte_start + byte_len - 1) / page_bytes;
         let mut done = timed_from.unwrap_or(SimTime::ZERO);
-        for lpn in first_page..=last_page {
-            let page_base = lpn * page_bytes;
-            let lo = byte_start.max(page_base) - page_base;
-            let hi = (byte_start + byte_len).min(page_base + page_bytes) - page_base;
-            let src = range.start + (page_base + lo - byte_start) as usize
-                ..range.start + (page_base + hi - byte_start) as usize;
-            let page = if lo == 0 && hi == page_bytes {
+        let mut next = range.start;
+        for (lpn, bytes) in self.page_spans(slba * LBA_BYTES, range.len() as u64) {
+            let src = next..next + bytes.len();
+            next = src.end;
+            let page = if bytes.len() as u64 == page_bytes {
                 PageData::view(image, src)
             } else {
                 // Read-modify-write: merge with the existing contents.
                 let mut old = None;
-                if self.ftl.translate(Lpn(lpn)).is_some() {
-                    let outcome = self.ftl.read(Lpn(lpn))?;
+                if self.ftl.translate(lpn).is_some() {
+                    let outcome = self.ftl.read(lpn)?;
                     if let Some(t0) = timed_from {
                         for op in outcome.ops() {
                             done = done.max(self.apply_op(&op, t0));
@@ -463,13 +469,13 @@ impl Ssd {
                 }
                 let merge = Merge {
                     old: old.as_deref().unwrap_or_default(),
-                    at: lo as usize,
+                    at: bytes.start,
                     new: &image[src],
                     page_bytes: page_bytes as usize,
                 };
-                merged.share_or_build(Lpn(lpn), old.as_ref(), &merge)
+                merged.share_or_build(lpn, old.as_ref(), &merge)
             };
-            let outcome = self.ftl.write_data(Lpn(lpn), page)?;
+            let outcome = self.ftl.write_data(lpn, page)?;
             if let Some(t0) = timed_from {
                 for op in &outcome.ops {
                     done = done.max(self.apply_op(op, t0));
@@ -560,7 +566,7 @@ impl Ssd {
         blocks: u64,
     ) -> Result<Vec<PageRead>, SsdError> {
         self.check_range(slba, blocks)?;
-        let spans = page_spans(self.page_bytes(), slba, blocks);
+        let spans = self.page_spans(slba * LBA_BYTES, blocks * LBA_BYTES);
         let mut pages = Vec::with_capacity(spans.size_hint().0);
         for (lpn, range) in spans {
             let data = match self.ftl.translate(lpn) {
@@ -666,29 +672,15 @@ impl Merge<'_> {
         let matches_old = |range: Range<usize>| {
             let old = self.old_in(range.clone());
             let (stored, zeros) = page[range].split_at(old.len());
-            stored == old && zeros.iter().all(|&b| b == 0)
+            // An OR over the whole tail vectorizes; an early-exit byte
+            // loop over up to a page of zeros does not.
+            stored == old && zeros.iter().fold(0, |acc, &b| acc | b) == 0
         };
         page.len() == self.page_bytes
             && page[self.at..end] == *self.new
             && matches_old(0..self.at)
             && matches_old(end..self.page_bytes)
     }
-}
-
-/// The logical pages LBAs `slba..slba + blocks` cover, each with the
-/// bytes of the page the range holds.
-fn page_spans(
-    page_bytes: u64,
-    slba: u64,
-    blocks: u64,
-) -> impl Iterator<Item = (Lpn, Range<usize>)> {
-    let (start, end) = (slba * LBA_BYTES, (slba + blocks) * LBA_BYTES);
-    (start / page_bytes..end.div_ceil(page_bytes)).map(move |lpn| {
-        let base = lpn * page_bytes;
-        let lo = start.max(base) - base;
-        let hi = end.min(base + page_bytes) - base;
-        (Lpn(lpn), lo as usize..hi as usize)
-    })
 }
 
 #[cfg(test)]

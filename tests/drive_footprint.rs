@@ -88,15 +88,12 @@ fn per_overwrite(rounds: usize, texts: &[Vec<u8>], mut overwrite: impl FnMut(&[u
 fn a_drive_holds_only_its_live_pages() {
     let texts: Vec<Vec<u8>> = (0..16).map(|i| edge_text(64_000, i)).collect();
 
-    // An empty drive: no map or page state sized by capacity.
+    // An empty drive: no map or page state sized by capacity, and no
+    // state per command identifier (about 51 KiB).
     let before = live();
     let mut solo = System::new(SystemParams::paper_testbed());
     let empty = live().saturating_sub(before);
-    assert!(
-        empty < 256 * KIB,
-        "an empty System holds {} KiB",
-        empty / KIB
-    );
+    assert!(empty < 56 * KIB, "an empty System holds {empty} B");
 
     // Sixteen replicas of sixteen files share one image per file and one
     // merged page per boundary between two files.
