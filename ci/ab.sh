@@ -2,30 +2,33 @@
 # Side-by-side A/B of the benchmark's end-to-end metrics: this checkout
 # against a parent revision, on one workload.
 #
-#   ci/ab.sh PARENT_REV WORKLOAD [PAIRS]
+#   ci/ab.sh PARENT_REV WORKLOAD [PAIRS [SEED]]
 #
 # Builds the parent's `benchmark` from `git archive PARENT_REV` under
 # target/ab/<commit>/, with a target directory of its own, and this
 # checkout's in benchmark/target. Both builds must print the same `pass`
-# digest at seed 42, or the script stops: two builds that simulate
-# different things cannot be compared on cost. It then runs PAIRS pairs
-# (default 10) of `benchmark --workload WORKLOAD --seed 42 --seconds 10
-# --trace 0`, both builds started together with `taskset`, one per vCPU;
-# which build starts first, and on which CPU, alternates from pair to
-# pair. For each end-to-end metric in BENCHMARK.json it prints the
+# digest at SEED (default 42), or the script stops: two builds that
+# simulate different things cannot be compared on cost. It then runs
+# PAIRS pairs (default 10) of `benchmark --workload WORKLOAD --seed SEED
+# --seconds 10 --trace 0`, both builds started together with `taskset`,
+# one per vCPU; which build starts first, and on which CPU, alternates
+# from pair to pair. A claim measured at one seed can be re-checked at
+# another. For each end-to-end metric in BENCHMARK.json it prints the
 # parent's median [q1, q3], the change's median, the change in percent
 # and how many pairs the change won. Each run's output is kept under
-# target/ab/<commit>/runs/WORKLOAD/. Needs two vCPUs, git, python3 and
-# taskset; nothing else should load the machine while it runs.
+# target/ab/<commit>/runs/WORKLOAD-SEED/. Needs two vCPUs, git, python3
+# and taskset; nothing else should load the machine while it runs.
 set -euo pipefail
-if [ $# -lt 2 ] || [ $# -gt 3 ] || ! [[ ${3:-10} =~ ^[0-9]+$ ]] || [ "${3:-10}" -lt 2 ]; then
-  echo "usage: ci/ab.sh PARENT_REV WORKLOAD [PAIRS >= 2]" >&2
+if [ $# -lt 2 ] || [ $# -gt 4 ] || ! [[ ${3:-10} =~ ^[0-9]+$ ]] || [ "${3:-10}" -lt 2 ] ||
+  ! [[ ${4:-42} =~ ^[0-9]+$ ]]; then
+  echo "usage: ci/ab.sh PARENT_REV WORKLOAD [PAIRS >= 2 [SEED]]" >&2
   exit 2
 fi
 root=$(git rev-parse --show-toplevel)
 rev=$(git -C "$root" rev-parse --verify "$1^{commit}")
 workload=$2
 pairs=${3:-10}
+seed=${4:-42}
 read -r -a cpus <<< "$(python3 -c 'import os; print(*sorted(os.sched_getaffinity(0))[:2])')"
 if [ "${#cpus[@]}" -lt 2 ]; then
   echo "error: side-by-side runs need two vCPUs" >&2
@@ -45,23 +48,23 @@ CARGO_TARGET_DIR=$root/benchmark/target cargo build --release --quiet \
 parent=$dir/target/release/benchmark
 change=$root/benchmark/target/release/benchmark
 
-digest() { "$1" pass --workload "$workload" --seed 42 | sed -n 's/^digest //p'; }
+digest() { "$1" pass --workload "$workload" --seed "$seed" | sed -n 's/^digest //p'; }
 want=$(digest "$parent")
 got=$(digest "$change")
 if [ "$want" != "$got" ]; then
-  echo "error: $workload pass digest $got, parent $want: the builds simulate different things" >&2
+  echo "error: $workload pass digest $got, parent $want at seed $seed: the builds simulate different things" >&2
   exit 1
 fi
-echo "$workload: both builds print pass digest $got"
+echo "$workload: both builds print pass digest $got at seed $seed"
 
-out=$dir/runs/$workload
+out=$dir/runs/$workload-$seed
 rm -rf "$out"
 mkdir -p "$out"
 for ((i = 0; i < pairs; i++)); do
   if ((i % 2 == 0)); then order=(parent change); else order=(change parent); fi
   for k in 0 1; do
     side=${order[$k]}
-    taskset -c "${cpus[$k]}" "${!side}" --workload "$workload" --seed 42 --seconds 10 \
+    taskset -c "${cpus[$k]}" "${!side}" --workload "$workload" --seed "$seed" --seconds 10 \
       --trace 0 > "$out/$i-$side.txt" &
     pids[k]=$!
   done
@@ -74,17 +77,17 @@ for ((i = 0; i < pairs; i++)); do
   fi
 done
 
-python3 - "$root/BENCHMARK.json" "$out" "$pairs" "$workload" <<'EOF'
+python3 - "$root/BENCHMARK.json" "$out" "$pairs" "$workload" "$seed" <<'EOF'
 import json, statistics, sys
 
-spec, out, pairs, workload = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
+spec, out, pairs, workload, seed = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4], sys.argv[5]
 
 def values(side, name):
     # The last line of a run is its JSON summary.
     runs = [open(f"{out}/{i}-{side}.txt").read().splitlines()[-1] for i in range(pairs)]
     return [json.loads(r)["metrics"][name]["value"] for r in runs]
 
-print(f"{workload}, {pairs} side-by-side pairs")
+print(f"{workload}, seed {seed}, {pairs} side-by-side pairs")
 print(f"{'metric':<14} {'parent median [q1, q3]':<30} {'change':>10} {'delta':>9}  won")
 for m in json.load(open(spec))["end_to_end"]:
     name, lower = m["name"], m["better"] == "lower"

@@ -705,10 +705,12 @@ impl MorpheusSsd {
         }
         debug_assert_eq!(inst.out_flushed % lba, 0, "flush boundary is block aligned");
         let slba_now = base + inst.out_flushed / lba;
-        let chunk: Vec<u8> = inst.out_pending.drain(..flush_len).collect();
+        let durable = self
+            .dev
+            .write_range(slba_now, &inst.out_pending[..flush_len], ready);
+        inst.out_pending.drain(..flush_len);
         inst.out_flushed += flush_len as u64;
-        let durable = self.dev.write_range(slba_now, &chunk, ready)?;
-        Ok(durable)
+        Ok(durable?)
     }
 
     /// MDEINIT: finishes the instance, returning its return value, any

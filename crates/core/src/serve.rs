@@ -25,7 +25,7 @@ use morpheus_gpu::GpuMark;
 use morpheus_nvme::StatusCode;
 use morpheus_pcie::{BarWindow, DmaDir};
 use morpheus_simcore::{
-    ArrivalProcess, FaultCounters, Histogram, Metrics, SimDuration, SimTime, SplitMix64,
+    ArrivalProcess, FaultCounters, Histogram, Metrics, Series, SimDuration, SimTime, SplitMix64,
     TelemetryConfig, TelemetryReport, TelemetrySampler, TraceLayer, Tracer, Zipfian,
 };
 use std::collections::VecDeque;
@@ -440,40 +440,40 @@ impl ServeState {
         if let Some(s) = self.sampler.as_mut() {
             match ev {
                 E::Offered(queued) => {
-                    s.count("offered", at);
-                    s.gauge("queue_depth", at, queued as f64);
+                    s.count(Series::Offered, at);
+                    s.gauge(Series::QueueDepth, at, queued as f64);
                 }
-                E::Admitted => s.count("admitted", at),
+                E::Admitted => s.count(Series::Admitted, at),
                 E::Shed => {
-                    s.count("shed", at);
+                    s.count(Series::Shed, at);
                     s.lost(at);
                 }
                 E::Failed => {
-                    s.count("failed", at);
+                    s.count(Series::Failed, at);
                     s.lost(at);
                 }
-                E::Overflow => s.count("overflow_fallbacks", at),
-                E::Batch => s.count("batches", at),
-                E::CacheHit => s.count("cache_hits", at),
-                E::CacheMiss => s.count("cache_misses", at),
-                E::FaultRedispatch => s.count("fault_redispatches", at),
+                E::Overflow => s.count(Series::OverflowFallbacks, at),
+                E::Batch => s.count(Series::Batches, at),
+                E::CacheHit => s.count(Series::CacheHits, at),
+                E::CacheMiss => s.count(Series::CacheMisses, at),
+                E::FaultRedispatch => s.count(Series::FaultRedispatches, at),
                 // A batch of cache hits pumps an empty burst: nothing to sample.
                 E::WireBurst(0) => {}
                 E::WireBurst(n) => {
-                    s.add("nvme_commands", at, n as f64);
-                    s.gauge("nvme_wire", at, n as f64);
+                    s.add(Series::NvmeCommands, at, n as f64);
+                    s.gauge(Series::NvmeWire, at, n as f64);
                 }
                 E::Done(r, start, _, path) => {
                     let e2e = at.saturating_duration_since(r.arrival).as_nanos();
                     let wait = start.saturating_duration_since(r.arrival).as_nanos();
-                    s.count("completed", at);
-                    s.latency("e2e_ns", at, e2e);
-                    s.latency("queue_wait_ns", at, wait);
+                    s.count(Series::Completed, at);
+                    s.latency(Series::E2eNs, at, e2e);
+                    s.latency(Series::QueueWaitNs, at, wait);
                     s.served(at, e2e);
                     let busy = match path {
-                        ServePath::Embedded => "ssd_busy_ns",
-                        ServePath::Host => "host_busy_ns",
-                        ServePath::CacheHit => "cache_busy_ns",
+                        ServePath::Embedded => Series::SsdBusyNs,
+                        ServePath::Host => Series::HostBusyNs,
+                        ServePath::CacheHit => Series::CacheBusyNs,
                     };
                     s.span(busy, start, at);
                 }

@@ -54,9 +54,9 @@ pub use hash::Fnv1a;
 pub use metrics::{Histogram, Metrics};
 pub use rng::SplitMix64;
 pub use telemetry::{
-    fmt_num, parse_duration, sparkline, BudgetPoint, SloKind, SloObjective, SloOutcome, SloSpec,
-    TelemetryConfig, TelemetryReport, TelemetrySampler, TelemetryWindow, FAST_BURN_ALERT,
-    SLOW_BURN_ALERT, SLOW_BURN_WINDOWS,
+    fmt_num, parse_duration, sparkline, BudgetPoint, Series, SeriesKind, SloKind, SloObjective,
+    SloOutcome, SloSpec, TelemetryConfig, TelemetryReport, TelemetrySampler, TelemetryWindow,
+    FAST_BURN_ALERT, SLOW_BURN_ALERT, SLOW_BURN_WINDOWS,
 };
 pub use time::{SimDuration, SimTime};
 pub use timeline::{Bandwidth, Interval, Timeline};

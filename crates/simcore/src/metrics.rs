@@ -1,9 +1,14 @@
 //! A small ordered metric bag used by reports throughout the workspace.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Named floating-point metrics with deterministic (sorted) iteration order.
+///
+/// A name is borrowed when it is `'static` (the telemetry columns) and
+/// owned otherwise; either way it orders, compares and prints as the
+/// `str` it holds.
 ///
 /// # Example
 ///
@@ -18,7 +23,7 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
-    values: BTreeMap<String, f64>,
+    values: BTreeMap<Cow<'static, str>, f64>,
 }
 
 impl Metrics {
@@ -29,12 +34,18 @@ impl Metrics {
 
     /// Adds `v` to the named metric (creating it at zero first).
     pub fn add(&mut self, name: &str, v: f64) {
-        *self.values.entry(name.to_string()).or_insert(0.0) += v;
+        match self.values.get_mut(name) {
+            Some(x) => *x += v,
+            None => {
+                // `0.0 + v`, as adding to a fresh zero does: -0.0 reads 0.0.
+                self.values.insert(Cow::Owned(name.to_string()), 0.0 + v);
+            }
+        }
     }
 
     /// Sets the named metric, replacing any previous value.
     pub fn set(&mut self, name: &str, v: f64) {
-        self.values.insert(name.to_string(), v);
+        self.values.insert(Cow::Owned(name.to_string()), v);
     }
 
     /// Reads a metric; missing metrics read as zero.
@@ -49,7 +60,7 @@ impl Metrics {
 
     /// Iterates metrics in sorted name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.values.iter().map(|(k, v)| (k.as_str(), *v))
+        self.values.iter().map(|(k, v)| (k.as_ref(), *v))
     }
 
     /// Merges another bag into this one, summing shared names.
@@ -79,9 +90,26 @@ impl fmt::Display for Metrics {
     }
 }
 
+/// Builds a bag from `'static` names without allocating a key; a
+/// repeated name keeps its last value, as [`Metrics::set`] would. The
+/// pairs are gathered into one buffer, sized by the iterator's upper
+/// bound, from which the map is built in bulk: names already in order
+/// cost one comparison each.
+impl FromIterator<(&'static str, f64)> for Metrics {
+    fn from_iter<I: IntoIterator<Item = (&'static str, f64)>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        let (lower, upper) = iter.size_hint();
+        let mut pairs = Vec::with_capacity(upper.unwrap_or(lower));
+        pairs.extend(iter.map(|(k, v)| (Cow::Borrowed(k), v)));
+        Metrics {
+            values: pairs.into_iter().collect(),
+        }
+    }
+}
+
 impl<'a> IntoIterator for &'a Metrics {
-    type Item = (&'a String, &'a f64);
-    type IntoIter = std::collections::btree_map::Iter<'a, String, f64>;
+    type Item = (&'a Cow<'static, str>, &'a f64);
+    type IntoIter = std::collections::btree_map::Iter<'a, Cow<'static, str>, f64>;
     fn into_iter(self) -> Self::IntoIter {
         self.values.iter()
     }

@@ -35,7 +35,9 @@
 //! # Example
 //!
 //! ```
-//! use morpheus_simcore::{SimDuration, SimTime, SloSpec, TelemetryConfig, TelemetrySampler};
+//! use morpheus_simcore::{
+//!     Series, SimDuration, SimTime, SloSpec, TelemetryConfig, TelemetrySampler,
+//! };
 //!
 //! let cfg = TelemetryConfig {
 //!     window: SimDuration::from_millis(10),
@@ -43,7 +45,7 @@
 //! };
 //! let mut s = TelemetrySampler::new(&cfg);
 //! let at = SimTime::from_nanos(3_000_000);
-//! s.count("completed", at);
+//! s.count(Series::Completed, at);
 //! s.served(at, 200_000); // e2e 200us: good for both objectives
 //! let rep = s.finalize(SimTime::from_nanos(25_000_000));
 //! assert_eq!(rep.windows.len(), 3);
@@ -52,7 +54,7 @@
 
 use crate::metrics::{Histogram, Metrics};
 use crate::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -250,6 +252,222 @@ impl TelemetryConfig {
     }
 }
 
+/// How a [`Series`] folds within a window, which fixes the columns it
+/// writes into a window that saw it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SeriesKind {
+    /// Summed per window: one column, the series name.
+    Counter,
+    /// Busy nanoseconds apportioned across the windows a span overlaps:
+    /// the `*_busy_ns` sum and its `*_occ` occupancy (busy ns per window
+    /// ns; can exceed 1.0 when parallel lanes overlap).
+    Span,
+    /// Sampled values: the window's `_mean` and `_max`.
+    Gauge,
+    /// A log₂ latency histogram: `_p50`, `_p95`, `_p99`, `_max` and
+    /// `_count` per window, plus a cumulative merge for the run.
+    Latency,
+}
+
+/// A series the sampler records. The set is closed, so a window is a few
+/// fixed arrays and recording an event is an array index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Series {
+    /// Requests the arrival process offered.
+    Offered,
+    /// Requests that entered the admission queue.
+    Admitted,
+    /// Requests dropped because the queue was full.
+    Shed,
+    /// Requests that failed outright, with no path left to try.
+    Failed,
+    /// Requests served on the host because the queue was full.
+    OverflowFallbacks,
+    /// Dispatched batches.
+    Batches,
+    /// Object-cache hits; with [`Series::CacheMisses`] they derive the
+    /// run's `cache_hit_rate` column.
+    CacheHits,
+    /// Object-cache misses.
+    CacheMisses,
+    /// Requests re-dispatched to the host after a fault.
+    FaultRedispatches,
+    /// NVMe commands on the wire.
+    NvmeCommands,
+    /// Requests served; they derive the run's `rps` column.
+    Completed,
+    /// Time requests spent served by the embedded cores.
+    SsdBusyNs,
+    /// Time requests spent served by the host.
+    HostBusyNs,
+    /// Time requests spent served from the object cache.
+    CacheBusyNs,
+    /// Requests an arrival found queued.
+    QueueDepth,
+    /// Commands per wire burst.
+    NvmeWire,
+    /// End-to-end request latency.
+    E2eNs,
+    /// Time from arrival to service start.
+    QueueWaitNs,
+}
+
+/// Counter and span series: a window's sums.
+const SUMS: usize = 14;
+/// Gauge series.
+const GAUGES: usize = 2;
+/// Latency series.
+const LATENCIES: usize = 2;
+
+/// One row of `Series::spec`: a series' name, its kind and its window
+/// columns, each column spelled from the name by the kind's convention.
+macro_rules! spec {
+    (Counter $name:literal) => {
+        ($name, SeriesKind::Counter, &[$name])
+    };
+    (Span $lane:literal) => {{
+        const NAME: &str = concat!($lane, "_busy_ns");
+        (NAME, SeriesKind::Span, &[NAME, concat!($lane, "_occ")])
+    }};
+    (Gauge $name:literal) => {
+        (
+            $name,
+            SeriesKind::Gauge,
+            &[concat!($name, "_mean"), concat!($name, "_max")],
+        )
+    };
+    (Latency $name:literal) => {
+        (
+            $name,
+            SeriesKind::Latency,
+            &[
+                concat!($name, "_p50"),
+                concat!($name, "_p95"),
+                concat!($name, "_p99"),
+                concat!($name, "_max"),
+                concat!($name, "_count"),
+            ],
+        )
+    };
+}
+
+impl Series {
+    /// Every series, in declaration order: the sums first, then the
+    /// gauges, then the latencies.
+    pub const ALL: [Series; SUMS + GAUGES + LATENCIES] = {
+        use Series::*;
+        [
+            Offered,
+            Admitted,
+            Shed,
+            Failed,
+            OverflowFallbacks,
+            Batches,
+            CacheHits,
+            CacheMisses,
+            FaultRedispatches,
+            NvmeCommands,
+            Completed,
+            SsdBusyNs,
+            HostBusyNs,
+            CacheBusyNs,
+            QueueDepth,
+            NvmeWire,
+            E2eNs,
+            QueueWaitNs,
+        ]
+    };
+
+    /// The series' name, its kind and its window columns.
+    const fn spec(self) -> (&'static str, SeriesKind, &'static [&'static str]) {
+        use Series::*;
+        match self {
+            Offered => spec!(Counter "offered"),
+            Admitted => spec!(Counter "admitted"),
+            Shed => spec!(Counter "shed"),
+            Failed => spec!(Counter "failed"),
+            OverflowFallbacks => spec!(Counter "overflow_fallbacks"),
+            Batches => spec!(Counter "batches"),
+            CacheHits => spec!(Counter "cache_hits"),
+            CacheMisses => spec!(Counter "cache_misses"),
+            FaultRedispatches => spec!(Counter "fault_redispatches"),
+            NvmeCommands => spec!(Counter "nvme_commands"),
+            Completed => spec!(Counter "completed"),
+            SsdBusyNs => spec!(Span "ssd"),
+            HostBusyNs => spec!(Span "host"),
+            CacheBusyNs => spec!(Span "cache"),
+            QueueDepth => spec!(Gauge "queue_depth"),
+            NvmeWire => spec!(Gauge "nvme_wire"),
+            E2eNs => spec!(Latency "e2e_ns"),
+            QueueWaitNs => spec!(Latency "queue_wait_ns"),
+        }
+    }
+
+    /// The series' name: the key of a counter's or span's run total, and
+    /// the name of a latency's cumulative histogram.
+    pub const fn name(self) -> &'static str {
+        self.spec().0
+    }
+
+    /// How the series folds within a window.
+    pub const fn kind(self) -> SeriesKind {
+        self.spec().1
+    }
+
+    /// The columns the series writes into a window that saw it, in the
+    /// order [`SeriesKind`] lists them.
+    const fn columns(self) -> &'static [&'static str] {
+        self.spec().2
+    }
+
+    /// The run-level column the series derives: every window carries it
+    /// once any window has seen the series.
+    const fn derives(self) -> Option<(&'static str, Column)> {
+        match self {
+            Series::Completed => Some(("rps", Column::Rps)),
+            Series::CacheHits | Series::CacheMisses => {
+                Some(("cache_hit_rate", Column::CacheHitRate))
+            }
+            _ => None,
+        }
+    }
+
+    /// The series' index in its window array: the sums, the gauges or
+    /// the latencies.
+    const fn slot(self) -> usize {
+        let i = self as usize;
+        match self.kind() {
+            SeriesKind::Counter | SeriesKind::Span => i,
+            SeriesKind::Gauge => i - SUMS,
+            SeriesKind::Latency => i - SUMS - GAUGES,
+        }
+    }
+
+    /// The slot of a series that folds as `kinds` allows.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a series of another kind (a caller bug).
+    fn slot_as(self, kinds: &[SeriesKind]) -> usize {
+        assert!(
+            kinds.contains(&self.kind()),
+            "{self:?} is not a {kinds:?} series"
+        );
+        self.slot()
+    }
+}
+
+/// Where one window column's value comes from.
+#[derive(Clone, Copy, PartialEq)]
+enum Column {
+    /// Entry `i` of a series' [`Series::columns`].
+    Of(Series, usize),
+    /// Completed requests per window second.
+    Rps,
+    /// Hits over lookups; 0 in a window without lookups.
+    CacheHitRate,
+}
+
 /// Gauge fold: sum, sample count, max — enough for mean/max columns.
 #[derive(Debug, Clone, Copy, Default)]
 struct GaugeAgg {
@@ -259,27 +477,79 @@ struct GaugeAgg {
 }
 
 /// One window's raw folds (all commutative, so recording order is moot).
-/// Series are keyed by the `'static` names their callers pass, so
-/// recording allocates only when a window first sees a series.
 #[derive(Debug, Clone, Default)]
 struct Bucket {
-    counters: BTreeMap<&'static str, f64>,
-    gauges: BTreeMap<&'static str, GaugeAgg>,
-    hists: BTreeMap<&'static str, Histogram>,
-    /// Per-objective (good, bad) event counts.
-    slo: Vec<(u64, u64)>,
+    /// Counter and span sums, by slot.
+    sums: [f64; SUMS],
+    /// Bit `i` is set once sum `i` has been written.
+    seen: u16,
+    gauges: [GaugeAgg; GAUGES],
+    hists: [Histogram; LATENCIES],
+}
+
+impl Bucket {
+    /// True if the window recorded `s`.
+    fn has(&self, s: Series) -> bool {
+        let i = s.slot();
+        match s.kind() {
+            SeriesKind::Counter | SeriesKind::Span => self.seen & (1 << i) != 0,
+            SeriesKind::Gauge => self.gauges[i].n > 0,
+            SeriesKind::Latency => !self.hists[i].is_empty(),
+        }
+    }
+
+    /// The window's value of `col`, or `None` where the window has no
+    /// such column.
+    fn value(&self, col: Column, win_ns: f64, win_s: f64) -> Option<f64> {
+        let sum = |s: Series| self.sums[s.slot()];
+        match col {
+            Column::Of(s, c) => {
+                if !self.has(s) {
+                    return None;
+                }
+                let i = s.slot();
+                Some(match (s.kind(), c) {
+                    (SeriesKind::Counter, _) | (SeriesKind::Span, 0) => self.sums[i],
+                    (SeriesKind::Span, _) => self.sums[i] / win_ns,
+                    (SeriesKind::Gauge, 0) => self.gauges[i].sum / self.gauges[i].n as f64,
+                    (SeriesKind::Gauge, _) => self.gauges[i].max,
+                    (SeriesKind::Latency, _) => {
+                        let h = &self.hists[i];
+                        (match c {
+                            0 => h.p50(),
+                            1 => h.p95(),
+                            2 => h.p99(),
+                            3 => h.max(),
+                            _ => h.count(),
+                        }) as f64
+                    }
+                })
+            }
+            Column::Rps => Some(sum(Series::Completed) / win_s),
+            Column::CacheHitRate => {
+                let (hits, misses) = (sum(Series::CacheHits), sum(Series::CacheMisses));
+                let total = hits + misses;
+                Some(if total > 0.0 { hits / total } else { 0.0 })
+            }
+        }
+    }
 }
 
 /// Buckets events into fixed sim-time windows during a run.
 ///
 /// All recording methods take the sim-time the event belongs to; the
 /// sampler never consults wall-clock state, so a run's telemetry is a
-/// pure function of the simulation.
+/// pure function of the simulation. Windows are a dense vector indexed by
+/// window number, grown to the latest event; the report covers every one
+/// of them anyway.
 #[derive(Debug, Clone)]
 pub struct TelemetrySampler {
     window: SimDuration,
-    slo: Vec<SloObjective>,
-    buckets: BTreeMap<u64, Bucket>,
+    objectives: Vec<SloObjective>,
+    buckets: Vec<Bucket>,
+    /// Per-window (good, bad) event counts, one pair per objective:
+    /// window `w`'s pairs are `slo[w * objectives.len()..][..objectives.len()]`.
+    slo: Vec<(u64, u64)>,
 }
 
 impl TelemetrySampler {
@@ -292,8 +562,9 @@ impl TelemetrySampler {
         assert!(!cfg.window.is_zero(), "telemetry window must be non-zero");
         TelemetrySampler {
             window: cfg.window,
-            slo: cfg.slo.objectives.clone(),
-            buckets: BTreeMap::new(),
+            objectives: cfg.slo.objectives.clone(),
+            buckets: Vec::new(),
+            slo: Vec::new(),
         }
     }
 
@@ -302,38 +573,53 @@ impl TelemetrySampler {
         self.window
     }
 
-    fn widx(&self, at: SimTime) -> u64 {
-        at.as_nanos() / self.window.as_nanos()
-    }
-
-    /// The bucket of window `w`, made on first use with one (good, bad)
-    /// slot per objective.
-    fn bucket_of(buckets: &mut BTreeMap<u64, Bucket>, w: u64, objectives: usize) -> &mut Bucket {
-        buckets.entry(w).or_insert_with(|| Bucket {
-            slo: vec![(0, 0); objectives],
-            ..Bucket::default()
-        })
+    /// The index of the window holding `at`, with every window up to it
+    /// made.
+    fn touch(&mut self, at: SimTime) -> usize {
+        let w = (at.as_nanos() / self.window.as_nanos()) as usize;
+        if w >= self.buckets.len() {
+            self.buckets.resize_with(w + 1, Bucket::default);
+            self.slo.resize((w + 1) * self.objectives.len(), (0, 0));
+        }
+        w
     }
 
     fn bucket(&mut self, at: SimTime) -> &mut Bucket {
-        let w = self.widx(at);
-        Self::bucket_of(&mut self.buckets, w, self.slo.len())
+        let w = self.touch(at);
+        &mut self.buckets[w]
     }
 
-    /// Adds `v` to a windowed counter series at `at`.
-    pub fn add(&mut self, series: &'static str, at: SimTime, v: f64) {
-        *self.bucket(at).counters.entry(series).or_insert(0.0) += v;
+    /// Adds `v` to a counter or span series' window sum at `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a gauge or latency series.
+    pub fn add(&mut self, series: Series, at: SimTime, v: f64) {
+        let i = series.slot_as(&[SeriesKind::Counter, SeriesKind::Span]);
+        let b = self.bucket(at);
+        b.sums[i] += v;
+        b.seen |= 1 << i;
     }
 
-    /// Increments a windowed counter series at `at`.
-    pub fn count(&mut self, series: &'static str, at: SimTime) {
+    /// Increments a counter series at `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a gauge or latency series.
+    pub fn count(&mut self, series: Series, at: SimTime) {
         self.add(series, at, 1.0);
     }
 
-    /// Samples a gauge (queue depth, ring occupancy) at `at`. The window
-    /// reports its mean and max; a window with no samples reports 0.
-    pub fn gauge(&mut self, series: &'static str, at: SimTime, v: f64) {
-        let g = self.bucket(at).gauges.entry(series).or_default();
+    /// Samples a gauge (queue depth, wire burst) at `at`. The window
+    /// reports its mean and max; a window with no samples has neither
+    /// column.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a series that is not a gauge.
+    pub fn gauge(&mut self, series: Series, at: SimTime, v: f64) {
+        let i = series.slot_as(&[SeriesKind::Gauge]);
+        let g = &mut self.bucket(at).gauges[i];
         g.sum += v;
         g.n += 1;
         g.max = g.max.max(v);
@@ -342,15 +628,25 @@ impl TelemetrySampler {
     /// Records a latency sample into the window holding `at` (the window
     /// exports `_p50/_p95/_p99/_max/_count` columns and the run keeps a
     /// cumulative merge for histogram exposition).
-    pub fn latency(&mut self, series: &'static str, at: SimTime, ns: u64) {
-        self.bucket(at).hists.entry(series).or_default().record(ns);
+    ///
+    /// # Panics
+    ///
+    /// Panics on a series that is not a latency.
+    pub fn latency(&mut self, series: Series, at: SimTime, ns: u64) {
+        let i = series.slot_as(&[SeriesKind::Latency]);
+        self.bucket(at).hists[i].record(ns);
     }
 
-    /// Attributes a busy span to a `*_busy_ns` counter, apportioned
-    /// pro-rata across every window it overlaps. Windows derive a sibling
-    /// `*_occ` occupancy column (busy ns per window ns; can exceed 1.0
-    /// when parallel lanes overlap).
-    pub fn span(&mut self, series: &'static str, start: SimTime, end: SimTime) {
+    /// Attributes a busy span to a span series, apportioned pro-rata
+    /// across every window it overlaps. Windows derive the series' `*_occ`
+    /// occupancy column (busy ns per window ns; can exceed 1.0 when
+    /// parallel lanes overlap).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a series that is not a span.
+    pub fn span(&mut self, series: Series, start: SimTime, end: SimTime) {
+        series.slot_as(&[SeriesKind::Span]);
         let (s, e) = (start.as_nanos(), end.as_nanos());
         if e <= s {
             return;
@@ -374,17 +670,16 @@ impl TelemetrySampler {
     /// availability objectives, good for a latency objective iff `e2e_ns`
     /// is at or under its threshold.
     pub fn served(&mut self, at: SimTime, e2e_ns: u64) {
-        let w = self.widx(at);
-        let b = Self::bucket_of(&mut self.buckets, w, self.slo.len());
-        for (i, o) in self.slo.iter().enumerate() {
+        let (w, n) = (self.touch(at), self.objectives.len());
+        for (o, pair) in self.objectives.iter().zip(&mut self.slo[w * n..]) {
             let good = match o.kind {
                 SloKind::Latency { threshold_ns } => e2e_ns <= threshold_ns,
                 SloKind::Availability => true,
             };
             if good {
-                b.slo[i].0 += 1;
+                pair.0 += 1;
             } else {
-                b.slo[i].1 += 1;
+                pair.1 += 1;
             }
         }
     }
@@ -393,11 +688,10 @@ impl TelemetrySampler {
     /// availability objectives, invisible to latency objectives (which
     /// judge only completed requests).
     pub fn lost(&mut self, at: SimTime) {
-        let w = self.widx(at);
-        let b = Self::bucket_of(&mut self.buckets, w, self.slo.len());
-        for (i, o) in self.slo.iter().enumerate() {
+        let (w, n) = (self.touch(at), self.objectives.len());
+        for (o, pair) in self.objectives.iter().zip(&mut self.slo[w * n..]) {
             if o.kind == SloKind::Availability {
-                b.slo[i].1 += 1;
+                pair.1 += 1;
             }
         }
     }
@@ -406,65 +700,70 @@ impl TelemetrySampler {
     /// windows (at least enough to hold every recorded event).
     pub fn finalize(&self, makespan: SimTime) -> TelemetryReport {
         let win = self.window.as_nanos();
-        let span_windows = makespan.as_nanos().div_ceil(win);
-        let data_windows = self.buckets.keys().next_back().map_or(0, |w| w + 1);
-        let nwin = span_windows.max(data_windows);
-        let win_s = self.window.as_secs_f64();
-        let empty = Bucket::default();
+        let nwin = makespan
+            .as_nanos()
+            .div_ceil(win)
+            .max(self.buckets.len() as u64);
+        let (win_ns, win_s) = (win as f64, self.window.as_secs_f64());
+        let seen: Vec<Series> = Series::ALL
+            .into_iter()
+            .filter(|&s| self.buckets.iter().any(|b| b.has(s)))
+            .collect();
 
-        // Column conventions derived once, from any window that saw data.
-        let derives_rps = self
-            .buckets
-            .values()
-            .any(|b| b.counters.contains_key("completed"));
-        let derives_hit_rate = self.buckets.values().any(|b| {
-            b.counters.contains_key("cache_hits") || b.counters.contains_key("cache_misses")
-        });
-
-        let mut windows = Vec::with_capacity(nwin as usize);
-        let mut totals = Metrics::new();
-        let mut hists: BTreeMap<&str, Histogram> = BTreeMap::new();
-        for w in 0..nwin {
-            let b = self.buckets.get(&w).unwrap_or(&empty);
-            let mut m = Metrics::new();
-            for (k, v) in &b.counters {
-                m.set(k, *v);
-                totals.add(k, *v);
-                if let Some(base) = k.strip_suffix("_busy_ns") {
-                    m.set(&format!("{base}_occ"), *v / win as f64);
-                }
+        // Every column the run's windows can carry, sorted by name once,
+        // so each window's metrics are built in key order from static
+        // names.
+        let mut columns: Vec<(&'static str, Column)> = Vec::new();
+        for &s in &seen {
+            let own = s.columns().iter().enumerate();
+            columns.extend(own.map(|(i, &name)| (name, Column::Of(s, i))));
+            if let Some(derived) = s.derives().filter(|d| !columns.contains(d)) {
+                columns.push(derived);
             }
-            for (k, g) in &b.gauges {
-                m.set(
-                    &format!("{k}_mean"),
-                    if g.n > 0 { g.sum / g.n as f64 } else { 0.0 },
-                );
-                m.set(&format!("{k}_max"), g.max);
-            }
-            for (k, h) in &b.hists {
-                h.export(k, &mut m);
-                hists.entry(k).or_default().merge(h);
-            }
-            if derives_rps {
-                m.set("rps", m.get("completed") / win_s);
-            }
-            if derives_hit_rate {
-                let (hits, misses) = (m.get("cache_hits"), m.get("cache_misses"));
-                let total = hits + misses;
-                m.set(
-                    "cache_hit_rate",
-                    if total > 0.0 { hits / total } else { 0.0 },
-                );
-            }
-            windows.push(TelemetryWindow {
-                index: w,
-                start_ns: w * win,
-                metrics: m,
-            });
         }
+        columns.sort_unstable_by_key(|&(name, _)| name);
+
+        let empty = Bucket::default();
+        let windows = (0..nwin)
+            .map(|w| {
+                let b = self.buckets.get(w as usize).unwrap_or(&empty);
+                let metrics = columns
+                    .iter()
+                    .filter_map(|&(name, col)| Some((name, b.value(col, win_ns, win_s)?)))
+                    .collect();
+                TelemetryWindow {
+                    index: w,
+                    start_ns: w * win,
+                    metrics,
+                }
+            })
+            .collect();
+
+        // Totals add up the windows in window order: a float sum depends
+        // on its order.
+        let totals = seen
+            .iter()
+            .filter(|s| matches!(s.kind(), SeriesKind::Counter | SeriesKind::Span))
+            .map(|&s| {
+                let windows = self.buckets.iter().filter(|b| b.has(s));
+                (s.name(), windows.fold(0.0, |t, b| t + b.sums[s.slot()]))
+            })
+            .collect();
+        let mut hists: Vec<(String, Histogram)> = seen
+            .iter()
+            .filter(|s| s.kind() == SeriesKind::Latency)
+            .map(|&s| {
+                let mut h = Histogram::new();
+                for b in &self.buckets {
+                    h.merge(&b.hists[s.slot()]);
+                }
+                (s.name().to_string(), h)
+            })
+            .collect();
+        hists.sort_by(|a, b| a.0.cmp(&b.0));
 
         let slo = self
-            .slo
+            .objectives
             .iter()
             .enumerate()
             .map(|(i, o)| self.evaluate(i, o, nwin))
@@ -474,7 +773,7 @@ impl TelemetrySampler {
             window_ns: win,
             windows,
             totals,
-            hists: hists.into_iter().map(|(k, h)| (k.to_string(), h)).collect(),
+            hists,
             slo,
         }
     }
@@ -482,8 +781,9 @@ impl TelemetrySampler {
     /// Evaluates one objective over the full window range.
     fn evaluate(&self, idx: usize, o: &SloObjective, nwin: u64) -> SloOutcome {
         let budget = o.budget_frac();
-        let per_win: Vec<(u64, u64)> = (0..nwin)
-            .map(|w| self.buckets.get(&w).map_or((0, 0), |b| b.slo[idx]))
+        let n = self.objectives.len();
+        let per_win: Vec<(u64, u64)> = (0..nwin as usize)
+            .map(|w| self.slo.get(w * n + idx).copied().unwrap_or((0, 0)))
             .collect();
         let burn_of = |good: u64, bad: u64| -> f64 {
             let total = good + bad;
@@ -629,16 +929,12 @@ pub struct TelemetryReport {
 impl TelemetryReport {
     /// The union of metric columns across all windows, sorted.
     pub fn column_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = Vec::new();
-        for w in &self.windows {
-            for (k, _) in w.metrics.iter() {
-                if !names.iter().any(|n| n == k) {
-                    names.push(k.to_string());
-                }
-            }
-        }
-        names.sort();
-        names
+        let names: BTreeSet<&str> = self
+            .windows
+            .iter()
+            .flat_map(|w| w.metrics.iter().map(|(k, _)| k))
+            .collect();
+        names.into_iter().map(str::to_string).collect()
     }
 
     /// One series across all windows (missing values read 0).
@@ -957,11 +1253,47 @@ mod tests {
     }
 
     #[test]
+    fn series_fill_their_window_arrays_and_name_distinct_columns() {
+        let mut slots: Vec<(bool, bool, usize)> = Vec::new();
+        let mut columns = BTreeSet::new();
+        for (i, s) in Series::ALL.into_iter().enumerate() {
+            assert_eq!(s as usize, i, "ALL is in declaration order");
+            let kind = s.kind();
+            slots.push((
+                kind == SeriesKind::Gauge,
+                kind == SeriesKind::Latency,
+                s.slot(),
+            ));
+            for c in s.columns() {
+                assert!(columns.insert(*c), "{c} is written twice");
+            }
+        }
+        let want: Vec<(bool, bool, usize)> = (0..SUMS)
+            .map(|i| (false, false, i))
+            .chain((0..GAUGES).map(|i| (true, false, i)))
+            .chain((0..LATENCIES).map(|i| (false, true, i)))
+            .collect();
+        assert_eq!(slots, want, "sums, then gauges, then latencies");
+        assert!(SUMS <= u16::BITS as usize, "a seen bit per sum");
+        for derived in ["rps", "cache_hit_rate"] {
+            assert!(!columns.contains(derived), "{derived} is derived");
+        }
+        assert_eq!(Series::SsdBusyNs.columns(), ["ssd_busy_ns", "ssd_occ"]);
+        assert_eq!(Series::QueueDepth.name(), "queue_depth");
+    }
+
+    #[test]
+    #[should_panic(expected = "Offered is not a [Gauge] series")]
+    fn a_series_records_only_as_its_kind() {
+        TelemetrySampler::new(&cfg_10ms()).gauge(Series::Offered, at(1), 1.0);
+    }
+
+    #[test]
     fn windows_cover_makespan_and_fold_counters() {
         let mut s = TelemetrySampler::new(&cfg_10ms());
-        s.count("completed", at(1_000_000));
-        s.count("completed", at(12_000_000));
-        s.count("completed", at(12_500_000));
+        s.count(Series::Completed, at(1_000_000));
+        s.count(Series::Completed, at(12_000_000));
+        s.count(Series::Completed, at(12_500_000));
         let rep = s.finalize(at(25_000_000));
         assert_eq!(rep.windows.len(), 3, "ceil(25ms / 10ms)");
         assert_eq!(rep.windows[0].metrics.get("completed"), 1.0);
@@ -977,9 +1309,9 @@ mod tests {
         let build = |order: &[u64]| {
             let mut s = TelemetrySampler::new(&cfg_10ms());
             for &ns in order {
-                s.count("completed", at(ns));
-                s.latency("e2e_ns", at(ns), ns);
-                s.gauge("queue_depth", at(ns), ns as f64);
+                s.count(Series::Completed, at(ns));
+                s.latency(Series::E2eNs, at(ns), ns);
+                s.gauge(Series::QueueDepth, at(ns), ns as f64);
             }
             s.finalize(at(20_000_000))
         };
@@ -993,7 +1325,7 @@ mod tests {
     fn spans_apportion_across_windows() {
         let mut s = TelemetrySampler::new(&cfg_10ms());
         // 5ms before the boundary, 3ms after.
-        s.span("ssd_busy_ns", at(5_000_000), at(13_000_000));
+        s.span(Series::SsdBusyNs, at(5_000_000), at(13_000_000));
         let rep = s.finalize(at(20_000_000));
         assert_eq!(rep.windows[0].metrics.get("ssd_busy_ns"), 5_000_000.0);
         assert_eq!(rep.windows[1].metrics.get("ssd_busy_ns"), 3_000_000.0);
@@ -1001,16 +1333,16 @@ mod tests {
         assert!((rep.windows[1].metrics.get("ssd_occ") - 0.3).abs() < 1e-12);
         // Degenerate spans record nothing.
         let mut z = TelemetrySampler::new(&cfg_10ms());
-        z.span("ssd_busy_ns", at(7), at(7));
+        z.span(Series::SsdBusyNs, at(7), at(7));
         assert!(z.finalize(SimTime::ZERO).windows.is_empty());
     }
 
     #[test]
     fn empty_windows_read_zero_never_nan() {
         let mut s = TelemetrySampler::new(&cfg_10ms());
-        s.gauge("queue_depth", at(1_000_000), 4.0);
-        s.count("cache_hits", at(1_000_000));
-        s.count("cache_misses", at(1_000_000));
+        s.gauge(Series::QueueDepth, at(1_000_000), 4.0);
+        s.count(Series::CacheHits, at(1_000_000));
+        s.count(Series::CacheMisses, at(1_000_000));
         let rep = s.finalize(at(30_000_000));
         let w = &rep.windows[2].metrics;
         assert_eq!(w.get("queue_depth_mean"), 0.0);
@@ -1073,12 +1405,12 @@ mod tests {
     #[test]
     fn csv_has_stable_sorted_columns_and_prefix() {
         let mut s = TelemetrySampler::new(&cfg_10ms());
-        s.count("zeta", at(1));
-        s.count("alpha", at(11_000_000));
+        s.count(Series::Shed, at(1));
+        s.count(Series::Admitted, at(11_000_000));
         let rep = s.finalize(at(20_000_000));
         let csv = rep.to_csv(&[("mode", "morpheus".into())]);
         let mut lines = csv.lines();
-        assert_eq!(lines.next().unwrap(), "mode,window,start_ms,alpha,zeta");
+        assert_eq!(lines.next().unwrap(), "mode,window,start_ms,admitted,shed");
         assert_eq!(lines.next().unwrap(), "morpheus,0,0,0,1");
         assert_eq!(lines.next().unwrap(), "morpheus,1,10,1,0");
     }
@@ -1090,10 +1422,10 @@ mod tests {
             slo: SloSpec::parse("avail>99").unwrap(),
         };
         let mut s = TelemetrySampler::new(&cfg);
-        s.count("completed", at(1_000_000));
+        s.count(Series::Completed, at(1_000_000));
         s.served(at(1_000_000), 3);
-        s.latency("e2e_ns", at(1_000_000), 3);
-        s.latency("e2e_ns", at(1_000_000), 0);
+        s.latency(Series::E2eNs, at(1_000_000), 3);
+        s.latency(Series::E2eNs, at(1_000_000), 0);
         let rep = s.finalize(at(10_000_000));
         let text = rep.to_prometheus("morpheus_serve", &[("mode", "morpheus")]);
         // Counter family.
@@ -1122,14 +1454,14 @@ mod tests {
     fn prometheus_bucket_counts_are_cumulative_and_monotone() {
         let mut s = TelemetrySampler::new(&cfg_10ms());
         for v in [1u64, 2, 4, 8, 16, 16, 1000] {
-            s.latency("lat_ns", at(1), v);
+            s.latency(Series::QueueWaitNs, at(1), v);
         }
         let rep = s.finalize(at(10_000_000));
         let text = rep.to_prometheus("m", &[]);
         let mut last = 0u64;
         let mut buckets = 0;
         for line in text.lines() {
-            if let Some(rest) = line.strip_prefix("m_lat_ns_bucket{le=\"") {
+            if let Some(rest) = line.strip_prefix("m_queue_wait_ns_bucket{le=\"") {
                 let v: u64 = rest.split("} ").nth(1).unwrap().parse().unwrap();
                 assert!(v >= last, "bucket counts must be cumulative: {text}");
                 last = v;
@@ -1144,7 +1476,7 @@ mod tests {
     fn label_escaping_is_spec_conformant() {
         assert_eq!(escape_label_value("a\\b\"c\nd"), "a\\\\b\\\"c\\nd");
         let mut s = TelemetrySampler::new(&cfg_10ms());
-        s.count("x", at(1));
+        s.count(Series::Offered, at(1));
         let rep = s.finalize(at(10_000_000));
         let text = rep.to_prometheus("m", &[("app", "sv\"c\\1\n2")]);
         assert!(text.contains("app=\"sv\\\"c\\\\1\\n2\""), "{text}");
@@ -1188,7 +1520,7 @@ mod tests {
         for w in 0..3u64 {
             for _ in 0..=w {
                 let ts = at(w * 10_000_000 + 1);
-                s.count("completed", ts);
+                s.count(Series::Completed, ts);
                 s.served(ts, 100);
             }
         }
