@@ -35,8 +35,8 @@
 //! device engine hands the firmware an `InstanceMemo` that says where each
 //! MREAD's costs and output length come from. A request that hands its
 //! columns back (`System::run`) also holds an `ImageSlot`: it replays only
-//! with the object image in hand and decodes that, and a live run
-//! confirms or publishes the image.
+//! with the object image in hand and unpacks that, and a live run
+//! confirms the image or packs its columns into it.
 
 use crate::deser_memo::{HostReplay, ImageSlot, MemoKey, ReplayStore};
 use crate::exec::{AppSpec, MorpheusAbort, RunError};
@@ -108,7 +108,7 @@ enum ParseSource {
 /// costs and CPU-core grants always run live against the caller's
 /// timelines; only the parser itself is skipped when a recording for this
 /// exact content and chunking exists (and, for [`System::run`], the
-/// object image its columns decode from). The recorded values (per-chunk
+/// object image its columns unpack from). The recorded values (per-chunk
 /// work deltas, the object digest, the image) are pure functions of the
 /// key, so replayed runs are byte-identical to live ones.
 pub(crate) struct HostTenant {
@@ -141,9 +141,9 @@ impl HostTenant {
 
     /// Completes the parse of `schema` records. Returns when the last
     /// chunk's parse ended, the objects' digest, and the columns when the
-    /// engine was built to keep them: a replay decodes them from its image.
-    /// A live parse publishes its recording, and confirms or publishes the
-    /// image.
+    /// engine was built to keep them, each at its length: a replay unpacks
+    /// them from its image. A live parse publishes its recording, and
+    /// confirms or publishes the image.
     pub(crate) fn finish(
         self,
         schema: &Schema,
@@ -156,7 +156,7 @@ impl HostTenant {
                 ..
             } => (parser, parsed, recorded),
             ParseSource::Replay(r) => {
-                let objects = self.image.map(|slot| slot.decode(schema)).transpose()?;
+                let objects = self.image.map(|slot| slot.unpack(schema)).transpose()?;
                 return Ok((self.cpu_ready, r.digest, objects));
             }
         };
@@ -176,14 +176,16 @@ impl HostTenant {
                 }),
             );
         }
-        if let Some(slot) = self.image {
-            slot.confirm_or_publish(digest, || {
-                let mut stream = Vec::new();
-                o.encode_rows(0, o.records, &mut stream);
-                stream
-            });
+        if !self.keep_columns {
+            return Ok((self.cpu_ready, digest, None));
         }
-        Ok((self.cpu_ready, digest, self.keep_columns.then_some(o)))
+        // The parser's columns grew by doubling: hand them back, and pack
+        // the image from them, at their length.
+        o.shrink_to_fit();
+        if let Some(slot) = self.image {
+            slot.confirm_or_publish(digest, &o);
+        }
+        Ok((self.cpu_ready, digest, Some(o)))
     }
 }
 
@@ -195,7 +197,7 @@ impl HostTenant {
 /// [`System::device_objects`], which own the device memo (`deser_memo`):
 /// replay an identical lifecycle's recording, or record this one and
 /// publish it with its objects' digest. A replay's commands carry no
-/// bytes; a caller that keeps the columns decodes them from the object
+/// bytes; a caller that keeps the columns unpacks them from the object
 /// image. Every timed step (flash, cores, DMA, bus) runs live either way.
 pub(crate) struct DeviceTenant {
     plan: CommandPlan,
@@ -785,10 +787,10 @@ impl System {
     }
 
     /// The objects of the engine's lifecycle, closed by `dein`: a live one
-    /// decodes its object stream against `schema`, confirms or publishes
-    /// the object image when it has a slot, and a recording one is
-    /// published to the memo with its digest. A replay takes the recorded
-    /// digest and decodes the image when it has one.
+    /// decodes its object stream against `schema`, confirms the object
+    /// image or packs the columns into it when it has a slot, and a
+    /// recording one is published to the memo with its digest. A replay
+    /// takes the recorded digest and unpacks the image when it has one.
     fn device_objects(
         &mut self,
         t: &mut DeviceTenant,
@@ -797,12 +799,15 @@ impl System {
     ) -> Result<(ObjectDigest, Option<ParsedColumns>), RunError> {
         let image = t.image.take();
         let (digest, objects) = match t.replayed {
-            Some(d) => (d, image.map(|slot| slot.decode(schema)).transpose()?),
+            Some(d) => (d, image.map(|slot| slot.unpack(schema)).transpose()?),
             None => {
                 let o = ParsedColumns::decode(schema.clone(), &t.output)?;
                 let d = o.digest();
                 if let Some(slot) = image {
-                    slot.confirm_or_publish(d, || std::mem::take(&mut t.output));
+                    // The image is packed from the columns, so the stream
+                    // can go first.
+                    t.output = Vec::new();
+                    slot.confirm_or_publish(d, &o);
                 }
                 (d, Some(o))
             }

@@ -29,9 +29,9 @@
 //!   `System::device_tenant` and published by `System::device_objects`;
 //! - host: host parses ([`HostReplay`]), looked up by
 //!   `System::conventional_tenant` and published by `HostTenant::finish`;
-//! - images: one object stream per (content, schema, input format)
-//!   ([`ObjectImage`]), read and written through an [`ImageSlot`] by the
-//!   runs that hand columns back ([`System::run`]);
+//! - images: one packed image of the objects per (content, schema, input
+//!   format) ([`ObjectImage`]), read and written through an [`ImageSlot`]
+//!   by the runs that hand columns back ([`System::run`]);
 //! - inputs: generated input text by exact (generator, bytes, seed)
 //!   ([`ReplayStore::generated_input`]).
 //!
@@ -41,7 +41,10 @@
 //! counts and lengths only: a replayed MREAD or MDEINIT reports its
 //! output's length, which is all the DMA and the bus price. The image
 //! table is the one place a store keeps object bytes, once per content
-//! however many drive configurations and chunkings recorded it.
+//! however many drive configurations and chunkings recorded it, and
+//! column by column at the width the values need
+//! ([`ParsedColumns::pack`]): never more bytes than the record stream a
+//! Morpheus lifecycle pushes off the drive.
 
 use crate::exec::AppSpec;
 use crate::firmware::DeviceReplay;
@@ -70,10 +73,11 @@ pub(crate) struct HostReplay {
 }
 
 /// The objects one content parses to under one schema and input format,
-/// as the canonical little-endian record stream
-/// ([`ParsedColumns::encode_rows`]): byte for byte what a Morpheus
-/// lifecycle pushes off the drive. A replay that hands columns back
-/// decodes them from here.
+/// packed column by column ([`ParsedColumns::pack`]): each integer column
+/// as its least value and each value's offset from it in the fewest bytes
+/// the column's span needs, each float column at its declared width, so
+/// never larger than the record stream a Morpheus lifecycle pushes off
+/// the drive. A replay that hands columns back unpacks them from here.
 #[derive(Debug)]
 pub(crate) struct ObjectImage {
     pub digest: ObjectDigest,
@@ -81,8 +85,8 @@ pub(crate) struct ObjectImage {
 }
 
 /// Entry cap of the device, host and image tables. Images hold whole
-/// object streams, so the cap bounds memory; past it a table evicts its
-/// oldest entry to admit a new key.
+/// objects, so the cap bounds memory; past it a table evicts its oldest
+/// entry to admit a new key.
 const MAX_ENTRIES: usize = 256;
 
 /// Entry cap of the input table: a sweep touches a handful of (generator,
@@ -214,9 +218,9 @@ impl fmt::Debug for ReplayStore {
 /// Where a run that hands columns back finds its object image, or
 /// publishes the one it parsed: opened by [`System::image_slot`] for the
 /// runs of [`System::run`] only. Such a run replays only when the store
-/// holds both its engine's recording and the image, and then decodes the
+/// holds both its engine's recording and the image, and then unpacks the
 /// image; otherwise it runs live and its digest confirms the image or its
-/// stream becomes it.
+/// columns are packed into it.
 pub(crate) struct ImageSlot {
     key: MemoKey,
     store: Arc<ReplayStore>,
@@ -229,17 +233,17 @@ impl ImageSlot {
         self.found.is_some()
     }
 
-    /// The columns of the image found at open.
-    pub(crate) fn decode(&self, schema: &Schema) -> Result<ParsedColumns, ParseError> {
+    /// The columns of the image found at open, each at its length.
+    pub(crate) fn unpack(&self, schema: &Schema) -> Result<ParsedColumns, ParseError> {
         let image = self.found.as_ref().expect("a replay opened with its image");
-        ParsedColumns::decode(schema.clone(), &image.bytes)
+        ParsedColumns::unpack(schema.clone(), &image.bytes)
     }
 
-    /// Ends a live run whose objects digest to `digest`: a found image must
-    /// carry the same digest (a mismatch is a key collision, which must not
-    /// pass silently), and a missing one is published from `stream`, the
-    /// objects' canonical record stream.
-    pub(crate) fn confirm_or_publish(self, digest: ObjectDigest, stream: impl FnOnce() -> Vec<u8>) {
+    /// Ends a live run whose canonical columns `objects` digest to
+    /// `digest`: a found image must carry the same digest (a mismatch is a
+    /// key collision, which must not pass silently), and a missing one is
+    /// packed from `objects`.
+    pub(crate) fn confirm_or_publish(self, digest: ObjectDigest, objects: &ParsedColumns) {
         if let Some(image) = &self.found {
             assert_eq!(
                 image.digest, digest,
@@ -247,13 +251,12 @@ impl ImageSlot {
             );
             return;
         }
-        let mut bytes = stream();
+        let bytes = objects.pack();
         debug_assert_eq!(
-            bytes.len() as u64,
-            digest.bytes,
-            "the stream is the objects"
+            ParsedColumns::packed_records(&objects.schema, &bytes),
+            Ok(digest.records),
+            "the packing holds the objects"
         );
-        bytes.shrink_to_fit();
         let image = Arc::new(ObjectImage { digest, bytes });
         lock(&self.store.images).put(self.key, image);
     }

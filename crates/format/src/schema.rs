@@ -198,6 +198,16 @@ impl ParsedColumns {
         }
     }
 
+    /// Frees every column's capacity past its length.
+    pub fn shrink_to_fit(&mut self) {
+        for c in &mut self.columns {
+            match c {
+                Column::Ints(v) => v.shrink_to_fit(),
+                Column::Floats(v) => v.shrink_to_fit(),
+            }
+        }
+    }
+
     /// Splits off the first `records` rows, leaving only the values of a
     /// trailing partial record (a streaming parse stopped mid-record has
     /// pushed some of its fields already).
@@ -352,6 +362,302 @@ impl ParsedColumns {
         }
         self.records += (bytes.len() / rec) as u64;
         Ok(())
+    }
+
+    /// Packs the objects column by column, each integer column at the
+    /// fewest bytes its values need: what [`encode_rows`] writes for every
+    /// record, held in fewer bytes.
+    ///
+    /// The layout, every number little-endian:
+    /// - the record count, 8 bytes;
+    /// - each column in field order. An integer column is a width byte `w`
+    ///   from 0 to 8, its base (the least value, 8 bytes), then each
+    ///   value's offset from the base in `w` bytes: `w` is the fewest
+    ///   bytes that hold the largest offset. A float column is its values
+    ///   at the declared width.
+    ///
+    /// Values are narrowed to their declared kinds first, as
+    /// [`encode_rows`] narrows them, so no column is wider than the record
+    /// stream stores it and [`unpack`] returns what [`decode`] returns for
+    /// that stream. `U64` values are ordered as unsigned, the other
+    /// integer kinds as signed.
+    ///
+    /// [`encode_rows`]: ParsedColumns::encode_rows
+    /// [`unpack`]: ParsedColumns::unpack
+    /// [`decode`]: ParsedColumns::decode
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column holds fewer values than the record count.
+    pub fn pack(&self) -> Vec<u8> {
+        let n = self.records as usize;
+        let spans: Vec<Option<(i64, usize)>> = self
+            .schema
+            .fields()
+            .iter()
+            .zip(&self.columns)
+            .map(|(&kind, col)| match col {
+                Column::Ints(v) => Some(int_span(kind, &v[..n])),
+                Column::Floats(_) => None,
+            })
+            .collect();
+        let len: usize = self
+            .schema
+            .fields()
+            .iter()
+            .zip(&spans)
+            .map(|(kind, span)| match span {
+                Some((_, w)) => INT_HEAD + n * w,
+                None => n * kind.byte_width() as usize,
+            })
+            .sum();
+        let mut out = Vec::with_capacity(COUNT + len);
+        out.extend_from_slice(&self.records.to_le_bytes());
+        for ((kind, col), span) in self.schema.fields().iter().zip(&self.columns).zip(spans) {
+            match (kind, col, span) {
+                (_, Column::Ints(v), Some((base, w))) => {
+                    out.push(w as u8);
+                    out.extend_from_slice(&base.to_le_bytes());
+                    let v = &v[..n];
+                    match kind {
+                        FieldKind::U32 => pack_offsets(&mut out, v, base, w, |x| x as u32 as i64),
+                        FieldKind::I32 => pack_offsets(&mut out, v, base, w, |x| x as i32 as i64),
+                        _ => pack_offsets(&mut out, v, base, w, |x| x),
+                    }
+                }
+                (FieldKind::F32, Column::Floats(v), None) => {
+                    put_packed(&mut out, &v[..n], |x| (x as f32).to_le_bytes())
+                }
+                (FieldKind::F64, Column::Floats(v), None) => {
+                    put_packed(&mut out, &v[..n], f64::to_le_bytes)
+                }
+                _ => unreachable!("columns built from the same schema"),
+            }
+        }
+        debug_assert_eq!(out.len(), COUNT + len, "the packing is sized exactly");
+        out
+    }
+
+    /// The record count of `bytes`, a [`pack`](ParsedColumns::pack)ing of
+    /// `schema`'s columns, once its layout checks out: every integer
+    /// column's width at most 8, every column whole, and nothing after the
+    /// last one.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`ParseErrorKind::UnexpectedEof`] if the packing is cut
+    /// short, and with [`ParseErrorKind::UnexpectedChar`] at a width byte
+    /// past 8 or at the first byte past the last column.
+    pub fn packed_records(schema: &Schema, bytes: &[u8]) -> Result<u64, ParseError> {
+        let mut at = Cursor { bytes, at: 0 };
+        let records = u64::from_le_bytes(at.take()?);
+        for kind in schema.fields() {
+            let w = if kind.is_float() {
+                kind.byte_width()
+            } else {
+                at.int_head()?.1 as u64
+            };
+            at.skip(records.checked_mul(w))?;
+        }
+        match bytes.get(at.at) {
+            Some(&b) => Err(ParseError::new(at.at, ParseErrorKind::UnexpectedChar(b))),
+            None => Ok(records),
+        }
+    }
+
+    /// Unpacks the columns [`pack`](ParsedColumns::pack) packed, each
+    /// sized to its length.
+    ///
+    /// # Errors
+    ///
+    /// Fails as [`packed_records`](ParsedColumns::packed_records) fails.
+    pub fn unpack(schema: Schema, bytes: &[u8]) -> Result<ParsedColumns, ParseError> {
+        let records = Self::packed_records(&schema, bytes)?;
+        let n = records as usize;
+        let mut at = Cursor { bytes, at: 8 };
+        let columns = schema
+            .fields()
+            .iter()
+            .map(|kind| {
+                Ok(match kind {
+                    FieldKind::F32 => Column::Floats(get_packed(at.slice(n * 4)?, |b| {
+                        f32::from_le_bytes(b) as f64
+                    })),
+                    FieldKind::F64 => {
+                        Column::Floats(get_packed(at.slice(n * 8)?, f64::from_le_bytes))
+                    }
+                    _ => {
+                        let (base, w) = at.int_head()?;
+                        Column::Ints(unpack_offsets(at.slice(n * w)?, n, base, w))
+                    }
+                })
+            })
+            .collect::<Result<_, ParseError>>()?;
+        Ok(ParsedColumns {
+            schema,
+            columns,
+            records,
+        })
+    }
+}
+
+/// Bytes of a packing's record count.
+const COUNT: usize = 8;
+
+/// Bytes of a packed integer column's head: its width byte and base.
+const INT_HEAD: usize = 9;
+
+/// The base and byte width of an integer column of `kind` holding `vals`:
+/// the least narrowed value, and the fewest bytes that hold the largest
+/// value's offset from it (0 for an empty column or one repeated value).
+fn int_span(kind: FieldKind, vals: &[i64]) -> (i64, usize) {
+    // The 32-bit kinds compare in 32-bit lanes.
+    let span = match kind {
+        FieldKind::U32 => min_max(vals, |x| x as u32),
+        FieldKind::I32 => min_max(vals, |x| x as i32),
+        FieldKind::U64 => min_max(vals, |x| x as u64),
+        _ => min_max(vals, |x| x),
+    };
+    let Some((lo, hi)) = span else {
+        return (0, 0);
+    };
+    let span = (hi - lo) as u64;
+    (
+        lo as i64,
+        (u64::BITS - span.leading_zeros()).div_ceil(8) as usize,
+    )
+}
+
+/// The least and greatest narrowed value of `vals`, widened; `None` when
+/// empty.
+#[inline]
+fn min_max<T: Copy + Ord + Into<i128>>(
+    vals: &[i64],
+    narrow: impl Fn(i64) -> T,
+) -> Option<(i128, i128)> {
+    let first = narrow(*vals.first()?);
+    let (lo, hi) = vals.iter().fold((first, first), |(lo, hi), &x| {
+        (lo.min(narrow(x)), hi.max(narrow(x)))
+    });
+    Some((lo.into(), hi.into()))
+}
+
+/// Appends each narrowed value's offset from `base` in `w` bytes, one loop
+/// per width so each copies a fixed number of bytes.
+fn pack_offsets(
+    out: &mut Vec<u8>,
+    vals: &[i64],
+    base: i64,
+    w: usize,
+    narrow: impl Fn(i64) -> i64 + Copy,
+) {
+    let off = move |x: i64| narrow(x).wrapping_sub(base) as u64;
+    match w {
+        0 => {}
+        1 => put_packed(out, vals, |x| low::<1>(off(x))),
+        2 => put_packed(out, vals, |x| low::<2>(off(x))),
+        3 => put_packed(out, vals, |x| low::<3>(off(x))),
+        4 => put_packed(out, vals, |x| low::<4>(off(x))),
+        5 => put_packed(out, vals, |x| low::<5>(off(x))),
+        6 => put_packed(out, vals, |x| low::<6>(off(x))),
+        7 => put_packed(out, vals, |x| low::<7>(off(x))),
+        8 => put_packed(out, vals, |x| off(x).to_le_bytes()),
+        _ => unreachable!("an offset fits 8 bytes"),
+    }
+}
+
+/// The `n` values whose `w`-byte offsets from `base` are `bytes`, one
+/// loop per width.
+fn unpack_offsets(bytes: &[u8], n: usize, base: i64, w: usize) -> Vec<i64> {
+    let at = move |off: u64| base.wrapping_add(off as i64);
+    match w {
+        0 => vec![base; n],
+        1 => get_packed(bytes, |b| at(widen::<1>(b))),
+        2 => get_packed(bytes, |b| at(widen::<2>(b))),
+        3 => get_packed(bytes, |b| at(widen::<3>(b))),
+        4 => get_packed(bytes, |b| at(widen::<4>(b))),
+        5 => get_packed(bytes, |b| at(widen::<5>(b))),
+        6 => get_packed(bytes, |b| at(widen::<6>(b))),
+        7 => get_packed(bytes, |b| at(widen::<7>(b))),
+        8 => get_packed(bytes, |b| at(u64::from_le_bytes(b))),
+        _ => unreachable!("a checked width is at most 8"),
+    }
+}
+
+/// The low `W` bytes of `x`, little-endian.
+#[inline]
+fn low<const W: usize>(x: u64) -> [u8; W] {
+    *x.to_le_bytes().first_chunk().expect("W is at most 8")
+}
+
+/// The `W` little-endian bytes `b`, zero-extended.
+#[inline]
+fn widen<const W: usize>(b: [u8; W]) -> u64 {
+    let mut le = [0; 8];
+    le[..W].copy_from_slice(&b);
+    u64::from_le_bytes(le)
+}
+
+/// Appends `bytes(x)` for each value, back to back.
+#[inline]
+fn put_packed<T: Copy, const W: usize>(
+    out: &mut Vec<u8>,
+    vals: &[T],
+    bytes: impl Fn(T) -> [u8; W],
+) {
+    let start = out.len();
+    out.resize(start + vals.len() * W, 0);
+    for (slot, &x) in out[start..].as_chunks_mut().0.iter_mut().zip(vals) {
+        *slot = bytes(x);
+    }
+}
+
+/// The value of every `W`-byte slot of `bytes`, in a vector of exactly
+/// their number.
+#[inline]
+fn get_packed<T, const W: usize>(bytes: &[u8], value: impl Fn([u8; W]) -> T) -> Vec<T> {
+    bytes.as_chunks().0.iter().map(|&b| value(b)).collect()
+}
+
+/// A read position in a packing; every read checks its length.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn eof(&self) -> ParseError {
+        ParseError::new(self.bytes.len(), ParseErrorKind::UnexpectedEof)
+    }
+
+    /// The next `len` bytes; `UnexpectedEof` when fewer are left.
+    fn slice(&mut self, len: usize) -> Result<&'a [u8], ParseError> {
+        let end = self.at.checked_add(len).ok_or(self.eof())?;
+        let s = self.bytes.get(self.at..end).ok_or(self.eof())?;
+        self.at = end;
+        Ok(s)
+    }
+
+    /// Steps over `len` bytes, `None` when its count overflowed.
+    fn skip(&mut self, len: Option<u64>) -> Result<(), ParseError> {
+        let len = len.and_then(|l| usize::try_from(l).ok());
+        self.slice(len.ok_or(self.eof())?).map(drop)
+    }
+
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], ParseError> {
+        Ok(*self.slice(N)?.first_chunk().expect("N bytes"))
+    }
+
+    /// An integer column's base and width; a width past 8 is an error.
+    fn int_head(&mut self) -> Result<(i64, usize), ParseError> {
+        let [w] = self.take()?;
+        if w > 8 {
+            return Err(ParseError::new(
+                self.at - 1,
+                ParseErrorKind::UnexpectedChar(w),
+            ));
+        }
+        Ok((i64::from_le_bytes(self.take()?), w as usize))
     }
 }
 

@@ -3,12 +3,13 @@
 //!
 //! A counting global allocator measures the live heap. Serving records a
 //! device lifecycle per tenant and must keep no object bytes for it; the
-//! three `System::run` modes over one input must add one binary image of
-//! its objects, not host columns plus per-MREAD buffers. One `#[test]`,
-//! so nothing else in this process allocates while it measures.
+//! three `System::run` modes over one input must add one packed image of
+//! its objects, not host columns plus per-MREAD buffers, and every run
+//! hands its columns back at their length. One `#[test]`, so nothing else
+//! in this process allocates while it measures.
 
-use morpheus::{AppSpec, Mode, ReplayStore, ServeConfig, System, SystemParams};
-use morpheus_format::{FieldKind, Schema, TextWriter};
+use morpheus::{AppSpec, Mode, ReplayStore, RunOutcome, ServeConfig, System, SystemParams};
+use morpheus_format::{Column, FieldKind, Schema, TextWriter};
 use morpheus_simcore::SplitMix64;
 use std::alloc::{GlobalAlloc, Layout, System as Heap};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -87,6 +88,20 @@ fn entries(store: &ReplayStore, table: &str) -> usize {
     digits.parse().expect("a count")
 }
 
+/// Asserts that every column `out` hands back holds no spare capacity.
+fn assert_at_length(out: &RunOutcome, run: &str) {
+    for (i, c) in out.objects.columns.iter().enumerate() {
+        let (len, cap) = match c {
+            Column::Ints(v) => (v.len(), v.capacity()),
+            Column::Floats(v) => (v.len(), v.capacity()),
+        };
+        assert_eq!(
+            cap, len,
+            "{run}: column {i} holds {len} values in {cap} slots"
+        );
+    }
+}
+
 /// The live bytes `store` holds: what dropping the system's handle and
 /// `store` returns.
 fn held_by(sys: &mut System, store: Arc<ReplayStore>) -> usize {
@@ -128,8 +143,9 @@ fn a_store_holds_counts_lengths_and_one_image_per_input() {
         "the store holds {per_tenant} bytes per served tenant"
     );
 
-    // One ~1 MB input run in every mode: the store gains one binary image
-    // of its objects and the recordings' counts.
+    // One ~1 MB input run in every mode: the store gains one packed image
+    // of its objects and the recordings' counts. The edge values are below
+    // 100,000, so each column packs into 3 of its 4 bytes.
     let mut sys = System::new(SystemParams::paper_testbed());
     sys.create_input_file("big.txt", &edge_text(1 << 20, 99))
         .expect("the input fits the drive");
@@ -140,17 +156,19 @@ fn a_store_holds_counts_lengths_and_one_image_per_input() {
         .create_input_file("big.txt", &edge_text(1 << 20, 99))
         .expect("the input fits the drive");
     let want = reference.run(&spec, Mode::Conventional).expect("the run");
+    assert_at_length(&want, "memo-off conventional");
     let store = Arc::new(ReplayStore::default());
     sys.set_replay_store(Some(store.clone()));
     let before = live();
     for mode in [Mode::Conventional, Mode::Morpheus, Mode::MorpheusP2P] {
         let out = sys.run(&spec, mode).expect("the run");
         assert_eq!(out.report.checksum, want.report.checksum, "{mode}");
+        assert_at_length(&out, &mode.to_string());
     }
     let grown = live().saturating_sub(before);
     let object_bytes = want.report.object_bytes as usize;
     assert!(
-        grown <= object_bytes * 11 / 10 + 64 * KIB,
+        grown <= object_bytes * 8 / 10 + 64 * KIB,
         "three runs grew the heap {grown} bytes for {object_bytes} bytes of objects"
     );
     assert_eq!(entries(&store, "images"), 1, "one image per input");
@@ -161,4 +179,5 @@ fn a_store_holds_counts_lengths_and_one_image_per_input() {
         again.objects == want.objects,
         "a replay returns the columns"
     );
+    assert_at_length(&again, "replay");
 }
