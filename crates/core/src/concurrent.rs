@@ -32,18 +32,21 @@
 //! Each engine owns its table of the system's replay store (see
 //! `deser_memo`): building it looks a recording up, and finishing it
 //! publishes a new one. The host engine replays parse work itself; the
-//! device engine hands the firmware an `InstanceMemo` that says where each
-//! MREAD's costs and output length come from. A request that hands its
-//! columns back (`System::run`) also holds an `ImageSlot`: it replays only
-//! with the object image in hand and unpacks that, and a live run
-//! confirms the image or packs its columns into it.
+//! device engine hands the firmware an `InstanceMemo` that says what runs
+//! the instance: the StorageApp, built only then, or the recording, which
+//! supplies MINIT's code size and each MREAD's costs and output length. A
+//! request that hands its columns back (`System::run`) also holds an
+//! `ImageSlot`: it replays only with the object image in hand and unpacks
+//! that, and a live run confirms the image or packs its columns into it.
 
 use crate::deser_memo::{HostReplay, ImageSlot, MemoKey, ReplayStore};
 use crate::exec::{AppSpec, MorpheusAbort, RunError};
 use crate::firmware::{DeinitOutcome, DeviceReplay, InstanceMemo, IO_QUEUE_ID};
 use crate::report::{mb_per_sec, Mode};
 use crate::system::{ChunkIo, WireCmd};
-use crate::{ms_stream_create, CommandPlan, MsStream, StorageApp, StorageKind, System};
+use crate::{
+    ms_stream_create, CommandPlan, DeserializeApp, MsStream, StorageApp, StorageKind, System,
+};
 use morpheus_format::{ObjectDigest, ParseWork, ParsedColumns, Schema, StreamingParser};
 use morpheus_host::CodeClass;
 use morpheus_nvme::{MorpheusCommand, NvmeCommand, StatusCode};
@@ -246,10 +249,10 @@ pub(crate) enum Target {
 /// The engine an [`InFlight`] request is on.
 enum Engine {
     /// A device request before its MINIT, issued no earlier than `start`:
-    /// its plan, the app MINIT installs, and its P2P window.
+    /// its plan and its P2P window. MINIT decides whether a StorageApp is
+    /// built ([`System::device_tenant`]).
     Minit {
         plan: CommandPlan,
-        app: Option<Box<dyn StorageApp>>,
         bar: Option<BarWindow>,
         start: SimTime,
     },
@@ -600,16 +603,15 @@ impl System {
         Ok(dma.end)
     }
 
-    /// MINIT: installs `app` as `plan`'s instance, issued to the drive at
-    /// `issue`, with record/replay state `memo`.
+    /// MINIT: installs `plan`'s instance, run by `memo`, issued to the
+    /// drive at `issue`.
     fn open_instance(
         &mut self,
         plan: CommandPlan,
-        app: Box<dyn StorageApp>,
         memo: InstanceMemo,
         issue: SimTime,
     ) -> Result<DeviceTenant, RunError> {
-        let ready = self.mssd.minit_with(plan.instance_id, app, issue, memo)?;
+        let ready = self.mssd.minit_with(plan.instance_id, memo, issue)?;
         Ok(DeviceTenant {
             plan,
             next: 0,
@@ -716,7 +718,8 @@ impl System {
         let (ok, iid) = (StatusCode::Success, plan.instance_id);
         let syscall = self.command_wakeup(SimTime::ZERO);
         let minit = plan.init().into_command(0, 1);
-        let mut t = self.open_instance(plan, app, InstanceMemo::Off, syscall.end)?;
+        let memo = InstanceMemo::Live { app, record: None };
+        let mut t = self.open_instance(plan, memo, syscall.end)?;
         self.pump(IO_QUEUE_ID, &[(minit, ok, 0)]);
         let ready = t.ready;
         let mut steps = || {
@@ -751,8 +754,9 @@ impl System {
     }
 
     /// Builds the device engine for `spec`'s file: runs MINIT of `plan`'s
-    /// instance with `app`, issued to the drive at `issue`, delivering to
-    /// the P2P window `bar` (host DRAM when `None`). With
+    /// instance, issued to the drive at `issue`, delivering to the P2P
+    /// window `bar` (host DRAM when `None`). A replay installs its
+    /// recording; only a live lifecycle builds `spec`'s StorageApp. With
     /// `keep_columns` [`System::device_objects`] hands the columns back:
     /// the engine then replays only when the store also holds the object
     /// image, and otherwise runs live and publishes it.
@@ -760,7 +764,6 @@ impl System {
         &mut self,
         spec: &AppSpec,
         plan: CommandPlan,
-        app: Box<dyn StorageApp>,
         bar: Option<BarWindow>,
         issue: SimTime,
         keep_columns: bool,
@@ -771,12 +774,19 @@ impl System {
             .and_then(|key| self.replay.as_ref()?.device_get(key))
             .filter(|_| image.as_ref().is_none_or(ImageSlot::found));
         let replayed = rec.as_ref().map(|r| r.digest);
-        let memo = match (memo_key, rec) {
-            (_, Some(rec)) => InstanceMemo::Play { rec, next: 0 },
-            (Some(_), None) => InstanceMemo::Record(Vec::new()),
-            (None, None) => InstanceMemo::Off,
+        let memo = match rec {
+            Some(rec) => {
+                debug_assert_eq!(rec.code_bytes, plan.code_len(), "MINIT's code size");
+                InstanceMemo::Play { rec, next: 0 }
+            }
+            None => {
+                let app = spec.storage_app();
+                debug_assert_eq!(app.code_bytes(), plan.code_len(), "MINIT's code size");
+                let record = memo_key.map(|_| Vec::new());
+                InstanceMemo::Live { app, record }
+            }
         };
-        let t = self.open_instance(plan, app, memo, issue)?;
+        let t = self.open_instance(plan, memo, issue)?;
         Ok(DeviceTenant {
             bar,
             memo_key,
@@ -820,6 +830,7 @@ impl System {
             store.device_put(
                 key,
                 Arc::new(DeviceReplay {
+                    code_bytes: t.plan.code_len(),
                     cmds: rec.cmds,
                     finish_instr: rec.finish_instr,
                     retval: dein.retval,
@@ -852,14 +863,8 @@ impl System {
             Target::Device(iid, bar) => {
                 let stream = ms_stream_create(&self.fs, &spec.input, self.params.mread_chunk_bytes)
                     .map_err(|_| RunError::UnknownFile(spec.input.clone()))?;
-                let app = spec.storage_app();
-                let plan = CommandPlan::lower(stream, iid, app.code_bytes());
-                Engine::Minit {
-                    plan,
-                    app: Some(app),
-                    bar,
-                    start,
-                }
+                let plan = CommandPlan::lower(stream, iid, DeserializeApp::CODE_BYTES);
+                Engine::Minit { plan, bar, start }
             }
         };
         Ok(InFlight {
@@ -915,18 +920,12 @@ impl System {
     fn step_morpheus(&mut self, req: &mut InFlight<'_>) -> Result<Step, MorpheusAbort> {
         let ok = StatusCode::Success;
         let t = match &mut req.engine {
-            Engine::Minit {
-                plan,
-                app,
-                bar,
-                start,
-            } => {
+            Engine::Minit { plan, bar, start } => {
                 let syscall = self.command_wakeup(*start);
                 let issue = self.fault_gate("MINIT", syscall.end)?;
                 let cmd = plan.init().into_command(0, 1);
-                let app = app.take().expect("MINIT runs once");
                 let plan = plan.take();
-                let t = self.device_tenant(req.spec, plan, app, *bar, issue, req.keep_columns)?;
+                let t = self.device_tenant(req.spec, plan, *bar, issue, req.keep_columns)?;
                 let ready = t.ready;
                 req.engine = Engine::Device(t);
                 return Ok((Some((cmd, ok, 0)), StepEvent::Minit { syscall, ready }));

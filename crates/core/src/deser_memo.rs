@@ -50,8 +50,10 @@ use crate::exec::AppSpec;
 use crate::firmware::DeviceReplay;
 use crate::system::ChunkIo;
 use crate::System;
-use morpheus_format::{CostModel, ObjectDigest, ParseError, ParseWork, ParsedColumns, Schema};
-use morpheus_simcore::Fnv1a;
+use morpheus_format::{
+    CostModel, Endianness, InputFormat, ObjectDigest, ParseError, ParseWork, ParsedColumns, Schema,
+};
+use morpheus_simcore::{Fnv1a, FnvBuild};
 use morpheus_ssd::Ssd;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::{self, Write as _};
@@ -100,7 +102,7 @@ const INPUT_ENTRIES: usize = 64;
 /// its age and evicts nothing.
 #[derive(Debug)]
 struct BoundedTable<V> {
-    map: HashMap<MemoKey, V>,
+    map: HashMap<MemoKey, V, FnvBuild>,
     /// Keys in insertion order, oldest first.
     order: VecDeque<MemoKey>,
 }
@@ -108,7 +110,7 @@ struct BoundedTable<V> {
 impl<V> Default for BoundedTable<V> {
     fn default() -> Self {
         BoundedTable {
-            map: HashMap::new(),
+            map: HashMap::default(),
             order: VecDeque::new(),
         }
     }
@@ -275,6 +277,23 @@ pub(crate) fn drive_digest(dev: &Ssd, device_cost: &CostModel) -> u64 {
     s.value()
 }
 
+/// Folds the record layout `spec`'s objects are parsed to, a word at a
+/// time: the schema's field count, each field's kind, then the input
+/// format's tag. The count goes first, so no two layouts fold the same
+/// word sequence.
+fn fold_layout(s: &mut Fnv1a, spec: &AppSpec) {
+    let fields = spec.schema.fields();
+    s.word(fields.len() as u64);
+    for &kind in fields {
+        s.word(kind as u64);
+    }
+    s.word(match spec.input_format {
+        InputFormat::Text => 0,
+        InputFormat::Binary(Endianness::Little) => 1,
+        InputFormat::Binary(Endianness::Big) => 2,
+    });
+}
+
 impl System {
     /// The replay store this system records into and replays from;
     /// `None` when the memo is off.
@@ -323,7 +342,9 @@ impl System {
         // Everything that shapes per-page instruction counts and outputs:
         // the app (schema + encoding + name) and the drive (cost table,
         // controller config, page size: one digest cached at bring-up).
-        let _ = write!(s, "{:?}|{:?}|{}", spec.schema, spec.input_format, spec.name);
+        fold_layout(&mut s, spec);
+        s.word(spec.name.len() as u64);
+        s.lanes(spec.name.as_bytes());
         s.word(self.mssd.drive_digest());
         s.word(chunks.len() as u64);
         for c in chunks {
@@ -344,7 +365,7 @@ impl System {
         let store = self.replay.clone()?;
         let content = self.content_digest(&spec.input)?;
         let mut s = Fnv1a::with_basis(0x2325cbf2_9ce48422);
-        let _ = write!(s, "{:?}|{:?}", spec.schema, spec.input_format);
+        fold_layout(&mut s, spec);
         let key = (content, s.value());
         let found = lock(&store.images).get(key);
         Some(ImageSlot { key, store, found })
@@ -360,7 +381,7 @@ impl System {
         }
         let content = self.content_digest(&spec.input)?;
         let mut s = Fnv1a::with_basis(0x9ce48422_2325cbf2);
-        let _ = write!(s, "{:?}|{:?}", spec.schema, spec.input_format);
+        fold_layout(&mut s, spec);
         s.word(chunks.len() as u64);
         for c in chunks {
             s.word(c.valid_bytes);
@@ -506,6 +527,76 @@ mod tests {
         assert!(a.replay_store().is_none());
         assert!(a.host_memo_key(&spec, &chunks).is_none());
         assert!(a.device_memo_key(&spec, &chunks).is_none());
+    }
+
+    /// The device, host and image keys of `spec` on `sys`.
+    fn keys(sys: &mut System, spec: &AppSpec) -> [MemoKey; 3] {
+        let meta = sys.fs.open(&spec.input).unwrap().clone();
+        let chunks = System::file_chunks(&meta, sys.params.mread_chunk_bytes);
+        [
+            sys.device_memo_key(spec, &chunks)
+                .expect("memo on, no faults"),
+            sys.host_memo_key(spec, &chunks)
+                .expect("memo on, no faults"),
+            sys.image_slot(spec).expect("memo on, no faults").key,
+        ]
+    }
+
+    #[test]
+    fn memo_keys_separate_layouts_and_names() {
+        use morpheus_format::FieldKind::{self, *};
+        let file = b"1 2\n3 4\n";
+        let mut sys = System::new(SystemParams::paper_testbed());
+        sys.create_input_file("key.txt", file).unwrap();
+        let spec = |name: &str, fields: &[FieldKind], format| {
+            let schema = Schema::new(fields.to_vec());
+            AppSpec::cpu_app(name, "key.txt", schema, 1, 1.0).with_input_format(format)
+        };
+        let (text, le, be) = (
+            InputFormat::Text,
+            InputFormat::Binary(Endianness::Little),
+            InputFormat::Binary(Endianness::Big),
+        );
+        let base = [U32, F64];
+        let mut layouts = vec![
+            spec("key", &base, text),
+            // The field order, the field count, the input format.
+            spec("key", &[F64, U32], text),
+            spec("key", &[U32], text),
+            spec("key", &[U32, F64, U32], text),
+            spec("key", &base, le),
+            spec("key", &base, be),
+        ];
+        // Each other kind in each field.
+        for at in 0..base.len() {
+            for kind in [U32, I32, U64, I64, F32, F64] {
+                if kind != base[at] {
+                    let mut fields = base;
+                    fields[at] = kind;
+                    layouts.push(spec("key", &fields, text));
+                }
+            }
+        }
+        let all: Vec<[MemoKey; 3]> = layouts.iter().map(|s| keys(&mut sys, s)).collect();
+        for (i, a) in all.iter().enumerate() {
+            for (j, b) in all.iter().enumerate().skip(i + 1) {
+                for (table, (ka, kb)) in ["device", "host", "image"].iter().zip(a.iter().zip(b)) {
+                    assert_ne!(ka, kb, "{table} keys of layouts {i} and {j} collide");
+                }
+            }
+        }
+        // A name reaches only the device key: one image per content,
+        // schema and format.
+        let [device, host, image] = all[0];
+        let renamed = keys(&mut sys, &spec("other", &base, text));
+        assert_ne!(renamed[0], device);
+        assert_eq!(renamed[1..], [host, image]);
+        // Keys are values: another system with the same file agrees.
+        let mut twin = System::new(SystemParams::paper_testbed());
+        twin.create_input_file("key.txt", file).unwrap();
+        for (spec, keys_here) in layouts.iter().zip(&all) {
+            assert_eq!(&keys(&mut twin, spec), keys_here);
+        }
     }
 
     fn key_schema() -> morpheus_format::Schema {

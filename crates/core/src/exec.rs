@@ -137,7 +137,8 @@ impl AppSpec {
     }
 
     /// The StorageApp that deserializes this spec's input encoding on the
-    /// drive: every Morpheus path (solo, tenant, served) installs this one.
+    /// drive: every Morpheus path (solo, tenant, served) installs this one
+    /// when its lifecycle runs live, and a replay builds none.
     pub(crate) fn storage_app(&self) -> Box<dyn StorageApp> {
         Box::new(DeserializeApp::with_format(
             &self.name,

@@ -6,18 +6,18 @@
 //! same embedded core; the firmware stages StorageApp output in controller
 //! DRAM for DMA; the FTL and conventional command handling are untouched.
 //!
-//! Every instance runs the same MREAD page loop and the same MDEINIT on
+//! Every instance runs the same MINIT, MREAD page loop and MDEINIT on
 //! live timelines. The [`InstanceMemo`] the device engine hands to MINIT
-//! decides only where each page's instruction count and each command's
-//! output come from: the StorageApp, or a recording of an identical
-//! lifecycle (see `deser_memo`, which the firmware itself never reads or
-//! writes).
+//! decides only where the code size, each page's instruction count and
+//! each command's output come from: the StorageApp, or a recording of an
+//! identical lifecycle, in which case the instance holds no StorageApp
+//! (see `deser_memo`, which the firmware itself never reads or writes).
 
 use crate::deser_memo;
 use crate::{AppError, DeviceCtx, StorageApp, MAX_TENANTS};
 use morpheus_format::{CostModel, ObjectDigest};
 use morpheus_nvme::{AdminController, IdentifyController, MorpheusCaps, StatusCode, LBA_BYTES};
-use morpheus_simcore::{SimDuration, SimTime, TraceLayer, Tracer};
+use morpheus_simcore::{FnvBuild, SimDuration, SimTime, TraceLayer, Tracer};
 use morpheus_ssd::{Ssd, SsdError};
 use std::collections::HashMap;
 use std::error::Error;
@@ -181,10 +181,12 @@ pub(crate) struct Recording {
 }
 
 /// A full recorded MINIT→MREAD*→MDEINIT instance lifecycle, as the device
-/// engine publishes it: the [`Recording`], MDEINIT's return value and
-/// output length, and the digest of the objects the lifecycle decodes to.
+/// engine publishes it: the code size MINIT copied, the [`Recording`],
+/// MDEINIT's return value and output length, and the digest of the
+/// objects the lifecycle decodes to.
 #[derive(Debug)]
 pub(crate) struct DeviceReplay {
+    pub code_bytes: u32,
     pub cmds: Vec<CmdRecord>,
     pub finish_instr: f64,
     pub retval: i32,
@@ -192,26 +194,26 @@ pub(crate) struct DeviceReplay {
     pub digest: ObjectDigest,
 }
 
-/// Record/replay state of one instance's deserialization, picked by the
-/// device engine at MINIT. It decides only where each MREAD page's
-/// instruction count and each command's output length come from.
+/// What runs one instance, picked by the device engine at MINIT: its
+/// StorageApp, or a recording of an identical lifecycle. It decides only
+/// where MINIT's code size, each MREAD page's instruction count and each
+/// command's output length come from.
 #[derive(Debug)]
 pub(crate) enum InstanceMemo {
-    /// The StorageApp runs (unkeyed instances, and any instance once it
-    /// MWRITEs).
-    Off,
-    /// The StorageApp runs, and every MREAD's per-page instruction counts
-    /// and output length are kept; MDEINIT hands them back as a
-    /// [`Recording`].
-    Record(Vec<CmdRecord>),
-    /// The StorageApp never runs: recording `rec` supplies the counts and
-    /// output lengths, MREAD `next` first, and no output bytes.
+    /// The StorageApp runs. With `record`, every MREAD's per-page
+    /// instruction counts and output length are kept, and MDEINIT hands
+    /// them back as a [`Recording`]; an MWRITE ends the recording.
+    Live {
+        app: Box<dyn StorageApp>,
+        record: Option<Vec<CmdRecord>>,
+    },
+    /// No StorageApp: recording `rec` supplies the code size, the counts
+    /// and the output lengths, MREAD `next` first, and no output bytes.
     Play { rec: Arc<DeviceReplay>, next: usize },
 }
 
 #[derive(Debug)]
 struct Instance {
-    app: Box<dyn StorageApp>,
     ctx: DeviceCtx,
     /// Serialization point: packets of one instance run on one core in
     /// order (§IV-B routes same-instance packets to the same core).
@@ -279,7 +281,7 @@ pub struct MorpheusSsd {
     device_cost: CostModel,
     /// Memo digest of the drive configuration, fixed at bring-up.
     drive_digest: u64,
-    instances: HashMap<u32, Instance>,
+    instances: HashMap<u32, Instance, FnvBuild>,
     parse_core_busy: SimDuration,
     tracer: Tracer,
 }
@@ -318,7 +320,7 @@ impl MorpheusSsd {
             dev,
             admin,
             device_cost,
-            instances: HashMap::new(),
+            instances: HashMap::default(),
             parse_core_busy: SimDuration::ZERO,
             tracer: Tracer::disabled(),
         }
@@ -407,29 +409,29 @@ impl MorpheusSsd {
         app: Box<dyn StorageApp>,
         ready: SimTime,
     ) -> Result<SimTime, MorpheusError> {
-        self.minit_with(instance_id, app, ready, InstanceMemo::Off)
+        self.minit_with(instance_id, InstanceMemo::Live { app, record: None }, ready)
     }
 
-    /// MINIT of an instance whose record/replay state is `memo`;
-    /// [`InstanceMemo::Off`] behaves exactly like
-    /// [`minit`](MorpheusSsd::minit). Install timing (DRAM reservation,
-    /// dispatch, the I-SRAM copy) always runs live.
+    /// MINIT of an instance run by `memo`; a live one that records nothing
+    /// behaves exactly like [`minit`](MorpheusSsd::minit). Install timing
+    /// (DRAM reservation, dispatch, the I-SRAM copy of the app's code, or
+    /// of the code size a replay's recording carries) always runs live.
     pub(crate) fn minit_with(
         &mut self,
         instance_id: u32,
-        app: Box<dyn StorageApp>,
-        ready: SimTime,
         memo: InstanceMemo,
+        ready: SimTime,
     ) -> Result<SimTime, MorpheusError> {
         if self.instances.contains_key(&instance_id) {
             return Err(MorpheusError::InstanceBusy(instance_id));
         }
+        let code_bytes = match &memo {
+            InstanceMemo::Live { app, .. } => app.code_bytes(),
+            InstanceMemo::Play { rec, .. } => rec.code_bytes,
+        };
         let isram = self.dev.config().isram_bytes;
-        if app.code_bytes() > isram {
-            return Err(MorpheusError::CodeTooLarge {
-                code_bytes: app.code_bytes(),
-                isram,
-            });
+        if code_bytes > isram {
+            return Err(MorpheusError::CodeTooLarge { code_bytes, isram });
         }
         let dsram = self.dev.config().dsram_bytes;
         // Reserve a staging area in controller DRAM for the instance. When
@@ -438,8 +440,7 @@ impl MorpheusSsd {
         let staging = dsram as u64 * 4;
         let dram_reserved = self.dev.alloc_dram(staging).map_or(0, |_| staging);
         // Install cost: command dispatch plus copying the image to I-SRAM.
-        let instr =
-            self.dev.config().command_dispatch_instructions + app.code_bytes() as f64 * 0.25;
+        let instr = self.dev.config().command_dispatch_instructions + code_bytes as f64 * 0.25;
         let core = instance_id as usize % self.dev.cores().cores();
         let iv = self.dev.cores_mut().exec_on(core, ready, instr);
         self.tracer.span(
@@ -452,7 +453,6 @@ impl MorpheusSsd {
         self.instances.insert(
             instance_id,
             Instance {
-                app,
                 ctx: DeviceCtx::new(dsram),
                 last_done: iv.end,
                 dram_reserved,
@@ -522,47 +522,44 @@ impl MorpheusSsd {
         let byte_len = (blocks * LBA_BYTES).min(valid_bytes);
         let spans = self.dev.page_spans(slba * LBA_BYTES, byte_len);
         let pages = spans.size_hint().0;
-        let recording = matches!(inst.memo, InstanceMemo::Record(_));
-        // A replaying instance consumes its recorded commands in issue order.
-        let played = match &mut inst.memo {
-            InstanceMemo::Play { rec, next } => {
-                let cmd = rec
-                    .cmds
-                    .get(*next)
-                    .expect("deser-memo replay ran out of recorded MREADs (key collision?)");
-                *next += 1;
-                assert!(
-                    cmd.slba == slba && cmd.blocks == blocks && cmd.valid_bytes == valid_bytes,
-                    "deser-memo replay geometry mismatch (key collision?)"
-                );
-                assert_eq!(
-                    cmd.page_instr.len(),
-                    pages,
-                    "deser-memo replay page-count mismatch (key collision?)"
-                );
-                Some(cmd)
-            }
-            _ => None,
-        };
+        // A replaying instance consumes its recorded commands in issue
+        // order: MREAD `next` is this one until it completes.
+        if let InstanceMemo::Play { rec, next } = &inst.memo {
+            let cmd = rec
+                .cmds
+                .get(*next)
+                .expect("deser-memo replay ran out of recorded MREADs (key collision?)");
+            assert!(
+                cmd.slba == slba && cmd.blocks == blocks && cmd.valid_bytes == valid_bytes,
+                "deser-memo replay geometry mismatch (key collision?)"
+            );
+            assert_eq!(
+                cmd.page_instr.len(),
+                pages,
+                "deser-memo replay page-count mismatch (key collision?)"
+            );
+        }
         let mut done = dispatch.end;
         let mut core_busy = SimDuration::ZERO;
-        let mut page_instr: Vec<f64> = match recording {
-            true => Vec::with_capacity(pages),
-            false => Vec::new(),
+        let mut page_instr: Vec<f64> = match &inst.memo {
+            InstanceMemo::Live {
+                record: Some(_), ..
+            } => Vec::with_capacity(pages),
+            _ => Vec::new(),
         };
         for (pi, (lpn, range)) in spans.enumerate() {
             let parsed = range.len() as u64;
             let (page, avail) = self.dev.read_page_timed(lpn, range, dispatch.end)?;
-            let instr = match played {
-                Some(cmd) => cmd.page_instr[pi],
-                None => {
+            let instr = match &mut inst.memo {
+                InstanceMemo::Play { rec, next } => rec.cmds[*next].page_instr[pi],
+                InstanceMemo::Live { app, record } => {
                     // Borrows straight from the flash array's stored
                     // allocation when the range is page-backed (the hot case).
-                    inst.app.on_chunk(&mut inst.ctx, &page.bytes())?;
+                    app.on_chunk(&mut inst.ctx, &page.bytes())?;
                     let work = inst.ctx.take_work();
                     let extra = inst.ctx.take_extra_instructions();
                     let instr = self.device_cost.total_instructions(&work) + extra;
-                    if recording {
+                    if record.is_some() {
                         page_instr.push(instr);
                     }
                     instr
@@ -582,12 +579,15 @@ impl MorpheusSsd {
             core_busy += iv.duration();
             done = done.max(iv.end);
         }
-        let (output, output_len) = match played {
-            Some(cmd) => (Vec::new(), cmd.output_len),
-            None => {
+        let (output, output_len) = match &mut inst.memo {
+            InstanceMemo::Play { rec, next } => {
+                *next += 1;
+                (Vec::new(), rec.cmds[*next - 1].output_len)
+            }
+            InstanceMemo::Live { record, .. } => {
                 let output = inst.ctx.take_output();
                 let output_len = output.len() as u64;
-                if let InstanceMemo::Record(cmds) = &mut inst.memo {
+                if let Some(cmds) = record {
                     cmds.push(CmdRecord {
                         slba,
                         blocks,
@@ -644,15 +644,14 @@ impl MorpheusSsd {
         let dispatch_instr = self.dev.config().command_dispatch_instructions;
         let dispatch = self.dev.cores_mut().exec_on(core, ready, dispatch_instr);
         // The deser memo covers read-side lifecycles only: a replaying
-        // instance never fed its app, so it cannot absorb writes, and a
-        // recording one stops recording (serialization output depends on
+        // instance has no app, so it cannot absorb writes, and a recording
+        // one stops recording (serialization output depends on
         // host-supplied data the key does not cover).
-        assert!(
-            !matches!(inst.memo, InstanceMemo::Play { .. }),
-            "memoized deserialization instance received MWRITE"
-        );
-        inst.memo = InstanceMemo::Off;
-        inst.app.on_chunk(&mut inst.ctx, data)?;
+        let InstanceMemo::Live { app, record } = &mut inst.memo else {
+            panic!("memoized deserialization instance received MWRITE");
+        };
+        *record = None;
+        app.on_chunk(&mut inst.ctx, data)?;
         let work = inst.ctx.take_work();
         let extra = inst.ctx.take_extra_instructions();
         let instr = self.device_cost.total_instructions(&work) + extra;
@@ -743,7 +742,7 @@ impl MorpheusSsd {
             .instances
             .get_mut(&instance_id)
             .ok_or(MorpheusError::NoSuchInstance(instance_id))?;
-        let (retval, instr, played) = match &inst.memo {
+        let (retval, instr, played) = match &mut inst.memo {
             InstanceMemo::Play { rec, next } => {
                 assert_eq!(
                     *next,
@@ -752,8 +751,8 @@ impl MorpheusSsd {
                 );
                 (rec.retval, rec.finish_instr, Some(rec.host_output_len))
             }
-            _ => {
-                let retval = inst.app.on_finish(&mut inst.ctx)?;
+            InstanceMemo::Live { app, .. } => {
+                let retval = app.on_finish(&mut inst.ctx)?;
                 let work = inst.ctx.take_work();
                 let extra = inst.ctx.take_extra_instructions();
                 let instr = self.device_cost.total_instructions(&work)
@@ -777,8 +776,8 @@ impl MorpheusSsd {
         self.parse_core_busy += iv.duration();
         let mut done = iv.end;
         let (host_output, host_output_len) = if inst.out_base_slba.is_some() {
-            // Final records join the flash stream, not the host (only an
-            // `Off` instance MWRITEs).
+            // Final records join the flash stream, not the host (only a
+            // live instance MWRITEs, and it records nothing after).
             let tail = inst.ctx.take_output();
             inst.out_pending.extend_from_slice(&tail);
             done = done.max(self.flush_instance_output(instance_id, iv.end, true)?);
@@ -793,7 +792,9 @@ impl MorpheusSsd {
         let inst = self.instances.remove(&instance_id).expect("still present");
         self.dev.free_dram(inst.dram_reserved);
         let recording = match inst.memo {
-            InstanceMemo::Record(cmds) => Some(Recording {
+            InstanceMemo::Live {
+                record: Some(cmds), ..
+            } => Some(Recording {
                 cmds,
                 finish_instr: instr,
             }),
@@ -1013,8 +1014,7 @@ mod tests {
             m.reset_timing();
             let tracer = Tracer::enabled();
             m.set_tracer(tracer.clone());
-            let app = Box::new(DeserializeApp::new("edges", edge_schema()));
-            let t0 = m.minit_with(1, app, SimTime::ZERO, memo).unwrap();
+            let t0 = m.minit_with(1, memo, SimTime::ZERO).unwrap();
             let rest = text.len() as u64 - half * LBA_BYTES;
             let reads = [
                 m.mread(1, 0, half, half * LBA_BYTES, t0).unwrap(),
@@ -1023,12 +1023,21 @@ mod tests {
             let end = m.mdeinit(1, reads[1].done).unwrap();
             (reads, end, tracer.take().to_chrome_json())
         };
+        let app = || Box::new(DeserializeApp::new("edges", edge_schema()));
         let mut m = mssd();
         m.dev.load_at(0, &text).unwrap();
-        let (live, live_end, live_spans) = lifecycle(&mut m, InstanceMemo::Off);
+        let off = InstanceMemo::Live {
+            app: app(),
+            record: None,
+        };
+        let (live, live_end, live_spans) = lifecycle(&mut m, off);
         assert!(!live_end.host_output.is_empty());
         assert!(live_end.recording.is_none());
-        let (reads, end, spans) = lifecycle(&mut m, InstanceMemo::Record(Vec::new()));
+        let record = InstanceMemo::Live {
+            app: app(),
+            record: Some(Vec::new()),
+        };
+        let (reads, end, spans) = lifecycle(&mut m, record);
         assert_eq!(spans, live_spans, "recording changes no timeline work");
         let recording = end.recording.expect("a recording instance hands it back");
         let mut bytes = Vec::new();
@@ -1039,6 +1048,7 @@ mod tests {
         }
         bytes.extend_from_slice(&end.host_output);
         let rec = Arc::new(DeviceReplay {
+            code_bytes: app().code_bytes(),
             cmds: recording.cmds,
             finish_instr: recording.finish_instr,
             retval: end.retval,
@@ -1070,6 +1080,29 @@ mod tests {
             assert_eq!(replay_spans, live_spans);
             assert!(replay_end.recording.is_none());
         }
+        // A replay's MINIT copies the code size its recording carries.
+        let minit_ready = |m: &mut MorpheusSsd, code_bytes| {
+            m.reset_timing();
+            let rec = Arc::new(DeviceReplay {
+                code_bytes,
+                cmds: Vec::new(),
+                finish_instr: 0.0,
+                retval: 0,
+                host_output_len: 0,
+                digest: rec.digest,
+            });
+            let ready = m.minit_with(1, InstanceMemo::Play { rec, next: 0 }, SimTime::ZERO);
+            m.abort_instance(1);
+            ready
+        };
+        let code_bytes = app().code_bytes();
+        let ready = minit_ready(&mut m, code_bytes).unwrap();
+        assert!(minit_ready(&mut m, 2 * code_bytes).unwrap() > ready);
+        let isram = m.dev.config().isram_bytes;
+        assert_eq!(
+            minit_ready(&mut m, isram + 1).unwrap_err().status(),
+            StatusCode::CodeTooLarge
+        );
     }
 
     #[test]

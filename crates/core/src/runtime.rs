@@ -128,6 +128,11 @@ impl CommandPlan {
         }
     }
 
+    /// Bytes of StorageApp code the MINIT copies into I-SRAM.
+    pub(crate) fn code_len(&self) -> u32 {
+        self.code_len
+    }
+
     /// Moves the plan out, leaving its instance's reap behind.
     pub(crate) fn take(&mut self) -> CommandPlan {
         let stream = std::mem::take(&mut self.stream);

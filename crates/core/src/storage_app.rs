@@ -249,6 +249,11 @@ pub struct DeserializeApp {
 }
 
 impl DeserializeApp {
+    /// Bytes of the app's code image (the [`StorageApp`] default). A
+    /// request lowers its MINIT with it before it knows whether the
+    /// lifecycle replays, which builds no app.
+    pub(crate) const CODE_BYTES: u32 = 16 * 1024;
+
     /// Creates the app for a record schema stored as text.
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         Self::with_format(name, schema, InputFormat::Text)
@@ -284,6 +289,10 @@ fn emit_rows(ctx: &mut DeviceCtx, rows: &ParsedColumns) -> u64 {
 impl StorageApp for DeserializeApp {
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn code_bytes(&self) -> u32 {
+        Self::CODE_BYTES
     }
 
     fn on_chunk(&mut self, ctx: &mut DeviceCtx, data: &[u8]) -> Result<(), AppError> {

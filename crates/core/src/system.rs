@@ -10,7 +10,7 @@ use morpheus_host::{CodeClass, Cpu, FileMeta, FsError, HostDram, MemBus, OsModel
 use morpheus_nvme::{MorpheusCommand, NvmeCommand, StatusCode, LBA_BYTES, MAX_IO_BLOCKS};
 use morpheus_pcie::{BarWindow, DeviceId, Fabric};
 use morpheus_simcore::{
-    Bandwidth, FaultCounters, FaultPlan, Histogram, Interval, SimTime, Timeline, Tracer,
+    Bandwidth, FaultCounters, FaultPlan, FnvBuild, Histogram, Interval, SimTime, Timeline, Tracer,
 };
 use morpheus_ssd::{BoundaryPages, Ssd, SsdError};
 use std::sync::Arc;
@@ -99,7 +99,7 @@ pub struct System {
     pub(crate) object_cache: Option<ObjectCache>,
     /// Per-file content digests backing the deserialization memo keys
     /// (`deser_memo`); dropped whenever the file mutates.
-    pub(crate) deser_digests: std::collections::HashMap<String, u64>,
+    pub(crate) deser_digests: std::collections::HashMap<String, u64, FnvBuild>,
     /// The replay memo runs record into and replay from; `None` is
     /// memo-off. See [`set_replay_store`](System::set_replay_store).
     pub(crate) replay: Option<Arc<ReplayStore>>,
@@ -143,7 +143,7 @@ impl System {
             faults: None,
             media_overridden: false,
             object_cache: None,
-            deser_digests: std::collections::HashMap::new(),
+            deser_digests: std::collections::HashMap::default(),
             replay: Some(Arc::default()),
             params,
         }

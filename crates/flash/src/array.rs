@@ -8,7 +8,7 @@
 //! back ([`FlashError::ReadOfStalePage`]).
 
 use crate::{BlockId, EccModel, FlashError, FlashGeometry, FlashTiming, PageData, Ppa};
-use morpheus_simcore::{SimDuration, SplitMix64};
+use morpheus_simcore::{FnvBuild, SimDuration, SplitMix64};
 use std::collections::HashMap;
 
 /// Lifecycle state of a physical page.
@@ -89,7 +89,7 @@ pub struct FlashArray {
     rng: SplitMix64,
     /// Payloads of the valid pages; a page below its block's write point
     /// with no entry here is invalid.
-    data: HashMap<Ppa, PageData>,
+    data: HashMap<Ppa, PageData, FnvBuild>,
     /// Next programmable page index per block (NAND sequential-program
     /// rule); the pages below it are programmed.
     write_point: Vec<u32>,
@@ -117,7 +117,7 @@ impl FlashArray {
             timing,
             ecc,
             rng: SplitMix64::new(seed),
-            data: HashMap::new(),
+            data: HashMap::default(),
             write_point: vec![0; blocks],
             erase_count: vec![0; blocks],
             bad: vec![false; blocks],

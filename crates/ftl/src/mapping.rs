@@ -2,7 +2,7 @@
 
 use crate::{FtlConfig, FtlError};
 use morpheus_flash::{BlockId, FlashArray, FlashError, FlashOp, FlashOpKind, PageData, Ppa};
-use morpheus_simcore::SimDuration;
+use morpheus_simcore::{FnvBuild, SimDuration};
 use std::collections::{HashMap, VecDeque};
 
 /// Logical page number: index into the FTL's exported capacity, in units of
@@ -103,7 +103,7 @@ pub struct Ftl {
     capacity: u64,
     /// L2P map over `0..=` the highest logical page written so far.
     map: Vec<Option<Ppa>>,
-    rmap: HashMap<Ppa, Lpn>,
+    rmap: HashMap<Ppa, Lpn, FnvBuild>,
     channels: Vec<ChannelState>,
     next_channel: usize,
     stats: FtlStats,
@@ -133,7 +133,7 @@ impl Ftl {
             cfg,
             capacity: logical_pages,
             map: Vec::new(),
-            rmap: HashMap::new(),
+            rmap: HashMap::default(),
             channels,
             next_channel: 0,
             stats: FtlStats::default(),

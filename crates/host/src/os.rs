@@ -12,6 +12,8 @@
 //! switches, and page faults, and accumulates totals for the context-switch
 //! figures (Fig. 10).
 
+use morpheus_simcore::round_u64;
+
 /// Cost parameters of the conventional I/O path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OsParams {
@@ -101,8 +103,8 @@ impl OsModel {
         }
         let p = &self.params;
         let syscalls = bytes.div_ceil(p.read_window_bytes);
-        let switches = (syscalls as f64 * p.switches_per_read).round() as u64;
-        let faults = ((bytes as f64 / (1 << 20) as f64) * p.faults_per_mb).round() as u64;
+        let switches = round_u64(syscalls as f64 * p.switches_per_read);
+        let faults = round_u64((bytes as f64 / (1 << 20) as f64) * p.faults_per_mb);
         let instructions = syscalls as f64 * p.read_syscall_instructions
             + bytes as f64 * p.copy_per_byte_instructions
             + switches as f64 * p.context_switch_instructions

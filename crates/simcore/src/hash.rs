@@ -65,6 +65,21 @@ impl Fnv1a {
     }
 }
 
+/// Builds [`Fnv1a`] hashers for `HashMap`s keyed per page or per request:
+/// their keys are a few bytes, where SipHash's setup cost dominates. A map
+/// built with it iterates in a fixed order, but the simulator's maps are
+/// looked up, never iterated, so no order reaches an output.
+///
+/// ```
+/// use morpheus_simcore::FnvBuild;
+/// use std::collections::HashMap;
+///
+/// let mut pages: HashMap<u64, &str, FnvBuild> = HashMap::default();
+/// pages.insert(7, "page");
+/// assert_eq!(pages.get(&7), Some(&"page"));
+/// ```
+pub type FnvBuild = std::hash::BuildHasherDefault<Fnv1a>;
+
 impl Default for Fnv1a {
     fn default() -> Self {
         Self::new()

@@ -10,7 +10,8 @@
 //! * [`Metrics`] — a small ordered metric bag used by reports.
 //! * [`SplitMix64`] — a tiny deterministic PRNG so lower-level crates do not
 //!   need the `rand` dependency.
-//! * [`Fnv1a`] — the one stable hash (byte, word and lane folds).
+//! * [`Fnv1a`] — the one stable hash (byte, word and lane folds), and
+//!   [`FnvBuild`], which builds it for hash maps.
 //! * [`ArrivalProcess`] / [`Zipfian`] — a seeded Poisson stream of request
 //!   timestamps and a seeded Zipfian popularity distribution for open-loop
 //!   serving experiments.
@@ -50,7 +51,7 @@ mod trace;
 
 pub use arrivals::{ArrivalProcess, ArrivalRateError, Zipfian};
 pub use faults::{render_error_chain, FaultCounters, FaultDice, FaultPlan};
-pub use hash::Fnv1a;
+pub use hash::{Fnv1a, FnvBuild};
 pub use metrics::{Histogram, Metrics};
 pub use rng::SplitMix64;
 pub use telemetry::{
@@ -58,7 +59,7 @@ pub use telemetry::{
     SloOutcome, SloSpec, TelemetryConfig, TelemetryReport, TelemetrySampler, TelemetryWindow,
     FAST_BURN_ALERT, SLOW_BURN_ALERT, SLOW_BURN_WINDOWS,
 };
-pub use time::{SimDuration, SimTime};
+pub use time::{round_u64, SimDuration, SimTime};
 pub use timeline::{Bandwidth, Interval, Timeline};
 pub use trace::{
     fmt_ns, render_trace_diff, TraceAggregate, TraceEvent, TraceEventKind, TraceLayer, TraceLog,

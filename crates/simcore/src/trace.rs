@@ -141,10 +141,6 @@ impl TraceEvent {
     }
 }
 
-/// FNV-1a builds the intern table's hashes: track/name strings are a few
-/// bytes, where SipHash's setup cost dominates.
-type FnvBuild = std::hash::BuildHasherDefault<crate::Fnv1a>;
-
 /// A recorded event in interned form: `track`/`name` are string-table ids,
 /// so recording allocates nothing in steady state. 40 bytes per event vs
 /// two heap strings; resolved to [`TraceEvent`]s only at export time.
@@ -167,7 +163,7 @@ struct CompactEvent {
 struct TraceBuf {
     events: Vec<CompactEvent>,
     strings: Vec<Arc<str>>,
-    ids: std::collections::HashMap<Arc<str>, u32, FnvBuild>,
+    ids: std::collections::HashMap<Arc<str>, u32, crate::FnvBuild>,
 }
 
 impl TraceBuf {
