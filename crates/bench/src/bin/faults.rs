@@ -17,10 +17,10 @@
 //! completion and redispatch counts degrade — with the kill schedule and
 //! control plane in force.
 
-use morpheus::Mode;
+use morpheus::{FleetConfig, Mode};
 use morpheus_bench::{
-    exit_usage, geomean, parse_flags, print_table, run_parallel, ArgError, FleetArgs, Harness,
-    ServeArgs,
+    exit_usage, fleet_banner, fleet_engaged, geomean, offer_fleet, parse_flags, print_table,
+    run_parallel, usage_with, validate_fleet, ArgError, Harness, ServeArgs, FLEET_USAGE,
 };
 use morpheus_simcore::{render_error_chain, FaultCounters, FaultPlan};
 use morpheus_workloads::{suite, AppRuns};
@@ -47,12 +47,12 @@ fn plan_for(rate: f64, seed: u64) -> Option<FaultPlan> {
 
 /// The harness flags over `h`, plus the fleet/control group, nothing
 /// else.
-fn parse(args: &[String], mut h: Harness) -> Result<(Harness, FleetArgs), ArgError> {
-    let mut fleet = FleetArgs::default();
+fn parse(args: &[String], mut h: Harness) -> Result<(Harness, FleetConfig), ArgError> {
+    let mut fleet = FleetConfig::new(1);
     parse_flags(args, |flag, it| {
-        Ok(h.offer(flag, it)? || fleet.offer(flag, it)?)
+        Ok(h.offer(flag, it)? || offer_fleet(&mut fleet, flag, it)?)
     })?;
-    fleet.validate()?;
+    validate_fleet(&fleet)?;
     Ok((h, fleet))
 }
 
@@ -62,9 +62,8 @@ fn main() {
     // parser applies flags left to right.
     let mut args: Vec<String> = vec!["--scale".into(), "4096".into()];
     args.extend(std::env::args().skip(1));
-    let (h, fleet) = parse(&args, Harness::from_env()).unwrap_or_else(|e| {
-        exit_usage(&e, &FleetArgs::usage(&format!("faults {}", Harness::USAGE)))
-    });
+    let usage = || usage_with(&format!("faults {}", Harness::USAGE), &[FLEET_USAGE]);
+    let (h, fleet) = parse(&args, Harness::from_env()).unwrap_or_else(|e| exit_usage(&e, &usage()));
     let fault_seed = h.faults.map(|p| p.seed).unwrap_or(1);
     println!(
         "Fault-rate degradation: suite deser speedup, morpheus vs baseline (scale 1/{}, fault seed {})\n",
@@ -122,7 +121,7 @@ fn main() {
     println!("speedup is the geomean over suite apps that completed; objects are checked");
     println!("bit-identical between modes at every rate (fallback keeps Morpheus correct).");
 
-    if fleet.engaged() {
+    if fleet_engaged(&fleet) {
         // The same fault ladder applied fleet-wide to an N-device serving
         // cell: every device degrades identically, so the table isolates
         // how the *serving plane* (admission, redispatch, fallback)
@@ -134,20 +133,17 @@ fn main() {
              morpheus @ 4000 rps x 0.02s, 3 apps{}",
             fleet.devices,
             fleet.placement,
-            fleet.schedule_banner()
+            fleet_banner(&fleet)
         );
         let mut frows = Vec::new();
         let mut last_control = None;
         for rate in RATES {
-            let cell = ServeArgs {
-                duration_s: 0.02,
-                harness: Harness {
-                    faults: plan_for(rate, fault_seed),
-                    ..h.clone()
-                },
-                fleet: fleet.clone(),
-                ..ServeArgs::default()
-            };
+            let mut cell = ServeArgs::new(Harness {
+                faults: plan_for(rate, fault_seed),
+                ..h.clone()
+            });
+            cell.serve.duration_s = 0.02;
+            cell.fleet = fleet.clone();
             let (mut f, specs) = cell.build_fleet();
             let cfg = cell.serve_config(Mode::Morpheus, 4000.0, None);
             let rep = f.serve(&specs, &cfg).unwrap_or_else(|e| {

@@ -16,9 +16,10 @@
 //! shared order-preserving worker pool, and every cell builds its own
 //! seeded fleet, so output is byte-identical across repeats and `--jobs`.
 
-use morpheus::{FleetReport, Mode, RunError};
+use morpheus::{telemetry_windows, FleetReport, Mode, RunError, MAX_TELEMETRY_WINDOWS};
 use morpheus_bench::{
-    exit_usage, parse_flags, print_table, run_parallel, value_of, ArgError, Harness, ServeArgs,
+    exit_usage, fleet_banner, fleet_engaged, parse_flags, print_table, run_parallel,
+    validate_fleet, value_of, ArgError, Harness, ServeArgs,
 };
 use morpheus_simcore::{parse_duration, render_error_chain, SimDuration};
 
@@ -42,14 +43,13 @@ struct Cli {
 /// can drive it.
 fn parse(args: &[String], harness: Harness) -> Result<Cli, ArgError> {
     let mut cli = Cli {
-        serve: ServeArgs::default(),
+        serve: ServeArgs::new(harness),
         trace_out: None,
         telemetry_window: None,
         telemetry_out: None,
         prom_out: None,
         csv: false,
     };
-    cli.serve.harness = harness;
     parse_flags(args, |flag, it| {
         if cli.serve.offer(flag, it)? || cli.serve.harness.offer_jobs(flag, it)? {
             return Ok(true);
@@ -75,7 +75,17 @@ fn parse(args: &[String], harness: Harness) -> Result<Cli, ArgError> {
     if cli.csv && cli.trace_out.is_some() {
         return Err("--csv and --trace-out are mutually exclusive (CSV owns stdout)".into());
     }
-    if cli.telemetry_window.is_none() {
+    if let Some(w) = cli.telemetry_window {
+        let d = cli.serve.serve.duration_s;
+        let n = telemetry_windows(d, w);
+        if n > MAX_TELEMETRY_WINDOWS {
+            return Err(format!(
+                "--telemetry-window must cut --duration into at most \
+                 {MAX_TELEMETRY_WINDOWS} windows, got {n} ({w} over {d}s)"
+            )
+            .into());
+        }
+    } else {
         if !cli.serve.slo.is_empty() {
             return Err("--slo requires --telemetry-window".into());
         }
@@ -93,7 +103,7 @@ fn parse(args: &[String], harness: Harness) -> Result<Cli, ArgError> {
                 .into(),
         );
     }
-    cli.serve.fleet.validate()?;
+    validate_fleet(&cli.serve.fleet)?;
     if cli.prom_out.is_some() && cli.serve.fleet.devices > 1 {
         return Err(
             "--prom-out requires --devices 1: a Prometheus exposition declares each \
@@ -132,7 +142,7 @@ fn main() {
         .unwrap_or_else(|e| exit_usage(&e, &ServeArgs::usage(USAGE_HEAD)));
 
     let args = &cli.serve;
-    let engaged = args.fleet.engaged();
+    let engaged = fleet_engaged(&args.fleet);
     let grid: Vec<(Mode, f64)> = args
         .modes
         .iter()
@@ -142,24 +152,20 @@ fn main() {
         run_cell(&cli, *mode, *rps)
     });
 
-    let cache_on = args.cache_config().is_enabled();
+    let (s, c) = (&args.serve, &args.cache);
+    let cache_on = c.is_enabled();
     if !cli.csv {
         // The historical banner is extended only when the new knobs are in
         // play, so pre-cache invocations stay byte-identical.
         let mut banner = format!(
             "serve: {} apps x ~{} bytes, duration {}s, depth {}, batch <= {}, policy {}, seed {}",
-            args.apps,
-            args.bytes,
-            args.duration_s,
-            args.depth,
-            args.batch,
-            args.policy,
-            args.harness.seed
+            args.apps, args.bytes, s.duration_s, s.depth, s.batch_max, s.policy, args.harness.seed
         );
-        if args.skew > 0.0 || cache_on {
+        if s.skew > 0.0 || cache_on {
+            let (dram_mb, host_mb) = (c.dram_bytes >> 20, c.host_bytes >> 20);
             banner.push_str(&format!(
-                ", skew {}, cache {}+{}MB {}",
-                args.skew, args.cache_mb, args.cache_host_mb, args.cache_policy
+                ", skew {}, cache {dram_mb}+{host_mb}MB {}",
+                s.skew, c.policy
             ));
         }
         if let Some(w) = cli.telemetry_window {
@@ -173,7 +179,7 @@ fn main() {
                 ", devices {} placement {}{}",
                 args.fleet.devices,
                 args.fleet.placement,
-                args.fleet.schedule_banner()
+                fleet_banner(&args.fleet)
             ));
         }
         println!("{banner}");
@@ -385,7 +391,10 @@ mod tests {
             !cli.serve.cache_config().is_enabled(),
             "defaults are cache-off"
         );
-        assert!(!cli.serve.fleet.engaged(), "defaults serve a fleet of one");
+        assert!(
+            !fleet_engaged(&cli.serve.fleet),
+            "defaults serve a fleet of one"
+        );
     }
 
     #[test]
@@ -430,6 +439,7 @@ mod tests {
             vec!["--telemetry-window", "0ms"], // zero window
             vec!["--telemetry-window", "0.4ns"], // rounds to a zero window
             vec!["--telemetry-window", "soon"], // malformed
+            vec!["--telemetry-window", "1ns"], // 5e7 windows over 0.05 s
             vec!["--slo", "avail>99.9"], // requires --telemetry-window
             vec!["--telemetry-out", "t.csv"], // requires --telemetry-window
             vec!["--prom-out", "t.prom"], // requires --telemetry-window

@@ -7,8 +7,9 @@
 //! (`ablate --sweep scale`) shows to be size-stable.
 //!
 //! The serving binaries (`serve`, `faults`) share one flag grammar here
-//! too: [`ServeArgs`] and [`FleetArgs`], parsed through [`parse_flags`]
-//! beside the [`Harness`] flags.
+//! too: [`ServeArgs`], and the fleet flags ([`offer_fleet`]) that parse
+//! into a [`FleetConfig`], read through [`parse_flags`] beside the
+//! [`Harness`] flags.
 
 #![warn(missing_docs)]
 
@@ -296,188 +297,115 @@ pub fn exit_usage(err: &ArgError, usage: &str) -> ! {
     std::process::exit(2);
 }
 
-/// The fleet and control-plane flags: `--devices`, `--placement`,
-/// `--kill-device`, `--rolling-update` and `--heal`. `serve` takes them
-/// inside [`ServeArgs`]; `faults` takes them beside the [`Harness`] flags.
-#[derive(Debug, Clone)]
-pub struct FleetArgs {
-    /// Simulated SSDs behind the switch.
-    pub devices: usize,
-    /// Tenant→device assignment policy.
-    pub placement: PlacementPolicy,
-    /// Scheduled device deaths, in flag order.
-    pub kills: Vec<DeviceKill>,
-    /// Start of a rolling firmware update, seconds.
-    pub rolling_update: Option<f64>,
-    /// Heal killed devices back into service.
-    pub heal: bool,
+/// Usage fragment for the fleet and control-plane flags.
+pub const FLEET_USAGE: &str = "[--devices N] [--placement rr|hash|capacity] \
+                               [--kill-device DEV@SECS]\n\
+                               [--rolling-update SECS] [--heal]";
+
+/// Consumes one fleet or control-plane flag into `fleet`: `--devices`,
+/// `--placement`, `--kill-device` (in flag order), `--rolling-update`
+/// and `--heal`. `serve` takes them inside [`ServeArgs`]; `faults` takes
+/// them beside the [`Harness`] flags. `Ok(false)` for any other flag.
+pub fn offer_fleet(
+    fleet: &mut FleetConfig,
+    flag: &str,
+    it: &mut Args<'_>,
+) -> Result<bool, ArgError> {
+    match flag {
+        "--devices" => fleet.devices = positive(flag, it)?,
+        "--placement" => {
+            let v = value_of(flag, it)?;
+            fleet.placement = PlacementPolicy::parse(v)
+                .ok_or_else(|| format!("--placement expects rr|hash|capacity, got {v:?}"))?;
+        }
+        "--kill-device" => {
+            let v = value_of(flag, it)?;
+            fleet
+                .kills
+                .push(DeviceKill::parse(v).map_err(|e| format!("--kill-device: {e}"))?);
+        }
+        "--rolling-update" => {
+            let s = number(flag, "seconds", it)?;
+            if !s.is_finite() || s < 0.0 {
+                return Err("--rolling-update must be finite and >= 0".into());
+            }
+            fleet.control.rolling = Some(RollingUpdate::starting_at(s));
+        }
+        "--heal" => fleet.control.heal = Some(HealPolicy::default()),
+        _ => return Ok(false),
+    }
+    Ok(true)
 }
 
-impl Default for FleetArgs {
-    fn default() -> Self {
-        FleetArgs {
-            devices: 1,
-            placement: PlacementPolicy::HashByFile,
-            kills: Vec::new(),
-            rolling_update: None,
-            heal: false,
-        }
-    }
+/// True when `fleet` engages the fleet: more than one device, a kill
+/// schedule, or control-plane intent. It selects the fleet lines and
+/// per-device labels of the output; a plain run prints the single-SSD
+/// report.
+pub fn fleet_engaged(fleet: &FleetConfig) -> bool {
+    fleet.devices > 1 || !fleet.kills.is_empty() || fleet.control.is_active()
 }
 
-impl FleetArgs {
-    /// Usage fragment for these flags.
-    pub const USAGE: &'static str = "[--devices N] [--placement rr|hash|capacity] \
-                                     [--kill-device DEV@SECS]\n\
-                                     [--rolling-update SECS] [--heal]";
+/// Rejects a fleet [`FleetConfig::validate`] rejects, such as a kill
+/// naming a device outside the fleet.
+pub fn validate_fleet(fleet: &FleetConfig) -> Result<(), ArgError> {
+    fleet.validate().map_err(|e| match e {
+        FleetConfigError::KillOutOfRange { device, devices } => ArgError(format!(
+            "--kill-device names device {device} but --devices is {devices}"
+        )),
+        other => ArgError(other.to_string()),
+    })
+}
 
-    /// The usage text of a binary taking these flags after its own `head`.
-    pub fn usage(head: &str) -> String {
-        usage_with(head, &[Self::USAGE])
+/// `fleet`'s kill schedule and control plane as banner text, e.g.
+/// `", kill dev1@0.010s, rolling-update @0.002s, heal"`.
+pub fn fleet_banner(fleet: &FleetConfig) -> String {
+    let mut s = String::new();
+    for k in &fleet.kills {
+        s.push_str(&format!(
+            ", kill dev{}@{:.3}s",
+            k.device,
+            k.at.as_secs_f64()
+        ));
     }
-
-    /// Consumes one fleet/control flag; `Ok(false)` for any other flag.
-    pub fn offer(&mut self, flag: &str, it: &mut Args<'_>) -> Result<bool, ArgError> {
-        match flag {
-            "--devices" => self.devices = positive(flag, it)?,
-            "--placement" => {
-                let v = value_of(flag, it)?;
-                self.placement = PlacementPolicy::parse(v)
-                    .ok_or_else(|| format!("--placement expects rr|hash|capacity, got {v:?}"))?;
-            }
-            "--kill-device" => {
-                let v = value_of(flag, it)?;
-                self.kills
-                    .push(DeviceKill::parse(v).map_err(|e| format!("--kill-device: {e}"))?);
-            }
-            "--rolling-update" => {
-                let s = number(flag, "seconds", it)?;
-                if !s.is_finite() || s < 0.0 {
-                    return Err("--rolling-update must be finite and >= 0".into());
-                }
-                self.rolling_update = Some(s);
-            }
-            "--heal" => self.heal = true,
-            _ => return Ok(false),
-        }
-        Ok(true)
+    if let Some(r) = &fleet.control.rolling {
+        s.push_str(&format!(", rolling-update @{:.3}s", r.start.as_secs_f64()));
     }
-
-    /// True when the invocation engages the fleet: more than one device,
-    /// a kill schedule, or control-plane intent. It selects the fleet
-    /// lines and per-device labels of the output; a plain run prints the
-    /// single-SSD report.
-    pub fn engaged(&self) -> bool {
-        self.devices > 1 || !self.kills.is_empty() || self.rolling_update.is_some() || self.heal
+    if fleet.control.heal.is_some() {
+        s.push_str(", heal");
     }
-
-    /// The fleet this invocation asked for, with `seed` for placement.
-    pub fn config(&self, seed: u64) -> FleetConfig {
-        let mut cfg = FleetConfig::new(self.devices);
-        cfg.placement = self.placement;
-        cfg.seed = seed;
-        cfg.kills = self.kills.clone();
-        cfg.control.rolling = self.rolling_update.map(RollingUpdate::starting_at);
-        if self.heal {
-            cfg.control.heal = Some(HealPolicy::default());
-        }
-        cfg
-    }
-
-    /// Rejects a fleet [`FleetConfig::validate`] rejects, such as a kill
-    /// naming a device outside the fleet.
-    pub fn validate(&self) -> Result<(), ArgError> {
-        self.config(0).validate().map_err(|e| match e {
-            FleetConfigError::KillOutOfRange { device, devices } => ArgError(format!(
-                "--kill-device names device {device} but --devices is {devices}"
-            )),
-            other => ArgError(other.to_string()),
-        })
-    }
-
-    /// The kill schedule and control plane as banner text, e.g.
-    /// `", kill dev1@0.010s, rolling-update @0.002s, heal"`.
-    pub fn schedule_banner(&self) -> String {
-        let mut s = String::new();
-        for k in &self.kills {
-            s.push_str(&format!(
-                ", kill dev{}@{:.3}s",
-                k.device,
-                k.at.as_secs_f64()
-            ));
-        }
-        if let Some(at) = self.rolling_update {
-            s.push_str(&format!(", rolling-update @{at:.3}s"));
-        }
-        if self.heal {
-            s.push_str(", heal");
-        }
-        s
-    }
+    s
 }
 
 /// The serving grammar: the cell shape, the object cache, the SLO,
-/// `--seed`/`--faults` and the [`FleetArgs`] group. The README's
-/// "Serving flags" table documents every flag.
+/// `--seed`/`--faults` and the fleet flags, parsed into the library's own
+/// configs. The README's "Serving flags" table documents every flag.
 ///
-/// A binary sets its defaults, then offers each flag to
-/// [`offer`](ServeArgs::offer) before its own flags, and checks the
-/// fleet shape with [`FleetArgs::validate`] once the line is parsed.
+/// A binary builds it over its [`Harness`] with [`ServeArgs::new`], then
+/// offers each flag to [`offer`](ServeArgs::offer) before its own flags,
+/// and checks the fleet shape with [`validate_fleet`] once the line is
+/// parsed.
 #[derive(Debug, Clone)]
 pub struct ServeArgs {
     /// Offered rates, requests per second (`--rps`, a comma list).
     pub rps: Vec<f64>,
     /// Engines to serve with (`--mode`; `all` is every engine).
     pub modes: Vec<Mode>,
-    /// Arrival window, simulated seconds.
-    pub duration_s: f64,
-    /// Admission-queue depth.
-    pub depth: usize,
-    /// Most same-app requests per dispatch.
-    pub batch: usize,
-    /// Overflow policy.
-    pub policy: ServePolicy,
     /// Tenant count.
     pub apps: usize,
     /// Approximate input bytes per tenant.
     pub bytes: u64,
-    /// Zipfian popularity exponent (0 = uniform).
-    pub skew: f64,
-    /// Controller-DRAM cache tier, MB.
-    pub cache_mb: u64,
-    /// Host-memory spill tier, MB.
-    pub cache_host_mb: u64,
-    /// Cache admission policy.
-    pub cache_policy: CachePolicy,
     /// SLO objectives evaluated over the telemetry windows.
     pub slo: SloSpec,
-    /// Seed, fault plan and (for `serve`) worker count.
+    /// Every cell's arrival window, admission depth, batch, overflow
+    /// policy and skew; [`serve_config`](ServeArgs::serve_config) stamps
+    /// each cell's rate, engine, seed and telemetry.
+    pub serve: ServeConfig,
+    /// The object cache's tiers and admission policy.
+    pub cache: CacheConfig,
+    /// The fleet and its control plane.
+    pub fleet: FleetConfig,
+    /// Seed, fault plan, replay store and (for `serve`) worker count.
     pub harness: Harness,
-    /// The fleet and control-plane flags.
-    pub fleet: FleetArgs,
-}
-
-impl Default for ServeArgs {
-    /// `serve`'s defaults: every engine over a 250..8000 RPS ladder.
-    fn default() -> Self {
-        ServeArgs {
-            rps: vec![250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0],
-            modes: ALL_MODES.to_vec(),
-            duration_s: 0.05,
-            depth: 64,
-            batch: 8,
-            policy: ServePolicy::Shed,
-            apps: 3,
-            bytes: 64 * 1024,
-            skew: 0.0,
-            cache_mb: 0,
-            cache_host_mb: 0,
-            cache_policy: CachePolicy::TinyLfu,
-            slo: SloSpec::none(),
-            harness: Harness::default(),
-            fleet: FleetArgs::default(),
-        }
-    }
 }
 
 /// Every serving engine, in `--mode all` order.
@@ -492,6 +420,25 @@ pub fn mode_named(name: &str) -> Option<Mode> {
 }
 
 impl ServeArgs {
+    /// `serve`'s defaults over the caller's `harness`: every engine over a
+    /// 250..8000 RPS ladder of 0.05 s cells for three 64 KB tenants, and
+    /// the library's defaults for the rest (`ServeConfig::new`, no cache
+    /// from `CacheConfig::new(0)`, one device from `FleetConfig::new(1)`).
+    pub fn new(harness: Harness) -> Self {
+        let rps = vec![250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0];
+        ServeArgs {
+            serve: ServeConfig::new(rps[0], 0.05),
+            rps,
+            modes: ALL_MODES.to_vec(),
+            apps: 3,
+            bytes: 64 * 1024,
+            slo: SloSpec::none(),
+            cache: CacheConfig::new(0),
+            fleet: FleetConfig::new(1),
+            harness,
+        }
+    }
+
     /// Usage fragment for the shared flags.
     pub const USAGE: &'static str = "[--duration S] [--depth N] [--batch N] \
                                      [--policy shed|fallback]\n\
@@ -502,7 +449,7 @@ impl ServeArgs {
 
     /// The usage text of a binary taking these flags after its own `head`.
     pub fn usage(head: &str) -> String {
-        usage_with(head, &[Self::USAGE, FleetArgs::USAGE])
+        usage_with(head, &[Self::USAGE, FLEET_USAGE])
     }
 
     /// Consumes one shared serving flag; `Ok(false)` for any other flag.
@@ -544,10 +491,10 @@ impl ServeArgs {
                 if !d.is_finite() || d <= 0.0 {
                     return Err("--duration must be positive".into());
                 }
-                self.duration_s = d;
+                self.serve.duration_s = d;
             }
-            "--depth" => self.depth = positive(flag, it)?,
-            "--batch" => self.batch = positive(flag, it)?,
+            "--depth" => self.serve.depth = positive(flag, it)?,
+            "--batch" => self.serve.batch_max = positive(flag, it)?,
             "--apps" => {
                 self.apps = positive(flag, it)?;
                 if self.apps > MAX_TENANTS {
@@ -562,7 +509,7 @@ impl ServeArgs {
             "--bytes" => self.bytes = positive(flag, it)?,
             "--policy" => {
                 let v = value_of(flag, it)?;
-                self.policy = ServePolicy::parse(v)
+                self.serve.policy = ServePolicy::parse(v)
                     .ok_or_else(|| format!("--policy expects shed|fallback, got {v:?}"))?;
             }
             "--skew" => {
@@ -570,57 +517,59 @@ impl ServeArgs {
                 if !s.is_finite() || s < 0.0 {
                     return Err("--skew must be finite and non-negative".into());
                 }
-                self.skew = s;
+                self.serve.skew = s;
             }
-            "--cache-mb" => self.cache_mb = megabytes(flag, it)?,
-            "--cache-host-mb" => self.cache_host_mb = megabytes(flag, it)?,
+            "--cache-mb" => self.cache.dram_bytes = megabytes(flag, it)?,
+            "--cache-host-mb" => self.cache.host_bytes = megabytes(flag, it)?,
             "--cache-policy" => {
                 let v = value_of(flag, it)?;
-                self.cache_policy = CachePolicy::parse(v)
+                self.cache.policy = CachePolicy::parse(v)
                     .ok_or_else(|| format!("--cache-policy expects tinylfu|lru, got {v:?}"))?;
             }
             "--slo" => {
                 let v = value_of(flag, it)?;
                 self.slo = SloSpec::parse(v).map_err(|e| format!("--slo: {e}"))?;
             }
-            _ => return Ok(self.harness.offer_seed(flag, it)? || self.fleet.offer(flag, it)?),
+            _ => {
+                return Ok(
+                    self.harness.offer_seed(flag, it)? || offer_fleet(&mut self.fleet, flag, it)?
+                )
+            }
         }
         Ok(true)
     }
 
-    /// The object-cache configuration (inert when both tiers are zero,
-    /// which is exactly cache-off).
+    /// The object-cache configuration under the harness seed (inert when
+    /// both tiers are zero, which is exactly cache-off).
     pub fn cache_config(&self) -> CacheConfig {
         CacheConfig {
-            dram_bytes: self.cache_mb << 20,
-            host_bytes: self.cache_host_mb << 20,
-            policy: self.cache_policy,
             seed: self.harness.seed,
+            ..self.cache
         }
     }
 
-    /// The fleet this invocation asked for.
+    /// The fleet this invocation asked for, placed under the harness seed.
     pub fn fleet_config(&self) -> FleetConfig {
-        self.fleet.config(self.harness.seed)
+        FleetConfig {
+            seed: self.harness.seed,
+            ..self.fleet.clone()
+        }
     }
 
-    /// One cell's serve configuration. `window` arms telemetry sampling
-    /// with this invocation's SLO; `None` leaves it off.
+    /// One cell's serve configuration at `rps` on `mode` under the harness
+    /// seed. `window` arms telemetry sampling with this invocation's SLO;
+    /// `None` leaves it off.
     pub fn serve_config(&self, mode: Mode, rps: f64, window: Option<SimDuration>) -> ServeConfig {
         ServeConfig {
             rps,
-            duration_s: self.duration_s,
-            depth: self.depth,
-            batch_max: self.batch,
             mode,
-            policy: self.policy,
             seed: self.harness.seed,
-            skew: self.skew,
             telemetry: window.map(|w| {
                 let mut t = TelemetryConfig::new(w);
                 t.slo = self.slo.clone();
                 t
             }),
+            ..self.serve.clone()
         }
     }
 
@@ -665,9 +614,9 @@ impl ServeArgs {
 }
 
 /// A usage text: the binary's own `head` flags, then the shared flag
-/// `groups`, then where the shared flags are documented. Every line of
-/// `head` and `groups` is one line of the text.
-fn usage_with(head: &str, groups: &[&str]) -> String {
+/// `groups` (such as [`FLEET_USAGE`]), then where the shared flags are
+/// documented. Every line of `head` and `groups` is one line of the text.
+pub fn usage_with(head: &str, groups: &[&str]) -> String {
     let mut lines = head.lines().chain(groups.iter().flat_map(|g| g.lines()));
     let mut s = format!("usage: {}", lines.next().unwrap_or_default());
     for line in lines {
@@ -677,16 +626,14 @@ fn usage_with(head: &str, groups: &[&str]) -> String {
     s
 }
 
-/// `flag`'s value as a capacity in MB whose byte count fits in `u64`.
+/// `flag`'s value, a capacity in MB, as a byte count that fits in `u64`.
 fn megabytes(flag: &str, it: &mut Args<'_>) -> Result<u64, ArgError> {
     let v = value_of(flag, it)?;
     let mb: u64 = v
         .parse()
         .map_err(|_| format!("{flag} expects a byte count in MB, got {v:?}"))?;
-    if mb.checked_mul(1 << 20).is_none() {
-        return Err(format!("{flag} is too large: {mb} MB overflows a byte count").into());
-    }
-    Ok(mb)
+    mb.checked_mul(1 << 20)
+        .ok_or_else(|| format!("{flag} is too large: {mb} MB overflows a byte count").into())
 }
 
 /// Maps `f` over `items` on up to `jobs` threads, preserving input
@@ -829,9 +776,9 @@ mod tests {
     /// Parses `args` with the shared serving grammar alone, as a binary
     /// with no flags of its own would.
     fn serve_args(args: &[&str]) -> Result<ServeArgs, ArgError> {
-        let mut a = ServeArgs::default();
+        let mut a = ServeArgs::new(Harness::default());
         parse_flags(&argv(args), |flag, it| a.offer(flag, it))?;
-        a.fleet.validate()?;
+        validate_fleet(&a.fleet)?;
         Ok(a)
     }
 
@@ -840,17 +787,18 @@ mod tests {
         let a = serve_args(&[]).expect("valid");
         assert_eq!(a.modes, ALL_MODES.to_vec());
         assert_eq!(a.rps.len(), 6);
-        assert_eq!((a.duration_s, a.depth, a.batch), (0.05, 64, 8));
-        assert_eq!((a.apps, a.bytes, a.skew), (3, 64 * 1024, 0.0));
-        assert_eq!(a.policy, ServePolicy::Shed);
-        assert_eq!(a.cache_policy, CachePolicy::TinyLfu);
+        let s = &a.serve;
+        assert_eq!((s.duration_s, s.depth, s.batch_max), (0.05, 64, 8));
+        assert_eq!((a.apps, a.bytes, s.skew), (3, 64 * 1024, 0.0));
+        assert_eq!(s.policy, ServePolicy::Shed);
+        assert_eq!(a.cache.policy, CachePolicy::TinyLfu);
         assert!(!a.cache_config().is_enabled(), "defaults are cache-off");
         assert!(a.slo.is_empty() && a.harness.faults.is_none());
         assert_eq!(
             (a.fleet.devices, a.fleet.placement),
             (1, PlacementPolicy::HashByFile)
         );
-        assert!(!a.fleet.engaged(), "defaults serve a fleet of one");
+        assert!(!fleet_engaged(&a.fleet), "defaults serve a fleet of one");
         assert!(!a.fleet_config().control.is_active());
         // ServeConfig::new is what library callers get; the CLI matches it.
         let cfg = a.serve_config(Mode::Morpheus, 500.0, None);
@@ -906,9 +854,10 @@ mod tests {
         .expect("valid");
         assert_eq!(a.rps, vec![100.0, 200.5]);
         assert_eq!(a.modes, vec![Mode::Morpheus]);
-        assert_eq!((a.duration_s, a.depth, a.batch), (0.1, 16, 4));
-        assert_eq!((a.apps, a.bytes, a.skew), (2, 4096, 1.1));
-        assert_eq!(a.policy, ServePolicy::HostFallback);
+        let s = &a.serve;
+        assert_eq!((s.duration_s, s.depth, s.batch_max), (0.1, 16, 4));
+        assert_eq!((a.apps, a.bytes, s.skew), (2, 4096, 1.1));
+        assert_eq!(s.policy, ServePolicy::HostFallback);
         assert_eq!(a.harness.seed, 7);
         assert_eq!(a.harness.faults.expect("plan").core_crash, 0.5);
         let cc = a.cache_config();
@@ -916,8 +865,9 @@ mod tests {
         assert_eq!((cc.policy, cc.seed), (CachePolicy::Lru, 7));
         let window = SimDuration::from_millis(10);
         let cfg = a.serve_config(Mode::Morpheus, 100.0, Some(window));
+        assert_eq!((cfg.rps, cfg.mode, cfg.seed), (100.0, Mode::Morpheus, 7));
         assert_eq!(cfg.telemetry.expect("window set").slo.objectives.len(), 2);
-        assert!(a.fleet.engaged());
+        assert!(fleet_engaged(&a.fleet));
         let fc = a.fleet_config();
         assert_eq!(
             (fc.devices, fc.placement, fc.seed),
@@ -926,7 +876,7 @@ mod tests {
         assert_eq!(fc.kills.len(), 2);
         assert!(fc.control.rolling.is_some() && fc.control.heal.is_some());
         assert_eq!(
-            a.fleet.schedule_banner(),
+            fleet_banner(&a.fleet),
             ", kill dev2@0.010s, kill dev3@0.020s, rolling-update @0.002s, heal"
         );
     }
@@ -940,11 +890,13 @@ mod tests {
             vec!["--heal"],
         ] {
             assert!(
-                serve_args(&flags).expect("valid").fleet.engaged(),
+                fleet_engaged(&serve_args(&flags).expect("valid").fleet),
                 "{flags:?}"
             );
         }
-        assert!(!serve_args(&["--devices", "1"]).unwrap().fleet.engaged());
+        assert!(!fleet_engaged(
+            &serve_args(&["--devices", "1"]).unwrap().fleet
+        ));
     }
 
     /// Rows every serving binary rejects with exit 2 (the `serve_args_cli`
@@ -953,51 +905,53 @@ mod tests {
     #[test]
     fn serve_args_rejects_bad_input() {
         for bad in [
-            vec!["--rps"],                                     // missing value
-            vec!["--rps", "0"],                                // non-positive rate
-            vec!["--rps", "nan"],                              // non-finite rate
-            vec!["--rps", "100,abc"],                          // malformed entry
-            vec!["--rps", "1e300"],                            // gap under the 1 ns tick
-            vec!["--mode", "turbo"],                           // unknown mode
-            vec!["--duration", "-1"],                          // negative
-            vec!["--depth", "0"],                              // zero depth
-            vec!["--batch", "x"],                              // malformed
-            vec!["--sq-depth", "64"],                          // removed flag
-            vec!["--policy", "drop"],                          // unknown policy
-            vec!["--apps", "0"],                               // zero tenants
-            vec!["--apps", "65535"],                           // past the 16-bit queue ids
-            vec!["--bytes", "0"],                              // empty inputs
-            vec!["--skew"],                                    // missing value
-            vec!["--skew", "-0.5"],                            // negative skew
-            vec!["--skew", "inf"],                             // non-finite skew
-            vec!["--skew", "hot"],                             // malformed skew
-            vec!["--cache-mb", "many"],                        // malformed capacity
-            vec!["--cache-mb", "-1"],                          // negative capacity
-            vec!["--cache-mb", "17592186044416"],              // 2^64 bytes wraps
-            vec!["--cache-host-mb", "x"],                      // malformed spill capacity
-            vec!["--cache-host-mb", "17592186044416"],         // 2^64 bytes wraps
-            vec!["--cache-policy", "arc"],                     // unknown cache policy
-            vec!["--cache-policy"],                            // missing value
-            vec!["--slo", "p99<"],                             // malformed objective
-            vec!["--slo", "avail>100"],                        // target out of range
-            vec!["--slo", "p99<0.3ns"],                        // threshold rounds to 0 ns
-            vec!["--seed", "-3"],                              // negative seed
-            vec!["--faults", "bogus"],                         // bad fault spec
-            vec!["--devices", "0"],                            // zero devices
-            vec!["--devices", "x"],                            // malformed
-            vec!["--placement", "random"],                     // unknown policy
-            vec!["--placement"],                               // missing value
-            vec!["--kill-device", "2"],                        // missing @SECS
-            vec!["--kill-device", "2@-1"],                     // negative time
-            vec!["--kill-device", "1@0.01"],                   // outside a fleet of one
-            vec!["--devices", "2", "--kill-device", "2@0.01"], // out of range
-            vec!["--rolling-update"],                          // missing value
-            vec!["--rolling-update", "-1"],                    // negative start
-            vec!["--rolling-update", "inf"],                   // non-finite
-            vec!["--rolling-update", "later"],                 // malformed
-            vec!["--heal", "now"],                             // --heal takes no value
-            vec!["--scale", "64"],                             // figure-binary flag
-            vec!["--jobs", "2"],                               // the binary's own, if any
+            vec!["--rps"],                                       // missing value
+            vec!["--rps", "0"],                                  // non-positive rate
+            vec!["--rps", "nan"],                                // non-finite rate
+            vec!["--rps", "100,abc"],                            // malformed entry
+            vec!["--rps", "1e300"],                              // gap under the 1 ns tick
+            vec!["--mode", "turbo"],                             // unknown mode
+            vec!["--duration", "-1"],                            // negative
+            vec!["--depth", "0"],                                // zero depth
+            vec!["--batch", "x"],                                // malformed
+            vec!["--sq-depth", "64"],                            // removed flag
+            vec!["--policy", "drop"],                            // unknown policy
+            vec!["--apps", "0"],                                 // zero tenants
+            vec!["--apps", "65535"],                             // past the 16-bit queue ids
+            vec!["--bytes", "0"],                                // empty inputs
+            vec!["--skew"],                                      // missing value
+            vec!["--skew", "-0.5"],                              // negative skew
+            vec!["--skew", "inf"],                               // non-finite skew
+            vec!["--skew", "hot"],                               // malformed skew
+            vec!["--cache-mb", "many"],                          // malformed capacity
+            vec!["--cache-mb", "-1"],                            // negative capacity
+            vec!["--cache-mb", "17592186044416"],                // 2^64 bytes wraps
+            vec!["--cache-host-mb", "x"],                        // malformed spill capacity
+            vec!["--cache-host-mb", "17592186044416"],           // 2^64 bytes wraps
+            vec!["--cache-policy", "arc"],                       // unknown cache policy
+            vec!["--cache-policy"],                              // missing value
+            vec!["--slo", "p99<"],                               // malformed objective
+            vec!["--slo", "avail>100"],                          // target out of range
+            vec!["--slo", "p99<0.3ns"],                          // threshold rounds to 0 ns
+            vec!["--seed", "-3"],                                // negative seed
+            vec!["--faults", "bogus"],                           // bad fault spec
+            vec!["--devices", "0"],                              // zero devices
+            vec!["--devices", "x"],                              // malformed
+            vec!["--placement", "random"],                       // unknown policy
+            vec!["--placement"],                                 // missing value
+            vec!["--kill-device", "2"],                          // missing @SECS
+            vec!["--kill-device", "2@-1"],                       // negative time
+            vec!["--kill-device", "1@0.01"],                     // outside a fleet of one
+            vec!["--devices", "2", "--kill-device", "2@0.01"],   // out of range
+            vec!["--rolling-update"],                            // missing value
+            vec!["--rolling-update", "-1"],                      // negative start
+            vec!["--rolling-update", "inf"],                     // non-finite
+            vec!["--rolling-update", "later"],                   // malformed
+            vec!["--devices", "2", "--rolling-update", "1e300"], // updates past the clock
+            vec!["--heal", "--kill-device", "0@1e300"],          // heals past the clock
+            vec!["--heal", "now"],                               // --heal takes no value
+            vec!["--scale", "64"],                               // figure-binary flag
+            vec!["--jobs", "2"],                                 // the binary's own, if any
         ] {
             assert!(serve_args(&bad).is_err(), "should reject {bad:?}");
         }
@@ -1043,11 +997,7 @@ mod tests {
         let shared = h.replay.clone().unwrap();
         let sys = h.app_system(&morpheus_workloads::suite()[9]);
         assert!(Arc::ptr_eq(sys.replay_store().unwrap(), &shared));
-        let a = ServeArgs {
-            harness: h.clone(),
-            ..ServeArgs::default()
-        };
-        let (fleet, _) = a.build_fleet();
+        let (fleet, _) = ServeArgs::new(h.clone()).build_fleet();
         assert!(Arc::ptr_eq(
             fleet.device(0).replay_store().unwrap(),
             &shared

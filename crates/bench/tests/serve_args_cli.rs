@@ -1,6 +1,6 @@
 //! The shared serving grammar at the process boundary: a flag every
-//! serving binary parses through `ServeArgs`/`FleetArgs` is rejected the
-//! same way by each of them — exit 2, the error, then the usage text.
+//! serving binary parses through `ServeArgs` or `offer_fleet` is rejected
+//! the same way by each of them — exit 2, the error, then the usage text.
 
 use std::process::{Command, Output};
 
@@ -25,6 +25,8 @@ const FLEET_ROWS: &[&[&str]] = &[
     &["--devices", "4", "--kill-device", "9@0.1"],
     &["--rolling-update", "-1"],
     &["--rolling-update", "inf"],
+    &["--devices", "2", "--rolling-update", "1e300"],
+    &["--heal", "--kill-device", "0@1e300"],
     &["--heal", "now"],
 ];
 

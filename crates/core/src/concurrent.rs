@@ -35,11 +35,11 @@
 //! device engine hands the firmware an `InstanceMemo` that says what runs
 //! the instance: the StorageApp, built only then, or the recording, which
 //! supplies MINIT's code size and each MREAD's costs and output length. A
-//! request that hands its columns back (`System::run`) also holds an
-//! `ImageSlot`: it replays only with the object image in hand and unpacks
-//! that, and a live run confirms the image or packs its columns into it.
+//! request is told only whether it may replay: a live run hands back its
+//! canonical columns, and a replay none. The object image is
+//! `System::run`'s (`exec.rs`), the one caller that keeps columns.
 
-use crate::deser_memo::{HostReplay, ImageSlot, MemoKey, ReplayStore};
+use crate::deser_memo::{HostReplay, MemoKey, ReplayStore};
 use crate::exec::{AppSpec, MorpheusAbort, RunError};
 use crate::firmware::{DeinitOutcome, DeviceReplay, InstanceMemo, IO_QUEUE_ID};
 use crate::report::{mb_per_sec, Mode};
@@ -110,10 +110,9 @@ enum ParseSource {
 /// Record/replay of the parse work (see `deser_memo`): storage I/O, OS
 /// costs and CPU-core grants always run live against the caller's
 /// timelines; only the parser itself is skipped when a recording for this
-/// exact content and chunking exists (and, for [`System::run`], the
-/// object image its columns unpack from). The recorded values (per-chunk
-/// work deltas, the object digest, the image) are pure functions of the
-/// key, so replayed runs are byte-identical to live ones.
+/// exact content and chunking exists and the caller lets it replay. The
+/// recorded values (per-chunk work deltas, the object digest) are pure
+/// functions of the key, so replayed runs are byte-identical to live ones.
 pub(crate) struct HostTenant {
     chunks: Vec<ChunkIo>,
     next: usize,
@@ -128,10 +127,6 @@ pub(crate) struct HostTenant {
     source: ParseSource,
     /// Where a live parse publishes its recording.
     memo: Option<(MemoKey, Arc<ReplayStore>)>,
-    /// The caller wants the columns back, not only their digest.
-    keep_columns: bool,
-    /// Where such a caller finds or publishes the object image.
-    image: Option<ImageSlot>,
 }
 
 impl HostTenant {
@@ -142,15 +137,10 @@ impl HostTenant {
         Some((c, c.read_command(self.buf_addr)))
     }
 
-    /// Completes the parse of `schema` records. Returns when the last
-    /// chunk's parse ended, the objects' digest, and the columns when the
-    /// engine was built to keep them, each at its length: a replay unpacks
-    /// them from its image. A live parse publishes its recording, and
-    /// confirms or publishes the image.
-    pub(crate) fn finish(
-        self,
-        schema: &Schema,
-    ) -> Result<(SimTime, ObjectDigest, Option<ParsedColumns>), RunError> {
+    /// Completes the parse. Returns when the last chunk's parse ended, the
+    /// objects' digest, and a live parse's canonical columns (a replay has
+    /// none). A live parse publishes its recording.
+    pub(crate) fn finish(self) -> Result<(SimTime, ObjectDigest, Option<ParsedColumns>), RunError> {
         let (parser, parsed, recorded) = match self.source {
             ParseSource::Live {
                 parser,
@@ -158,10 +148,7 @@ impl HostTenant {
                 recorded,
                 ..
             } => (parser, parsed, recorded),
-            ParseSource::Replay(r) => {
-                let objects = self.image.map(|slot| slot.unpack(schema)).transpose()?;
-                return Ok((self.cpu_ready, r.digest, objects));
-            }
+            ParseSource::Replay(r) => return Ok((self.cpu_ready, r.digest, None)),
         };
         // A file of no chunks was never stepped: its parse ends here.
         let mut o = match parsed {
@@ -179,15 +166,6 @@ impl HostTenant {
                 }),
             );
         }
-        if !self.keep_columns {
-            return Ok((self.cpu_ready, digest, None));
-        }
-        // The parser's columns grew by doubling: hand them back, and pack
-        // the image from them, at their length.
-        o.shrink_to_fit();
-        if let Some(slot) = self.image {
-            slot.confirm_or_publish(digest, &o);
-        }
         Ok((self.cpu_ready, digest, Some(o)))
     }
 }
@@ -200,8 +178,8 @@ impl HostTenant {
 /// [`System::device_objects`], which own the device memo (`deser_memo`):
 /// replay an identical lifecycle's recording, or record this one and
 /// publish it with its objects' digest. A replay's commands carry no
-/// bytes; a caller that keeps the columns unpacks them from the object
-/// image. Every timed step (flash, cores, DMA, bus) runs live either way.
+/// bytes, so it hands back no columns. Every timed step (flash, cores,
+/// DMA, bus) runs live either way.
 pub(crate) struct DeviceTenant {
     plan: CommandPlan,
     /// Index of the next MREAD or MWRITE.
@@ -220,9 +198,6 @@ pub(crate) struct DeviceTenant {
     memo_key: Option<MemoKey>,
     /// The object digest of the replayed recording.
     replayed: Option<ObjectDigest>,
-    /// Where a caller that keeps the columns finds or publishes the
-    /// object image.
-    image: Option<ImageSlot>,
 }
 
 /// A StorageApp invocation run to its end by [`System::run_storage_app`].
@@ -259,7 +234,7 @@ enum Engine {
     Host(HostTenant),
     Device(DeviceTenant),
     /// The device lifecycle after its MDEINIT: when its objects were
-    /// delivered, their digest, and the columns when it decoded them.
+    /// delivered, their digest, and the columns a live one decoded.
     Ended(SimTime, ObjectDigest, Option<ParsedColumns>),
 }
 
@@ -271,8 +246,9 @@ enum Engine {
 pub(crate) struct InFlight<'a> {
     spec: &'a AppSpec,
     engine: Engine,
-    /// The caller wants the columns back, not only their digest.
-    keep_columns: bool,
+    /// Either engine may replay a recording, and then hands back no
+    /// columns.
+    may_replay: bool,
     /// Host CPU time the current engine has spent on the request:
     /// syscalls and completion wakeups, or `read()` returns and parses.
     cpu_busy: SimDuration,
@@ -341,7 +317,7 @@ pub(crate) struct Delivered {
     /// When the objects were delivered.
     pub end: SimTime,
     pub digest: ObjectDigest,
-    /// The columns, when the request was opened to keep them.
+    /// The canonical columns of a live run; a replay has none.
     pub objects: Option<ParsedColumns>,
     /// Host CPU time the delivering engine spent on the request.
     pub cpu_busy: SimDuration,
@@ -375,7 +351,7 @@ impl InFlight<'_> {
     /// Closes a request whose steps are done.
     pub(crate) fn finish(self) -> Result<Delivered, RunError> {
         let ((end, digest, objects), on_host) = match self.engine {
-            Engine::Host(h) => (h.finish(&self.spec.schema)?, true),
+            Engine::Host(h) => (h.finish()?, true),
             Engine::Ended(end, digest, objects) => ((end, digest, objects), false),
             Engine::Minit { .. } | Engine::Device(_) => {
                 unreachable!("a request finishes after its last step")
@@ -394,15 +370,12 @@ impl InFlight<'_> {
 
 impl System {
     /// Builds the host engine for `spec`'s file: CPU work starts no
-    /// earlier than `start`. With `keep_columns` the engine hands the
-    /// columns back from [`HostTenant::finish`]; it then replays only when
-    /// the store also holds the object image, and otherwise parses live
-    /// and publishes it.
+    /// earlier than `start`. It replays a recording only when `may_replay`.
     pub(crate) fn conventional_tenant(
         &mut self,
         spec: &AppSpec,
         start: SimTime,
-        keep_columns: bool,
+        may_replay: bool,
     ) -> Result<HostTenant, RunError> {
         let meta = self
             .fs
@@ -410,11 +383,10 @@ impl System {
             .map_err(|_| RunError::UnknownFile(spec.input.clone()))?;
         let chunks = Self::file_chunks(meta, self.params.conventional_chunk_bytes);
         let memo = self.host_memo_key(spec, &chunks).zip(self.replay.clone());
-        let image = keep_columns.then(|| self.image_slot(spec)).flatten();
         let replay = memo
             .as_ref()
-            .and_then(|(key, store)| store.host_get(*key))
-            .filter(|_| image.as_ref().is_none_or(ImageSlot::found));
+            .filter(|_| may_replay)
+            .and_then(|(key, store)| store.host_get(*key));
         if let Some(r) = &replay {
             assert_eq!(
                 r.per_chunk.len(),
@@ -445,8 +417,6 @@ impl System {
                 },
             },
             memo,
-            keep_columns,
-            image,
         })
     }
 
@@ -621,7 +591,6 @@ impl System {
             bar: None,
             memo_key: None,
             replayed: None,
-            image: None,
         })
     }
 
@@ -756,23 +725,20 @@ impl System {
     /// Builds the device engine for `spec`'s file: runs MINIT of `plan`'s
     /// instance, issued to the drive at `issue`, delivering to the P2P
     /// window `bar` (host DRAM when `None`). A replay installs its
-    /// recording; only a live lifecycle builds `spec`'s StorageApp. With
-    /// `keep_columns` [`System::device_objects`] hands the columns back:
-    /// the engine then replays only when the store also holds the object
-    /// image, and otherwise runs live and publishes it.
+    /// recording, which it does only when `may_replay`; only a live
+    /// lifecycle builds `spec`'s StorageApp.
     pub(crate) fn device_tenant(
         &mut self,
         spec: &AppSpec,
         plan: CommandPlan,
         bar: Option<BarWindow>,
         issue: SimTime,
-        keep_columns: bool,
+        may_replay: bool,
     ) -> Result<DeviceTenant, RunError> {
         let memo_key = self.device_memo_key(spec, plan.stream.chunks());
-        let image = keep_columns.then(|| self.image_slot(spec)).flatten();
         let rec = memo_key
-            .and_then(|key| self.replay.as_ref()?.device_get(key))
-            .filter(|_| image.as_ref().is_none_or(ImageSlot::found));
+            .filter(|_| may_replay)
+            .and_then(|key| self.replay.as_ref()?.device_get(key));
         let replayed = rec.as_ref().map(|r| r.digest);
         let memo = match rec {
             Some(rec) => {
@@ -791,35 +757,25 @@ impl System {
             bar,
             memo_key,
             replayed,
-            image,
             ..t
         })
     }
 
     /// The objects of the engine's lifecycle, closed by `dein`: a live one
-    /// decodes its object stream against `schema`, confirms the object
-    /// image or packs the columns into it when it has a slot, and a
-    /// recording one is published to the memo with its digest. A replay
-    /// takes the recorded digest and unpacks the image when it has one.
+    /// decodes its object stream against `schema` and drops the stream,
+    /// and a recording one is published to the memo with its digest. A
+    /// replay takes the recorded digest and has no columns.
     fn device_objects(
         &mut self,
         t: &mut DeviceTenant,
         schema: &Schema,
         dein: DeinitOutcome,
     ) -> Result<(ObjectDigest, Option<ParsedColumns>), RunError> {
-        let image = t.image.take();
         let (digest, objects) = match t.replayed {
-            Some(d) => (d, image.map(|slot| slot.unpack(schema)).transpose()?),
+            Some(d) => (d, None),
             None => {
-                let o = ParsedColumns::decode(schema.clone(), &t.output)?;
-                let d = o.digest();
-                if let Some(slot) = image {
-                    // The image is packed from the columns, so the stream
-                    // can go first.
-                    t.output = Vec::new();
-                    slot.confirm_or_publish(d, &o);
-                }
-                (d, Some(o))
+                let o = ParsedColumns::decode(schema.clone(), &std::mem::take(&mut t.output))?;
+                (o.digest(), Some(o))
             }
         };
         if let (Some(key), Some(rec), Some(store)) = (t.memo_key, dein.recording, &self.replay) {
@@ -848,18 +804,17 @@ impl System {
 
     /// Opens a request for `spec`'s file on `target`, dispatched at
     /// `start`. A host request builds its engine now; a device request
-    /// lowers its plan now, and its first step is its MINIT. With
-    /// `keep_columns` the request hands the columns back from
-    /// [`InFlight::finish`].
+    /// lowers its plan now, and its first step is its MINIT. Either engine
+    /// replays a recording only when `may_replay`.
     pub(crate) fn open_request<'a>(
         &mut self,
         spec: &'a AppSpec,
         target: Target,
         start: SimTime,
-        keep_columns: bool,
+        may_replay: bool,
     ) -> Result<InFlight<'a>, RunError> {
         let engine = match target {
-            Target::Host => Engine::Host(self.conventional_tenant(spec, start, keep_columns)?),
+            Target::Host => Engine::Host(self.conventional_tenant(spec, start, may_replay)?),
             Target::Device(iid, bar) => {
                 let stream = ms_stream_create(&self.fs, &spec.input, self.params.mread_chunk_bytes)
                     .map_err(|_| RunError::UnknownFile(spec.input.clone()))?;
@@ -870,7 +825,7 @@ impl System {
         Ok(InFlight {
             spec,
             engine,
-            keep_columns,
+            may_replay,
             cpu_busy: SimDuration::ZERO,
         })
     }
@@ -925,7 +880,7 @@ impl System {
                 let issue = self.fault_gate("MINIT", syscall.end)?;
                 let cmd = plan.init().into_command(0, 1);
                 let plan = plan.take();
-                let t = self.device_tenant(req.spec, plan, *bar, issue, req.keep_columns)?;
+                let t = self.device_tenant(req.spec, plan, *bar, issue, req.may_replay)?;
                 let ready = t.ready;
                 req.engine = Engine::Device(t);
                 return Ok((Some((cmd, ok, 0)), StepEvent::Minit { syscall, ready }));
@@ -983,7 +938,7 @@ impl System {
             fi.counters.host_fallbacks += 1;
             fi.fallback_cause = Some(cause);
         }
-        req.engine = Engine::Host(self.conventional_tenant(req.spec, at, req.keep_columns)?);
+        req.engine = Engine::Host(self.conventional_tenant(req.spec, at, req.may_replay)?);
         // A request's CPU time is its delivering engine's.
         req.cpu_busy = SimDuration::ZERO;
         Ok((Some((reap, status, 0)), StepEvent::Fallback { at }))
@@ -1039,7 +994,7 @@ impl System {
                 Mode::Morpheus => Target::Device(self.alloc_instance(), None),
                 Mode::MorpheusP2P => return Err(RunError::NotGpuApp(spec.name.clone())),
             };
-            reqs.push(self.open_request(spec, target, SimTime::ZERO, false)?);
+            reqs.push(self.open_request(spec, target, SimTime::ZERO, true)?);
         }
         // Reads go round-robin until every tenant has drained its file;
         // then each tenant's MDEINIT (or a late fallback's reads), in order.
@@ -1188,16 +1143,16 @@ mod tests {
         sys.create_input_file("up.txt", &edge_text(20_000, 0x5eed_00a1))
             .unwrap();
         let spec = AppSpec::cpu_app("up", "up.txt", edge_schema(), 1, 50.0);
-        // Whether each engine, opened for a caller that keeps the columns
-        // or not, replays.
-        let replays = |sys: &mut System, keep_columns| {
+        // Whether each engine, opened with or without leave to replay,
+        // replays.
+        let replays = |sys: &mut System, may_replay| {
             let h = sys
-                .conventional_tenant(&spec, SimTime::ZERO, keep_columns)
+                .conventional_tenant(&spec, SimTime::ZERO, may_replay)
                 .unwrap();
             let iid = sys.alloc_instance();
             let target = Target::Device(iid, None);
             let mut req = sys
-                .open_request(&spec, target, SimTime::ZERO, keep_columns)
+                .open_request(&spec, target, SimTime::ZERO, may_replay)
                 .unwrap();
             sys.step_request(&mut req).unwrap();
             let Engine::Device(t) = &req.engine else {
@@ -1207,6 +1162,9 @@ mod tests {
             sys.mssd.abort_instance(iid);
             (matches!(h.source, ParseSource::Replay(_)), replayed)
         };
+        // Whether `System::run`, the caller that keeps the columns, holds
+        // their object image: it lets its engine replay only then.
+        let imaged = |sys: &mut System| sys.image_slot(&spec).expect("memo on").found();
         // Serving records counts and digests, no image: it replays for
         // serving, but a caller that needs the columns back runs live.
         for mode in [Mode::Conventional, Mode::Morpheus] {
@@ -1215,11 +1173,13 @@ mod tests {
             let rep = sys.serve(std::slice::from_ref(&spec), &cfg).unwrap();
             assert!(rep.completed > 0);
         }
-        assert_eq!(replays(&mut sys, false), (true, true));
-        assert_eq!(replays(&mut sys, true), (false, false));
+        assert_eq!(replays(&mut sys, true), (true, true));
+        assert!(!imaged(&mut sys));
+        assert_eq!(replays(&mut sys, false), (false, false));
         // That live run publishes the image, so both engines then replay
         // for every caller and hand back the same columns.
         let live = sys.run(&spec, Mode::Morpheus).unwrap();
+        assert!(imaged(&mut sys));
         assert_eq!(replays(&mut sys, true), (true, true));
         for mode in [Mode::Morpheus, Mode::Conventional] {
             assert_eq!(sys.run(&spec, mode).unwrap().objects, live.objects);
@@ -1373,12 +1333,12 @@ mod tests {
             let mut sys = System::new(params);
             sys.create_input_file("tail.txt", &text).unwrap();
             let spec = AppSpec::cpu_app("tail", "tail.txt", schema.clone(), 1, 50.0);
-            let mut h = sys.conventional_tenant(&spec, SimTime::ZERO, false).unwrap();
+            let mut h = sys.conventional_tenant(&spec, SimTime::ZERO, true).unwrap();
             let chunks = h.chunks.clone();
             while h.next_read().is_some() {
                 sys.step_host(&mut h, SimTime::ZERO).unwrap();
             }
-            h.finish(&schema).unwrap();
+            h.finish().unwrap();
             let key = sys.host_memo_key(&spec, &chunks).expect("memo on");
             let rec = sys.replay_store().unwrap().host_get(key).expect("recorded");
             let mut host = ParseWork::default();

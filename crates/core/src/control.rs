@@ -255,6 +255,20 @@ impl ControlConfig {
     pub fn is_active(&self) -> bool {
         self.rolling.is_some() || self.heal.is_some()
     }
+
+    /// True when every edge [`ControlPlan::compile`] plans for a fleet of
+    /// `devices` with `kills` lands inside [`SimTime`]'s range: the rolling
+    /// update's last return to service, and each healed kill's.
+    pub(crate) fn fits_the_clock(&self, devices: usize, kills: &[DeviceKill]) -> bool {
+        // `at` plus `times` rounds of `steps`, in nanoseconds that cannot wrap.
+        let fits = |at: SimTime, steps: &[SimDuration], times: usize| {
+            let round: u128 = steps.iter().map(|d| u128::from(d.as_nanos())).sum();
+            u128::from(at.as_nanos()) + round * times as u128 <= u128::from(u64::MAX)
+        };
+        let (rolling, heal) = (self.rolling, self.heal);
+        rolling.is_none_or(|r| fits(r.start, &[r.drain, r.update, r.reboot], devices))
+            && heal.is_none_or(|h| kills.iter().all(|k| fits(k.at, &[h.detect, h.reboot], 1)))
+    }
 }
 
 /// One executed lifecycle edge on a device's timeline.
@@ -334,7 +348,9 @@ impl ControlPlan {
     /// `Failed` edges; with a heal policy each kill is followed by a
     /// pull-and-reboot recovery. Planned edges that find the machine in
     /// the wrong state (the device died mid-drain, say) are skipped
-    /// deterministically rather than rejected.
+    /// deterministically rather than rejected. Every planned time must
+    /// fit [`SimTime`], as [`FleetConfig::validate`](crate::FleetConfig::validate)
+    /// checks.
     pub fn compile(
         cfg: &ControlConfig,
         devices: usize,

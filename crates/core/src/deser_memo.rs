@@ -31,7 +31,7 @@
 //!   `System::conventional_tenant` and published by `HostTenant::finish`;
 //! - images: one packed image of the objects per (content, schema, input
 //!   format) ([`ObjectImage`]), read and written through an [`ImageSlot`]
-//!   by the runs that hand columns back ([`System::run`]);
+//!   by [`System::run`] alone, the one caller that hands columns back;
 //! - inputs: generated input text by exact (generator, bytes, seed)
 //!   ([`ReplayStore::generated_input`]).
 //!
@@ -217,12 +217,11 @@ impl fmt::Debug for ReplayStore {
     }
 }
 
-/// Where a run that hands columns back finds its object image, or
-/// publishes the one it parsed: opened by [`System::image_slot`] for the
-/// runs of [`System::run`] only. Such a run replays only when the store
-/// holds both its engine's recording and the image, and then unpacks the
-/// image; otherwise it runs live and its digest confirms the image or its
-/// columns are packed into it.
+/// Where [`System::run`], the one caller that hands columns back, finds
+/// its object image or publishes the one it parsed (opened by
+/// [`System::image_slot`]). The run lets its engine replay only when the
+/// slot found the image, and then unpacks it; otherwise it runs live and
+/// its digest confirms the image or its columns are packed into it.
 pub(crate) struct ImageSlot {
     key: MemoKey,
     store: Arc<ReplayStore>,
@@ -310,8 +309,9 @@ impl System {
 
     /// Digest of a staged file's logical byte stream, cached per name.
     /// The cache is dropped by [`System::invalidate_cached_objects`], which
-    /// every file-mutation path already calls. Returns `None` when the
-    /// file cannot be read back (no memoization, never an error).
+    /// every file-mutation path already calls. Hashing reads the stored
+    /// pages with no media error model, so a key perturbs no timed read.
+    /// Returns `None` for a name the file system does not know.
     pub(crate) fn content_digest(&mut self, name: &str) -> Option<u64> {
         if let Some(&d) = self.deser_digests.get(name) {
             return Some(d);
@@ -320,7 +320,7 @@ impl System {
         let mut s = Fnv1a::new();
         // Hashed in place, a page at a time: every piece but the last is
         // whole LBAs, so each starts on a lane.
-        self.visit_file(&meta, |bytes| s.lanes(bytes)).ok()?;
+        self.visit_file(&meta, |bytes| s.lanes(bytes));
         let d = s.value();
         self.deser_digests.insert(name.to_string(), d);
         Some(d)

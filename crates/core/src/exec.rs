@@ -22,9 +22,15 @@
 //! host-core trace spans, and the `nvme_lat` histogram), the fault gates
 //! every request's steps pass (`docs/FAULT_MODEL.md`), and the report.
 //!
+//! [`System::run`] is the one caller that keeps its objects as columns: it
+//! alone holds their object image (`deser_memo`), lets its request replay
+//! only with the image in hand, and trims a live run's columns and confirms
+//! or packs the image from them. The engines return live columns only.
+//!
 //! [`finish_run`]: System::finish_run
 
 use crate::concurrent::{Delivered, InFlight, StepEvent, Target};
+use crate::deser_memo::ImageSlot;
 use crate::firmware::IO_QUEUE_ID;
 use crate::report::{Mode, Phases, RunReport};
 use crate::runtime::OBJECT_ADDR;
@@ -293,12 +299,26 @@ impl System {
             Mode::Morpheus => Target::Device(self.alloc_instance(), None),
             Mode::MorpheusP2P => Target::Device(self.alloc_instance(), Some(self.map_gpu_bar())),
         };
-        let mut req = self.open_request(spec, target, SimTime::ZERO, true)?;
+        let image = self.image_slot(spec);
+        let may_replay = image.as_ref().is_none_or(ImageSlot::found);
+        let mut req = self.open_request(spec, target, SimTime::ZERO, may_replay)?;
         while !req.done() {
             self.step_on_queue1(&mut req)?;
         }
-        let delivered = req.finish()?;
-        self.finish_run(spec, mode, delivered)
+        let mut delivered = req.finish()?;
+        let objects = match delivered.objects.take() {
+            // A live run's columns grew by doubling in the parser: hand them
+            // back, and pack the image from them, at their length.
+            Some(mut o) => {
+                o.shrink_to_fit();
+                if let Some(slot) = image {
+                    slot.confirm_or_publish(delivered.digest, &o);
+                }
+                o
+            }
+            None => image.expect("a replay's image").unpack(&spec.schema)?,
+        };
+        self.finish_run(spec, mode, delivered, objects)
     }
 
     /// The sink of solo and multi-tenant runs: runs the request's next
@@ -457,22 +477,22 @@ impl System {
 
     /// Shared tail: other-CPU phase, copy phase, kernel phase, report.
     /// Objects the host engine parsed get their region in host DRAM
-    /// (location Y of Fig. 1(b)). `delivered.digest` describes its objects,
+    /// (location Y of Fig. 1(b)). `delivered.digest` describes `objects`,
     /// so the run does not re-hash them.
     fn finish_run(
         &mut self,
         spec: &AppSpec,
         mode: Mode,
         delivered: Delivered,
+        objects: ParsedColumns,
     ) -> Result<RunOutcome, RunError> {
         let Delivered {
             end,
             digest,
-            objects,
             cpu_busy,
             on_host,
+            ..
         } = delivered;
-        let objects = objects.expect("opened to keep its columns");
         debug_assert_eq!(
             objects.digest(),
             digest,

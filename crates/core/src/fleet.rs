@@ -142,7 +142,8 @@ impl FleetConfig {
     }
 
     /// Checks the config for internal consistency: at least one device,
-    /// and every kill naming a device inside the fleet.
+    /// every kill naming a device inside the fleet, and every control-plane
+    /// edge landing inside [`SimTime`]'s range.
     ///
     /// # Errors
     ///
@@ -160,6 +161,9 @@ impl FleetConfig {
                     devices: self.devices,
                 });
             }
+        }
+        if !self.control.fits_the_clock(self.devices, &self.kills) {
+            return Err(FleetConfigError::ScheduleOverflow);
         }
         Ok(())
     }
@@ -180,6 +184,9 @@ pub enum FleetConfigError {
         /// How many devices the fleet has.
         devices: usize,
     },
+    /// A rolling update or a healed kill plans an edge past the last
+    /// instant [`SimTime`] holds.
+    ScheduleOverflow,
 }
 
 impl fmt::Display for FleetConfigError {
@@ -192,6 +199,9 @@ impl fmt::Display for FleetConfigError {
                  (valid indices are 0..={})",
                 devices - 1
             ),
+            FleetConfigError::ScheduleOverflow => {
+                write!(f, "the control schedule runs past the simulated clock")
+            }
         }
     }
 }
@@ -264,8 +274,9 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// Whatever [`FleetConfig::validate`] finds — zero devices, or a
-    /// kill spec naming a device outside the fleet.
+    /// Whatever [`FleetConfig::validate`] finds — zero devices, a kill
+    /// spec naming a device outside the fleet, or a control schedule past
+    /// the clock.
     pub fn try_new(params: SystemParams, cfg: FleetConfig) -> Result<Self, FleetConfigError> {
         cfg.validate()?;
         let devices = (0..cfg.devices)
@@ -993,6 +1004,39 @@ mod tests {
         for bad in ["", "2", "@1", "x@1", "1@x", "1@-1", "1@inf"] {
             assert!(DeviceKill::parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn a_schedule_past_the_clock_is_a_typed_config_error() {
+        use crate::control::{HealPolicy, RollingUpdate};
+        // A rolling update that starts at the clock's last instant, and a
+        // healed kill there: each plans an edge past it.
+        let mut rolling = FleetConfig::new(2);
+        rolling.control.rolling = Some(RollingUpdate::starting_at(1e300));
+        let mut healed = FleetConfig::new(1);
+        healed.kills = vec![DeviceKill::parse("0@1e300").unwrap()];
+        healed.control.heal = Some(HealPolicy::default());
+        let horizon = SimTime::ZERO + SimDuration::from_millis(20);
+        for cfg in [rolling, healed] {
+            if cfg.validate().is_ok() {
+                // Compiling it would add past the clock: a wrapped edge in
+                // a release build, an overflow panic in a debug one.
+                ControlPlan::compile(&cfg.control, cfg.devices, &cfg.kills, horizon);
+            }
+            assert_eq!(cfg.validate(), Err(FleetConfigError::ScheduleOverflow));
+            let err = Fleet::try_new(SystemParams::paper_testbed(), cfg).unwrap_err();
+            assert!(
+                format!("{err}").contains("past the simulated clock"),
+                "{err}"
+            );
+        }
+        // The latest schedule that fits is accepted.
+        let mut edge = FleetConfig::new(1);
+        let cycle = RollingUpdate::starting_at(0.0).cycle();
+        let mut r = RollingUpdate::starting_at(0.0);
+        r.start = SimTime::from_nanos(u64::MAX - cycle.as_nanos());
+        edge.control.rolling = Some(r);
+        assert_eq!(edge.validate(), Ok(()));
     }
 
     #[test]

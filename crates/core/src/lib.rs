@@ -101,7 +101,10 @@ pub use params::{CoRunner, StorageKind, SystemParams};
 pub use report::{mb_per_sec, Mode, Phases, RunReport, MB};
 pub use runtime::{ms_stream_create, CommandPlan, MsStream};
 pub use serialize::SerializeReport;
-pub use serve::{ServeConfig, ServePolicy, ServeReport, MAX_RPS, MAX_TENANTS};
+pub use serve::{
+    telemetry_windows, ServeConfig, ServePolicy, ServeReport, MAX_RPS, MAX_TELEMETRY_WINDOWS,
+    MAX_TENANTS,
+};
 pub use storage_app::{AppError, DeserializeApp, DeviceCtx, StorageApp};
 pub use system::{ChunkIo, System};
 

@@ -77,6 +77,18 @@ impl fmt::Display for ServePolicy {
 /// advancing sim time and the offered stream never reaches the horizon.
 pub const MAX_RPS: f64 = 1e9;
 
+/// Most telemetry windows a sampled run's arrival window may touch
+/// ([`telemetry_windows`]). Each window holds about 1.5 KiB per device,
+/// so the bound keeps a run's sampler near 150 MiB a device.
+pub const MAX_TELEMETRY_WINDOWS: u64 = 100_000;
+
+/// How many windows of `window` (at least 1 ns) an arrival window of
+/// `duration_s` simulated seconds touches.
+pub fn telemetry_windows(duration_s: f64, window: SimDuration) -> u64 {
+    let span = SimDuration::from_secs_f64(duration_s).as_nanos();
+    span.div_ceil(window.as_nanos().max(1))
+}
+
 /// Most tenants one serve run accepts (65534): tenant `i` gets NVMe I/O
 /// queue `2 + i`, and queue ids are 16-bit.
 pub const MAX_TENANTS: usize = (u16::MAX - FIRST_TENANT_QID + 1) as usize;
@@ -332,6 +344,12 @@ pub(crate) fn validate_serve_cfg(cfg: &ServeConfig) {
         cfg.skew.is_finite() && cfg.skew >= 0.0,
         "skew must be finite and non-negative"
     );
+    if let Some(t) = &cfg.telemetry {
+        assert!(
+            telemetry_windows(cfg.duration_s, t.window) <= MAX_TELEMETRY_WINDOWS,
+            "telemetry must span at most {MAX_TELEMETRY_WINDOWS} windows"
+        );
+    }
 }
 
 /// Mutable run state threaded through the dispatcher.
@@ -538,8 +556,9 @@ impl System {
     /// # Panics
     ///
     /// Panics on a non-NVMe storage configuration, a non-positive rate,
-    /// duration, depth, or batch size, a rate above [`MAX_RPS`], or more
-    /// than [`MAX_TENANTS`] apps (config bugs, not run outcomes).
+    /// duration, depth, or batch size, a rate above [`MAX_RPS`], more than
+    /// [`MAX_TENANTS`] apps, or telemetry over more than
+    /// [`MAX_TELEMETRY_WINDOWS`] windows (config bugs, not run outcomes).
     pub fn serve(&mut self, apps: &[AppSpec], cfg: &ServeConfig) -> Result<ServeReport, RunError> {
         if apps.is_empty() {
             return Err(RunError::NoTenants);
@@ -868,7 +887,7 @@ impl System {
     ) -> Result<SimTime, RunError> {
         let held = self.object_mark();
         let mut service_start = start;
-        let mut req = self.open_request(tenant.spec, target, start, false)?;
+        let mut req = self.open_request(tenant.spec, target, start, true)?;
         while !req.done() {
             let (cmd, ev) = self.step_request(&mut req)?;
             wire.extend(cmd);
@@ -1066,6 +1085,14 @@ mod tests {
     fn absurd_rates_panic_instead_of_hanging() {
         let (mut sys, specs) = serving_system(1, 10);
         let _ = sys.serve(&specs, &ServeConfig::new(1e300, 0.01));
+    }
+
+    #[test]
+    #[should_panic(expected = "telemetry must span at most")]
+    fn a_window_too_fine_to_hold_panics_before_serving() {
+        let mut cfg = ServeConfig::new(100.0, 0.05);
+        cfg.telemetry = Some(TelemetryConfig::new(SimDuration::from_nanos(1)));
+        validate_serve_cfg(&cfg);
     }
 
     #[test]

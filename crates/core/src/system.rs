@@ -347,45 +347,41 @@ impl System {
         Ok(())
     }
 
-    /// Reads a staged file back (untimed; functional verification).
+    /// Reads a staged file back as the drive stores it (untimed, and
+    /// drawing no media errors; functional verification).
     ///
     /// # Errors
     ///
-    /// [`RunError::UnknownFile`] for a name the file system does not know,
-    /// [`RunError::Ssd`] when the drive fails.
-    pub fn read_file_bytes(&mut self, name: &str) -> Result<Vec<u8>, RunError> {
+    /// [`RunError::UnknownFile`] for a name the file system does not know.
+    pub fn read_file_bytes(&self, name: &str) -> Result<Vec<u8>, RunError> {
         let meta = self
             .fs
             .open(name)
             .map_err(|_| RunError::UnknownFile(name.to_string()))?
             .clone();
         let mut out = Vec::with_capacity(meta.len as usize);
-        self.visit_file(&meta, |bytes| out.extend_from_slice(bytes))?;
+        self.visit_file(&meta, |bytes| out.extend_from_slice(bytes));
         Ok(out)
     }
 
-    /// Hands `visit` a staged file's bytes in order, read untimed and one
-    /// flash page's worth at a time, where the drive stores them. Every
-    /// piece but the file's last is whole LBAs. Reads each extent whole,
-    /// up to the one that holds the file's last byte.
-    pub(crate) fn visit_file(
-        &mut self,
-        meta: &FileMeta,
-        mut visit: impl FnMut(&[u8]),
-    ) -> Result<(), SsdError> {
+    /// Hands `visit` a staged file's bytes in order, one flash page's worth
+    /// at a time, where the drive stores them ([`Ssd::stored_range`]: no
+    /// timing, media error, retry or counter). Every piece but the file's
+    /// last is whole LBAs. Reads each extent whole, up to the one that
+    /// holds the file's last byte.
+    pub(crate) fn visit_file(&self, meta: &FileMeta, mut visit: impl FnMut(&[u8])) {
         let mut remaining = meta.len as usize;
         for e in &meta.extents {
             if remaining == 0 {
                 break;
             }
-            for page in self.mssd.dev.read_range_untimed(e.slba, e.blocks)? {
+            for page in self.mssd.dev.stored_range(e.slba, e.blocks) {
                 let bytes = page.bytes();
                 let take = remaining.min(bytes.len());
                 visit(&bytes[..take]);
                 remaining -= take;
             }
         }
-        Ok(())
     }
 
     /// Splits a file into I/O chunks of at most `chunk_bytes` (and at most

@@ -229,6 +229,13 @@ impl FlashArray {
         Ok((data, op))
     }
 
+    /// The payload a valid page stores, or `None` for any other page: no
+    /// error model, timing or counter, so looking costs and perturbs
+    /// nothing. A content hash reads pages this way.
+    pub fn stored_page(&self, ppa: Ppa) -> Option<&PageData> {
+        self.data.get(&ppa)
+    }
+
     /// Programs a page with `data`, returning the operation timing.
     ///
     /// # Errors

@@ -578,6 +578,18 @@ impl Ssd {
         Ok(pages)
     }
 
+    /// The views [`read_range_untimed`](Ssd::read_range_untimed) hands
+    /// out, of the pages as flash stores them: read with no media error
+    /// model, retry or counter, so a content hash perturbs no later read.
+    pub fn stored_range(&self, slba: u64, blocks: u64) -> impl Iterator<Item = PageRead> + '_ {
+        let stored = |lpn| self.ftl.flash().stored_page(self.ftl.translate(lpn)?);
+        let spans = self.page_spans(slba * LBA_BYTES, blocks * LBA_BYTES);
+        spans.map(move |(lpn, range)| PageRead {
+            data: stored(lpn).cloned(),
+            range,
+        })
+    }
+
     /// Resets every timeline and counter to time zero while keeping the
     /// stored data (used between runs over the same staged input).
     pub fn reset_timing(&mut self) {

@@ -5,7 +5,8 @@
 //! and sampled serve cells on both engines, and concurrent tenants. The
 //! same holds step by step while a store fills: runs that hand columns
 //! back replay only with their object image, and one image serves every
-//! mode and drive configuration.
+//! mode and drive configuration. On a drive whose media errors fire with
+//! no fault plan, hashing a file for a memo key draws none of them.
 
 use std::sync::Arc;
 
@@ -192,4 +193,39 @@ fn two_chunkings_record_twice_and_share_one_image() {
             counts(2, 0, 1)
         ]
     );
+}
+
+#[test]
+fn memo_keys_draw_no_media_errors() {
+    // Media errors that fire with no fault plan armed: the error model's
+    // dice run on across runs, so a memo key that read the file through
+    // them would shift every later timed read with the memo on.
+    let mut params = SystemParams::paper_testbed();
+    params.flash_ecc = morpheus_flash::EccModel {
+        correctable_prob: 0.25,
+        correction_retries: 2,
+        uncorrectable_prob: 0.01,
+        wear_limit: u64::MAX,
+    };
+    params.flash_seed = 77;
+    let script = |sys: &mut System| {
+        let [gpu, cpu] = specs();
+        let mut seen = Vec::new();
+        for mode in [Mode::Conventional, Mode::Morpheus, Mode::MorpheusP2P] {
+            let out = sys.run(&gpu, mode).unwrap();
+            seen.push((format!("run {mode}"), format!("{:?}", out.report)));
+        }
+        for mode in [Mode::Conventional, Mode::Morpheus] {
+            let tenants = [(gpu.clone(), mode), (cpu.clone(), mode)];
+            let rep = sys.run_deserialize_many(&tenants).unwrap();
+            seen.push((format!("tenants {mode}"), format!("{rep:?}")));
+        }
+        seen
+    };
+    let on = script(&mut system(params.clone(), Some(Arc::default())));
+    let off = script(&mut system(params, None));
+    assert_eq!(on.len(), off.len());
+    for ((what, memo), (_, live)) in on.iter().zip(&off) {
+        assert!(memo == live, "{what} differs between memo on and off");
+    }
 }
